@@ -8,7 +8,7 @@ line-of-sight, never materialized as a matrix).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -20,6 +20,7 @@ __all__ = [
     "ChannelRealization",
     "pathloss",
     "make_geometry",
+    "line_of_sight",
     "sample_channels",
     "effective_scalar_channel",
 ]
@@ -61,6 +62,10 @@ class SystemConfig:
     nu: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=float))):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if min(self.M, self.N, self.K, self.L) < 1:
             raise ValueError("M, N, K, L must all be >= 1")
         if self.Pmax <= 0:
@@ -197,10 +202,30 @@ def make_geometry(
     )
 
 
+def line_of_sight(geometry: Geometry, config: SystemConfig) -> np.ndarray:
+    """Line-of-sight part of the device-IRS links, (K, N), amplitude included.
+
+    Steering vectors toward each device scaled by the Rician
+    line-of-sight amplitude sqrt(rho_r delta/(delta+1)), or by
+    sqrt(rho_r) with ``pure_los``.  It depends only on the geometry and
+    N, so a caller drawing many blocks on one geometry can compute it
+    once and pass it to :func:`sample_channels`.
+    """
+    los = np.exp(
+        2j * np.pi * geometry.spacing_ratio
+        * np.sin(geometry.nu)[:, None] * np.arange(config.N)[None, :]
+    )
+    if config.pure_los:
+        return np.sqrt(geometry.rho_r)[:, None] * los
+    delta = config.rician_delta
+    return np.sqrt(geometry.rho_r * delta / (delta + 1.0))[:, None] * los
+
+
 def sample_channels(
     geometry: Geometry,
     config: SystemConfig,
     stream: RngStream | np.random.Generator,
+    los: np.ndarray | None = None,
 ) -> ChannelRealization:
     """Draw one coherence block of small-scale fading.
 
@@ -209,25 +234,24 @@ def sample_channels(
     line-of-sight component with an i.i.d. scattered component at the
     configured Rician ratio; with ``pure_los`` the scattered part is
     dropped exactly.  Draws are independent across devices and streams.
+    ``los`` is :func:`line_of_sight` for this geometry and config,
+    computed here when not given; it does not touch the stream.
     """
     gen = as_generator(stream)
     K, M, N = config.K, config.M, config.N
-    delta = config.rician_delta
+    if los is None:
+        los = line_of_sight(geometry, config)
 
     g_direct = (gen.standard_normal((K, M)) + 1j * gen.standard_normal((K, M))) / np.sqrt(2.0)
     h_direct = np.sqrt(geometry.rho_d)[:, None] * g_direct
 
-    los = np.exp(
-        2j * np.pi * geometry.spacing_ratio
-        * np.sin(geometry.nu)[:, None] * np.arange(N)[None, :]
-    )
     if config.pure_los:
-        h_reflect = np.sqrt(geometry.rho_r)[:, None] * los
+        h_reflect = los
     else:
         g_reflect = (gen.standard_normal((K, N)) + 1j * gen.standard_normal((K, N))) / np.sqrt(2.0)
-        los_amp = np.sqrt(geometry.rho_r * delta / (delta + 1.0))[:, None]
+        delta = config.rician_delta
         nlos_amp = np.sqrt(geometry.rho_r / (delta + 1.0))[:, None]
-        h_reflect = los_amp * los + nlos_amp * g_reflect
+        h_reflect = los + nlos_amp * g_reflect
 
     return ChannelRealization(h_direct=h_direct, h_reflect=h_reflect, geometry=geometry)
 

@@ -3,8 +3,12 @@
 Long-term quantities (beamformer, voted phases) are computed once per
 geometry; channels are redrawn per trial.  Every trial owns a
 counter-based stream derived from (master seed, point index, trial
-index), so runs are a pure function of the configuration and seed and
-schemes evaluated at the same sweep coordinate share channel draws.
+index), so runs are a pure function of the configuration and seed.
+The engine is trial-major: each trial draws one channel block from its
+stream, every scheme evaluates that same block (schemes of one kind
+share its effective channels), and power control runs on blocks of
+trials at once.  Only a scheme whose channels come out degenerate draws
+again, from the same stream, as if it had been run alone.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .channel import (
     ChannelRealization,
     Geometry,
     SystemConfig,
+    line_of_sight,
     make_geometry,
     sample_channels,
 )
@@ -28,11 +33,10 @@ from .numerics import RngStream, as_generator
 from .protocol import (
     DegenerateChannelError,
     PhaseShiftVector,
-    channel_inversion_power_control,
     effective_scalar_channel,
     majority_vote,
-    optimal_power_control,
     per_device_phases,
+    power_control_rows,
     receive_beamformer,
 )
 
@@ -45,7 +49,6 @@ __all__ = [
     "LongTermState",
     "SweepRow",
     "SweepResult",
-    "TrialCounters",
     "compute_long_term",
     "run_trial",
     "run_sweep",
@@ -130,11 +133,6 @@ class LongTermState:
     theta_fixed: PhaseShiftVector
 
 
-@dataclass
-class TrialCounters:
-    rejected: int = 0
-
-
 @dataclass(frozen=True)
 class SweepRow:
     scheme: str
@@ -179,21 +177,77 @@ def _dominant_direct_combiner(realization: ChannelRealization) -> np.ndarray:
     return vecs[:, -1]
 
 
-def _scheme_gammas(
-    realization: ChannelRealization,
-    config: SystemConfig,
-    scheme: Scheme,
-    long_term: LongTermState,
+# How each scheme turns a channel draw into scalar channels: through the
+# static beamformer with voted or all-zero phases, or through the
+# dominant-direct combiner.  Schemes of one kind share their gammas.
+_VOTED, _ZERO, _DIRECT = "voted", "zero", "direct"
+_KIND = {
+    Scheme.OPT_PC_IRS: _VOTED,
+    Scheme.INV_PC_IRS: _VOTED,
+    Scheme.FIXED_PHASE_OPT_PC: _ZERO,
+    Scheme.OPT_PC_NO_IRS: _DIRECT,
+    Scheme.INV_PC_NO_IRS: _DIRECT,
+}
+_INVERSION = (Scheme.INV_PC_IRS, Scheme.INV_PC_NO_IRS)
+
+# Trials whose gammas go through power control together; extra memory
+# is this many rows of K per scheme kind, whatever the trial count.
+_POWER_BLOCK = 64
+
+
+def _kind_gammas(
+    kind: str, realization: ChannelRealization, long_term: LongTermState
 ) -> np.ndarray:
-    if scheme in (Scheme.OPT_PC_NO_IRS, Scheme.INV_PC_NO_IRS):
+    if kind == _DIRECT:
         v = _dominant_direct_combiner(realization)
         return realization.h_direct @ v.conj()
-    theta = (
-        long_term.theta_fixed
-        if scheme is Scheme.FIXED_PHASE_OPT_PC
-        else long_term.theta_voted
-    )
+    theta = long_term.theta_voted if kind == _VOTED else long_term.theta_fixed
     return effective_scalar_channel(realization, long_term.v, theta)
+
+
+def _trial_gammas(
+    config: SystemConfig,
+    geometry: Geometry,
+    long_term: LongTermState,
+    gen: np.random.Generator,
+    schemes: list[Scheme],
+    los: np.ndarray | None = None,
+) -> tuple[dict[str, np.ndarray], int]:
+    """One trial's effective channels per kind, and the degenerate draws rejected.
+
+    Every kind starts from the trial's first draw.  A kind whose
+    channels are degenerate moves on to the next draw of the same
+    generator, drawn only then, so each scheme sees the draw sequence
+    that a fresh generator of the trial's stream would give it alone;
+    its rejections count once per scheme.
+    """
+    draws: list[ChannelRealization] = []
+    gammas: dict[str, np.ndarray] = {}
+    redraws: dict[str, int] = {}
+    for scheme in schemes:
+        kind = _KIND[scheme]
+        if kind in gammas:
+            continue
+        for i in range(_MAX_REDRAWS):
+            if i == len(draws):
+                draws.append(sample_channels(geometry, config, gen, los))
+            g = _kind_gammas(kind, draws[i], long_term)
+            if np.all(np.abs(g) > 0.0):
+                gammas[kind], redraws[kind] = g, i
+                break
+        else:
+            raise DegenerateChannelError(
+                f"{scheme.value}: degenerate channel persisted through {_MAX_REDRAWS} redraws"
+            )
+    return gammas, sum(redraws[_KIND[s]] for s in schemes)
+
+
+def _power_control(scheme: Scheme, gammas: np.ndarray, config: SystemConfig):
+    """(mse, critical_number) per row of a (B, K) gamma block under the scheme's rule."""
+    _, _, kt, mse = power_control_rows(
+        gammas, config.Pmax, config.sigma2, inversion=scheme in _INVERSION
+    )
+    return mse, kt
 
 
 def run_trial(
@@ -202,33 +256,21 @@ def run_trial(
     scheme: Scheme | SchemeSpec,
     stream: RngStream | np.random.Generator,
     long_term: LongTermState | None = None,
-    counters: TrialCounters | None = None,
 ) -> tuple[float, int]:
     """One coherence block under one scheme: (mse, critical_number).
 
     Degenerate all-zero channels are rejected and redrawn from the same
-    stream; rejections are tallied in ``counters`` when given.
+    stream.  The same evaluation as one scheme of one :func:`run_sweep`
+    trial.
     """
     if isinstance(scheme, SchemeSpec):
         scheme = scheme.id
     scheme = Scheme(scheme)
     if long_term is None:
         long_term = compute_long_term(geometry, config)
-    gen = as_generator(stream)
-    for _ in range(_MAX_REDRAWS):
-        realization = sample_channels(geometry, config, gen)
-        gammas = _scheme_gammas(realization, config, scheme, long_term)
-        if np.all(np.abs(gammas) > 0.0):
-            if scheme in (Scheme.INV_PC_IRS, Scheme.INV_PC_NO_IRS):
-                sol = channel_inversion_power_control(gammas, config.Pmax, config.sigma2)
-            else:
-                sol = optimal_power_control(gammas, config.Pmax, config.sigma2)
-            return sol.mse, sol.critical_number
-        if counters is not None:
-            counters.rejected += 1
-    raise DegenerateChannelError(
-        f"{scheme.value}: degenerate channel persisted through {_MAX_REDRAWS} redraws"
-    )
+    gammas, _ = _trial_gammas(config, geometry, long_term, as_generator(stream), [scheme])
+    mse, kt = _power_control(scheme, gammas[_KIND[scheme]][None, :], config)
+    return float(mse[0]), int(kt[0])
 
 
 def _trial_streams(seed: int, point: int, trial: int, trials: int) -> tuple[RngStream, RngStream]:
@@ -244,11 +286,16 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     depend on N), matching the multi-timescale split: long-term
     variables per geometry, channels per trial.  With
     ``redraw_geometry_per_trial`` each trial draws its own geometry,
-    for studies whose randomness lives in the static angles.
+    for studies whose randomness lives in the static angles.  Each
+    trial draws one channel block that every scheme evaluates.
     """
     schemes = [Scheme(s.id if isinstance(s, SchemeSpec) else s) for s in schemes]
     if not schemes:
         raise ConfigError("at least one scheme is required")
+    duplicates = sorted({s.value for s in schemes if schemes.count(s) > 1})
+    if duplicates:
+        raise ConfigError(f"duplicate schemes: {', '.join(duplicates)}")
+    kinds = list(dict.fromkeys(_KIND[s] for s in schemes))
     T = config.trials
     base_system = config.system
 
@@ -256,27 +303,35 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     rho_min = reference_geometry.rho_1 * float(np.min(reference_geometry.rho_r))
 
     rows: list[SweepRow] = []
-    counters = TrialCounters()
+    rejected = 0
     for p, N in enumerate(config.n_sweep):
         system = replace(base_system, N=N)
-        fixed_long_term = None
+        geometry, long_term, los = reference_geometry, None, None
         if not config.redraw_geometry_per_trial:
-            fixed_long_term = compute_long_term(reference_geometry, system)
+            long_term = compute_long_term(reference_geometry, system)
+            los = line_of_sight(reference_geometry, system)
+            los.setflags(write=False)  # shared by every block's h_reflect under pure_los
 
-        mses: dict[Scheme, list[float]] = {s: [] for s in schemes}
-        ktildes: dict[Scheme, list[int]] = {s: [] for s in schemes}
-        for t in range(T):
-            geo_stream, chan_stream = _trial_streams(config.seed, p, t, T)
-            if config.redraw_geometry_per_trial:
-                geometry = make_geometry(system, geo_stream)
-                long_term = compute_long_term(geometry, system)
-            else:
-                geometry = reference_geometry
-                long_term = fixed_long_term
+        mses = {s: np.empty(T) for s in schemes}
+        ktildes = {s: np.empty(T, dtype=np.int64) for s in schemes}
+        for start in range(0, T, _POWER_BLOCK):
+            stop = min(start + _POWER_BLOCK, T)
+            block = {kind: np.empty((stop - start, system.K), dtype=complex) for kind in kinds}
+            for t in range(start, stop):
+                geo_stream, chan_stream = _trial_streams(config.seed, p, t, T)
+                if config.redraw_geometry_per_trial:
+                    geometry = make_geometry(system, geo_stream)
+                    long_term = compute_long_term(geometry, system)
+                gammas, redrawn = _trial_gammas(
+                    system, geometry, long_term, chan_stream.generator(), schemes, los
+                )
+                rejected += redrawn
+                for kind in kinds:
+                    block[kind][t - start] = gammas[kind]
             for s in schemes:
-                mse, kt = run_trial(system, geometry, s, chan_stream, long_term, counters)
-                mses[s].append(mse)
-                ktildes[s].append(kt)
+                mses[s][start:stop], ktildes[s][start:stop] = _power_control(
+                    s, block[_KIND[s]], system
+                )
 
         bound = threshold = None
         if system.L == 2:
@@ -312,7 +367,7 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
             )
 
     rows.sort(key=lambda r: (r.scheme, r.N))
-    return SweepResult(rows=rows, rejected_trials=counters.rejected)
+    return SweepResult(rows=rows, rejected_trials=rejected)
 
 
 def _format_cell(value) -> str:

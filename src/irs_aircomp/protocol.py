@@ -27,6 +27,7 @@ __all__ = [
     "majority_vote",
     "optimal_power_control",
     "channel_inversion_power_control",
+    "power_control_rows",
     "evaluate_mse",
     "evaluate_mse_general",
     "oracle_power_control",
@@ -179,23 +180,89 @@ def majority_vote(per_device, levels: int | None = None) -> PhaseShiftVector:
     return PhaseShiftVector(indices=counts.argmax(axis=0), levels=levels)
 
 
-def _gamma_magnitudes(gammas) -> np.ndarray:
+def _gamma_magnitudes(gammas, ndim: int = 1) -> np.ndarray:
     g = np.abs(np.asarray(gammas, dtype=complex))
-    if g.ndim != 1 or g.shape[0] < 1:
-        raise ValueError("gammas must be a non-empty 1-D array")
-    if np.any(g == 0.0):
+    if g.ndim != ndim or g.shape[-1] < 1:
+        raise ValueError(f"gammas must be a non-empty {ndim}-D array")
+    if not np.isfinite(g).all():
+        raise ValueError("gammas must be finite, got a NaN or infinite effective channel")
+    if (g == 0.0).any():
         raise DegenerateChannelError("zero effective channel, power control undefined")
     return g
 
 
-def _alignment_mse(g: np.ndarray, powers: np.ndarray, eta: float, sigma2: float) -> float:
-    """Sum of (sqrt(p_k)|gamma_k|/sqrt(eta) - 1)^2 plus sigma^2/eta.
+def _alignment_mse(g: np.ndarray, powers: np.ndarray, eta: np.ndarray, sigma2: float) -> np.ndarray:
+    """Per row: sum of (sqrt(p_k)|gamma_k|/sqrt(eta) - 1)^2 plus sigma^2/eta.
 
-    Compensated summation: near-optimal solutions cancel catastrophically
+    ``g`` and ``powers`` are (B, K), ``eta`` is (B,).  Compensated
+    summation per row: near-optimal solutions cancel catastrophically
     term by term.
     """
-    misalign = np.sqrt(powers) * g / math.sqrt(eta) - 1.0
-    return math.fsum([*(misalign**2).tolist(), sigma2 / eta])
+    misalign = np.sqrt(powers) * g / np.sqrt(eta)[:, None] - 1.0
+    return np.array(
+        [
+            math.fsum([*row, sigma2 / e])
+            for row, e in zip((misalign**2).tolist(), eta.tolist())
+        ]
+    )
+
+
+def power_control_rows(gammas, Pmax: float, sigma2: float, inversion: bool = False):
+    """Power control on every row of a (B, K) block of effective channels.
+
+    Returns ``(powers, eta, critical_number, mse)``: powers (B, K), the
+    other three (B,).  Each row is solved exactly as
+    :func:`optimal_power_control` (or, with ``inversion``,
+    :func:`channel_inversion_power_control`) solves it alone.
+    """
+    return _power_rows(_gamma_magnitudes(gammas, ndim=2), Pmax, sigma2, inversion)
+
+
+def _power_rows(g: np.ndarray, Pmax: float, sigma2: float, inversion: bool):
+    """Row-wise kernel on validated magnitudes g (B, K).
+
+    Devices sorted ascending by |gamma|^2 (stable, original index breaks
+    ties) transmit at Pmax up to the critical index and channel-invert
+    beyond it; the denoising factor is the smallest of the per-prefix
+    candidates, smallest index on ties.  The inversion rule fixes the
+    critical index at the weakest device, eta = Pmax |gamma_1|^2, so its
+    MSE reduces to sigma^2/eta.
+    """
+    if not Pmax > 0:
+        raise ValueError("Pmax must be positive")
+    if not sigma2 >= 0:
+        raise ValueError("sigma2 must be non-negative")
+    B, K = g.shape
+    rows = np.arange(B)[:, None]
+    g2 = g**2
+    if inversion:
+        weakest = g2.argmin(axis=1)[:, None]
+        eta = Pmax * g2[rows, weakest][:, 0]
+        powers = eta[:, None] / g2
+        powers[rows, weakest] = Pmax  # exact, not Pmax*g2min/g2min
+        return powers, eta, np.ones(B, dtype=np.int64), sigma2 / eta
+
+    order = np.argsort(g2, axis=1, kind="stable")
+    gs, gs2 = g[rows, order], g2[rows, order]
+    amp_sum = np.cumsum(np.sqrt(Pmax) * gs, axis=1)
+    power_sum = sigma2 + np.cumsum(Pmax * gs2, axis=1)
+    eta_candidates = (power_sum / amp_sum) ** 2
+    kt = eta_candidates.argmin(axis=1)  # first minimizer
+    eta = eta_candidates[rows[:, 0], kt]
+    powers = np.empty_like(g)
+    powers[rows, order] = np.where(np.arange(K) <= kt[:, None], Pmax, eta[:, None] / gs2)
+    return powers, eta, kt + 1, _alignment_mse(g, powers, eta, sigma2)
+
+
+def _single_row(gammas, Pmax: float, sigma2: float, inversion: bool, label: str) -> PowerSolution:
+    powers, eta, kt, mse = _power_rows(_gamma_magnitudes(gammas)[None, :], Pmax, sigma2, inversion)
+    return PowerSolution(
+        powers=powers[0],
+        eta=float(eta[0]),
+        critical_number=int(kt[0]),
+        mse=float(mse[0]),
+        scheme_label=label,
+    )
 
 
 def optimal_power_control(
@@ -206,34 +273,10 @@ def optimal_power_control(
     Devices sorted ascending by |gamma|^2 (stable, original index breaks
     ties) transmit at Pmax up to the critical index and channel-invert
     beyond it; the denoising factor is the smallest of the per-prefix
-    candidates, smallest index on ties.
+    candidates, smallest index on ties.  One row of
+    :func:`power_control_rows`.
     """
-    if Pmax <= 0:
-        raise ValueError("Pmax must be positive")
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be non-negative")
-    g = _gamma_magnitudes(gammas)
-    K = g.shape[0]
-    order = np.argsort(g**2, kind="stable")
-    gs = g[order]
-
-    amp_sum = np.cumsum(np.sqrt(Pmax) * gs)
-    power_sum = sigma2 + np.cumsum(Pmax * gs**2)
-    eta_candidates = (power_sum / amp_sum) ** 2
-    kt = int(np.argmin(eta_candidates))  # first minimizer
-    eta = float(eta_candidates[kt])
-
-    p_sorted = np.where(np.arange(K) <= kt, Pmax, eta / gs**2)
-    powers = np.empty(K)
-    powers[order] = p_sorted
-    mse = _alignment_mse(g, powers, eta, sigma2)
-    return PowerSolution(
-        powers=powers,
-        eta=eta,
-        critical_number=kt + 1,
-        mse=mse,
-        scheme_label=scheme_label,
-    )
+    return _single_row(gammas, Pmax, sigma2, False, scheme_label)
 
 
 def channel_inversion_power_control(gammas, Pmax: float, sigma2: float) -> PowerSolution:
@@ -241,25 +284,9 @@ def channel_inversion_power_control(gammas, Pmax: float, sigma2: float) -> Power
 
     The denoising factor is Pmax times the weakest |gamma|^2, so the
     weakest device transmits at exactly Pmax and the MSE reduces to
-    sigma^2/eta.
+    sigma^2/eta.  One row of :func:`power_control_rows`.
     """
-    if Pmax <= 0:
-        raise ValueError("Pmax must be positive")
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be non-negative")
-    g = _gamma_magnitudes(gammas)
-    g2 = g**2
-    weakest = int(np.argmin(g2))
-    eta = Pmax * float(g2[weakest])
-    powers = eta / g2
-    powers[weakest] = Pmax  # exact, not Pmax*g2min/g2min
-    return PowerSolution(
-        powers=powers,
-        eta=eta,
-        critical_number=1,
-        mse=sigma2 / eta,
-        scheme_label="channel_inversion",
-    )
+    return _single_row(gammas, Pmax, sigma2, True, "channel_inversion")
 
 
 def evaluate_mse(gammas, solution: PowerSolution, sigma2: float) -> float:
@@ -267,7 +294,7 @@ def evaluate_mse(gammas, solution: PowerSolution, sigma2: float) -> float:
     if not solution.eta > 0:
         raise ValueError("eta must be positive")
     g = np.abs(np.asarray(gammas, dtype=complex))
-    return _alignment_mse(g, solution.powers, solution.eta, sigma2)
+    return float(_alignment_mse(g[None], solution.powers[None], np.array([solution.eta]), sigma2)[0])
 
 
 def evaluate_mse_general(
@@ -350,7 +377,7 @@ def oracle_power_control(
     eta_best = float(candidates[int(np.argmin(mse_cand))])
 
     powers = np.minimum(Pmax, eta_best / g2)
-    mse = _alignment_mse(g, powers, eta_best, sigma2)
+    mse = float(_alignment_mse(g[None], powers[None], np.array([eta_best]), sigma2)[0])
     return PowerSolution(
         powers=powers,
         eta=eta_best,

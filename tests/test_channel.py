@@ -5,6 +5,7 @@ from irs_aircomp.analysis import expected_channel_power_gain
 from irs_aircomp.channel import (
     SystemConfig,
     effective_scalar_channel,
+    line_of_sight,
     make_geometry,
     pathloss,
     sample_channels,
@@ -76,6 +77,25 @@ class TestMakeGeometry:
             SystemConfig(K=3, nu=(0.1, 0.2))
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(Pmax=float("nan")),
+        dict(sigma2=float("inf")),
+        dict(rician_delta=float("inf")),
+        dict(spacing_ratio=float("nan")),
+        dict(device_radius=float("inf")),
+        dict(phi_t=float("nan")),
+        dict(nu=(0.1, float("nan")), K=2),
+        dict(irs_position=(0.0, float("inf"), 10.0)),
+    ],
+)
+def test_system_config_rejects_non_finite(overrides):
+    name = next(iter(overrides))
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        SystemConfig(**overrides)
+
+
 class TestSampleChannels:
     def test_pure_los_exact(self):
         cfg = SystemConfig(K=3, N=8, pure_los=True)
@@ -102,6 +122,18 @@ class TestSampleChannels:
             total += np.mean(np.sum(np.abs(real.h_reflect) ** 2, axis=1))
         mean = total / calls
         assert mean == pytest.approx(geo.rho_r[0] * 8, rel=0.02)
+
+    @pytest.mark.parametrize("pure_los", [False, True])
+    def test_cached_line_of_sight_same_draw(self, pure_los):
+        cfg = SystemConfig(K=4, N=32, pure_los=pure_los)
+        geo = make_geometry(cfg, RngStream(9, 0))
+        gen_a, gen_b = RngStream(9, 1).generator(), RngStream(9, 1).generator()
+        los = line_of_sight(geo, cfg)
+        for _ in range(2):  # the cached term leaves the stream where it was
+            a = sample_channels(geo, cfg, gen_a)
+            b = sample_channels(geo, cfg, gen_b, los)
+            np.testing.assert_array_equal(a.h_direct, b.h_direct)
+            np.testing.assert_array_equal(a.h_reflect, b.h_reflect)
 
     def test_determinism(self):
         cfg = SystemConfig(K=4)

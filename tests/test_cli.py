@@ -112,3 +112,19 @@ def test_unknown_scheme_exits_two(tmp_path):
 
 def test_bad_arguments_exit_two():
     assert main(["sweep"]) == 2
+
+
+def test_duplicate_scheme_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, TOY)
+    out = tmp_path / "x.csv"
+    code = main(
+        ["sweep", "--config", cfg, "--schemes", "OPT_PC_IRS,OPT_PC_IRS", "--out", str(out)]
+    )
+    assert code == 2
+    assert "duplicate schemes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_config_exits_two(tmp_path):
+    cfg = write_config(tmp_path, TOY + "pmax = nan\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2

@@ -1,10 +1,12 @@
 import csv
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from irs_aircomp.channel import SystemConfig, make_geometry
+from irs_aircomp import experiments
+from irs_aircomp.channel import SystemConfig, effective_scalar_channel, make_geometry
 from irs_aircomp.experiments import (
     CSV_HEADER,
     ConfigError,
@@ -19,6 +21,11 @@ from irs_aircomp.experiments import (
     write_csv,
 )
 from irs_aircomp.numerics import RngStream
+from irs_aircomp.protocol import (
+    DegenerateChannelError,
+    channel_inversion_power_control,
+    optimal_power_control,
+)
 
 
 def small_config(**overrides):
@@ -118,6 +125,79 @@ class TestRunSweep:
         result = run_sweep(cfg, [Scheme.OPT_PC_IRS])
         means = [r.mean_mse for r in sorted(result.rows, key=lambda r: r.N)]
         assert all(a > b for a, b in zip(means, means[1:]))
+
+    def test_duplicate_schemes_rejected(self):
+        with pytest.raises(ConfigError, match="duplicate schemes: OPT_PC_IRS"):
+            run_sweep(small_config(), [Scheme.OPT_PC_IRS, Scheme.INV_PC_IRS, "OPT_PC_IRS"])
+
+    @pytest.mark.parametrize("redraw", [False, True])
+    def test_scheme_rows_independent_of_other_schemes(self, redraw):
+        cfg = small_config(redraw_geometry_per_trial=redraw, trials=5)
+        together = run_sweep(cfg, list(Scheme))
+        for s in Scheme:
+            alone = run_sweep(cfg, [s])
+            assert alone.rows == [r for r in together.rows if r.scheme == s.value]
+
+    def test_run_trial_is_single_trial_sweep(self):
+        cfg = small_config(n_sweep=(16,), trials=1)
+        system = SystemConfig(M=4, N=16, K=3)
+        geo = make_geometry(system, RngStream(cfg.seed, 0))
+        for s in Scheme:
+            (row,) = run_sweep(cfg, [s]).rows
+            mse, kt = run_trial(system, geo, s, RngStream(cfg.seed, 3))
+            assert (row.mean_mse, row.mean_ktilde) == (mse, kt)
+
+    def test_blocked_direct_links_exhaust_redraws(self, monkeypatch):
+        calls = []
+        original = experiments.sample_channels
+        monkeypatch.setattr(
+            experiments, "sample_channels", lambda *a: calls.append(1) or original(*a)
+        )
+        cfg = small_config(system=SystemConfig(M=4, N=16, K=3, block_direct=True))
+        with pytest.raises(DegenerateChannelError, match="OPT_PC_NO_IRS.*100 redraws"):
+            run_sweep(cfg, [Scheme.OPT_PC_IRS, Scheme.OPT_PC_NO_IRS])
+        assert len(calls) == experiments._MAX_REDRAWS
+
+    def test_degenerate_redraws_match_per_scheme_draws(self, monkeypatch):
+        # Declare about half of all draws degenerate, differently for voted and
+        # all-zero phases, and compare with each scheme run alone on a fresh
+        # generator of the trial's stream, redrawing until it gets a sound block.
+        def flaky(realization, v, theta):
+            row = 0 if theta.indices.any() else 1
+            gammas = effective_scalar_channel(realization, v, theta)
+            return 0.0 * gammas if realization.h_direct[row, 0].real < 0 else gammas
+
+        monkeypatch.setattr(experiments, "effective_scalar_channel", flaky)
+        cfg = small_config(trials=6)
+        schemes = [Scheme.INV_PC_IRS, Scheme.FIXED_PHASE_OPT_PC, Scheme.OPT_PC_IRS]
+        result = run_sweep(cfg, schemes)
+
+        geo = make_geometry(cfg.system, RngStream(cfg.seed, 0))
+        rejected = 0
+        for p, N in enumerate(cfg.n_sweep):
+            system = SystemConfig(M=4, N=N, K=3)
+            lt = compute_long_term(geo, system)
+            for s in schemes:
+                theta = lt.theta_fixed if s is Scheme.FIXED_PHASE_OPT_PC else lt.theta_voted
+                rule = (
+                    channel_inversion_power_control
+                    if s is Scheme.INV_PC_IRS
+                    else optimal_power_control
+                )
+                mses = []
+                for t in range(cfg.trials):
+                    gen = RngStream(cfg.seed, 3 + 2 * (p * cfg.trials + t)).generator()
+                    for redraws in itertools.count():
+                        realization = experiments.sample_channels(geo, system, gen)
+                        gammas = flaky(realization, lt.v, theta)
+                        if np.all(gammas != 0):
+                            break
+                    rejected += redraws
+                    mses.append(rule(gammas, system.Pmax, system.sigma2).mse)
+                (row,) = [r for r in result.rows if (r.scheme, r.N) == (s.value, N)]
+                assert row.mean_mse == math.fsum(mses) / cfg.trials
+        assert rejected > 0
+        assert result.rejected_trials == rejected
 
 
 class TestWriteCsv:
@@ -223,6 +303,11 @@ class TestLoadConfig:
     def test_invariant_violation_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(self.write(tmp_path, "k = 0\n"))
+
+    @pytest.mark.parametrize("line", ["pmax = nan", "sigma2 = inf", "rician_delta = inf"])
+    def test_non_finite_value_rejected(self, tmp_path, line):
+        with pytest.raises(ConfigError, match="must be finite"):
+            load_config(self.write(tmp_path, line + "\n"))
 
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):

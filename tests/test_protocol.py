@@ -19,6 +19,7 @@ from irs_aircomp.protocol import (
     optimal_power_control,
     oracle_power_control,
     per_device_phases,
+    power_control_rows,
     quantize_phase,
     receive_beamformer,
 )
@@ -215,6 +216,64 @@ class TestOptimalPowerControl:
             floor = mse_lower_bound(float(np.min(gammas**2)), 1.0, sigma2)
             assert opt.mse >= floor - 1e-12
             assert inv.mse >= floor - 1e-12
+
+
+@pytest.mark.parametrize(
+    "rule", [optimal_power_control, channel_inversion_power_control, oracle_power_control]
+)
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1.0, float("nan"))])
+def test_non_finite_gammas_rejected(rule, bad):
+    with pytest.raises(ValueError, match="gammas must be finite") as info:
+        rule([1.0, bad], 1.0, 0.1)
+    assert not isinstance(info.value, DegenerateChannelError)
+
+
+def loop_power_control(g, Pmax, sigma2, inversion):
+    """One row at a time, in plain 1-D operations: the reference for the row kernel."""
+    g = np.abs(g)
+    g2 = g**2
+    if inversion:
+        weakest = int(np.argmin(g2))
+        eta = Pmax * float(g2[weakest])
+        powers = eta / g2
+        powers[weakest] = Pmax
+        return powers, eta, 1, sigma2 / eta
+    order = np.argsort(g2, kind="stable")
+    gs = g[order]
+    eta_candidates = (
+        (sigma2 + np.cumsum(Pmax * gs**2)) / np.cumsum(np.sqrt(Pmax) * gs)
+    ) ** 2
+    kt = int(np.argmin(eta_candidates))
+    eta = float(eta_candidates[kt])
+    powers = np.empty_like(g)
+    powers[order] = np.where(np.arange(g.shape[0]) <= kt, Pmax, eta / gs**2)
+    misalign = np.sqrt(powers) * g / math.sqrt(eta) - 1.0
+    return powers, eta, kt + 1, math.fsum([*(misalign**2).tolist(), sigma2 / eta])
+
+
+class TestPowerControlRows:
+    @pytest.mark.parametrize("inversion", [False, True])
+    def test_each_row_matches_loop_reference_exactly(self, inversion):
+        rng = np.random.default_rng(5)
+        gammas = 10.0 ** rng.uniform(-3.0, 3.0, (40, 7)) * np.exp(
+            1j * rng.uniform(0.0, TWO_PI, (40, 7))
+        )
+        gammas[3] = gammas[3, 0]  # all-equal row: ties resolve by index
+        single = channel_inversion_power_control if inversion else optimal_power_control
+        powers, eta, kt, mse = power_control_rows(gammas, 0.3, 0.05, inversion=inversion)
+        for i, row in enumerate(gammas):
+            want_p, want_eta, want_kt, want_mse = loop_power_control(row, 0.3, 0.05, inversion)
+            np.testing.assert_array_equal(powers[i], want_p)
+            assert (eta[i], kt[i], mse[i]) == (want_eta, want_kt, want_mse)
+            sol = single(row, 0.3, 0.05)
+            np.testing.assert_array_equal(sol.powers, want_p)
+            assert (sol.eta, sol.critical_number, sol.mse) == (want_eta, want_kt, want_mse)
+
+    def test_rejects_one_dimensional_and_degenerate_rows(self):
+        with pytest.raises(ValueError, match="2-D"):
+            power_control_rows([1.0, 2.0], 1.0, 1.0)
+        with pytest.raises(DegenerateChannelError):
+            power_control_rows([[1.0, 2.0], [0.0, 1.0]], 1.0, 1.0)
 
 
 class TestChannelInversion:
