@@ -278,11 +278,27 @@ def effective_scalar_channel(realization: ChannelRealization, v: np.ndarray, the
             f"phase-shift vector has {theta.phases.shape[0]} elements, expected {N}"
         )
 
-    a_m = array_response(M, geo.phi_r, geo.spacing_ratio)
-    a_n = array_response(N, geo.phi_t, geo.spacing_ratio)
-    combiner_gain = np.vdot(v, a_m)  # v^H a_M(phi_r), scalar
-    # row vector a_N^H(phi_t) Theta, applied to every device's IRS link
-    reflect_row = a_n.conj() * np.exp(1j * theta.phases)
-    reflected = np.sqrt(geo.rho_1) * combiner_gain * (realization.h_reflect @ reflect_row)
+    gain, row = _reflection_factors(geo, v, theta.phases)
+    return _scalar_channels(realization, v, gain, row)
+
+
+def _reflection_factors(geometry: Geometry, v: np.ndarray, phases: np.ndarray):
+    """The block-independent factors of the reflected path, (gain, row).
+
+    gain = sqrt(rho_1) v^H a_M(phi_r) is a scalar and row =
+    a_N(phi_t)^H Theta is the N-vector applied to every device's IRS
+    link; a caller evaluating many blocks computes them once.
+    """
+    a_m = array_response(v.shape[0], geometry.phi_r, geometry.spacing_ratio)
+    a_n = array_response(phases.shape[0], geometry.phi_t, geometry.spacing_ratio)
+    gain = np.sqrt(geometry.rho_1) * np.vdot(v, a_m)
+    return gain, a_n.conj() * np.exp(1j * phases)
+
+
+def _scalar_channels(
+    realization: ChannelRealization, v: np.ndarray, gain: complex, row: np.ndarray
+) -> np.ndarray:
+    """v^H h_direct_k + gain * (h_reflect_k . row) for every device k."""
+    reflected = gain * (realization.h_reflect @ row)
     direct = realization.h_direct @ v.conj()
     return direct + reflected

@@ -17,6 +17,7 @@ import csv
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,8 @@ from .channel import (
     ChannelRealization,
     Geometry,
     SystemConfig,
+    _reflection_factors,
+    _scalar_channels,
     line_of_sight,
     make_geometry,
     sample_channels,
@@ -33,11 +36,10 @@ from .numerics import RngStream, as_generator
 from .protocol import (
     DegenerateChannelError,
     PhaseShiftVector,
-    effective_scalar_channel,
-    majority_vote,
-    per_device_phases,
+    phase_index_rows,
     power_control_rows,
     receive_beamformer,
+    vote_indices,
 )
 
 __all__ = [
@@ -126,11 +128,26 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class LongTermState:
-    """Per-geometry long-term variables: beamformer and phase configurations."""
+    """Per-geometry long-term variables: beamformer and phase configurations.
+
+    ``voted_reflection`` and ``zero_reflection`` are the block-independent
+    (gain, row) factors of the effective channel under each phase
+    configuration, built on first use and shared by every block drawn on
+    this geometry.
+    """
 
     v: np.ndarray
     theta_voted: PhaseShiftVector
     theta_fixed: PhaseShiftVector
+    geometry: Geometry = field(repr=False)
+
+    @cached_property
+    def voted_reflection(self) -> tuple[complex, np.ndarray]:
+        return _reflection_factors(self.geometry, self.v, self.theta_voted.phases)
+
+    @cached_property
+    def zero_reflection(self) -> tuple[complex, np.ndarray]:
+        return _reflection_factors(self.geometry, self.v, self.theta_fixed.phases)
 
 
 @dataclass(frozen=True)
@@ -154,18 +171,22 @@ class SweepResult:
 
 
 def compute_long_term(geometry: Geometry, config: SystemConfig) -> LongTermState:
-    """Static beamformer plus voted and all-zero phase configurations."""
+    """Static beamformer plus voted and all-zero phase configurations.
+
+    The voted phases come from one array computation: every device's
+    preferred level indices as a (K, N) matrix
+    (:func:`~irs_aircomp.protocol.phase_index_rows`), fused by one
+    per-element count (:func:`~irs_aircomp.protocol.vote_indices`).
+    """
     v = receive_beamformer(geometry.phi_r, config.M, geometry.spacing_ratio)
-    preferred = [
-        per_device_phases(
-            geometry.phi_t, geometry.nu[k], config.N, config.L, geometry.spacing_ratio
-        )
-        for k in range(geometry.num_devices)
-    ]
+    preferred = phase_index_rows(
+        geometry.phi_t, geometry.nu, config.N, config.L, geometry.spacing_ratio
+    )
     return LongTermState(
         v=v,
-        theta_voted=majority_vote(preferred),
+        theta_voted=PhaseShiftVector(vote_indices(preferred, config.L), config.L),
         theta_fixed=PhaseShiftVector.zero(config.N, config.L),
+        geometry=geometry,
     )
 
 
@@ -201,8 +222,11 @@ def _kind_gammas(
     if kind == _DIRECT:
         v = _dominant_direct_combiner(realization)
         return realization.h_direct @ v.conj()
-    theta = long_term.theta_voted if kind == _VOTED else long_term.theta_fixed
-    return effective_scalar_channel(realization, long_term.v, theta)
+    if kind == _VOTED:
+        gain, row = long_term.voted_reflection
+    else:
+        gain, row = long_term.zero_reflection
+    return _scalar_channels(realization, long_term.v, gain, row)
 
 
 def _trial_gammas(
@@ -528,14 +552,3 @@ def load_config(path) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-
-def config_field_names() -> tuple[str, ...]:
-    """Documented config keys, for CLI help and error messages."""
-    keys = (
-        list(_SYSTEM_KEYS)
-        + list(_TRIPLE_KEYS)
-        + ["nu", "n_sweep"]
-        + list(_EXPERIMENT_KEYS)
-        + list(_DBM_KEYS)
-    )
-    return tuple(sorted(keys))

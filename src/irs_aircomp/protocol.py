@@ -2,9 +2,13 @@
 
 Long-term stage: a static receive beamformer from the IRS arrival angle
 and a discrete IRS phase configuration built from per-device phase
-projections fused by majority vote.  Short-term stage: per-block optimal
-transmit power control with its denoising factor, the channel-inversion
-baseline, exact MSE evaluation, and an independent 1-D search oracle.
+projections fused by majority vote.  The projection is one kernel over
+all devices, a (K, N) level-index matrix (:func:`phase_index_rows`),
+and the vote one count over that matrix (:func:`vote_indices`);
+:func:`per_device_phases` and :func:`majority_vote` are their per-device
+forms.  Short-term stage: per-block optimal transmit power control with
+its denoising factor, the channel-inversion baseline, exact MSE
+evaluation, and an independent 1-D search oracle.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ __all__ = [
     "PowerSolution",
     "receive_beamformer",
     "quantize_phase",
+    "phase_index_rows",
+    "vote_indices",
     "per_device_phases",
     "majority_vote",
     "optimal_power_control",
@@ -102,17 +108,29 @@ def receive_beamformer(phi_r: float, M: int, spacing_ratio: float = 0.5) -> np.n
     return array_response(M, phi_r, spacing_ratio) / np.sqrt(M)
 
 
+# Elements per row block of the phase-index kernel: a block stays in
+# cache at large N and amortises the per-call overhead at small N.
+_PHASE_BLOCK = 1 << 14
+
+
 def _quantize_indices(theta: np.ndarray, levels: int) -> np.ndarray:
-    """Nearest level index by circular distance; ties go to the smaller phase value."""
-    x = np.mod(np.asarray(theta, dtype=float), TWO_PI) * (levels / TWO_PI)
+    """Nearest level index by circular distance; ties go to the smaller phase value.
+
+    One ``np.mod`` maps any phase into [0, 2*pi]; 2*pi itself lands on
+    index ``levels``, which wraps to 0 like every other round-up past
+    the top level.
+    """
+    x = np.mod(theta, TWO_PI)
+    x *= levels / TWO_PI
     lo = np.floor(x)
-    d_lo = x - lo
-    lo_idx = lo.astype(np.int64) % levels
-    hi_idx = (lo.astype(np.int64) + 1) % levels
-    idx = np.where(d_lo < 0.5, lo_idx, hi_idx)
-    tie = d_lo == 0.5
-    if np.any(tie):
-        idx = np.where(tie, np.minimum(lo_idx, hi_idx), idx)
+    x -= lo  # distance above the lower level, in level steps
+    idx = lo.astype(np.int64)
+    idx += x > 0.5
+    np.subtract(idx, levels, out=idx, where=idx >= levels)
+    tie = x == 0.5
+    if tie.any():
+        # the top level ties with the wrap to 0, the smaller phase
+        idx[tie & (idx == levels - 1)] = 0
     return idx
 
 
@@ -128,39 +146,63 @@ def quantize_phase(theta: float, levels: int) -> float:
     return float(idx * (TWO_PI / levels))
 
 
+def phase_index_rows(
+    phi_t: float, nu, n_elements: int, levels: int, spacing_ratio: float = 0.5
+) -> np.ndarray:
+    """Every device's preferred discrete phases as a (K, N) int64 index matrix.
+
+    Row k quantizes 2*pi*spacing_ratio*m*(sin(phi_t) - sin(nu_k)) at
+    element m, the continuous phases that conjugate the two steering
+    vectors exactly (their inner product reaches N when unquantized).
+    Rows are quantized a cache-sized block at a time.
+    """
+    nu = np.asarray(nu, dtype=float)
+    if not np.isfinite(phi_t):
+        raise ValueError(f"phi_t must be finite, got {phi_t!r}")
+    if nu.ndim != 1 or not np.isfinite(nu).all():
+        raise ValueError(f"nu must be a 1-D array of finite angles, got {nu!r}")
+    if n_elements < 1 or levels < 1:
+        raise ValueError("n_elements and levels must be >= 1")
+    steps = TWO_PI * spacing_ratio * np.arange(n_elements)
+    diff = np.sin(phi_t) - np.sin(nu)
+    out = np.empty((nu.shape[0], n_elements), dtype=np.int64)
+    rows = max(1, _PHASE_BLOCK // n_elements)
+    for start in range(0, nu.shape[0], rows):
+        block = diff[start : start + rows, None]
+        out[start : start + rows] = _quantize_indices(steps * block, levels)
+    return out
+
+
+def vote_indices(indices: np.ndarray, levels: int) -> np.ndarray:
+    """Per-column plurality of a (K, N) level-index matrix; ties to the smaller phase.
+
+    One count over (element, level) pairs; argmax keeps the first
+    maximizer, the smallest level.
+    """
+    n = indices.shape[1]
+    keys = indices + levels * np.arange(n)
+    counts = np.bincount(keys.ravel(), minlength=levels * n)
+    return counts.reshape(n, levels).argmax(axis=1)
+
+
 def per_device_phases(
     phi_t: float,
     nu_k: float,
     n_elements: int,
     levels: int,
     spacing_ratio: float = 0.5,
-    sin_projection: bool = True,
 ) -> PhaseShiftVector:
-    """Device k's preferred discrete phases.
-
-    The continuous optimum at element m is
-    2*pi*spacing_ratio*m*(sin(phi_t) - sin(nu_k)), which conjugates the
-    two steering vectors exactly (their inner product reaches N when
-    unquantized); each element is then projected onto the discrete set.
-    With ``sin_projection=False`` the raw angle difference with 1-based
-    element indexing is used instead, kept only for A/B comparison
-    against that alternative convention.
-    """
-    if sin_projection:
-        m = np.arange(n_elements)
-        diff = np.sin(phi_t) - np.sin(nu_k)
-    else:
-        m = np.arange(1, n_elements + 1)
-        diff = phi_t - nu_k
-    theta_cont = np.mod(TWO_PI * spacing_ratio * m * diff, TWO_PI)
-    return PhaseShiftVector(indices=_quantize_indices(theta_cont, levels), levels=levels)
+    """Device k's preferred discrete phases: one row of :func:`phase_index_rows`."""
+    rows = phase_index_rows(phi_t, [nu_k], n_elements, levels, spacing_ratio)
+    return PhaseShiftVector(indices=rows[0], levels=levels)
 
 
 def majority_vote(per_device, levels: int | None = None) -> PhaseShiftVector:
     """Fuse per-device phase preferences element-wise by plurality.
 
     For each element the discrete phase with the most votes wins; ties
-    resolve to the smaller phase value.
+    resolve to the smaller phase value.  The count of :func:`vote_indices`
+    over the stacked preferences.
     """
     per_device = list(per_device)
     if not per_device:
@@ -171,13 +213,8 @@ def majority_vote(per_device, levels: int | None = None) -> PhaseShiftVector:
     for psv in per_device:
         if psv.num_elements != n or psv.levels != levels:
             raise ValueError("all phase-shift vectors must share N and levels")
-
-    counts = np.zeros((levels, n), dtype=np.int64)
-    cols = np.arange(n)
-    for psv in per_device:
-        np.add.at(counts, (psv.indices, cols), 1)
-    # argmax returns the first (smallest-phase) maximizer
-    return PhaseShiftVector(indices=counts.argmax(axis=0), levels=levels)
+    stacked = np.stack([psv.indices for psv in per_device])
+    return PhaseShiftVector(indices=vote_indices(stacked, levels), levels=levels)
 
 
 def _gamma_magnitudes(gammas, ndim: int = 1) -> np.ndarray:

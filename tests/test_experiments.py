@@ -162,12 +162,18 @@ class TestRunSweep:
         # Declare about half of all draws degenerate, differently for voted and
         # all-zero phases, and compare with each scheme run alone on a fresh
         # generator of the trial's stream, redrawing until it gets a sound block.
-        def flaky(realization, v, theta):
-            row = 0 if theta.indices.any() else 1
-            gammas = effective_scalar_channel(realization, v, theta)
+        def flaky(realization, gammas, voted):
+            row = 0 if voted else 1
             return 0.0 * gammas if realization.h_direct[row, 0].real < 0 else gammas
 
-        monkeypatch.setattr(experiments, "effective_scalar_channel", flaky)
+        engine_gammas = experiments._kind_gammas
+        monkeypatch.setattr(
+            experiments,
+            "_kind_gammas",
+            lambda kind, real, lt: flaky(
+                real, engine_gammas(kind, real, lt), kind == experiments._VOTED
+            ),
+        )
         cfg = small_config(trials=6)
         schemes = [Scheme.INV_PC_IRS, Scheme.FIXED_PHASE_OPT_PC, Scheme.OPT_PC_IRS]
         result = run_sweep(cfg, schemes)
@@ -189,7 +195,11 @@ class TestRunSweep:
                     gen = RngStream(cfg.seed, 3 + 2 * (p * cfg.trials + t)).generator()
                     for redraws in itertools.count():
                         realization = experiments.sample_channels(geo, system, gen)
-                        gammas = flaky(realization, lt.v, theta)
+                        gammas = flaky(
+                            realization,
+                            effective_scalar_channel(realization, lt.v, theta),
+                            theta is lt.theta_voted,
+                        )
                         if np.all(gammas != 0):
                             break
                     rejected += redraws

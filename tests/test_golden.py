@@ -1,7 +1,9 @@
 """Byte-for-byte regression against sweep CSVs committed under tests/data/.
 
-The committed files are the output of the per-scheme engine that drew
-every scheme's channel block separately.  Any change that keeps the
+Each committed file was generated before the change it guards: the
+first four by the per-scheme engine that drew every scheme's channel
+block separately, ``levels4`` (the only non-binary vote) by the
+per-device phase projection and vote.  Any change that keeps the
 random streams must reproduce them exactly; a change that alters the
 streams on purpose regenerates them with
 
@@ -48,6 +50,10 @@ CASES = {
             system=SystemConfig(block_direct=True), n_sweep=(32, 128), trials=25, seed=24
         ),
         IRS_SCHEMES,
+    ),
+    "levels4": (
+        ExperimentConfig(system=SystemConfig(L=4), n_sweep=(32, 128), trials=25, seed=25),
+        list(Scheme),
     ),
 }
 

@@ -19,9 +19,11 @@ from irs_aircomp.protocol import (
     optimal_power_control,
     oracle_power_control,
     per_device_phases,
+    phase_index_rows,
     power_control_rows,
     quantize_phase,
     receive_beamformer,
+    vote_indices,
 )
 
 TWO_PI = 2 * np.pi
@@ -66,6 +68,10 @@ class TestQuantizePhase:
         assert quantize_phase(np.pi / 2, 2) == 0.0
         assert quantize_phase(3 * np.pi / 2, 2) == 0.0
         assert quantize_phase(np.pi / 4, 4) == 0.0
+        # halfway between the top level and 2*pi: the smaller phase is 0
+        assert quantize_phase(7 * np.pi / 4, 4) == 0.0
+        assert quantize_phase(15 * np.pi / 8, 8) == 0.0
+        assert quantize_phase(5 * np.pi / 3, 3) == 0.0
 
     def test_single_level(self):
         assert quantize_phase(2.9, 1) == 0.0
@@ -104,10 +110,90 @@ class TestPerDevicePhases:
         gain = abs(np.vdot(a_t, np.exp(1j * psv.phases) * a_k))
         assert gain == pytest.approx(N, rel=1e-9)
 
-    def test_alternative_convention_differs(self):
-        default = per_device_phases(0.3, -0.7, 8, 4)
-        alt = per_device_phases(0.3, -0.7, 8, 4, sin_projection=False)
-        assert not np.array_equal(default.indices, alt.indices)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_angles_rejected(self, bad):
+        with pytest.raises(ValueError, match="phi_t"):
+            per_device_phases(bad, 0.1, 4, 2)
+        with pytest.raises(ValueError, match="nu"):
+            per_device_phases(0.1, bad, 4, 2)
+        with pytest.raises(ValueError, match="nu"):
+            phase_index_rows(0.1, [0.2, bad], 4, 2)
+
+
+def reference_indices(phi_t, nu, n_elements, levels, spacing_ratio=0.5):
+    """Per-device loop of the two-step projection: continuous phase in [0, 2*pi),
+    then the nearest level by circular distance with ties to the smaller phase."""
+    rows = []
+    for nu_k in nu:
+        theta = np.mod(
+            TWO_PI * spacing_ratio * np.arange(n_elements) * (np.sin(phi_t) - np.sin(nu_k)),
+            TWO_PI,
+        )
+        x = np.mod(theta, TWO_PI) * (levels / TWO_PI)
+        lo = np.floor(x).astype(np.int64)
+        d = x - lo
+        lo_idx, hi_idx = lo % levels, (lo + 1) % levels
+        idx = np.where(d < 0.5, lo_idx, hi_idx)
+        rows.append(np.where(d == 0.5, np.minimum(lo_idx, hi_idx), idx))
+    return np.array(rows, dtype=np.int64).reshape(len(nu), n_elements)
+
+
+def reference_vote(indices, levels):
+    counts = np.zeros((levels, indices.shape[1]), dtype=np.int64)
+    cols = np.arange(indices.shape[1])
+    for row in indices:
+        np.add.at(counts, (row, cols), 1)
+    return counts.argmax(axis=0)
+
+
+class TestPhaseKernel:
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("n_elements", [1, 7, 512, 8192])
+    def test_matches_per_device_reference(self, levels, n_elements):
+        gen = np.random.default_rng(levels * 10_000 + n_elements)
+        for K in (1, 3, 21):
+            phi_t = float(gen.uniform(-np.pi / 2, np.pi / 2))
+            nu = gen.uniform(-np.pi / 2, np.pi / 2, K)
+            rows = phase_index_rows(phi_t, nu, n_elements, levels)
+            expected = reference_indices(phi_t, nu, n_elements, levels)
+            assert rows.dtype == np.int64 and rows.shape == (K, n_elements)
+            np.testing.assert_array_equal(rows, expected)
+            np.testing.assert_array_equal(vote_indices(rows, levels), reference_vote(rows, levels))
+            psv = per_device_phases(phi_t, nu[-1], n_elements, levels)
+            np.testing.assert_array_equal(psv.indices, expected[-1])
+
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4, 8])
+    def test_exact_ties(self, levels):
+        # element m sits near a multiple of pi (nu = 0) or pi/2 (nu = +-pi/6):
+        # exact ties at L = 1, 2 and 3, some between the top level and 0
+        nu = [0.0, 0.0, np.pi / 6, -np.pi / 6, np.pi / 2]
+        rows = phase_index_rows(np.pi / 2, nu, 64, levels)
+        np.testing.assert_array_equal(rows, reference_indices(np.pi / 2, nu, 64, levels))
+        np.testing.assert_array_equal(vote_indices(rows, levels), reference_vote(rows, levels))
+
+    def test_tied_votes_go_to_smaller_phase(self):
+        rows = np.array([[0, 3, 2, 1], [3, 0, 1, 2], [1, 1, 2, 2]])
+        np.testing.assert_array_equal(vote_indices(rows[:2], 4), [0, 0, 1, 1])
+        np.testing.assert_array_equal(vote_indices(rows, 4), [0, 0, 2, 2])
+
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4, 8])
+    def test_phase_at_two_pi_maps_to_zero(self, levels):
+        assert np.mod(-1e-17, TWO_PI) == TWO_PI
+        assert quantize_phase(-1e-17, levels) == 0.0
+        # element 1's raw phase pi*(sin(0) - sin(1e-17)) is just below 0
+        raw = TWO_PI * 0.5 * 1 * (np.sin(0.0) - np.sin(1e-17))
+        assert raw < 0 and np.mod(raw, TWO_PI) == TWO_PI
+        rows = phase_index_rows(0.0, [1e-17], 2, levels)
+        np.testing.assert_array_equal(rows, [[0, 0]])
+        np.testing.assert_array_equal(rows, reference_indices(0.0, [1e-17], 2, levels))
+
+    def test_row_blocks_do_not_change_rows(self):
+        # K*N spans several row blocks; each row equals its one-row kernel call
+        gen = np.random.default_rng(5)
+        nu = gen.uniform(-np.pi / 2, np.pi / 2, 9)
+        rows = phase_index_rows(0.4, nu, 4096, 3)
+        for k, nu_k in enumerate(nu):
+            np.testing.assert_array_equal(rows[k], phase_index_rows(0.4, [nu_k], 4096, 3)[0])
 
 
 class TestMajorityVote:
