@@ -44,7 +44,6 @@ from .experiments import (
 from .numerics import (
     RngStream,
     array_response,
-    complex_gaussian_vector,
     sinc_normalized,
 )
 from .protocol import (

@@ -10,7 +10,6 @@ __all__ = [
     "RngStream",
     "as_generator",
     "array_response",
-    "complex_gaussian_vector",
     "sinc_normalized",
 ]
 
@@ -62,22 +61,6 @@ def array_response(n_elems: int, angle: float, spacing_ratio: float = 0.5) -> np
         raise ValueError(f"n_elems must be a positive integer, got {n_elems}")
     m = np.arange(n_elems)
     return np.exp(2j * np.pi * spacing_ratio * np.sin(angle) * m)
-
-
-def complex_gaussian_vector(
-    stream: RngStream | np.random.Generator, dim: int
-) -> np.ndarray:
-    """Draw a circularly-symmetric complex Gaussian vector, unit variance per entry.
-
-    Real and imaginary parts are independent N(0, 1/2).  Deterministic
-    per stream: the same RngStream yields the same vector on every call.
-    """
-    if dim < 0:
-        raise ValueError(f"dim must be non-negative, got {dim}")
-    gen = as_generator(stream)
-    re = gen.standard_normal(dim)
-    im = gen.standard_normal(dim)
-    return (re + 1j * im) / np.sqrt(2.0)
 
 
 def sinc_normalized(x: float) -> float:

@@ -113,14 +113,53 @@ def receive_beamformer(phi_r: float, M: int, spacing_ratio: float = 0.5) -> np.n
 _PHASE_BLOCK = 1 << 14
 
 
+# 2*pi = _TWO_PI_HI + _TWO_PI_LO exactly: the high part keeps 26
+# significant bits (a multiple of 2**-23), the low part the other 27.
+_TWO_PI_HI = math.floor(TWO_PI * 2**23) / 2**23
+_TWO_PI_LO = TWO_PI - _TWO_PI_HI
+# Below this |theta| the quotient n is at most 2**26, so n*_TWO_PI_HI
+# and n*_TWO_PI_LO are exact products.
+_REDUCE_LIMIT = 2**26 * TWO_PI
+
+
+def _mod_2pi(theta: np.ndarray) -> np.ndarray:
+    """``np.mod(theta, 2*pi)`` bit for bit, without libm ``fmod``.
+
+    A Cody-Waite reduction of u = |theta|: with n = floor(u / 2*pi),
+    r = (u - n*HI) - n*LO.  Both products are exact, and so is
+    u - n*HI (a multiple of ulp(u), at most u or 2*pi in magnitude), so
+    r is the one rounding of u - n*2*pi.  The correctly rounded quotient is never
+    below the true one and at most one above it, so n is either the
+    true quotient, and r the exact remainder that ``fmod`` returns, or
+    one too large, and r a small negative number that one added 2*pi
+    takes back to that exact remainder (its rounding error is far below
+    half an ulp of a remainder that close to 2*pi).  Negative theta then
+    takes numpy's own step, the rounded 2*pi - r for a non-zero
+    remainder, and a zero remainder is +0.  Inputs at or past
+    ``_REDUCE_LIMIT``, and NaN, go to ``np.mod`` itself.
+    """
+    u = np.abs(theta)
+    if not (u < _REDUCE_LIMIT).all():
+        return np.mod(theta, TWO_PI)
+    n = u / TWO_PI
+    np.floor(n, out=n)
+    r = n * _TWO_PI_HI
+    np.subtract(u, r, out=r)
+    n *= _TWO_PI_LO
+    r -= n
+    np.add(r, TWO_PI, out=r, where=r < 0.0)
+    np.subtract(TWO_PI, r, out=r, where=(theta < 0.0) & (r > 0.0))
+    return r
+
+
 def _quantize_indices(theta: np.ndarray, levels: int) -> np.ndarray:
     """Nearest level index by circular distance; ties go to the smaller phase value.
 
-    One ``np.mod`` maps any phase into [0, 2*pi]; 2*pi itself lands on
-    index ``levels``, which wraps to 0 like every other round-up past
+    :func:`_mod_2pi` maps any phase into [0, 2*pi]; 2*pi itself lands
+    on index ``levels``, which wraps to 0 like every other round-up past
     the top level.
     """
-    x = np.mod(theta, TWO_PI)
+    x = _mod_2pi(theta)
     x *= levels / TWO_PI
     lo = np.floor(x)
     x -= lo  # distance above the lower level, in level steps
@@ -272,6 +311,11 @@ def _power_rows(g: np.ndarray, Pmax: float, sigma2: float, inversion: bool):
     B, K = g.shape
     rows = np.arange(B)[:, None]
     g2 = g**2
+    if not (g2.min() > 0.0 and g2.max() < np.inf):
+        raise ValueError(
+            f"|gamma|^2 leaves the float64 dynamic range: |gamma| spans "
+            f"[{g.min():.3g}, {g.max():.3g}], squared [{g2.min():.3g}, {g2.max():.3g}]"
+        )
     if inversion:
         weakest = g2.argmin(axis=1)[:, None]
         eta = Pmax * g2[rows, weakest][:, 0]

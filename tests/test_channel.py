@@ -144,6 +144,75 @@ class TestSampleChannels:
         np.testing.assert_array_equal(a.h_reflect, b.h_reflect)
 
 
+def complex_line_of_sight(geo, cfg):
+    """The line-of-sight term as complex array expressions: the reference for the kernel."""
+    los = np.exp(
+        2j * np.pi * geo.spacing_ratio * np.sin(geo.nu)[:, None] * np.arange(cfg.N)[None, :]
+    )
+    if cfg.pure_los:
+        return np.sqrt(geo.rho_r)[:, None] * los
+    delta = cfg.rician_delta
+    return np.sqrt(geo.rho_r * delta / (delta + 1.0))[:, None] * los
+
+
+def complex_sample_channels(geo, cfg, gen):
+    """One block as complex array expressions: the reference for the kernel."""
+    K, M, N = cfg.K, cfg.M, cfg.N
+    g_direct = (gen.standard_normal((K, M)) + 1j * gen.standard_normal((K, M))) / np.sqrt(2.0)
+    h_direct = np.sqrt(geo.rho_d)[:, None] * g_direct
+    los = complex_line_of_sight(geo, cfg)
+    if cfg.pure_los:
+        return h_direct, los
+    g_reflect = (gen.standard_normal((K, N)) + 1j * gen.standard_normal((K, N))) / np.sqrt(2.0)
+    nlos_amp = np.sqrt(geo.rho_r / (cfg.rician_delta + 1.0))[:, None]
+    return h_direct, los + nlos_amp * g_reflect
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestKernelsMatchComplexFormulas:
+    """The real-arithmetic kernels equal the complex expressions bit for bit."""
+
+    @pytest.mark.parametrize("pure_los", [False, True])
+    @pytest.mark.parametrize("block_direct", [False, True])
+    @pytest.mark.parametrize("spacing_ratio", [0.5, 0.37, 1.0, 2.3])
+    def test_random_geometries(self, pure_los, block_direct, spacing_ratio):
+        for seed, N in enumerate((1, 7, 64, 513)):
+            cfg = SystemConfig(
+                K=6, M=4, N=N, pure_los=pure_los, block_direct=block_direct,
+                spacing_ratio=spacing_ratio, rician_delta=0.5 + seed,
+            )
+            geo = make_geometry(cfg, RngStream(seed, 0))
+            real = sample_channels(geo, cfg, RngStream(seed, 1))
+            h_direct, h_reflect = complex_sample_channels(geo, cfg, RngStream(seed, 1).generator())
+            np.testing.assert_array_equal(bits(real.h_direct), bits(h_direct))
+            np.testing.assert_array_equal(bits(real.h_reflect), bits(h_reflect))
+            np.testing.assert_array_equal(
+                bits(line_of_sight(geo, cfg)), bits(complex_line_of_sight(geo, cfg))
+            )
+
+    @pytest.mark.parametrize("pure_los", [False, True])
+    def test_pinned_angles(self, pure_los):
+        # signed zeros, endfire, and a sine that underflows against the spacing
+        nu = (0.0, -0.0, np.pi / 2, -np.pi / 2, 1e-300, -1e-300)
+        cfg = SystemConfig(K=6, N=40, nu=nu, pure_los=pure_los, spacing_ratio=0.37)
+        geo = make_geometry(cfg, RngStream(3, 0))
+        real = sample_channels(geo, cfg, RngStream(3, 1))
+        h_direct, h_reflect = complex_sample_channels(geo, cfg, RngStream(3, 1).generator())
+        np.testing.assert_array_equal(bits(real.h_direct), bits(h_direct))
+        np.testing.assert_array_equal(bits(real.h_reflect), bits(h_reflect))
+
+    def test_large_array(self):
+        cfg = SystemConfig(K=21, N=8192, pure_los=True, ref_loss_linear=1.0,
+                           pathloss_exponent_reflected=0.0, device_radius=0.0)
+        geo = make_geometry(cfg, RngStream(4, 0))
+        np.testing.assert_array_equal(
+            bits(line_of_sight(geo, cfg)), bits(complex_line_of_sight(geo, cfg))
+        )
+
+
 class TestEffectiveScalarChannel:
     def _aligned_setup(self, M=4, N=16):
         cfg = SystemConfig(

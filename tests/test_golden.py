@@ -3,15 +3,18 @@
 Each committed file was generated before the change it guards: the
 first four by the per-scheme engine that drew every scheme's channel
 block separately, ``levels4`` (the only non-binary vote) by the
-per-device phase projection and vote.  Any change that keeps the
-random streams must reproduce them exactly; a change that alters the
-streams on purpose regenerates them with
+per-device phase projection and vote, ``scaling_los`` (the only case
+past N = 128, with phase quotients up to about N) by the complex-valued
+line-of-sight kernel and the ``np.mod`` phase reduction.  Any change
+that keeps the random streams must reproduce them exactly; a change
+that alters the streams on purpose regenerates the cases it alters with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py NAME [NAME ...]
 
-and says so.
+and says so.  Only the named cases are rewritten.
 """
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,6 +58,21 @@ CASES = {
         ExperimentConfig(system=SystemConfig(L=4), n_sweep=(32, 128), trials=25, seed=25),
         list(Scheme),
     ),
+    # the scaling-law recipe: unit path losses, fresh angles and vote per trial
+    "scaling_los": (
+        ExperimentConfig(
+            system=SystemConfig(
+                M=10, K=21, Pmax=1.0, sigma2=1.0, pure_los=True, block_direct=True,
+                ref_loss_linear=1.0, pathloss_exponent_reflected=0.0,
+                pathloss_exponent_direct=0.0, device_radius=0.0,
+            ),
+            n_sweep=(2048, 8192),
+            trials=8,
+            seed=26,
+            redraw_geometry_per_trial=True,
+        ),
+        IRS_SCHEMES,
+    ),
 }
 
 
@@ -66,7 +84,15 @@ def test_sweep_csv_byte_identical(name, tmp_path):
     assert path.read_bytes() == (DATA / f"golden_{name}.csv").read_bytes()
 
 
-if __name__ == "__main__":
+def regenerate(names) -> None:
+    """Rewrite the golden files of the named cases, and of no other."""
+    if not names or not set(names) <= set(CASES):
+        raise SystemExit(f"usage: test_golden.py NAME [NAME ...], NAME in {', '.join(CASES)}")
     DATA.mkdir(exist_ok=True)
-    for name, (config, schemes) in CASES.items():
+    for name in names:
+        config, schemes = CASES[name]
         write_csv(run_sweep(config, schemes), DATA / f"golden_{name}.csv")
+
+
+if __name__ == "__main__":
+    regenerate(sys.argv[1:])

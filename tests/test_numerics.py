@@ -3,12 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irs_aircomp.numerics import (
-    RngStream,
-    array_response,
-    complex_gaussian_vector,
-    sinc_normalized,
-)
+from irs_aircomp.numerics import RngStream, array_response, as_generator, sinc_normalized
 
 
 class TestArrayResponse:
@@ -43,13 +38,13 @@ class TestArrayResponse:
 
 class TestRngStream:
     def test_same_stream_bit_identical(self):
-        a = complex_gaussian_vector(RngStream(42, 7), 16)
-        b = complex_gaussian_vector(RngStream(42, 7), 16)
+        a = as_generator(RngStream(42, 7)).standard_normal(16)
+        b = as_generator(RngStream(42, 7)).standard_normal(16)
         np.testing.assert_array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        a = complex_gaussian_vector(RngStream(42, 0), 16)
-        b = complex_gaussian_vector(RngStream(42, 1), 16)
+        a = as_generator(RngStream(42, 0)).standard_normal(16)
+        b = as_generator(RngStream(42, 1)).standard_normal(16)
         assert not np.allclose(a, b)
 
     def test_negative_stream_id_rejected(self):
@@ -58,24 +53,9 @@ class TestRngStream:
 
     def test_generator_passthrough_advances(self):
         gen = RngStream(5, 0).generator()
-        a = complex_gaussian_vector(gen, 8)
-        b = complex_gaussian_vector(gen, 8)
+        a = as_generator(gen).standard_normal(8)
+        b = as_generator(gen).standard_normal(8)
         assert not np.allclose(a, b)
-
-
-class TestComplexGaussian:
-    def test_empty(self):
-        assert complex_gaussian_vector(RngStream(0, 0), 0).shape == (0,)
-
-    def test_rejects_negative_dim(self):
-        with pytest.raises(ValueError):
-            complex_gaussian_vector(RngStream(0, 0), -1)
-
-    def test_moments(self):
-        # 1e5 draws: per-entry second moment within 2%, mean modulus <= 0.02
-        z = complex_gaussian_vector(RngStream(123, 0), 10**5)
-        assert abs(np.mean(np.abs(z) ** 2) - 1.0) < 0.02
-        assert abs(np.mean(z)) <= 0.02
 
 
 class TestSinc:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from irs_aircomp.analysis import mse_lower_bound
 from irs_aircomp.channel import SystemConfig, make_geometry, sample_channels
+from irs_aircomp import protocol
 from irs_aircomp.numerics import RngStream, array_response
 from irs_aircomp.protocol import (
     DegenerateChannelError,
@@ -196,6 +197,72 @@ class TestPhaseKernel:
             np.testing.assert_array_equal(rows[k], phase_index_rows(0.4, [nu_k], 4096, 3)[0])
 
 
+def assert_same_bits(actual, expected):
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(actual).view(np.uint64), np.ascontiguousarray(expected).view(np.uint64)
+    )
+
+
+def ulp_neighbours(x, steps):
+    """x and its neighbours up to ``steps`` ulps away on either side."""
+    out, up, down = [x], x, x
+    for _ in range(steps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+class TestModTwoPi:
+    """The phase kernel's 2*pi reduction equals np.mod bit for bit."""
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-5, 1.0, 1e3, 1e6, 4e8])
+    def test_random_scales(self, scale):
+        x = np.random.default_rng(int(np.log10(scale)) + 400).uniform(-scale, scale, 10**5)
+        assert_same_bits(protocol._mod_2pi(x), np.mod(x, TWO_PI))
+
+    def test_multiples_of_two_pi_and_ulp_neighbours(self):
+        # quotients near an integer, where a rounded-up quotient needs the fix-up
+        k = np.arange(-300_000, 300_001, dtype=float)
+        big = np.random.default_rng(1).integers(-(2**26), 2**26, 10**5).astype(float)
+        for multiples in (k * TWO_PI, big * TWO_PI):
+            x = ulp_neighbours(multiples, 4)
+            x = x[np.abs(x) < protocol._REDUCE_LIMIT]
+            assert_same_bits(protocol._mod_2pi(x), np.mod(x, TWO_PI))
+
+    def test_special_values_and_guard(self):
+        limit = protocol._REDUCE_LIMIT
+        x = np.array(
+            [0.0, -0.0, -1e-17, 1e-17, 5e-324, -5e-324, 2.2250738585072014e-308,
+             -2.2250738585072014e-308, np.pi, -np.pi, TWO_PI, -TWO_PI,
+             np.nextafter(limit, 0.0), -np.nextafter(limit, 0.0), limit, -limit,
+             1e300, -1e300, np.inf, np.nan]
+        )
+        with np.errstate(invalid="ignore"):
+            assert_same_bits(protocol._mod_2pi(x), np.mod(x, TWO_PI))
+            for value in x:  # alone, so the guard sees each value by itself
+                one = np.array([value])
+                assert_same_bits(protocol._mod_2pi(one), np.mod(one, TWO_PI))
+        assert quantize_phase(1e300, 4) == quantize_phase(float(np.mod(1e300, TWO_PI)), 4)
+
+    def test_kernel_phase_sets(self):
+        gen = np.random.default_rng(17)
+        steps = TWO_PI * 0.5 * np.arange(8192)
+        for _ in range(20):
+            diff = np.sin(gen.uniform(-np.pi / 2, np.pi / 2)) - np.sin(
+                gen.uniform(-np.pi / 2, np.pi / 2, 21)
+            )
+            theta = steps * diff[:, None]
+            assert_same_bits(protocol._mod_2pi(theta), np.mod(theta, TWO_PI))
+
+    def test_phase_kernel_runs_no_np_mod(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.mod called on the phase kernel's hot path")
+
+        expected = phase_index_rows(0.3, [-1.2, 0.4, 1.5], 8192, 2)
+        monkeypatch.setattr(protocol.np, "mod", refuse)
+        np.testing.assert_array_equal(phase_index_rows(0.3, [-1.2, 0.4, 1.5], 8192, 2), expected)
+
+
 class TestMajorityVote:
     def test_strict_majority(self):
         votes = [PhaseShiftVector(np.array([i]), 2) for i in (0, 0, 1)]
@@ -360,6 +427,18 @@ class TestPowerControlRows:
             power_control_rows([1.0, 2.0], 1.0, 1.0)
         with pytest.raises(DegenerateChannelError):
             power_control_rows([[1.0, 2.0], [0.0, 1.0]], 1.0, 1.0)
+
+
+@pytest.mark.parametrize("inversion", [False, True])
+@pytest.mark.parametrize("gammas", [[1e-170, 1e170], [1e-170, 1.0], [1.0, 1e170]])
+def test_squared_gain_outside_float_range_rejected(inversion, gammas):
+    # |gamma|^2 underflows to 0 or overflows to inf although |gamma| is finite
+    single = channel_inversion_power_control if inversion else optimal_power_control
+    with pytest.raises(ValueError, match="dynamic range") as info:
+        single(gammas, 1.0, 0.0)
+    assert not isinstance(info.value, DegenerateChannelError)
+    with pytest.raises(ValueError, match="dynamic range"):
+        power_control_rows([[1.0, 2.0], gammas], 1.0, 0.0, inversion=inversion)
 
 
 class TestChannelInversion:
