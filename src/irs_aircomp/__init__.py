@@ -28,11 +28,9 @@ from .channel import (
     sample_channels,
 )
 from .experiments import (
-    SCHEMES,
     ConfigError,
     ExperimentConfig,
     Scheme,
-    SchemeSpec,
     SweepResult,
     SweepRow,
     compute_long_term,

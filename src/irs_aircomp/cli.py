@@ -16,30 +16,21 @@ import numpy as np
 from .analysis import (
     AsymptoticParams,
     approx_array_gain,
-    expected_channel_power_gain,
     min_gamma_sq_approx,
     mse_lower_bound,
     mse_upper_bound,
     n_threshold,
 )
-from .channel import SystemConfig, effective_scalar_channel, make_geometry, sample_channels
-from .experiments import (
-    CSV_HEADER,
-    ConfigError,
-    Scheme,
-    compute_long_term,
-    load_config,
-    run_sweep,
-    write_csv,
-)
+from .channel import make_geometry
+from .experiments import ConfigError, Scheme, load_config, run_sweep, write_csv, write_rows
 from .numerics import RngStream, sinc_normalized
-from .protocol import (
-    channel_inversion_power_control,
-    evaluate_mse,
-    evaluate_mse_general,
-    optimal_power_control,
-    oracle_power_control,
+from .oracles import (
+    channel_power_error,
+    mse_identity_error,
+    power_control_gap,
+    random_power_instance,
 )
+from .protocol import channel_inversion_power_control, optimal_power_control
 
 
 def _parse_schemes(raw: str) -> list[Scheme]:
@@ -124,178 +115,89 @@ def _cmd_single(args) -> int:
     if len(schemes) != 1:
         raise ConfigError("single takes exactly one scheme")
     single = replace(config, n_sweep=(args.n,))
-    result = run_sweep(single, schemes)
-    row = result.rows[0]
-    print(CSV_HEADER)
-    cells = [
-        row.scheme,
-        str(row.N),
-        str(row.M),
-        str(row.K),
-        str(row.trials),
-        repr(row.mean_mse),
-        repr(row.stderr_mse),
-        repr(row.mean_ktilde),
-        "" if row.bound_mse is None else repr(row.bound_mse),
-        "" if row.n_threshold is None else repr(row.n_threshold),
-    ]
-    print(",".join(cells))
+    write_rows(run_sweep(single, schemes), sys.stdout)
     return 0
 
 
-def _check(name: str, ok: bool, detail: str, failures: list[str]) -> None:
-    status = "PASS" if ok else "FAIL"
-    print(f"  [{status}] {name}: {detail}")
-    if not ok:
-        failures.append(name)
-
-
-def _validate_power_control(rng: np.random.Generator, instances: int, failures) -> None:
-    worst_gap = 0.0
-    worst_rel = 0.0
-    feasible = True
-    permutation_ok = True
+def _permutation_invariant(rng: np.random.Generator, instances: int) -> bool:
+    """Reordering the devices reorders the powers and keeps the denoising factor."""
+    ok = True
     for _ in range(instances):
-        K = int(rng.integers(1, 6))
-        gammas = 10.0 ** rng.uniform(-2.0, 2.0, K) * np.exp(
-            1j * rng.uniform(0.0, 2 * np.pi, K)
-        )
-        sigma2 = float(rng.choice([0.0, 1.0]))
+        gammas, sigma2 = random_power_instance(rng)
         opt = optimal_power_control(gammas, 1.0, sigma2)
-        oracle = oracle_power_control(gammas, 1.0, sigma2)
-        scale = max(opt.mse, oracle.mse, 1e-12)
-        worst_gap = max(worst_gap, (opt.mse - oracle.mse) / scale)
-        worst_rel = max(worst_rel, abs(opt.mse - oracle.mse) / scale)
-        if np.any(opt.powers < 0) or np.any(opt.powers > 1.0 + 1e-12):
-            feasible = False
-        perm = rng.permutation(K)
+        perm = rng.permutation(gammas.shape[0])
         opt_perm = optimal_power_control(gammas[perm], 1.0, sigma2)
-        if not (
+        ok &= bool(
             np.allclose(opt_perm.powers, opt.powers[perm], rtol=1e-12, atol=1e-15)
             and abs(opt_perm.eta - opt.eta) <= 1e-12 * opt.eta
-        ):
-            permutation_ok = False
-    _check(
-        "power control never beats nor trails the search oracle",
-        worst_gap <= 1e-9 and worst_rel <= 1e-7,
-        f"worst signed gap {worst_gap:.3e}, worst |rel diff| {worst_rel:.3e}",
-        failures,
-    )
-    _check("power feasibility 0 <= p <= Pmax", feasible, f"{instances} instances", failures)
-    _check("permutation invariance", permutation_ok, f"{instances} instances", failures)
+        )
+    return ok
 
 
-def _validate_dominance(rng: np.random.Generator, instances: int, failures) -> None:
+def _inversion_dominated(rng: np.random.Generator, instances: int) -> bool:
+    """Optimal <= inversion MSE, and both >= the realization lower bound."""
     ok = True
     for _ in range(instances):
         K = int(rng.integers(2, 8))
         gammas = 10.0 ** rng.uniform(-1.5, 1.5, K)
         sigma2 = float(rng.uniform(0.1, 2.0))
-        opt = optimal_power_control(gammas, 1.0, sigma2)
-        inv = channel_inversion_power_control(gammas, 1.0, sigma2)
+        opt = optimal_power_control(gammas, 1.0, sigma2).mse
+        inv = channel_inversion_power_control(gammas, 1.0, sigma2).mse
         lb = mse_lower_bound(float(np.min(np.abs(gammas) ** 2)), 1.0, sigma2)
-        if not (opt.mse <= inv.mse + 1e-12 and opt.mse >= lb - 1e-12 and inv.mse >= lb - 1e-12):
-            ok = False
-    _check(
-        "optimal <= inversion MSE and both >= realization lower bound",
-        ok,
-        f"{instances} instances",
-        failures,
-    )
+        ok &= opt <= inv + 1e-12 and opt >= lb - 1e-12 and inv >= lb - 1e-12
+    return ok
 
 
-def _validate_identity(rng: np.random.Generator, instances: int, failures) -> None:
-    worst = 0.0
-    for i in range(instances):
-        cfg = SystemConfig(
-            M=int(rng.integers(1, 5)),
-            N=int(rng.integers(2, 9)),
-            K=int(rng.integers(1, 5)),
-            L=2,
-            Pmax=1.0,
-            sigma2=float(rng.uniform(0.0, 1.0)),
-            ref_loss_linear=1.0,
-            pathloss_exponent_reflected=0.0,
-            pathloss_exponent_direct=0.0,
-        )
-        geometry = make_geometry(cfg, RngStream(7, i))
-        realization = sample_channels(geometry, cfg, RngStream(11, i))
-        lt = compute_long_term(geometry, cfg)
-        gammas = effective_scalar_channel(realization, lt.v, lt.theta_voted)
-        if np.any(np.abs(gammas) == 0):
-            continue
-        sol = optimal_power_control(gammas, cfg.Pmax, cfg.sigma2)
-        b = np.sqrt(sol.powers) * gammas.conj() / np.abs(gammas)
-        general = evaluate_mse_general(lt.v, lt.theta_voted, b, sol.eta, realization, cfg.sigma2)
-        reduced = evaluate_mse(gammas, sol, cfg.sigma2)
-        worst = max(worst, abs(general - reduced) / max(reduced, 1e-12))
-    _check(
-        "vector-channel MSE equals scalar-channel MSE for phase-aligned b",
-        worst <= 1e-12,
-        f"worst relative difference {worst:.3e}",
-        failures,
-    )
-
-
-def _validate_sinc(rng: np.random.Generator, samples: int, failures) -> None:
+def _sinc_error(rng: np.random.Generator, samples: int) -> float:
+    """Relative error of the Monte Carlo |E e^{j theta}|, theta ~ U(-pi/2, pi/2), vs sinc(1/2)."""
     theta = rng.uniform(-np.pi / 2, np.pi / 2, samples)
-    mc = np.abs(np.mean(np.exp(1j * theta)))
     target = sinc_normalized(0.5)
-    rel = abs(mc - target) / target
-    _check(
-        "Monte Carlo phase average matches sinc(1/2)",
-        rel <= 0.01,
-        f"relative error {rel:.4f} at {samples} samples",
-        failures,
-    )
-
-
-def _validate_channel_power(rng: np.random.Generator, draws: int, failures) -> None:
-    worst = 0.0
-    for i in range(3):
-        copies = 200
-        nu = float(rng.uniform(-np.pi / 2, np.pi / 2))
-        cfg = SystemConfig(
-            M=int(rng.choice([1, 4, 10])),
-            N=int(rng.choice([8, 64])),
-            K=copies,
-            L=2,
-            rician_delta=float(rng.choice([1.0, 10.0])),
-            nu=(nu,) * copies,
-            device_radius=0.0,
-        )
-        geometry = make_geometry(cfg, RngStream(23, i))
-        lt = compute_long_term(geometry, cfg)
-        theta = lt.theta_voted
-        expected = expected_channel_power_gain(geometry, cfg, theta)[0]
-        total = 0.0
-        calls = max(1, draws // copies)
-        for j in range(calls):
-            realization = sample_channels(geometry, cfg, RngStream(29 + i, j))
-            gam = effective_scalar_channel(realization, lt.v, theta)
-            total += float(np.mean(np.abs(gam) ** 2))
-        rel = abs(total / calls - expected) / expected
-        worst = max(worst, rel)
-    _check(
-        "Monte Carlo effective channel power matches closed form",
-        worst <= 0.02,
-        f"worst relative error {worst:.4f}",
-        failures,
-    )
+    return abs(np.abs(np.mean(np.exp(1j * theta))) - target) / target
 
 
 def _cmd_validate(args) -> int:
+    """The oracle checks of acceptance criteria 1, 8 and 4, and three of its own."""
     fast = args.fast
     print(f"validation suite ({'fast' if fast else 'full'})")
-    failures: list[str] = []
     rng = np.random.default_rng(2024)
-    _validate_power_control(rng, 50 if fast else 200, failures)
-    _validate_dominance(rng, 50 if fast else 200, failures)
-    _validate_identity(rng, 25 if fast else 100, failures)
-    _validate_sinc(rng, 10**5 if fast else 10**6, failures)
-    _validate_channel_power(rng, 2 * 10**4 if fast else 10**5, failures)
-    if failures:
-        print(f"{len(failures)} check(s) failed")
+    n = 50 if fast else 200
+    gap, rel, feasible = power_control_gap(rng, n)
+    permuted = _permutation_invariant(rng, n)
+    dominated = _inversion_dominated(rng, n)
+    identity = mse_identity_error(rng, 25 if fast else 100)
+    samples, calls = (10**5, 200) if fast else (10**6, 500)  # calls draw 200 samples each
+    sinc = _sinc_error(rng, samples)
+    power = channel_power_error(rng, calls)
+    checks = [
+        (
+            "power control never beats nor trails the search oracle",
+            gap <= 1e-9 and rel <= 1e-7,
+            f"worst signed gap {gap:.3e}, worst |rel diff| {rel:.3e}",
+        ),
+        ("power feasibility 0 <= p <= Pmax", feasible, f"{n} instances"),
+        ("permutation invariance", permuted, f"{n} instances"),
+        ("optimal <= inversion MSE and both >= realization lower bound", dominated, f"{n} instances"),
+        (
+            "vector-channel MSE equals scalar-channel MSE for phase-aligned b",
+            identity <= 1e-12,
+            f"worst relative difference {identity:.3e}",
+        ),
+        (
+            "Monte Carlo phase average matches sinc(1/2)",
+            sinc <= 0.01,
+            f"relative error {sinc:.4f} at {samples} samples",
+        ),
+        (
+            "Monte Carlo effective channel power matches closed form",
+            power <= 0.02,
+            f"worst relative error {power:.4f} at {calls} calls",
+        ),
+    ]
+    for name, ok, detail in checks:
+        print(f"  [{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+    failed = sum(not ok for _, ok, _ in checks)
+    if failed:
+        print(f"{failed} check(s) failed")
         return 1
     print("all checks passed")
     return 0

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -45,8 +45,6 @@ from .protocol import (
 __all__ = [
     "ConfigError",
     "Scheme",
-    "SchemeSpec",
-    "SCHEMES",
     "ExperimentConfig",
     "LongTermState",
     "SweepRow",
@@ -54,6 +52,7 @@ __all__ = [
     "compute_long_term",
     "run_trial",
     "run_sweep",
+    "write_rows",
     "write_csv",
     "load_config",
 ]
@@ -69,37 +68,31 @@ class ConfigError(ValueError):
     """Configuration file or experiment setup is invalid."""
 
 
+# How each scheme turns a channel draw into scalar channels: through the
+# static beamformer with voted or all-zero phases, or through the
+# dominant-direct combiner.  Schemes of one kind share their gammas.
+_VOTED, _ZERO, _DIRECT = "voted", "zero", "direct"
+
+
 class Scheme(str, enum.Enum):
-    OPT_PC_IRS = "OPT_PC_IRS"
-    INV_PC_IRS = "INV_PC_IRS"
-    OPT_PC_NO_IRS = "OPT_PC_NO_IRS"
-    INV_PC_NO_IRS = "INV_PC_NO_IRS"
-    FIXED_PHASE_OPT_PC = "FIXED_PHASE_OPT_PC"
+    """A compared scheme: its effective-channel ``kind`` and its power rule.
 
+    ``inversion`` selects channel inversion over optimal power control.
+    Only the voted-phase schemes report the closed-form bound columns.
+    """
 
-@dataclass(frozen=True)
-class SchemeSpec:
-    id: Scheme
-    description: str
+    OPT_PC_IRS = ("OPT_PC_IRS", _VOTED, False)
+    INV_PC_IRS = ("INV_PC_IRS", _VOTED, True)
+    OPT_PC_NO_IRS = ("OPT_PC_NO_IRS", _DIRECT, False)
+    INV_PC_NO_IRS = ("INV_PC_NO_IRS", _DIRECT, True)
+    FIXED_PHASE_OPT_PC = ("FIXED_PHASE_OPT_PC", _ZERO, False)
 
-
-SCHEMES: dict[Scheme, SchemeSpec] = {
-    Scheme.OPT_PC_IRS: SchemeSpec(
-        Scheme.OPT_PC_IRS, "optimal power control, voted IRS phases"
-    ),
-    Scheme.INV_PC_IRS: SchemeSpec(
-        Scheme.INV_PC_IRS, "channel-inversion power control, voted IRS phases"
-    ),
-    Scheme.OPT_PC_NO_IRS: SchemeSpec(
-        Scheme.OPT_PC_NO_IRS, "optimal power control, direct links only"
-    ),
-    Scheme.INV_PC_NO_IRS: SchemeSpec(
-        Scheme.INV_PC_NO_IRS, "channel-inversion power control, direct links only"
-    ),
-    Scheme.FIXED_PHASE_OPT_PC: SchemeSpec(
-        Scheme.FIXED_PHASE_OPT_PC, "optimal power control, all-zero IRS phases"
-    ),
-}
+    def __new__(cls, value: str, kind: str, inversion: bool):
+        member = str.__new__(cls, value)
+        member._value_ = value
+        member.kind = kind
+        member.inversion = inversion
+        return member
 
 
 @dataclass
@@ -198,19 +191,6 @@ def _dominant_direct_combiner(realization: ChannelRealization) -> np.ndarray:
     return vecs[:, -1]
 
 
-# How each scheme turns a channel draw into scalar channels: through the
-# static beamformer with voted or all-zero phases, or through the
-# dominant-direct combiner.  Schemes of one kind share their gammas.
-_VOTED, _ZERO, _DIRECT = "voted", "zero", "direct"
-_KIND = {
-    Scheme.OPT_PC_IRS: _VOTED,
-    Scheme.INV_PC_IRS: _VOTED,
-    Scheme.FIXED_PHASE_OPT_PC: _ZERO,
-    Scheme.OPT_PC_NO_IRS: _DIRECT,
-    Scheme.INV_PC_NO_IRS: _DIRECT,
-}
-_INVERSION = (Scheme.INV_PC_IRS, Scheme.INV_PC_NO_IRS)
-
 # Trials whose gammas go through power control together; extra memory
 # is this many rows of K per scheme kind, whatever the trial count.
 _POWER_BLOCK = 64
@@ -249,7 +229,7 @@ def _trial_gammas(
     gammas: dict[str, np.ndarray] = {}
     redraws: dict[str, int] = {}
     for scheme in schemes:
-        kind = _KIND[scheme]
+        kind = scheme.kind
         if kind in gammas:
             continue
         for i in range(_MAX_REDRAWS):
@@ -263,13 +243,13 @@ def _trial_gammas(
             raise DegenerateChannelError(
                 f"{scheme.value}: degenerate channel persisted through {_MAX_REDRAWS} redraws"
             )
-    return gammas, sum(redraws[_KIND[s]] for s in schemes)
+    return gammas, sum(redraws[s.kind] for s in schemes)
 
 
 def _power_control(scheme: Scheme, gammas: np.ndarray, config: SystemConfig):
     """(mse, critical_number) per row of a (B, K) gamma block under the scheme's rule."""
     _, _, kt, mse = power_control_rows(
-        gammas, config.Pmax, config.sigma2, inversion=scheme in _INVERSION
+        gammas, config.Pmax, config.sigma2, inversion=scheme.inversion
     )
     return mse, kt
 
@@ -277,7 +257,7 @@ def _power_control(scheme: Scheme, gammas: np.ndarray, config: SystemConfig):
 def run_trial(
     config: SystemConfig,
     geometry: Geometry,
-    scheme: Scheme | SchemeSpec,
+    scheme: Scheme,
     stream: RngStream | np.random.Generator,
     long_term: LongTermState | None = None,
 ) -> tuple[float, int]:
@@ -287,13 +267,11 @@ def run_trial(
     stream.  The same evaluation as one scheme of one :func:`run_sweep`
     trial.
     """
-    if isinstance(scheme, SchemeSpec):
-        scheme = scheme.id
     scheme = Scheme(scheme)
     if long_term is None:
         long_term = compute_long_term(geometry, config)
     gammas, _ = _trial_gammas(config, geometry, long_term, as_generator(stream), [scheme])
-    mse, kt = _power_control(scheme, gammas[_KIND[scheme]][None, :], config)
+    mse, kt = _power_control(scheme, gammas[scheme.kind][None, :], config)
     return float(mse[0]), int(kt[0])
 
 
@@ -313,13 +291,16 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     for studies whose randomness lives in the static angles.  Each
     trial draws one channel block that every scheme evaluates.
     """
-    schemes = [Scheme(s.id if isinstance(s, SchemeSpec) else s) for s in schemes]
+    schemes = [Scheme(s) for s in schemes]
     if not schemes:
         raise ConfigError("at least one scheme is required")
     duplicates = sorted({s.value for s in schemes if schemes.count(s) > 1})
     if duplicates:
         raise ConfigError(f"duplicate schemes: {', '.join(duplicates)}")
-    kinds = list(dict.fromkeys(_KIND[s] for s in schemes))
+    blocked = [s.value for s in schemes if s.kind == _DIRECT]
+    if config.system.block_direct and blocked:
+        raise ConfigError(f"block_direct leaves no direct link for {', '.join(blocked)}")
+    kinds = list(dict.fromkeys(s.kind for s in schemes))
     T = config.trials
     base_system = config.system
 
@@ -354,7 +335,7 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
                     block[kind][t - start] = gammas[kind]
             for s in schemes:
                 mses[s][start:stop], ktildes[s][start:stop] = _power_control(
-                    s, block[_KIND[s]], system
+                    s, block[s.kind], system
                 )
 
         bound = threshold = None
@@ -374,7 +355,7 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
             vals = mses[s]
             mean = math.fsum(vals) / T
             stderr = float(np.std(vals, ddof=1) / math.sqrt(T)) if T > 1 else 0.0
-            with_irs = s in (Scheme.OPT_PC_IRS, Scheme.INV_PC_IRS)
+            voted = s.kind == _VOTED
             rows.append(
                 SweepRow(
                     scheme=s.value,
@@ -385,8 +366,8 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
                     mean_mse=mean,
                     stderr_mse=stderr,
                     mean_ktilde=math.fsum(ktildes[s]) / T,
-                    bound_mse=bound if with_irs else None,
-                    n_threshold=threshold if with_irs else None,
+                    bound_mse=bound if voted else None,
+                    n_threshold=threshold if voted else None,
                 )
             )
 
@@ -402,28 +383,19 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def write_rows(result: SweepResult, fh) -> None:
+    """Fixed header, then rows sorted by (scheme, N) with round-trip floats."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(CSV_HEADER.split(","))
+    for r in sorted(result.rows, key=lambda r: (r.scheme, r.N)):
+        writer.writerow([_format_cell(value) for value in astuple(r)])
+
+
 def write_csv(result: SweepResult, path) -> None:
-    """UTF-8 CSV, fixed header, rows sorted by (scheme, N), round-trip floats."""
-    rows = sorted(result.rows, key=lambda r: (r.scheme, r.N))
+    """:func:`write_rows` into a UTF-8 file."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_HEADER.split(","))
-            for r in rows:
-                writer.writerow(
-                    [
-                        r.scheme,
-                        r.N,
-                        r.M,
-                        r.K,
-                        r.trials,
-                        _format_cell(r.mean_mse),
-                        _format_cell(r.stderr_mse),
-                        _format_cell(r.mean_ktilde),
-                        _format_cell(r.bound_mse),
-                        _format_cell(r.n_threshold),
-                    ]
-                )
+            write_rows(result, fh)
     except OSError as exc:
         raise OSError(f"failed writing sweep CSV to {path}: {exc}") from exc
 

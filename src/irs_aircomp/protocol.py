@@ -90,7 +90,6 @@ class PowerSolution:
     eta: float
     critical_number: int
     mse: float
-    scheme_label: str = "optimal"
 
     def __post_init__(self) -> None:
         p = np.asarray(self.powers, dtype=float)
@@ -181,6 +180,8 @@ def quantize_phase(theta: float, levels: int) -> float:
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     idx = _quantize_indices(np.array([theta]), levels)[0]
     return float(idx * (TWO_PI / levels))
 
@@ -310,7 +311,8 @@ def _power_rows(g: np.ndarray, Pmax: float, sigma2: float, inversion: bool):
         raise ValueError("sigma2 must be non-negative")
     B, K = g.shape
     rows = np.arange(B)[:, None]
-    g2 = g**2
+    with np.errstate(over="ignore"):  # the range check below reports it
+        g2 = g**2
     if not (g2.min() > 0.0 and g2.max() < np.inf):
         raise ValueError(
             f"|gamma|^2 leaves the float64 dynamic range: |gamma| spans "
@@ -335,20 +337,17 @@ def _power_rows(g: np.ndarray, Pmax: float, sigma2: float, inversion: bool):
     return powers, eta, kt + 1, _alignment_mse(g, powers, eta, sigma2)
 
 
-def _single_row(gammas, Pmax: float, sigma2: float, inversion: bool, label: str) -> PowerSolution:
+def _single_row(gammas, Pmax: float, sigma2: float, inversion: bool) -> PowerSolution:
     powers, eta, kt, mse = _power_rows(_gamma_magnitudes(gammas)[None, :], Pmax, sigma2, inversion)
     return PowerSolution(
         powers=powers[0],
         eta=float(eta[0]),
         critical_number=int(kt[0]),
         mse=float(mse[0]),
-        scheme_label=label,
     )
 
 
-def optimal_power_control(
-    gammas, Pmax: float, sigma2: float, scheme_label: str = "optimal"
-) -> PowerSolution:
+def optimal_power_control(gammas, Pmax: float, sigma2: float) -> PowerSolution:
     """MSE-optimal per-block power control and denoising factor.
 
     Devices sorted ascending by |gamma|^2 (stable, original index breaks
@@ -357,7 +356,7 @@ def optimal_power_control(
     candidates, smallest index on ties.  One row of
     :func:`power_control_rows`.
     """
-    return _single_row(gammas, Pmax, sigma2, False, scheme_label)
+    return _single_row(gammas, Pmax, sigma2, False)
 
 
 def channel_inversion_power_control(gammas, Pmax: float, sigma2: float) -> PowerSolution:
@@ -367,7 +366,7 @@ def channel_inversion_power_control(gammas, Pmax: float, sigma2: float) -> Power
     weakest device transmits at exactly Pmax and the MSE reduces to
     sigma^2/eta.  One row of :func:`power_control_rows`.
     """
-    return _single_row(gammas, Pmax, sigma2, True, "channel_inversion")
+    return _single_row(gammas, Pmax, sigma2, True)
 
 
 def evaluate_mse(gammas, solution: PowerSolution, sigma2: float) -> float:
@@ -464,5 +463,4 @@ def oracle_power_control(
         eta=eta_best,
         critical_number=int(np.count_nonzero(eta_best / g2 >= Pmax)),
         mse=mse,
-        scheme_label="oracle",
     )

@@ -128,3 +128,26 @@ def test_duplicate_scheme_exits_two(tmp_path, capsys):
 def test_non_finite_config_exits_two(tmp_path):
     cfg = write_config(tmp_path, TOY + "pmax = nan\n")
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_block_direct_with_direct_scheme_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, TOY + "block_direct = true\n")
+    out = tmp_path / "x.csv"
+    code = main(["sweep", "--config", cfg, "--schemes", "OPT_PC_IRS,INV_PC_NO_IRS", "--out", str(out)])
+    assert code == 2
+    assert "no direct link for INV_PC_NO_IRS" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scheme, bound", [("INV_PC_IRS", True), ("FIXED_PHASE_OPT_PC", False)])
+def test_single_prints_the_one_point_sweep_csv(scheme, bound, tmp_path, capsys):
+    cfg = write_config(tmp_path, TOY.replace("n_sweep = 8, 16", "n_sweep = 16"))
+    out = tmp_path / "one.csv"
+    assert main(["sweep", "--config", cfg, "--schemes", scheme, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["single", "--config", cfg, "--n", "16", "--scheme", scheme]) == 0
+    printed = capsys.readouterr().out
+    assert printed == out.read_text(encoding="utf-8")
+    _, row = printed.splitlines()
+    assert row.startswith(f"{scheme},16,")
+    assert all(row.split(",")[-2:]) == bound  # bound_mse and n_threshold filled or empty

@@ -102,15 +102,14 @@ class TestRunSweep:
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
 
-    def test_bound_columns_only_for_irs_schemes(self):
-        result = run_sweep(
-            small_config(), [Scheme.OPT_PC_IRS, Scheme.OPT_PC_NO_IRS]
-        )
-        by_scheme = {}
-        for r in result.rows:
-            by_scheme.setdefault(r.scheme, []).append(r)
-        assert all(r.bound_mse is not None for r in by_scheme["OPT_PC_IRS"])
-        assert all(r.bound_mse is None for r in by_scheme["OPT_PC_NO_IRS"])
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    def test_bound_columns_only_for_irs_schemes(self, scheme):
+        rows = run_sweep(small_config(), [scheme]).rows
+        voted = scheme in (Scheme.OPT_PC_IRS, Scheme.INV_PC_IRS)
+        assert voted == (scheme.kind == experiments._VOTED)
+        assert len(rows) == 2
+        for r in rows:
+            assert (r.bound_mse is not None, r.n_threshold is not None) == (voted, voted)
 
     def test_redraw_mode_changes_geometry_not_determinism(self):
         cfg = small_config(redraw_geometry_per_trial=True, trials=3)
@@ -147,15 +146,29 @@ class TestRunSweep:
             mse, kt = run_trial(system, geo, s, RngStream(cfg.seed, 3))
             assert (row.mean_mse, row.mean_ktilde) == (mse, kt)
 
-    def test_blocked_direct_links_exhaust_redraws(self, monkeypatch):
+    def test_blocked_direct_links_rejected_up_front(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "sample_channels", lambda *a: calls.append(1))
+        cfg = small_config(system=SystemConfig(M=4, N=16, K=3, block_direct=True))
+        schemes = [Scheme.INV_PC_NO_IRS, Scheme.OPT_PC_IRS, Scheme.OPT_PC_NO_IRS]
+        with pytest.raises(ConfigError, match="no direct link for INV_PC_NO_IRS, OPT_PC_NO_IRS$"):
+            run_sweep(cfg, schemes)
+        assert calls == []
+
+    def test_degenerate_draws_exhaust_redraws(self, monkeypatch):
         calls = []
         original = experiments.sample_channels
         monkeypatch.setattr(
             experiments, "sample_channels", lambda *a: calls.append(1) or original(*a)
         )
-        cfg = small_config(system=SystemConfig(M=4, N=16, K=3, block_direct=True))
+        engine_gammas = experiments._kind_gammas
+        monkeypatch.setattr(
+            experiments,
+            "_kind_gammas",
+            lambda kind, real, lt: engine_gammas(kind, real, lt) * (kind != experiments._DIRECT),
+        )
         with pytest.raises(DegenerateChannelError, match="OPT_PC_NO_IRS.*100 redraws"):
-            run_sweep(cfg, [Scheme.OPT_PC_IRS, Scheme.OPT_PC_NO_IRS])
+            run_sweep(small_config(), [Scheme.OPT_PC_IRS, Scheme.OPT_PC_NO_IRS])
         assert len(calls) == experiments._MAX_REDRAWS
 
     def test_degenerate_redraws_match_per_scheme_draws(self, monkeypatch):

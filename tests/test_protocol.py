@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,11 @@ class TestQuantizePhase:
 
     def test_single_level(self):
         assert quantize_phase(2.9, 1) == 0.0
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_rejected(self, theta):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            quantize_phase(theta, 2)
 
     @given(theta=st.floats(-50.0, 50.0), levels=st.integers(1, 16))
     @settings(max_examples=100, deadline=None)
@@ -433,12 +439,15 @@ class TestPowerControlRows:
 @pytest.mark.parametrize("gammas", [[1e-170, 1e170], [1e-170, 1.0], [1.0, 1e170]])
 def test_squared_gain_outside_float_range_rejected(inversion, gammas):
     # |gamma|^2 underflows to 0 or overflows to inf although |gamma| is finite
+    # and the ValueError is the only signal: no RuntimeWarning on the way
     single = channel_inversion_power_control if inversion else optimal_power_control
-    with pytest.raises(ValueError, match="dynamic range") as info:
-        single(gammas, 1.0, 0.0)
-    assert not isinstance(info.value, DegenerateChannelError)
-    with pytest.raises(ValueError, match="dynamic range"):
-        power_control_rows([[1.0, 2.0], gammas], 1.0, 0.0, inversion=inversion)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="dynamic range") as info:
+            single(gammas, 1.0, 0.0)
+        assert not isinstance(info.value, DegenerateChannelError)
+        with pytest.raises(ValueError, match="dynamic range"):
+            power_control_rows([[1.0, 2.0], gammas], 1.0, 0.0, inversion=inversion)
 
 
 class TestChannelInversion:
@@ -470,14 +479,14 @@ class TestEvaluateMse:
         g = np.array([0.5, 1.0, 2.0])
         eta = 0.2
         sol = PowerSolution(
-            powers=eta / g**2, eta=eta, critical_number=0, mse=0.0, scheme_label="x"
+            powers=eta / g**2, eta=eta, critical_number=0, mse=0.0
         )
         assert evaluate_mse(g, sol, 0.7) == pytest.approx(0.7 / eta, rel=1e-14)
 
     def test_silent_devices(self):
         g = np.array([1.0, 2.0, 3.0])
         sol = PowerSolution(
-            powers=np.zeros(3), eta=2.0, critical_number=0, mse=0.0, scheme_label="x"
+            powers=np.zeros(3), eta=2.0, critical_number=0, mse=0.0
         )
         assert evaluate_mse(g, sol, 1.0) == pytest.approx(3 + 0.5, rel=1e-14)
 
