@@ -215,20 +215,24 @@ def line_of_sight(geometry: Geometry, config: SystemConfig) -> np.ndarray:
     N, so a caller drawing many blocks on one geometry can compute it
     once and pass it to :func:`sample_channels`.
 
-    The steering phase ((2*pi*s)*sin(nu_k))*m is built in float64 in
-    the imaginary plane of the one (K, N) complex output, which is then
-    exponentiated and scaled in place.  The result equals the complex
-    chain exp(2j*pi*s*sin(nu_k)*m) bit for bit: the phase is that
-    chain's imaginary part in the same multiplication order, and the
-    chain's real parts are signed zeros, which exp ignores.  A zero
-    phase may differ in sign; the amplitude is applied as a complex
-    product, which maps the zero sine of either sign to +0 as before.
+    The steering phase y = ((2*pi*s)*sin(nu_k))*m is built in float64
+    in the imaginary plane of the one (K, N) complex output; cos y and
+    sin y are then written into its real and imaginary planes.  The
+    result equals the complex chain exp(2j*pi*s*sin(nu_k)*m) bit for
+    bit: y is that chain's imaginary part in the same multiplication
+    order, its real part is a signed zero, and the complex exponential
+    of (+-0 + iy) is (1*cos y, 1*sin y), exactly cos y and sin y.  A
+    zero phase may differ in sign, and so may its sine; the amplitude
+    is applied as a complex product, which maps the zero sine of either
+    sign to +0 as before.  Element m depends on m alone, so the first n
+    columns at N equal the whole output at n.
     """
     nu = geometry.nu
-    los = np.zeros((nu.shape[0], config.N), dtype=complex)
+    los = np.empty((nu.shape[0], config.N), dtype=complex)
     slope = (2.0 * np.pi * geometry.spacing_ratio) * np.sin(nu)
     np.multiply(slope[:, None], np.arange(config.N, dtype=float), out=los.imag)
-    np.exp(los, out=los)
+    np.cos(los.imag, out=los.real)
+    np.sin(los.imag, out=los.imag)
     rho = geometry.rho_r
     if not config.pure_los:
         delta = config.rician_delta

@@ -14,7 +14,6 @@ from dataclasses import replace
 import numpy as np
 
 from .analysis import (
-    AsymptoticParams,
     approx_array_gain,
     min_gamma_sq_approx,
     mse_lower_bound,
@@ -22,7 +21,15 @@ from .analysis import (
     n_threshold,
 )
 from .channel import make_geometry
-from .experiments import ConfigError, Scheme, load_config, run_sweep, write_csv, write_rows
+from .experiments import (
+    ConfigError,
+    Scheme,
+    _bound_params,
+    load_config,
+    run_sweep,
+    write_csv,
+    write_rows,
+)
 from .numerics import RngStream, sinc_normalized
 from .oracles import (
     channel_power_error,
@@ -67,8 +74,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_bounds(args) -> int:
     config = load_config(args.config)
     system = config.system
-    geometry = make_geometry(system, RngStream(config.seed, 0))
-    rho_min = geometry.rho_1 * float(np.min(geometry.rho_r))
+    reference = make_geometry(system, RngStream(config.seed, 0))
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -82,24 +88,15 @@ def _cmd_bounds(args) -> int:
                     "mse_lower_bound",
                 ]
             )
-            for N in config.n_sweep:
-                params = AsymptoticParams(
-                    M=system.M,
-                    N=N,
-                    K=system.K,
-                    Pmax=system.Pmax,
-                    sigma2=system.sigma2,
-                    rho_min=rho_min,
-                    epsilon=config.epsilon,
-                )
-                gamma1_sq = min_gamma_sq_approx(params, rho_min)
+            for params in _bound_params(config, reference):
+                gamma1_sq = min_gamma_sq_approx(params, params.rho_min)
                 writer.writerow(
                     [
-                        N,
-                        repr(approx_array_gain(N, system.K)),
+                        params.N,
+                        repr(approx_array_gain(params.N, system.K)),
                         repr(gamma1_sq),
                         repr(mse_upper_bound(params)),
-                        repr(n_threshold(params, rho_min)),
+                        repr(n_threshold(params, params.rho_min)),
                         repr(mse_lower_bound(gamma1_sq, system.Pmax, system.sigma2)),
                     ]
                 )

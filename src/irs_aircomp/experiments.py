@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -246,6 +246,13 @@ def _trial_gammas(
     return gammas, sum(redraws[s.kind] for s in schemes)
 
 
+def _reject_blocked(system: SystemConfig, schemes: list[Scheme]) -> None:
+    """Refuse direct-link schemes on blocked direct links before any draw."""
+    blocked = [s.value for s in schemes if s.kind == _DIRECT]
+    if system.block_direct and blocked:
+        raise ConfigError(f"block_direct leaves no direct link for {', '.join(blocked)}")
+
+
 def _power_control(scheme: Scheme, gammas: np.ndarray, config: SystemConfig):
     """(mse, critical_number) per row of a (B, K) gamma block under the scheme's rule."""
     _, _, kt, mse = power_control_rows(
@@ -281,6 +288,62 @@ def _trial_streams(seed: int, point: int, trial: int, trials: int) -> tuple[RngS
     return RngStream(seed, 2 + 2 * base), RngStream(seed, 3 + 2 * base)
 
 
+def _bound_params(config: ExperimentConfig, reference: Geometry) -> list[AsymptoticParams]:
+    """The closed-form bounds' inputs at each N of the sweep.
+
+    ``rho_min`` is the IRS-AP path loss times the weakest device-IRS
+    path loss of ``reference``, the geometry drawn from stream 0; with
+    the geometry redrawn per trial it describes that geometry only.
+    """
+    system = config.system
+    rho_min = reference.rho_1 * float(np.min(reference.rho_r))
+    return [
+        AsymptoticParams(
+            M=system.M,
+            N=N,
+            K=system.K,
+            Pmax=system.Pmax,
+            sigma2=system.sigma2,
+            rho_min=rho_min,
+            epsilon=config.epsilon,
+        )
+        for N in config.n_sweep
+    ]
+
+
+def _prefixes(
+    geometry: Geometry, system: SystemConfig, n_sweep: tuple[int, ...]
+) -> list[tuple[LongTermState, np.ndarray]]:
+    """(long-term state, line of sight) at each N, built once at the largest N.
+
+    Every element of the phase indices, the vote, the reflection rows
+    and the line-of-sight term depends on its element index alone, not
+    on N, so the first N elements at the largest N equal, bit for bit,
+    :func:`compute_long_term` and :func:`line_of_sight` at N.  Each N
+    gets views of the one state, with its reflection factors cached.
+    """
+    state = compute_long_term(geometry, replace(system, N=n_sweep[-1]))
+    los = line_of_sight(geometry, replace(system, N=n_sweep[-1]))
+    los.setflags(write=False)  # shared by every block's h_reflect under pure_los
+    voted_gain, voted_row = state.voted_reflection
+    zero_gain, zero_row = state.zero_reflection
+    out = []
+    for N in n_sweep:
+        sliced = LongTermState(
+            v=state.v,
+            theta_voted=PhaseShiftVector(state.theta_voted.indices[:N], system.L),
+            theta_fixed=PhaseShiftVector.zero(N, system.L),
+            geometry=geometry,
+        )
+        # seed the cached properties with the slices of the largest state's
+        sliced.__dict__.update(
+            voted_reflection=(voted_gain, voted_row[:N]),
+            zero_reflection=(zero_gain, zero_row[:N]),
+        )
+        out.append((sliced, los[:, :N]))
+    return out
+
+
 def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     """Monte Carlo means over the sweep axis for each scheme.
 
@@ -289,7 +352,9 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     variables per geometry, channels per trial.  With
     ``redraw_geometry_per_trial`` each trial draws its own geometry,
     for studies whose randomness lives in the static angles.  Each
-    trial draws one channel block that every scheme evaluates.
+    trial draws one channel block per N that every scheme evaluates.
+    The long-term state and line of sight of a geometry are built once,
+    at the largest N, and every N takes its prefix.
     """
     schemes = [Scheme(s) for s in schemes]
     if not schemes:
@@ -297,62 +362,54 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     duplicates = sorted({s.value for s in schemes if schemes.count(s) > 1})
     if duplicates:
         raise ConfigError(f"duplicate schemes: {', '.join(duplicates)}")
-    blocked = [s.value for s in schemes if s.kind == _DIRECT]
-    if config.system.block_direct and blocked:
-        raise ConfigError(f"block_direct leaves no direct link for {', '.join(blocked)}")
+    _reject_blocked(config.system, schemes)
     kinds = list(dict.fromkeys(s.kind for s in schemes))
     T = config.trials
-    base_system = config.system
+    systems = [replace(config.system, N=N) for N in config.n_sweep]
+    K = config.system.K
 
-    reference_geometry = make_geometry(base_system, RngStream(config.seed, 0))
-    rho_min = reference_geometry.rho_1 * float(np.min(reference_geometry.rho_r))
+    reference = make_geometry(config.system, RngStream(config.seed, 0))
+    if not config.redraw_geometry_per_trial:
+        fixed = _prefixes(reference, config.system, config.n_sweep)
 
-    rows: list[SweepRow] = []
+    shape = (len(systems), T)
+    mses = {s: np.empty(shape) for s in schemes}
+    ktildes = {s: np.empty(shape, dtype=np.int64) for s in schemes}
     rejected = 0
-    for p, N in enumerate(config.n_sweep):
-        system = replace(base_system, N=N)
-        geometry, long_term, los = reference_geometry, None, None
-        if not config.redraw_geometry_per_trial:
-            long_term = compute_long_term(reference_geometry, system)
-            los = line_of_sight(reference_geometry, system)
-            los.setflags(write=False)  # shared by every block's h_reflect under pure_los
-
-        mses = {s: np.empty(T) for s in schemes}
-        ktildes = {s: np.empty(T, dtype=np.int64) for s in schemes}
-        for start in range(0, T, _POWER_BLOCK):
-            stop = min(start + _POWER_BLOCK, T)
-            block = {kind: np.empty((stop - start, system.K), dtype=complex) for kind in kinds}
-            for t in range(start, stop):
+    for start in range(0, T, _POWER_BLOCK):
+        stop = min(start + _POWER_BLOCK, T)
+        block = {kind: np.empty((len(systems), stop - start, K), dtype=complex) for kind in kinds}
+        for t in range(start, stop):
+            for p, system in enumerate(systems):
                 geo_stream, chan_stream = _trial_streams(config.seed, p, t, T)
+                geometry = reference
                 if config.redraw_geometry_per_trial:
                     geometry = make_geometry(system, geo_stream)
-                    long_term = compute_long_term(geometry, system)
+                    long_term, los = _prefixes(geometry, system, config.n_sweep)[p]
+                else:
+                    long_term, los = fixed[p]
                 gammas, redrawn = _trial_gammas(
                     system, geometry, long_term, chan_stream.generator(), schemes, los
                 )
                 rejected += redrawn
                 for kind in kinds:
-                    block[kind][t - start] = gammas[kind]
+                    block[kind][p, t - start] = gammas[kind]
+        for p, system in enumerate(systems):
             for s in schemes:
-                mses[s][start:stop], ktildes[s][start:stop] = _power_control(
-                    s, block[s.kind], system
+                mses[s][p, start:stop], ktildes[s][p, start:stop] = _power_control(
+                    s, block[s.kind][p], system
                 )
 
-        bound = threshold = None
-        if system.L == 2:
-            params = AsymptoticParams(
-                M=system.M,
-                N=N,
-                K=system.K,
-                Pmax=system.Pmax,
-                sigma2=system.sigma2,
-                rho_min=rho_min,
-                epsilon=config.epsilon,
-            )
-            bound = mse_upper_bound(params)
-            threshold = n_threshold(params, rho_min)
+    bounds = [(None, None)] * len(systems)
+    if config.system.L == 2:
+        bounds = [
+            (mse_upper_bound(params), n_threshold(params, params.rho_min))
+            for params in _bound_params(config, reference)
+        ]
+    rows: list[SweepRow] = []
+    for p, (N, (bound, threshold)) in enumerate(zip(config.n_sweep, bounds)):
         for s in schemes:
-            vals = mses[s]
+            vals = mses[s][p]
             mean = math.fsum(vals) / T
             stderr = float(np.std(vals, ddof=1) / math.sqrt(T)) if T > 1 else 0.0
             voted = s.kind == _VOTED
@@ -360,12 +417,12 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
                 SweepRow(
                     scheme=s.value,
                     N=N,
-                    M=system.M,
-                    K=system.K,
+                    M=config.system.M,
+                    K=K,
                     trials=T,
                     mean_mse=mean,
                     stderr_mse=stderr,
-                    mean_ktilde=math.fsum(ktildes[s]) / T,
+                    mean_ktilde=math.fsum(ktildes[s][p]) / T,
                     bound_mse=bound if voted else None,
                     n_threshold=threshold if voted else None,
                 )
@@ -383,12 +440,15 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+_ROW_FIELDS = tuple(f.name for f in fields(SweepRow))
+
+
 def write_rows(result: SweepResult, fh) -> None:
     """Fixed header, then rows sorted by (scheme, N) with round-trip floats."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
     for r in sorted(result.rows, key=lambda r: (r.scheme, r.N)):
-        writer.writerow([_format_cell(value) for value in astuple(r)])
+        writer.writerow([_format_cell(getattr(r, name)) for name in _ROW_FIELDS])
 
 
 def write_csv(result: SweepResult, path) -> None:

@@ -93,6 +93,18 @@ def test_bounds_writes_reference_curves(tmp_path):
     )
 
 
+@pytest.mark.parametrize("redraw", [False, True])
+def test_bounds_equal_the_sweep_bound_columns(redraw, tmp_path):
+    cfg = write_config(tmp_path, TOY + f"redraw_geometry_per_trial = {redraw}\n")
+    bounds, sweep = tmp_path / "bounds.csv", tmp_path / "sweep.csv"
+    assert main(["bounds", "--config", cfg, "--out", str(bounds)]) == 0
+    assert main(["sweep", "--config", cfg, "--schemes", "OPT_PC_IRS", "--out", str(sweep)]) == 0
+    with open(bounds, newline="") as fa, open(sweep, newline="") as fb:
+        want = [(r["N"], r["mse_upper_bound"], r["n_threshold"]) for r in csv.DictReader(fa)]
+        got = [(r["N"], r["bound_mse"], r["n_threshold"]) for r in csv.DictReader(fb)]
+    assert got == want
+
+
 def test_bad_config_exits_two(tmp_path):
     cfg = write_config(tmp_path, "nonsense_key = 3\n")
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2

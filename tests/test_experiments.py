@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from irs_aircomp import experiments
-from irs_aircomp.channel import SystemConfig, effective_scalar_channel, make_geometry
+from irs_aircomp.channel import (
+    SystemConfig,
+    effective_scalar_channel,
+    line_of_sight,
+    make_geometry,
+)
 from irs_aircomp.experiments import (
     CSV_HEADER,
     ConfigError,
@@ -81,6 +86,36 @@ class TestRunTrial:
         lt2 = compute_long_term(geo2, big_irs)
         b, _ = run_trial(big_irs, geo2, Scheme.OPT_PC_NO_IRS, RngStream(53, 1), lt2)
         assert a == b  # direct draws identical, N plays no role without the IRS
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestPrefixes:
+    """The state built at the largest N, sliced to each N, is the state built at N."""
+
+    @pytest.mark.parametrize("levels", [2, 4])
+    @pytest.mark.parametrize("pure_los", [False, True])
+    def test_prefix_slices_bit_identical(self, levels, pure_los):
+        sweep = (1, 32, 100, 512, 1024)
+        system = SystemConfig(K=7, L=levels, pure_los=pure_los, spacing_ratio=0.37)
+        for seed in range(12):
+            geo = make_geometry(system, RngStream(seed, 0))
+            for N, (state, los) in zip(sweep, experiments._prefixes(geo, system, sweep)):
+                sized = SystemConfig(K=7, N=N, L=levels, pure_los=pure_los, spacing_ratio=0.37)
+                want = compute_long_term(geo, sized)
+                want_los = line_of_sight(geo, sized)
+                assert np.array_equal(bits(state.v), bits(want.v))
+                assert np.array_equal(state.theta_voted.indices, want.theta_voted.indices)
+                assert np.array_equal(state.theta_fixed.indices, want.theta_fixed.indices)
+                assert np.array_equal(bits(los), bits(want_los))
+                for name in ("voted_reflection", "zero_reflection"):
+                    (gain, row), (want_gain, want_row) = getattr(state, name), getattr(want, name)
+                    assert np.array_equal(bits(np.array([gain])), bits(np.array([want_gain])))
+                    assert np.array_equal(bits(row), bits(want_row))
+                    # the strided line-of-sight view in the block's reflected matvec
+                    assert np.array_equal(bits(los @ row), bits(want_los @ want_row))
 
 
 class TestRunSweep:
