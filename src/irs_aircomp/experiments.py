@@ -1,10 +1,14 @@
 """Scheme registry, Monte Carlo engine, parameter sweeps, and persistence.
 
-Long-term quantities (beamformer, voted phases) are computed once per
-geometry; channels are redrawn per trial.  Every trial owns a
-counter-based stream derived from (master seed, point index, trial
-index), so runs are a pure function of the configuration and seed.
-The engine is trial-major: each trial draws one channel block from its
+Long-term quantities (beamformer, voted phases, line of sight) are
+computed once per geometry, at the largest N of the sweep, and every N
+takes their first N elements; channels are redrawn per trial.  Streams
+are counter-based and keyed by coordinate: a trial's channel block at N
+by (master seed, N, trial), a redrawn geometry by (master seed, trial),
+so runs are a pure function of the configuration and seed, every N of
+a trial shares its geometry, and a sub-sweep, a ``single`` point or a
+longer run reproduces the draws of the run it overlaps.  The engine is
+trial-major: each trial draws one channel block per N from that N's
 stream, every scheme evaluates that same block (schemes of one kind
 share its effective channels), and power control runs on blocks of
 trials at once.  Only a scheme whose channels come out degenerate draws
@@ -192,7 +196,7 @@ def _dominant_direct_combiner(realization: ChannelRealization) -> np.ndarray:
 
 
 # Trials whose gammas go through power control together; extra memory
-# is this many rows of K per scheme kind, whatever the trial count.
+# is this many rows of K per N and scheme kind, whatever the trial count.
 _POWER_BLOCK = 64
 
 
@@ -275,6 +279,7 @@ def run_trial(
     trial.
     """
     scheme = Scheme(scheme)
+    _reject_blocked(config, [scheme])
     if long_term is None:
         long_term = compute_long_term(geometry, config)
     gammas, _ = _trial_gammas(config, geometry, long_term, as_generator(stream), [scheme])
@@ -282,10 +287,29 @@ def run_trial(
     return float(mse[0]), int(kt[0])
 
 
-def _trial_streams(seed: int, point: int, trial: int, trials: int) -> tuple[RngStream, RngStream]:
-    """(geometry stream, channel stream) for one (point, trial) coordinate."""
-    base = point * trials + trial
-    return RngStream(seed, 2 + 2 * base), RngStream(seed, 3 + 2 * base)
+# Stream keys are (kind, N, trial).  A geometry stream is keyed by the
+# trial alone (N = 0), a channel stream by (N, trial): every N of a
+# trial sees the same geometry, and no draw depends on the other N
+# values of the sweep or on the number of trials.
+_GEOMETRY_KEY, _CHANNEL_KEY = 0, 1
+
+
+def _keyed_generator(seed: int, kind: int, n: int, trial: int) -> np.random.Generator:
+    """Counter-based (Philox) generator of the stream at (kind, n, trial).
+
+    The seed, taken mod 2**64, is the run entropy, which numpy pads to
+    its four-word pool when a spawn key is given, and each key part must
+    fit one 32-bit word.  The assembled entropy is therefore fixed-width
+    and distinct for distinct (seed mod 2**64, key), unlike the
+    variable-width words of ``RngStream``'s (seed, stream_id), and at
+    seven words it never equals that of an ``RngStream`` whose stream_id
+    is below 2**64 (four words at most).
+    """
+    key = (kind, n, trial)
+    if not all(0 <= part < 1 << 32 for part in key):
+        raise ValueError(f"stream key parts must be in [0, 2**32), got {key}")
+    ss = np.random.SeedSequence(seed % (1 << 64), spawn_key=key)
+    return np.random.Generator(np.random.Philox(ss))
 
 
 def _bound_params(config: ExperimentConfig, reference: Geometry) -> list[AsymptoticParams]:
@@ -322,8 +346,9 @@ def _prefixes(
     :func:`compute_long_term` and :func:`line_of_sight` at N.  Each N
     gets views of the one state, with its reflection factors cached.
     """
-    state = compute_long_term(geometry, replace(system, N=n_sweep[-1]))
-    los = line_of_sight(geometry, replace(system, N=n_sweep[-1]))
+    largest = replace(system, N=n_sweep[-1])
+    state = compute_long_term(geometry, largest)
+    los = line_of_sight(geometry, largest)
     los.setflags(write=False)  # shared by every block's h_reflect under pure_los
     voted_gain, voted_row = state.voted_reflection
     zero_gain, zero_row = state.zero_reflection
@@ -351,10 +376,10 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     depend on N), matching the multi-timescale split: long-term
     variables per geometry, channels per trial.  With
     ``redraw_geometry_per_trial`` each trial draws its own geometry,
-    for studies whose randomness lives in the static angles.  Each
-    trial draws one channel block per N that every scheme evaluates.
-    The long-term state and line of sight of a geometry are built once,
-    at the largest N, and every N takes its prefix.
+    shared by every N, for studies whose randomness lives in the static
+    angles.  Each trial draws one channel block per N that every scheme
+    evaluates.  The long-term state and line of sight of a geometry are
+    built once, at the largest N, and every N takes its prefix.
     """
     schemes = [Scheme(s) for s in schemes]
     if not schemes:
@@ -369,8 +394,9 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     K = config.system.K
 
     reference = make_geometry(config.system, RngStream(config.seed, 0))
+    geometry = reference
     if not config.redraw_geometry_per_trial:
-        fixed = _prefixes(reference, config.system, config.n_sweep)
+        prefixes = _prefixes(reference, config.system, config.n_sweep)
 
     shape = (len(systems), T)
     mses = {s: np.empty(shape) for s in schemes}
@@ -380,17 +406,14 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
         stop = min(start + _POWER_BLOCK, T)
         block = {kind: np.empty((len(systems), stop - start, K), dtype=complex) for kind in kinds}
         for t in range(start, stop):
+            if config.redraw_geometry_per_trial:
+                gen = _keyed_generator(config.seed, _GEOMETRY_KEY, 0, t)
+                geometry = make_geometry(config.system, gen)
+                prefixes = _prefixes(geometry, config.system, config.n_sweep)
             for p, system in enumerate(systems):
-                geo_stream, chan_stream = _trial_streams(config.seed, p, t, T)
-                geometry = reference
-                if config.redraw_geometry_per_trial:
-                    geometry = make_geometry(system, geo_stream)
-                    long_term, los = _prefixes(geometry, system, config.n_sweep)[p]
-                else:
-                    long_term, los = fixed[p]
-                gammas, redrawn = _trial_gammas(
-                    system, geometry, long_term, chan_stream.generator(), schemes, los
-                )
+                long_term, los = prefixes[p]
+                gen = _keyed_generator(config.seed, _CHANNEL_KEY, system.N, t)
+                gammas, redrawn = _trial_gammas(system, geometry, long_term, gen, schemes, los)
                 rejected += redrawn
                 for kind in kinds:
                     block[kind][p, t - start] = gammas[kind]

@@ -105,6 +105,21 @@ def test_bounds_equal_the_sweep_bound_columns(redraw, tmp_path):
     assert got == want
 
 
+@pytest.mark.parametrize("redraw", [False, True])
+def test_single_prints_the_sweep_row_at_n(redraw, tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, TOY.replace("n_sweep = 8, 16", "n_sweep = 4, 8, 16")
+        + f"redraw_geometry_per_trial = {redraw}\n",
+    )
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--schemes", "OPT_PC_IRS", "--out", str(out)]) == 0
+    rows = out.read_text(encoding="utf-8").splitlines()
+    for N, row in zip((4, 8, 16), rows[1:]):
+        capsys.readouterr()
+        assert main(["single", "--config", cfg, "--n", str(N), "--scheme", "OPT_PC_IRS"]) == 0
+        assert capsys.readouterr().out.splitlines() == [rows[0], row]
+
+
 def test_bad_config_exits_two(tmp_path):
     cfg = write_config(tmp_path, "nonsense_key = 3\n")
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2

@@ -1,6 +1,7 @@
 import csv
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,6 +77,15 @@ class TestRunTrial:
         assert mse == pytest.approx(1.0 / (1.0 + snr), rel=1e-12)
         assert kt == 1
 
+    def test_blocked_direct_links_rejected_up_front(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "sample_channels", lambda *a: calls.append(1))
+        cfg = SystemConfig(M=4, N=16, K=3, block_direct=True)
+        geo = make_geometry(cfg, RngStream(54, 0))
+        with pytest.raises(ConfigError, match="no direct link for OPT_PC_NO_IRS$"):
+            run_trial(cfg, geo, Scheme.OPT_PC_NO_IRS, RngStream(54, 1))
+        assert calls == []
+
     def test_no_irs_schemes_ignore_reflection(self):
         cfg = SystemConfig(M=4, N=16, K=3)
         geo = make_geometry(cfg, RngStream(53, 0))
@@ -103,7 +113,7 @@ class TestPrefixes:
         for seed in range(12):
             geo = make_geometry(system, RngStream(seed, 0))
             for N, (state, los) in zip(sweep, experiments._prefixes(geo, system, sweep)):
-                sized = SystemConfig(K=7, N=N, L=levels, pure_los=pure_los, spacing_ratio=0.37)
+                sized = replace(system, N=N)
                 want = compute_long_term(geo, sized)
                 want_los = line_of_sight(geo, sized)
                 assert np.array_equal(bits(state.v), bits(want.v))
@@ -116,6 +126,97 @@ class TestPrefixes:
                     assert np.array_equal(bits(row), bits(want_row))
                     # the strided line-of-sight view in the block's reflected matvec
                     assert np.array_equal(bits(los @ row), bits(want_los @ want_row))
+
+
+def per_trial_mses(monkeypatch, config, schemes):
+    """{(scheme, N): per-trial MSEs} of one run_sweep, read from its power-control blocks."""
+    seen = {}
+    engine_power_control = experiments._power_control
+
+    def record(scheme, gammas, system):
+        mse, kt = engine_power_control(scheme, gammas, system)
+        seen.setdefault((scheme.value, system.N), []).extend(mse.tolist())
+        return mse, kt
+
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "_power_control", record)
+        run_sweep(config, schemes)
+    return seen
+
+
+class TestKeyedStreams:
+    """Draws keyed by coordinate: (N, trial) for channels, the trial for geometries."""
+
+    @pytest.mark.parametrize("redraw", [False, True])
+    def test_sub_sweep_rows_equal_full_sweep_rows(self, redraw):
+        system = SystemConfig(M=4, K=3)
+        full = run_sweep(
+            small_config(system=system, n_sweep=(64, 128, 256, 512),
+                         redraw_geometry_per_trial=redraw),
+            list(Scheme),
+        )
+        sub = run_sweep(
+            small_config(system=system, n_sweep=(64, 256), redraw_geometry_per_trial=redraw),
+            list(Scheme),
+        )
+        assert sub.rows == [r for r in full.rows if r.N in (64, 256)]
+
+    @pytest.mark.parametrize("redraw", [False, True])
+    def test_longer_run_extends_per_trial_values(self, redraw, monkeypatch):
+        # 40 and 80 trials: the longer run also crosses a power-control block boundary
+        schemes = [Scheme.OPT_PC_IRS, Scheme.INV_PC_NO_IRS, Scheme.FIXED_PHASE_OPT_PC]
+        short = per_trial_mses(
+            monkeypatch, small_config(trials=40, redraw_geometry_per_trial=redraw), schemes
+        )
+        long = per_trial_mses(
+            monkeypatch, small_config(trials=80, redraw_geometry_per_trial=redraw), schemes
+        )
+        assert short.keys() == long.keys()
+        for key, values in short.items():
+            assert len(values) == 40 and len(long[key]) == 80
+            assert long[key][:40] == values
+
+    @pytest.mark.parametrize("redraw", [False, True])
+    def test_per_geometry_work_once_per_geometry(self, redraw, monkeypatch):
+        calls = {"make_geometry": 0, "compute_long_term": 0, "line_of_sight": 0}
+        for name in calls:
+            original = getattr(experiments, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(experiments, name, counted)
+        cfg = small_config(n_sweep=(4, 8, 16), trials=5, redraw_geometry_per_trial=redraw)
+        run_sweep(cfg, list(Scheme))
+        # one geometry per trial, shared by every N, besides the reference of stream 0
+        geometries = cfg.trials if redraw else 1
+        assert calls == {
+            "make_geometry": 1 + redraw * cfg.trials,
+            "compute_long_term": geometries,
+            "line_of_sight": geometries,
+        }
+
+    def test_keys_injective(self):
+        # Key parts spilling across 32-bit words, as in the RngStream(seed, stream_id)
+        # pair where (3 + 2**32, 7) and (3, 1 + 7 * 2**32) give one stream, are refused,
+        # and every in-range (seed, kind, n, trial) owns its own stream.
+        parts = (0, 1, 7, 2**32 - 1)
+        seeds = (0, 3, 3 + 2**32, 2**64 - 1)
+        first = {}
+        for seed, kind, n, trial in itertools.product(seeds, (0, 1), parts, parts):
+            gen = experiments._keyed_generator(seed, kind, n, trial)
+            first[(seed, kind, n, trial)] = tuple(gen.bit_generator.random_raw(2))
+        keyed = set(first.values())
+        assert len(keyed) == len(first)
+        # nor does any keyed stream repeat the reference or benchmark-style streams
+        for seed in seeds:
+            for stream_id in (0, 1, 2, 3, 1 << 40, (1 << 40) + 1):
+                raw = tuple(RngStream(seed, stream_id).generator().bit_generator.random_raw(2))
+                assert raw not in keyed
+        for key in ((0, 0, 2**32), (1, 1 + 7 * 2**32, 0), (2**32, 0, 0), (0, -1, 0)):
+            with pytest.raises(ValueError, match="stream key parts"):
+                experiments._keyed_generator(3, *key)
 
 
 class TestRunSweep:
@@ -178,7 +279,8 @@ class TestRunSweep:
         geo = make_geometry(system, RngStream(cfg.seed, 0))
         for s in Scheme:
             (row,) = run_sweep(cfg, [s]).rows
-            mse, kt = run_trial(system, geo, s, RngStream(cfg.seed, 3))
+            gen = experiments._keyed_generator(cfg.seed, experiments._CHANNEL_KEY, 16, 0)
+            mse, kt = run_trial(system, geo, s, gen)
             assert (row.mean_mse, row.mean_ktilde) == (mse, kt)
 
     def test_blocked_direct_links_rejected_up_front(self, monkeypatch):
@@ -228,7 +330,7 @@ class TestRunSweep:
 
         geo = make_geometry(cfg.system, RngStream(cfg.seed, 0))
         rejected = 0
-        for p, N in enumerate(cfg.n_sweep):
+        for N in cfg.n_sweep:
             system = SystemConfig(M=4, N=N, K=3)
             lt = compute_long_term(geo, system)
             for s in schemes:
@@ -240,7 +342,7 @@ class TestRunSweep:
                 )
                 mses = []
                 for t in range(cfg.trials):
-                    gen = RngStream(cfg.seed, 3 + 2 * (p * cfg.trials + t)).generator()
+                    gen = experiments._keyed_generator(cfg.seed, experiments._CHANNEL_KEY, N, t)
                     for redraws in itertools.count():
                         realization = experiments.sample_channels(geo, system, gen)
                         gammas = flaky(

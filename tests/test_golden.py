@@ -1,17 +1,20 @@
 """Byte-for-byte regression against sweep CSVs committed under tests/data/.
 
-Each committed file was generated before the change it guards: the
-first four by the per-scheme engine that drew every scheme's channel
-block separately, ``levels4`` (the only non-binary vote) by the
-per-device phase projection and vote, ``scaling_los`` (the only case
-past N = 128, with phase quotients up to about N) by the complex-valued
-line-of-sight kernel and the ``np.mod`` phase reduction.  Any change
-that keeps the random streams must reproduce them exactly; a change
-that alters the streams on purpose regenerates the cases it alters with
+All six files were generated by the coordinate-keyed engine: channel
+streams keyed by (N, trial), redraw-mode geometry streams by the trial
+alone, and each geometry's long-term state and line of sight built once
+at the largest N and sliced for the others.  Every earlier engine
+change (trial-major draws, the batched vote, the real-arithmetic
+kernels, the prefix slicing) reproduced the files of the engine before
+it exactly; the re-keying changed every draw and regenerated all six
+once.  Any change that keeps the random streams must reproduce them
+exactly; a change that alters the streams on purpose regenerates the
+cases it alters with
 
     PYTHONPATH=src python tests/test_golden.py NAME [NAME ...]
 
-and says so.  Only the named cases are rewritten.
+and says so.  Only the named cases are rewritten; each is reported as
+``unchanged`` or ``rewritten``.
 """
 
 import sys
@@ -84,6 +87,14 @@ def test_sweep_csv_byte_identical(name, tmp_path):
     assert path.read_bytes() == (DATA / f"golden_{name}.csv").read_bytes()
 
 
+def test_every_golden_file_has_a_case():
+    orphans = sorted(
+        path.name for path in DATA.glob("golden_*.csv")
+        if path.stem.removeprefix("golden_") not in CASES
+    )
+    assert orphans == []
+
+
 def regenerate(names) -> None:
     """Rewrite the golden files of the named cases, and of no other."""
     if not names or not set(names) <= set(CASES):
@@ -91,7 +102,10 @@ def regenerate(names) -> None:
     DATA.mkdir(exist_ok=True)
     for name in names:
         config, schemes = CASES[name]
-        write_csv(run_sweep(config, schemes), DATA / f"golden_{name}.csv")
+        path = DATA / f"golden_{name}.csv"
+        before = path.read_bytes() if path.exists() else None
+        write_csv(run_sweep(config, schemes), path)
+        print(f"{name}: {'unchanged' if path.read_bytes() == before else 'rewritten'}")
 
 
 if __name__ == "__main__":
