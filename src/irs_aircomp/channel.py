@@ -258,11 +258,19 @@ def sample_channels(
     Gaussian vector.  Device-IRS links mix the steering-vector
     line-of-sight component with an i.i.d. scattered component at the
     configured Rician ratio; with ``pure_los`` the scattered part is
-    dropped exactly.  Draws are independent across devices and streams,
-    in the order direct real, direct imaginary, scattered real,
-    scattered imaginary.  ``los`` is :func:`line_of_sight` for this
-    geometry and config, computed here when not given; it does not
-    touch the stream.
+    dropped exactly and no scattered draw is made.  ``los`` is
+    :func:`line_of_sight` for this geometry and config, computed here
+    when not given; it does not touch the stream.
+
+    Draw order: the direct links first, a (K, M) real plane then a
+    (K, M) imaginary plane; then the scattered part element-major, each
+    element's devices in turn, each value's real part before its
+    imaginary part.  Scattered element (k, m), part c, is therefore
+    normal number 2KM + 2(mK + k) + c of the stream whatever N is, so
+    the first n columns of a block drawn at N equal, bit for bit, the
+    block drawn at n from the same generator state; the rest of the
+    stream follows on only after the whole block.  ``h_reflect`` is a
+    (K, N) view of the element-major buffer.
 
     The arithmetic is real and in place, equal bit for bit to
     ``los + a*((x + 1j*y)/sqrt(2))``: the complex division scales each
@@ -284,15 +292,14 @@ def sample_channels(
     if config.pure_los:
         return ChannelRealization(h_direct=h_direct, h_reflect=los, geometry=geometry)
 
-    nlos_amp = np.sqrt(geometry.rho_r / (config.rician_delta + 1.0))[:, None]
-    h_reflect = np.empty((K, N), dtype=complex)
-    g = np.empty((K, N))
-    for plane, los_plane in ((h_reflect.real, los.real), (h_reflect.imag, los.imag)):
-        gen.standard_normal(out=g)
-        g *= _INV_SQRT2
-        g *= nlos_amp
-        np.add(los_plane, g, out=plane)
-    return ChannelRealization(h_direct=h_direct, h_reflect=h_reflect, geometry=geometry)
+    nlos_amp = np.sqrt(geometry.rho_r / (config.rician_delta + 1.0))
+    scattered = np.empty((N, K), dtype=complex)
+    parts = scattered.view(float)  # (N, 2K): per element, each device's real and imaginary
+    gen.standard_normal(out=parts)
+    parts *= _INV_SQRT2
+    parts *= np.repeat(nlos_amp, 2)
+    scattered += los.T
+    return ChannelRealization(h_direct=h_direct, h_reflect=scattered.T, geometry=geometry)
 
 
 def effective_scalar_channel(realization: ChannelRealization, v: np.ndarray, theta) -> np.ndarray:

@@ -3,16 +3,20 @@
 Long-term quantities (beamformer, voted phases, line of sight) are
 computed once per geometry, at the largest N of the sweep, and every N
 takes their first N elements; channels are redrawn per trial.  Streams
-are counter-based and keyed by coordinate: a trial's channel block at N
-by (master seed, N, trial), a redrawn geometry by (master seed, trial),
-so runs are a pure function of the configuration and seed, every N of
-a trial shares its geometry, and a sub-sweep, a ``single`` point or a
-longer run reproduces the draws of the run it overlaps.  The engine is
-trial-major: each trial draws one channel block per N from that N's
-stream, every scheme evaluates that same block (schemes of one kind
-share its effective channels), and power control runs on blocks of
-trials at once.  Only a scheme whose channels come out degenerate draws
-again, from the same stream, as if it had been run alone.
+are counter-based and keyed by coordinate: a trial's channel block by
+(master seed, trial), a redrawn geometry by (master seed, trial), so
+runs are a pure function of the configuration and seed, and a
+sub-sweep, a ``single`` point or a longer run reproduces the draws of
+the run it overlaps.  The engine is trial-major: each trial draws one
+channel block at the largest N, every N evaluates its first N columns
+(a smaller surface is a sub-array of a larger one), every scheme
+evaluates that same block (schemes of one kind share its effective
+channels), and power control runs on blocks of trials at once.  The
+direct-link schemes do not see the IRS, so their combiner, one batched
+``eigh`` per block of trials, and their power control run once per
+trial and serve every N.  Only a scheme whose channels come out
+degenerate draws again, from the same stream, as if it had been run
+alone.
 """
 
 from __future__ import annotations
@@ -187,12 +191,17 @@ def compute_long_term(geometry: Geometry, config: SystemConfig) -> LongTermState
     )
 
 
-def _dominant_direct_combiner(realization: ChannelRealization) -> np.ndarray:
-    """Unit-norm combiner matched to the strongest direction of the direct channels."""
-    H = realization.h_direct  # (K, M)
-    corr = H.T @ H.conj()  # sum_k h_k h_k^H
-    _, vecs = np.linalg.eigh(corr)
-    return vecs[:, -1]
+def _direct_gammas(h_direct: np.ndarray) -> np.ndarray:
+    """Direct-link gammas (B, K) of a (B, K, M) stack of blocks under the dominant-direct combiner.
+
+    Each block's combiner is the unit-norm eigenvector of the largest
+    eigenvalue of sum_k h_k h_k^H.  One batched matmul builds every such
+    Gram matrix and one ``eigh`` call factors the stack; each block's
+    result equals, bit for bit, the same steps on that block alone.
+    """
+    gram = np.matmul(h_direct.transpose(0, 2, 1), h_direct.conj())
+    _, vecs = np.linalg.eigh(gram)
+    return np.matmul(h_direct, vecs[:, :, -1:].conj())[:, :, 0]
 
 
 # Trials whose gammas go through power control together; extra memory
@@ -203,51 +212,118 @@ _POWER_BLOCK = 64
 def _kind_gammas(
     kind: str, realization: ChannelRealization, long_term: LongTermState
 ) -> np.ndarray:
-    if kind == _DIRECT:
-        v = _dominant_direct_combiner(realization)
-        return realization.h_direct @ v.conj()
-    if kind == _VOTED:
-        gain, row = long_term.voted_reflection
-    else:
-        gain, row = long_term.zero_reflection
+    """Scalar channels of the voted or the all-zero phases, at the realization's N."""
+    gain, row = long_term.voted_reflection if kind == _VOTED else long_term.zero_reflection
     return _scalar_channels(realization, long_term.v, gain, row)
+
+
+def _first_sound(name: str, gammas_at) -> tuple[np.ndarray, int]:
+    """(gammas, i) of the first block i whose gammas are all nonzero."""
+    for i in range(_MAX_REDRAWS):
+        g = gammas_at(i)
+        if (np.abs(g) > 0.0).all():
+            return g, i
+    raise DegenerateChannelError(
+        f"{name}: degenerate channel persisted through {_MAX_REDRAWS} redraws"
+    )
 
 
 def _trial_gammas(
     config: SystemConfig,
     geometry: Geometry,
-    long_term: LongTermState,
+    states: list[LongTermState],
     gen: np.random.Generator,
-    schemes: list[Scheme],
+    kinds: dict[str, list[str]],
     los: np.ndarray | None = None,
-) -> tuple[dict[str, np.ndarray], int]:
-    """One trial's effective channels per kind, and the degenerate draws rejected.
+):
+    """One trial's voted and zero channels at every N, and its direct links.
 
-    Every kind starts from the trial's first draw.  A kind whose
-    channels are degenerate moves on to the next draw of the same
-    generator, drawn only then, so each scheme sees the draw sequence
-    that a fresh generator of the trial's stream would give it alone;
-    its rejections count once per scheme.
+    ``config`` is at the largest N and ``states`` holds the long-term
+    state at each N of the sweep.  Blocks are drawn at the largest N,
+    and the state at N evaluates the block's first N columns, which are
+    the block :func:`sample_channels` draws at N.  Every (kind, N) starts
+    from the trial's first block; one whose channels are degenerate
+    moves on to the next block of the same generator, drawn only then,
+    so each scheme at each N sees the blocks that a fresh generator of
+    the trial's stream gives it alone.  Rejections count once per scheme
+    and N.
+
+    Returns ({kind: (P, K) gammas}, rejections, (direct, draw)):
+    ``direct`` lists the direct links (K, M) of the blocks drawn, at
+    least one, and ``draw`` draws the next block's, for
+    :func:`_direct_rows`.  Only the direct links outlive the call.
     """
-    draws: list[ChannelRealization] = []
-    gammas: dict[str, np.ndarray] = {}
-    redraws: dict[str, int] = {}
-    for scheme in schemes:
-        kind = scheme.kind
-        if kind in gammas:
+    sizes = [state.theta_fixed.num_elements for state in states]
+    blocks: list[list[ChannelRealization]] = []
+
+    def sized(i: int) -> list[ChannelRealization]:
+        if i == len(blocks):
+            block = sample_channels(geometry, config, gen, los)
+            blocks.append([
+                ChannelRealization(block.h_direct, block.h_reflect[:, :N], geometry)
+                for N in sizes
+            ])
+        return blocks[i]
+
+    sized(0)
+    gammas, rejected = {}, 0
+    for kind, names in kinds.items():
+        if kind == _DIRECT:
             continue
-        for i in range(_MAX_REDRAWS):
-            if i == len(draws):
-                draws.append(sample_channels(geometry, config, gen, los))
-            g = _kind_gammas(kind, draws[i], long_term)
-            if np.all(np.abs(g) > 0.0):
-                gammas[kind], redraws[kind] = g, i
-                break
-        else:
-            raise DegenerateChannelError(
-                f"{scheme.value}: degenerate channel persisted through {_MAX_REDRAWS} redraws"
-            )
-    return gammas, sum(redraws[s.kind] for s in schemes)
+        rows = gammas[kind] = np.empty((len(states), config.K), dtype=complex)
+        for p, state in enumerate(states):
+            rows[p], i = _first_sound(names[0], lambda i: _kind_gammas(kind, sized(i)[p], state))
+            rejected += i * len(names)
+    direct = [block[0].h_direct for block in blocks]
+    return gammas, rejected, (direct, lambda: sample_channels(geometry, config, gen).h_direct)
+
+
+def _direct_rows(trials, name: str) -> tuple[np.ndarray, int]:
+    """Direct-kind gammas (B, K) of a block of trials, and the blocks rejected.
+
+    ``trials`` holds each trial's (direct, draw) from
+    :func:`_trial_gammas`.  One batched combiner serves every trial's
+    first block; a trial whose gammas come out degenerate walks on
+    through its later blocks, as :func:`_trial_gammas` does.
+    """
+    gammas = _direct_gammas(np.stack([direct[0] for direct, _ in trials]))
+    rejected = 0
+    for b in np.flatnonzero(~(np.abs(gammas) > 0.0).all(axis=1)):
+        direct, draw = trials[b]
+
+        def gammas_at(i: int) -> np.ndarray:
+            if i == len(direct):
+                direct.append(draw())
+            return _direct_gammas(direct[i][None])[0]
+
+        gammas[b], i = _first_sound(name, gammas_at)
+        rejected += i
+    return gammas, rejected
+
+
+def _block_gammas(config: SystemConfig, trials, schemes: list[Scheme]):
+    """Effective channels of a block of trials per kind, and the degenerate blocks rejected.
+
+    ``trials`` yields (geometry, states, los, generator) per trial, as
+    :func:`_trial_gammas` takes them.  The voted and zero kinds come out
+    (P, B, K), one row per N.  The direct kind does not see the IRS: it
+    comes out (1, B, K), one row that serves every N.
+    """
+    kinds: dict[str, list[str]] = {}
+    for s in schemes:
+        kinds.setdefault(s.kind, []).append(s.value)
+    rows, pending, rejected = [], [], 0
+    for geometry, states, los, gen in trials:
+        gammas, redrawn, direct = _trial_gammas(config, geometry, states, gen, kinds, los)
+        rows.append(gammas)
+        pending.append(direct)
+        rejected += redrawn
+    out = {kind: np.stack([g[kind] for g in rows], axis=1) for kind in rows[0]}
+    if _DIRECT in kinds:
+        gammas, redrawn = _direct_rows(pending, kinds[_DIRECT][0])
+        out[_DIRECT] = gammas[None]
+        rejected += redrawn * len(kinds[_DIRECT]) * len(states)
+    return out, rejected
 
 
 def _reject_blocked(system: SystemConfig, schemes: list[Scheme]) -> None:
@@ -282,15 +358,17 @@ def run_trial(
     _reject_blocked(config, [scheme])
     if long_term is None:
         long_term = compute_long_term(geometry, config)
-    gammas, _ = _trial_gammas(config, geometry, long_term, as_generator(stream), [scheme])
-    mse, kt = _power_control(scheme, gammas[scheme.kind][None, :], config)
+    trial = (geometry, [long_term], None, as_generator(stream))
+    gammas, _ = _block_gammas(config, [trial], [scheme])
+    mse, kt = _power_control(scheme, gammas[scheme.kind][0], config)
     return float(mse[0]), int(kt[0])
 
 
-# Stream keys are (kind, N, trial).  A geometry stream is keyed by the
-# trial alone (N = 0), a channel stream by (N, trial): every N of a
-# trial sees the same geometry, and no draw depends on the other N
-# values of the sweep or on the number of trials.
+# Stream keys are (kind, N, trial).  Both the geometry and the channel
+# stream are keyed by the trial alone (N = 0): every N of a trial sees
+# the same geometry and the same channel block, of which it takes the
+# first N columns, and no draw depends on the other N values of the
+# sweep or on the number of trials.
 _GEOMETRY_KEY, _CHANNEL_KEY = 0, 1
 
 
@@ -336,28 +414,31 @@ def _bound_params(config: ExperimentConfig, reference: Geometry) -> list[Asympto
 
 
 def _prefixes(
-    geometry: Geometry, system: SystemConfig, n_sweep: tuple[int, ...]
-) -> list[tuple[LongTermState, np.ndarray]]:
-    """(long-term state, line of sight) at each N, built once at the largest N.
+    geometry: Geometry, largest: SystemConfig, zeros: list[PhaseShiftVector]
+) -> tuple[list[LongTermState], np.ndarray]:
+    """The long-term state at each N, and the line of sight, built once at the largest N.
 
-    Every element of the phase indices, the vote, the reflection rows
-    and the line-of-sight term depends on its element index alone, not
-    on N, so the first N elements at the largest N equal, bit for bit,
+    ``largest`` is the system at the largest N and ``zeros`` holds the
+    all-zero phases at each N of the sweep.  Every element of the phase
+    indices, the vote, the reflection rows and the line-of-sight term
+    depends on its element index alone, not on N, so the first N
+    elements at the largest N equal, bit for bit,
     :func:`compute_long_term` and :func:`line_of_sight` at N.  Each N
-    gets views of the one state, with its reflection factors cached.
+    gets views of the one state, with its reflection factors cached;
+    the line of sight stays whole, for the blocks drawn at the largest N.
     """
-    largest = replace(system, N=n_sweep[-1])
     state = compute_long_term(geometry, largest)
     los = line_of_sight(geometry, largest)
     los.setflags(write=False)  # shared by every block's h_reflect under pure_los
     voted_gain, voted_row = state.voted_reflection
     zero_gain, zero_row = state.zero_reflection
-    out = []
-    for N in n_sweep:
+    states = []
+    for zero in zeros:
+        N = zero.num_elements
         sliced = LongTermState(
             v=state.v,
-            theta_voted=PhaseShiftVector(state.theta_voted.indices[:N], system.L),
-            theta_fixed=PhaseShiftVector.zero(N, system.L),
+            theta_voted=PhaseShiftVector(state.theta_voted.indices[:N], largest.L),
+            theta_fixed=zero,
             geometry=geometry,
         )
         # seed the cached properties with the slices of the largest state's
@@ -365,8 +446,8 @@ def _prefixes(
             voted_reflection=(voted_gain, voted_row[:N]),
             zero_reflection=(zero_gain, zero_row[:N]),
         )
-        out.append((sliced, los[:, :N]))
-    return out
+        states.append(sliced)
+    return states, los
 
 
 def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
@@ -377,8 +458,12 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     variables per geometry, channels per trial.  With
     ``redraw_geometry_per_trial`` each trial draws its own geometry,
     shared by every N, for studies whose randomness lives in the static
-    angles.  Each trial draws one channel block per N that every scheme
-    evaluates.  The long-term state and line of sight of a geometry are
+    angles.  Each trial draws one channel block, at the largest N, that
+    every scheme evaluates and of which every N takes the first N
+    columns, as a smaller surface is a sub-array of a larger one.  The
+    direct-link schemes do not see the IRS: their combiner, gammas and
+    power control run once per trial, so their rows are the same at
+    every N.  The long-term state and line of sight of a geometry are
     built once, at the largest N, and every N takes its prefix.
     """
     schemes = [Scheme(s) for s in schemes]
@@ -388,15 +473,24 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     if duplicates:
         raise ConfigError(f"duplicate schemes: {', '.join(duplicates)}")
     _reject_blocked(config.system, schemes)
-    kinds = list(dict.fromkeys(s.kind for s in schemes))
     T = config.trials
     systems = [replace(config.system, N=N) for N in config.n_sweep]
+    largest = systems[-1]
+    zeros = [PhaseShiftVector.zero(N, largest.L) for N in config.n_sweep]
     K = config.system.K
 
     reference = make_geometry(config.system, RngStream(config.seed, 0))
-    geometry = reference
-    if not config.redraw_geometry_per_trial:
-        prefixes = _prefixes(reference, config.system, config.n_sweep)
+    fixed = None if config.redraw_geometry_per_trial else _prefixes(reference, largest, zeros)
+
+    def trials(start: int, stop: int):
+        for t in range(start, stop):
+            if config.redraw_geometry_per_trial:
+                gen = _keyed_generator(config.seed, _GEOMETRY_KEY, 0, t)
+                geometry = make_geometry(config.system, gen)
+                states, los = _prefixes(geometry, largest, zeros)
+            else:
+                geometry, (states, los) = reference, fixed
+            yield geometry, states, los, _keyed_generator(config.seed, _CHANNEL_KEY, 0, t)
 
     shape = (len(systems), T)
     mses = {s: np.empty(shape) for s in schemes}
@@ -404,23 +498,15 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     rejected = 0
     for start in range(0, T, _POWER_BLOCK):
         stop = min(start + _POWER_BLOCK, T)
-        block = {kind: np.empty((len(systems), stop - start, K), dtype=complex) for kind in kinds}
-        for t in range(start, stop):
-            if config.redraw_geometry_per_trial:
-                gen = _keyed_generator(config.seed, _GEOMETRY_KEY, 0, t)
-                geometry = make_geometry(config.system, gen)
-                prefixes = _prefixes(geometry, config.system, config.n_sweep)
-            for p, system in enumerate(systems):
-                long_term, los = prefixes[p]
-                gen = _keyed_generator(config.seed, _CHANNEL_KEY, system.N, t)
-                gammas, redrawn = _trial_gammas(system, geometry, long_term, gen, schemes, los)
-                rejected += redrawn
-                for kind in kinds:
-                    block[kind][p, t - start] = gammas[kind]
-        for p, system in enumerate(systems):
-            for s in schemes:
-                mses[s][p, start:stop], ktildes[s][p, start:stop] = _power_control(
-                    s, block[s.kind][p], system
+        block, redrawn = _block_gammas(largest, trials(start, stop), schemes)
+        rejected += redrawn
+        for s in schemes:
+            kind_rows = block[s.kind]
+            for p, gammas in enumerate(kind_rows):
+                # a kind with one row, the direct kind, fills every N
+                at = slice(None) if len(kind_rows) == 1 else p
+                mses[s][at, start:stop], ktildes[s][at, start:stop] = _power_control(
+                    s, gammas, systems[p]
                 )
 
     bounds = [(None, None)] * len(systems)

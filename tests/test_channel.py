@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,44 @@ class TestSampleChannels:
             np.testing.assert_array_equal(a.h_direct, b.h_direct)
             np.testing.assert_array_equal(a.h_reflect, b.h_reflect)
 
+    @pytest.mark.parametrize("pure_los", [False, True])
+    @pytest.mark.parametrize("block_direct", [False, True])
+    def test_block_at_n_is_prefix_of_larger_block(self, pure_los, block_direct):
+        # a smaller surface is a sub-array of a larger one, draw for draw
+        big = SystemConfig(K=6, M=4, N=1024, pure_los=pure_los, block_direct=block_direct)
+        for seed in range(3):
+            geo = make_geometry(big, RngStream(seed, 0))
+            gen = RngStream(seed, 1).generator()
+            gen.standard_normal(seed)  # any generator state, not only a fresh stream
+            state = gen.bit_generator.state
+            block = sample_channels(geo, big, gen)
+            for N in (1, 7, 64, 513):
+                gen.bit_generator.state = state
+                sized = sample_channels(geo, replace(big, N=N), gen)
+                np.testing.assert_array_equal(bits(sized.h_direct), bits(block.h_direct))
+                np.testing.assert_array_equal(bits(sized.h_reflect), bits(block.h_reflect[:, :N]))
+
+    def test_scattered_part_keeps_its_law(self):
+        # per-device variance a_k^2, uncorrelated parts, elements and devices
+        cfg = SystemConfig(K=5, M=2, N=16, rician_delta=1.5, device_radius=60.0)
+        geo = make_geometry(cfg, RngStream(15, 0))
+        los = line_of_sight(geo, cfg)
+        gen = RngStream(15, 1).generator()
+        blocks = 4000
+        w = np.stack([sample_channels(geo, cfg, gen, los).h_reflect - los for _ in range(blocks)])
+        amp = np.sqrt(geo.rho_r / (cfg.rician_delta + 1.0))
+        u = w / amp[:, None]  # (blocks, K, N): i.i.d. CN(0, 1) if the law holds
+        n = u.size  # 320 000 complex samples
+        se = 1.0 / np.sqrt(n / cfg.K)  # one device's variance, relative error
+        per_device = np.mean(np.abs(u) ** 2, axis=(0, 2))
+        assert np.all(np.abs(per_device - 1.0) < 5 * se)
+        assert abs(np.mean(u.real**2) - 0.5) < 5 * np.sqrt(0.5 / n)
+        # moments of products of independent halves: variance 1/4 for real x imag
+        assert abs(np.mean(u.real * u.imag)) < 5 * np.sqrt(0.25 / n)
+        for pair in (u[:, :, 1:] * u[:, :, :-1].conj(), u[:, 1:, :] * u[:, :-1, :].conj()):
+            # E[u_a conj(u_b)] = 0 for distinct entries; |product|^2 has mean 1
+            assert abs(np.mean(pair)) < 5 / np.sqrt(pair.size)
+
     def test_determinism(self):
         cfg = SystemConfig(K=4)
         geo = make_geometry(cfg, RngStream(8, 0))
@@ -156,14 +196,19 @@ def complex_line_of_sight(geo, cfg):
 
 
 def complex_sample_channels(geo, cfg, gen):
-    """One block as complex array expressions: the reference for the kernel."""
+    """One block as complex array expressions: the reference for the kernel.
+
+    The scattered normals come element-major, each device's real part
+    before its imaginary part.
+    """
     K, M, N = cfg.K, cfg.M, cfg.N
     g_direct = (gen.standard_normal((K, M)) + 1j * gen.standard_normal((K, M))) / np.sqrt(2.0)
     h_direct = np.sqrt(geo.rho_d)[:, None] * g_direct
     los = complex_line_of_sight(geo, cfg)
     if cfg.pure_los:
         return h_direct, los
-    g_reflect = (gen.standard_normal((K, N)) + 1j * gen.standard_normal((K, N))) / np.sqrt(2.0)
+    x, y = gen.standard_normal((N, K, 2)).transpose(2, 1, 0)
+    g_reflect = (x + 1j * y) / np.sqrt(2.0)
     nlos_amp = np.sqrt(geo.rho_r / (cfg.rician_delta + 1.0))[:, None]
     return h_direct, los + nlos_amp * g_reflect
 

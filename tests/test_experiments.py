@@ -8,6 +8,7 @@ import pytest
 
 from irs_aircomp import experiments
 from irs_aircomp.channel import (
+    ChannelRealization,
     SystemConfig,
     effective_scalar_channel,
     line_of_sight,
@@ -29,6 +30,7 @@ from irs_aircomp.experiments import (
 from irs_aircomp.numerics import RngStream
 from irs_aircomp.protocol import (
     DegenerateChannelError,
+    PhaseShiftVector,
     channel_inversion_power_control,
     optimal_power_control,
 )
@@ -110,9 +112,14 @@ class TestPrefixes:
     def test_prefix_slices_bit_identical(self, levels, pure_los):
         sweep = (1, 32, 100, 512, 1024)
         system = SystemConfig(K=7, L=levels, pure_los=pure_los, spacing_ratio=0.37)
+        largest = replace(system, N=sweep[-1])
+        zeros = [PhaseShiftVector.zero(N, levels) for N in sweep]
         for seed in range(12):
             geo = make_geometry(system, RngStream(seed, 0))
-            for N, (state, los) in zip(sweep, experiments._prefixes(geo, system, sweep)):
+            states, whole = experiments._prefixes(geo, largest, zeros)
+            assert np.array_equal(bits(whole), bits(line_of_sight(geo, largest)))
+            for N, state in zip(sweep, states):
+                los = whole[:, :N]  # the engine's blocks at N under pure_los
                 sized = replace(system, N=N)
                 want = compute_long_term(geo, sized)
                 want_los = line_of_sight(geo, sized)
@@ -145,7 +152,7 @@ def per_trial_mses(monkeypatch, config, schemes):
 
 
 class TestKeyedStreams:
-    """Draws keyed by coordinate: (N, trial) for channels, the trial for geometries."""
+    """Draws keyed by the trial: one channel block at the largest N, and a geometry."""
 
     @pytest.mark.parametrize("redraw", [False, True])
     def test_sub_sweep_rows_equal_full_sweep_rows(self, redraw):
@@ -196,6 +203,17 @@ class TestKeyedStreams:
             "compute_long_term": geometries,
             "line_of_sight": geometries,
         }
+
+    @pytest.mark.parametrize("redraw", [False, True])
+    def test_no_irs_rows_equal_at_every_n(self, redraw):
+        # the direct-link schemes do not see the IRS, so N cannot move their rows
+        cfg = small_config(n_sweep=(4, 16, 64, 256), trials=9, redraw_geometry_per_trial=redraw)
+        rows = run_sweep(cfg, list(Scheme)).rows
+        for s in (Scheme.OPT_PC_NO_IRS, Scheme.INV_PC_NO_IRS):
+            stats = {
+                (r.mean_mse, r.stderr_mse, r.mean_ktilde) for r in rows if r.scheme == s.value
+            }
+            assert len(stats) == 1
 
     def test_keys_injective(self):
         # Key parts spilling across 32-bit words, as in the RngStream(seed, stream_id)
@@ -274,14 +292,15 @@ class TestRunSweep:
             assert alone.rows == [r for r in together.rows if r.scheme == s.value]
 
     def test_run_trial_is_single_trial_sweep(self):
-        cfg = small_config(n_sweep=(16,), trials=1)
-        system = SystemConfig(M=4, N=16, K=3)
-        geo = make_geometry(system, RngStream(cfg.seed, 0))
+        # the sweep draws at N = 16 and slices N = 8; run_trial draws at each N
+        cfg = small_config(n_sweep=(8, 16), trials=1)
+        geo = make_geometry(cfg.system, RngStream(cfg.seed, 0))
         for s in Scheme:
-            (row,) = run_sweep(cfg, [s]).rows
-            gen = experiments._keyed_generator(cfg.seed, experiments._CHANNEL_KEY, 16, 0)
-            mse, kt = run_trial(system, geo, s, gen)
-            assert (row.mean_mse, row.mean_ktilde) == (mse, kt)
+            rows = run_sweep(cfg, [s]).rows
+            for N, row in zip(cfg.n_sweep, rows):
+                gen = experiments._keyed_generator(cfg.seed, experiments._CHANNEL_KEY, 0, 0)
+                mse, kt = run_trial(SystemConfig(M=4, N=N, K=3), geo, s, gen)
+                assert (row.N, row.mean_mse, row.mean_ktilde) == (N, mse, kt)
 
     def test_blocked_direct_links_rejected_up_front(self, monkeypatch):
         calls = []
@@ -298,20 +317,20 @@ class TestRunSweep:
         monkeypatch.setattr(
             experiments, "sample_channels", lambda *a: calls.append(1) or original(*a)
         )
-        engine_gammas = experiments._kind_gammas
-        monkeypatch.setattr(
-            experiments,
-            "_kind_gammas",
-            lambda kind, real, lt: engine_gammas(kind, real, lt) * (kind != experiments._DIRECT),
-        )
+        engine_gammas = experiments._direct_gammas
+        monkeypatch.setattr(experiments, "_direct_gammas", lambda h: 0.0 * engine_gammas(h))
+        cfg = small_config()
         with pytest.raises(DegenerateChannelError, match="OPT_PC_NO_IRS.*100 redraws"):
-            run_sweep(small_config(), [Scheme.OPT_PC_IRS, Scheme.OPT_PC_NO_IRS])
-        assert len(calls) == experiments._MAX_REDRAWS
+            run_sweep(cfg, [Scheme.OPT_PC_IRS, Scheme.OPT_PC_NO_IRS])
+        # every trial of the power block draws its first block before the batched
+        # direct combiner runs; the first trial then draws the other 99 alone
+        assert len(calls) == cfg.trials - 1 + experiments._MAX_REDRAWS
 
     def test_degenerate_redraws_match_per_scheme_draws(self, monkeypatch):
         # Declare about half of all draws degenerate, differently for voted and
-        # all-zero phases, and compare with each scheme run alone on a fresh
-        # generator of the trial's stream, redrawing until it gets a sound block.
+        # all-zero phases, and compare with each scheme run alone at each N on a
+        # fresh generator of the trial's stream, redrawing blocks at the largest N
+        # and taking their first N columns until it gets a sound block.
         def flaky(realization, gammas, voted):
             row = 0 if voted else 1
             return 0.0 * gammas if realization.h_direct[row, 0].real < 0 else gammas
@@ -329,6 +348,7 @@ class TestRunSweep:
         result = run_sweep(cfg, schemes)
 
         geo = make_geometry(cfg.system, RngStream(cfg.seed, 0))
+        largest = SystemConfig(M=4, N=cfg.n_sweep[-1], K=3)
         rejected = 0
         for N in cfg.n_sweep:
             system = SystemConfig(M=4, N=N, K=3)
@@ -342,9 +362,12 @@ class TestRunSweep:
                 )
                 mses = []
                 for t in range(cfg.trials):
-                    gen = experiments._keyed_generator(cfg.seed, experiments._CHANNEL_KEY, N, t)
+                    gen = experiments._keyed_generator(cfg.seed, experiments._CHANNEL_KEY, 0, t)
                     for redraws in itertools.count():
-                        realization = experiments.sample_channels(geo, system, gen)
+                        block = experiments.sample_channels(geo, largest, gen)
+                        realization = ChannelRealization(
+                            block.h_direct, block.h_reflect[:, :N], geo
+                        )
                         gammas = flaky(
                             realization,
                             effective_scalar_channel(realization, lt.v, theta),
@@ -358,6 +381,68 @@ class TestRunSweep:
                 assert row.mean_mse == math.fsum(mses) / cfg.trials
         assert rejected > 0
         assert result.rejected_trials == rejected
+
+    def test_degenerate_direct_redraws_match_per_trial_draws(self, monkeypatch):
+        # Declare a block degenerate for the direct kind when its first direct
+        # coefficient has a negative real part, and compare with each trial run
+        # alone: fresh generator, blocks drawn at the largest N until one is sound,
+        # and the combiner factored on that block by itself.  The voted kind
+        # rejects other blocks, so the direct kind also walks through blocks
+        # that the voted kind drew before it.
+        engine_gammas = experiments._direct_gammas
+        monkeypatch.setattr(
+            experiments,
+            "_direct_gammas",
+            lambda h: engine_gammas(h) * (h[:, 0, 0].real >= 0)[:, None],
+        )
+        engine_kind_gammas = experiments._kind_gammas
+        monkeypatch.setattr(
+            experiments,
+            "_kind_gammas",
+            lambda kind, real, lt: (
+                engine_kind_gammas(kind, real, lt) * (real.h_direct[1, 0].real >= 0)
+            ),
+        )
+        cfg = small_config(trials=70)  # two power blocks
+        schemes = [Scheme.OPT_PC_NO_IRS, Scheme.INV_PC_NO_IRS, Scheme.OPT_PC_IRS]
+        result = run_sweep(cfg, schemes)
+
+        geo = make_geometry(cfg.system, RngStream(cfg.seed, 0))
+        largest = SystemConfig(M=4, N=cfg.n_sweep[-1], K=3)
+        rejected, gammas = 0, []
+        for t in range(cfg.trials):
+            gen = experiments._keyed_generator(cfg.seed, experiments._CHANNEL_KEY, 0, t)
+            for redraws in itertools.count():
+                H = experiments.sample_channels(geo, largest, gen).h_direct
+                if H[0, 0].real >= 0:
+                    break
+            rejected += redraws
+            _, vecs = np.linalg.eigh(H.T @ H.conj())
+            gammas.append(H @ vecs[:, -1].conj())
+        for s, rule in zip(schemes, (optimal_power_control, channel_inversion_power_control)):
+            mses = [rule(g, largest.Pmax, largest.sigma2).mse for g in gammas]
+            for N in cfg.n_sweep:
+                (row,) = [r for r in result.rows if (r.scheme, r.N) == (s.value, N)]
+                assert row.mean_mse == math.fsum(mses) / cfg.trials
+        assert rejected > 0
+        # two direct schemes at each N, besides the voted scheme's rejections
+        voted_only = run_sweep(cfg, [Scheme.OPT_PC_IRS]).rejected_trials
+        assert voted_only > 0
+        assert result.rejected_trials == voted_only + 2 * len(cfg.n_sweep) * rejected
+
+
+class TestDirectGammas:
+    def test_batched_combiner_equals_per_block_loop(self):
+        # one matmul and one eigh over the stack, bit for bit the per-block steps
+        gen = np.random.default_rng(8)
+        for B, K, M in ((1, 1, 1), (7, 3, 4), (64, 20, 10), (33, 5, 12)):
+            H = gen.standard_normal((B, K, M, 2)) @ np.array([1.0, 1.0j])
+            H *= gen.uniform(1e-6, 1.0, (B, K, 1))
+            batched = experiments._direct_gammas(H)
+            for b in range(B):
+                _, vecs = np.linalg.eigh(H[b].T @ H[b].conj())
+                alone = H[b] @ vecs[:, -1].conj()
+                assert np.array_equal(bits(batched[b]), bits(alone))
 
 
 class TestWriteCsv:

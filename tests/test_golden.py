@@ -1,15 +1,26 @@
 """Byte-for-byte regression against sweep CSVs committed under tests/data/.
 
-All six files were generated by the coordinate-keyed engine: channel
-streams keyed by (N, trial), redraw-mode geometry streams by the trial
-alone, and each geometry's long-term state and line of sight built once
-at the largest N and sliced for the others.  Every earlier engine
-change (trial-major draws, the batched vote, the real-arithmetic
-kernels, the prefix slicing) reproduced the files of the engine before
-it exactly; the re-keying changed every draw and regenerated all six
-once.  Any change that keeps the random streams must reproduce them
-exactly; a change that alters the streams on purpose regenerates the
-cases it alters with
+Every earlier engine change (trial-major draws, the batched vote, the
+real-arithmetic kernels, the prefix slicing) reproduced the files of the
+engine before it exactly.  Two changes altered the streams on purpose:
+
+- the coordinate-keyed engine (channel streams keyed by (N, trial),
+  redraw-mode geometry streams by the trial alone) regenerated all six
+  files once; ``golden_scaling_los.csv`` is still its output;
+- the one-block engine (each trial's channel block drawn once, at the
+  largest N, from a stream keyed by the trial alone, with element-major
+  scattered draws that every N takes as a prefix, and the direct-link
+  schemes evaluated once per trial) regenerated the other five:
+  ``golden_default_fixed.csv``, ``golden_default_redraw.csv``,
+  ``golden_pure_los.csv``, ``golden_block_direct_irs_only.csv`` and
+  ``golden_levels4.csv``.  The scaling case is pure line of sight with
+  blocked direct links, so it has no scattered draw and its direct
+  links are signed zeros, which vanish in every gamma: the new draws
+  reproduce it exactly.
+
+Any change that keeps the random streams must reproduce them exactly; a
+change that alters the streams on purpose regenerates the cases it
+alters with
 
     PYTHONPATH=src python tests/test_golden.py NAME [NAME ...]
 
