@@ -268,9 +268,9 @@ def sample_channels(
     imaginary part.  Scattered element (k, m), part c, is therefore
     normal number 2KM + 2(mK + k) + c of the stream whatever N is, so
     the first n columns of a block drawn at N equal, bit for bit, the
-    block drawn at n from the same generator state; the rest of the
-    stream follows on only after the whole block.  ``h_reflect`` is a
-    (K, N) view of the element-major buffer.
+    block drawn at n from the same generator state.  That holds for one
+    block: where the stream stands after it depends on N.
+    ``h_reflect`` is a (K, N) view of the element-major buffer.
 
     The arithmetic is real and in place, equal bit for bit to
     ``los + a*((x + 1j*y)/sqrt(2))``: the complex division scales each

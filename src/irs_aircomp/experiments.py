@@ -251,7 +251,7 @@ def _trial_gammas(
     Returns ({kind: (P, K) gammas}, rejections, (direct, draw)):
     ``direct`` lists the direct links (K, M) of the blocks drawn, at
     least one, and ``draw`` draws the next block's, for
-    :func:`_direct_rows`.  Only the direct links outlive the call.
+    :func:`_direct_block_gammas`.  Only the direct links outlive the call.
     """
     sizes = [state.theta_fixed.num_elements for state in states]
     blocks: list[list[ChannelRealization]] = []
@@ -278,7 +278,7 @@ def _trial_gammas(
     return gammas, rejected, (direct, lambda: sample_channels(geometry, config, gen).h_direct)
 
 
-def _direct_rows(trials, name: str) -> tuple[np.ndarray, int]:
+def _direct_block_gammas(trials, name: str) -> tuple[np.ndarray, int]:
     """Direct-kind gammas (B, K) of a block of trials, and the blocks rejected.
 
     ``trials`` holds each trial's (direct, draw) from
@@ -320,9 +320,9 @@ def _block_gammas(config: SystemConfig, trials, schemes: list[Scheme]):
         rejected += redrawn
     out = {kind: np.stack([g[kind] for g in rows], axis=1) for kind in rows[0]}
     if _DIRECT in kinds:
-        gammas, redrawn = _direct_rows(pending, kinds[_DIRECT][0])
+        gammas, redrawn = _direct_block_gammas(pending, kinds[_DIRECT][0])
         out[_DIRECT] = gammas[None]
-        rejected += redrawn * len(kinds[_DIRECT]) * len(states)
+        rejected += redrawn * len(kinds[_DIRECT]) * len(states)  # per scheme and N
     return out, rejected
 
 
