@@ -330,7 +330,7 @@ def effective_scalar_channel(realization: ChannelRealization, v: np.ndarray, the
         raise ValueError(f"phase-shift vector has {theta.num_elements} elements, expected {N}")
 
     gain, row = _reflection_factors(geo, v, theta)
-    return _scalar_channels(realization, v, gain, row)
+    return _scalar_channels(realization.h_direct, realization.h_reflect, v, gain, row)
 
 
 def _reflection_factors(geometry: Geometry, v: np.ndarray, theta):
@@ -348,9 +348,7 @@ def _reflection_factors(geometry: Geometry, v: np.ndarray, theta):
 
 
 def _scalar_channels(
-    realization: ChannelRealization, v: np.ndarray, gain: complex, row: np.ndarray
+    h_direct: np.ndarray, h_reflect: np.ndarray, v: np.ndarray, gain: complex, row: np.ndarray
 ) -> np.ndarray:
     """v^H h_direct_k + gain * (h_reflect_k . row) for every device k."""
-    reflected = gain * (realization.h_reflect @ row)
-    direct = realization.h_direct @ v.conj()
-    return direct + reflected
+    return h_direct @ v.conj() + gain * (h_reflect @ row)

@@ -31,7 +31,6 @@ import numpy as np
 
 from .analysis import AsymptoticParams, mse_upper_bound, n_threshold
 from .channel import (
-    ChannelRealization,
     Geometry,
     SystemConfig,
     _reflection_factors,
@@ -134,7 +133,9 @@ class LongTermState:
     ``voted_reflection`` and ``zero_reflection`` are the block-independent
     (gain, row) factors of the effective channel under each phase
     configuration, built on first use and shared by every block drawn on
-    this geometry.
+    this geometry.  The engine holds one state per geometry, at the
+    largest N of the sweep, and each N slices its first N elements where
+    they are used.
     """
 
     v: np.ndarray
@@ -209,12 +210,10 @@ def _direct_gammas(h_direct: np.ndarray) -> np.ndarray:
 _POWER_BLOCK = 64
 
 
-def _kind_gammas(
-    kind: str, realization: ChannelRealization, long_term: LongTermState
-) -> np.ndarray:
-    """Scalar channels of the voted or the all-zero phases, at the realization's N."""
+def _kind_gammas(kind: str, block, long_term: LongTermState, N: int) -> np.ndarray:
+    """Scalar channels of the voted or all-zero phases at N, from the block's first N columns."""
     gain, row = long_term.voted_reflection if kind == _VOTED else long_term.zero_reflection
-    return _scalar_channels(realization, long_term.v, gain, row)
+    return _scalar_channels(block.h_direct, block.h_reflect[:, :N], long_term.v, gain, row[:N])
 
 
 def _first_sound(name: str, gammas_at) -> tuple[np.ndarray, int]:
@@ -231,50 +230,50 @@ def _first_sound(name: str, gammas_at) -> tuple[np.ndarray, int]:
 def _trial_gammas(
     config: SystemConfig,
     geometry: Geometry,
-    states: list[LongTermState],
+    long_term: LongTermState,
+    sizes: tuple[int, ...],
     gen: np.random.Generator,
     kinds: dict[str, list[str]],
     los: np.ndarray | None = None,
 ):
-    """One trial's voted and zero channels at every N, and its direct links.
+    """One trial's voted and zero channels at each N of ``sizes``, and its direct links.
 
-    ``config`` is at the largest N and ``states`` holds the long-term
-    state at each N of the sweep.  Blocks are drawn at the largest N,
-    and the state at N evaluates the block's first N columns, which are
-    the block :func:`sample_channels` draws at N.  Every (kind, N) starts
-    from the trial's first block; one whose channels are degenerate
-    moves on to the next block of the same generator, drawn only then,
-    so each scheme at each N sees the blocks that a fresh generator of
-    the trial's stream gives it alone.  Rejections count once per scheme
-    and N.
+    ``config``, ``long_term`` and ``los`` are at the largest N: the engine
+    holds one state per geometry, and each N slices it.  Blocks are drawn
+    at the largest N, and each N takes the first N elements of the
+    reflection rows and the first N columns of the block.  Every element
+    of the phases, the vote, the reflection rows and the line of sight
+    depends on its element index alone, so these slices equal, bit for
+    bit, what :func:`compute_long_term` and :func:`sample_channels` give
+    at N.  Every (kind, N) starts from the trial's first block; one whose
+    channels are degenerate moves on to the next block of the same
+    generator, drawn only then, so each scheme at each N sees the blocks
+    that a fresh generator of the trial's stream gives it alone.
+    Rejections count once per scheme and N.
 
     Returns ({kind: (P, K) gammas}, rejections, (direct, draw)):
     ``direct`` lists the direct links (K, M) of the blocks drawn, at
     least one, and ``draw`` draws the next block's, for
     :func:`_direct_block_gammas`.  Only the direct links outlive the call.
     """
-    sizes = [state.theta_fixed.num_elements for state in states]
-    blocks: list[list[ChannelRealization]] = []
+    blocks = [sample_channels(geometry, config, gen, los)]
 
-    def sized(i: int) -> list[ChannelRealization]:
+    def block_at(i: int):
         if i == len(blocks):
-            block = sample_channels(geometry, config, gen, los)
-            blocks.append([
-                ChannelRealization(block.h_direct, block.h_reflect[:, :N], geometry)
-                for N in sizes
-            ])
+            blocks.append(sample_channels(geometry, config, gen, los))
         return blocks[i]
 
-    sized(0)
     gammas, rejected = {}, 0
     for kind, names in kinds.items():
         if kind == _DIRECT:
             continue
-        rows = gammas[kind] = np.empty((len(states), config.K), dtype=complex)
-        for p, state in enumerate(states):
-            rows[p], i = _first_sound(names[0], lambda i: _kind_gammas(kind, sized(i)[p], state))
+        rows = gammas[kind] = np.empty((len(sizes), config.K), dtype=complex)
+        for p, N in enumerate(sizes):
+            rows[p], i = _first_sound(
+                names[0], lambda i: _kind_gammas(kind, block_at(i), long_term, N)
+            )
             rejected += i * len(names)
-    direct = [block[0].h_direct for block in blocks]
+    direct = [block.h_direct for block in blocks]
     return gammas, rejected, (direct, lambda: sample_channels(geometry, config, gen).h_direct)
 
 
@@ -301,20 +300,20 @@ def _direct_block_gammas(trials, name: str) -> tuple[np.ndarray, int]:
     return gammas, rejected
 
 
-def _block_gammas(config: SystemConfig, trials, schemes: list[Scheme]):
+def _block_gammas(config: SystemConfig, trials, schemes: list[Scheme], sizes: tuple[int, ...]):
     """Effective channels of a block of trials per kind, and the degenerate blocks rejected.
 
-    ``trials`` yields (geometry, states, los, generator) per trial, as
+    ``trials`` yields (geometry, long_term, los, generator) per trial, as
     :func:`_trial_gammas` takes them.  The voted and zero kinds come out
-    (P, B, K), one row per N.  The direct kind does not see the IRS: it
-    comes out (1, B, K), one row that serves every N.
+    (P, B, K), one row per N of ``sizes``.  The direct kind does not see
+    the IRS: it comes out (1, B, K), one row that serves every N.
     """
     kinds: dict[str, list[str]] = {}
     for s in schemes:
         kinds.setdefault(s.kind, []).append(s.value)
     rows, pending, rejected = [], [], 0
-    for geometry, states, los, gen in trials:
-        gammas, redrawn, direct = _trial_gammas(config, geometry, states, gen, kinds, los)
+    for geometry, long_term, los, gen in trials:
+        gammas, redrawn, direct = _trial_gammas(config, geometry, long_term, sizes, gen, kinds, los)
         rows.append(gammas)
         pending.append(direct)
         rejected += redrawn
@@ -322,7 +321,7 @@ def _block_gammas(config: SystemConfig, trials, schemes: list[Scheme]):
     if _DIRECT in kinds:
         gammas, redrawn = _direct_block_gammas(pending, kinds[_DIRECT][0])
         out[_DIRECT] = gammas[None]
-        rejected += redrawn * len(kinds[_DIRECT]) * len(states)  # per scheme and N
+        rejected += redrawn * len(kinds[_DIRECT]) * len(sizes)  # per scheme and N
     return out, rejected
 
 
@@ -358,8 +357,8 @@ def run_trial(
     _reject_blocked(config, [scheme])
     if long_term is None:
         long_term = compute_long_term(geometry, config)
-    trial = (geometry, [long_term], None, as_generator(stream))
-    gammas, _ = _block_gammas(config, [trial], [scheme])
+    trial = (geometry, long_term, None, as_generator(stream))
+    gammas, _ = _block_gammas(config, [trial], [scheme], sizes=(config.N,))
     mse, kt = _power_control(scheme, gammas[scheme.kind][0], config)
     return float(mse[0]), int(kt[0])
 
@@ -413,43 +412,6 @@ def _bound_params(config: ExperimentConfig, reference: Geometry) -> list[Asympto
     ]
 
 
-def _prefixes(
-    geometry: Geometry, largest: SystemConfig, zeros: list[PhaseShiftVector]
-) -> tuple[list[LongTermState], np.ndarray]:
-    """The long-term state at each N, and the line of sight, built once at the largest N.
-
-    ``largest`` is the system at the largest N and ``zeros`` holds the
-    all-zero phases at each N of the sweep.  Every element of the phase
-    indices, the vote, the reflection rows and the line-of-sight term
-    depends on its element index alone, not on N, so the first N
-    elements at the largest N equal, bit for bit,
-    :func:`compute_long_term` and :func:`line_of_sight` at N.  Each N
-    gets views of the one state, with its reflection factors cached;
-    the line of sight stays whole, for the blocks drawn at the largest N.
-    """
-    state = compute_long_term(geometry, largest)
-    los = line_of_sight(geometry, largest)
-    los.setflags(write=False)  # shared by every block's h_reflect under pure_los
-    voted_gain, voted_row = state.voted_reflection
-    zero_gain, zero_row = state.zero_reflection
-    states = []
-    for zero in zeros:
-        N = zero.num_elements
-        sliced = LongTermState(
-            v=state.v,
-            theta_voted=state.theta_voted.prefix(N),
-            theta_fixed=zero,
-            geometry=geometry,
-        )
-        # seed the cached properties with the slices of the largest state's
-        sliced.__dict__.update(
-            voted_reflection=(voted_gain, voted_row[:N]),
-            zero_reflection=(zero_gain, zero_row[:N]),
-        )
-        states.append(sliced)
-    return states, los
-
-
 def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     """Monte Carlo means over the sweep axis for each scheme.
 
@@ -464,7 +426,8 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     direct-link schemes do not see the IRS: their combiner, gammas and
     power control run once per trial, so their rows are the same at
     every N.  The long-term state and line of sight of a geometry are
-    built once, at the largest N, and every N takes its prefix.
+    built once, at the largest N, and every N slices them where it uses
+    them.
     """
     schemes = [Scheme(s) for s in schemes]
     if not schemes:
@@ -476,21 +439,24 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     T = config.trials
     systems = [replace(config.system, N=N) for N in config.n_sweep]
     largest = systems[-1]
-    zeros = [PhaseShiftVector.zero(N, largest.L) for N in config.n_sweep]
     K = config.system.K
 
+    def long_term(geometry: Geometry):
+        state = compute_long_term(geometry, largest)
+        los = line_of_sight(geometry, largest)
+        los.setflags(write=False)  # shared by every block's h_reflect under pure_los
+        return geometry, state, los
+
     reference = make_geometry(config.system, RngStream(config.seed, 0))
-    fixed = None if config.redraw_geometry_per_trial else _prefixes(reference, largest, zeros)
+    fixed = None if config.redraw_geometry_per_trial else long_term(reference)
 
     def trials(start: int, stop: int):
         for t in range(start, stop):
-            if config.redraw_geometry_per_trial:
+            per_geometry = fixed
+            if per_geometry is None:
                 gen = _keyed_generator(config.seed, _GEOMETRY_KEY, 0, t)
-                geometry = make_geometry(config.system, gen)
-                states, los = _prefixes(geometry, largest, zeros)
-            else:
-                geometry, (states, los) = reference, fixed
-            yield geometry, states, los, _keyed_generator(config.seed, _CHANNEL_KEY, 0, t)
+                per_geometry = long_term(make_geometry(config.system, gen))
+            yield *per_geometry, _keyed_generator(config.seed, _CHANNEL_KEY, 0, t)
 
     shape = (len(systems), T)
     mses = {s: np.empty(shape) for s in schemes}
@@ -498,7 +464,7 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     rejected = 0
     for start in range(0, T, _POWER_BLOCK):
         stop = min(start + _POWER_BLOCK, T)
-        block, redrawn = _block_gammas(largest, trials(start, stop), schemes)
+        block, redrawn = _block_gammas(largest, trials(start, stop), schemes, config.n_sweep)
         rejected += redrawn
         for s in schemes:
             kind_rows = block[s.kind]

@@ -84,13 +84,6 @@ class PhaseShiftVector:
         levels = np.arange(self.levels) * (TWO_PI / self.levels)
         return np.exp(1j * levels)[self.indices]
 
-    def prefix(self, n: int) -> "PhaseShiftVector":
-        """The first n phases, as a view; a slice of valid indices is not re-checked."""
-        view = object.__new__(PhaseShiftVector)
-        object.__setattr__(view, "indices", self.indices[:n])
-        object.__setattr__(view, "levels", self.levels)
-        return view
-
     @classmethod
     def zero(cls, n_elements: int, levels: int) -> "PhaseShiftVector":
         """All-zero phases (the fixed, non-configured surface)."""
@@ -159,40 +152,14 @@ def _reduce_2pi(theta: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.n
     return out
 
 
-def _mod_2pi(theta: np.ndarray) -> np.ndarray:
-    """``np.mod(theta, 2*pi)`` bit for bit, without libm ``fmod``.
-
-    The Cody-Waite remainder r of u = |theta| (:func:`_reduce_2pi`):
-    with n = floor(u / 2*pi), r = (u - n*HI) - n*LO.  Both products are
-    exact, and so is u - n*HI (a multiple of ulp(u), at most u or 2*pi
-    in magnitude), so r is the one rounding of u - n*2*pi.  The
-    correctly rounded quotient is never below the true one and at most
-    one above it, so n is either the true quotient, and r the exact
-    remainder that ``fmod`` returns, or one too large, and r a small
-    negative number that one added 2*pi takes back to that exact
-    remainder (its rounding error is far below half an ulp of a
-    remainder that close to 2*pi).  Negative theta then takes numpy's
-    own step, the rounded 2*pi - r for a non-zero remainder, and a zero
-    remainder is +0.  Inputs at or past ``_REDUCE_LIMIT``, and NaN, go
-    to ``np.mod`` itself.
-    """
-    u = np.abs(theta)
-    if not (u < _REDUCE_LIMIT).all():
-        return np.mod(theta, TWO_PI)
-    r = _reduce_2pi(u, np.empty_like(u), np.empty_like(u))
-    np.add(r, TWO_PI, out=r, where=r < 0.0)
-    np.subtract(TWO_PI, r, out=r, where=(theta < 0.0) & (r > 0.0))
-    return r
-
-
 def _quantize_indices(theta: np.ndarray, levels: int) -> np.ndarray:
     """Nearest level index by circular distance; ties go to the smaller phase value.
 
-    The reference definition of the quantizer.  :func:`_mod_2pi` maps
-    any phase into [0, 2*pi]; 2*pi itself lands on index ``levels``,
-    which wraps to 0 like every other round-up past the top level.
+    The reference definition of the quantizer.  ``np.mod`` maps any
+    phase into [0, 2*pi]; 2*pi itself lands on index ``levels``, which
+    wraps to 0 like every other round-up past the top level.
     """
-    x = _mod_2pi(theta)
+    x = np.mod(theta, TWO_PI)
     x *= levels / TWO_PI
     lo = np.floor(x)
     x -= lo  # distance above the lower level, in level steps
@@ -346,6 +313,8 @@ def phase_index_rows(
         raise ValueError(f"nu must be a 1-D array of finite angles, got {nu!r}")
     if n_elements < 1 or levels < 1:
         raise ValueError("n_elements and levels must be >= 1")
+    if not (math.isfinite(spacing_ratio) and spacing_ratio > 0):
+        raise ValueError(f"spacing_ratio must be finite and positive, got {spacing_ratio!r}")
     steps = TWO_PI * spacing_ratio * np.arange(n_elements)
     return _index_rows(steps, np.sin(phi_t) - np.sin(nu), levels)
 

@@ -105,7 +105,7 @@ def bits(a):
 
 
 class TestPrefixes:
-    """The state built at the largest N, sliced to each N, is the state built at N."""
+    """Slices of the state built at the largest N are the state built at N."""
 
     @pytest.mark.parametrize("levels", [2, 4])
     @pytest.mark.parametrize("pure_los", [False, True])
@@ -113,33 +113,26 @@ class TestPrefixes:
         sweep = (1, 32, 100, 512, 1024)
         system = SystemConfig(K=7, L=levels, pure_los=pure_los, spacing_ratio=0.37)
         largest = replace(system, N=sweep[-1])
-        zeros = [PhaseShiftVector.zero(N, levels) for N in sweep]
         for seed in range(12):
             geo = make_geometry(system, RngStream(seed, 0))
-            states, whole = experiments._prefixes(geo, largest, zeros)
-            assert np.array_equal(bits(whole), bits(line_of_sight(geo, largest)))
-            for N, state in zip(sweep, states):
+            state, whole = compute_long_term(geo, largest), line_of_sight(geo, largest)
+            for N in sweep:
                 los = whole[:, :N]  # the engine's blocks at N under pure_los
                 sized = replace(system, N=N)
                 want = compute_long_term(geo, sized)
                 want_los = line_of_sight(geo, sized)
                 assert np.array_equal(bits(state.v), bits(want.v))
-                assert np.array_equal(state.theta_voted.indices, want.theta_voted.indices)
-                assert np.array_equal(state.theta_fixed.indices, want.theta_fixed.indices)
+                assert np.array_equal(state.theta_voted.indices[:N], want.theta_voted.indices)
                 assert np.array_equal(bits(los), bits(want_los))
                 for name in ("voted_reflection", "zero_reflection"):
                     (gain, row), (want_gain, want_row) = getattr(state, name), getattr(want, name)
                     assert np.array_equal(bits(np.array([gain])), bits(np.array([want_gain])))
-                    assert np.array_equal(bits(row), bits(want_row))
+                    assert np.array_equal(bits(row[:N]), bits(want_row))
                     # the strided line-of-sight view in the block's reflected matvec
-                    assert np.array_equal(bits(los @ row), bits(want_los @ want_row))
+                    assert np.array_equal(bits(los @ row[:N]), bits(want_los @ want_row))
 
-    def test_prefix_views_are_not_validated_again(self, monkeypatch):
-        sweep = (16, 64, 256)
-        system = SystemConfig(K=5)
-        largest = replace(system, N=sweep[-1])
-        zeros = [PhaseShiftVector.zero(N, system.L) for N in sweep]
-        geo = make_geometry(system, RngStream(3, 0))
+    @pytest.mark.parametrize("redraw", [False, True])
+    def test_sweep_builds_phase_vectors_once_per_geometry(self, redraw, monkeypatch):
         checked = []
         validate = PhaseShiftVector.__post_init__
 
@@ -148,13 +141,10 @@ class TestPrefixes:
             validate(self)
 
         monkeypatch.setattr(PhaseShiftVector, "__post_init__", counting)
-        states, _ = experiments._prefixes(geo, largest, zeros)
-        assert len(checked) == 2  # compute_long_term's voted and zero phases, at the largest N
-        monkeypatch.undo()
-        for N, state in zip(sweep, states):
-            want = compute_long_term(geo, replace(system, N=N))
-            assert np.array_equal(state.theta_voted.indices, want.theta_voted.indices)
-            assert np.shares_memory(state.theta_voted.indices, states[-1].theta_voted.indices)
+        cfg = small_config(n_sweep=(4, 8, 16), trials=5, redraw_geometry_per_trial=redraw)
+        run_sweep(cfg, list(Scheme))
+        # compute_long_term's voted and zero phases, at the largest N, and none per N
+        assert len(checked) == 2 * (cfg.trials if redraw else 1)
 
 
 def per_trial_mses(monkeypatch, config, schemes):
@@ -361,8 +351,8 @@ class TestRunSweep:
         monkeypatch.setattr(
             experiments,
             "_kind_gammas",
-            lambda kind, real, lt: flaky(
-                real, engine_gammas(kind, real, lt), kind == experiments._VOTED
+            lambda kind, real, lt, N: flaky(
+                real, engine_gammas(kind, real, lt, N), kind == experiments._VOTED
             ),
         )
         cfg = small_config(trials=6)
@@ -421,8 +411,8 @@ class TestRunSweep:
         monkeypatch.setattr(
             experiments,
             "_kind_gammas",
-            lambda kind, real, lt: (
-                engine_kind_gammas(kind, real, lt) * (real.h_direct[1, 0].real >= 0)
+            lambda kind, real, lt, N: (
+                engine_kind_gammas(kind, real, lt, N) * (real.h_direct[1, 0].real >= 0)
             ),
         )
         cfg = small_config(trials=70)  # two power blocks

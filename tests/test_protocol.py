@@ -117,6 +117,13 @@ class TestPerDevicePhases:
         gain = abs(np.vdot(a_t, np.exp(1j * psv.phases) * a_k))
         assert gain == pytest.approx(N, rel=1e-9)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 0.0, -0.5])
+    def test_bad_spacing_ratio_rejected(self, bad):
+        with pytest.raises(ValueError, match="spacing_ratio"):
+            phase_index_rows(0.3, [0.1, -0.4], 4, 2, bad)
+        with pytest.raises(ValueError, match="spacing_ratio"):
+            per_device_phases(0.3, 0.1, 4, 4, bad)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_angles_rejected(self, bad):
         with pytest.raises(ValueError, match="phi_t"):
@@ -219,12 +226,39 @@ def ulp_neighbours(x, steps):
 
 
 class TestModTwoPi:
-    """The phase kernel's 2*pi reduction equals np.mod bit for bit."""
+    """The phase kernel's 2*pi reduction gives the levels of the np.mod quantizer.
+
+    Each input magnitude u is a kernel step in a row of either sign, so
+    the kernel sees theta = +u and -u.  Below ``_REDUCE_LIMIT`` the
+    signed remainder of -u is also minus that of u (up to the sign of a
+    zero), and that of u, taken up by 2*pi when the quotient came out
+    one too large, is ``np.mod(u, 2*pi)`` bit for bit.
+    """
+
+    LEVELS = (2, 3, 4, 8)
+
+    @classmethod
+    def assert_matches(cls, x):
+        # ascending, as the kernel reads its largest step from the end
+        steps = np.unique(np.abs(x))
+        signs = np.array([1.0, -1.0])
+        with np.errstate(invalid="ignore"):
+            for levels in cls.LEVELS:
+                got = protocol._index_rows(steps, signs, levels)
+                want = protocol._quantize_indices(steps * signs[:, None], levels)
+                np.testing.assert_array_equal(got, want)
+        u = steps[steps < protocol._REDUCE_LIMIT]
+        r = protocol._reduce_2pi(u, np.empty_like(u), np.empty_like(u))
+        negated = protocol._reduce_2pi(-u, np.empty_like(u), np.empty_like(u))
+        np.testing.assert_array_equal(negated, -r)
+        r[r < 0.0] += TWO_PI
+        assert_same_bits(r, np.mod(u, TWO_PI))
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-5, 1.0, 1e3, 1e6, 4e8])
     def test_random_scales(self, scale):
-        x = np.random.default_rng(int(np.log10(scale)) + 400).uniform(-scale, scale, 10**5)
-        assert_same_bits(protocol._mod_2pi(x), np.mod(x, TWO_PI))
+        self.assert_matches(
+            np.random.default_rng(int(np.log10(scale)) + 400).uniform(-scale, scale, 10**5)
+        )
 
     def test_multiples_of_two_pi_and_ulp_neighbours(self):
         # quotients near an integer, where a rounded-up quotient needs the fix-up
@@ -232,8 +266,7 @@ class TestModTwoPi:
         big = np.random.default_rng(1).integers(-(2**26), 2**26, 10**5).astype(float)
         for multiples in (k * TWO_PI, big * TWO_PI):
             x = ulp_neighbours(multiples, 4)
-            x = x[np.abs(x) < protocol._REDUCE_LIMIT]
-            assert_same_bits(protocol._mod_2pi(x), np.mod(x, TWO_PI))
+            self.assert_matches(x[np.abs(x) < protocol._REDUCE_LIMIT])
 
     def test_special_values_and_guard(self):
         limit = protocol._REDUCE_LIMIT
@@ -243,11 +276,9 @@ class TestModTwoPi:
              np.nextafter(limit, 0.0), -np.nextafter(limit, 0.0), limit, -limit,
              1e300, -1e300, np.inf, np.nan]
         )
-        with np.errstate(invalid="ignore"):
-            assert_same_bits(protocol._mod_2pi(x), np.mod(x, TWO_PI))
-            for value in x:  # alone, so the guard sees each value by itself
-                one = np.array([value])
-                assert_same_bits(protocol._mod_2pi(one), np.mod(one, TWO_PI))
+        self.assert_matches(x)
+        for value in x:  # alone, so the guard sees each value by itself
+            self.assert_matches(np.array([value]))
         assert quantize_phase(1e300, 4) == quantize_phase(float(np.mod(1e300, TWO_PI)), 4)
 
     def test_kernel_phase_sets(self):
@@ -258,7 +289,12 @@ class TestModTwoPi:
                 gen.uniform(-np.pi / 2, np.pi / 2, 21)
             )
             theta = steps * diff[:, None]
-            assert_same_bits(protocol._mod_2pi(theta), np.mod(theta, TWO_PI))
+            for levels in self.LEVELS:
+                np.testing.assert_array_equal(
+                    protocol._index_rows(steps, diff, levels),
+                    protocol._quantize_indices(theta, levels),
+                )
+            self.assert_matches(theta)
 
     def test_phase_kernel_runs_no_np_mod(self, monkeypatch):
         def refuse(*args, **kwargs):
