@@ -164,7 +164,7 @@ def _cmd_validate(args) -> int:
     identity = mse_identity_error(rng, 25 if fast else 100)
     samples, calls = (10**5, 200) if fast else (10**6, 500)  # calls draw 200 samples each
     sinc = _sinc_error(rng, samples)
-    power = channel_power_error(rng, calls)
+    power, power_se = channel_power_error(rng, calls)
     checks = [
         (
             "power control never beats nor trails the search oracle",
@@ -187,7 +187,7 @@ def _cmd_validate(args) -> int:
         (
             "Monte Carlo effective channel power matches closed form",
             power <= 0.02,
-            f"worst relative error {power:.4f} at {calls} calls",
+            f"worst relative error {power:.4f} (s.e. {power_se:.4f}) at {calls} calls",
         ),
     ]
     for name, ok, detail in checks:

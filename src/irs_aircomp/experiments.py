@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import typing
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
@@ -104,7 +105,7 @@ class Scheme(str, enum.Enum):
 
 @dataclass
 class ExperimentConfig:
-    """A sweep: the system under test plus trial counts, seed, and output."""
+    """A sweep: the system under test, its element counts, trial count and seed."""
 
     system: SystemConfig = field(default_factory=SystemConfig)
     n_sweep: tuple[int, ...] = (64, 128, 256, 512)
@@ -112,7 +113,6 @@ class ExperimentConfig:
     seed: int = 0
     epsilon: float = 0.9
     redraw_geometry_per_trial: bool = False
-    output: str | None = None
 
     def __post_init__(self) -> None:
         self.n_sweep = tuple(int(n) for n in self.n_sweep)
@@ -332,14 +332,6 @@ def _reject_blocked(system: SystemConfig, schemes: list[Scheme]) -> None:
         raise ConfigError(f"block_direct leaves no direct link for {', '.join(blocked)}")
 
 
-def _power_control(scheme: Scheme, gammas: np.ndarray, config: SystemConfig):
-    """(mse, critical_number) per row of a (B, K) gamma block under the scheme's rule."""
-    _, _, kt, mse = power_control_rows(
-        gammas, config.Pmax, config.sigma2, inversion=scheme.inversion
-    )
-    return mse, kt
-
-
 def run_trial(
     config: SystemConfig,
     geometry: Geometry,
@@ -359,7 +351,9 @@ def run_trial(
         long_term = compute_long_term(geometry, config)
     trial = (geometry, long_term, None, as_generator(stream))
     gammas, _ = _block_gammas(config, [trial], [scheme], sizes=(config.N,))
-    mse, kt = _power_control(scheme, gammas[scheme.kind][0], config)
+    _, _, kt, mse = power_control_rows(
+        gammas[scheme.kind][0], config.Pmax, config.sigma2, inversion=scheme.inversion
+    )
     return float(mse[0]), int(kt[0])
 
 
@@ -435,11 +429,10 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     duplicates = sorted({s.value for s in schemes if schemes.count(s) > 1})
     if duplicates:
         raise ConfigError(f"duplicate schemes: {', '.join(duplicates)}")
-    _reject_blocked(config.system, schemes)
+    system = config.system
+    _reject_blocked(system, schemes)
     T = config.trials
-    systems = [replace(config.system, N=N) for N in config.n_sweep]
-    largest = systems[-1]
-    K = config.system.K
+    largest = replace(system, N=config.n_sweep[-1])
 
     def long_term(geometry: Geometry):
         state = compute_long_term(geometry, largest)
@@ -447,7 +440,7 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
         los.setflags(write=False)  # shared by every block's h_reflect under pure_los
         return geometry, state, los
 
-    reference = make_geometry(config.system, RngStream(config.seed, 0))
+    reference = make_geometry(system, RngStream(config.seed, 0))
     fixed = None if config.redraw_geometry_per_trial else long_term(reference)
 
     def trials(start: int, stop: int):
@@ -455,10 +448,10 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
             per_geometry = fixed
             if per_geometry is None:
                 gen = _keyed_generator(config.seed, _GEOMETRY_KEY, 0, t)
-                per_geometry = long_term(make_geometry(config.system, gen))
+                per_geometry = long_term(make_geometry(system, gen))
             yield *per_geometry, _keyed_generator(config.seed, _CHANNEL_KEY, 0, t)
 
-    shape = (len(systems), T)
+    shape = (len(config.n_sweep), T)
     mses = {s: np.empty(shape) for s in schemes}
     ktildes = {s: np.empty(shape, dtype=np.int64) for s in schemes}
     rejected = 0
@@ -471,12 +464,12 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
             for p, gammas in enumerate(kind_rows):
                 # a kind with one row, the direct kind, fills every N
                 at = slice(None) if len(kind_rows) == 1 else p
-                mses[s][at, start:stop], ktildes[s][at, start:stop] = _power_control(
-                    s, gammas, systems[p]
+                _, _, ktildes[s][at, start:stop], mses[s][at, start:stop] = power_control_rows(
+                    gammas, system.Pmax, system.sigma2, inversion=s.inversion
                 )
 
-    bounds = [(None, None)] * len(systems)
-    if config.system.L == 2:
+    bounds = [(None, None)] * len(config.n_sweep)
+    if system.L == 2:
         bounds = [
             (mse_upper_bound(params), n_threshold(params, params.rho_min))
             for params in _bound_params(config, reference)
@@ -492,8 +485,8 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
                 SweepRow(
                     scheme=s.value,
                     N=N,
-                    M=config.system.M,
-                    K=K,
+                    M=system.M,
+                    K=system.K,
                     trials=T,
                     mean_mse=mean,
                     stderr_mse=stderr,
@@ -535,35 +528,6 @@ def write_csv(result: SweepResult, path) -> None:
         raise OSError(f"failed writing sweep CSV to {path}: {exc}") from exc
 
 
-_SYSTEM_KEYS = {
-    "m": ("M", int),
-    "n": ("N", int),
-    "k": ("K", int),
-    "l": ("L", int),
-    "pmax": ("Pmax", float),
-    "sigma2": ("sigma2", float),
-    "rician_delta": ("rician_delta", float),
-    "spacing_ratio": ("spacing_ratio", float),
-    "pathloss_exponent_reflected": ("pathloss_exponent_reflected", float),
-    "pathloss_exponent_direct": ("pathloss_exponent_direct", float),
-    "ref_loss_linear": ("ref_loss_linear", float),
-    "pure_los": ("pure_los", bool),
-    "block_direct": ("block_direct", bool),
-    "device_radius": ("device_radius", float),
-    "phi_r": ("phi_r", float),
-    "phi_t": ("phi_t", float),
-}
-_TRIPLE_KEYS = {"ap_position", "irs_position", "device_center"}
-_EXPERIMENT_KEYS = {
-    "trials": ("trials", int),
-    "seed": ("seed", int),
-    "epsilon": ("epsilon", float),
-    "redraw_geometry_per_trial": ("redraw_geometry_per_trial", bool),
-    "output": ("output", str),
-}
-_DBM_KEYS = {"pmax_dbm": "pmax", "sigma2_dbm": "sigma2"}
-
-
 def _parse_bool(raw: str, key: str) -> bool:
     lowered = raw.strip().lower()
     if lowered in ("true", "yes", "1", "on"):
@@ -573,13 +537,48 @@ def _parse_bool(raw: str, key: str) -> bool:
     raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
 
 
-def _parse_value(raw: str, key: str, kind):
-    if kind is bool:
+def _parse(raw: str, key: str, hint):
+    """The value of ``raw`` for a field annotated ``hint``.
+
+    The shapes are int, float and bool, ``X | None`` (a file value is
+    never None), ``tuple[X, ...]`` and the triple ``tuple[X, X, X]``,
+    both comma-separated.
+    """
+    args = typing.get_args(hint)
+    if type(None) in args:
+        (hint,) = set(args) - {type(None)}
+        args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        parts = tuple(_parse(part, key, args[0]) for part in raw.split(","))
+        if args[-1] is not Ellipsis and len(parts) != len(args):
+            raise ConfigError(f"{key}: expected three comma-separated coordinates")
+        return parts
+    if hint is bool:
         return _parse_bool(raw, key)
     try:
-        return kind(raw)
+        return hint(raw)
     except ValueError as exc:
-        raise ConfigError(f"{key}: cannot parse {raw!r} as {kind.__name__}") from exc
+        raise ConfigError(f"{key}: cannot parse {raw!r} as {hint.__name__}") from exc
+
+
+def _config_keys() -> dict:
+    """{key: (config class, field name, annotation)}, one key per settable field.
+
+    Every field of :class:`SystemConfig` but ``N`` (a sweep takes its
+    element counts from ``n_sweep``) and of :class:`ExperimentConfig`
+    but ``system``, under its lower-cased name.
+    """
+    keys = {}
+    for cls, skip in ((SystemConfig, "N"), (ExperimentConfig, "system")):
+        hints = typing.get_type_hints(cls)
+        keys.update(
+            (f.name.lower(), (cls, f.name, hints[f.name])) for f in fields(cls) if f.name != skip
+        )
+    return keys
+
+
+_KEYS = _config_keys()
+_DBM_KEYS = {"pmax_dbm": "pmax", "sigma2_dbm": "sigma2"}
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -589,16 +588,16 @@ def dbm_to_watts(dbm: float) -> float:
 def load_config(path) -> ExperimentConfig:
     """Parse a flat ``key = value`` config file; unspecified keys take defaults.
 
-    ``#`` starts a comment.  Recognized keys:
-
-    system     -- m, n, k, l, pmax, sigma2, rician_delta, spacing_ratio,
-                  pathloss_exponent_reflected, pathloss_exponent_direct,
-                  ref_loss_linear, pure_los, block_direct, device_radius,
-                  phi_r, phi_t, nu (comma-separated radians, one per device),
-                  ap_position, irs_position, device_center (comma triples, m)
-    experiment -- n_sweep (comma-separated, strictly increasing), trials,
-                  seed, epsilon, redraw_geometry_per_trial, output
-    dBm forms  -- pmax_dbm, sigma2_dbm (converted via W = 10^((dBm-30)/10))
+    ``#`` starts a comment.  The keys are the fields of
+    :class:`~irs_aircomp.channel.SystemConfig` but ``N`` and of
+    :class:`ExperimentConfig` but ``system``, lower-cased (``m``,
+    ``pmax``, ``nu``, ``n_sweep``, ``trials``, ...), each parsed by the
+    field's annotation: a tuple is comma-separated (``nu`` one angle in
+    radians per device, ``ap_position``, ``irs_position`` and
+    ``device_center`` a triple in meters, ``n_sweep`` strictly
+    increasing element counts), a bool is true/yes/1/on or
+    false/no/0/off.  ``pmax_dbm`` and ``sigma2_dbm`` set ``pmax`` and
+    ``sigma2`` in dBm (W = 10^((dBm-30)/10)).
 
     Unknown keys, duplicate keys, unparsable values, or violated
     invariants raise ConfigError.
@@ -609,8 +608,7 @@ def load_config(path) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
 
-    system_kwargs: dict = {}
-    experiment_kwargs: dict = {}
+    kwargs: dict = {SystemConfig: {}, ExperimentConfig: {}}
     seen: set[str] = set()
     for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
@@ -629,33 +627,18 @@ def load_config(path) -> ExperimentConfig:
             if base in seen:
                 raise ConfigError(f"{key} conflicts with {base}")
             seen.add(base)
-            field_name, _ = _SYSTEM_KEYS[base]
-            system_kwargs[field_name] = dbm_to_watts(_parse_value(raw, key, float))
-        elif key in _SYSTEM_KEYS:
-            field_name, kind = _SYSTEM_KEYS[key]
-            system_kwargs[field_name] = _parse_value(raw, key, kind)
-        elif key in _TRIPLE_KEYS:
-            parts = [_parse_value(p, key, float) for p in raw.split(",")]
-            if len(parts) != 3:
-                raise ConfigError(f"{key}: expected three comma-separated coordinates")
-            system_kwargs[key] = tuple(parts)
-        elif key == "nu":
-            system_kwargs["nu"] = tuple(
-                _parse_value(p, key, float) for p in raw.split(",")
-            )
-        elif key == "n_sweep":
-            experiment_kwargs["n_sweep"] = tuple(
-                _parse_value(p, key, int) for p in raw.split(",")
-            )
-        elif key in _EXPERIMENT_KEYS:
-            field_name, kind = _EXPERIMENT_KEYS[key]
-            experiment_kwargs[field_name] = _parse_value(raw, key, kind)
+            cls, name, hint = _KEYS[base]
+            kwargs[cls][name] = dbm_to_watts(_parse(raw, key, hint))
+        elif key in _KEYS:
+            cls, name, hint = _KEYS[key]
+            kwargs[cls][name] = _parse(raw, key, hint)
         else:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            why = "; element counts come from n_sweep" if key == "n" else ""
+            raise ConfigError(f"line {lineno}: unknown key {key!r}{why}")
 
     try:
-        system = SystemConfig(**system_kwargs)
-        return ExperimentConfig(system=system, **experiment_kwargs)
+        system = SystemConfig(**kwargs[SystemConfig])
+        return ExperimentConfig(system=system, **kwargs[ExperimentConfig])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

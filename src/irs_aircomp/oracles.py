@@ -62,15 +62,17 @@ def power_control_gap(rng: np.random.Generator, instances: int) -> tuple[float, 
     return worst_excess, worst_diff, feasible
 
 
-def channel_power_error(rng: np.random.Generator, calls: int) -> float:
-    """Monte Carlo E|v^H h(Theta)|^2 against the closed form, worst relative error.
+def channel_power_error(rng: np.random.Generator, calls: int) -> tuple[float, float]:
+    """Monte Carlo E|v^H h(Theta)|^2 against the closed form: worst relative error and its s.e.
 
     Five (Rician factor, M, N) configurations, each with random binary
     phases and 200 co-located devices at one random angle, so that every
-    call draws 200 independent samples.
+    call draws 200 independent samples.  The standard error is that of
+    the worst configuration's Monte Carlo mean over its ``calls`` (at
+    least 2) per-call means, relative to the closed form.
     """
     copies = 200
-    worst = 0.0
+    worst = stderr = 0.0
     for i, (delta, M, N) in enumerate(_CHANNEL_POWER_CASES):
         nu = float(rng.uniform(-np.pi / 2, np.pi / 2))
         cfg = SystemConfig(
@@ -80,13 +82,17 @@ def channel_power_error(rng: np.random.Generator, calls: int) -> float:
         theta = PhaseShiftVector(rng.integers(0, 2, N), 2)
         v = receive_beamformer(geometry.phi_r, M)
         expected = expected_channel_power_gain(geometry, cfg, theta)[0]
-        total = 0.0
+        total, per_call = 0.0, []
         for j in range(calls):
             realization = sample_channels(geometry, cfg, RngStream(4200 + i, j))
             gammas = effective_scalar_channel(realization, v, theta)
-            total += float(np.mean(np.abs(gammas) ** 2))
-        worst = max(worst, abs(total / calls - expected) / expected)
-    return worst
+            per_call.append(float(np.mean(np.abs(gammas) ** 2)))
+            total += per_call[-1]
+        error = abs(total / calls - expected) / expected
+        if error > worst:
+            worst = error
+            stderr = float(np.std(per_call, ddof=1) / np.sqrt(calls) / expected)
+    return worst, stderr
 
 
 def mse_identity_error(rng: np.random.Generator, instances: int) -> float:

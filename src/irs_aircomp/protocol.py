@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,6 +186,12 @@ def quantize_phase(theta: float, levels: int) -> float:
     return float(idx * (TWO_PI / levels))
 
 
+# Most levels the breakpoint kernel serves.  It costs L comparisons per
+# element against the reference quantizer's fixed cost, and at K=21 it
+# stops winning between L=10 and L=14 (N=512 and N=4096, timeit); above
+# the cap no table is built and the reference path runs.
+_TABLE_LEVELS = 10
+
 # Half-width of the bracket searched around each breakpoint's estimate:
 # 64 ulps of 2*pi, far more than the few ulps by which the estimate can
 # miss, and far less than the 2*pi/L between breakpoints.
@@ -204,7 +209,8 @@ def _breakpoints(levels: int) -> np.ndarray:
     :func:`phase_index_rows` for why).  Each breakpoint is the last
     remainder r on its lower side, found by a many-way bisection over
     the float bit patterns of a bracket around its estimate, against
-    :func:`_quantize_indices` itself.  Built once per L >= 2 and cached.
+    :func:`_quantize_indices` itself.  Built once per L from 2 to
+    ``_TABLE_LEVELS`` and cached.
     """
     i = np.arange(1, levels + 1)
     edge = (i - 0.5) / (levels / TWO_PI)  # where x = r*L/(2*pi) crosses i - 1/2
@@ -245,8 +251,8 @@ def _index_rows(steps: np.ndarray, diff: np.ndarray, levels: int) -> np.ndarray:
     K, n = diff.shape[0], steps.shape[0]
     out = np.empty((K, n), dtype=np.int64)
     rows = max(1, _PHASE_BLOCK // n)
-    if not abs(steps[-1]) * np.abs(diff).max(initial=0.0) < _REDUCE_LIMIT:
-        # past the exact reduction's range, or not finite: the reference path
+    if levels > _TABLE_LEVELS or not abs(steps[-1]) * np.abs(diff).max(initial=0.0) < _REDUCE_LIMIT:
+        # above the level cap, past the exact reduction's range, or not finite: the reference path
         for start in range(0, K, rows):
             theta = steps * diff[start : start + rows, None]
             out[start : start + rows] = _quantize_indices(theta, levels)
@@ -287,8 +293,9 @@ def phase_index_rows(
 
     * theta = steps_m * d_k, and |theta| = |steps_m| * |d_k| exactly, so
       a row's phases share one sign and the largest |theta| is the
-      product of the two largest factors; past ``_REDUCE_LIMIT`` the
-      reference quantizer runs instead.
+      product of the two largest factors; past ``_REDUCE_LIMIT``, or
+      above ``_TABLE_LEVELS`` levels, the reference quantizer runs
+      instead.
     * The signed Cody-Waite remainder rho of theta (:func:`_reduce_2pi`)
       is minus that of |theta|.  The remainder r of |theta| lies in
       [0, 2*pi], or is a small negative number when the quotient came
@@ -372,23 +379,6 @@ def majority_vote(per_device, levels: int | None = None) -> PhaseShiftVector:
     return PhaseShiftVector(indices=vote_indices(stacked, levels), levels=levels)
 
 
-def _square_range() -> tuple[float, float]:
-    """The smallest and the largest float g whose square g*g is neither 0 nor inf."""
-    lo, hi = math.sqrt(0.5) * 2.0**-537, math.sqrt(sys.float_info.max)  # estimates
-    while lo * lo > 0.0:
-        lo = math.nextafter(lo, 0.0)
-    while lo * lo == 0.0:
-        lo = math.nextafter(lo, math.inf)
-    while hi * hi < math.inf:
-        hi = math.nextafter(hi, math.inf)
-    while hi * hi == math.inf:
-        hi = math.nextafter(hi, 0.0)
-    return lo, hi
-
-
-_SQUARE_MIN, _SQUARE_MAX = _square_range()
-
-
 def _gamma_magnitudes(gammas, ndim: int = 1) -> np.ndarray:
     """|gammas|, checked: finite, nonzero, and with every |gamma|^2 neither 0 nor inf."""
     g = np.abs(np.asarray(gammas, dtype=complex))
@@ -399,7 +389,8 @@ def _gamma_magnitudes(gammas, ndim: int = 1) -> np.ndarray:
         raise ValueError("gammas must be finite, got a NaN or infinite effective channel")
     if smallest == 0.0:
         raise DegenerateChannelError("zero effective channel, power control undefined")
-    if not (_SQUARE_MIN <= smallest and largest <= _SQUARE_MAX):
+    # a correctly rounded square is monotone, so the extremes decide for all
+    if not (smallest * smallest > 0.0 and largest * largest < math.inf):
         raise ValueError(
             f"|gamma|^2 leaves the float64 dynamic range: |gamma| spans "
             f"[{smallest:.3g}, {largest:.3g}], squared "

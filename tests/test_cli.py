@@ -125,6 +125,20 @@ def test_bad_config_exits_two(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("output = x.csv", "unknown key 'output'\n"),
+        ("n = 1024", "unknown key 'n'; element counts come from n_sweep\n"),
+    ],
+)
+def test_retired_config_keys_exit_two(tmp_path, capsys, line, message):
+    cfg = write_config(tmp_path, TOY + line + "\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.endswith(message)
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_missing_config_exits_two(tmp_path):
     assert main(["sweep", "--config", str(tmp_path / "none.cfg"), "--out", "x.csv"]) == 2
 

@@ -1,7 +1,8 @@
 import csv
 import itertools
 import math
-from dataclasses import replace
+import typing
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -148,19 +149,25 @@ class TestPrefixes:
 
 
 def per_trial_mses(monkeypatch, config, schemes):
-    """{(scheme, N): per-trial MSEs} of one run_sweep, read from its power-control blocks."""
-    seen = {}
-    engine_power_control = experiments._power_control
+    """Per-trial MSEs of one run_sweep, one list per (scheme, N) power-control call.
 
-    def record(scheme, gammas, system):
-        mse, kt = engine_power_control(scheme, gammas, system)
-        seen.setdefault((scheme.value, system.N), []).extend(mse.tolist())
-        return mse, kt
+    Every block of trials makes the same calls in the same order, so the
+    j-th call of each block extends the j-th list.
+    """
+    calls = []
+    engine_power_control = experiments.power_control_rows
+
+    def record(*args, **kwargs):
+        out = engine_power_control(*args, **kwargs)
+        calls.append(out[3].tolist())
+        return out
 
     with monkeypatch.context() as patch:
-        patch.setattr(experiments, "_power_control", record)
+        patch.setattr(experiments, "power_control_rows", record)
         run_sweep(config, schemes)
-    return seen
+    blocks = -(-config.trials // experiments._POWER_BLOCK)
+    per_block = len(calls) // blocks
+    return [sum(calls[j::per_block], []) for j in range(per_block)]
 
 
 class TestKeyedStreams:
@@ -190,10 +197,10 @@ class TestKeyedStreams:
         long = per_trial_mses(
             monkeypatch, small_config(trials=80, redraw_geometry_per_trial=redraw), schemes
         )
-        assert short.keys() == long.keys()
-        for key, values in short.items():
-            assert len(values) == 40 and len(long[key]) == 80
-            assert long[key][:40] == values
+        assert len(short) == len(long)
+        for values, longer in zip(short, long):
+            assert len(values) == 40 and len(longer) == 80
+            assert longer[:40] == values
 
     @pytest.mark.parametrize("redraw", [False, True])
     def test_per_geometry_work_once_per_geometry(self, redraw, monkeypatch):
@@ -569,3 +576,37 @@ class TestLoadConfig:
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.cfg")
+
+    @pytest.mark.parametrize(
+        "owner, name",
+        [(SystemConfig, f.name) for f in fields(SystemConfig) if f.name != "N"]
+        + [(ExperimentConfig, f.name) for f in fields(ExperimentConfig) if f.name != "system"],
+    )
+    def test_every_settable_field_round_trips(self, tmp_path, owner, name):
+        default = getattr(owner(), name)
+        value = other_value(typing.get_type_hints(owner)[name], default)
+        assert value != default
+        cfg = load_config(self.write(tmp_path, f"{name.lower()} = {config_text(value)}\n"))
+        loaded = cfg.system if owner is SystemConfig else cfg
+        assert getattr(loaded, name) == value
+        assert replace(loaded, **{name: default}) == owner()  # nothing else moved
+
+
+def other_value(hint, default):
+    """A valid value of a field annotated ``hint`` that differs from ``default``."""
+    args = typing.get_args(hint)
+    if type(None) in args:  # unset by default: an angle, or one angle per device
+        (hint,) = set(args) - {type(None)}
+        one = 0.25
+        return (one,) * SystemConfig().K if typing.get_origin(hint) is tuple else one
+    if typing.get_origin(hint) is tuple:
+        return tuple(other_value(args[0], x) for x in default)
+    if hint is bool:
+        return not default
+    return default + 1 if hint is int else (default or 2.0) / 2
+
+
+def config_text(value):
+    if isinstance(value, tuple):
+        return ", ".join(config_text(v) for v in value)
+    return str(value).lower() if isinstance(value, bool) else repr(value)

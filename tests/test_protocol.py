@@ -386,6 +386,24 @@ class TestBreakpointKernel:
         assert calls
         np.testing.assert_array_equal(rows, expected)
 
+    @pytest.mark.parametrize(
+        "levels", [protocol._TABLE_LEVELS, protocol._TABLE_LEVELS + 1, 64, 10**6]
+    )
+    def test_no_table_above_the_level_cap(self, levels, monkeypatch):
+        built = []
+        breakpoints = protocol._breakpoints
+
+        def counting(L):
+            built.append(L)
+            return breakpoints(L)
+
+        nu = np.array([-1.2, -0.3, 0.4, 1.5])
+        steps = TWO_PI * 0.5 * np.arange(4096)
+        want = protocol._quantize_indices(steps * (np.sin(0.3) - np.sin(nu))[:, None], levels)
+        monkeypatch.setattr(protocol, "_breakpoints", counting)
+        np.testing.assert_array_equal(phase_index_rows(0.3, nu, 4096, levels), want)
+        assert built == ([levels] if levels <= protocol._TABLE_LEVELS else [])
+
     def test_bracket_without_a_step_is_refused(self, monkeypatch):
         # an empty bracket holds no level step: the search must not guess
         monkeypatch.setattr(protocol, "_BRACKET", 0.0)
@@ -617,6 +635,19 @@ def test_squared_gain_outside_float_range_rejected(inversion, gammas):
         assert not isinstance(info.value, DegenerateChannelError)
         with pytest.raises(ValueError, match="dynamic range"):
             power_control_rows([[1.0, 2.0], gammas], 1.0, 0.0, inversion=inversion)
+
+
+def test_squared_gain_range_edges():
+    # the smallest and the largest |gamma| whose square is neither 0 nor inf
+    # are accepted, and the next float outward of each is rejected
+    smallest, largest = 1.5717277847026288e-162, 1.3407807929942596e154
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for edge in (smallest, largest):
+            np.testing.assert_array_equal(protocol._gamma_magnitudes([edge, 1.0]), [edge, 1.0])
+        for outside in (math.nextafter(smallest, 0.0), math.nextafter(largest, math.inf)):
+            with pytest.raises(ValueError, match="dynamic range"):
+                protocol._gamma_magnitudes([outside, 1.0])
 
 
 class TestChannelInversion:
