@@ -65,10 +65,6 @@ __all__ = [
     "load_config",
 ]
 
-CSV_HEADER = (
-    "scheme,N,M,K,trials,mean_mse,stderr_mse,mean_ktilde,bound_mse,n_threshold"
-)
-
 _MAX_REDRAWS = 100
 
 
@@ -164,6 +160,10 @@ class SweepRow:
     mean_ktilde: float
     bound_mse: float | None = None
     n_threshold: float | None = None
+
+
+_ROW_FIELDS = tuple(f.name for f in fields(SweepRow))
+CSV_HEADER = ",".join(_ROW_FIELDS)
 
 
 @dataclass
@@ -508,13 +508,10 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-_ROW_FIELDS = tuple(f.name for f in fields(SweepRow))
-
-
 def write_rows(result: SweepResult, fh) -> None:
     """Fixed header, then rows sorted by (scheme, N) with round-trip floats."""
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(CSV_HEADER.split(","))
+    writer.writerow(_ROW_FIELDS)
     for r in sorted(result.rows, key=lambda r: (r.scheme, r.N)):
         writer.writerow([_format_cell(getattr(r, name)) for name in _ROW_FIELDS])
 

@@ -3,7 +3,8 @@
 Long-term stage: a static receive beamformer from the IRS arrival angle
 and a discrete IRS phase configuration built from per-device phase
 projections fused by majority vote.  The projection is one kernel over
-all devices, a (K, N) level-index matrix (:func:`phase_index_rows`),
+all devices, a (K, N) level-index matrix (:func:`phase_index_rows`)
+that counts the fixed half-level thresholds each scaled phase passes,
 and the vote one count over that matrix (:func:`vote_indices`);
 :func:`per_device_phases` and :func:`majority_vote` are their per-device
 forms.  Short-term stage: per-block optimal transmit power control with
@@ -13,7 +14,6 @@ evaluation, and an independent 1-D search oracle.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -186,64 +186,11 @@ def quantize_phase(theta: float, levels: int) -> float:
     return float(idx * (TWO_PI / levels))
 
 
-# Most levels the breakpoint kernel serves.  It costs L comparisons per
+# Most levels the threshold kernel serves.  It costs L comparisons per
 # element against the reference quantizer's fixed cost, and at K=21 it
-# stops winning between L=10 and L=14 (N=512 and N=4096, timeit); above
-# the cap no table is built and the reference path runs.
-_TABLE_LEVELS = 10
-
-# Half-width of the bracket searched around each breakpoint's estimate:
-# 64 ulps of 2*pi, far more than the few ulps by which the estimate can
-# miss, and far less than the 2*pi/L between breakpoints.
-_BRACKET = 2.0**-44
-
-
-@functools.lru_cache(maxsize=16)
-def _breakpoints(levels: int) -> np.ndarray:
-    """Thresholds on the signed remainder rho of the phase kernel, (2, levels).
-
-    Row 0 serves rows whose raw phases are >= 0, row 1 rows whose raw
-    phases are < 0; each row is ascending.  With the lower ``levels - 1``
-    thresholds t and the top one T of its row, an element's level is
-    #{rho > t} where rho <= T, and 0 where rho > T (see
-    :func:`phase_index_rows` for why).  Each breakpoint is the last
-    remainder r on its lower side, found by a many-way bisection over
-    the float bit patterns of a bracket around its estimate, against
-    :func:`_quantize_indices` itself.  Built once per L from 2 to
-    ``_TABLE_LEVELS`` and cached.
-    """
-    i = np.arange(1, levels + 1)
-    edge = (i - 0.5) / (levels / TWO_PI)  # where x = r*L/(2*pi) crosses i - 1/2
-    # level(+r) steps from i-1 to i mod L at r near edge_i; level(-r),
-    # which quantizes 2*pi - r, steps from i mod L to i-1 at 2*pi - edge_i
-    guess = np.concatenate([edge, TWO_PI - edge])
-    sign = np.repeat([1.0, -1.0], levels)
-    below = np.concatenate([i - 1, i % levels])
-    above = np.concatenate([i % levels, i - 1])
-
-    def level_at(bits: np.ndarray) -> np.ndarray:
-        return _quantize_indices(sign[:, None] * bits.view(float), levels)
-
-    lo = (guess - _BRACKET).view(np.int64)
-    hi = (guess + _BRACKET).view(np.int64)
-    ways = max(2, min(64, (1 << 15) // levels))  # each pass narrows a bracket this much
-    rows = np.arange(guess.shape[0])
-    while True:
-        # probes[:, 0] = lo and probes[:, -1] = hi, checked on every pass
-        probes = lo[:, None] + (hi - lo)[:, None] * np.arange(ways + 1) // ways
-        lev = level_at(probes)
-        n_below = (lev == below[:, None]).sum(axis=1)
-        ordered = np.where(np.arange(ways + 1) < n_below[:, None], below[:, None], above[:, None])
-        if not ((n_below > 0) & (n_below <= ways)).all() or not (lev == ordered).all():
-            raise RuntimeError(f"no single level step inside a breakpoint bracket at L={levels}")
-        lo, hi = probes[rows, n_below - 1], probes[rows, np.minimum(n_below, ways)]
-        if (hi - lo <= 1).all():
-            break
-    # row 1 compares rho = -r > -next(r_i), i.e. r <= r_i: hi is next(r_i)
-    out = np.stack([lo[:levels].view(float), -hi[levels:].view(float)])
-    out.sort(axis=1)
-    out.setflags(write=False)
-    return out
+# stops winning near L=16 at N=512 and L=18-20 at N=4096 and 8192
+# (timeit); above the cap the reference path runs.
+_COUNT_LEVELS = 16
 
 
 def _index_rows(steps: np.ndarray, diff: np.ndarray, levels: int) -> np.ndarray:
@@ -251,32 +198,32 @@ def _index_rows(steps: np.ndarray, diff: np.ndarray, levels: int) -> np.ndarray:
     K, n = diff.shape[0], steps.shape[0]
     out = np.empty((K, n), dtype=np.int64)
     rows = max(1, _PHASE_BLOCK // n)
-    if levels > _TABLE_LEVELS or not abs(steps[-1]) * np.abs(diff).max(initial=0.0) < _REDUCE_LIMIT:
+    if levels > _COUNT_LEVELS or not abs(steps[-1]) * np.abs(diff).max(initial=0.0) < _REDUCE_LIMIT:
         # above the level cap, past the exact reduction's range, or not finite: the reference path
         for start in range(0, K, rows):
             theta = steps * diff[start : start + rows, None]
             out[start : start + rows] = _quantize_indices(theta, levels)
         return out
-    if levels == 1:
-        out.fill(0)
-        return out
-    cuts = _breakpoints(levels)[(steps[-1] * diff < 0.0).astype(np.intp)]  # (K, L)
+    lift = np.where(steps[-1] * diff < 0.0, TWO_PI, 0.0)[:, None]
     shape = (min(rows, K), n)
-    theta, rho, scratch = np.empty(shape), np.empty(shape), np.empty(shape)
+    theta, x, scratch = np.empty(shape), np.empty(shape), np.empty(shape)
     passed, under_top = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
     for start in range(0, K, rows):
         stop = min(start + rows, K)
         b = stop - start
-        cut, o, r, flag, top = cuts[start:stop], out[start:stop], rho[:b], passed[:b], under_top[:b]
+        o, r, flag, top = out[start:stop], x[:b], passed[:b], under_top[:b]
         np.multiply(steps, diff[start:stop, None], out=theta[:b])
         _reduce_2pi(theta[:b], r, scratch[:b])
-        count = np.greater(r, cut[:, :1], out=flag)
+        r += lift[start:stop]  # np.mod's step for theta < 0; other rows add 0.0
+        r *= levels / TWO_PI  # the reference's own x
+        # level >= j where x > j - 1/2; at L = 1 the top test zeroes this count
+        count = np.greater(r, 0.5, out=flag)
         if levels > 2:  # count in int64; at L = 2 the one flag is the count
             np.copyto(o, flag)
-            for j in range(1, levels - 1):
-                o += np.greater(r, cut[:, j : j + 1], out=flag)
+            for j in range(2, levels):
+                o += np.greater(r, j - 0.5, out=flag)
             count = o
-        np.multiply(count, np.less_equal(r, cut[:, -1:], out=top), out=o)
+        np.multiply(count, np.less(r, levels - 0.5, out=top), out=o)
     return out
 
 
@@ -294,22 +241,23 @@ def phase_index_rows(
     * theta = steps_m * d_k, and |theta| = |steps_m| * |d_k| exactly, so
       a row's phases share one sign and the largest |theta| is the
       product of the two largest factors; past ``_REDUCE_LIMIT``, or
-      above ``_TABLE_LEVELS`` levels, the reference quantizer runs
+      above ``_COUNT_LEVELS`` levels, the reference quantizer runs
       instead.
+    * The reference's level depends on x = fl(np.mod(theta, 2*pi) *
+      L/(2*pi)) alone: it is the number of j = 1 .. L-1 with
+      x > j - 1/2, and 0 where x >= L - 1/2 (the top level wraps to 0,
+      and a tie at L - 1/2 goes to 0, the smaller phase).  Each j - 1/2
+      is an exact float, so every comparison is exact.
     * The signed Cody-Waite remainder rho of theta (:func:`_reduce_2pi`)
-      is minus that of |theta|.  The remainder r of |theta| lies in
-      [0, 2*pi], or is a small negative number when the quotient came
-      out one too large, where the reference adds 2*pi.
-    * For r >= 0, x = fl(r * L/(2*pi)) is monotone in r, and the level
-      depends on x alone, so each level of a row with theta >= 0 covers
-      one interval of r, and the top of the circle wraps to 0.  For a
-      row with theta < 0 the reference quantizes fl(2*pi - r), also
-      monotone in r, so its levels are intervals of r too, with their
-      own breakpoints.  Either way a negative r lands on level 0.
-    * :func:`_breakpoints` finds each row kind's interval ends once per
-      L, by bisection against :func:`_quantize_indices`, and expresses
-      them as thresholds on rho, so the level is a count of thresholds
-      passed, wrapped to 0 past the top one.
+      is np.mod's exact fmod step when the quotient rounds to its true
+      integer part, and np.mod of a negative theta adds 2*pi to it, as
+      the kernel does, so x is the reference's own product.
+    * Where the quotient comes out one too large, rho has the wrong sign
+      and |rho| <= 2*pi * 2**-27 below ``_REDUCE_LIMIT``.  The kernel's
+      x is then <= 0 (theta >= 0) or at least fl(2*pi * L/(2*pi))
+      (theta < 0), level 0 either way; the reference's x lies within
+      L * 2**-27 of L or of 0, level 0 as well.  A zero remainder of a
+      negative theta likewise gives x near L here and +0 in np.mod.
 
     Rows are quantized a cache-sized block at a time.
     """

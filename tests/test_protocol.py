@@ -161,7 +161,7 @@ def reference_vote(indices, levels):
 
 
 class TestPhaseKernel:
-    @pytest.mark.parametrize("levels", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4, 8, 16, 64])
     @pytest.mark.parametrize("n_elements", [1, 7, 512, 8192])
     def test_matches_per_device_reference(self, levels, n_elements):
         gen = np.random.default_rng(levels * 10_000 + n_elements)
@@ -305,18 +305,41 @@ class TestModTwoPi:
         np.testing.assert_array_equal(phase_index_rows(0.3, [-1.2, 0.4, 1.5], 8192, 2), expected)
 
 
-def breakpoint_remainders(levels):
-    """The remainders r at which a row's level steps: the last r of each lower side.
+def level_steps(levels):
+    """The remainders r at which the reference level of +r and of -r steps.
 
-    Row 0 of ``_breakpoints`` holds them for rows with raw phases >= 0;
-    row 1 holds -next(r) for rows with raw phases < 0.
+    One array per row sign, each holding the last r of every lower side,
+    found by scanning 64 ulps either side of the step's estimate with
+    ``_quantize_indices`` itself.
     """
-    cuts = protocol._breakpoints(levels)
-    return cuts[0], np.nextafter(-cuts[1], 0.0)
+    edge = (np.arange(1, levels + 1) - 0.5) / (levels / TWO_PI)
+    steps = []
+    for sign, guess in ((1.0, edge), (-1.0, TWO_PI - edge)):
+        r = np.sort(ulp_neighbours(guess[None, :], 64), axis=0)  # (129, levels)
+        level = protocol._quantize_indices(sign * r, levels)
+        changes = level[1:] != level[:-1]
+        assert (changes.sum(axis=0) == 1).all()
+        steps.append(r[changes.argmax(axis=0), np.arange(levels)])
+    return steps
+
+
+def count_mod_calls(monkeypatch):
+    """Count the calls of np.mod from here on; returns the growing list of calls."""
+    calls, mod = [], np.mod
+
+    def counting_mod(*args, **kwargs):
+        calls.append(1)
+        return mod(*args, **kwargs)
+
+    monkeypatch.setattr(protocol.np, "mod", counting_mod)
+    return calls
 
 
 class TestBreakpointKernel:
-    """The threshold kernel equals the reference quantizer ``_quantize_indices`` bit for bit."""
+    """The threshold kernel equals the reference quantizer ``_quantize_indices`` bit for bit.
+
+    A breakpoint is a remainder at which the reference level steps.
+    """
 
     @staticmethod
     def assert_kernel_matches(steps, diff, levels):
@@ -325,16 +348,16 @@ class TestBreakpointKernel:
         want = protocol._quantize_indices(steps * np.asarray(diff, dtype=float)[:, None], levels)
         np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("levels", [2, 3, 4, 8])
+    @pytest.mark.parametrize("levels", range(2, protocol._COUNT_LEVELS + 1))
     def test_every_breakpoint_and_64_ulps_around_it(self, levels):
-        for remainders in breakpoint_remainders(levels):
+        for remainders in level_steps(levels):
             r = ulp_neighbours(remainders, 64)
             # rows of either sign see theta = +r and -r exactly
             self.assert_kernel_matches(r, [1.0, -1.0], levels)
 
-    @pytest.mark.parametrize("levels", [2, 3, 4, 8])
+    @pytest.mark.parametrize("levels", [2, 3, 4, 8, protocol._COUNT_LEVELS])
     def test_breakpoints_step_the_reference_level(self, levels):
-        for sign, remainders in zip((1.0, -1.0), breakpoint_remainders(levels)):
+        for sign, remainders in zip((1.0, -1.0), level_steps(levels)):
             at = protocol._quantize_indices(sign * remainders, levels)
             above = protocol._quantize_indices(sign * np.nextafter(remainders, np.inf), levels)
             assert (at != above).all()
@@ -372,50 +395,25 @@ class TestBreakpointKernel:
     @pytest.mark.parametrize("levels", [1, 2, 3, 4, 8])
     def test_reduce_limit_fallback(self, levels, monkeypatch):
         # 2*pi*s*(N-1)*|d| reaches _REDUCE_LIMIT: the reference path runs, np.mod and all
-        calls = []
-        mod = np.mod
-
-        def counting_mod(*args, **kwargs):
-            calls.append(1)
-            return mod(*args, **kwargs)
-
         nu = [-1.0, 0.2, 1.4]
         expected = reference_indices(0.3, nu, 64, levels, 2.0**21)
-        monkeypatch.setattr(protocol.np, "mod", counting_mod)
+        calls = count_mod_calls(monkeypatch)
         rows = phase_index_rows(0.3, nu, 64, levels, 2.0**21)
         assert calls
         np.testing.assert_array_equal(rows, expected)
 
     @pytest.mark.parametrize(
-        "levels", [protocol._TABLE_LEVELS, protocol._TABLE_LEVELS + 1, 64, 10**6]
+        "levels",
+        sorted({10, 11, protocol._COUNT_LEVELS, protocol._COUNT_LEVELS + 1, 16, 64, 10**6}),
     )
     def test_no_table_above_the_level_cap(self, levels, monkeypatch):
-        built = []
-        breakpoints = protocol._breakpoints
-
-        def counting(L):
-            built.append(L)
-            return breakpoints(L)
-
+        # the threshold kernel up to the cap, the reference path (np.mod and all) above it
         nu = np.array([-1.2, -0.3, 0.4, 1.5])
         steps = TWO_PI * 0.5 * np.arange(4096)
         want = protocol._quantize_indices(steps * (np.sin(0.3) - np.sin(nu))[:, None], levels)
-        monkeypatch.setattr(protocol, "_breakpoints", counting)
+        calls = count_mod_calls(monkeypatch)
         np.testing.assert_array_equal(phase_index_rows(0.3, nu, 4096, levels), want)
-        assert built == ([levels] if levels <= protocol._TABLE_LEVELS else [])
-
-    def test_bracket_without_a_step_is_refused(self, monkeypatch):
-        # an empty bracket holds no level step: the search must not guess
-        monkeypatch.setattr(protocol, "_BRACKET", 0.0)
-        with pytest.raises(RuntimeError, match="breakpoint bracket"):
-            protocol._breakpoints.__wrapped__(2)
-
-    def test_breakpoints_built_once_per_level_count(self):
-        for levels in (2, 3):
-            cuts = protocol._breakpoints(levels)
-            assert protocol._breakpoints(levels) is cuts
-            assert cuts.shape == (2, levels) and not cuts.flags.writeable
-            assert (np.diff(cuts, axis=1) > 0).all()
+        assert bool(calls) == (levels > protocol._COUNT_LEVELS)
 
 
 class TestCountVote:
