@@ -10,7 +10,10 @@ Times each layer of the long-term and per-block stages on its own:
 ``effective_scalar_channel``, the dominant-direct combiner on a block of
 64 trials, and single-row and 64-row power control.  Channel-side
 layers run at the default scenario (K = 20, M = 10, L = 2) with N in
-{64, 512, 4096}; power control runs at K in {20, 1000}.  Each layer is
+{64, 512, 4096}; power control runs at K in {20, 1000}.  One layer
+times the whole engine through the public API: ``run_sweep`` over 64
+trials (one power block) of the default scenario, geometry fixed, every
+scheme.  Each layer is
 timed in ``--repeats`` repeats (at least 5) of a batch of calls that
 fills about 20 ms, the same batch on every side, and the median, first
 and third quartile of the per-call time are recorded in microseconds.
@@ -105,6 +108,9 @@ def layers(pkg):
         yield f"protocol.power_control_rows[B=64,K={K}]", (
             lambda: protocol.power_control_rows(gammas, 0.1, 1e-11)
         )
+    sweep = experiments.ExperimentConfig(system=base, trials=64, seed=1)
+    schemes = list(experiments.Scheme)
+    yield "experiments.run_sweep[T=64]", lambda: experiments.run_sweep(sweep, schemes)
 
 
 def batch_us(fn, calls: int) -> float:

@@ -1,7 +1,7 @@
 """Command-line interface: sweep, bounds, validate, single.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration or I/O
-error.
+error, or a degenerate channel.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .oracles import (
     power_control_gap,
     random_power_instance,
 )
-from .protocol import channel_inversion_power_control, optimal_power_control
+from .protocol import DegenerateChannelError, channel_inversion_power_control, optimal_power_control
 
 
 def _parse_schemes(raw: str) -> list[Scheme]:
@@ -65,8 +65,6 @@ def _cmd_sweep(args) -> int:
     schemes = _parse_schemes(args.schemes) if args.schemes else list(Scheme)
     result = run_sweep(config, schemes)
     write_csv(result, args.out)
-    if result.rejected_trials:
-        print(f"rejected and redrew {result.rejected_trials} degenerate trials", file=sys.stderr)
     print(f"wrote {len(result.rows)} rows to {args.out}")
     return 0
 
@@ -241,7 +239,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, DegenerateChannelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

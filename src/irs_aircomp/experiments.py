@@ -14,9 +14,10 @@ evaluates that same block (schemes of one kind share its effective
 channels), and power control runs on blocks of trials at once.  The
 direct-link schemes do not see the IRS, so their combiner, one batched
 ``eigh`` per block of trials, and their power control run once per
-trial and serve every N.  Only a scheme whose channels come out
-degenerate draws again, from the same stream, as if it had been run
-alone.
+trial and serve every N.  A degenerate channel block, one with some
+effective channel gamma_k = 0, leaves power control undefined: it raises
+:class:`~irs_aircomp.protocol.DegenerateChannelError` naming the
+scheme, the N and the first trial that hit it.
 """
 
 from __future__ import annotations
@@ -64,9 +65,6 @@ __all__ = [
     "write_csv",
     "load_config",
 ]
-
-_MAX_REDRAWS = 100
-
 
 class ConfigError(ValueError):
     """Configuration file or experiment setup is invalid."""
@@ -168,6 +166,10 @@ CSV_HEADER = ",".join(_ROW_FIELDS)
 
 @dataclass
 class SweepResult:
+    """A sweep's rows.  ``rejected_trials`` is always 0, as degenerate
+    channels raise; it stays because ``benchmark/workloads.py`` reads it.
+    """
+
     rows: list[SweepRow]
     rejected_trials: int = 0
 
@@ -216,113 +218,31 @@ def _kind_gammas(kind: str, block, long_term: LongTermState, N: int) -> np.ndarr
     return _scalar_channels(block.h_direct, block.h_reflect[:, :N], long_term.v, gain, row[:N])
 
 
-def _first_sound(name: str, gammas_at) -> tuple[np.ndarray, int]:
-    """(gammas, i) of the first block i whose gammas are all nonzero."""
-    for i in range(_MAX_REDRAWS):
-        g = gammas_at(i)
-        if (np.abs(g) > 0.0).all():
-            return g, i
-    raise DegenerateChannelError(
-        f"{name}: degenerate channel persisted through {_MAX_REDRAWS} redraws"
-    )
-
-
-def _trial_gammas(
-    config: SystemConfig,
-    geometry: Geometry,
-    long_term: LongTermState,
-    sizes: tuple[int, ...],
-    gen: np.random.Generator,
-    kinds: dict[str, list[str]],
-    los: np.ndarray | None = None,
-):
-    """One trial's voted and zero channels at each N of ``sizes``, and its direct links.
-
-    ``config``, ``long_term`` and ``los`` are at the largest N: the engine
-    holds one state per geometry, and each N slices it.  Blocks are drawn
-    at the largest N, and each N takes the first N elements of the
-    reflection rows and the first N columns of the block.  Every element
-    of the phases, the vote, the reflection rows and the line of sight
-    depends on its element index alone, so these slices equal, bit for
-    bit, what :func:`compute_long_term` and :func:`sample_channels` give
-    at N.  Every (kind, N) starts from the trial's first block; one whose
-    channels are degenerate moves on to the next block of the same
-    generator, drawn only then, so each scheme at each N sees the blocks
-    that a fresh generator of the trial's stream gives it alone.
-    Rejections count once per scheme and N.
-
-    Returns ({kind: (P, K) gammas}, rejections, (direct, draw)):
-    ``direct`` lists the direct links (K, M) of the blocks drawn, at
-    least one, and ``draw`` draws the next block's, for
-    :func:`_direct_block_gammas`.  Only the direct links outlive the call.
-    """
-    blocks = [sample_channels(geometry, config, gen, los)]
-
-    def block_at(i: int):
-        if i == len(blocks):
-            blocks.append(sample_channels(geometry, config, gen, los))
-        return blocks[i]
-
-    gammas, rejected = {}, 0
-    for kind, names in kinds.items():
-        if kind == _DIRECT:
-            continue
-        rows = gammas[kind] = np.empty((len(sizes), config.K), dtype=complex)
-        for p, N in enumerate(sizes):
-            rows[p], i = _first_sound(
-                names[0], lambda i: _kind_gammas(kind, block_at(i), long_term, N)
-            )
-            rejected += i * len(names)
-    direct = [block.h_direct for block in blocks]
-    return gammas, rejected, (direct, lambda: sample_channels(geometry, config, gen).h_direct)
-
-
-def _direct_block_gammas(trials, name: str) -> tuple[np.ndarray, int]:
-    """Direct-kind gammas (B, K) of a block of trials, and the blocks rejected.
-
-    ``trials`` holds each trial's (direct, draw) from
-    :func:`_trial_gammas`.  One batched combiner serves every trial's
-    first block; a trial whose gammas come out degenerate walks on
-    through its later blocks, as :func:`_trial_gammas` does.
-    """
-    gammas = _direct_gammas(np.stack([direct[0] for direct, _ in trials]))
-    rejected = 0
-    for b in np.flatnonzero(~(np.abs(gammas) > 0.0).all(axis=1)):
-        direct, draw = trials[b]
-
-        def gammas_at(i: int) -> np.ndarray:
-            if i == len(direct):
-                direct.append(draw())
-            return _direct_gammas(direct[i][None])[0]
-
-        gammas[b], i = _first_sound(name, gammas_at)
-        rejected += i
-    return gammas, rejected
-
-
 def _block_gammas(config: SystemConfig, trials, schemes: list[Scheme], sizes: tuple[int, ...]):
-    """Effective channels of a block of trials per kind, and the degenerate blocks rejected.
+    """Effective channels per kind of a block of trials, one channel block drawn per trial.
 
-    ``trials`` yields (geometry, long_term, los, generator) per trial, as
-    :func:`_trial_gammas` takes them.  The voted and zero kinds come out
-    (P, B, K), one row per N of ``sizes``.  The direct kind does not see
-    the IRS: it comes out (1, B, K), one row that serves every N.
+    ``trials`` yields (geometry, long_term, los, generator) per trial;
+    ``config``, ``long_term`` and ``los`` are at the largest N.  Each N
+    takes the first N elements of the reflection rows and the first N
+    columns of the block; every element of these depends on its index
+    alone, so the slices equal, bit for bit, what
+    :func:`compute_long_term` and :func:`sample_channels` give at N.
+    The voted and zero kinds come out (P, B, K), one row per N of
+    ``sizes``.  The direct kind does not see the IRS: one batched
+    combiner gives it (1, B, K), one row that serves every N.
     """
-    kinds: dict[str, list[str]] = {}
-    for s in schemes:
-        kinds.setdefault(s.kind, []).append(s.value)
-    rows, pending, rejected = [], [], 0
+    kinds = dict.fromkeys(s.kind for s in schemes)
+    rows = {kind: [] for kind in kinds if kind != _DIRECT}
+    direct = []
     for geometry, long_term, los, gen in trials:
-        gammas, redrawn, direct = _trial_gammas(config, geometry, long_term, sizes, gen, kinds, los)
-        rows.append(gammas)
-        pending.append(direct)
-        rejected += redrawn
-    out = {kind: np.stack([g[kind] for g in rows], axis=1) for kind in rows[0]}
+        block = sample_channels(geometry, config, gen, los)
+        for kind, kind_rows in rows.items():
+            kind_rows.append([_kind_gammas(kind, block, long_term, N) for N in sizes])
+        direct.append(block.h_direct)
+    out = {kind: np.stack(kind_rows, axis=1) for kind, kind_rows in rows.items()}
     if _DIRECT in kinds:
-        gammas, redrawn = _direct_block_gammas(pending, kinds[_DIRECT][0])
-        out[_DIRECT] = gammas[None]
-        rejected += redrawn * len(kinds[_DIRECT]) * len(sizes)  # per scheme and N
-    return out, rejected
+        out[_DIRECT] = _direct_gammas(np.stack(direct))[None]
+    return out
 
 
 def _reject_blocked(system: SystemConfig, schemes: list[Scheme]) -> None:
@@ -341,16 +261,16 @@ def run_trial(
 ) -> tuple[float, int]:
     """One coherence block under one scheme: (mse, critical_number).
 
-    Degenerate all-zero channels are rejected and redrawn from the same
-    stream.  The same evaluation as one scheme of one :func:`run_sweep`
-    trial.
+    The same evaluation as one scheme of one :func:`run_sweep` trial:
+    one channel block drawn from ``stream``.  A block with some
+    gamma_k = 0 raises :class:`~irs_aircomp.protocol.DegenerateChannelError`.
     """
     scheme = Scheme(scheme)
     _reject_blocked(config, [scheme])
     if long_term is None:
         long_term = compute_long_term(geometry, config)
     trial = (geometry, long_term, None, as_generator(stream))
-    gammas, _ = _block_gammas(config, [trial], [scheme], sizes=(config.N,))
+    gammas = _block_gammas(config, [trial], [scheme], sizes=(config.N,))
     _, _, kt, mse = power_control_rows(
         gammas[scheme.kind][0], config.Pmax, config.sigma2, inversion=scheme.inversion
     )
@@ -421,7 +341,9 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     power control run once per trial, so their rows are the same at
     every N.  The long-term state and line of sight of a geometry are
     built once, at the largest N, and every N slices them where it uses
-    them.
+    them.  A block with some gamma_k = 0 raises ``DegenerateChannelError``
+    naming the scheme, the N ("every N" for the direct-link schemes) and
+    the first such trial.
     """
     schemes = [Scheme(s) for s in schemes]
     if not schemes:
@@ -454,19 +376,24 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     shape = (len(config.n_sweep), T)
     mses = {s: np.empty(shape) for s in schemes}
     ktildes = {s: np.empty(shape, dtype=np.int64) for s in schemes}
-    rejected = 0
     for start in range(0, T, _POWER_BLOCK):
         stop = min(start + _POWER_BLOCK, T)
-        block, redrawn = _block_gammas(largest, trials(start, stop), schemes, config.n_sweep)
-        rejected += redrawn
+        block = _block_gammas(largest, trials(start, stop), schemes, config.n_sweep)
         for s in schemes:
             kind_rows = block[s.kind]
             for p, gammas in enumerate(kind_rows):
                 # a kind with one row, the direct kind, fills every N
                 at = slice(None) if len(kind_rows) == 1 else p
-                _, _, ktildes[s][at, start:stop], mses[s][at, start:stop] = power_control_rows(
-                    gammas, system.Pmax, system.sigma2, inversion=s.inversion
-                )
+                try:
+                    _, _, ktildes[s][at, start:stop], mses[s][at, start:stop] = power_control_rows(
+                        gammas, system.Pmax, system.sigma2, inversion=s.inversion
+                    )
+                except DegenerateChannelError as exc:
+                    where = "every N" if s.kind == _DIRECT else f"N={config.n_sweep[p]}"
+                    first = start + np.flatnonzero((np.abs(gammas) == 0.0).any(axis=1))[0]
+                    raise DegenerateChannelError(
+                        f"{s.value} at {where}, trial {first}: {exc}"
+                    ) from exc
 
     bounds = [(None, None)] * len(config.n_sweep)
     if system.L == 2:
@@ -497,7 +424,7 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
             )
 
     rows.sort(key=lambda r: (r.scheme, r.N))
-    return SweepResult(rows=rows, rejected_trials=rejected)
+    return SweepResult(rows=rows)
 
 
 def _format_cell(value) -> str:

@@ -186,10 +186,11 @@ def quantize_phase(theta: float, levels: int) -> float:
     return float(idx * (TWO_PI / levels))
 
 
-# Most levels the threshold kernel serves.  It costs L comparisons per
-# element against the reference quantizer's fixed cost, and at K=21 it
-# stops winning near L=16 at N=512 and L=18-20 at N=4096 and 8192
-# (timeit); above the cap the reference path runs.
+# Most levels the threshold kernel and the count vote serve.  Each makes
+# one pass per level, and the paths above the cap (the reference
+# quantizer, the sort vote) cost the same at any level count.  At K=21
+# the threshold kernel stops winning near L=16 at N=512 and L=18-20 at
+# N=4096 and 8192 (timeit).
 _COUNT_LEVELS = 16
 
 
@@ -277,11 +278,23 @@ def phase_index_rows(
 def vote_indices(indices: np.ndarray, levels: int) -> np.ndarray:
     """Per-column plurality of a (K, N) level-index matrix; ties to the smaller phase.
 
-    One compare-and-sum per level above 0, counted in the smallest
-    unsigned type that holds K; level 0 gets the rest.  A level takes a
-    column only with strictly more votes than every smaller level.
+    Up to ``_COUNT_LEVELS`` levels, one compare-and-sum per level above
+    0, counted in the smallest unsigned type that holds K; level 0 gets
+    the rest.  A level takes a column only with strictly more votes than
+    every smaller level.  Above the cap, each column is sorted and the
+    longest run of equal levels wins, the first (smallest) on ties.
     """
     K, n = indices.shape
+    if levels > _COUNT_LEVELS:
+        ordered = np.sort(indices.T, axis=1).ravel()  # one column after another, ascending
+        fresh = np.empty(ordered.size, dtype=bool)
+        fresh[0], fresh[1:] = True, ordered[1:] != ordered[:-1]
+        fresh[::K] = True  # every column starts a run
+        starts = np.flatnonzero(fresh)
+        # longest run first, then the earliest: the offset in its column breaks ties
+        score = np.diff(starts, append=ordered.size) * (K + 1) - starts % K
+        best = np.maximum.reduceat(score, np.flatnonzero(starts % K == 0))
+        return ordered[np.arange(n) * K + (-best) % (K + 1)].astype(np.int64)
     tally = np.min_scalar_type(K)
     counts = [
         np.add.reduce((indices == j).view(np.uint8), axis=0, dtype=tally)

@@ -192,3 +192,25 @@ def test_single_prints_the_one_point_sweep_csv(scheme, bound, tmp_path, capsys):
     _, row = printed.splitlines()
     assert row.startswith(f"{scheme},16,")
     assert all(row.split(",")[-2:]) == bound  # bound_mse and n_threshold filled or empty
+
+
+@pytest.mark.parametrize("pure_los", [False, True])
+@pytest.mark.parametrize(
+    "argv, scheme",
+    [
+        (["sweep", "--schemes", "FIXED_PHASE_OPT_PC,INV_PC_IRS"], "FIXED_PHASE_OPT_PC"),
+        (["single", "--n", "8", "--scheme", "INV_PC_IRS"], "INV_PC_IRS"),
+    ],
+)
+def test_degenerate_channel_exits_two(argv, scheme, pure_los, tmp_path, capsys):
+    # rho_r underflows to 0 at this exponent, so every reflected gamma is 0
+    text = TOY + "block_direct = true\npathloss_exponent_reflected = 400\n"
+    cfg = write_config(tmp_path, text + f"pure_los = {pure_los}\n")
+    out = tmp_path / "x.csv"
+    tail = ["--out", str(out)] if argv[0] == "sweep" else []
+    assert main([*argv, "--config", cfg, *tail]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = f"{scheme} at N=8, trial 0: zero effective channel, power control undefined"
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()

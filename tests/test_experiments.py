@@ -1,6 +1,5 @@
 import csv
 import itertools
-import math
 import typing
 from dataclasses import fields, replace
 
@@ -8,13 +7,7 @@ import numpy as np
 import pytest
 
 from irs_aircomp import experiments
-from irs_aircomp.channel import (
-    ChannelRealization,
-    SystemConfig,
-    effective_scalar_channel,
-    line_of_sight,
-    make_geometry,
-)
+from irs_aircomp.channel import SystemConfig, line_of_sight, make_geometry
 from irs_aircomp.experiments import (
     CSV_HEADER,
     ConfigError,
@@ -29,12 +22,7 @@ from irs_aircomp.experiments import (
     write_csv,
 )
 from irs_aircomp.numerics import RngStream
-from irs_aircomp.protocol import (
-    DegenerateChannelError,
-    PhaseShiftVector,
-    channel_inversion_power_control,
-    optimal_power_control,
-)
+from irs_aircomp.protocol import DegenerateChannelError, PhaseShiftVector
 
 
 def small_config(**overrides):
@@ -88,6 +76,19 @@ class TestRunTrial:
         with pytest.raises(ConfigError, match="no direct link for OPT_PC_NO_IRS$"):
             run_trial(cfg, geo, Scheme.OPT_PC_NO_IRS, RngStream(54, 1))
         assert calls == []
+
+    def test_degenerate_block_raises_without_redraw(self, monkeypatch):
+        calls = []
+        original = experiments.sample_channels
+        monkeypatch.setattr(
+            experiments, "sample_channels", lambda *a: calls.append(1) or original(*a)
+        )
+        monkeypatch.setattr(experiments, "_direct_gammas", lambda h: 0.0 * h[:, :, 0])
+        cfg = SystemConfig(M=4, N=16, K=3)
+        geo = make_geometry(cfg, RngStream(55, 0))
+        with pytest.raises(DegenerateChannelError, match="zero effective channel"):
+            run_trial(cfg, geo, Scheme.OPT_PC_NO_IRS, RngStream(55, 1))
+        assert calls == [1]
 
     def test_no_irs_schemes_ignore_reflection(self):
         cfg = SystemConfig(M=4, N=16, K=3)
@@ -330,124 +331,45 @@ class TestRunSweep:
             run_sweep(cfg, schemes)
         assert calls == []
 
-    def test_degenerate_draws_exhaust_redraws(self, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize(
+        "kind, N, message",
+        [
+            (experiments._VOTED, 8, "OPT_PC_IRS at N=8"),
+            (experiments._ZERO, 16, "FIXED_PHASE_OPT_PC at N=16"),
+            (experiments._DIRECT, None, "OPT_PC_NO_IRS at every N"),
+        ],
+    )
+    def test_degenerate_gamma_raises_at_its_trial(self, kind, N, message, monkeypatch):
+        # trial 66, in the second of three power blocks, has a zero gamma for one
+        # kind at one N: the sweep names scheme, N and trial, and draws each trial
+        # of the two blocks it reaches once, with no redraw
+        blocks = []
         original = experiments.sample_channels
         monkeypatch.setattr(
-            experiments, "sample_channels", lambda *a: calls.append(1) or original(*a)
+            experiments, "sample_channels", lambda *a: blocks.append(original(*a)) or blocks[-1]
         )
-        engine_gammas = experiments._direct_gammas
-        monkeypatch.setattr(experiments, "_direct_gammas", lambda h: 0.0 * engine_gammas(h))
-        cfg = small_config()
-        with pytest.raises(DegenerateChannelError, match="OPT_PC_NO_IRS.*100 redraws"):
-            run_sweep(cfg, [Scheme.OPT_PC_IRS, Scheme.OPT_PC_NO_IRS])
-        # every trial of the power block draws its first block before the batched
-        # direct combiner runs; the first trial then draws the other 99 alone
-        assert len(calls) == cfg.trials - 1 + experiments._MAX_REDRAWS
 
-    def test_degenerate_redraws_match_per_scheme_draws(self, monkeypatch):
-        # Declare about half of all draws degenerate, differently for voted and
-        # all-zero phases, and compare with each scheme run alone at each N on a
-        # fresh generator of the trial's stream, redrawing blocks at the largest N
-        # and taking their first N columns until it gets a sound block.
-        def flaky(realization, gammas, voted):
-            row = 0 if voted else 1
-            return 0.0 * gammas if realization.h_direct[row, 0].real < 0 else gammas
+        def sound(h_direct):
+            return len(blocks) <= 66 or not np.array_equal(h_direct, blocks[66].h_direct)
 
         engine_gammas = experiments._kind_gammas
         monkeypatch.setattr(
             experiments,
             "_kind_gammas",
-            lambda kind, real, lt, N: flaky(
-                real, engine_gammas(kind, real, lt, N), kind == experiments._VOTED
+            lambda k, block, lt, n: (
+                engine_gammas(k, block, lt, n) * ((k, n) != (kind, N) or sound(block.h_direct))
             ),
         )
-        cfg = small_config(trials=6)
-        schemes = [Scheme.INV_PC_IRS, Scheme.FIXED_PHASE_OPT_PC, Scheme.OPT_PC_IRS]
-        result = run_sweep(cfg, schemes)
-
-        geo = make_geometry(cfg.system, RngStream(cfg.seed, 0))
-        largest = SystemConfig(M=4, N=cfg.n_sweep[-1], K=3)
-        rejected = 0
-        for N in cfg.n_sweep:
-            system = SystemConfig(M=4, N=N, K=3)
-            lt = compute_long_term(geo, system)
-            for s in schemes:
-                theta = lt.theta_fixed if s is Scheme.FIXED_PHASE_OPT_PC else lt.theta_voted
-                rule = (
-                    channel_inversion_power_control
-                    if s is Scheme.INV_PC_IRS
-                    else optimal_power_control
-                )
-                mses = []
-                for t in range(cfg.trials):
-                    gen = experiments._keyed_generator(cfg.seed, experiments._CHANNEL_KEY, 0, t)
-                    for redraws in itertools.count():
-                        block = experiments.sample_channels(geo, largest, gen)
-                        realization = ChannelRealization(
-                            block.h_direct, block.h_reflect[:, :N], geo
-                        )
-                        gammas = flaky(
-                            realization,
-                            effective_scalar_channel(realization, lt.v, theta),
-                            theta is lt.theta_voted,
-                        )
-                        if np.all(gammas != 0):
-                            break
-                    rejected += redraws
-                    mses.append(rule(gammas, system.Pmax, system.sigma2).mse)
-                (row,) = [r for r in result.rows if (r.scheme, r.N) == (s.value, N)]
-                assert row.mean_mse == math.fsum(mses) / cfg.trials
-        assert rejected > 0
-        assert result.rejected_trials == rejected
-
-    def test_degenerate_direct_redraws_match_per_trial_draws(self, monkeypatch):
-        # Declare a block degenerate for the direct kind when its first direct
-        # coefficient has a negative real part, and compare with each trial run
-        # alone: fresh generator, blocks drawn at the largest N until one is sound,
-        # and the combiner factored on that block by itself.  The voted kind
-        # rejects other blocks, so the direct kind also walks through blocks
-        # that the voted kind drew before it.
-        engine_gammas = experiments._direct_gammas
+        engine_direct = experiments._direct_gammas
         monkeypatch.setattr(
             experiments,
             "_direct_gammas",
-            lambda h: engine_gammas(h) * (h[:, 0, 0].real >= 0)[:, None],
+            lambda h: engine_direct(h)
+            * np.array([kind != experiments._DIRECT or sound(x) for x in h])[:, None],
         )
-        engine_kind_gammas = experiments._kind_gammas
-        monkeypatch.setattr(
-            experiments,
-            "_kind_gammas",
-            lambda kind, real, lt, N: (
-                engine_kind_gammas(kind, real, lt, N) * (real.h_direct[1, 0].real >= 0)
-            ),
-        )
-        cfg = small_config(trials=70)  # two power blocks
-        schemes = [Scheme.OPT_PC_NO_IRS, Scheme.INV_PC_NO_IRS, Scheme.OPT_PC_IRS]
-        result = run_sweep(cfg, schemes)
-
-        geo = make_geometry(cfg.system, RngStream(cfg.seed, 0))
-        largest = SystemConfig(M=4, N=cfg.n_sweep[-1], K=3)
-        rejected, gammas = 0, []
-        for t in range(cfg.trials):
-            gen = experiments._keyed_generator(cfg.seed, experiments._CHANNEL_KEY, 0, t)
-            for redraws in itertools.count():
-                H = experiments.sample_channels(geo, largest, gen).h_direct
-                if H[0, 0].real >= 0:
-                    break
-            rejected += redraws
-            _, vecs = np.linalg.eigh(H.T @ H.conj())
-            gammas.append(H @ vecs[:, -1].conj())
-        for s, rule in zip(schemes, (optimal_power_control, channel_inversion_power_control)):
-            mses = [rule(g, largest.Pmax, largest.sigma2).mse for g in gammas]
-            for N in cfg.n_sweep:
-                (row,) = [r for r in result.rows if (r.scheme, r.N) == (s.value, N)]
-                assert row.mean_mse == math.fsum(mses) / cfg.trials
-        assert rejected > 0
-        # two direct schemes at each N, besides the voted scheme's rejections
-        voted_only = run_sweep(cfg, [Scheme.OPT_PC_IRS]).rejected_trials
-        assert voted_only > 0
-        assert result.rejected_trials == voted_only + 2 * len(cfg.n_sweep) * rejected
+        with pytest.raises(DegenerateChannelError, match=f"^{message}, trial 66: zero effective"):
+            run_sweep(small_config(trials=130), list(Scheme))
+        assert len(blocks) == 128
 
 
 class TestDirectGammas:

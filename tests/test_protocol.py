@@ -1,3 +1,4 @@
+import collections
 import math
 import warnings
 
@@ -423,14 +424,28 @@ class TestCountVote:
         counts = np.bincount((indices + levels * np.arange(n)).ravel(), minlength=levels * n)
         return counts.reshape(n, levels).argmax(axis=1)
 
-    @pytest.mark.parametrize("levels", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4, 8, 16, 17, 64])
     @pytest.mark.parametrize("K", [1, 2, 4, 6, 300])
     def test_matches_bincount_vote_with_ties(self, levels, K):
-        # few devices and levels make many exact ties, 300 devices a wider tally
+        # few devices and levels make many exact ties, 300 devices a wider tally;
+        # 17 and 64 levels are above the cap, where the sort vote runs
         indices = np.random.default_rng(K * 10 + levels).integers(0, levels, (K, 4000))
         vote = vote_indices(indices, levels)
         assert vote.dtype == np.int64
         np.testing.assert_array_equal(vote, self.bincount_vote(indices, levels))
+
+    @pytest.mark.parametrize("K", [1, 3, 20])
+    def test_million_levels_match_a_counter_vote(self, K):
+        # a few large levels per column make pluralities and ties far from 0
+        gen = np.random.default_rng(K)
+        pool = gen.integers(0, 10**6, 6)
+        indices = pool[gen.integers(0, 6, (K, 2000))]
+        indices[:, :1000] = gen.integers(0, 10**6, (K, 1000))  # mostly one vote per level
+        want = []
+        for column in indices.T.tolist():
+            counts = collections.Counter(column)
+            want.append(min(counts, key=lambda level: (-counts[level], level)))
+        np.testing.assert_array_equal(vote_indices(indices, 10**6), want)
 
 
 class TestPhasors:
