@@ -3,20 +3,26 @@
 
     python scripts/bench_layers.py --out BENCH_9.json
     python scripts/bench_layers.py --baseline ../parent/src --out BENCH_9.json
+    python scripts/bench_layers.py --baseline ../parent/src --long --repeats 5 --out BENCH_14.json
 
 Times each layer of the long-term and per-block stages on its own:
 ``make_geometry``, ``compute_long_term`` and its two kernels
 (``phase_index_rows``, ``vote_indices``), ``sample_channels``,
-``effective_scalar_channel``, the dominant-direct combiner on a block of
-64 trials, and single-row and 64-row power control.  Channel-side
-layers run at the default scenario (K = 20, M = 10, L = 2) with N in
-{64, 512, 4096}; power control runs at K in {20, 1000}.  One layer
-times the whole engine through the public API: ``run_sweep`` over 64
-trials (one power block) of the default scenario, geometry fixed, every
-scheme.  Each layer is
-timed in ``--repeats`` repeats (at least 5) of a batch of calls that
-fills about 20 ms, the same batch on every side, and the median, first
-and third quartile of the per-call time are recorded in microseconds.
+``effective_scalar_channel``, the engine's per-trial draw
+(``_effective_block``, direct links and two normals per device for each
+of the 4 segments of the default sweep), the dominant-direct combiner on
+a block of 64 trials, and single-row and 64-row power control.
+Channel-side layers run at the default scenario (K = 20, M = 10, L = 2)
+with N in {64, 512, 4096}; power control runs at K in {20, 1000}.  One
+layer times the whole engine through the public API: ``run_sweep`` over
+64 trials (one power block) of the default scenario, geometry fixed,
+every scheme.  ``--long`` adds two 10 000-trial ``run_sweep`` layers of
+the default scenario and sweep, geometry fixed and redrawn.  A layer
+that a side's source does not have is recorded for the other sides
+only.  Each layer is timed in ``--repeats`` repeats (at least 5) of a
+batch of calls that fills about 20 ms, the same batch on every side,
+and the median, first and third quartile of the per-call time are
+recorded in microseconds.
 
 ``--src`` (default: this checkout's ``src``) is recorded as ``change``.
 ``--baseline`` loads a second source tree, such as a parent commit's,
@@ -61,11 +67,11 @@ def load_package(src: Path, name: str):
     return package
 
 
-def layers(pkg):
-    """(name, zero-argument callable) for every timed layer of package ``pkg``.
+def layers(pkg, long: bool):
+    """(name, zero-argument callable or None) for every timed layer of package ``pkg``.
 
     The callables read the loop's current variables, so each is timed
-    before the next one is made.
+    before the next one is made.  None marks a layer ``pkg`` lacks.
     """
     channel, experiments, protocol = pkg.channel, pkg.experiments, pkg.protocol
     RngStream = pkg.numerics.RngStream
@@ -93,6 +99,11 @@ def layers(pkg):
         yield f"channel.effective_scalar_channel[N={N}]", (
             lambda: channel.effective_scalar_channel(block, state.v, state.theta_voted)
         )
+    draw = getattr(channel, "_effective_block", None)
+    segments = len(experiments.ExperimentConfig().n_sweep)
+    yield f"channel._effective_block[P={segments}]", (
+        None if draw is None else lambda: draw(geometry, base, gen, segments)
+    )
     gen = np.random.default_rng(2)
     direct = (gen.standard_normal((64, 20, 10)) + 1j * gen.standard_normal((64, 20, 10))) / 2**0.5
     yield "experiments._direct_gammas[B=64,K=20]", lambda: experiments._direct_gammas(direct)
@@ -111,6 +122,14 @@ def layers(pkg):
     sweep = experiments.ExperimentConfig(system=base, trials=64, seed=1)
     schemes = list(experiments.Scheme)
     yield "experiments.run_sweep[T=64]", lambda: experiments.run_sweep(sweep, schemes)
+    if long:
+        for label, redraw in (("", False), (",redraw", True)):
+            sweep = experiments.ExperimentConfig(
+                system=base, trials=10_000, seed=1, redraw_geometry_per_trial=redraw
+            )
+            yield f"experiments.run_sweep[T=10000{label}]", (
+                lambda: experiments.run_sweep(sweep, schemes)
+            )
 
 
 def batch_us(fn, calls: int) -> float:
@@ -156,6 +175,8 @@ def main() -> int:
     parser.add_argument("--baseline", type=Path, help="source directory of the parent, if any")
     parser.add_argument("--out", type=Path, default=Path("BENCH.json"))
     parser.add_argument("--repeats", type=int, default=11)
+    parser.add_argument("--long", action="store_true",
+                        help="add 10 000-trial run_sweep layers (minutes per side)")
     args = parser.parse_args()
     if args.repeats < 5:
         parser.error("--repeats must be at least 5")
@@ -165,16 +186,16 @@ def main() -> int:
         sides["parent"] = args.baseline
     packages = {label: load_package(src, f"irs_aircomp_{label}") for label, src in sides.items()}
     timings: dict[str, dict] = {label: {} for label in sides}
-    for per_side in zip(*(layers(pkg) for pkg in packages.values())):
+    for per_side in zip(*(layers(pkg, args.long) for pkg in packages.values())):
         name = per_side[0][0]
-        fns = dict(zip(sides, (fn for _, fn in per_side)))
+        fns = {label: fn for label, (_, fn) in zip(sides, per_side) if fn is not None}
         calls = max(calls_per_batch(fn) for fn in fns.values())  # the same batch on every side
-        samples: dict[str, list[float]] = {label: [] for label in sides}
+        samples: dict[str, list[float]] = {label: [] for label in fns}
         for rep in range(args.repeats):
-            for label in (list(sides) if rep % 2 == 0 else list(sides)[::-1]):
+            for label in (list(fns) if rep % 2 == 0 else list(fns)[::-1]):
                 samples[label].append(batch_us(fns[label], calls))
         line = f"{name:48s}"
-        for label in sides:
+        for label in fns:
             timings[label][name] = summary(samples[label], calls)
             line += f" {label} {timings[label][name]['median_us']:10.1f} us"
         print(line, flush=True)

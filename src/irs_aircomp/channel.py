@@ -288,14 +288,11 @@ def sample_channels(
     link (rho_d = 0) shows.
     """
     gen = as_generator(stream)
-    K, M, N = config.K, config.M, config.N
+    K, N = config.K, config.N
     if los is None:
         los = line_of_sight(geometry, config)
 
-    h_direct = np.empty((K, M), dtype=complex)
-    for plane in (h_direct.real, h_direct.imag):
-        np.multiply(gen.standard_normal((K, M)), _INV_SQRT2, out=plane)
-    np.multiply(np.sqrt(geometry.rho_d)[:, None], h_direct, out=h_direct)
+    h_direct = _direct_links(geometry, config, gen)
     if config.pure_los:
         return ChannelRealization(h_direct=h_direct, h_reflect=los, geometry=geometry)
 
@@ -307,6 +304,41 @@ def sample_channels(
     parts *= np.repeat(nlos_amp, 2)
     scattered += los.T
     return ChannelRealization(h_direct=h_direct, h_reflect=scattered.T, geometry=geometry)
+
+
+def _direct_links(geometry: Geometry, config: SystemConfig, gen: np.random.Generator) -> np.ndarray:
+    """The (K, M) direct links of one block: a real plane, then an imaginary plane, of normals."""
+    h_direct = np.empty((config.K, config.M), dtype=complex)
+    for plane in (h_direct.real, h_direct.imag):
+        np.multiply(gen.standard_normal((config.K, config.M)), _INV_SQRT2, out=plane)
+    np.multiply(np.sqrt(geometry.rho_d)[:, None], h_direct, out=h_direct)
+    return h_direct
+
+
+def _effective_block(
+    geometry: Geometry, config: SystemConfig, gen: np.random.Generator, segments: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """One block's draws for the effective channels: (h_direct, w).
+
+    ``h_direct`` is the (K, M) direct links, bit for bit those of
+    :func:`sample_channels` from the same generator state.  ``w`` is
+    (segments, 2, K) i.i.d. CN(0, 1) normals, two per device and
+    segment, from which the caller builds the scattered part of each
+    segment's projections; with ``pure_los`` there is no scattered part
+    and ``w`` is None.  Draw order: the direct planes, then segment by
+    segment, the first normal of every device before the second, each
+    value's real part before its imaginary part.  Segment j's normals
+    therefore sit at the same place in the stream whatever segments
+    follow it.
+    """
+    h_direct = _direct_links(geometry, config, gen)
+    if config.pure_los:
+        return h_direct, None
+    w = np.empty((segments, 2, config.K), dtype=complex)
+    parts = w.view(float)
+    gen.standard_normal(out=parts)
+    parts *= _INV_SQRT2
+    return h_direct, w
 
 
 def effective_scalar_channel(realization: ChannelRealization, v: np.ndarray, theta) -> np.ndarray:

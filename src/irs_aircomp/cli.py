@@ -109,8 +109,10 @@ def _cmd_single(args) -> int:
     schemes = _parse_schemes(args.scheme)
     if len(schemes) != 1:
         raise ConfigError("single takes exactly one scheme")
-    single = replace(config, n_sweep=(args.n,))
-    write_rows(run_sweep(single, schemes), sys.stdout)
+    # the row at N depends on the sweep's element counts below N, not above it
+    below = tuple(n for n in config.n_sweep if n < args.n)
+    result = run_sweep(replace(config, n_sweep=(*below, args.n)), schemes)
+    write_rows(replace(result, rows=[r for r in result.rows if r.N == args.n]), sys.stdout)
     return 0
 
 

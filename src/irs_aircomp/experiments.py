@@ -2,22 +2,29 @@
 
 Long-term quantities (beamformer, voted phases, line of sight) are
 computed once per geometry, at the largest N of the sweep, and every N
-takes their first N elements; channels are redrawn per trial.  Streams
-are counter-based and keyed by coordinate: a trial's channel block by
-(master seed, trial), a redrawn geometry by (master seed, trial), so
-runs are a pure function of the configuration and seed, and a
-sub-sweep, a ``single`` point or a longer run reproduces the draws of
-the run it overlaps.  The engine is trial-major: each trial draws one
-channel block at the largest N, every N evaluates its first N columns
-(a smaller surface is a sub-array of a larger one), every scheme
-evaluates that same block (schemes of one kind share its effective
-channels), and power control runs on blocks of trials at once.  The
-direct-link schemes do not see the IRS, so their combiner, one batched
-``eigh`` per block of trials, and their power control run once per
-trial and serve every N.  A degenerate channel block, one with some
-effective channel gamma_k = 0, leaves power control undefined: it raises
-:class:`~irs_aircomp.protocol.DegenerateChannelError` naming the
-scheme, the N and the first trial that hit it.
+takes their first N elements; channels are redrawn per trial.  With v
+and Theta fixed, power control needs only the effective scalar channels
+gamma_k, so a trial draws those, exact in law, instead of the N-element
+channels: the (K, M) direct links, then two complex normals per device
+for each segment [N_{j-1}, N_j) of the sweep's element counts, which
+give the segment's scattered projections on the voted and the all-zero
+phase rows (:func:`_kind_terms`).  gamma at N_i sums the segments up to
+i, so differences along N are paired, as for a sub-array of a larger
+surface.  Streams are counter-based and keyed by coordinate: a trial's
+channel draws by (master seed, trial), a redrawn geometry by (master
+seed, trial), so runs are a pure function of the configuration and
+seed.  A segment's normals sit at the same place in the trial's stream
+whatever segments follow it, so a sweep whose element counts are a
+prefix of another's, a ``single`` point (it runs the counts below its N
+too) or a longer run reproduces the values of the run it overlaps.  The
+engine is trial-major: every scheme evaluates the trial's one draw
+(schemes of one kind share its effective channels), and power control
+runs on blocks of trials at once.  The direct-link schemes do not see
+the IRS, so their combiner, one batched ``eigh`` per block of trials,
+and their power control run once per trial and serve every N.  A
+degenerate draw, one with some |gamma_k|^2 = 0, leaves power control
+undefined: it raises :class:`~irs_aircomp.protocol.DegenerateChannelError`
+naming the scheme, the N and the first trial that hit it.
 """
 
 from __future__ import annotations
@@ -35,11 +42,10 @@ from .analysis import AsymptoticParams, mse_upper_bound, n_threshold
 from .channel import (
     Geometry,
     SystemConfig,
+    _effective_block,
     _reflection_factors,
-    _scalar_channels,
     line_of_sight,
     make_geometry,
-    sample_channels,
 )
 from .numerics import RngStream, as_generator
 from .protocol import (
@@ -126,10 +132,9 @@ class LongTermState:
 
     ``voted_reflection`` and ``zero_reflection`` are the block-independent
     (gain, row) factors of the effective channel under each phase
-    configuration, built on first use and shared by every block drawn on
-    this geometry.  The engine holds one state per geometry, at the
-    largest N of the sweep, and each N slices its first N elements where
-    they are used.
+    configuration, built on first use.  The engine holds one state per
+    geometry, at the largest N of the sweep, and each N slices its first
+    N elements where they are used.
     """
 
     v: np.ndarray
@@ -211,37 +216,81 @@ def _direct_gammas(h_direct: np.ndarray) -> np.ndarray:
 # is this many rows of K per N and scheme kind, whatever the trial count.
 _POWER_BLOCK = 64
 
+_IRS_KINDS = (_VOTED, _ZERO)
 
-def _kind_gammas(kind: str, block, long_term: LongTermState, N: int) -> np.ndarray:
-    """Scalar channels of the voted or all-zero phases at N, from the block's first N columns."""
-    gain, row = long_term.voted_reflection if kind == _VOTED else long_term.zero_reflection
-    return _scalar_channels(block.h_direct, block.h_reflect[:, :N], long_term.v, gain, row[:N])
+
+def _kind_terms(config: SystemConfig, long_term: LongTermState, los: np.ndarray, sizes):
+    """A geometry's block-independent terms of the voted and zero gammas at every N of ``sizes``.
+
+    Returns (conj(v), gains (2,), line of sight (2, P, K), coefficients
+    (2, P, 2, K) or None under ``pure_los``), kinds in the order of
+    ``_IRS_KINDS``, one N or one segment per P.  The line of sight at N
+    is ``los[:, :N] @ row[:N]``.  Segment j holds the elements
+    [N_{j-1}, N_j) of ``sizes``, of length L_j; c_j is the sum of its
+    voted phasors and a_k = sqrt(rho_r,k / (delta + 1)) device k's
+    scattered amplitude.  A block's two CN(0, 1) normals w1, w2 of device
+    k and segment j, times the coefficients, give the segment's
+    scattered projections on the voted and the zero rows: X = a_k
+    sqrt(L_j) w1 and Y = a_k (conj(c_j)/sqrt(L_j) w1 + sqrt(L_j -
+    |c_j|^2/L_j) w2).  These are jointly Gaussian with E|X|^2 = E|Y|^2 =
+    a_k^2 L_j and E[X conj(Y)] = a_k^2 c_j: the law of the projections of
+    the segment's i.i.d. CN(0, a_k^2) scattered elements, as every row
+    element is unit-modulus and row_voted conj(row_zero) is the voted
+    phasor.  Segments and devices are independent, as the elements are.
+    """
+    reflections = (long_term.voted_reflection, long_term.zero_reflection)
+    gains = np.array([gain for gain, _ in reflections])
+    line = np.array([[los[:, :N] @ row[:N] for N in sizes] for _, row in reflections])
+    if config.pure_los:
+        return long_term.v.conj(), gains, line, None
+    edges = (0, *sizes)
+    lengths = np.diff(edges)
+    c = np.add.reduceat(long_term.theta_voted.phasors, edges[:-1])
+    root = np.sqrt(lengths)
+    per_segment = np.zeros((2, len(sizes), 2), dtype=complex)  # kind, segment, normal
+    per_segment[0, :, 0] = root
+    per_segment[1, :, 0] = c.conj() / root
+    per_segment[1, :, 1] = np.sqrt(np.maximum(0.0, lengths - np.abs(c) ** 2 / lengths))
+    a = np.sqrt(long_term.geometry.rho_r / (config.rician_delta + 1.0))
+    return long_term.v.conj(), gains, line, per_segment[..., None] * a
 
 
 def _block_gammas(config: SystemConfig, trials, schemes: list[Scheme], sizes: tuple[int, ...]):
-    """Effective channels per kind of a block of trials, one channel block drawn per trial.
+    """Effective channels per kind of a block of trials, one draw per trial.
 
-    ``trials`` yields (geometry, long_term, los, generator) per trial;
-    ``config``, ``long_term`` and ``los`` are at the largest N.  Each N
-    takes the first N elements of the reflection rows and the first N
-    columns of the block; every element of these depends on its index
-    alone, so the slices equal, bit for bit, what
-    :func:`compute_long_term` and :func:`sample_channels` give at N.
-    The voted and zero kinds come out (P, B, K), one row per N of
-    ``sizes``.  The direct kind does not see the IRS: one batched
-    combiner gives it (1, B, K), one row that serves every N.
+    ``trials`` yields (geometry, terms, generator) per trial, ``terms``
+    from :func:`_kind_terms` at ``sizes``.  Each trial makes one
+    :func:`~irs_aircomp.channel._effective_block` draw: its direct links
+    and two normals per device and segment.  The voted and zero gammas
+    at N_i are v^H h_d + gain (line of sight at N_i + the sum of the
+    scattered projections of the segments up to i), each (P, B, K), one
+    row per N of ``sizes``; under ``pure_los`` they are v^H h_d + gain
+    (line of sight at N_i), bit for bit the vector channel's
+    :func:`~irs_aircomp.channel.effective_scalar_channel` at N.  The
+    direct kind does not see the IRS: one batched combiner gives it
+    (1, B, K), one row that serves every N.
     """
     kinds = dict.fromkeys(s.kind for s in schemes)
-    rows = {kind: [] for kind in kinds if kind != _DIRECT}
-    direct = []
-    for geometry, long_term, los, gen in trials:
-        block = sample_channels(geometry, config, gen, los)
-        for kind, kind_rows in rows.items():
-            kind_rows.append([_kind_gammas(kind, block, long_term, N) for N in sizes])
-        direct.append(block.h_direct)
-    out = {kind: np.stack(kind_rows, axis=1) for kind, kind_rows in rows.items()}
+    terms, direct, normals = [], [], []
+    for geometry, geometry_terms, gen in trials:
+        h_direct, w = _effective_block(geometry, config, gen, len(sizes))
+        terms.append(geometry_terms)
+        direct.append(h_direct)
+        normals.append(w)
+    h_direct = np.stack(direct)
+    out = {}
     if _DIRECT in kinds:
-        out[_DIRECT] = _direct_gammas(np.stack(direct))[None]
+        out[_DIRECT] = _direct_gammas(h_direct)[None]
+    if not kinds.keys() - {_DIRECT}:
+        return out
+    conj_v, gains, line, coef = zip(*terms)
+    reflected = np.stack(line)  # (B, 2, P, K)
+    if not config.pure_los:
+        scattered = (np.stack(coef) * np.stack(normals)[:, None]).sum(axis=3)
+        reflected = reflected + np.cumsum(scattered, axis=2)
+    combined = np.matmul(h_direct, np.stack(conj_v)[:, :, None])[:, None, None, :, 0]
+    gammas = (combined + np.stack(gains)[:, :, None, None] * reflected).transpose(1, 2, 0, 3)
+    out.update((kind, gammas[i]) for i, kind in enumerate(_IRS_KINDS) if kind in kinds)
     return out
 
 
@@ -261,16 +310,18 @@ def run_trial(
 ) -> tuple[float, int]:
     """One coherence block under one scheme: (mse, critical_number).
 
-    The same evaluation as one scheme of one :func:`run_sweep` trial:
-    one channel block drawn from ``stream``.  A block with some
-    gamma_k = 0 raises :class:`~irs_aircomp.protocol.DegenerateChannelError`.
+    The same evaluation as one scheme of one trial of a :func:`run_sweep`
+    whose only element count is ``config.N``: one draw from ``stream``,
+    with one segment of N elements.  A draw with some |gamma_k|^2 = 0
+    raises :class:`~irs_aircomp.protocol.DegenerateChannelError`.
     """
     scheme = Scheme(scheme)
     _reject_blocked(config, [scheme])
     if long_term is None:
         long_term = compute_long_term(geometry, config)
-    trial = (geometry, long_term, None, as_generator(stream))
-    gammas = _block_gammas(config, [trial], [scheme], sizes=(config.N,))
+    sizes = (config.N,)
+    terms = _kind_terms(config, long_term, line_of_sight(geometry, config), sizes)
+    gammas = _block_gammas(config, [(geometry, terms, as_generator(stream))], [scheme], sizes)
     _, _, kt, mse = power_control_rows(
         gammas[scheme.kind][0], config.Pmax, config.sigma2, inversion=scheme.inversion
     )
@@ -279,9 +330,8 @@ def run_trial(
 
 # Stream keys are (kind, N, trial).  Both the geometry and the channel
 # stream are keyed by the trial alone (N = 0): every N of a trial sees
-# the same geometry and the same channel block, of which it takes the
-# first N columns, and no draw depends on the other N values of the
-# sweep or on the number of trials.
+# the same geometry and the same channel draw, of which it sums the
+# segments up to N, and no draw depends on the number of trials.
 _GEOMETRY_KEY, _CHANNEL_KEY = 0, 1
 
 
@@ -334,16 +384,20 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     variables per geometry, channels per trial.  With
     ``redraw_geometry_per_trial`` each trial draws its own geometry,
     shared by every N, for studies whose randomness lives in the static
-    angles.  Each trial draws one channel block, at the largest N, that
-    every scheme evaluates and of which every N takes the first N
-    columns, as a smaller surface is a sub-array of a larger one.  The
+    angles.  Each trial makes one draw that every scheme evaluates: its
+    direct links and, per segment between consecutive element counts,
+    two normals per device, from which the effective channels at N_i sum
+    the segments up to i (see :func:`_kind_terms`).  The rows at N_i
+    therefore depend on the element counts up to N_i and not on those
+    above it.  Under ``pure_los`` nothing is drawn for the IRS links and
+    the gammas are those of the vector channel, bit for bit.  The
     direct-link schemes do not see the IRS: their combiner, gammas and
     power control run once per trial, so their rows are the same at
-    every N.  The long-term state and line of sight of a geometry are
-    built once, at the largest N, and every N slices them where it uses
-    them.  A block with some gamma_k = 0 raises ``DegenerateChannelError``
-    naming the scheme, the N ("every N" for the direct-link schemes) and
-    the first such trial.
+    every N.  The long-term state, line of sight and segment terms of a
+    geometry are built once, at the largest N, and every N slices them
+    where it uses them.  A draw with some |gamma_k|^2 = 0 raises
+    ``DegenerateChannelError`` naming the scheme, the N ("every N" for
+    the direct-link schemes) and the first such trial.
     """
     schemes = [Scheme(s) for s in schemes]
     if not schemes:
@@ -359,8 +413,7 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     def long_term(geometry: Geometry):
         state = compute_long_term(geometry, largest)
         los = line_of_sight(geometry, largest)
-        los.setflags(write=False)  # shared by every block's h_reflect under pure_los
-        return geometry, state, los
+        return geometry, _kind_terms(largest, state, los, config.n_sweep)
 
     reference = make_geometry(system, RngStream(config.seed, 0))
     fixed = None if config.redraw_geometry_per_trial else long_term(reference)
@@ -390,7 +443,7 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
                     )
                 except DegenerateChannelError as exc:
                     where = "every N" if s.kind == _DIRECT else f"N={config.n_sweep[p]}"
-                    first = start + np.flatnonzero((np.abs(gammas) == 0.0).any(axis=1))[0]
+                    first = start + np.flatnonzero((np.abs(gammas) ** 2 == 0.0).any(axis=1))[0]
                     raise DegenerateChannelError(
                         f"{s.value} at {where}, trial {first}: {exc}"
                     ) from exc

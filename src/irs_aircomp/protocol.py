@@ -341,7 +341,11 @@ def majority_vote(per_device, levels: int | None = None) -> PhaseShiftVector:
 
 
 def _gamma_magnitudes(gammas, ndim: int = 1) -> np.ndarray:
-    """|gammas|, checked: finite, nonzero, and with every |gamma|^2 neither 0 nor inf."""
+    """|gammas|, checked: finite, and with every |gamma|^2 neither 0 nor inf.
+
+    A |gamma|^2 of 0, from a zero gamma or one whose square underflows,
+    leaves power control undefined: :class:`DegenerateChannelError`.
+    """
     g = np.abs(np.asarray(gammas, dtype=complex))
     if g.ndim != ndim or g.shape[-1] < 1:
         raise ValueError(f"gammas must be a non-empty {ndim}-D array")
@@ -351,7 +355,12 @@ def _gamma_magnitudes(gammas, ndim: int = 1) -> np.ndarray:
     if smallest == 0.0:
         raise DegenerateChannelError("zero effective channel, power control undefined")
     # a correctly rounded square is monotone, so the extremes decide for all
-    if not (smallest * smallest > 0.0 and largest * largest < math.inf):
+    if smallest * smallest == 0.0:
+        raise DegenerateChannelError(
+            f"|gamma|^2 underflows the float64 dynamic range: |gamma| = {smallest:.3g} "
+            "squares to 0, power control undefined"
+        )
+    if not largest * largest < math.inf:
         raise ValueError(
             f"|gamma|^2 leaves the float64 dynamic range: |gamma| spans "
             f"[{smallest:.3g}, {largest:.3g}], squared "

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import pytest
 
@@ -213,4 +214,22 @@ def test_degenerate_channel_exits_two(argv, scheme, pure_los, tmp_path, capsys):
     assert captured.out == ""
     message = f"{scheme} at N=8, trial 0: zero effective channel, power control undefined"
     assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("pure_los", [False, True])
+def test_underflowing_gamma_exits_two(pure_los, tmp_path, capsys):
+    # rho_r is about 1e-233 at this exponent: every gamma is nonzero, but its
+    # square underflows to 0, which leaves power control as undefined as a zero
+    text = TOY + "block_direct = true\npathloss_exponent_reflected = 100\n"
+    cfg = write_config(tmp_path, text + f"pure_los = {pure_los}\n")
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", cfg, "--schemes", "OPT_PC_IRS", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(
+        r"error: OPT_PC_IRS at N=8, trial 0: \|gamma\|\^2 underflows the float64 dynamic "
+        r"range: \|gamma\| = \S+ squares to 0, power control undefined\n",
+        captured.err,
+    )
     assert not out.exists()

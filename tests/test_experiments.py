@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from irs_aircomp import experiments
-from irs_aircomp.channel import SystemConfig, line_of_sight, make_geometry
+from irs_aircomp.channel import SystemConfig, _effective_block, line_of_sight, make_geometry
 from irs_aircomp.experiments import (
     CSV_HEADER,
     ConfigError,
@@ -34,15 +34,17 @@ def small_config(**overrides):
 
 class TestRunTrial:
     def test_inversion_matches_closed_form_exactly(self):
-        from irs_aircomp.channel import effective_scalar_channel, sample_channels
-
+        # one segment of 16 elements: gamma = v^H h_d + gain (los . row + a sqrt(16) w1)
         cfg = SystemConfig(M=4, N=16, K=3)
         geo = make_geometry(cfg, RngStream(50, 0))
         lt = compute_long_term(geo, cfg)
         stream = RngStream(50, 1)
         mse, kt = run_trial(cfg, geo, Scheme.INV_PC_IRS, stream, lt)
-        real = sample_channels(geo, cfg, stream)
-        gam = effective_scalar_channel(real, lt.v, lt.theta_voted)
+        h_direct, w = _effective_block(geo, cfg, stream.generator(), 1)
+        gain, row = lt.voted_reflection
+        a = np.sqrt(geo.rho_r / (cfg.rician_delta + 1.0))
+        scattered = (4.0 * a) * w[0, 0]
+        gam = h_direct @ lt.v.conj() + gain * (line_of_sight(geo, cfg) @ row + scattered)
         assert mse == cfg.sigma2 / (cfg.Pmax * float(np.min(np.abs(gam) ** 2)))
         assert kt == 1
 
@@ -70,7 +72,7 @@ class TestRunTrial:
 
     def test_blocked_direct_links_rejected_up_front(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(experiments, "sample_channels", lambda *a: calls.append(1))
+        monkeypatch.setattr(experiments, "_effective_block", lambda *a: calls.append(1))
         cfg = SystemConfig(M=4, N=16, K=3, block_direct=True)
         geo = make_geometry(cfg, RngStream(54, 0))
         with pytest.raises(ConfigError, match="no direct link for OPT_PC_NO_IRS$"):
@@ -79,9 +81,9 @@ class TestRunTrial:
 
     def test_degenerate_block_raises_without_redraw(self, monkeypatch):
         calls = []
-        original = experiments.sample_channels
+        original = experiments._effective_block
         monkeypatch.setattr(
-            experiments, "sample_channels", lambda *a: calls.append(1) or original(*a)
+            experiments, "_effective_block", lambda *a: calls.append(1) or original(*a)
         )
         monkeypatch.setattr(experiments, "_direct_gammas", lambda h: 0.0 * h[:, :, 0])
         cfg = SystemConfig(M=4, N=16, K=3)
@@ -176,17 +178,21 @@ class TestKeyedStreams:
 
     @pytest.mark.parametrize("redraw", [False, True])
     def test_sub_sweep_rows_equal_full_sweep_rows(self, redraw):
+        # a prefix of the element counts reproduces its rows; another subset
+        # reproduces the rows up to its first gap and the direct-link rows
         system = SystemConfig(M=4, K=3)
-        full = run_sweep(
-            small_config(system=system, n_sweep=(64, 128, 256, 512),
-                         redraw_geometry_per_trial=redraw),
-            list(Scheme),
-        )
-        sub = run_sweep(
-            small_config(system=system, n_sweep=(64, 256), redraw_geometry_per_trial=redraw),
-            list(Scheme),
-        )
-        assert sub.rows == [r for r in full.rows if r.N in (64, 256)]
+
+        def rows(n_sweep):
+            config = small_config(system=system, n_sweep=n_sweep, redraw_geometry_per_trial=redraw)
+            return run_sweep(config, list(Scheme)).rows
+
+        full = rows((64, 128, 256, 512))
+        assert rows((64, 128, 256)) == [r for r in full if r.N in (64, 128, 256)]
+        gap = rows((64, 256))
+        direct = ("OPT_PC_NO_IRS", "INV_PC_NO_IRS")
+        kept = [r for r in gap if r.N == 64 or r.scheme in direct]
+        assert kept == [r for r in full if r.N == 64 or (r.N == 256 and r.scheme in direct)]
+        assert all(r not in full for r in gap if r not in kept)
 
     @pytest.mark.parametrize("redraw", [False, True])
     def test_longer_run_extends_per_trial_values(self, redraw, monkeypatch):
@@ -312,19 +318,19 @@ class TestRunSweep:
             assert alone.rows == [r for r in together.rows if r.scheme == s.value]
 
     def test_run_trial_is_single_trial_sweep(self):
-        # the sweep draws at N = 16 and slices N = 8; run_trial draws at each N
-        cfg = small_config(n_sweep=(8, 16), trials=1)
-        geo = make_geometry(cfg.system, RngStream(cfg.seed, 0))
-        for s in Scheme:
-            rows = run_sweep(cfg, [s]).rows
-            for N, row in zip(cfg.n_sweep, rows):
+        # run_trial draws one segment at its N, as a one-N sweep does
+        geo = make_geometry(small_config().system, RngStream(small_config().seed, 0))
+        for N in (8, 16):
+            cfg = small_config(n_sweep=(N,), trials=1)
+            for s in Scheme:
+                (row,) = run_sweep(cfg, [s]).rows
                 gen = experiments._keyed_generator(cfg.seed, experiments._CHANNEL_KEY, 0, 0)
                 mse, kt = run_trial(SystemConfig(M=4, N=N, K=3), geo, s, gen)
                 assert (row.N, row.mean_mse, row.mean_ktilde) == (N, mse, kt)
 
     def test_blocked_direct_links_rejected_up_front(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(experiments, "sample_channels", lambda *a: calls.append(1))
+        monkeypatch.setattr(experiments, "_effective_block", lambda *a: calls.append(1))
         cfg = small_config(system=SystemConfig(M=4, N=16, K=3, block_direct=True))
         schemes = [Scheme.INV_PC_NO_IRS, Scheme.OPT_PC_IRS, Scheme.OPT_PC_NO_IRS]
         with pytest.raises(ConfigError, match="no direct link for INV_PC_NO_IRS, OPT_PC_NO_IRS$"):
@@ -343,33 +349,25 @@ class TestRunSweep:
         # trial 66, in the second of three power blocks, has a zero gamma for one
         # kind at one N: the sweep names scheme, N and trial, and draws each trial
         # of the two blocks it reaches once, with no redraw
-        blocks = []
-        original = experiments.sample_channels
+        draws = []
+        original = experiments._effective_block
         monkeypatch.setattr(
-            experiments, "sample_channels", lambda *a: blocks.append(original(*a)) or blocks[-1]
+            experiments, "_effective_block", lambda *a: draws.append(1) or original(*a)
         )
+        engine_gammas = experiments._block_gammas
+        sizes = small_config().n_sweep
 
-        def sound(h_direct):
-            return len(blocks) <= 66 or not np.array_equal(h_direct, blocks[66].h_direct)
+        def zero_trial_66(*args):
+            gammas = engine_gammas(*args)
+            start = len(draws) - gammas[kind].shape[1]  # the block's first trial
+            if start <= 66 < len(draws):
+                gammas[kind][0 if N is None else sizes.index(N), 66 - start, 1] = 0.0
+            return gammas
 
-        engine_gammas = experiments._kind_gammas
-        monkeypatch.setattr(
-            experiments,
-            "_kind_gammas",
-            lambda k, block, lt, n: (
-                engine_gammas(k, block, lt, n) * ((k, n) != (kind, N) or sound(block.h_direct))
-            ),
-        )
-        engine_direct = experiments._direct_gammas
-        monkeypatch.setattr(
-            experiments,
-            "_direct_gammas",
-            lambda h: engine_direct(h)
-            * np.array([kind != experiments._DIRECT or sound(x) for x in h])[:, None],
-        )
+        monkeypatch.setattr(experiments, "_block_gammas", zero_trial_66)
         with pytest.raises(DegenerateChannelError, match=f"^{message}, trial 66: zero effective"):
             run_sweep(small_config(trials=130), list(Scheme))
-        assert len(blocks) == 128
+        assert len(draws) == 128
 
 
 class TestDirectGammas:

@@ -2,7 +2,7 @@
 
 Every earlier engine change (trial-major draws, the batched vote, the
 real-arithmetic kernels, the prefix slicing) reproduced the files of the
-engine before it exactly.  Two changes altered the streams on purpose:
+engine before it exactly.  Three changes altered the streams on purpose:
 
 - the coordinate-keyed engine (channel streams keyed by (N, trial),
   redraw-mode geometry streams by the trial alone) regenerated all six
@@ -16,7 +16,17 @@ engine before it exactly.  Two changes altered the streams on purpose:
   ``golden_levels4.csv``.  The scaling case is pure line of sight with
   blocked direct links, so it has no scattered draw and its direct
   links are signed zeros, which vanish in every gamma: the new draws
-  reproduce it exactly.
+  reproduce it exactly;
+- the effective-channel engine (each trial draws, after its direct
+  links, two complex normals per device and segment between the sweep's
+  element counts, in place of the (K, N) scattered block) regenerated
+  the four cases with a scattered part: ``golden_default_fixed.csv``,
+  ``golden_default_redraw.csv``, ``golden_block_direct_irs_only.csv``
+  and ``golden_levels4.csv``.  Their ``*_NO_IRS`` rows, which read the
+  direct links alone, are byte-identical to the files before.  The two
+  pure line-of-sight cases draw nothing after the direct links and
+  compute each gamma as before, so ``golden_pure_los.csv`` and
+  ``golden_scaling_los.csv`` are unchanged.
 
 Any change that keeps the random streams must reproduce them exactly; a
 change that alters the streams on purpose regenerates the cases it
