@@ -7,6 +7,7 @@ line-of-sight, never materialized as a matrix).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -64,7 +65,7 @@ class SystemConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=float))):
+            if value is not None and not _all_finite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         if min(self.M, self.N, self.K, self.L) < 1:
             raise ValueError("M, N, K, L must all be >= 1")
@@ -84,6 +85,22 @@ class SystemConfig:
             raise ValueError("device_radius must be non-negative")
         if self.nu is not None and len(self.nu) != self.K:
             raise ValueError("nu override must provide one angle per device")
+
+
+def _all_finite(value) -> bool:
+    """Whether a config value, a number or a tuple or list of numbers, is finite throughout.
+
+    ``math.isfinite`` decides each number; any other value (an array, a
+    string, a nested sequence) is read as a float array, as numpy reads it.
+    """
+    try:
+        if isinstance(value, (tuple, list)):
+            return all(math.isfinite(x) for x in value)
+        if not isinstance(value, np.ndarray):
+            return math.isfinite(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return bool(np.all(np.isfinite(np.asarray(value, dtype=float))))
 
 
 @dataclass(frozen=True)
@@ -292,7 +309,7 @@ def sample_channels(
     if los is None:
         los = line_of_sight(geometry, config)
 
-    h_direct = _direct_links(geometry, config, gen)
+    h_direct = _direct_links(geometry, gen.standard_normal((2, K, config.M)))
     if config.pure_los:
         return ChannelRealization(h_direct=h_direct, h_reflect=los, geometry=geometry)
 
@@ -306,11 +323,11 @@ def sample_channels(
     return ChannelRealization(h_direct=h_direct, h_reflect=scattered.T, geometry=geometry)
 
 
-def _direct_links(geometry: Geometry, config: SystemConfig, gen: np.random.Generator) -> np.ndarray:
-    """The (K, M) direct links of one block: a real plane, then an imaginary plane, of normals."""
-    h_direct = np.empty((config.K, config.M), dtype=complex)
-    for plane in (h_direct.real, h_direct.imag):
-        np.multiply(gen.standard_normal((config.K, config.M)), _INV_SQRT2, out=plane)
+def _direct_links(geometry: Geometry, normals: np.ndarray) -> np.ndarray:
+    """One block's (K, M) direct links from (2, K, M) normals, real plane then imaginary."""
+    h_direct = np.empty(normals.shape[1:], dtype=complex)
+    np.multiply(normals[0], _INV_SQRT2, out=h_direct.real)
+    np.multiply(normals[1], _INV_SQRT2, out=h_direct.imag)
     np.multiply(np.sqrt(geometry.rho_d)[:, None], h_direct, out=h_direct)
     return h_direct
 
@@ -329,16 +346,18 @@ def _effective_block(
     segment, the first normal of every device before the second, each
     value's real part before its imaginary part.  Segment j's normals
     therefore sit at the same place in the stream whatever segments
-    follow it.
+    follow it.  All of them come from one ``standard_normal`` call,
+    which yields the same numbers as one call per part in that order.
     """
-    h_direct = _direct_links(geometry, config, gen)
+    K, M = config.K, config.M
+    scattered = 0 if config.pure_los else 4 * segments * K
+    normals = gen.standard_normal(2 * K * M + scattered)
+    h_direct = _direct_links(geometry, normals[: 2 * K * M].reshape(2, K, M))
     if config.pure_los:
         return h_direct, None
-    w = np.empty((segments, 2, config.K), dtype=complex)
-    parts = w.view(float)
-    gen.standard_normal(out=parts)
+    parts = normals[2 * K * M :]
     parts *= _INV_SQRT2
-    return h_direct, w
+    return h_direct, parts.view(complex).reshape(segments, 2, K)
 
 
 def effective_scalar_channel(realization: ChannelRealization, v: np.ndarray, theta) -> np.ndarray:
@@ -365,6 +384,18 @@ def effective_scalar_channel(realization: ChannelRealization, v: np.ndarray, the
     return _scalar_channels(realization.h_direct, realization.h_reflect, v, gain, row)
 
 
+def _reflection_basis(geometry: Geometry, v: np.ndarray, n_elems: int):
+    """The phase-independent factors of the reflected path, (gain, conj(a_N(phi_t))).
+
+    gain = sqrt(rho_1) v^H a_M(phi_r) is a scalar; the steering row
+    conj(a_N(phi_t)) times Theta's diagonal gives each phase
+    configuration's row (:func:`_reflection_factors`).
+    """
+    a_m = array_response(v.shape[0], geometry.phi_r, geometry.spacing_ratio)
+    a_n = array_response(n_elems, geometry.phi_t, geometry.spacing_ratio)
+    return np.sqrt(geometry.rho_1) * np.vdot(v, a_m), a_n.conj()
+
+
 def _reflection_factors(geometry: Geometry, v: np.ndarray, theta):
     """The block-independent factors of the reflected path, (gain, row).
 
@@ -373,10 +404,8 @@ def _reflection_factors(geometry: Geometry, v: np.ndarray, theta):
     link; a caller evaluating many blocks computes them once.  ``theta``
     is a phase-shift vector; Theta's diagonal is its ``phasors``.
     """
-    a_m = array_response(v.shape[0], geometry.phi_r, geometry.spacing_ratio)
-    a_n = array_response(theta.num_elements, geometry.phi_t, geometry.spacing_ratio)
-    gain = np.sqrt(geometry.rho_1) * np.vdot(v, a_m)
-    return gain, a_n.conj() * theta.phasors
+    gain, steering = _reflection_basis(geometry, v, theta.num_elements)
+    return gain, steering * theta.phasors
 
 
 def _scalar_channels(

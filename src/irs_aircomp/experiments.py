@@ -19,7 +19,9 @@ prefix of another's, a ``single`` point (it runs the counts below its N
 too) or a longer run reproduces the values of the run it overlaps.  The
 engine is trial-major: every scheme evaluates the trial's one draw
 (schemes of one kind share its effective channels), and power control
-runs on blocks of trials at once.  The direct-link schemes do not see
+runs on blocks of trials at once, one call per power rule on the
+stacked rows of all its schemes at every N; the kernel is row-wise, so
+each row is what its own call gives.  The direct-link schemes do not see
 the IRS, so their combiner, one batched ``eigh`` per block of trials,
 and their power control run once per trial and serve every N.  A
 degenerate draw, one with some |gamma_k|^2 = 0, leaves power control
@@ -43,7 +45,7 @@ from .channel import (
     Geometry,
     SystemConfig,
     _effective_block,
-    _reflection_factors,
+    _reflection_basis,
     line_of_sight,
     make_geometry,
 )
@@ -51,6 +53,8 @@ from .numerics import RngStream, as_generator
 from .protocol import (
     DegenerateChannelError,
     PhaseShiftVector,
+    _gamma_magnitudes,
+    _power_rows,
     phase_index_rows,
     power_control_rows,
     receive_beamformer,
@@ -132,9 +136,10 @@ class LongTermState:
 
     ``voted_reflection`` and ``zero_reflection`` are the block-independent
     (gain, row) factors of the effective channel under each phase
-    configuration, built on first use.  The engine holds one state per
-    geometry, at the largest N of the sweep, and each N slices its first
-    N elements where they are used.
+    configuration, built on first use from one shared gain and steering
+    row, so a geometry steers a_M(phi_r) and a_N(phi_t) once for both.
+    The engine holds one state per geometry, at the largest N of the
+    sweep, and each N slices its first N elements where they are used.
     """
 
     v: np.ndarray
@@ -143,12 +148,18 @@ class LongTermState:
     geometry: Geometry = field(repr=False)
 
     @cached_property
+    def _basis(self) -> tuple[complex, np.ndarray]:
+        return _reflection_basis(self.geometry, self.v, self.theta_voted.num_elements)
+
+    @cached_property
     def voted_reflection(self) -> tuple[complex, np.ndarray]:
-        return _reflection_factors(self.geometry, self.v, self.theta_voted)
+        gain, steering = self._basis
+        return gain, steering * self.theta_voted.phasors
 
     @cached_property
     def zero_reflection(self) -> tuple[complex, np.ndarray]:
-        return _reflection_factors(self.geometry, self.v, self.theta_fixed)
+        gain, steering = self._basis
+        return gain, steering * self.theta_fixed.phasors
 
 
 @dataclass(frozen=True)
@@ -294,6 +305,39 @@ def _block_gammas(config: SystemConfig, trials, schemes: list[Scheme], sizes: tu
     return out
 
 
+def _raise_degenerate(block: dict, schemes: list[Scheme], start: int, config: ExperimentConfig):
+    """Raise the error of the first failing per-(scheme, N) power control of ``block``.
+
+    Some kind of the block failed power control's input check.  The
+    check runs again scheme by scheme in the caller's order, then N by
+    N, each on the block's gammas at that N alone, so the error names
+    the first (scheme, N) that fails and, for a zero |gamma_k|^2, the
+    first trial ``start + b`` that hit it.
+    """
+    system = config.system
+    for s in schemes:
+        for p, gammas in enumerate(block[s.kind]):
+            try:
+                power_control_rows(gammas, system.Pmax, system.sigma2, inversion=s.inversion)
+            except DegenerateChannelError as exc:
+                where = "every N" if s.kind == _DIRECT else f"N={config.n_sweep[p]}"
+                first = start + np.flatnonzero((np.abs(gammas) ** 2 == 0.0).any(axis=1))[0]
+                raise DegenerateChannelError(f"{s.value} at {where}, trial {first}: {exc}") from exc
+
+
+def _stderrs(values: np.ndarray) -> np.ndarray:
+    """Standard errors of the means along the last axis, T values each, in one ``np.std`` pass.
+
+    Each equals ``np.std(row, ddof=1) / sqrt(T)`` of its row alone, bit
+    for bit: the reduction runs along the contiguous last axis, as it
+    does over a 1-D row.  With T = 1 they are 0.
+    """
+    T = values.shape[-1]
+    if T == 1:
+        return np.zeros(values.shape[:-1])
+    return np.std(values, axis=-1, ddof=1) / math.sqrt(T)
+
+
 def _reject_blocked(system: SystemConfig, schemes: list[Scheme]) -> None:
     """Refuse direct-link schemes on blocked direct links before any draw."""
     blocked = [s.value for s in schemes if s.kind == _DIRECT]
@@ -395,9 +439,15 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     power control run once per trial, so their rows are the same at
     every N.  The long-term state, line of sight and segment terms of a
     geometry are built once, at the largest N, and every N slices them
-    where it uses them.  A draw with some |gamma_k|^2 = 0 raises
-    ``DegenerateChannelError`` naming the scheme, the N ("every N" for
-    the direct-link schemes) and the first such trial.
+    where it uses them.  Per block of trials, |gamma| is taken once per
+    kind, and each power rule makes one row-wise call on the stacked
+    rows of its schemes at every N (one set of rows for a direct-link
+    scheme); the standard errors come from one ``np.std`` pass over
+    every row, each bit for bit that of its row alone.  A draw with
+    some |gamma_k|^2 = 0 raises ``DegenerateChannelError`` naming the
+    scheme, the N ("every N" for the direct-link schemes) and the first
+    such trial, the first (scheme, N) in the caller's order of schemes
+    that fails; it is checked per kind before any power control.
     """
     schemes = [Scheme(s) for s in schemes]
     if not schemes:
@@ -426,51 +476,57 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
                 per_geometry = long_term(make_geometry(system, gen))
             yield *per_geometry, _keyed_generator(config.seed, _CHANNEL_KEY, 0, t)
 
-    shape = (len(config.n_sweep), T)
-    mses = {s: np.empty(shape) for s in schemes}
-    ktildes = {s: np.empty(shape, dtype=np.int64) for s in schemes}
+    P, K = len(config.n_sweep), system.K
+    mses = np.empty((len(schemes), P, T))
+    ktildes = np.empty((len(schemes), P, T), dtype=np.int64)
+    # each power rule's schemes, as positions in the caller's order
+    rules = [
+        (inversion, at)
+        for inversion in (False, True)
+        if (at := [i for i, s in enumerate(schemes) if s.inversion == inversion])
+    ]
     for start in range(0, T, _POWER_BLOCK):
         stop = min(start + _POWER_BLOCK, T)
         block = _block_gammas(largest, trials(start, stop), schemes, config.n_sweep)
-        for s in schemes:
-            kind_rows = block[s.kind]
-            for p, gammas in enumerate(kind_rows):
+        try:
+            magnitudes = {kind: _gamma_magnitudes(g, ndim=3) for kind, g in block.items()}
+        except ValueError:
+            _raise_degenerate(block, schemes, start, config)
+            raise
+        for inversion, at in rules:
+            parts = [magnitudes[schemes[i].kind] for i in at]
+            g = np.concatenate(parts).reshape(-1, K)
+            _, _, kt, mse = _power_rows(g, system.Pmax, system.sigma2, inversion)
+            kt, mse = kt.reshape(-1, stop - start), mse.reshape(-1, stop - start)
+            first = 0
+            for i, part in zip(at, parts):
+                last = first + len(part)
                 # a kind with one row, the direct kind, fills every N
-                at = slice(None) if len(kind_rows) == 1 else p
-                try:
-                    _, _, ktildes[s][at, start:stop], mses[s][at, start:stop] = power_control_rows(
-                        gammas, system.Pmax, system.sigma2, inversion=s.inversion
-                    )
-                except DegenerateChannelError as exc:
-                    where = "every N" if s.kind == _DIRECT else f"N={config.n_sweep[p]}"
-                    first = start + np.flatnonzero((np.abs(gammas) ** 2 == 0.0).any(axis=1))[0]
-                    raise DegenerateChannelError(
-                        f"{s.value} at {where}, trial {first}: {exc}"
-                    ) from exc
+                mses[i, :, start:stop], ktildes[i, :, start:stop] = mse[first:last], kt[first:last]
+                first = last
 
-    bounds = [(None, None)] * len(config.n_sweep)
+    bounds = [(None, None)] * P
     if system.L == 2:
         bounds = [
             (mse_upper_bound(params), n_threshold(params, params.rho_min))
             for params in _bound_params(config, reference)
         ]
+    stderrs = _stderrs(mses)
+    ktilde_sums = ktildes.sum(axis=2).tolist()
     rows: list[SweepRow] = []
     for p, (N, (bound, threshold)) in enumerate(zip(config.n_sweep, bounds)):
-        for s in schemes:
-            vals = mses[s][p]
-            mean = math.fsum(vals) / T
-            stderr = float(np.std(vals, ddof=1) / math.sqrt(T)) if T > 1 else 0.0
+        for i, s in enumerate(schemes):
             voted = s.kind == _VOTED
             rows.append(
                 SweepRow(
                     scheme=s.value,
                     N=N,
                     M=system.M,
-                    K=system.K,
+                    K=K,
                     trials=T,
-                    mean_mse=mean,
-                    stderr_mse=stderr,
-                    mean_ktilde=math.fsum(ktildes[s][p]) / T,
+                    mean_mse=math.fsum(mses[i, p].tolist()) / T,
+                    stderr_mse=float(stderrs[i, p]),
+                    mean_ktilde=ktilde_sums[i][p] / T,
                     bound_mse=bound if voted else None,
                     n_threshold=threshold if voted else None,
                 )

@@ -125,6 +125,9 @@ class TestMakeGeometry:
         dict(phi_t=float("nan")),
         dict(nu=(0.1, float("nan")), K=2),
         dict(irs_position=(0.0, float("inf"), 10.0)),
+        dict(nu=np.array([0.1, np.inf]), K=2),
+        dict(ap_position=(float("-inf"), 0.0, 0.0)),
+        dict(device_center=[200.0, 0.0, float("nan")]),
     ],
 )
 def test_system_config_rejects_non_finite(overrides):
@@ -188,6 +191,28 @@ class TestSampleChannels:
                 sized = sample_channels(geo, replace(big, N=N), gen)
                 np.testing.assert_array_equal(bits(sized.h_direct), bits(block.h_direct))
                 np.testing.assert_array_equal(bits(sized.h_reflect), bits(block.h_reflect[:, :N]))
+
+    @pytest.mark.parametrize("pure_los", [False, True])
+    def test_effective_block_draws_in_documented_order(self, pure_los):
+        # one standard_normal call: the direct real plane, the imaginary plane, then
+        # each segment's normals, as three successive calls draw them
+        cfg = SystemConfig(K=5, M=3, pure_los=pure_los)
+        geo = make_geometry(cfg, RngStream(16, 0))
+        gen = RngStream(16, 1).generator()
+        h_direct, w = channel._effective_block(geo, cfg, gen, 4)
+        after = gen.bit_generator.random_raw(2)
+        ref = RngStream(16, 1).generator()
+        planes = np.empty((cfg.K, cfg.M), dtype=complex)
+        planes.real = ref.standard_normal((cfg.K, cfg.M)) * channel._INV_SQRT2
+        planes.imag = ref.standard_normal((cfg.K, cfg.M)) * channel._INV_SQRT2
+        np.testing.assert_array_equal(bits(h_direct), bits(np.sqrt(geo.rho_d)[:, None] * planes))
+        if pure_los:
+            assert w is None
+        else:
+            parts = ref.standard_normal((4, 2, 2 * cfg.K)) * channel._INV_SQRT2
+            assert w.shape == (4, 2, cfg.K)
+            np.testing.assert_array_equal(bits(w.view(float)), bits(parts))
+        np.testing.assert_array_equal(after, ref.bit_generator.random_raw(2))
 
     def test_scattered_part_keeps_its_law(self):
         # per-device variance a_k^2, uncorrelated parts, elements and devices

@@ -1,12 +1,13 @@
 import csv
 import itertools
+import math
 import typing
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from irs_aircomp import experiments
+from irs_aircomp import channel, experiments, protocol
 from irs_aircomp.channel import SystemConfig, _effective_block, line_of_sight, make_geometry
 from irs_aircomp.experiments import (
     CSV_HEADER,
@@ -22,7 +23,7 @@ from irs_aircomp.experiments import (
     write_csv,
 )
 from irs_aircomp.numerics import RngStream
-from irs_aircomp.protocol import DegenerateChannelError, PhaseShiftVector
+from irs_aircomp.protocol import DegenerateChannelError, PhaseShiftVector, power_control_rows
 
 
 def small_config(**overrides):
@@ -152,25 +153,35 @@ class TestPrefixes:
 
 
 def per_trial_mses(monkeypatch, config, schemes):
-    """Per-trial MSEs of one run_sweep, one list per (scheme, N) power-control call.
+    """Per-trial MSEs of one run_sweep, one list per (scheme, N) in the caller's order.
 
-    Every block of trials makes the same calls in the same order, so the
-    j-th call of each block extends the j-th list.
+    Each block of trials makes one power-control call per rule, on the
+    rows of that rule's schemes in the caller's order: B rows per N, and
+    one set of B rows that serves every N for a direct-link scheme.  The
+    calls are split back into (scheme, N) parts, and the part of each
+    block extends that (scheme, N)'s list.
     """
     calls = []
-    engine_power_control = experiments.power_control_rows
+    engine_power_control = experiments._power_rows
 
-    def record(*args, **kwargs):
-        out = engine_power_control(*args, **kwargs)
-        calls.append(out[3].tolist())
+    def record(g, Pmax, sigma2, inversion):
+        out = engine_power_control(g, Pmax, sigma2, inversion)
+        calls.append((inversion, out[3]))
         return out
 
     with monkeypatch.context() as patch:
-        patch.setattr(experiments, "power_control_rows", record)
+        patch.setattr(experiments, "_power_rows", record)
         run_sweep(config, schemes)
-    blocks = -(-config.trials // experiments._POWER_BLOCK)
-    per_block = len(calls) // blocks
-    return [sum(calls[j::per_block], []) for j in range(per_block)]
+    P = len(config.n_sweep)
+    lists = {(s, p): [] for s in schemes for p in range(P)}
+    for inversion, mse in calls:
+        members = [s for s in schemes if s.inversion == inversion]
+        sizes = [1 if s.kind == experiments._DIRECT else P for s in members]
+        rows = mse.reshape(sum(sizes), -1)
+        for s, part in zip(members, np.split(rows, np.cumsum(sizes)[:-1])):
+            for p in range(P):
+                lists[s, p] += part[min(p, len(part) - 1)].tolist()
+    return list(lists.values())
 
 
 class TestKeyedStreams:
@@ -229,6 +240,24 @@ class TestKeyedStreams:
             "compute_long_term": geometries,
             "line_of_sight": geometries,
         }
+
+    @pytest.mark.parametrize("redraw", [False, True])
+    def test_three_steering_vectors_per_geometry(self, redraw, monkeypatch):
+        # a_M(phi_r) for the beamformer, then one a_M(phi_r) and one a_N(phi_t)
+        # shared by the voted and the zero reflection
+        calls = []
+        for module in (channel, protocol):
+            original = module.array_response
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(args[0])
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "array_response", counted)
+        cfg = small_config(n_sweep=(4, 8, 16), trials=5, redraw_geometry_per_trial=redraw)
+        run_sweep(cfg, list(Scheme))
+        M, N = cfg.system.M, cfg.n_sweep[-1]
+        assert calls == [M, M, N] * (cfg.trials if redraw else 1)
 
     @pytest.mark.parametrize("redraw", [False, True])
     def test_no_irs_rows_equal_at_every_n(self, redraw):
@@ -368,6 +397,102 @@ class TestRunSweep:
         with pytest.raises(DegenerateChannelError, match=f"^{message}, trial 66: zero effective"):
             run_sweep(small_config(trials=130), list(Scheme))
         assert len(draws) == 128
+
+
+class TestStackedPowerControl:
+    """One power-control call per rule per block, split back into (scheme, N) rows."""
+
+    @pytest.mark.parametrize("redraw", [False, True])
+    def test_stacked_rows_equal_per_scheme_calls(self, redraw, monkeypatch):
+        # inversion schemes first, so the rule grouping differs from the caller's order
+        schemes = [
+            Scheme.INV_PC_NO_IRS,
+            Scheme.INV_PC_IRS,
+            Scheme.FIXED_PHASE_OPT_PC,
+            Scheme.OPT_PC_NO_IRS,
+            Scheme.OPT_PC_IRS,
+        ]
+        config = small_config(n_sweep=(4, 8, 16), trials=70, redraw_geometry_per_trial=redraw)
+        system, T = config.system, config.trials
+        blocks = []
+        engine_gammas = experiments._block_gammas
+        monkeypatch.setattr(
+            experiments, "_block_gammas", lambda *a: blocks.append(engine_gammas(*a)) or blocks[-1]
+        )
+        stacked = per_trial_mses(monkeypatch, config, schemes)
+        assert len(blocks) == 2
+        mses, kts = [], []
+        for s in schemes:
+            for p in range(len(config.n_sweep)):
+                runs = [
+                    power_control_rows(
+                        block[s.kind][min(p, len(block[s.kind]) - 1)],
+                        system.Pmax,
+                        system.sigma2,
+                        inversion=s.inversion,
+                    )
+                    for block in blocks
+                ]
+                mses.append(np.concatenate([run[3] for run in runs]))
+                kts.append(np.concatenate([run[2] for run in runs]))
+        assert np.array_equal(bits(np.array(stacked)), bits(np.array(mses)))
+        # the rows, with the per-row statistics of separate calls
+        want = {}
+        for (s, N), vals, kt in zip(itertools.product(schemes, config.n_sweep), mses, kts):
+            stderr = float(np.std(vals, ddof=1) / math.sqrt(T))
+            want[s.value, N] = (math.fsum(vals) / T, stderr, math.fsum(kt) / T)
+        rows = run_sweep(config, schemes).rows
+        got = {(r.scheme, r.N): (r.mean_mse, r.stderr_mse, r.mean_ktilde) for r in rows}
+        assert got == want
+
+    @pytest.mark.parametrize("T", [2, 3, 64, 65, 10_000])
+    def test_one_pass_stderr_equals_per_row_std(self, T):
+        gen = np.random.default_rng(T)
+        values = np.exp(gen.normal(-20.0, 6.0, (5, 4, T)))  # MSE-like, many decades
+        want = [[float(np.std(row, ddof=1) / math.sqrt(T)) for row in rows] for rows in values]
+        assert np.array_equal(bits(experiments._stderrs(values)), bits(np.array(want)))
+
+    def test_single_trial_stderr_zero(self):
+        assert np.array_equal(experiments._stderrs(np.ones((2, 3, 1))), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize(
+        "schemes",
+        [list(Scheme), [Scheme.FIXED_PHASE_OPT_PC, Scheme.OPT_PC_IRS], [Scheme.INV_PC_NO_IRS]],
+        ids=["all", "optimal", "inversion"],
+    )
+    def test_one_call_per_rule_per_block(self, schemes, monkeypatch):
+        rules = []
+        engine_power_control = experiments._power_rows
+
+        def record(g, Pmax, sigma2, inversion):
+            rules.append(inversion)
+            return engine_power_control(g, Pmax, sigma2, inversion)
+
+        def per_scheme(*args, **kwargs):
+            raise AssertionError("per-(scheme, N) power control on a block in range")
+
+        monkeypatch.setattr(experiments, "_power_rows", record)
+        monkeypatch.setattr(experiments, "power_control_rows", per_scheme)
+        run_sweep(small_config(trials=130), schemes)  # three blocks
+        assert rules == sorted({s.inversion for s in schemes}) * 3
+
+    @pytest.mark.parametrize("inversion_first", [False, True])
+    def test_degenerate_error_names_callers_first_scheme(self, inversion_first, monkeypatch):
+        # both rules fail at the same zero; the caller's first scheme is named
+        engine_gammas = experiments._block_gammas
+
+        def zero_trial_3(*args):
+            gammas = engine_gammas(*args)
+            gammas[experiments._VOTED][1, 3, 0] = 0.0
+            return gammas
+
+        monkeypatch.setattr(experiments, "_block_gammas", zero_trial_3)
+        schemes = [Scheme.OPT_PC_IRS, Scheme.INV_PC_IRS, Scheme.OPT_PC_NO_IRS]
+        if inversion_first:
+            schemes.reverse()
+        first = next(s for s in schemes if s.kind == experiments._VOTED)
+        with pytest.raises(DegenerateChannelError, match=f"^{first.value} at N=16, trial 3: zero"):
+            run_sweep(small_config(), schemes)
 
 
 class TestDirectGammas:
