@@ -11,8 +11,11 @@ Times each layer of the long-term and per-block stages on its own:
 ``effective_scalar_channel``, the engine's per-trial draw
 (``_effective_block``, direct links and two normals per device for each
 of the 4 segments of the default sweep), the dominant-direct combiner on
-a block of 64 trials, and single-row and 64-row power control.
-Channel-side layers run at the default scenario (K = 20, M = 10, L = 2)
+a block of 64 trials, single-row and 64-row power control, and the
+steering kernel: ``line_of_sight`` at K = 21 (the scaling recipe's
+device count) with N in {512, 2048, 8192} and ``array_response`` with
+n in {10, 8192} (a receive array and the largest surface).  Other
+channel-side layers run at the default scenario (K = 20, M = 10, L = 2)
 with N in {64, 512, 4096}; power control runs at K in {20, 1000}.  One
 layer times the whole engine through the public API: ``run_sweep`` over
 64 trials (one power block) of the default scenario, geometry fixed,
@@ -51,6 +54,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402  (after the thread pinning)
 
 N_VALUES = (64, 512, 4096)
+LOS_N_VALUES = (512, 2048, 8192)
 K_VALUES = (20, 1000)
 TARGET_S = 0.02
 
@@ -119,6 +123,12 @@ def layers(pkg, long: bool):
         yield f"protocol.power_control_rows[B=64,K={K}]", (
             lambda: protocol.power_control_rows(gammas, 0.1, 1e-11)
         )
+    for N in LOS_N_VALUES:
+        system = channel.SystemConfig(K=21, N=N)
+        geometry = channel.make_geometry(system, RngStream(1, 0))
+        yield f"channel.line_of_sight[K=21,N={N}]", lambda: channel.line_of_sight(geometry, system)
+    for n in (10, 8192):
+        yield f"numerics.array_response[n={n}]", lambda: pkg.numerics.array_response(n, 0.3)
     sweep = experiments.ExperimentConfig(system=base, trials=64, seed=1)
     schemes = list(experiments.Scheme)
     yield "experiments.run_sweep[T=64]", lambda: experiments.run_sweep(sweep, schemes)

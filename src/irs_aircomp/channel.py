@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .numerics import RngStream, array_response, as_generator
+from .numerics import RngStream, _steering, array_response, as_generator
 
 __all__ = [
     "SystemConfig",
@@ -239,30 +239,20 @@ def line_of_sight(geometry: Geometry, config: SystemConfig) -> np.ndarray:
     N, so a caller drawing many blocks on one geometry can compute it
     once and pass it to :func:`sample_channels`.
 
-    The steering phase y = ((2*pi*s)*sin(nu_k))*m is built in float64
-    in the imaginary plane of the one (K, N) complex output; cos y and
-    sin y are then written into its real and imaginary planes.  The
-    result equals the complex chain exp(2j*pi*s*sin(nu_k)*m) bit for
-    bit: y is that chain's imaginary part in the same multiplication
-    order, its real part is a signed zero, and the complex exponential
-    of (+-0 + iy) is (1*cos y, 1*sin y), exactly cos y and sin y.  A
-    zero phase may differ in sign, and so may its sine; the amplitude
-    is applied as a complex product, which maps the zero sine of either
-    sign to +0 as before.  Element m depends on m alone, so the first n
-    columns at N equal the whole output at n.
+    Row k is :func:`~irs_aircomp.numerics._steering` at the slope
+    (2*pi*s)*sin(nu_k) with the amplitude folded into its coarse factor.
+    The first ``_STEERING_BLOCK`` columns equal the complex chain
+    amplitude*exp(2j*pi*s*sin(nu_k)*m) bit for bit; later columns are
+    within amplitude*eps*(|slope|*m + 8) of it, the kernel's bound.
+    Element m depends on m alone, so the first n columns at N equal the
+    whole output at n.
     """
-    nu = geometry.nu
-    los = np.empty((nu.shape[0], config.N), dtype=complex)
-    slope = (2.0 * np.pi * geometry.spacing_ratio) * np.sin(nu)
-    np.multiply(slope[:, None], np.arange(config.N, dtype=float), out=los.imag)
-    np.cos(los.imag, out=los.real)
-    np.sin(los.imag, out=los.imag)
     rho = geometry.rho_r
     if not config.pure_los:
         delta = config.rician_delta
         rho = rho * delta / (delta + 1.0)
-    np.multiply(np.sqrt(rho)[:, None], los, out=los)
-    return los
+    slope = (2.0 * np.pi * geometry.spacing_ratio) * np.sin(geometry.nu)
+    return _steering(slope[:, None], config.N, np.sqrt(rho)[:, None])
 
 
 # numpy divides a complex by the real sqrt(2) (Smith's method) as a
@@ -297,12 +287,14 @@ def sample_channels(
     ``h_reflect`` is a (K, N) view of the element-major buffer.
 
     The arithmetic is real and in place, equal bit for bit to
-    ``los + a*((x + 1j*y)/sqrt(2))``: the complex division scales each
-    part by ``_INV_SQRT2``, and the product with the real amplitude a
-    has cross terms that are signed zeros, which vanish in the sum with
-    the line-of-sight part (a scattered term is never zero).  The
-    direct links keep the complex product, whose signed zeros a blocked
-    link (rho_d = 0) shows.
+    ``los + a*((x + 1j*y)/sqrt(2))`` on the given ``los``: the complex
+    division scales each part by ``_INV_SQRT2``, and the product with
+    the real amplitude a has cross terms that are signed zeros, which
+    vanish in the sum with the line-of-sight part (a scattered term is
+    never zero).  ``los`` itself is the complex steering chain bit for
+    bit in its first ``_STEERING_BLOCK`` columns only, and within
+    :func:`line_of_sight`'s bound beyond.  The direct links keep the
+    complex product, whose signed zeros a blocked link (rho_d = 0) shows.
     """
     gen = as_generator(stream)
     K, N = config.K, config.N

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from irs_aircomp import channel
+from irs_aircomp import channel, numerics
 from irs_aircomp.analysis import expected_channel_power_gain
 from irs_aircomp.channel import (
     SystemConfig,
@@ -16,6 +16,10 @@ from irs_aircomp.channel import (
 )
 from irs_aircomp.numerics import RngStream, array_response
 from irs_aircomp.protocol import PhaseShiftVector
+
+
+BLOCK = numerics._STEERING_BLOCK  # elements per block of the steering kernel
+EPS = np.finfo(float).eps
 
 
 def test_pathloss_reference_distance():
@@ -179,14 +183,14 @@ class TestSampleChannels:
     @pytest.mark.parametrize("block_direct", [False, True])
     def test_block_at_n_is_prefix_of_larger_block(self, pure_los, block_direct):
         # a smaller surface is a sub-array of a larger one, draw for draw
-        big = SystemConfig(K=6, M=4, N=1024, pure_los=pure_los, block_direct=block_direct)
+        big = SystemConfig(K=6, M=4, N=8192, pure_los=pure_los, block_direct=block_direct)
         for seed in range(3):
             geo = make_geometry(big, RngStream(seed, 0))
             gen = RngStream(seed, 1).generator()
             gen.standard_normal(seed)  # any generator state, not only a fresh stream
             state = gen.bit_generator.state
             block = sample_channels(geo, big, gen)
-            for N in (1, 7, 64, 513):
+            for N in (1, 7, BLOCK - 1, BLOCK, BLOCK + 1, 513, 8191):  # block edges of the kernel
                 gen.bit_generator.state = state
                 sized = sample_channels(geo, replace(big, N=N), gen)
                 np.testing.assert_array_equal(bits(sized.h_direct), bits(block.h_direct))
@@ -255,8 +259,8 @@ def complex_line_of_sight(geo, cfg):
     return np.sqrt(geo.rho_r * delta / (delta + 1.0))[:, None] * los
 
 
-def complex_sample_channels(geo, cfg, gen):
-    """One block as complex array expressions: the reference for the kernel.
+def complex_sample_channels(geo, cfg, gen, los):
+    """One block as complex array expressions on the line-of-sight term ``los``: the reference.
 
     The scattered normals come element-major, each device's real part
     before its imaginary part.
@@ -264,7 +268,6 @@ def complex_sample_channels(geo, cfg, gen):
     K, M, N = cfg.K, cfg.M, cfg.N
     g_direct = (gen.standard_normal((K, M)) + 1j * gen.standard_normal((K, M))) / np.sqrt(2.0)
     h_direct = np.sqrt(geo.rho_d)[:, None] * g_direct
-    los = complex_line_of_sight(geo, cfg)
     if cfg.pure_los:
         return h_direct, los
     x, y = gen.standard_normal((N, K, 2)).transpose(2, 1, 0)
@@ -277,26 +280,56 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+def assert_within_steering_bound(got, want, slope):
+    """``got`` is the complex chain ``want`` bit for bit in the first BLOCK columns, close beyond.
+
+    Row k of both is a_k exp(i s_k m), a_k = |want[k, 0]|, s_k = ``slope``[k].
+    The chain's phase is one rounded product fl(s_k m), off by at most
+    eps/2 |s_k| m.  The kernel's element m = hB + l multiplies factors
+    whose phases fl(s_k hB) and fl(s_k l) are off by at most eps/2 |s_k| hB
+    and eps/2 |s_k| l, so the two phases differ by at most eps |s_k| m.
+    Beyond the phases, the three sine-cosine pairs are each within an
+    ulp, at most eps of a unit modulus, the two amplitude products within
+    eps/2 each and the complex product of the two factors within sqrt(5)
+    eps/2: about 5 eps in all.  The bound is a_k eps (|s_k| m + 8).
+    """
+    np.testing.assert_array_equal(bits(got[:, :BLOCK]), bits(want[:, :BLOCK]))
+    m = np.arange(got.shape[1])
+    bound = np.abs(want[:, :1]) * EPS * (np.abs(slope)[:, None] * m + 8.0)
+    assert np.all(np.abs(got - want) <= bound)
+
+
+def los_slopes(geo):
+    return 2.0 * np.pi * geo.spacing_ratio * np.sin(geo.nu)
+
+
 class TestKernelsMatchComplexFormulas:
-    """The real-arithmetic kernels equal the complex expressions bit for bit."""
+    """The real-arithmetic kernels against the complex expressions.
+
+    The channel draws are bit for bit the complex expressions on the
+    kernel's line of sight.  The line of sight is the complex chain bit
+    for bit in its first BLOCK elements and within the steering kernel's
+    bound beyond (:func:`assert_within_steering_bound`).
+    """
 
     @pytest.mark.parametrize("pure_los", [False, True])
     @pytest.mark.parametrize("block_direct", [False, True])
     @pytest.mark.parametrize("spacing_ratio", [0.5, 0.37, 1.0, 2.3])
     def test_random_geometries(self, pure_los, block_direct, spacing_ratio):
-        for seed, N in enumerate((1, 7, 64, 513)):
+        for seed, N in enumerate((1, 7, BLOCK, 513)):
             cfg = SystemConfig(
                 K=6, M=4, N=N, pure_los=pure_los, block_direct=block_direct,
                 spacing_ratio=spacing_ratio, rician_delta=0.5 + seed,
             )
             geo = make_geometry(cfg, RngStream(seed, 0))
+            los = line_of_sight(geo, cfg)
             real = sample_channels(geo, cfg, RngStream(seed, 1))
-            h_direct, h_reflect = complex_sample_channels(geo, cfg, RngStream(seed, 1).generator())
+            h_direct, h_reflect = complex_sample_channels(
+                geo, cfg, RngStream(seed, 1).generator(), los
+            )
             np.testing.assert_array_equal(bits(real.h_direct), bits(h_direct))
             np.testing.assert_array_equal(bits(real.h_reflect), bits(h_reflect))
-            np.testing.assert_array_equal(
-                bits(line_of_sight(geo, cfg)), bits(complex_line_of_sight(geo, cfg))
-            )
+            assert_within_steering_bound(los, complex_line_of_sight(geo, cfg), los_slopes(geo))
 
     @pytest.mark.parametrize("pure_los", [False, True])
     def test_pinned_angles(self, pure_los):
@@ -305,17 +338,22 @@ class TestKernelsMatchComplexFormulas:
         cfg = SystemConfig(K=6, N=40, nu=nu, pure_los=pure_los, spacing_ratio=0.37)
         geo = make_geometry(cfg, RngStream(3, 0))
         real = sample_channels(geo, cfg, RngStream(3, 1))
-        h_direct, h_reflect = complex_sample_channels(geo, cfg, RngStream(3, 1).generator())
+        h_direct, h_reflect = complex_sample_channels(
+            geo, cfg, RngStream(3, 1).generator(), complex_line_of_sight(geo, cfg)
+        )
         np.testing.assert_array_equal(bits(real.h_direct), bits(h_direct))
         np.testing.assert_array_equal(bits(real.h_reflect), bits(h_reflect))
 
     def test_large_array(self):
-        cfg = SystemConfig(K=21, N=8192, pure_los=True, ref_loss_linear=1.0,
-                           pathloss_exponent_reflected=0.0, device_radius=0.0)
-        geo = make_geometry(cfg, RngStream(4, 0))
-        np.testing.assert_array_equal(
-            bits(line_of_sight(geo, cfg)), bits(complex_line_of_sight(geo, cfg))
-        )
+        # N = 8192 and spacings up to 2.3: |s_k m| up to 2 pi 2.3 8191, about 1.2e5
+        for spacing_ratio in (0.5, 2.3):
+            cfg = SystemConfig(K=21, N=8192, pure_los=True, ref_loss_linear=1.0,
+                               pathloss_exponent_reflected=0.0, device_radius=0.0,
+                               spacing_ratio=spacing_ratio)
+            geo = make_geometry(cfg, RngStream(4, 0))
+            assert_within_steering_bound(
+                line_of_sight(geo, cfg), complex_line_of_sight(geo, cfg), los_slopes(geo)
+            )
 
 
 class TestEffectiveScalarChannel:

@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from irs_aircomp import channel, experiments, protocol
+from irs_aircomp import channel, experiments, numerics, protocol
 from irs_aircomp.channel import SystemConfig, _effective_block, line_of_sight, make_geometry
 from irs_aircomp.experiments import (
     CSV_HEADER,
@@ -115,7 +115,8 @@ class TestPrefixes:
     @pytest.mark.parametrize("levels", [2, 4])
     @pytest.mark.parametrize("pure_los", [False, True])
     def test_prefix_slices_bit_identical(self, levels, pure_los):
-        sweep = (1, 32, 100, 512, 1024)
+        block = numerics._STEERING_BLOCK  # the steering kernel's block edges, and the last element
+        sweep = (1, 32, block - 1, block, block + 1, 100, 512, 1024, 8191, 8192)
         system = SystemConfig(K=7, L=levels, pure_los=pure_los, spacing_ratio=0.37)
         largest = replace(system, N=sweep[-1])
         for seed in range(12):

@@ -2,7 +2,8 @@
 
 Every earlier engine change (trial-major draws, the batched vote, the
 real-arithmetic kernels, the prefix slicing) reproduced the files of the
-engine before it exactly.  Three changes altered the streams on purpose:
+engine before it exactly.  Three changes altered the streams on purpose,
+and a fourth the values drawn from them:
 
 - the coordinate-keyed engine (channel streams keyed by (N, trial),
   redraw-mode geometry streams by the trial alone) regenerated all six
@@ -26,7 +27,15 @@ engine before it exactly.  Three changes altered the streams on purpose:
   direct links alone, are byte-identical to the files before.  The two
   pure line-of-sight cases draw nothing after the direct links and
   compute each gamma as before, so ``golden_pure_los.csv`` and
-  ``golden_scaling_los.csv`` are unchanged.
+  ``golden_scaling_los.csv`` are unchanged;
+- the factorised steering kernel (element m = hB + l of the line of
+  sight and of the IRS steering row as exp(i s hB) exp(i s l), B = 64)
+  keeps the streams and the first 64 elements bit for bit, and moves
+  later elements by ulps.  It regenerated all six files.  Only rows at
+  N above 64 changed: the N = 128 rows of the five small cases, by at
+  most 8.2e-13 relative, and ``golden_scaling_los.csv``, by at most
+  2.5e-11.  No ``mean_ktilde`` moved, and the ``*_NO_IRS`` rows are
+  byte-identical.
 
 Any change that keeps the random streams must reproduce them exactly; a
 change that alters the streams on purpose regenerates the cases it

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irs_aircomp import numerics
 from irs_aircomp.numerics import RngStream, array_response, as_generator, sinc_normalized
 
 
@@ -22,6 +23,38 @@ class TestArrayResponse:
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ValueError):
             array_response(0, 0.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "angle, spacing",
+        [(float("nan"), 0.5), (float("inf"), 0.5), (-np.inf, 0.5), (0.3, float("nan")),
+         (0.3, float("inf"))],
+    )
+    def test_rejects_non_finite_input(self, angle, spacing):
+        with pytest.raises(ValueError, match="must be finite"):
+            array_response(4, angle, spacing)
+
+    @pytest.mark.parametrize("angle", [0.3, -1.2, 0.0, -0.0, np.pi / 2])
+    @pytest.mark.parametrize("spacing", [0.5, 2.3])
+    def test_block_of_exponentials_then_within_bound(self, angle, spacing):
+        # the first block is the complex chain bit for bit; beyond it, the
+        # steering kernel's bound (tests/test_channel.py states its derivation)
+        n = 8192
+        want = np.exp(2j * np.pi * spacing * np.sin(angle) * np.arange(n))
+        got = array_response(n, angle, spacing)
+        block = numerics._STEERING_BLOCK
+        np.testing.assert_array_equal(got[:block].view(np.uint64), want[:block].view(np.uint64))
+        slope = abs(2.0 * np.pi * spacing * np.sin(angle))
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(got - want) <= eps * (slope * np.arange(n) + 8.0))
+
+    @pytest.mark.parametrize("angle", [0.3, -1.2, -0.0, 1e-300])
+    def test_prefix_of_largest_array_bit_for_bit(self, angle):
+        whole = array_response(8192, angle, 0.37)
+        block = numerics._STEERING_BLOCK
+        for n in (1, 10, block - 1, block, block + 1, 1000, 8191):
+            np.testing.assert_array_equal(
+                array_response(n, angle, 0.37).view(np.uint64), whole[:n].view(np.uint64)
+            )
 
     @given(
         n=st.integers(1, 64),
