@@ -5,8 +5,9 @@
     python scripts/bench_layers.py --baseline ../parent/src --out BENCH_9.json
     python scripts/bench_layers.py --baseline ../parent/src --long --repeats 5 --out BENCH_14.json
 
-Times each layer of the long-term and per-block stages on its own:
-``make_geometry``, ``compute_long_term`` and its two kernels
+Times each layer of the long-term and per-block stages on its own: a
+trial's random stream (``RngStream.generator``), ``make_geometry``,
+``compute_long_term`` and its two kernels
 (``phase_index_rows``, ``vote_indices``), ``sample_channels``,
 ``effective_scalar_channel``, the engine's per-trial draw
 (``_effective_block``, direct links and two normals per device for each
@@ -81,6 +82,7 @@ def layers(pkg, long: bool):
     RngStream = pkg.numerics.RngStream
 
     base = channel.SystemConfig()
+    yield "numerics.RngStream.generator", lambda: RngStream(1, 3).generator()
     yield "channel.make_geometry[K=20]", lambda: channel.make_geometry(base, RngStream(1, 0))
     for N in N_VALUES:
         system = channel.SystemConfig(N=N)

@@ -10,14 +10,22 @@ for each segment [N_{j-1}, N_j) of the sweep's element counts, which
 give the segment's scattered projections on the voted and the all-zero
 phase rows (:func:`_kind_terms`).  gamma at N_i sums the segments up to
 i, so differences along N are paired, as for a sub-array of a larger
-surface.  Streams are counter-based and keyed by coordinate: a trial's
-channel draws by (master seed, trial), a redrawn geometry by (master
-seed, trial), so runs are a pure function of the configuration and
-seed.  A segment's normals sit at the same place in the trial's stream
-whatever segments follow it, so a sweep whose element counts are a
-prefix of another's, a ``single`` point (it runs the counts below its N
-too) or a longer run reproduces the values of the run it overlaps.  The
-engine is trial-major: every scheme evaluates the trial's one draw
+surface.
+
+Stream layout.  Every draw comes from an
+:class:`~irs_aircomp.numerics.RngStream` of the master seed: stream 0
+holds the reference geometry (the fixed one, and the one the bound
+columns describe), stream 2 + 2t trial t's redrawn geometry and stream
+3 + 2t its channels.  These are the pure line-of-sight scaling recipe's
+streams, and under ``pure_los`` the gammas are the vector channel's, so
+that recipe is one redrawn-geometry ``run_sweep``.  No stream depends
+on N or on the trial count, and a segment's normals sit at the same
+place in its trial's stream whatever segments follow, so a longer run,
+a sweep whose element counts are a prefix of another's and a ``single``
+point (it runs the counts below its N too) reproduce the values of the
+run they overlap.
+
+The engine is trial-major: every scheme evaluates the trial's one draw
 (schemes of one kind share its effective channels), and power control
 runs on blocks of trials at once, one call per power rule on the
 stacked rows of all its schemes at every N; the kernel is row-wise, so
@@ -306,7 +314,7 @@ def _block_gammas(config: SystemConfig, trials, schemes: list[Scheme], sizes: tu
 
 
 def _raise_degenerate(block: dict, schemes: list[Scheme], start: int, config: ExperimentConfig):
-    """Raise the error of the first failing per-(scheme, N) power control of ``block``.
+    """Raise the error of the first failing (scheme, N) magnitude check of ``block``.
 
     Some kind of the block failed power control's input check.  The
     check runs again scheme by scheme in the caller's order, then N by
@@ -314,11 +322,10 @@ def _raise_degenerate(block: dict, schemes: list[Scheme], start: int, config: Ex
     the first (scheme, N) that fails and, for a zero |gamma_k|^2, the
     first trial ``start + b`` that hit it.
     """
-    system = config.system
     for s in schemes:
         for p, gammas in enumerate(block[s.kind]):
             try:
-                power_control_rows(gammas, system.Pmax, system.sigma2, inversion=s.inversion)
+                _gamma_magnitudes(gammas, ndim=2)
             except DegenerateChannelError as exc:
                 where = "every N" if s.kind == _DIRECT else f"N={config.n_sweep[p]}"
                 first = start + np.flatnonzero((np.abs(gammas) ** 2 == 0.0).any(axis=1))[0]
@@ -372,36 +379,11 @@ def run_trial(
     return float(mse[0]), int(kt[0])
 
 
-# Stream keys are (kind, N, trial).  Both the geometry and the channel
-# stream are keyed by the trial alone (N = 0): every N of a trial sees
-# the same geometry and the same channel draw, of which it sums the
-# segments up to N, and no draw depends on the number of trials.
-_GEOMETRY_KEY, _CHANNEL_KEY = 0, 1
-
-
-def _keyed_generator(seed: int, kind: int, n: int, trial: int) -> np.random.Generator:
-    """Counter-based (Philox) generator of the stream at (kind, n, trial).
-
-    The seed, taken mod 2**64, is the run entropy, which numpy pads to
-    its four-word pool when a spawn key is given, and each key part must
-    fit one 32-bit word.  The assembled entropy is therefore fixed-width
-    and distinct for distinct (seed mod 2**64, key), unlike the
-    variable-width words of ``RngStream``'s (seed, stream_id), and at
-    seven words it never equals that of an ``RngStream`` whose stream_id
-    is below 2**64 (four words at most).
-    """
-    key = (kind, n, trial)
-    if not all(0 <= part < 1 << 32 for part in key):
-        raise ValueError(f"stream key parts must be in [0, 2**32), got {key}")
-    ss = np.random.SeedSequence(seed % (1 << 64), spawn_key=key)
-    return np.random.Generator(np.random.Philox(ss))
-
-
 def _bound_params(config: ExperimentConfig, reference: Geometry) -> list[AsymptoticParams]:
     """The closed-form bounds' inputs at each N of the sweep.
 
     ``rho_min`` is the IRS-AP path loss times the weakest device-IRS
-    path loss of ``reference``, the geometry drawn from stream 0; with
+    path loss of ``reference``, the geometry of stream 0; with
     the geometry redrawn per trial it describes that geometry only.
     """
     system = config.system
@@ -423,28 +405,21 @@ def _bound_params(config: ExperimentConfig, reference: Geometry) -> list[Asympto
 def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     """Monte Carlo means over the sweep axis for each scheme.
 
-    Geometry is drawn once from stream 0 and held fixed (it does not
-    depend on N), matching the multi-timescale split: long-term
-    variables per geometry, channels per trial.  With
-    ``redraw_geometry_per_trial`` each trial draws its own geometry,
-    shared by every N, for studies whose randomness lives in the static
-    angles.  Each trial makes one draw that every scheme evaluates: its
-    direct links and, per segment between consecutive element counts,
-    two normals per device, from which the effective channels at N_i sum
-    the segments up to i (see :func:`_kind_terms`).  The rows at N_i
-    therefore depend on the element counts up to N_i and not on those
-    above it.  Under ``pure_los`` nothing is drawn for the IRS links and
-    the gammas are those of the vector channel, bit for bit.  The
-    direct-link schemes do not see the IRS: their combiner, gammas and
-    power control run once per trial, so their rows are the same at
-    every N.  The long-term state, line of sight and segment terms of a
-    geometry are built once, at the largest N, and every N slices them
-    where it uses them.  Per block of trials, |gamma| is taken once per
-    kind, and each power rule makes one row-wise call on the stacked
-    rows of its schemes at every N (one set of rows for a direct-link
-    scheme); the standard errors come from one ``np.std`` pass over
-    every row, each bit for bit that of its row alone.  A draw with
-    some |gamma_k|^2 = 0 raises ``DegenerateChannelError`` naming the
+    Geometry is drawn once and held fixed (it does not depend on N),
+    matching the multi-timescale split: long-term variables per
+    geometry, channels per trial.  With ``redraw_geometry_per_trial``
+    each trial draws its own geometry, shared by every N, for studies
+    whose randomness lives in the static angles.  Draws follow the
+    module's stream layout, and each trial's one draw serves every
+    scheme and every N as the module docstring describes: the rows at
+    N_i depend on the element counts up to N_i and not on those above
+    it, and under ``pure_los`` the gammas are the vector channel's, bit
+    for bit.  A geometry's long-term state, line of sight and segment
+    terms are built once, at the largest N.  Per block of trials,
+    |gamma| is taken once per kind and each power rule makes one
+    row-wise call; the standard errors come from one ``np.std`` pass,
+    each bit for bit that of its row alone.  A draw with some
+    |gamma_k|^2 = 0 raises ``DegenerateChannelError`` naming the
     scheme, the N ("every N" for the direct-link schemes) and the first
     such trial, the first (scheme, N) in the caller's order of schemes
     that fails; it is checked per kind before any power control.
@@ -472,9 +447,8 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
         for t in range(start, stop):
             per_geometry = fixed
             if per_geometry is None:
-                gen = _keyed_generator(config.seed, _GEOMETRY_KEY, 0, t)
-                per_geometry = long_term(make_geometry(system, gen))
-            yield *per_geometry, _keyed_generator(config.seed, _CHANNEL_KEY, 0, t)
+                per_geometry = long_term(make_geometry(system, RngStream(config.seed, 2 + 2 * t)))
+            yield *per_geometry, RngStream(config.seed, 3 + 2 * t).generator()
 
     P, K = len(config.n_sweep), system.K
     mses = np.empty((len(schemes), P, T))

@@ -15,6 +15,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
 
 
 @dataclass(frozen=True)
@@ -24,20 +25,28 @@ class RngStream:
     The same (seed, stream_id) pair reproduces a bit-identical draw
     sequence; distinct stream_ids give statistically independent
     sequences.  Monte Carlo trials each own one stream, so results do
-    not depend on scheduling order.
+    not depend on scheduling order.  The seed is taken mod 2**64 and
+    stream_id must be below 2**64.  The entropy is the pair itself when
+    both fit 32 bits, else the five words (seed_lo, seed_hi, id_lo,
+    id_hi, 1): numpy splits an integer into as many 32-bit words as it
+    needs and pads with zero words, so wide pairs as such would alias
+    (``(3 + 5 * 2**32, 0)`` and ``(3, 5)``).
     """
 
     seed: int
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        if self.stream_id < 0:
-            raise ValueError("stream_id must be non-negative")
+        if not 0 <= self.stream_id <= _MASK64:
+            raise ValueError(f"stream_id must be in [0, 2**64), got {self.stream_id}")
 
     def generator(self) -> np.random.Generator:
         """Materialize a fresh counter-based (Philox) generator."""
-        ss = np.random.SeedSequence((self.seed & _MASK64, self.stream_id))
-        return np.random.Generator(np.random.Philox(ss))
+        seed, stream_id = self.seed & _MASK64, self.stream_id
+        entropy = (seed, stream_id)
+        if (seed | stream_id) > _MASK32:
+            entropy = (seed & _MASK32, seed >> 32, stream_id & _MASK32, stream_id >> 32, 1)
+        return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
 def as_generator(stream: RngStream | np.random.Generator) -> np.random.Generator:

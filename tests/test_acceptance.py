@@ -21,7 +21,6 @@ from irs_aircomp.analysis import (
     approx_array_gain,
     group_split,
     lambda1,
-    mse_upper_bound,
     n_threshold,
 )
 from irs_aircomp.channel import (
@@ -99,7 +98,8 @@ def test_criterion_2_mse_scaling_law():
     phases, M=10, K=21, unit path losses, 10^3 angle-geometry draws per
     point, N in {64, 128, 256, 512}; requires fitted log-log slope in
     [-2.3, -1.7] and mean MSE <= 1.1x the closed-form bound at N in
-    {256, 512}.
+    {256, 512}: one redrawn-geometry ``run_sweep``, whose bound column at
+    unit path losses is the closed form at rho_min = 1.
 
     This check FAILS by construction of the finite-size statistics, and
     is kept at its stated tolerances deliberately.  The closed-form
@@ -112,23 +112,17 @@ def test_criterion_2_mse_scaling_law():
     points; see scripts/run_scaling_law.py for the wide-N diagnostic.
     """
     t0 = time.time()
-    sigma2 = 1.0
     sweep = (64, 128, 256, 512)
-    means = []
-    for N in sweep:
-        cfg = pure_los_system(N, sigma2)
-        mses = [
-            channel_inversion_power_control(
-                pure_los_trial_gammas(cfg, 101, t), cfg.Pmax, sigma2
-            ).mse
-            for t in range(1000)
-        ]
-        means.append(math.fsum(mses) / len(mses))
-    slope = float(np.polyfit(np.log(sweep), np.log(means), 1)[0])
-    ratios = {}
-    for N, mean in zip(sweep, means):
-        params = AsymptoticParams(M=10, N=N, K=21, Pmax=1.0, sigma2=sigma2, rho_min=1.0)
-        ratios[N] = mean / mse_upper_bound(params)
+    config = ExperimentConfig(
+        system=pure_los_system(sweep[0], 1.0),
+        n_sweep=sweep,
+        trials=1000,
+        seed=101,
+        redraw_geometry_per_trial=True,
+    )
+    rows = run_sweep(config, [Scheme.INV_PC_IRS]).rows  # sorted by N
+    slope = float(np.polyfit(np.log(sweep), np.log([r.mean_mse for r in rows]), 1)[0])
+    ratios = {r.N: r.mean_mse / r.bound_mse for r in rows}
     elapsed = time.time() - t0
     slope_ok = -2.3 <= slope <= -1.7
     bound_ok = ratios[256] <= 1.1 and ratios[512] <= 1.1

@@ -57,9 +57,8 @@ class Side:
 
     def engine(self, trials, seed, first=0):
         """The engine's trials first..first+trials-1 of ``seed``: run_sweep's draws."""
-        key = experiments._CHANNEL_KEY
         return [
-            (self.geometry, self.terms, experiments._keyed_generator(seed, key, 0, t))
+            (self.geometry, self.terms, RngStream(seed, 3 + 2 * t).generator())
             for t in range(first, first + trials)
         ]
 
@@ -145,14 +144,13 @@ def test_fixed_geometry_rows_match_full_sampler(fixed):
 
 
 def test_redrawn_geometry_rows_match_full_sampler():
-    # trial t's geometry is run_sweep's, from the geometry stream of SEED; the
+    # trial t's geometry is run_sweep's, from stream 2 + 2t of SEED; the
     # engine and the reference each draw that trial's channels on it, so the
     # per-trial MSE difference is paired in the geometry
     keyed, reference, direct = [], [], []
     gen = reference_rng(3143)
     for t in range(TRIALS):
-        geometry_gen = experiments._keyed_generator(SEED, experiments._GEOMETRY_KEY, 0, t)
-        side = Side(LARGEST, make_geometry(LARGEST, geometry_gen), SIZES)
+        side = Side(LARGEST, make_geometry(LARGEST, RngStream(SEED, 2 + 2 * t)), SIZES)
         keyed += side.engine(1, SEED, first=t)
         gammas, h_direct = side.reference(1, gen)
         reference.append(gammas)
@@ -241,8 +239,7 @@ def test_pure_los_gammas_are_the_vector_channels_bit_for_bit():
     side = Side(system, make_geometry(system, RngStream(SEED, 0)), SIZES)
     engine = experiments._block_gammas(system, side.engine(5, SEED), list(Scheme), SIZES)
     for t in range(5):
-        gen = experiments._keyed_generator(SEED, experiments._CHANNEL_KEY, 0, t)
-        block = sample_channels(side.geometry, system, gen, side.los)
+        block = sample_channels(side.geometry, system, RngStream(SEED, 3 + 2 * t), side.los)
         for kind, theta in ((VOTED, side.state.theta_voted), (ZERO, side.state.theta_fixed)):
             for p, N in enumerate(SIZES):
                 sized = ChannelRealization(block.h_direct, block.h_reflect[:, :N], side.geometry)

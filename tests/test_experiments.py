@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from irs_aircomp import channel, experiments, numerics, protocol
-from irs_aircomp.channel import SystemConfig, _effective_block, line_of_sight, make_geometry
+from irs_aircomp.channel import (
+    SystemConfig,
+    _effective_block,
+    effective_scalar_channel,
+    line_of_sight,
+    make_geometry,
+    sample_channels,
+)
 from irs_aircomp.experiments import (
     CSV_HEADER,
     ConfigError,
@@ -272,25 +279,50 @@ class TestKeyedStreams:
             assert len(stats) == 1
 
     def test_keys_injective(self):
-        # Key parts spilling across 32-bit words, as in the RngStream(seed, stream_id)
-        # pair where (3 + 2**32, 7) and (3, 1 + 7 * 2**32) give one stream, are refused,
-        # and every in-range (seed, kind, n, trial) owns its own stream.
-        parts = (0, 1, 7, 2**32 - 1)
-        seeds = (0, 3, 3 + 2**32, 2**64 - 1)
-        first = {}
-        for seed, kind, n, trial in itertools.product(seeds, (0, 1), parts, parts):
-            gen = experiments._keyed_generator(seed, kind, n, trial)
-            first[(seed, kind, n, trial)] = tuple(gen.bit_generator.random_raw(2))
-        keyed = set(first.values())
-        assert len(keyed) == len(first)
-        # nor does any keyed stream repeat the reference or benchmark-style streams
-        for seed in seeds:
-            for stream_id in (0, 1, 2, 3, 1 << 40, (1 << 40) + 1):
-                raw = tuple(RngStream(seed, stream_id).generator().bit_generator.random_raw(2))
-                assert raw not in keyed
-        for key in ((0, 0, 2**32), (1, 1 + 7 * 2**32, 0), (2**32, 0, 0), (0, -1, 0)):
-            with pytest.raises(ValueError, match="stream key parts"):
-                experiments._keyed_generator(3, *key)
+        # RngStream(seed, stream_id) keys every draw of the engine.  Numpy splits
+        # an integer into 32-bit words and pads short entropy with zero words, so
+        # the bare pair gave (3 + 2**32, 7) the stream of (3, 1 + 7 * 2**32) and
+        # (3 + 5 * 2**32, 0) that of (3, 5); every key of a grid of in- and
+        # out-of-range words, both pairs included, owns its own stream.
+        def first(seed, stream_id):
+            return tuple(RngStream(seed, stream_id).generator().bit_generator.random_raw(2))
+
+        parts = (0, 1, 3, 5, 7, 101, 2**32 - 1, 2**32, 3 + 2**32, 1 + 7 * 2**32, 3 + 5 * 2**32)
+        parts += (2**63, 2**64 - 1)
+        assert len({first(seed, stream_id) for seed in parts for stream_id in parts}) == 13 * 13
+        # keys whose parts fit 32 bits seed with the pair itself, whose draws are pinned here
+        pinned = {
+            (0, 0): (0x399E5B222B82FA9, 0x41FD08C1F00F3BC5),
+            (42, 7): (0xA76E3DF6F104E0AD, 0x68FEC08581D23B98),
+            (101, 3): (0x1461F9A1647B26F5, 0x730F786ABA45BB6F),
+            (2**32 - 1, 2**32 - 1): (0x979B219675F23D66, 0xF108B4617E2F37F3),
+        }
+        assert {key: first(*key) for key in pinned} == pinned
+        assert first(-1, 3) == first(2**64 - 1, 3)  # the seed is taken mod 2**64
+        with pytest.raises(ValueError, match="stream_id must be in"):
+            RngStream(3, 2**64)
+
+    def test_pure_los_recipe_is_run_sweep(self, monkeypatch):
+        # the scaling recipe by hand: trial t's geometry from stream 2 + 2t and its
+        # vector channel from stream 3 + 2t, evaluated at each N on its own.  The
+        # element counts cross the steering block, the 70 trials a power block.
+        system = SystemConfig(M=4, K=5, pure_los=True, block_direct=True)
+        sizes, seed = (32, 64, 65, 512), 17
+        config = ExperimentConfig(
+            system=system, n_sweep=sizes, trials=70, seed=seed, redraw_geometry_per_trial=True
+        )
+        schemes, want = [Scheme.INV_PC_IRS, Scheme.OPT_PC_IRS], []
+        for s, N in itertools.product(schemes, sizes):
+            sized = replace(system, N=N)
+            want.append([])
+            for t in range(config.trials):
+                geometry = make_geometry(sized, RngStream(seed, 2 + 2 * t))
+                state = compute_long_term(geometry, sized)
+                block = sample_channels(geometry, sized, RngStream(seed, 3 + 2 * t))
+                gammas = effective_scalar_channel(block, state.v, state.theta_voted)
+                rows = power_control_rows(gammas[None], system.Pmax, system.sigma2, s.inversion)
+                want[-1].append(float(rows[3][0]))
+        assert per_trial_mses(monkeypatch, config, schemes) == want
 
 
 class TestRunSweep:
@@ -354,8 +386,8 @@ class TestRunSweep:
             cfg = small_config(n_sweep=(N,), trials=1)
             for s in Scheme:
                 (row,) = run_sweep(cfg, [s]).rows
-                gen = experiments._keyed_generator(cfg.seed, experiments._CHANNEL_KEY, 0, 0)
-                mse, kt = run_trial(SystemConfig(M=4, N=N, K=3), geo, s, gen)
+                stream = RngStream(cfg.seed, 3)  # trial 0's channel stream
+                mse, kt = run_trial(SystemConfig(M=4, N=N, K=3), geo, s, stream)
                 assert (row.N, row.mean_mse, row.mean_ktilde) == (N, mse, kt)
 
     def test_blocked_direct_links_rejected_up_front(self, monkeypatch):

@@ -2,12 +2,13 @@
 
 Every earlier engine change (trial-major draws, the batched vote, the
 real-arithmetic kernels, the prefix slicing) reproduced the files of the
-engine before it exactly.  Three changes altered the streams on purpose,
-and a fourth the values drawn from them:
+engine before it exactly.  Four changes altered the streams on purpose,
+and one the values drawn from them:
 
 - the coordinate-keyed engine (channel streams keyed by (N, trial),
   redraw-mode geometry streams by the trial alone) regenerated all six
-  files once; ``golden_scaling_los.csv`` is still its output;
+  files once; ``golden_scaling_los.csv`` kept its output until the
+  steering kernel below;
 - the one-block engine (each trial's channel block drawn once, at the
   largest N, from a stream keyed by the trial alone, with element-major
   scattered draws that every N takes as a prefix, and the direct-link
@@ -35,7 +36,11 @@ and a fourth the values drawn from them:
   N above 64 changed: the N = 128 rows of the five small cases, by at
   most 8.2e-13 relative, and ``golden_scaling_los.csv``, by at most
   2.5e-11.  No ``mean_ktilde`` moved, and the ``*_NO_IRS`` rows are
-  byte-identical.
+  byte-identical;
+- the scaling recipe's stream layout (trial t's redrawn geometry from
+  ``RngStream(seed, 2+2t)``, its channels from ``RngStream(seed, 3+2t)``)
+  regenerated all six files; every ``mean_mse`` moved by at most 2.4
+  standard errors of the difference.
 
 Any change that keeps the random streams must reproduce them exactly; a
 change that alters the streams on purpose regenerates the cases it
