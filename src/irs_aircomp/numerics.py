@@ -26,11 +26,10 @@ class RngStream:
     sequence; distinct stream_ids give statistically independent
     sequences.  Monte Carlo trials each own one stream, so results do
     not depend on scheduling order.  The seed is taken mod 2**64 and
-    stream_id must be below 2**64.  The entropy is the pair itself when
-    both fit 32 bits, else the five words (seed_lo, seed_hi, id_lo,
-    id_hi, 1): numpy splits an integer into as many 32-bit words as it
-    needs and pads with zero words, so wide pairs as such would alias
-    (``(3 + 5 * 2**32, 0)`` and ``(3, 5)``).
+    stream_id must be below 2**64.  The entropy is the four 32-bit words
+    (seed_lo, id_lo, seed_hi, id_hi), fixed-width and so injective;
+    numpy pads shorter entropy with zero words, so a pair whose parts
+    fit 32 bits draws as the bare pair (seed, stream_id) would.
     """
 
     seed: int
@@ -43,9 +42,7 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         """Materialize a fresh counter-based (Philox) generator."""
         seed, stream_id = self.seed & _MASK64, self.stream_id
-        entropy = (seed, stream_id)
-        if (seed | stream_id) > _MASK32:
-            entropy = (seed & _MASK32, seed >> 32, stream_id & _MASK32, stream_id >> 32, 1)
+        entropy = (seed & _MASK32, stream_id & _MASK32, seed >> 32, stream_id >> 32)
         return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 

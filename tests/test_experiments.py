@@ -290,7 +290,7 @@ class TestKeyedStreams:
         parts = (0, 1, 3, 5, 7, 101, 2**32 - 1, 2**32, 3 + 2**32, 1 + 7 * 2**32, 3 + 5 * 2**32)
         parts += (2**63, 2**64 - 1)
         assert len({first(seed, stream_id) for seed in parts for stream_id in parts}) == 13 * 13
-        # keys whose parts fit 32 bits seed with the pair itself, whose draws are pinned here
+        # keys whose parts fit 32 bits draw as the bare pair did; their draws are pinned here
         pinned = {
             (0, 0): (0x399E5B222B82FA9, 0x41FD08C1F00F3BC5),
             (42, 7): (0xA76E3DF6F104E0AD, 0x68FEC08581D23B98),
