@@ -16,13 +16,14 @@ ratio fall toward 1 and the fitted log-log slope approach -2.
 import argparse
 import csv
 import math
+import sys
 
 import numpy as np
 
 from irs_aircomp import ExperimentConfig, Scheme, SystemConfig, run_sweep
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", default="64,128,256,512,1024,2048,4096",
                         help="comma-separated element counts")
@@ -32,8 +33,33 @@ def main() -> int:
     parser.add_argument("--trials", type=int, default=300)
     parser.add_argument("--seed", type=int, default=101)
     parser.add_argument("--out", default="scaling_law.csv")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    try:
+        rows = sweep_rows(args)
+    except ValueError as exc:  # a ConfigError or an invalid system: exit 2, as irs-aircomp does
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(f"{'N':>6} {'mean MSE':>12} {'std. error':>12} {'bound':>12} {'mean/bound':>11}")
+    for N, mean, stderr, bound, ratio in rows:
+        print(f"{N:>6} {mean:>12.5g} {stderr:>12.5g} {bound:>12.5g} {ratio:>11.3f}")
 
+    if len(rows) >= 2:
+        slope = np.polyfit(np.log([r[0] for r in rows]), np.log([r[1] for r in rows]), 1)[0]
+        tail = rows[-2:]
+        local = math.log(tail[1][1] / tail[0][1]) / math.log(tail[1][0] / tail[0][0])
+        print(f"log-log slope: mean {slope:.2f}, last-step mean {local:.2f}")
+
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["N", "mean_mse", "stderr_mse", "bound_mse", "mean_over_bound"])
+        for row in rows:
+            writer.writerow([row[0], *(repr(v) for v in row[1:])])
+    print(f"wrote {args.out}")
+    return 0
+
+
+def sweep_rows(args) -> list[tuple]:
+    """(N, mean, std. error, bound, mean/bound) per N: one ``run_sweep``."""
     ns = [int(x) for x in args.n.split(",")]
     system = SystemConfig(
         M=args.m, K=args.k, L=2, Pmax=1.0, sigma2=args.sigma2,
@@ -47,27 +73,10 @@ def main() -> int:
         redraw_geometry_per_trial=True,
     )
     # at unit path losses the bound column is the closed form at rho_min = 1
-    rows = [
+    return [
         (r.N, r.mean_mse, r.stderr_mse, r.bound_mse, r.mean_mse / r.bound_mse)
         for r in run_sweep(config, [Scheme.INV_PC_IRS]).rows
     ]
-    print(f"{'N':>6} {'mean MSE':>12} {'std. error':>12} {'bound':>12} {'mean/bound':>11}")
-    for N, mean, stderr, bound, ratio in rows:
-        print(f"{N:>6} {mean:>12.5g} {stderr:>12.5g} {bound:>12.5g} {ratio:>11.3f}")
-
-    if len(ns) >= 2:
-        slope = np.polyfit(np.log([r[0] for r in rows]), np.log([r[1] for r in rows]), 1)[0]
-        tail = rows[-2:]
-        local = math.log(tail[1][1] / tail[0][1]) / math.log(tail[1][0] / tail[0][0])
-        print(f"log-log slope: mean {slope:.2f}, last-step mean {local:.2f}")
-
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["N", "mean_mse", "stderr_mse", "bound_mse", "mean_over_bound"])
-        for row in rows:
-            writer.writerow([row[0], *(repr(v) for v in row[1:])])
-    print(f"wrote {args.out}")
-    return 0
 
 
 if __name__ == "__main__":

@@ -135,10 +135,6 @@ class ChannelRealization:
     h_reflect: np.ndarray
     geometry: Geometry = field(repr=False)
 
-    @property
-    def num_devices(self) -> int:
-        return self.h_direct.shape[0]
-
 
 def pathloss(distance: float, exponent: float, ref_loss_linear: float) -> float:
     """Large-scale power attenuation ref_loss_linear * distance**(-exponent).

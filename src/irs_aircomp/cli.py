@@ -73,6 +73,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_bounds(args) -> int:
     config = load_config(args.config)
     system = config.system
+    if system.L != 2:
+        # the closed forms assume binary phases; a sweep leaves its bound columns empty
+        raise ConfigError(f"bounds assume binary phases (l = 2), got l = {system.L}")
     reference = make_geometry(system, RngStream(config.seed, 0))
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -190,12 +190,16 @@ CSV_HEADER = ",".join(_ROW_FIELDS)
 
 @dataclass
 class SweepResult:
-    """A sweep's rows.  ``rejected_trials`` is always 0, as degenerate
-    channels raise; it stays because ``benchmark/workloads.py`` reads it.
+    """A sweep's rows and, keyed (scheme, N) as the rows sort, their T
+    per-trial MSEs and critical numbers, paired: trial t is one draw.
+    ``rejected_trials`` is always 0, as degenerate channels raise; it
+    stays because ``benchmark/workloads.py`` reads it.
     """
 
     rows: list[SweepRow]
     rejected_trials: int = 0
+    trial_mse: dict[tuple[str, int], np.ndarray] = field(default_factory=dict)
+    trial_ktilde: dict[tuple[str, int], np.ndarray] = field(default_factory=dict)
 
 
 def compute_long_term(geometry: Geometry, config: SystemConfig) -> LongTermState:
@@ -418,11 +422,12 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     terms are built once, at the largest N.  Per block of trials,
     |gamma| is taken once per kind and each power rule makes one
     row-wise call; the standard errors come from one ``np.std`` pass,
-    each bit for bit that of its row alone.  A draw with some
-    |gamma_k|^2 = 0 raises ``DegenerateChannelError`` naming the
-    scheme, the N ("every N" for the direct-link schemes) and the first
-    such trial, the first (scheme, N) in the caller's order of schemes
-    that fails; it is checked per kind before any power control.
+    each bit for bit that of its row alone, and the per-trial values
+    behind each row are returned as ``trial_mse`` and ``trial_ktilde``.
+    A draw with some |gamma_k|^2 = 0 raises ``DegenerateChannelError``
+    naming the scheme, the N ("every N" for the direct-link schemes) and
+    the first such trial, the first (scheme, N) in the caller's order of
+    schemes that fails; it is checked per kind before any power control.
     """
     schemes = [Scheme(s) for s in schemes]
     if not schemes:
@@ -487,11 +492,13 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
         ]
     stderrs = _stderrs(mses)
     ktilde_sums = ktildes.sum(axis=2).tolist()
-    rows: list[SweepRow] = []
-    for p, (N, (bound, threshold)) in enumerate(zip(config.n_sweep, bounds)):
-        for i, s in enumerate(schemes):
-            voted = s.kind == _VOTED
-            rows.append(
+    result = SweepResult(rows=[])  # rows and per-trial values in (scheme, N) order
+    for i, s in sorted(enumerate(schemes), key=lambda item: item[1].value):
+        voted = s.kind == _VOTED
+        for p, (N, (bound, threshold)) in enumerate(zip(config.n_sweep, bounds)):
+            key = s.value, N
+            result.trial_mse[key], result.trial_ktilde[key] = mses[i, p], ktildes[i, p]
+            result.rows.append(
                 SweepRow(
                     scheme=s.value,
                     N=N,
@@ -505,9 +512,7 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
                     n_threshold=threshold if voted else None,
                 )
             )
-
-    rows.sort(key=lambda r: (r.scheme, r.N))
-    return SweepResult(rows=rows)
+    return result
 
 
 def _format_cell(value) -> str:

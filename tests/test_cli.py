@@ -1,5 +1,7 @@
 import csv
 import re
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +106,19 @@ def test_bounds_equal_the_sweep_bound_columns(redraw, tmp_path):
         want = [(r["N"], r["mse_upper_bound"], r["n_threshold"]) for r in csv.DictReader(fa)]
         got = [(r["N"], r["bound_mse"], r["n_threshold"]) for r in csv.DictReader(fb)]
     assert got == want
+
+
+def test_bounds_outside_binary_phases_exit_two(tmp_path, capsys):
+    # the sweep leaves its bound columns empty at l = 4; bounds refuses to write them
+    cfg = write_config(tmp_path, TOY + "l = 4\n")
+    bounds, sweep = tmp_path / "bounds.csv", tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--schemes", "OPT_PC_IRS", "--out", str(sweep)]) == 0
+    with open(sweep, newline="") as fh:
+        assert {(r["bound_mse"], r["n_threshold"]) for r in csv.DictReader(fh)} == {("", "")}
+    capsys.readouterr()
+    assert main(["bounds", "--config", cfg, "--out", str(bounds)]) == 2
+    assert re.fullmatch(r"error: bounds assume .*, got l = 4\n", capsys.readouterr().err)
+    assert not bounds.exists()
 
 
 @pytest.mark.parametrize("redraw", [False, True])
@@ -232,4 +247,19 @@ def test_underflowing_gamma_exits_two(pure_los, tmp_path, capsys):
         r"range: \|gamma\| = \S+ squares to 0, power control undefined\n",
         captured.err,
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--trials", "0"], "trials must be >= 1"),
+        (["--n", "128,64"], "n_sweep must be strictly increasing"),
+    ],
+)
+def test_scaling_script_errors_exit_two(argv, message, tmp_path, capsys):
+    script = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "run_scaling_law.py"))
+    out = tmp_path / "scaling.csv"
+    assert script["main"]([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()

@@ -160,38 +160,6 @@ class TestPrefixes:
         assert len(checked) == 2 * (cfg.trials if redraw else 1)
 
 
-def per_trial_mses(monkeypatch, config, schemes):
-    """Per-trial MSEs of one run_sweep, one list per (scheme, N) in the caller's order.
-
-    Each block of trials makes one power-control call per rule, on the
-    rows of that rule's schemes in the caller's order: B rows per N, and
-    one set of B rows that serves every N for a direct-link scheme.  The
-    calls are split back into (scheme, N) parts, and the part of each
-    block extends that (scheme, N)'s list.
-    """
-    calls = []
-    engine_power_control = experiments._power_rows
-
-    def record(g, Pmax, sigma2, inversion):
-        out = engine_power_control(g, Pmax, sigma2, inversion)
-        calls.append((inversion, out[3]))
-        return out
-
-    with monkeypatch.context() as patch:
-        patch.setattr(experiments, "_power_rows", record)
-        run_sweep(config, schemes)
-    P = len(config.n_sweep)
-    lists = {(s, p): [] for s in schemes for p in range(P)}
-    for inversion, mse in calls:
-        members = [s for s in schemes if s.inversion == inversion]
-        sizes = [1 if s.kind == experiments._DIRECT else P for s in members]
-        rows = mse.reshape(sum(sizes), -1)
-        for s, part in zip(members, np.split(rows, np.cumsum(sizes)[:-1])):
-            for p in range(P):
-                lists[s, p] += part[min(p, len(part) - 1)].tolist()
-    return list(lists.values())
-
-
 class TestKeyedStreams:
     """Draws keyed by the trial: one channel block at the largest N, and a geometry."""
 
@@ -214,19 +182,19 @@ class TestKeyedStreams:
         assert all(r not in full for r in gap if r not in kept)
 
     @pytest.mark.parametrize("redraw", [False, True])
-    def test_longer_run_extends_per_trial_values(self, redraw, monkeypatch):
+    def test_longer_run_extends_per_trial_values(self, redraw):
         # 40 and 80 trials: the longer run also crosses a power-control block boundary
         schemes = [Scheme.OPT_PC_IRS, Scheme.INV_PC_NO_IRS, Scheme.FIXED_PHASE_OPT_PC]
-        short = per_trial_mses(
-            monkeypatch, small_config(trials=40, redraw_geometry_per_trial=redraw), schemes
+        short, long = (
+            run_sweep(small_config(trials=T, redraw_geometry_per_trial=redraw), schemes)
+            for T in (40, 80)
         )
-        long = per_trial_mses(
-            monkeypatch, small_config(trials=80, redraw_geometry_per_trial=redraw), schemes
-        )
-        assert len(short) == len(long)
-        for values, longer in zip(short, long):
-            assert len(values) == 40 and len(longer) == 80
-            assert longer[:40] == values
+        for name in ("trial_mse", "trial_ktilde"):
+            values, longer = getattr(short, name), getattr(long, name)
+            assert values.keys() == longer.keys()
+            for key, head in values.items():
+                assert len(head) == 40 and len(longer[key]) == 80
+                assert np.array_equal(bits(longer[key][:40]), bits(head))
 
     @pytest.mark.parametrize("redraw", [False, True])
     def test_per_geometry_work_once_per_geometry(self, redraw, monkeypatch):
@@ -302,7 +270,7 @@ class TestKeyedStreams:
         with pytest.raises(ValueError, match="stream_id must be in"):
             RngStream(3, 2**64)
 
-    def test_pure_los_recipe_is_run_sweep(self, monkeypatch):
+    def test_pure_los_recipe_is_run_sweep(self):
         # the scaling recipe by hand: trial t's geometry from stream 2 + 2t and its
         # vector channel from stream 3 + 2t, evaluated at each N on its own.  The
         # element counts cross the steering block, the 70 trials a power block.
@@ -322,7 +290,8 @@ class TestKeyedStreams:
                 gammas = effective_scalar_channel(block, state.v, state.theta_voted)
                 rows = power_control_rows(gammas[None], system.Pmax, system.sigma2, s.inversion)
                 want[-1].append(float(rows[3][0]))
-        assert per_trial_mses(monkeypatch, config, schemes) == want
+        mses = run_sweep(config, schemes).trial_mse
+        assert [mses[s.value, N].tolist() for s, N in itertools.product(schemes, sizes)] == want
 
 
 class TestRunSweep:
@@ -452,11 +421,13 @@ class TestStackedPowerControl:
         monkeypatch.setattr(
             experiments, "_block_gammas", lambda *a: blocks.append(engine_gammas(*a)) or blocks[-1]
         )
-        stacked = per_trial_mses(monkeypatch, config, schemes)
+        result = run_sweep(config, schemes)
         assert len(blocks) == 2
-        mses, kts = [], []
+        keys = sorted((s.value, N) for s in schemes for N in config.n_sweep)
+        assert list(result.trial_mse) == list(result.trial_ktilde) == keys
+        # each (scheme, N)'s values are those of its own power-control call per block
         for s in schemes:
-            for p in range(len(config.n_sweep)):
+            for p, N in enumerate(config.n_sweep):
                 runs = [
                     power_control_rows(
                         block[s.kind][min(p, len(block[s.kind]) - 1)],
@@ -466,17 +437,23 @@ class TestStackedPowerControl:
                     )
                     for block in blocks
                 ]
-                mses.append(np.concatenate([run[3] for run in runs]))
-                kts.append(np.concatenate([run[2] for run in runs]))
-        assert np.array_equal(bits(np.array(stacked)), bits(np.array(mses)))
-        # the rows, with the per-row statistics of separate calls
-        want = {}
-        for (s, N), vals, kt in zip(itertools.product(schemes, config.n_sweep), mses, kts):
-            stderr = float(np.std(vals, ddof=1) / math.sqrt(T))
-            want[s.value, N] = (math.fsum(vals) / T, stderr, math.fsum(kt) / T)
-        rows = run_sweep(config, schemes).rows
-        got = {(r.scheme, r.N): (r.mean_mse, r.stderr_mse, r.mean_ktilde) for r in rows}
-        assert got == want
+                mse = np.concatenate([run[3] for run in runs])
+                kt = np.concatenate([run[2] for run in runs])
+                assert np.array_equal(bits(result.trial_mse[s.value, N]), bits(mse))
+                assert np.array_equal(result.trial_ktilde[s.value, N], kt)
+        # each row's statistics are those of its per-trial values
+        assert [(r.scheme, r.N) for r in result.rows] == keys
+        for r in result.rows:
+            mse, kt = result.trial_mse[r.scheme, r.N], result.trial_ktilde[r.scheme, r.N]
+            assert r.mean_mse == math.fsum(mse.tolist()) / T
+            assert r.stderr_mse == float(np.std(mse, ddof=1) / math.sqrt(T))
+            assert r.mean_ktilde == math.fsum(kt.tolist()) / T
+        # the direct-link schemes do not see the IRS, so N cannot move their values
+        for s, values in itertools.product(
+            (Scheme.OPT_PC_NO_IRS, Scheme.INV_PC_NO_IRS), (result.trial_mse, result.trial_ktilde)
+        ):
+            first, *rest = (values[s.value, N] for N in config.n_sweep)
+            assert all(np.array_equal(bits(first), bits(other)) for other in rest)
 
     @pytest.mark.parametrize("T", [2, 3, 64, 65, 10_000])
     def test_one_pass_stderr_equals_per_row_std(self, T):
