@@ -60,7 +60,12 @@ def main(argv=None) -> int:
 
 def sweep_rows(args) -> list[tuple]:
     """(N, mean, std. error, bound, mean/bound) per N: one ``run_sweep``."""
-    ns = [int(x) for x in args.n.split(",")]
+    ns = []
+    for part in args.n.split(","):
+        try:
+            ns.append(int(part))
+        except ValueError:
+            raise ValueError(f"--n: cannot parse {part!r} as int") from None
     system = SystemConfig(
         M=args.m, K=args.k, L=2, Pmax=1.0, sigma2=args.sigma2,
         pure_los=True, block_direct=True,

@@ -67,6 +67,9 @@ class SystemConfig:
             value = getattr(self, f.name)
             if value is not None and not _all_finite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
+        for name in ("M", "N", "K", "L"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if min(self.M, self.N, self.K, self.L) < 1:
             raise ValueError("M, N, K, L must all be >= 1")
         if self.Pmax <= 0:
@@ -85,6 +88,11 @@ class SystemConfig:
             raise ValueError("device_radius must be non-negative")
         if self.nu is not None and len(self.nu) != self.K:
             raise ValueError("nu override must provide one angle per device")
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _all_finite(value) -> bool:
@@ -352,9 +360,9 @@ def effective_scalar_channel(realization: ChannelRealization, v: np.ndarray, the
     """Per-device scalar channel seen after receive combining and reflection.
 
     Returns, for each device k, v^H (h_direct_k + G Theta h_reflect_k)
-    where G is the rank-1 IRS-AP link.  The rank-1 structure is
-    exploited: v^H a_M(phi_r) is computed once and the reflection is
-    applied as an N-vector inner product, O(M + N) per device.
+    where G is the rank-1 IRS-AP link: with the gain and row of
+    :func:`_reflection_factors`, v^H h_direct_k + gain * (h_reflect_k .
+    row), O(M + N) per device.
     """
     geo = realization.geometry
     K, M = realization.h_direct.shape
@@ -368,36 +376,21 @@ def effective_scalar_channel(realization: ChannelRealization, v: np.ndarray, the
     if theta.num_elements != N:
         raise ValueError(f"phase-shift vector has {theta.num_elements} elements, expected {N}")
 
-    gain, row = _reflection_factors(geo, v, theta)
-    return _scalar_channels(realization.h_direct, realization.h_reflect, v, gain, row)
+    gain, (row,) = _reflection_factors(geo, v, theta)
+    return realization.h_direct @ v.conj() + gain * (realization.h_reflect @ row)
 
 
-def _reflection_basis(geometry: Geometry, v: np.ndarray, n_elems: int):
-    """The phase-independent factors of the reflected path, (gain, conj(a_N(phi_t))).
+def _reflection_factors(geometry: Geometry, v: np.ndarray, *thetas):
+    """The block-independent factors of the reflected path, (gain, rows).
 
-    gain = sqrt(rho_1) v^H a_M(phi_r) is a scalar; the steering row
-    conj(a_N(phi_t)) times Theta's diagonal gives each phase
-    configuration's row (:func:`_reflection_factors`).
+    The only builder of the reflected path.  The IRS-AP link is rank-1,
+    so under phases Theta it reaches v^H as one scalar gain =
+    sqrt(rho_1) v^H a_M(phi_r) times one N-vector row = a_N(phi_t)^H
+    Theta applied to every device's IRS link.  The gain does not depend
+    on Theta, so a_M(phi_r) and a_N(phi_t) are steered once and ``rows``
+    holds one row per phase-shift vector of ``thetas`` (Theta's diagonal
+    is its ``phasors``), each bit for bit that of a call with it alone.
     """
     a_m = array_response(v.shape[0], geometry.phi_r, geometry.spacing_ratio)
-    a_n = array_response(n_elems, geometry.phi_t, geometry.spacing_ratio)
-    return np.sqrt(geometry.rho_1) * np.vdot(v, a_m), a_n.conj()
-
-
-def _reflection_factors(geometry: Geometry, v: np.ndarray, theta):
-    """The block-independent factors of the reflected path, (gain, row).
-
-    gain = sqrt(rho_1) v^H a_M(phi_r) is a scalar and row =
-    a_N(phi_t)^H Theta is the N-vector applied to every device's IRS
-    link; a caller evaluating many blocks computes them once.  ``theta``
-    is a phase-shift vector; Theta's diagonal is its ``phasors``.
-    """
-    gain, steering = _reflection_basis(geometry, v, theta.num_elements)
-    return gain, steering * theta.phasors
-
-
-def _scalar_channels(
-    h_direct: np.ndarray, h_reflect: np.ndarray, v: np.ndarray, gain: complex, row: np.ndarray
-) -> np.ndarray:
-    """v^H h_direct_k + gain * (h_reflect_k . row) for every device k."""
-    return h_direct @ v.conj() + gain * (h_reflect @ row)
+    steering = array_response(thetas[0].num_elements, geometry.phi_t, geometry.spacing_ratio).conj()
+    return np.sqrt(geometry.rho_1) * np.vdot(v, a_m), [steering * t.phasors for t in thetas]

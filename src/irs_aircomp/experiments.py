@@ -44,7 +44,6 @@ import enum
 import math
 import typing
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -53,7 +52,8 @@ from .channel import (
     Geometry,
     SystemConfig,
     _effective_block,
-    _reflection_basis,
+    _is_integer,
+    _reflection_factors,
     line_of_sight,
     make_geometry,
 )
@@ -127,6 +127,12 @@ class ExperimentConfig:
     redraw_geometry_per_trial: bool = False
 
     def __post_init__(self) -> None:
+        for n in self.n_sweep:
+            if not _is_integer(n):
+                raise ConfigError(f"n_sweep must hold integer element counts, got {n!r}")
+        for name in ("trials", "seed"):
+            if not _is_integer(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         self.n_sweep = tuple(int(n) for n in self.n_sweep)
         if len(self.n_sweep) < 1 or any(n < 1 for n in self.n_sweep):
             raise ConfigError("n_sweep must contain positive element counts")
@@ -140,12 +146,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class LongTermState:
-    """Per-geometry long-term variables: beamformer and phase configurations.
+    """The paper's long-term variables of one geometry, and nothing cached.
 
-    ``voted_reflection`` and ``zero_reflection`` are the block-independent
-    (gain, row) factors of the effective channel under each phase
-    configuration, built on first use from one shared gain and steering
-    row, so a geometry steers a_M(phi_r) and a_N(phi_t) once for both.
+    ``v`` is the AP receive beamformer, fixed from the static angle
+    information, and ``theta_voted`` and ``theta_fixed`` the voted and
+    the all-zero IRS phase configurations, fixed from statistical CSI.
     The engine holds one state per geometry, at the largest N of the
     sweep, and each N slices its first N elements where they are used.
     """
@@ -153,21 +158,6 @@ class LongTermState:
     v: np.ndarray
     theta_voted: PhaseShiftVector
     theta_fixed: PhaseShiftVector
-    geometry: Geometry = field(repr=False)
-
-    @cached_property
-    def _basis(self) -> tuple[complex, np.ndarray]:
-        return _reflection_basis(self.geometry, self.v, self.theta_voted.num_elements)
-
-    @cached_property
-    def voted_reflection(self) -> tuple[complex, np.ndarray]:
-        gain, steering = self._basis
-        return gain, steering * self.theta_voted.phasors
-
-    @cached_property
-    def zero_reflection(self) -> tuple[complex, np.ndarray]:
-        gain, steering = self._basis
-        return gain, steering * self.theta_fixed.phasors
 
 
 @dataclass(frozen=True)
@@ -218,7 +208,6 @@ def compute_long_term(geometry: Geometry, config: SystemConfig) -> LongTermState
         v=v,
         theta_voted=PhaseShiftVector(vote_indices(preferred, config.L), config.L),
         theta_fixed=PhaseShiftVector.zero(config.N, config.L),
-        geometry=geometry,
     )
 
 
@@ -242,13 +231,17 @@ _POWER_BLOCK = 64
 _IRS_KINDS = (_VOTED, _ZERO)
 
 
-def _kind_terms(config: SystemConfig, long_term: LongTermState, los: np.ndarray, sizes):
+def _kind_terms(config: SystemConfig, geometry: Geometry, long_term: LongTermState, sizes):
     """A geometry's block-independent terms of the voted and zero gammas at every N of ``sizes``.
 
-    Returns (conj(v), gains (2,), line of sight (2, P, K), coefficients
-    (2, P, 2, K) or None under ``pure_los``), kinds in the order of
-    ``_IRS_KINDS``, one N or one segment per P.  The line of sight at N
-    is ``los[:, :N] @ row[:N]``.  Segment j holds the elements
+    The per-geometry stage after :func:`compute_long_term`: it builds the
+    line of sight ``los`` and, in one
+    :func:`~irs_aircomp.channel._reflection_factors` call, the one gain
+    (both kinds share it) and the voted and zero rows.  Returns (conj(v),
+    gain, line of sight (2, P, K), coefficients (2, P, 2, K) or None
+    under ``pure_los``), kinds in the order of ``_IRS_KINDS``, one N or
+    one segment per P.  The line of sight at N is ``los[:, :N] @
+    row[:N]``.  Segment j holds the elements
     [N_{j-1}, N_j) of ``sizes``, of length L_j; c_j is the sum of its
     voted phasors and a_k = sqrt(rho_r,k / (delta + 1)) device k's
     scattered amplitude.  A block's two CN(0, 1) normals w1, w2 of device
@@ -261,11 +254,13 @@ def _kind_terms(config: SystemConfig, long_term: LongTermState, los: np.ndarray,
     element is unit-modulus and row_voted conj(row_zero) is the voted
     phasor.  Segments and devices are independent, as the elements are.
     """
-    reflections = (long_term.voted_reflection, long_term.zero_reflection)
-    gains = np.array([gain for gain, _ in reflections])
-    line = np.array([[los[:, :N] @ row[:N] for N in sizes] for _, row in reflections])
+    los = line_of_sight(geometry, config)
+    gain, rows = _reflection_factors(
+        geometry, long_term.v, long_term.theta_voted, long_term.theta_fixed
+    )
+    line = np.array([[los[:, :N] @ row[:N] for N in sizes] for row in rows])
     if config.pure_los:
-        return long_term.v.conj(), gains, line, None
+        return long_term.v.conj(), gain, line, None
     edges = (0, *sizes)
     lengths = np.diff(edges)
     c = np.add.reduceat(long_term.theta_voted.phasors, edges[:-1])
@@ -274,8 +269,8 @@ def _kind_terms(config: SystemConfig, long_term: LongTermState, los: np.ndarray,
     per_segment[0, :, 0] = root
     per_segment[1, :, 0] = c.conj() / root
     per_segment[1, :, 1] = np.sqrt(np.maximum(0.0, lengths - np.abs(c) ** 2 / lengths))
-    a = np.sqrt(long_term.geometry.rho_r / (config.rician_delta + 1.0))
-    return long_term.v.conj(), gains, line, per_segment[..., None] * a
+    a = np.sqrt(geometry.rho_r / (config.rician_delta + 1.0))
+    return long_term.v.conj(), gain, line, per_segment[..., None] * a
 
 
 def _block_gammas(config: SystemConfig, trials, schemes: list[Scheme], sizes: tuple[int, ...]):
@@ -312,7 +307,7 @@ def _block_gammas(config: SystemConfig, trials, schemes: list[Scheme], sizes: tu
         scattered = (np.stack(coef) * np.stack(normals)[:, None]).sum(axis=3)
         reflected = reflected + np.cumsum(scattered, axis=2)
     combined = np.matmul(h_direct, np.stack(conj_v)[:, :, None])[:, None, None, :, 0]
-    gammas = (combined + np.stack(gains)[:, :, None, None] * reflected).transpose(1, 2, 0, 3)
+    gammas = (combined + np.array(gains)[:, None, None, None] * reflected).transpose(1, 2, 0, 3)
     out.update((kind, gammas[i]) for i, kind in enumerate(_IRS_KINDS) if kind in kinds)
     return out
 
@@ -375,7 +370,7 @@ def run_trial(
     if long_term is None:
         long_term = compute_long_term(geometry, config)
     sizes = (config.N,)
-    terms = _kind_terms(config, long_term, line_of_sight(geometry, config), sizes)
+    terms = _kind_terms(config, geometry, long_term, sizes)
     gammas = _block_gammas(config, [(geometry, terms, as_generator(stream))], [scheme], sizes)
     _, _, kt, mse = power_control_rows(
         gammas[scheme.kind][0], config.Pmax, config.sigma2, inversion=scheme.inversion
@@ -442,8 +437,7 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
 
     def long_term(geometry: Geometry):
         state = compute_long_term(geometry, largest)
-        los = line_of_sight(geometry, largest)
-        return geometry, _kind_terms(largest, state, los, config.n_sweep)
+        return geometry, _kind_terms(largest, geometry, state, config.n_sweep)
 
     reference = make_geometry(system, RngStream(config.seed, 0))
     fixed = None if config.redraw_geometry_per_trial else long_term(reference)

@@ -255,6 +255,8 @@ def test_underflowing_gamma_exits_two(pure_los, tmp_path, capsys):
     [
         (["--trials", "0"], "trials must be >= 1"),
         (["--n", "128,64"], "n_sweep must be strictly increasing"),
+        (["--n", "64,x"], "--n: cannot parse 'x' as int"),
+        (["--n", ""], "--n: cannot parse '' as int"),
     ],
 )
 def test_scaling_script_errors_exit_two(argv, message, tmp_path, capsys):

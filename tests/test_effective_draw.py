@@ -53,7 +53,7 @@ class Side:
         self.largest, self.geometry, self.sizes = largest, geometry, sizes
         self.state = compute_long_term(geometry, self.largest)
         self.los = line_of_sight(geometry, self.largest)
-        self.terms = experiments._kind_terms(self.largest, self.state, self.los, sizes)
+        self.terms = experiments._kind_terms(self.largest, geometry, self.state, sizes)
 
     def engine(self, trials, seed, first=0):
         """The engine's trials first..first+trials-1 of ``seed``: run_sweep's draws."""

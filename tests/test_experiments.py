@@ -49,7 +49,7 @@ class TestRunTrial:
         stream = RngStream(50, 1)
         mse, kt = run_trial(cfg, geo, Scheme.INV_PC_IRS, stream, lt)
         h_direct, w = _effective_block(geo, cfg, stream.generator(), 1)
-        gain, row = lt.voted_reflection
+        gain, (row,) = channel._reflection_factors(geo, lt.v, lt.theta_voted)
         a = np.sqrt(geo.rho_r / (cfg.rician_delta + 1.0))
         scattered = (4.0 * a) * w[0, 0]
         gam = h_direct @ lt.v.conj() + gain * (line_of_sight(geo, cfg) @ row + scattered)
@@ -129,6 +129,9 @@ class TestPrefixes:
         for seed in range(12):
             geo = make_geometry(system, RngStream(seed, 0))
             state, whole = compute_long_term(geo, largest), line_of_sight(geo, largest)
+            gain, rows = channel._reflection_factors(
+                geo, state.v, state.theta_voted, state.theta_fixed
+            )
             for N in sweep:
                 los = whole[:, :N]  # the engine's blocks at N under pure_los
                 sized = replace(system, N=N)
@@ -137,9 +140,11 @@ class TestPrefixes:
                 assert np.array_equal(bits(state.v), bits(want.v))
                 assert np.array_equal(state.theta_voted.indices[:N], want.theta_voted.indices)
                 assert np.array_equal(bits(los), bits(want_los))
-                for name in ("voted_reflection", "zero_reflection"):
-                    (gain, row), (want_gain, want_row) = getattr(state, name), getattr(want, name)
-                    assert np.array_equal(bits(np.array([gain])), bits(np.array([want_gain])))
+                want_gain, want_rows = channel._reflection_factors(
+                    geo, want.v, want.theta_voted, want.theta_fixed
+                )
+                assert np.array_equal(bits(np.array([gain])), bits(np.array([want_gain])))
+                for row, want_row in zip(rows, want_rows, strict=True):  # voted, then zero
                     assert np.array_equal(bits(row[:N]), bits(want_row))
                     # the strided line-of-sight view in the block's reflected matvec
                     assert np.array_equal(bits(los @ row[:N]), bits(want_los @ want_row))
@@ -645,6 +650,29 @@ class TestLoadConfig:
         loaded = cfg.system if owner is SystemConfig else cfg
         assert getattr(loaded, name) == value
         assert replace(loaded, **{name: default}) == owner()  # nothing else moved
+
+
+@pytest.mark.parametrize(
+    "owner, name, bad, good",
+    [
+        (SystemConfig, "M", 2.5, np.int64(2)),
+        (SystemConfig, "N", 64.0, np.int32(64)),
+        (SystemConfig, "K", 3.5, np.uint8(3)),
+        (SystemConfig, "K", True, 1),
+        (SystemConfig, "L", 2.5, np.int64(2)),
+        (ExperimentConfig, "n_sweep", (64.5, 128.9), np.array([64, 128])),
+        (ExperimentConfig, "n_sweep", (64, np.float64(128)), (64, np.int64(128))),
+        (ExperimentConfig, "trials", 2.5, np.int64(2)),
+        (ExperimentConfig, "trials", True, 1),
+        (ExperimentConfig, "seed", 1.5, np.uint64(1)),
+    ],
+)
+def test_non_integer_counts_rejected(owner, name, bad, good):
+    # int() truncated 64.5 to 64, and the other fields failed deep inside run_sweep
+    error = ConfigError if owner is ExperimentConfig else ValueError
+    with pytest.raises(error, match=f"^{name} must "):
+        owner(**{name: bad})
+    owner(**{name: good})  # Python and numpy integers are counts
 
 
 def other_value(hint, default):

@@ -464,9 +464,18 @@ class TestPhasors:
             geo = make_geometry(system, RngStream(seed, 0))
             theta = PhaseShiftVector(np.random.default_rng(seed).integers(0, 4, 1024), 4)
             v = receive_beamformer(geo.phi_r, system.M)
-            _, row = _reflection_factors(geo, v, theta)
+            gain, (row,) = _reflection_factors(geo, v, theta)
             a_n = array_response(1024, geo.phi_t, geo.spacing_ratio)
             assert_same_bits(row.view(float), (a_n.conj() * np.exp(1j * theta.phases)).view(float))
+            # one call for two phase vectors: the same gain, and each vector's own row
+            zero = PhaseShiftVector.zero(1024, 4)
+            both_gain, rows = _reflection_factors(geo, v, theta, zero)
+            zero_gain, (zero_row,) = _reflection_factors(geo, v, zero)
+            assert len(rows) == 2
+            for other in (both_gain, zero_gain):
+                assert_same_bits(np.array([other]).view(float), np.array([gain]).view(float))
+            assert_same_bits(rows[0].view(float), row.view(float))
+            assert_same_bits(rows[1].view(float), zero_row.view(float))
 
 
 class TestMajorityVote:
