@@ -17,11 +17,14 @@ steering kernel: ``line_of_sight`` at K = 21 (the scaling recipe's
 device count) with N in {512, 2048, 8192} and ``array_response`` with
 n in {10, 8192} (a receive array and the largest surface).  Other
 channel-side layers run at the default scenario (K = 20, M = 10, L = 2)
-with N in {64, 512, 4096}; power control runs at K in {20, 1000}.  One
-layer times the whole engine through the public API: ``run_sweep`` over
-64 trials (one power block) of the default scenario, geometry fixed,
-every scheme.  ``--long`` adds two 10 000-trial ``run_sweep`` layers of
-the default scenario and sweep, geometry fixed and redrawn.  A layer
+with N in {64, 512, 4096}; power control runs at K in {20, 1000}.  Two
+layers time the whole engine through the public API: ``run_sweep`` over
+64 trials (one power block) of the default scenario, every scheme, with
+the geometry fixed, and with it redrawn per trial at the CLI
+benchmark's N in {32, ..., 512}, where the per-geometry stage runs on
+the block's stacked geometries.  ``--long`` adds two 10 000-trial
+``run_sweep`` layers of the default scenario and sweep, geometry fixed
+and redrawn.  A layer
 that a side's source does not have is recorded for the other sides
 only.  Each layer is timed in ``--repeats`` repeats (at least 5) of a
 batch of calls that fills about 20 ms, the same batch on every side,
@@ -57,6 +60,7 @@ import numpy as np  # noqa: E402  (after the thread pinning)
 N_VALUES = (64, 512, 4096)
 LOS_N_VALUES = (512, 2048, 8192)
 K_VALUES = (20, 1000)
+REDRAW_N_SWEEP = (32, 64, 128, 256, 512)
 TARGET_S = 0.02
 
 
@@ -134,6 +138,10 @@ def layers(pkg, long: bool):
     sweep = experiments.ExperimentConfig(system=base, trials=64, seed=1)
     schemes = list(experiments.Scheme)
     yield "experiments.run_sweep[T=64]", lambda: experiments.run_sweep(sweep, schemes)
+    redrawn = experiments.ExperimentConfig(
+        system=base, n_sweep=REDRAW_N_SWEEP, trials=64, seed=1, redraw_geometry_per_trial=True
+    )
+    yield "experiments.run_sweep[T=64,redraw]", lambda: experiments.run_sweep(redrawn, schemes)
     if long:
         for label, redraw in (("", False), (",redraw", True)):
             sweep = experiments.ExperimentConfig(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .numerics import RngStream, _steering, array_response, as_generator
+from .numerics import RngStream, _is_integer, _responses, _steering, array_response, as_generator
 
 __all__ = [
     "SystemConfig",
@@ -90,11 +90,6 @@ class SystemConfig:
             raise ValueError("nu override must provide one angle per device")
 
 
-def _is_integer(value) -> bool:
-    """Whether ``value`` is a Python or numpy integer; a bool is not a count."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _all_finite(value) -> bool:
     """Whether a config value, a number or a tuple or list of numbers, is finite throughout.
 
@@ -162,7 +157,7 @@ def pathloss(distance: float, exponent: float, ref_loss_linear: float) -> float:
 
 
 def _pathlosses(distances: np.ndarray, exponent: float, ref_loss_linear: float) -> np.ndarray:
-    """:func:`pathloss` at each distance, bit for bit, clamping and warning once per distance.
+    """:func:`pathloss` at each distance of an array, bit for bit, warning once per clamped one.
 
     The powers are Python-float ``**``, libm ``pow`` like
     :func:`pathloss`: numpy's vectorised np.power is not libm pow (on an
@@ -172,7 +167,8 @@ def _pathlosses(distances: np.ndarray, exponent: float, ref_loss_linear: float) 
     """
     for distance in distances[distances < 1.0].tolist():
         warnings.warn(f"distance {distance} m inside 1 m reference, clamping", stacklevel=2)
-    return np.array([ref_loss_linear * d ** -exponent for d in np.maximum(distances, 1.0).tolist()])
+    clamped = np.maximum(distances, 1.0).ravel().tolist()
+    return np.array([ref_loss_linear * d ** -exponent for d in clamped]).reshape(distances.shape)
 
 
 def make_geometry(
@@ -186,52 +182,78 @@ def make_geometry(
     links, direct exponent for device-AP links).  Angles are drawn
     uniformly from (-pi/2, pi/2) unless pinned in the config; the draws
     always happen so that pinning one angle never shifts the rest of the
-    stream.
+    stream.  The one-stream case of :func:`_make_geometries`.
     """
-    gen = as_generator(stream)
+    return _make_geometries(config, [stream])[0]
+
+
+def _make_geometries(config: SystemConfig, streams) -> list[Geometry]:
+    """:func:`make_geometry` of each stream, the arithmetic done once for all of them.
+
+    Each stream makes its own draws, in make_geometry's order.
+    Positions, distances and path losses of every geometry are then
+    elementwise passes over the (B, K) stacks, each path loss a Python
+    ``**``, so every geometry equals, bit for bit, the call with its
+    stream alone.  The geometries' arrays are rows of the stacks.
+    """
     K = config.K
     ap = np.asarray(config.ap_position, dtype=float)
     irs = np.asarray(config.irs_position, dtype=float)
     center = np.asarray(config.device_center, dtype=float)
-
-    radii = config.device_radius * np.sqrt(gen.uniform(0.0, 1.0, K))
-    azimuth = gen.uniform(0.0, 2.0 * np.pi, K)
-    positions = np.column_stack(
+    half = np.pi / 2
+    draws = []
+    for stream in streams:
+        gen = as_generator(stream)
+        draws.append(  # radius and azimuth fractions, phi_r, phi_t, nu
+            (
+                gen.uniform(0.0, 1.0, K),
+                gen.uniform(0.0, 2.0 * np.pi, K),
+                gen.uniform(-half, half),
+                gen.uniform(-half, half),
+                gen.uniform(-half, half, K),
+            )
+        )
+    unit, azimuth, phi_r, phi_t, nu = zip(*draws)
+    radii = config.device_radius * np.sqrt(np.array(unit))
+    azimuth = np.array(azimuth)
+    positions = np.stack(
         [
             center[0] + radii * np.cos(azimuth),
             center[1] + radii * np.sin(azimuth),
-            np.zeros(K),
-        ]
+            np.zeros(radii.shape),
+        ],
+        axis=-1,
     )
-
-    phi_r_draw = gen.uniform(-np.pi / 2, np.pi / 2)
-    phi_t_draw = gen.uniform(-np.pi / 2, np.pi / 2)
-    nu_draw = gen.uniform(-np.pi / 2, np.pi / 2, K)
-    phi_r = config.phi_r if config.phi_r is not None else float(phi_r_draw)
-    phi_t = config.phi_t if config.phi_t is not None else float(phi_t_draw)
-    nu = np.asarray(config.nu, dtype=float) if config.nu is not None else nu_draw
+    B = len(draws)
+    if config.phi_r is not None:
+        phi_r = (config.phi_r,) * B
+    if config.phi_t is not None:
+        phi_t = (config.phi_t,) * B
+    nu = np.array(nu) if config.nu is None else np.tile(np.asarray(config.nu, dtype=float), (B, 1))
 
     exp_r = config.pathloss_exponent_reflected
     exp_d = config.pathloss_exponent_direct
     ref = config.ref_loss_linear
     rho_1 = pathloss(float(np.linalg.norm(irs - ap)), exp_r, ref)
-    dist_ap = np.linalg.norm(positions - ap, axis=1)
-    dist_irs = np.linalg.norm(positions - irs, axis=1)
-    rho_d = np.zeros(K) if config.block_direct else _pathlosses(dist_ap, exp_d, ref)
+    dist_ap = np.linalg.norm(positions - ap, axis=-1)
+    dist_irs = np.linalg.norm(positions - irs, axis=-1)
+    rho_d = np.zeros((B, K)) if config.block_direct else _pathlosses(dist_ap, exp_d, ref)
     rho_r = _pathlosses(dist_irs, exp_r, ref)
-
-    return Geometry(
-        ap_position=ap,
-        irs_position=irs,
-        device_positions=positions,
-        phi_r=phi_r,
-        phi_t=phi_t,
-        nu=nu,
-        rho_1=rho_1,
-        rho_d=rho_d,
-        rho_r=rho_r,
-        spacing_ratio=config.spacing_ratio,
-    )
+    return [
+        Geometry(
+            ap_position=ap,
+            irs_position=irs,
+            device_positions=positions[b],
+            phi_r=phi_r[b],
+            phi_t=phi_t[b],
+            nu=nu[b],
+            rho_1=rho_1,
+            rho_d=rho_d[b],
+            rho_r=rho_r[b],
+            spacing_ratio=config.spacing_ratio,
+        )
+        for b in range(B)
+    ]
 
 
 def line_of_sight(geometry: Geometry, config: SystemConfig) -> np.ndarray:
@@ -249,14 +271,23 @@ def line_of_sight(geometry: Geometry, config: SystemConfig) -> np.ndarray:
     amplitude*exp(2j*pi*s*sin(nu_k)*m) bit for bit; later columns are
     within amplitude*eps*(|slope|*m + 8) of it, the kernel's bound.
     Element m depends on m alone, so the first n columns at N equal the
-    whole output at n.
+    whole output at n.  The one-geometry case of :func:`_line_of_sight`.
     """
-    rho = geometry.rho_r
+    return _line_of_sight(config, geometry.rho_r, geometry.nu, geometry.spacing_ratio)
+
+
+def _line_of_sight(config: SystemConfig, rho_r, nu, spacing_ratio: float) -> np.ndarray:
+    """:func:`line_of_sight` of a stack: rho_r and nu (..., K) give (..., K, N).
+
+    Every step is elementwise, so each geometry's (K, N) slice equals,
+    bit for bit, the call on it alone.
+    """
+    rho = rho_r
     if not config.pure_los:
         delta = config.rician_delta
         rho = rho * delta / (delta + 1.0)
-    slope = (2.0 * np.pi * geometry.spacing_ratio) * np.sin(geometry.nu)
-    return _steering(slope[:, None], config.N, np.sqrt(rho)[:, None])
+    slope = (2.0 * np.pi * spacing_ratio) * np.sin(nu)
+    return _steering(slope[..., None], config.N, np.sqrt(rho)[..., None])
 
 
 # numpy divides a complex by the real sqrt(2) (Smith's method) as a
@@ -381,16 +412,34 @@ def effective_scalar_channel(realization: ChannelRealization, v: np.ndarray, the
 
 
 def _reflection_factors(geometry: Geometry, v: np.ndarray, *thetas):
-    """The block-independent factors of the reflected path, (gain, rows).
+    """The block-independent factors of one geometry's reflected path, (gain, rows).
 
-    The only builder of the reflected path.  The IRS-AP link is rank-1,
-    so under phases Theta it reaches v^H as one scalar gain =
-    sqrt(rho_1) v^H a_M(phi_r) times one N-vector row = a_N(phi_t)^H
-    Theta applied to every device's IRS link.  The gain does not depend
-    on Theta, so a_M(phi_r) and a_N(phi_t) are steered once and ``rows``
-    holds one row per phase-shift vector of ``thetas`` (Theta's diagonal
-    is its ``phasors``), each bit for bit that of a call with it alone.
+    The single-realization builder of the reflected path.  The IRS-AP
+    link is rank-1, so under phases Theta it reaches v^H as one scalar
+    gain = sqrt(rho_1) v^H a_M(phi_r) times one N-vector row =
+    a_N(phi_t)^H Theta applied to every device's IRS link.  The gain
+    does not depend on Theta, so a_M(phi_r) and a_N(phi_t) are steered
+    once and ``rows`` holds one row per phase-shift vector of ``thetas``
+    (Theta's diagonal is its ``phasors``), each bit for bit that of a
+    call with it alone.  :func:`_reflections` is its stacked form.
     """
     a_m = array_response(v.shape[0], geometry.phi_r, geometry.spacing_ratio)
     steering = array_response(thetas[0].num_elements, geometry.phi_t, geometry.spacing_ratio).conj()
     return np.sqrt(geometry.rho_1) * np.vdot(v, a_m), [steering * t.phasors for t in thetas]
+
+
+def _reflections(rho_1, a_m, v, phi_t, spacing_ratio: float, phasors):
+    """:func:`_reflection_factors` of a stack of B geometries, (gain (B,), rows (B, J, N)).
+
+    ``rho_1`` and ``phi_t`` hold one value per geometry, ``a_m`` its
+    a_M(phi_r) and ``v`` its beamformer as (M,) rows, and ``phasors``
+    (B, J, N) its J phase configurations.  a_M(phi_r) comes from the
+    caller, so the one the beamformer was built from serves the gain
+    too, and a_N(phi_t) is steered once per geometry.  Each gain is one
+    M-term dot product per geometry, summed as ``np.vdot`` of the pair
+    sums it, and each row an elementwise product, so every geometry's
+    factors equal, bit for bit, those of :func:`_reflection_factors`.
+    """
+    gain = np.sqrt(rho_1) * np.matmul(v.conj()[:, None, :], a_m[:, :, None])[:, 0, 0]
+    steering = _responses(phasors.shape[-1], phi_t, spacing_ratio).conj()
+    return gain, steering[:, None, :] * phasors

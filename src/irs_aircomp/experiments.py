@@ -2,15 +2,20 @@
 
 Long-term quantities (beamformer, voted phases, line of sight) are
 computed once per geometry, at the largest N of the sweep, and every N
-takes their first N elements; channels are redrawn per trial.  With v
-and Theta fixed, power control needs only the effective scalar channels
-gamma_k, so a trial draws those, exact in law, instead of the N-element
-channels: the (K, M) direct links, then two complex normals per device
-for each segment [N_{j-1}, N_j) of the sweep's element counts, which
-give the segment's scattered projections on the voted and the all-zero
-phase rows (:func:`_kind_terms`).  gamma at N_i sums the segments up to
-i, so differences along N are paired, as for a sub-array of a larger
-surface.
+takes their first N elements; channels are redrawn per trial.  This
+per-geometry stage runs on stacks of geometries (:func:`_stage`): with
+the geometry redrawn per trial, a power block's geometries go through
+it together, at most ``_STAGE_ELEMENTS`` device-elements at a time, and
+each geometry's terms are bit for bit those it has alone.
+
+With v and Theta fixed, power control needs only the effective scalar
+channels gamma_k, so a trial draws those, exact in law, instead of the
+N-element channels: the (K, M) direct links, then two complex normals
+per device for each segment [N_{j-1}, N_j) of the sweep's element
+counts, which give the segment's scattered projections on the voted and
+the all-zero phase rows (:func:`_kind_terms`).  gamma at N_i sums the
+segments up to i, so differences along N are paired, as for a sub-array
+of a larger surface.
 
 Stream layout.  Every draw comes from an
 :class:`~irs_aircomp.numerics.RngStream` of the master seed: stream 0
@@ -52,20 +57,19 @@ from .channel import (
     Geometry,
     SystemConfig,
     _effective_block,
-    _is_integer,
-    _reflection_factors,
-    line_of_sight,
+    _line_of_sight,
+    _make_geometries,
+    _reflections,
     make_geometry,
 )
-from .numerics import RngStream, as_generator
+from .numerics import RngStream, _is_integer, _responses, array_response, as_generator
 from .protocol import (
     DegenerateChannelError,
     PhaseShiftVector,
     _gamma_magnitudes,
+    _phase_rows,
     _power_rows,
-    phase_index_rows,
     power_control_rows,
-    receive_beamformer,
     vote_indices,
 )
 
@@ -199,16 +203,35 @@ def compute_long_term(geometry: Geometry, config: SystemConfig) -> LongTermState
     preferred level indices as a (K, N) matrix
     (:func:`~irs_aircomp.protocol.phase_index_rows`), fused by one
     per-element count (:func:`~irs_aircomp.protocol.vote_indices`).
+    The one-geometry case of :func:`_long_term`.
     """
-    v = receive_beamformer(geometry.phi_r, config.M, geometry.spacing_ratio)
-    preferred = phase_index_rows(
-        geometry.phi_t, geometry.nu, config.N, config.L, geometry.spacing_ratio
-    )
-    return LongTermState(
-        v=v,
-        theta_voted=PhaseShiftVector(vote_indices(preferred, config.L), config.L),
-        theta_fixed=PhaseShiftVector.zero(config.N, config.L),
-    )
+    return _long_term(config, [geometry])[1][0]
+
+
+def _long_term(config: SystemConfig, geometries) -> tuple[np.ndarray, list[LongTermState]]:
+    """The receive arrays a_M(phi_r), (B, M), and the long-term states of B geometries.
+
+    The first half of the per-geometry stage.  One steering pass gives
+    every a_M(phi_r), and v = a_M / sqrt(M) is
+    :func:`~irs_aircomp.protocol.receive_beamformer` bit for bit.  The
+    preferred rows of all B*K devices are one phase-kernel pass, and
+    the votes one count along the device axis of the (B, K, N) stack.
+    Each state equals, bit for bit, that of its geometry alone.  The
+    geometries share one spacing ratio, as those of one config do.
+    """
+    spacing = geometries[0].spacing_ratio
+    a_m = _responses(config.M, [g.phi_r for g in geometries], spacing)
+    phi_t, nu = np.array([g.phi_t for g in geometries]), np.array([g.nu for g in geometries])
+    votes = vote_indices(_phase_rows(phi_t, nu, config.N, config.L, spacing), config.L)
+    states = [
+        LongTermState(
+            v=v,
+            theta_voted=PhaseShiftVector(vote, config.L),
+            theta_fixed=PhaseShiftVector.zero(config.N, config.L),
+        )
+        for v, vote in zip(a_m / np.sqrt(config.M), votes)
+    ]
+    return a_m, states
 
 
 def _direct_gammas(h_direct: np.ndarray) -> np.ndarray:
@@ -228,20 +251,46 @@ def _direct_gammas(h_direct: np.ndarray) -> np.ndarray:
 # is this many rows of K per N and scheme kind, whatever the trial count.
 _POWER_BLOCK = 64
 
+# Most B*K*N elements of one stacked pass of the per-geometry stage, so
+# that its (B, K, N) line of sight and phase rows stay near 1 MiB each
+# at any block size: 6 default geometries (K = 20, N = 512) at once, and
+# one at a time above K*N = 2**15, as at K = 21, N = 2048 or 8192.
+_STAGE_ELEMENTS = 1 << 16
+
 _IRS_KINDS = (_VOTED, _ZERO)
 
 
-def _kind_terms(config: SystemConfig, geometry: Geometry, long_term: LongTermState, sizes):
-    """A geometry's block-independent terms of the voted and zero gammas at every N of ``sizes``.
+def _stage(config: SystemConfig, geometries, sizes):
+    """The per-geometry stage of B geometries: their (B, ...) :func:`_kind_terms` at ``sizes``.
 
-    The per-geometry stage after :func:`compute_long_term`: it builds the
-    line of sight ``los`` and, in one
-    :func:`~irs_aircomp.channel._reflection_factors` call, the one gain
-    (both kinds share it) and the voted and zero rows.  Returns (conj(v),
-    gain, line of sight (2, P, K), coefficients (2, P, 2, K) or None
-    under ``pure_los``), kinds in the order of ``_IRS_KINDS``, one N or
-    one segment per P.  The line of sight at N is ``los[:, :N] @
-    row[:N]``.  Segment j holds the elements
+    :func:`_long_term` then :func:`_kind_terms`, on stacks of at most
+    max(1, ``_STAGE_ELEMENTS`` // (K*N)) geometries at a time; each
+    geometry's terms equal, bit for bit, those of a stack of it alone.
+    """
+    step = max(1, _STAGE_ELEMENTS // (config.K * config.N))
+    parts = []
+    for start in range(0, len(geometries), step):
+        stack = geometries[start : start + step]
+        parts.append(_kind_terms(config, stack, sizes, *_long_term(config, stack)))
+    return tuple(None if part[0] is None else np.concatenate(part) for part in zip(*parts))
+
+
+def _kind_terms(config: SystemConfig, geometries, sizes, a_m: np.ndarray, states):
+    """B geometries' block-independent terms of the voted and zero gammas at every N of ``sizes``.
+
+    The second half of the per-geometry stage, on the receive arrays
+    a_M(phi_r) (B, M) and the long-term states of :func:`_long_term`.
+    It builds the lines of sight ``los`` (B, K, N) and, in one
+    :func:`~irs_aircomp.channel._reflections` call, each geometry's one
+    gain (both kinds share it; a_M(phi_r) is the beamformer's own) and
+    its voted and zero rows.  Returns (conj(v) (B, M), gain (B,), line
+    of sight (B, 2, P, K), coefficients (B, 2, P, 2, K) or None under
+    ``pure_los``), kinds in the order of ``_IRS_KINDS``, one N or one
+    segment per P.  The line of sight at N is one matvec ``los[:, :N]
+    @ row[:N]`` per geometry and kind, the 2-D product's own sum, and
+    every other step is elementwise or a sum along a contiguous last
+    axis, so each geometry's terms equal, bit for bit, those of a stack
+    of it alone.  Segment j holds the elements
     [N_{j-1}, N_j) of ``sizes``, of length L_j; c_j is the sum of its
     voted phasors and a_k = sqrt(rho_r,k / (delta + 1)) device k's
     scattered amplitude.  A block's two CN(0, 1) normals w1, w2 of device
@@ -254,60 +303,62 @@ def _kind_terms(config: SystemConfig, geometry: Geometry, long_term: LongTermSta
     element is unit-modulus and row_voted conj(row_zero) is the voted
     phasor.  Segments and devices are independent, as the elements are.
     """
-    los = line_of_sight(geometry, config)
-    gain, rows = _reflection_factors(
-        geometry, long_term.v, long_term.theta_voted, long_term.theta_fixed
+    spacing = geometries[0].spacing_ratio
+    rho_r = np.array([g.rho_r for g in geometries])
+    phasors = np.array([(s.theta_voted.phasors, s.theta_fixed.phasors) for s in states])
+    v = np.array([s.v for s in states])
+    gain, rows = _reflections(
+        np.array([g.rho_1 for g in geometries]), a_m, v, [g.phi_t for g in geometries],
+        spacing, phasors,
     )
-    line = np.array([[los[:, :N] @ row[:N] for N in sizes] for row in rows])
+    los = _line_of_sight(config, rho_r, np.array([g.nu for g in geometries]), spacing)
+    line = np.stack(
+        [np.matmul(los[:, None, :, :N], rows[:, :, :N, None])[..., 0] for N in sizes], axis=2
+    )
     if config.pure_los:
-        return long_term.v.conj(), gain, line, None
+        return v.conj(), gain, line, None
     edges = (0, *sizes)
     lengths = np.diff(edges)
-    c = np.add.reduceat(long_term.theta_voted.phasors, edges[:-1])
+    c = np.add.reduceat(phasors[:, 0], edges[:-1], axis=-1)  # (B, P)
     root = np.sqrt(lengths)
-    per_segment = np.zeros((2, len(sizes), 2), dtype=complex)  # kind, segment, normal
-    per_segment[0, :, 0] = root
-    per_segment[1, :, 0] = c.conj() / root
-    per_segment[1, :, 1] = np.sqrt(np.maximum(0.0, lengths - np.abs(c) ** 2 / lengths))
-    a = np.sqrt(geometry.rho_r / (config.rician_delta + 1.0))
-    return long_term.v.conj(), gain, line, per_segment[..., None] * a
+    # geometry, kind, segment, normal
+    per_segment = np.zeros((len(states), 2, len(sizes), 2), dtype=complex)
+    per_segment[:, 0, :, 0] = root
+    per_segment[:, 1, :, 0] = c.conj() / root
+    per_segment[:, 1, :, 1] = np.sqrt(np.maximum(0.0, lengths - np.abs(c) ** 2 / lengths))
+    a = np.sqrt(rho_r / (config.rician_delta + 1.0))
+    return v.conj(), gain, line, per_segment[..., None] * a[:, None, None, None]
 
 
-def _block_gammas(config: SystemConfig, trials, schemes: list[Scheme], sizes: tuple[int, ...]):
-    """Effective channels per kind of a block of trials, one draw per trial.
+def _block_gammas(terms, draws, schemes: list[Scheme]):
+    """Effective channels per kind of a block of B trials, one draw per trial.
 
-    ``trials`` yields (geometry, terms, generator) per trial, ``terms``
-    from :func:`_kind_terms` at ``sizes``.  Each trial makes one
-    :func:`~irs_aircomp.channel._effective_block` draw: its direct links
-    and two normals per device and segment.  The voted and zero gammas
-    at N_i are v^H h_d + gain (line of sight at N_i + the sum of the
+    ``terms`` are the stacked terms of :func:`_kind_terms`, one geometry
+    per trial or one (a leading axis of 1) that every trial shares, and
+    ``draws`` each trial's (h_direct, w) of
+    :func:`~irs_aircomp.channel._effective_block`: its direct links and
+    two normals per device and segment.  The voted and zero gammas at
+    N_i are v^H h_d + gain (line of sight at N_i + the sum of the
     scattered projections of the segments up to i), each (P, B, K), one
-    row per N of ``sizes``; under ``pure_los`` they are v^H h_d + gain
-    (line of sight at N_i), bit for bit the vector channel's
+    row per N of the terms' sizes; under ``pure_los`` they are v^H h_d +
+    gain (line of sight at N_i), bit for bit the vector channel's
     :func:`~irs_aircomp.channel.effective_scalar_channel` at N.  The
     direct kind does not see the IRS: one batched combiner gives it
     (1, B, K), one row that serves every N.
     """
     kinds = dict.fromkeys(s.kind for s in schemes)
-    terms, direct, normals = [], [], []
-    for geometry, geometry_terms, gen in trials:
-        h_direct, w = _effective_block(geometry, config, gen, len(sizes))
-        terms.append(geometry_terms)
-        direct.append(h_direct)
-        normals.append(w)
-    h_direct = np.stack(direct)
+    h_direct = np.stack([h for h, _ in draws])
     out = {}
     if _DIRECT in kinds:
         out[_DIRECT] = _direct_gammas(h_direct)[None]
     if not kinds.keys() - {_DIRECT}:
         return out
-    conj_v, gains, line, coef = zip(*terms)
-    reflected = np.stack(line)  # (B, 2, P, K)
-    if not config.pure_los:
-        scattered = (np.stack(coef) * np.stack(normals)[:, None]).sum(axis=3)
+    conj_v, gain, reflected, coef = terms  # reflected: (B or 1, 2, P, K)
+    if coef is not None:
+        scattered = (coef * np.stack([w for _, w in draws])[:, None]).sum(axis=3)
         reflected = reflected + np.cumsum(scattered, axis=2)
-    combined = np.matmul(h_direct, np.stack(conj_v)[:, :, None])[:, None, None, :, 0]
-    gammas = (combined + np.array(gains)[:, None, None, None] * reflected).transpose(1, 2, 0, 3)
+    combined = np.matmul(h_direct, conj_v[:, :, None])[:, None, None, :, 0]
+    gammas = (combined + gain[:, None, None, None] * reflected).transpose(1, 2, 0, 3)
     out.update((kind, gammas[i]) for i, kind in enumerate(_IRS_KINDS) if kind in kinds)
     return out
 
@@ -367,11 +418,14 @@ def run_trial(
     """
     scheme = Scheme(scheme)
     _reject_blocked(config, [scheme])
-    if long_term is None:
-        long_term = compute_long_term(geometry, config)
     sizes = (config.N,)
-    terms = _kind_terms(config, geometry, long_term, sizes)
-    gammas = _block_gammas(config, [(geometry, terms, as_generator(stream))], [scheme], sizes)
+    if long_term is None:
+        terms = _stage(config, [geometry], sizes)
+    else:
+        a_m = array_response(long_term.v.shape[0], geometry.phi_r, geometry.spacing_ratio)
+        terms = _kind_terms(config, [geometry], sizes, a_m[None], [long_term])
+    draw = _effective_block(geometry, config, as_generator(stream), 1)
+    gammas = _block_gammas(terms, [draw], [scheme])
     _, _, kt, mse = power_control_rows(
         gammas[scheme.kind][0], config.Pmax, config.sigma2, inversion=scheme.inversion
     )
@@ -413,8 +467,13 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     scheme and every N as the module docstring describes: the rows at
     N_i depend on the element counts up to N_i and not on those above
     it, and under ``pure_los`` the gammas are the vector channel's, bit
-    for bit.  A geometry's long-term state, line of sight and segment
-    terms are built once, at the largest N.  Per block of trials,
+    for bit.  The per-geometry stage (long-term state, line of sight
+    and segment terms, at the largest N) runs once per block of trials:
+    each trial draws its geometry from its own stream, and the block's
+    geometries then go through the stage stacked, at most
+    ``_STAGE_ELEMENTS`` (B*K*N) at a time, so that memory stays bounded
+    at large N; a fixed geometry goes through it once.  Each geometry's
+    terms equal, bit for bit, those it has alone.  Per block of trials,
     |gamma| is taken once per kind and each power rule makes one
     row-wise call; the standard errors come from one ``np.std`` pass,
     each bit for bit that of its row alone, and the per-trial values
@@ -432,24 +491,12 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
         raise ConfigError(f"duplicate schemes: {', '.join(duplicates)}")
     system = config.system
     _reject_blocked(system, schemes)
-    T = config.trials
+    T, P, K = config.trials, len(config.n_sweep), system.K
     largest = replace(system, N=config.n_sweep[-1])
-
-    def long_term(geometry: Geometry):
-        state = compute_long_term(geometry, largest)
-        return geometry, _kind_terms(largest, geometry, state, config.n_sweep)
-
+    redraw = config.redraw_geometry_per_trial
     reference = make_geometry(system, RngStream(config.seed, 0))
-    fixed = None if config.redraw_geometry_per_trial else long_term(reference)
-
-    def trials(start: int, stop: int):
-        for t in range(start, stop):
-            per_geometry = fixed
-            if per_geometry is None:
-                per_geometry = long_term(make_geometry(system, RngStream(config.seed, 2 + 2 * t)))
-            yield *per_geometry, RngStream(config.seed, 3 + 2 * t).generator()
-
-    P, K = len(config.n_sweep), system.K
+    if not redraw:
+        terms = _stage(largest, [reference], config.n_sweep)
     mses = np.empty((len(schemes), P, T))
     ktildes = np.empty((len(schemes), P, T), dtype=np.int64)
     # each power rule's schemes, as positions in the caller's order
@@ -460,7 +507,17 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     ]
     for start in range(0, T, _POWER_BLOCK):
         stop = min(start + _POWER_BLOCK, T)
-        block = _block_gammas(largest, trials(start, stop), schemes, config.n_sweep)
+        trials = range(start, stop)
+        geometries = [reference] * len(trials)
+        if redraw:
+            streams = [RngStream(config.seed, 2 + 2 * t) for t in trials]
+            geometries = _make_geometries(system, streams)
+            terms = _stage(largest, geometries, config.n_sweep)
+        draws = [
+            _effective_block(g, largest, RngStream(config.seed, 3 + 2 * t).generator(), P)
+            for g, t in zip(geometries, trials)
+        ]
+        block = _block_gammas(terms, draws, schemes)
         try:
             magnitudes = {kind: _gamma_magnitudes(g, ndim=3) for kind, g in block.items()}
         except ValueError:

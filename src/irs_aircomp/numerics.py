@@ -57,6 +57,17 @@ def as_generator(stream: RngStream | np.random.Generator) -> np.random.Generator
     return stream.generator()
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _require_count(value, name: str) -> None:
+    """Reject a count ``name`` that is not an integer >= 1, naming it."""
+    if not _is_integer(value) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def array_response(n_elems: int, angle: float, spacing_ratio: float = 0.5) -> np.ndarray:
     """Steering vector of a uniform linear array.
 
@@ -68,14 +79,29 @@ def array_response(n_elems: int, angle: float, spacing_ratio: float = 0.5) -> np
     and later entries are within the bound stated there.  A non-finite
     angle or spacing is rejected.
     """
-    if n_elems < 1:
-        raise ValueError(f"n_elems must be a positive integer, got {n_elems}")
+    _require_count(n_elems, "n_elems")
     if not (math.isfinite(angle) and math.isfinite(spacing_ratio)):
         raise ValueError(
             f"angle and spacing_ratio must be finite, got {angle!r}, {spacing_ratio!r}"
         )
+    return _steering(_slope(angle, spacing_ratio), n_elems)
+
+
+def _responses(n_elems: int, angles, spacing_ratio: float) -> np.ndarray:
+    """:func:`array_response` of each angle, unchecked, one row per angle: (len(angles), n_elems).
+
+    The rows are one :func:`_steering` pass over the angles' slopes, and
+    the kernel is elementwise, so each row equals, bit for bit, the
+    call with its angle alone.
+    """
+    slopes = np.array([_slope(angle, spacing_ratio) for angle in angles])
+    return _steering(slopes[:, None], n_elems)
+
+
+def _slope(angle: float, spacing_ratio: float) -> float:
+    """The phase step 2*pi*spacing_ratio*sin(angle) of a steering vector, a Python float."""
     # + 0.0 turns a -0 slope into +0, as the complex chain's imaginary part does
-    return _steering(_TWO_PI * spacing_ratio * math.sin(angle) + 0.0, n_elems)
+    return _TWO_PI * spacing_ratio * math.sin(angle) + 0.0
 
 
 # Elements per block of the factorised steering kernel.  At K = 21 a
@@ -91,7 +117,8 @@ _TWO_PI = 2.0 * math.pi
 def _steering(slope, n_elems: int, amplitude=None) -> np.ndarray:
     """Steering rows amplitude * exp(i*slope*m) for m < n_elems, along a new last axis.
 
-    ``slope`` is a float or a (K, 1) column of phase slopes, and
+    ``slope`` is a float or an array of phase slopes whose last axis
+    has length 1, such as a (K, 1) column or a (B, K, 1) stack, and
     ``amplitude``, if given, broadcasts against it.  With B =
     ``_STEERING_BLOCK``, element m = hB + l is the product of a coarse
     factor amplitude*exp(i*slope*hB) and a fine factor exp(i*slope*l):

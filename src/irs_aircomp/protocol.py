@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, effective_scalar_channel
-from .numerics import array_response
+from .numerics import _require_count, array_response
 
 __all__ = [
     "DegenerateChannelError",
@@ -60,8 +60,7 @@ class PhaseShiftVector:
     def __post_init__(self) -> None:
         idx = np.asarray(self.indices, dtype=np.int64)
         object.__setattr__(self, "indices", idx)
-        if self.levels < 1:
-            raise ValueError("levels must be >= 1")
+        _require_count(self.levels, "levels")
         if idx.ndim != 1 or np.any(idx < 0) or np.any(idx >= self.levels):
             raise ValueError("indices must be a 1-D array of values in [0, levels)")
 
@@ -115,6 +114,7 @@ class PowerSolution:
 
 def receive_beamformer(phi_r: float, M: int, spacing_ratio: float = 0.5) -> np.ndarray:
     """Static unit-norm receive beamformer: the IRS-arrival steering vector / sqrt(M)."""
+    _require_count(M, "M")
     return array_response(M, phi_r, spacing_ratio) / np.sqrt(M)
 
 
@@ -178,8 +178,7 @@ def quantize_phase(theta: float, levels: int) -> float:
     Minimizes circular distance; exact ties resolve to the smaller set
     element.
     """
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
+    _require_count(levels, "levels")
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
     idx = _quantize_indices(np.array([theta]), levels)[0]
@@ -267,12 +266,23 @@ def phase_index_rows(
         raise ValueError(f"phi_t must be finite, got {phi_t!r}")
     if nu.ndim != 1 or not np.isfinite(nu).all():
         raise ValueError(f"nu must be a 1-D array of finite angles, got {nu!r}")
-    if n_elements < 1 or levels < 1:
-        raise ValueError("n_elements and levels must be >= 1")
+    _require_count(n_elements, "n_elements")
+    _require_count(levels, "levels")
     if not (math.isfinite(spacing_ratio) and spacing_ratio > 0):
         raise ValueError(f"spacing_ratio must be finite and positive, got {spacing_ratio!r}")
+    return _phase_rows(phi_t, nu, n_elements, levels, spacing_ratio)
+
+
+def _phase_rows(phi_t, nu, n_elements: int, levels: int, spacing_ratio: float) -> np.ndarray:
+    """Unchecked :func:`phase_index_rows` of a stack: phi_t (...), nu (..., K) give (..., K, N).
+
+    Every geometry's rows are rows of one :func:`_index_rows` pass, and
+    the kernel is elementwise, so each (K, N) slice equals, bit for bit,
+    the call on its geometry alone.
+    """
     steps = TWO_PI * spacing_ratio * np.arange(n_elements)
-    return _index_rows(steps, np.sin(phi_t) - np.sin(nu), levels)
+    diff = np.sin(phi_t)[..., None] - np.sin(nu)
+    return _index_rows(steps, diff.reshape(-1), levels).reshape(*diff.shape, n_elements)
 
 
 def vote_indices(indices: np.ndarray, levels: int) -> np.ndarray:
@@ -282,11 +292,15 @@ def vote_indices(indices: np.ndarray, levels: int) -> np.ndarray:
     0, counted in the smallest unsigned type that holds K; level 0 gets
     the rest.  A level takes a column only with strictly more votes than
     every smaller level.  Above the cap, each column is sorted and the
-    longest run of equal levels wins, the first (smallest) on ties.
+    longest run of equal levels wins, the first (smallest) on ties.  A
+    (..., K, N) stack votes along its device axis, each (K, N) matrix
+    as it does alone: (..., N).
     """
-    K, n = indices.shape
+    _require_count(levels, "levels")
+    *stack, K, n = indices.shape
     if levels > _COUNT_LEVELS:
-        ordered = np.sort(indices.T, axis=1).ravel()  # one column after another, ascending
+        # one column after another, ascending
+        ordered = np.sort(np.swapaxes(indices, -1, -2), axis=-1).ravel()
         fresh = np.empty(ordered.size, dtype=bool)
         fresh[0], fresh[1:] = True, ordered[1:] != ordered[:-1]
         fresh[::K] = True  # every column starts a run
@@ -294,14 +308,16 @@ def vote_indices(indices: np.ndarray, levels: int) -> np.ndarray:
         # longest run first, then the earliest: the offset in its column breaks ties
         score = np.diff(starts, append=ordered.size) * (K + 1) - starts % K
         best = np.maximum.reduceat(score, np.flatnonzero(starts % K == 0))
-        return ordered[np.arange(n) * K + (-best) % (K + 1)].astype(np.int64)
+        columns = ordered.size // K
+        vote = ordered[np.arange(columns) * K + (-best) % (K + 1)]
+        return vote.astype(np.int64).reshape(*stack, n)
     tally = np.min_scalar_type(K)
     counts = [
-        np.add.reduce((indices == j).view(np.uint8), axis=0, dtype=tally)
+        np.add.reduce((indices == j).view(np.uint8), axis=-2, dtype=tally)
         for j in range(1, levels)
     ]
     most = K - sum(counts)
-    vote = np.zeros(n, dtype=np.int64)
+    vote = np.zeros((*stack, n), dtype=np.int64)
     for j, count in enumerate(counts, start=1):
         np.copyto(vote, j, where=count > most)
         np.maximum(most, count, out=most)

@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from irs_aircomp import experiments
+from irs_aircomp import channel, experiments
 from irs_aircomp.analysis import expected_channel_power_gain
 from irs_aircomp.channel import (
     ChannelRealization,
@@ -53,14 +53,21 @@ class Side:
         self.largest, self.geometry, self.sizes = largest, geometry, sizes
         self.state = compute_long_term(geometry, self.largest)
         self.los = line_of_sight(geometry, self.largest)
-        self.terms = experiments._kind_terms(self.largest, geometry, self.state, sizes)
 
-    def engine(self, trials, seed, first=0):
-        """The engine's trials first..first+trials-1 of ``seed``: run_sweep's draws."""
+    def draws(self, trials, seed, first=0):
+        """The engine's draws of trials first..first+trials-1 of ``seed``: run_sweep's."""
+        segments = len(self.sizes)
         return [
-            (self.geometry, self.terms, RngStream(seed, 3 + 2 * t).generator())
+            channel._effective_block(
+                self.geometry, self.largest, RngStream(seed, 3 + 2 * t).generator(), segments
+            )
             for t in range(first, first + trials)
         ]
+
+    def engine(self, trials, seed):
+        """{kind: gammas} of the engine's trials 0..trials-1 of ``seed``, every scheme's kind."""
+        terms = experiments._stage(self.largest, [self.geometry], self.sizes)
+        return experiments._block_gammas(terms, self.draws(trials, seed), list(Scheme))
 
     def reference(self, trials, gen):
         """({voted and zero kind: gammas (P, T, K)}, h_direct (T, K, M)) of ``trials`` blocks.
@@ -124,7 +131,7 @@ def fixed(request):
     system, schemes = FIXED_CASES[request.param]
     largest = replace(system, N=SIZES[-1])
     side = Side(largest, make_geometry(system, RngStream(SEED, 0)), SIZES)
-    engine = experiments._block_gammas(largest, side.engine(TRIALS, SEED), list(Scheme), SIZES)
+    engine = side.engine(TRIALS, SEED)
     reference = with_direct(*side.reference(TRIALS, reference_rng(3141)))
     return system, schemes, side, engine, reference
 
@@ -147,15 +154,17 @@ def test_redrawn_geometry_rows_match_full_sampler():
     # trial t's geometry is run_sweep's, from stream 2 + 2t of SEED; the
     # engine and the reference each draw that trial's channels on it, so the
     # per-trial MSE difference is paired in the geometry
-    keyed, reference, direct = [], [], []
+    geometries, draws, reference, direct = [], [], [], []
     gen = reference_rng(3143)
     for t in range(TRIALS):
         side = Side(LARGEST, make_geometry(LARGEST, RngStream(SEED, 2 + 2 * t)), SIZES)
-        keyed += side.engine(1, SEED, first=t)
+        geometries.append(side.geometry)
+        draws += side.draws(1, SEED, first=t)
         gammas, h_direct = side.reference(1, gen)
         reference.append(gammas)
         direct.append(h_direct)
-    engine = experiments._block_gammas(LARGEST, keyed, list(Scheme), SIZES)
+    terms = experiments._stage(LARGEST, geometries, SIZES)
+    engine = experiments._block_gammas(terms, draws, list(Scheme))
     stacked = {kind: np.concatenate([r[kind] for r in reference], axis=1) for kind in (VOTED, ZERO)}
     got = mses(engine, list(Scheme), SYSTEM, SIZES)
     want = mses(with_direct(stacked, np.concatenate(direct)), list(Scheme), SYSTEM, SIZES)
@@ -214,8 +223,7 @@ def test_paired_difference_along_n_matches_full_sampler():
     # fourth central moment, of the reference's
     sizes = (256, 512)
     side = Side(replace(SYSTEM, N=512), make_geometry(SYSTEM, RngStream(SEED, 0)), sizes)
-    keyed = side.engine(TRIALS, SEED)
-    engine = experiments._block_gammas(side.largest, keyed, list(Scheme), sizes)
+    engine = side.engine(TRIALS, SEED)
     reference, _ = side.reference(TRIALS, reference_rng(3144))
     schemes = [Scheme.OPT_PC_IRS, Scheme.FIXED_PHASE_OPT_PC]
     got, want = mses(engine, schemes, SYSTEM, sizes), mses(reference, schemes, SYSTEM, sizes)
@@ -237,7 +245,7 @@ def test_pure_los_gammas_are_the_vector_channels_bit_for_bit():
     # does, and each gamma is the vector channel's at N
     system = replace(LARGEST, pure_los=True)
     side = Side(system, make_geometry(system, RngStream(SEED, 0)), SIZES)
-    engine = experiments._block_gammas(system, side.engine(5, SEED), list(Scheme), SIZES)
+    engine = side.engine(5, SEED)
     for t in range(5):
         block = sample_channels(side.geometry, system, RngStream(SEED, 3 + 2 * t), side.los)
         for kind, theta in ((VOTED, side.state.theta_voted), (ZERO, side.state.theta_fixed)):

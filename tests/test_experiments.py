@@ -165,6 +165,50 @@ class TestPrefixes:
         assert len(checked) == 2 * (cfg.trials if redraw else 1)
 
 
+class TestStackedStage:
+    """A power block's per-geometry stage, stacked, against each geometry on its own."""
+
+    @pytest.mark.parametrize("N", [63, 64, 65])  # the largest N about the steering block edge
+    @pytest.mark.parametrize("pure_los", [False, True])
+    @pytest.mark.parametrize("levels", [2, 4, 17])  # 17: the sort vote and reference quantizer
+    @pytest.mark.parametrize("B", [1, 6, 64])
+    def test_stacked_terms_equal_one_geometry_terms(self, B, levels, pure_los, N, monkeypatch):
+        system = SystemConfig(L=levels, pure_los=pure_los)
+        largest, sizes = replace(system, N=N), (1, 40, N)
+        streams = [RngStream(5, 2 + 2 * t) for t in range(B)]
+        geometries = channel._make_geometries(system, streams)
+        alone = []
+        for geometry, stream in zip(geometries, streams, strict=True):
+            want = make_geometry(system, stream)
+            for f in fields(want):
+                got, one = (np.asarray(getattr(g, f.name), float) for g in (geometry, want))
+                assert np.array_equal(bits(got), bits(one)), f.name
+            state = compute_long_term(geometry, largest)
+            a_m = numerics.array_response(system.M, geometry.phi_r, geometry.spacing_ratio)
+            terms = experiments._kind_terms(largest, [geometry], sizes, a_m[None], [state])
+            # the gain and the line of sight at N are the single-realization
+            # builder's, the line a 2-D matvec
+            los = line_of_sight(geometry, largest)
+            gain, rows = channel._reflection_factors(
+                geometry, state.v, state.theta_voted, state.theta_fixed
+            )
+            line = np.array([[los[:, :n] @ row[:n] for n in sizes] for row in rows])
+            assert np.array_equal(bits(terms[1]), bits(np.array([gain])))
+            assert np.array_equal(bits(terms[2][0]), bits(line))
+            alone.append(terms)
+        # the module's element budget, then stacks of 5 geometries and a partial last
+        for stack in (None, 5):
+            if stack is not None:
+                monkeypatch.setattr(experiments, "_STAGE_ELEMENTS", stack * system.K * N)
+            stacked = experiments._stage(largest, geometries, sizes)
+            for b, want in enumerate(alone):
+                for got, one in zip(stacked, want, strict=True):
+                    if one is None:
+                        assert got is None and pure_los
+                    else:
+                        assert np.array_equal(bits(got[b]), bits(one[0]))
+
+
 class TestKeyedStreams:
     """Draws keyed by the trial: one channel block at the largest N, and a geometry."""
 
@@ -203,42 +247,52 @@ class TestKeyedStreams:
 
     @pytest.mark.parametrize("redraw", [False, True])
     def test_per_geometry_work_once_per_geometry(self, redraw, monkeypatch):
-        calls = {"make_geometry": 0, "compute_long_term": 0, "line_of_sight": 0}
-        for name in calls:
+        # 130 trials, three power blocks, every scheme at three N: each geometry is
+        # drawn once, and the stage runs once per block on its stack of
+        # geometries, never per scheme or per N
+        calls = {"make_geometry": [], "_make_geometries": [], "_long_term": [], "_kind_terms": []}
+        for name, stacks in calls.items():
             original = getattr(experiments, name)
 
-            def counted(*args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*args)
+            def counted(config, arg, *rest, _stacks=stacks, _original=original):
+                _stacks.append(len(arg) if isinstance(arg, list) else 1)
+                return _original(config, arg, *rest)
 
             monkeypatch.setattr(experiments, name, counted)
-        cfg = small_config(n_sweep=(4, 8, 16), trials=5, redraw_geometry_per_trial=redraw)
+        cfg = small_config(n_sweep=(4, 8, 16), trials=130, redraw_geometry_per_trial=redraw)
         run_sweep(cfg, list(Scheme))
-        # one geometry per trial, shared by every N, besides the reference of stream 0
-        geometries = cfg.trials if redraw else 1
+        # the reference geometry of stream 0, then each trial's own, a block at a time
+        blocks = [64, 64, 2]
+        stacks = blocks if redraw else [1]
         assert calls == {
-            "make_geometry": 1 + redraw * cfg.trials,
-            "compute_long_term": geometries,
-            "line_of_sight": geometries,
+            "make_geometry": [1],
+            "_make_geometries": blocks if redraw else [],
+            "_long_term": stacks,
+            "_kind_terms": stacks,
         }
 
     @pytest.mark.parametrize("redraw", [False, True])
     def test_three_steering_vectors_per_geometry(self, redraw, monkeypatch):
-        # a_M(phi_r) for the beamformer, then one a_M(phi_r) and one a_N(phi_t)
-        # shared by the voted and the zero reflection
+        # per stack of geometries, three steering passes: a_M(phi_r), steered once
+        # for the beamformer and the gain alike, a_N(phi_t), shared by the voted
+        # and the zero reflection, and the devices' lines of sight
         calls = []
-        for module in (channel, protocol):
-            original = module.array_response
+        for module in (numerics, channel):
+            original = module._steering
 
-            def counted(*args, _original=original, **kwargs):
-                calls.append(args[0])
-                return _original(*args, **kwargs)
+            def counted(slope, n_elems, amplitude=None, _original=original):
+                calls.append((np.shape(slope), n_elems))
+                return _original(slope, n_elems, amplitude)
 
-            monkeypatch.setattr(module, "array_response", counted)
-        cfg = small_config(n_sweep=(4, 8, 16), trials=5, redraw_geometry_per_trial=redraw)
+            monkeypatch.setattr(module, "_steering", counted)
+        cfg = small_config(n_sweep=(4, 8, 16), trials=70, redraw_geometry_per_trial=redraw)
         run_sweep(cfg, list(Scheme))
-        M, N = cfg.system.M, cfg.n_sweep[-1]
-        assert calls == [M, M, N] * (cfg.trials if redraw else 1)
+        M, N, K = cfg.system.M, cfg.n_sweep[-1], cfg.system.K
+        assert calls == [
+            call
+            for B in ((64, 6) if redraw else (1,))
+            for call in (((B, 1), M), ((B, 1), N), ((B, K, 1), N))
+        ]
 
     @pytest.mark.parametrize("redraw", [False, True])
     def test_no_irs_rows_equal_at_every_n(self, redraw):

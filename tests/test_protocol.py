@@ -448,6 +448,16 @@ class TestCountVote:
         np.testing.assert_array_equal(vote_indices(indices, 10**6), want)
 
 
+    @pytest.mark.parametrize("levels", [2, 4, 17])
+    def test_stack_votes_each_matrix_alone(self, levels):
+        # a (B, K, N) stack votes along its device axis; 17 levels take the sort vote
+        indices = np.random.default_rng(levels).integers(0, levels, (6, 5, 300))
+        vote = vote_indices(indices, levels)
+        assert vote.shape == (6, 300) and vote.dtype == np.int64
+        for matrix, row in zip(indices, vote):
+            np.testing.assert_array_equal(row, vote_indices(matrix, levels))
+
+
 class TestPhasors:
     @pytest.mark.parametrize("levels", [1, 2, 3, 4, 5, 8, 16])
     def test_table_rows_match_the_complex_formula(self, levels):
@@ -501,6 +511,28 @@ class TestMajorityVote:
             majority_vote(
                 [PhaseShiftVector(np.zeros(3, int), 2), PhaseShiftVector(np.zeros(4, int), 2)]
             )
+
+
+@pytest.mark.parametrize("count", [2.5, 2.0, np.float64(3.0), True, "2"], ids=repr)
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda count: phase_index_rows(0.3, [0.1, 0.2], count, 2), "n_elements"),
+        (lambda count: phase_index_rows(0.3, [0.1, 0.2], 4, count), "levels"),
+        (lambda count: PhaseShiftVector([0, 1, 0], levels=count), "levels"),
+        (lambda count: array_response(count, 0.3), "n_elems"),
+        (lambda count: receive_beamformer(0.3, count), "M"),
+        (lambda count: vote_indices(np.zeros((3, 4), dtype=np.int64), count), "levels"),
+        (lambda count: quantize_phase(1.0, count), "levels"),
+    ],
+    ids=["phase_rows-n", "phase_rows-levels", "phase_vector", "array_response",
+         "beamformer", "vote", "quantize"],
+)
+def test_non_integer_counts_rejected(call, name, count):
+    # a count that is not an integer (a bool is not one) is named, not used as
+    # a float grid or passed on to numpy
+    with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got "):
+        call(count)
 
 
 class TestOptimalPowerControl:
