@@ -6,12 +6,16 @@
     python scripts/bench_layers.py --baseline ../parent/src --long --repeats 5 --out BENCH_14.json
 
 Times each layer of the long-term and per-block stages on its own: a
-trial's random stream (``RngStream.generator``), ``make_geometry``,
+fresh random stream (``RngStream.generator``, the public path), the
+engine's per-trial stream (one Philox of the run rewound to a trial's
+stream, ``numerics._rewinder``), ``make_geometry``,
 ``compute_long_term`` and its two kernels
 (``phase_index_rows``, ``vote_indices``), ``sample_channels``,
 ``effective_scalar_channel``, the engine's per-trial draw
 (``_effective_block``, direct links and two normals per device for each
-of the 4 segments of the default sweep), the dominant-direct combiner on
+of the 4 segments of the default sweep) and its block form over a power
+block of 64 trials (``_effective_draws``, each trial on the rewound
+Philox, into one buffer), the dominant-direct combiner on
 a block of 64 trials, single-row and 64-row power control, and the
 steering kernel: ``line_of_sight`` at K = 21 (the scaling recipe's
 device count) with N in {512, 2048, 8192} and ``array_response`` with
@@ -87,6 +91,9 @@ def layers(pkg, long: bool):
 
     base = channel.SystemConfig()
     yield "numerics.RngStream.generator", lambda: RngStream(1, 3).generator()
+    rewinder = getattr(pkg.numerics, "_rewinder", None)
+    rewind = None if rewinder is None else rewinder(1)
+    yield "numerics._rewinder[per trial]", None if rewind is None else lambda: rewind(3)
     yield "channel.make_geometry[K=20]", lambda: channel.make_geometry(base, RngStream(1, 0))
     for N in N_VALUES:
         system = channel.SystemConfig(N=N)
@@ -113,6 +120,13 @@ def layers(pkg, long: bool):
     segments = len(experiments.ExperimentConfig().n_sweep)
     yield f"channel._effective_block[P={segments}]", (
         None if draw is None else lambda: draw(geometry, base, gen, segments)
+    )
+    block_draw = getattr(channel, "_effective_draws", None)
+    trials = [3 + 2 * t for t in range(64)]
+    yield f"channel._effective_draws[B=64,P={segments}]", (
+        None
+        if block_draw is None
+        else lambda: block_draw(geometry.rho_d, base, segments, trials, rewind)
     )
     gen = np.random.default_rng(2)
     direct = (gen.standard_normal((64, 20, 10)) + 1j * gen.standard_normal((64, 20, 10))) / 2**0.5

@@ -187,10 +187,13 @@ def make_geometry(
     return _make_geometries(config, [stream])[0]
 
 
-def _make_geometries(config: SystemConfig, streams) -> list[Geometry]:
+def _make_geometries(config: SystemConfig, streams, generator=as_generator) -> list[Geometry]:
     """:func:`make_geometry` of each stream, the arithmetic done once for all of them.
 
-    Each stream makes its own draws, in make_geometry's order.
+    Each stream makes its own draws, in make_geometry's order, from
+    ``generator(stream)``: by default a stream is an RngStream or a
+    Generator, and the engine passes stream ids with its
+    :func:`~irs_aircomp.numerics._rewinder`.
     Positions, distances and path losses of every geometry are then
     elementwise passes over the (B, K) stacks, each path loss a Python
     ``**``, so every geometry equals, bit for bit, the call with its
@@ -203,7 +206,7 @@ def _make_geometries(config: SystemConfig, streams) -> list[Geometry]:
     half = np.pi / 2
     draws = []
     for stream in streams:
-        gen = as_generator(stream)
+        gen = generator(stream)
         draws.append(  # radius and azimuth fractions, phi_r, phi_t, nu
             (
                 gen.uniform(0.0, 1.0, K),
@@ -336,7 +339,7 @@ def sample_channels(
     if los is None:
         los = line_of_sight(geometry, config)
 
-    h_direct = _direct_links(geometry, gen.standard_normal((2, K, config.M)))
+    h_direct = _direct_links(geometry.rho_d, gen.standard_normal((2, K, config.M)))
     if config.pure_los:
         return ChannelRealization(h_direct=h_direct, h_reflect=los, geometry=geometry)
 
@@ -350,12 +353,17 @@ def sample_channels(
     return ChannelRealization(h_direct=h_direct, h_reflect=scattered.T, geometry=geometry)
 
 
-def _direct_links(geometry: Geometry, normals: np.ndarray) -> np.ndarray:
-    """One block's (K, M) direct links from (2, K, M) normals, real plane then imaginary."""
-    h_direct = np.empty(normals.shape[1:], dtype=complex)
-    np.multiply(normals[0], _INV_SQRT2, out=h_direct.real)
-    np.multiply(normals[1], _INV_SQRT2, out=h_direct.imag)
-    np.multiply(np.sqrt(geometry.rho_d)[:, None], h_direct, out=h_direct)
+def _direct_links(rho_d: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Direct links (..., K, M) from normals (..., 2, K, M), real plane then imaginary.
+
+    ``rho_d`` is (..., K), one path loss per device of each block or of
+    all of them.  Every step is elementwise, so each block's links equal,
+    bit for bit, those of a call on it alone.
+    """
+    h_direct = np.empty(normals.shape[:-3] + normals.shape[-2:], dtype=complex)
+    np.multiply(normals[..., 0, :, :], _INV_SQRT2, out=h_direct.real)
+    np.multiply(normals[..., 1, :, :], _INV_SQRT2, out=h_direct.imag)
+    np.multiply(np.sqrt(rho_d)[..., None], h_direct, out=h_direct)
     return h_direct
 
 
@@ -373,18 +381,41 @@ def _effective_block(
     segment, the first normal of every device before the second, each
     value's real part before its imaginary part.  Segment j's normals
     therefore sit at the same place in the stream whatever segments
-    follow it.  All of them come from one ``standard_normal`` call,
-    which yields the same numbers as one call per part in that order.
+    follow it.  The one-trial case of :func:`_effective_draws`.
+    """
+    h_direct, w = _effective_draws(geometry.rho_d, config, segments, [gen])
+    return h_direct[0], None if w is None else w[0]
+
+
+def _effective_draws(
+    rho_d: np.ndarray, config: SystemConfig, segments: int, streams, generator=as_generator
+):
+    """:func:`_effective_block` of a block of B trials, one per stream: (h_direct, w) stacked.
+
+    Trial b makes all its draws, in _effective_block's order, with one
+    ``standard_normal(out=...)`` call into row b of one (B, 2KM + 4PK)
+    buffer (P = ``segments``), from ``generator(stream)`` of its stream:
+    by default a stream is an RngStream or a Generator, and the engine
+    passes stream ids with its :func:`~irs_aircomp.numerics._rewinder`.
+    One ``standard_normal`` call yields the same numbers as one call per
+    part in that order.  ``rho_d`` is the trials' (B, K) path losses, or
+    one (K,) row that they share.  The sqrt(rho_d) scaling and the
+    complex assembly are then single passes over the block, each step
+    elementwise, so h_direct (B, K, M) and w (B, P, 2, K), or None under
+    ``pure_los``, hold in row b, bit for bit, _effective_block's draws
+    from the same generator state.
     """
     K, M = config.K, config.M
-    scattered = 0 if config.pure_los else 4 * segments * K
-    normals = gen.standard_normal(2 * K * M + scattered)
-    h_direct = _direct_links(geometry, normals[: 2 * K * M].reshape(2, K, M))
+    direct = 2 * K * M
+    normals = np.empty((len(streams), direct + (0 if config.pure_los else 4 * segments * K)))
+    for row, stream in zip(normals, streams):
+        generator(stream).standard_normal(out=row)
+    h_direct = _direct_links(rho_d, normals[:, :direct].reshape(-1, 2, K, M))
     if config.pure_los:
         return h_direct, None
-    parts = normals[2 * K * M :]
+    parts = normals[:, direct:]
     parts *= _INV_SQRT2
-    return h_direct, parts.view(complex).reshape(segments, 2, K)
+    return h_direct, parts.view(complex).reshape(-1, segments, 2, K)
 
 
 def effective_scalar_channel(realization: ChannelRealization, v: np.ndarray, theta) -> np.ndarray:

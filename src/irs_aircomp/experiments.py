@@ -17,18 +17,22 @@ the all-zero phase rows (:func:`_kind_terms`).  gamma at N_i sums the
 segments up to i, so differences along N are paired, as for a sub-array
 of a larger surface.
 
-Stream layout.  Every draw comes from an
-:class:`~irs_aircomp.numerics.RngStream` of the master seed: stream 0
-holds the reference geometry (the fixed one, and the one the bound
-columns describe), stream 2 + 2t trial t's redrawn geometry and stream
-3 + 2t its channels.  These are the pure line-of-sight scaling recipe's
-streams, and under ``pure_los`` the gammas are the vector channel's, so
-that recipe is one redrawn-geometry ``run_sweep``.  No stream depends
-on N or on the trial count, and a segment's normals sit at the same
-place in its trial's stream whatever segments follow, so a longer run,
-a sweep whose element counts are a prefix of another's and a ``single``
-point (it runs the counts below its N too) reproduce the values of the
-run they overlap.
+Stream layout.  Every draw comes from a stream of the master seed,
+:class:`~irs_aircomp.numerics.RngStream` (seed, id): a Philox keyed by
+the seed, with the id in a counter word, so that streams are disjoint
+by construction.  Stream 0 holds the reference geometry (the fixed one,
+and the one the bound columns describe), stream 2 + 2t trial t's
+redrawn geometry and stream 3 + 2t its channels.  The engine builds one
+Philox per run and rewinds it to each of these streams by setting its
+state (:func:`~irs_aircomp.numerics._rewinder`), which draws bit for
+bit as a fresh ``RngStream(seed, id).generator()``.  These are the pure
+line-of-sight scaling recipe's streams, and under ``pure_los`` the
+gammas are the vector channel's, so that recipe is one redrawn-geometry
+``run_sweep``.  No stream depends on N or on the trial count, and a
+segment's normals sit at the same place in its trial's stream whatever
+segments follow, so a longer run, a sweep whose element counts are a
+prefix of another's and a ``single`` point (it runs the counts below
+its N too) reproduce the values of the run they overlap.
 
 The engine is trial-major: every scheme evaluates the trial's one draw
 (schemes of one kind share its effective channels), and power control
@@ -57,12 +61,13 @@ from .channel import (
     Geometry,
     SystemConfig,
     _effective_block,
+    _effective_draws,
     _line_of_sight,
     _make_geometries,
     _reflections,
     make_geometry,
 )
-from .numerics import RngStream, _is_integer, _responses, array_response, as_generator
+from .numerics import RngStream, _is_integer, _responses, _rewinder, array_response, as_generator
 from .protocol import (
     DegenerateChannelError,
     PhaseShiftVector,
@@ -138,6 +143,7 @@ class ExperimentConfig:
             if not _is_integer(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         self.n_sweep = tuple(int(n) for n in self.n_sweep)
+        self.seed = int(self.seed)
         if len(self.n_sweep) < 1 or any(n < 1 for n in self.n_sweep):
             raise ConfigError("n_sweep must contain positive element counts")
         if any(b <= a for a, b in zip(self.n_sweep, self.n_sweep[1:])):
@@ -331,23 +337,32 @@ def _kind_terms(config: SystemConfig, geometries, sizes, a_m: np.ndarray, states
 
 
 def _block_gammas(terms, draws, schemes: list[Scheme]):
+    """:func:`_stacked_gammas` of per-trial draws: each trial's (h_direct, w) of
+    :func:`~irs_aircomp.channel._effective_block`, stacked along a new first axis.
+    """
+    h_direct = np.stack([h for h, _ in draws])
+    w = None if draws[0][1] is None else np.stack([w for _, w in draws])
+    return _stacked_gammas(terms, h_direct, w, schemes)
+
+
+def _stacked_gammas(terms, h_direct: np.ndarray, w: np.ndarray | None, schemes: list[Scheme]):
     """Effective channels per kind of a block of B trials, one draw per trial.
 
     ``terms`` are the stacked terms of :func:`_kind_terms`, one geometry
     per trial or one (a leading axis of 1) that every trial shares, and
-    ``draws`` each trial's (h_direct, w) of
-    :func:`~irs_aircomp.channel._effective_block`: its direct links and
-    two normals per device and segment.  The voted and zero gammas at
-    N_i are v^H h_d + gain (line of sight at N_i + the sum of the
-    scattered projections of the segments up to i), each (P, B, K), one
-    row per N of the terms' sizes; under ``pure_los`` they are v^H h_d +
-    gain (line of sight at N_i), bit for bit the vector channel's
+    ``h_direct`` (B, K, M) and ``w`` (B, P, 2, K) the trials' draws of
+    :func:`~irs_aircomp.channel._effective_draws`: their direct links and
+    two normals per device and segment (None under ``pure_los``).  The
+    voted and zero gammas at N_i are v^H h_d + gain (line of sight at
+    N_i + the sum of the scattered projections of the segments up to i),
+    each (P, B, K), one row per N of the terms' sizes; under
+    ``pure_los`` they are v^H h_d + gain (line of sight at N_i), bit for
+    bit the vector channel's
     :func:`~irs_aircomp.channel.effective_scalar_channel` at N.  The
     direct kind does not see the IRS: one batched combiner gives it
     (1, B, K), one row that serves every N.
     """
     kinds = dict.fromkeys(s.kind for s in schemes)
-    h_direct = np.stack([h for h, _ in draws])
     out = {}
     if _DIRECT in kinds:
         out[_DIRECT] = _direct_gammas(h_direct)[None]
@@ -355,7 +370,7 @@ def _block_gammas(terms, draws, schemes: list[Scheme]):
         return out
     conj_v, gain, reflected, coef = terms  # reflected: (B or 1, 2, P, K)
     if coef is not None:
-        scattered = (coef * np.stack([w for _, w in draws])[:, None]).sum(axis=3)
+        scattered = (coef * w[:, None]).sum(axis=3)
         reflected = reflected + np.cumsum(scattered, axis=2)
     combined = np.matmul(h_direct, conj_v[:, :, None])[:, None, None, :, 0]
     gammas = (combined + gain[:, None, None, None] * reflected).transpose(1, 2, 0, 3)
@@ -494,7 +509,9 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     T, P, K = config.trials, len(config.n_sweep), system.K
     largest = replace(system, N=config.n_sweep[-1])
     redraw = config.redraw_geometry_per_trial
-    reference = make_geometry(system, RngStream(config.seed, 0))
+    rewind = _rewinder(config.seed)
+    reference = make_geometry(system, rewind(0))
+    rho_d = reference.rho_d
     if not redraw:
         terms = _stage(largest, [reference], config.n_sweep)
     mses = np.empty((len(schemes), P, T))
@@ -508,16 +525,12 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     for start in range(0, T, _POWER_BLOCK):
         stop = min(start + _POWER_BLOCK, T)
         trials = range(start, stop)
-        geometries = [reference] * len(trials)
         if redraw:
-            streams = [RngStream(config.seed, 2 + 2 * t) for t in trials]
-            geometries = _make_geometries(system, streams)
+            geometries = _make_geometries(system, [2 + 2 * t for t in trials], rewind)
             terms = _stage(largest, geometries, config.n_sweep)
-        draws = [
-            _effective_block(g, largest, RngStream(config.seed, 3 + 2 * t).generator(), P)
-            for g, t in zip(geometries, trials)
-        ]
-        block = _block_gammas(terms, draws, schemes)
+            rho_d = np.array([g.rho_d for g in geometries])
+        h_direct, w = _effective_draws(rho_d, largest, P, [3 + 2 * t for t in trials], rewind)
+        block = _stacked_gammas(terms, h_direct, w, schemes)
         try:
             magnitudes = {kind: _gamma_magnitudes(g, ndim=3) for kind, g in block.items()}
         except ValueError:

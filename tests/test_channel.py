@@ -218,6 +218,23 @@ class TestSampleChannels:
             np.testing.assert_array_equal(bits(w.view(float)), bits(parts))
         np.testing.assert_array_equal(after, ref.bit_generator.random_raw(2))
 
+    @pytest.mark.parametrize("pure_los", [False, True])
+    @pytest.mark.parametrize("block_direct", [False, True])
+    def test_block_draw_rows_are_the_per_trial_draws(self, pure_los, block_direct):
+        # the engine's block draw, each trial on the one rewound Philox and its own
+        # geometry's path losses, holds in row b that trial's fresh-stream draw
+        cfg = SystemConfig(K=5, M=3, pure_los=pure_los, block_direct=block_direct)
+        geometries = [make_geometry(cfg, RngStream(17, 2 + 2 * t)) for t in range(7)]
+        rho_d = np.array([g.rho_d for g in geometries])
+        streams = [3 + 2 * t for t in range(7)]
+        h_direct, w = channel._effective_draws(rho_d, cfg, 4, streams, numerics._rewinder(17))
+        for b, (geo, stream) in enumerate(zip(geometries, streams)):
+            h_b, w_b = channel._effective_block(geo, cfg, RngStream(17, stream).generator(), 4)
+            np.testing.assert_array_equal(bits(h_direct[b]), bits(h_b))
+            assert (w is None) == (w_b is None) == pure_los
+            if w is not None:
+                np.testing.assert_array_equal(bits(w[b]), bits(w_b))
+
     def test_scattered_part_keeps_its_law(self):
         # per-device variance a_k^2, uncorrelated parts, elements and devices
         cfg = SystemConfig(K=5, M=2, N=16, rician_delta=1.5, device_radius=60.0)

@@ -306,25 +306,30 @@ class TestKeyedStreams:
             assert len(stats) == 1
 
     def test_keys_injective(self):
-        # RngStream(seed, stream_id) keys every draw of the engine.  Numpy splits
-        # an integer into 32-bit words and pads short entropy with zero words, so
-        # the bare pair gave (3 + 2**32, 7) the stream of (3, 1 + 7 * 2**32) and
-        # (3 + 5 * 2**32, 0) that of (3, 5); every key of a grid of in- and
-        # out-of-range words, both pairs included, owns its own stream.
+        # RngStream(seed, stream_id) keys every draw of the engine.  Hashing the
+        # bare pair as SeedSequence entropy, which numpy splits into 32-bit words
+        # padded with zero words, gave (3 + 2**32, 7) the stream of
+        # (3, 1 + 7 * 2**32) and (3 + 5 * 2**32, 0) that of (3, 5); every key of a
+        # grid of in- and out-of-range words, both pairs included, owns its own
+        # stream.
         def first(seed, stream_id):
             return tuple(RngStream(seed, stream_id).generator().bit_generator.random_raw(2))
 
         parts = (0, 1, 3, 5, 7, 101, 2**32 - 1, 2**32, 3 + 2**32, 1 + 7 * 2**32, 3 + 5 * 2**32)
         parts += (2**63, 2**64 - 1)
         assert len({first(seed, stream_id) for seed in parts for stream_id in parts}) == 13 * 13
-        # keys whose parts fit 32 bits draw as the bare pair did; their draws are pinned here
+        # each key draws as numpy's Philox at key (seed, 0) and counter
+        # (0, 0, stream_id, 0); the first draws are pinned here
         pinned = {
-            (0, 0): (0x399E5B222B82FA9, 0x41FD08C1F00F3BC5),
-            (42, 7): (0xA76E3DF6F104E0AD, 0x68FEC08581D23B98),
-            (101, 3): (0x1461F9A1647B26F5, 0x730F786ABA45BB6F),
-            (2**32 - 1, 2**32 - 1): (0x979B219675F23D66, 0xF108B4617E2F37F3),
+            (0, 0): (0x2F4BA6408E4D89B, 0x3DD62B0B9CA8C5B2),
+            (42, 7): (0x2BFB9D635BE188E2, 0x2B0049F790AFFF84),
+            (101, 3): (0x3C6BECB998753C5B, 0x4729157CA750024B),
+            (2**32 - 1, 2**32 - 1): (0xD4F1A480CD7DB805, 0xA63BCF35188AA5CD),
         }
         assert {key: first(*key) for key in pinned} == pinned
+        for seed, stream_id in pinned:
+            philox = np.random.Philox(key=seed, counter=stream_id << 128)
+            assert tuple(philox.random_raw(2)) == pinned[seed, stream_id]
         assert first(-1, 3) == first(2**64 - 1, 3)  # the seed is taken mod 2**64
         with pytest.raises(ValueError, match="stream_id must be in"):
             RngStream(3, 2**64)
@@ -420,7 +425,7 @@ class TestRunSweep:
 
     def test_blocked_direct_links_rejected_up_front(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(experiments, "_effective_block", lambda *a: calls.append(1))
+        monkeypatch.setattr(experiments, "_effective_draws", lambda *a: calls.append(1))
         cfg = small_config(system=SystemConfig(M=4, N=16, K=3, block_direct=True))
         schemes = [Scheme.INV_PC_NO_IRS, Scheme.OPT_PC_IRS, Scheme.OPT_PC_NO_IRS]
         with pytest.raises(ConfigError, match="no direct link for INV_PC_NO_IRS, OPT_PC_NO_IRS$"):
@@ -439,12 +444,12 @@ class TestRunSweep:
         # trial 66, in the second of three power blocks, has a zero gamma for one
         # kind at one N: the sweep names scheme, N and trial, and draws each trial
         # of the two blocks it reaches once, with no redraw
-        draws = []
-        original = experiments._effective_block
+        draws = []  # the channel stream of every trial drawn
+        original = experiments._effective_draws
         monkeypatch.setattr(
-            experiments, "_effective_block", lambda *a: draws.append(1) or original(*a)
+            experiments, "_effective_draws", lambda *a: draws.extend(a[3]) or original(*a)
         )
-        engine_gammas = experiments._block_gammas
+        engine_gammas = experiments._stacked_gammas
         sizes = small_config().n_sweep
 
         def zero_trial_66(*args):
@@ -454,10 +459,10 @@ class TestRunSweep:
                 gammas[kind][0 if N is None else sizes.index(N), 66 - start, 1] = 0.0
             return gammas
 
-        monkeypatch.setattr(experiments, "_block_gammas", zero_trial_66)
+        monkeypatch.setattr(experiments, "_stacked_gammas", zero_trial_66)
         with pytest.raises(DegenerateChannelError, match=f"^{message}, trial 66: zero effective"):
             run_sweep(small_config(trials=130), list(Scheme))
-        assert len(draws) == 128
+        assert draws == [3 + 2 * t for t in range(128)]
 
 
 class TestStackedPowerControl:
@@ -476,9 +481,11 @@ class TestStackedPowerControl:
         config = small_config(n_sweep=(4, 8, 16), trials=70, redraw_geometry_per_trial=redraw)
         system, T = config.system, config.trials
         blocks = []
-        engine_gammas = experiments._block_gammas
+        engine_gammas = experiments._stacked_gammas
         monkeypatch.setattr(
-            experiments, "_block_gammas", lambda *a: blocks.append(engine_gammas(*a)) or blocks[-1]
+            experiments,
+            "_stacked_gammas",
+            lambda *a: blocks.append(engine_gammas(*a)) or blocks[-1],
         )
         result = run_sweep(config, schemes)
         assert len(blocks) == 2
@@ -548,14 +555,14 @@ class TestStackedPowerControl:
     @pytest.mark.parametrize("inversion_first", [False, True])
     def test_degenerate_error_names_callers_first_scheme(self, inversion_first, monkeypatch):
         # both rules fail at the same zero; the caller's first scheme is named
-        engine_gammas = experiments._block_gammas
+        engine_gammas = experiments._stacked_gammas
 
         def zero_trial_3(*args):
             gammas = engine_gammas(*args)
             gammas[experiments._VOTED][1, 3, 0] = 0.0
             return gammas
 
-        monkeypatch.setattr(experiments, "_block_gammas", zero_trial_3)
+        monkeypatch.setattr(experiments, "_stacked_gammas", zero_trial_3)
         schemes = [Scheme.OPT_PC_IRS, Scheme.INV_PC_IRS, Scheme.OPT_PC_NO_IRS]
         if inversion_first:
             schemes.reverse()
@@ -727,6 +734,14 @@ def test_non_integer_counts_rejected(owner, name, bad, good):
     with pytest.raises(error, match=f"^{name} must "):
         owner(**{name: bad})
     owner(**{name: good})  # Python and numpy integers are counts
+
+
+@pytest.mark.parametrize("seed", [np.int64(11), np.uint64(11), np.int32(11)])
+def test_numpy_integer_seed_runs_as_its_int(seed):
+    # the config accepted np.int64, then run_sweep overflowed keying its streams
+    cfg = small_config(seed=seed)
+    assert type(cfg.seed) is int
+    assert run_sweep(cfg, list(Scheme)).rows == run_sweep(small_config(seed=11), list(Scheme)).rows
 
 
 def other_value(hint, default):

@@ -2,7 +2,7 @@
 
 Every earlier engine change (trial-major draws, the batched vote, the
 real-arithmetic kernels, the prefix slicing) reproduced the files of the
-engine before it exactly.  Four changes altered the streams on purpose,
+engine before it exactly.  Five changes altered the streams on purpose,
 and one the values drawn from them:
 
 - the coordinate-keyed engine (channel streams keyed by (N, trial),
@@ -40,7 +40,17 @@ and one the values drawn from them:
 - the scaling recipe's stream layout (trial t's redrawn geometry from
   ``RngStream(seed, 2+2t)``, its channels from ``RngStream(seed, 3+2t)``)
   regenerated all six files; every ``mean_mse`` moved by at most 2.4
-  standard errors of the difference.
+  standard errors of the difference;
+- the counter-keyed streams (``RngStream(seed, id)`` a Philox keyed by
+  the seed mod 2**64, with the id in a counter word in place of a
+  ``SeedSequence`` hash of the pair, so that the engine rewinds one
+  Philox per run to each trial's streams) keep the layout above but
+  change every draw.  They regenerated all six files.  In the two
+  cases whose geometry is redrawn per trial, ``default_redraw`` and
+  ``scaling_los``, every ``mean_mse`` moved by at most 1.95 standard
+  errors of the difference; in the four fixed-geometry cases stream 0
+  now draws another geometry, so their means moved by more than the
+  within-geometry standard errors (up to 29.5 of them).
 
 Any change that keeps the random streams must reproduce them exactly; a
 change that alters the streams on purpose regenerates the cases it

@@ -90,6 +90,66 @@ class TestRngStream:
         b = as_generator(gen).standard_normal(8)
         assert not np.allclose(a, b)
 
+    @pytest.mark.parametrize(
+        "seed, stream_id", [(np.int64(42), 7), (42, np.uint64(7)), (np.int64(-1), np.int32(7))]
+    )
+    def test_numpy_integers_draw_as_their_ints(self, seed, stream_id):
+        # np.int64 & (2**64 - 1) overflowed in generator()
+        stream = RngStream(seed, stream_id)
+        assert stream == RngStream(int(seed), int(stream_id))
+        assert (type(stream.seed), type(stream.stream_id)) == (int, int)
+        want = RngStream(int(seed), int(stream_id)).generator().bit_generator.random_raw(4)
+        np.testing.assert_array_equal(stream.generator().bit_generator.random_raw(4), want)
+
+    @pytest.mark.parametrize(
+        "name, args",
+        [("seed", (1.5, 1)), ("seed", (True, 1)), ("seed", ("1", 1)),
+         ("stream_id", (1, 1.5)), ("stream_id", (1, False)), ("stream_id", (1, np.float64(3)))],
+    )
+    def test_non_integer_parts_rejected(self, name, args):
+        # a float id would be truncated into a counter word, aliasing another stream
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            RngStream(*args)
+
+    def test_neighbouring_streams_disjoint(self):
+        # streams sit 2**128 blocks apart in the counter: no shared raw output
+        for seed, s in ((0, 0), (7, 3), (2**64 - 1, 2**64 - 2)):
+            a = RngStream(seed, s).generator().bit_generator.random_raw(10**4)
+            b = RngStream(seed, s + 1).generator().bit_generator.random_raw(10**4)
+            assert np.intersect1d(a, b).size == 0
+
+    def test_alias_pair_draws_differently(self):
+        # a 32-bit split of the pair would give both the same words
+        a = RngStream(3 + 2**32, 7).generator().bit_generator.random_raw(4)
+        b = RngStream(3, 1 + 7 * 2**32).generator().bit_generator.random_raw(4)
+        assert not np.array_equal(a, b)
+
+
+class TestRewinder:
+    """The engine's one Philox, rewound per stream, draws as a fresh stream."""
+
+    SEED = 3 + 2**40
+
+    @pytest.mark.parametrize("leftover", ["half-word", "raw buffer"])
+    def test_rewind_equals_fresh_stream(self, leftover):
+        rewind = numerics._rewinder(self.SEED)
+        gen = rewind(5)
+        if leftover == "half-word":
+            gen.integers(0, 2**32, size=3, dtype=np.uint32)  # odd count: one half-word kept
+            assert gen.bit_generator.state["has_uint32"] == 1
+        else:
+            gen.bit_generator.random_raw(1)  # one of a block's four outputs used
+            assert gen.bit_generator.state["buffer_pos"] == 1
+        for stream_id in (6, 5, 2**64 - 1, 0, 6):
+            got, want = rewind(stream_id), RngStream(self.SEED, stream_id).generator()
+            # each comparison ends on an odd half-word count, inside a raw block
+            for draw in (
+                lambda g: g.integers(0, 2**32, size=5, dtype=np.uint32),
+                lambda g: g.standard_normal(7),
+                lambda g: g.bit_generator.random_raw(3),
+            ):
+                assert draw(got).tobytes() == draw(want).tobytes(), stream_id
+
 
 class TestSinc:
     def test_removable_singularity(self):
