@@ -4,6 +4,7 @@
     python scripts/bench_layers.py --out BENCH_9.json
     python scripts/bench_layers.py --baseline ../parent/src --out BENCH_9.json
     python scripts/bench_layers.py --baseline ../parent/src --long --repeats 5 --out BENCH_14.json
+    python scripts/bench_layers.py --baseline ../parent/src --end-to-end 5 --out BENCH_22.json
 
 Times each layer of the long-term and per-block stages on its own: a
 fresh random stream (``RngStream.generator``, the public path), the
@@ -19,7 +20,10 @@ Philox, into one buffer), the dominant-direct combiner on
 a block of 64 trials, single-row and 64-row power control, and the
 steering kernel: ``line_of_sight`` at K = 21 (the scaling recipe's
 device count) with N in {512, 2048, 8192} and ``array_response`` with
-n in {10, 8192} (a receive array and the largest surface).  Other
+n in {10, 8192} (a receive array and the largest surface).  The phase
+kernel runs at the same K = 21: ``phase_index_rows`` at L = 2 for those
+N and at L in {4, 16, 64} for N = 512, and ``vote_indices`` on the
+kernel's own rows at N = 8192, in the dtype the engine votes on.  Other
 channel-side layers run at the default scenario (K = 20, M = 10, L = 2)
 with N in {64, 512, 4096}; power control runs at K in {20, 1000}.  Two
 layers time the whole engine through the public API: ``run_sweep`` over
@@ -34,6 +38,13 @@ only.  Each layer is timed in ``--repeats`` repeats (at least 5) of a
 batch of calls that fills about 20 ms, the same batch on every side,
 and the median, first and third quartile of the per-call time are
 recorded in microseconds.
+
+``--end-to-end PAIRS`` (with ``--baseline``) also runs the benchmark,
+``benchmark/run.py`` of each side's checkout (the directory above its
+``src``), for every workload of ``BENCHMARK.json``: PAIRS pairs of
+separate processes, seeds 1 to PAIRS, the sides' order alternating
+from pair to pair, and records the median, first and third quartile of
+each end-to-end metric.  A pair takes about a minute per workload.
 
 ``--src`` (default: this checkout's ``src``) is recorded as ``change``.
 ``--baseline`` loads a second source tree, such as a parent commit's,
@@ -63,6 +74,7 @@ import numpy as np  # noqa: E402  (after the thread pinning)
 
 N_VALUES = (64, 512, 4096)
 LOS_N_VALUES = (512, 2048, 8192)
+LEVEL_VALUES = (4, 16, 64)
 K_VALUES = (20, 1000)
 REDRAW_N_SWEEP = (32, 64, 128, 256, 512)
 TARGET_S = 0.02
@@ -147,6 +159,17 @@ def layers(pkg, long: bool):
         system = channel.SystemConfig(K=21, N=N)
         geometry = channel.make_geometry(system, RngStream(1, 0))
         yield f"channel.line_of_sight[K=21,N={N}]", lambda: channel.line_of_sight(geometry, system)
+        yield f"protocol.phase_index_rows[K=21,N={N}]", (
+            lambda: protocol.phase_index_rows(geometry.phi_t, geometry.nu, N, 2)
+        )
+    # the kernel's own output, in the dtype the engine votes on
+    rows = protocol._phase_rows(geometry.phi_t, geometry.nu, N, 2, 0.5)
+    yield f"protocol.vote_indices[K=21,N={N},kernel rows]", lambda: protocol.vote_indices(rows, 2)
+    geometry = channel.make_geometry(channel.SystemConfig(K=21, N=512), RngStream(1, 0))
+    for L in LEVEL_VALUES:
+        yield f"protocol.phase_index_rows[K=21,L={L},N=512]", (
+            lambda: protocol.phase_index_rows(geometry.phi_t, geometry.nu, 512, L)
+        )
     for n in (10, 8192):
         yield f"numerics.array_response[n={n}]", lambda: pkg.numerics.array_response(n, 0.3)
     sweep = experiments.ExperimentConfig(system=base, trials=64, seed=1)
@@ -188,6 +211,33 @@ def summary(samples: list[float], calls: int) -> dict:
     return {"median_us": median, "q1_us": q1, "q3_us": q3, "repeats": len(samples), "calls": calls}
 
 
+def end_to_end(roots: dict[str, Path], pairs: int) -> dict:
+    """{side: {workload: {metric: quartiles}}} of ``benchmark/run.py``, one process per run."""
+    spec = json.loads((roots["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    results: dict[str, dict] = {label: {} for label in roots}
+    for workload in (w["name"] for w in spec["workloads"]):
+        samples: dict[str, list[dict]] = {label: [] for label in roots}
+        for seed in range(1, pairs + 1):
+            for label in list(roots) if seed % 2 else list(roots)[::-1]:
+                command = [sys.executable, "benchmark/run.py", "--workload", workload,
+                           "--seed", str(seed)]
+                done = subprocess.run(command, cwd=roots[label], capture_output=True, text=True)
+                report = json.loads(done.stdout.strip().splitlines()[-1]) if done.stdout else {}
+                if done.returncode != 0 or not report.get("correct"):
+                    raise SystemExit(f"{label} {workload} seed {seed} failed:\n{done.stderr}")
+                samples[label].append({k: m["value"] for k, m in report["metrics"].items()})
+            print(f"{workload:18s} seed {seed}: " + "  ".join(
+                f"{label} {samples[label][-1]['scheme_trials_per_s']:.1f} trials/s"
+                for label in roots), flush=True)
+        for label, runs in samples.items():
+            results[label][workload] = {
+                metric: dict(zip(("q1", "median", "q3"), statistics.quantiles(
+                    [run[metric] for run in runs], n=4, method="inclusive")))
+                for metric in runs[0]
+            }
+    return results
+
+
 def source_revision(src: Path) -> str | None:
     """Short commit of the tree holding ``src``, with ``-dirty`` for uncommitted changes."""
     try:
@@ -211,9 +261,13 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=11)
     parser.add_argument("--long", action="store_true",
                         help="add 10 000-trial run_sweep layers (minutes per side)")
+    parser.add_argument("--end-to-end", type=int, default=0, metavar="PAIRS",
+                        help="also run benchmark/run.py in PAIRS alternating pairs per workload")
     args = parser.parse_args()
     if args.repeats < 5:
         parser.error("--repeats must be at least 5")
+    if args.end_to_end and (args.end_to_end < 5 or args.baseline is None):
+        parser.error("--end-to-end needs --baseline and at least 5 pairs")
 
     sides = {"change": args.src}
     if args.baseline is not None:
@@ -234,6 +288,10 @@ def main() -> int:
             line += f" {label} {timings[label][name]['median_us']:10.1f} us"
         print(line, flush=True)
 
+    whole = {}
+    if args.end_to_end:
+        whole = end_to_end({label: src.resolve().parent for label, src in sides.items()},
+                           args.end_to_end)
     record = {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -241,7 +299,8 @@ def main() -> int:
         "measured": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "interleaved": len(sides) > 1,
         "runs": {
-            label: {"revision": source_revision(src), "layers_us": timings[label]}
+            label: {"revision": source_revision(src), "layers_us": timings[label],
+                    **({"end_to_end": whole[label]} if whole else {})}
             for label, src in sides.items()
         },
     }

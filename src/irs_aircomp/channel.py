@@ -13,7 +13,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .numerics import RngStream, _is_integer, _responses, _steering, array_response, as_generator
+from .numerics import (RngStream, _is_integer, _require_spacing, _responses, _steering,
+                       array_response, as_generator)
 
 __all__ = [
     "SystemConfig",
@@ -80,6 +81,7 @@ class SystemConfig:
             raise ValueError("rician_delta must be non-negative")
         if self.spacing_ratio <= 0:
             raise ValueError("spacing_ratio must be positive")
+        _require_spacing(self.spacing_ratio, max(self.N, self.M))
         if min(self.pathloss_exponent_reflected, self.pathloss_exponent_direct) < 0:
             raise ValueError("path loss exponents must be non-negative")
         if not 0.0 < self.ref_loss_linear <= 1.0:

@@ -67,7 +67,8 @@ from .channel import (
     _reflections,
     make_geometry,
 )
-from .numerics import RngStream, _is_integer, _responses, _rewinder, array_response, as_generator
+from .numerics import (RngStream, _is_integer, _require_spacing, _responses, _rewinder,
+                       array_response, as_generator)
 from .protocol import (
     DegenerateChannelError,
     PhaseShiftVector,
@@ -148,6 +149,7 @@ class ExperimentConfig:
             raise ConfigError("n_sweep must contain positive element counts")
         if any(b <= a for a, b in zip(self.n_sweep, self.n_sweep[1:])):
             raise ConfigError("n_sweep must be strictly increasing")
+        _require_spacing(self.system.spacing_ratio, self.n_sweep[-1], ConfigError)  # largest N
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if not 0.0 < self.epsilon < 1.0:
@@ -704,7 +706,10 @@ def load_config(path) -> ExperimentConfig:
                 raise ConfigError(f"{key} conflicts with {base}")
             seen.add(base)
             cls, name, hint = _KEYS[base]
-            kwargs[cls][name] = dbm_to_watts(_parse(raw, key, hint))
+            try:
+                kwargs[cls][name] = dbm_to_watts(_parse(raw, key, hint))
+            except OverflowError:
+                raise ConfigError(f"{key}: {raw} dBm overflows the watts of a float") from None
         elif key in _KEYS:
             cls, name, hint = _KEYS[key]
             kwargs[cls][name] = _parse(raw, key, hint)

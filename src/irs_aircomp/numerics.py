@@ -122,14 +122,23 @@ def array_response(n_elems: int, angle: float, spacing_ratio: float = 0.5) -> np
     of :func:`_steering`: the first ``_STEERING_BLOCK`` entries equal
     the complex chain exp(2j*pi*spacing_ratio*sin(angle)*m) bit for bit,
     and later entries are within the bound stated there.  A non-finite
-    angle or spacing is rejected.
+    angle or spacing, or one whose phases overflow, is rejected.
     """
     _require_count(n_elems, "n_elems")
     if not (math.isfinite(angle) and math.isfinite(spacing_ratio)):
         raise ValueError(
             f"angle and spacing_ratio must be finite, got {angle!r}, {spacing_ratio!r}"
         )
+    _require_spacing(spacing_ratio, n_elems)
     return _steering(_slope(angle, spacing_ratio), n_elems)
+
+
+def _require_spacing(spacing_ratio: float, n_elems: int, error=ValueError) -> None:
+    """Reject a spacing (or a count) at which 4*pi*spacing*n, a bound on every phase, overflows."""
+    if not (n_elems < 1e308 and math.isfinite(2.0 * _TWO_PI * spacing_ratio * n_elems)):
+        raise error(
+            f"spacing_ratio must be finite, and 4*pi*spacing*{n_elems} too, got {spacing_ratio!r}"
+        )
 
 
 def _responses(n_elems: int, angles, spacing_ratio: float) -> np.ndarray:

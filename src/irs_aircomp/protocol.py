@@ -4,8 +4,9 @@ Long-term stage: a static receive beamformer from the IRS arrival angle
 and a discrete IRS phase configuration built from per-device phase
 projections fused by majority vote.  The projection is one kernel over
 all devices, a (K, N) level-index matrix (:func:`phase_index_rows`)
-that counts the fixed half-level thresholds each scaled phase passes,
-and the vote one count over that matrix (:func:`vote_indices`);
+that rounds each phase in turns, with the reference quantizer where a
+phase lies too near a half-level, and the vote one count over that
+matrix (:func:`vote_indices`);
 :func:`per_device_phases` and :func:`majority_vote` are their per-device
 forms.  Short-term stage: per-block optimal transmit power control with
 its denoising factor, the channel-inversion baseline, exact MSE
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, effective_scalar_channel
-from .numerics import _require_count, array_response
+from .numerics import _require_count, _require_spacing, array_response
 
 __all__ = [
     "DegenerateChannelError",
@@ -118,37 +119,9 @@ def receive_beamformer(phi_r: float, M: int, spacing_ratio: float = 0.5) -> np.n
     return array_response(M, phi_r, spacing_ratio) / np.sqrt(M)
 
 
-# Elements per row block of the phase-index kernel: a block stays in
-# cache at large N and amortises the per-call overhead at small N.
-_PHASE_BLOCK = 1 << 14
-
-
-# 2*pi = _TWO_PI_HI + _TWO_PI_LO exactly: the high part keeps 26
-# significant bits (a multiple of 2**-23), the low part the other 27.
-_TWO_PI_HI = math.floor(TWO_PI * 2**23) / 2**23
-_TWO_PI_LO = TWO_PI - _TWO_PI_HI
-# Below this |theta| the quotient n is at most 2**26, so n*_TWO_PI_HI
-# and n*_TWO_PI_LO are exact products.
-_REDUCE_LIMIT = 2**26 * TWO_PI
-
-
-def _reduce_2pi(theta: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Signed Cody-Waite remainder of theta by 2*pi, written into ``out``.
-
-    With q = trunc(theta / 2*pi), out = (theta - q*HI) - q*LO; for
-    |theta| below ``_REDUCE_LIMIT`` both products and the first
-    difference are exact, so ``out`` is the one rounding of
-    theta - q*2*pi.  Rounding is symmetric, so a negative theta gives
-    exactly minus the remainder of |theta|.  ``out`` and ``scratch`` are
-    buffers of theta's shape, distinct from it and from each other.
-    """
-    q = np.divide(theta, TWO_PI, out=scratch)
-    np.trunc(q, out=q)
-    np.multiply(q, _TWO_PI_HI, out=out)
-    np.subtract(theta, out, out=out)
-    q *= _TWO_PI_LO
-    out -= q
-    return out
+# Elements per row block of the phase-index kernel: its two float buffers
+# (256 KiB each) stay in a core's L2 cache, and blocks are few at small N.
+_PHASE_BLOCK = 1 << 15
 
 
 def _quantize_indices(theta: np.ndarray, levels: int) -> np.ndarray:
@@ -185,45 +158,58 @@ def quantize_phase(theta: float, levels: int) -> float:
     return float(idx * (TWO_PI / levels))
 
 
-# Most levels the threshold kernel and the count vote serve.  Each makes
-# one pass per level, and the paths above the cap (the reference
-# quantizer, the sort vote) cost the same at any level count.  At K=21
-# the threshold kernel stops winning near L=16 at N=512 and L=18-20 at
-# N=4096 and 8192 (timeit).
+# Most levels the count vote serves.  It makes one compare-and-sum pass
+# per level, and the sort vote above the cap costs the same at any level
+# count.  The phase kernel runs the same passes at every L.
 _COUNT_LEVELS = 16
+# The phase kernel decides fast while delta < 1/8 level: past that its
+# doubt bands cover a quarter of the phases, and most blocks would fall back.
+_MAX_DELTA = 0.125
+
+
+def _doubt(levels: int, t_max):
+    """delta of :func:`phase_index_rows`: how far its level coordinate may stray at |t| <= t_max."""
+    return 4.0 * np.finfo(float).eps * levels * (t_max + 1.0)
 
 
 def _index_rows(steps: np.ndarray, diff: np.ndarray, levels: int) -> np.ndarray:
-    """Level of steps[m]*diff[k] at every (k, m): the body of :func:`phase_index_rows`."""
+    """Level of steps[m]*diff[k] at every (k, m): the body of :func:`phase_index_rows`.
+
+    ``steps`` ascends from 0, so its last entry is the largest.  The
+    levels come in the smallest unsigned dtype that holds levels - 1,
+    or as the reference's own int64 when the whole call falls back.
+    """
     K, n = diff.shape[0], steps.shape[0]
-    out = np.empty((K, n), dtype=np.int64)
     rows = max(1, _PHASE_BLOCK // n)
-    if levels > _COUNT_LEVELS or not abs(steps[-1]) * np.abs(diff).max(initial=0.0) < _REDUCE_LIMIT:
-        # above the level cap, past the exact reduction's range, or not finite: the reference path
-        for start in range(0, K, rows):
-            theta = steps * diff[start : start + rows, None]
-            out[start : start + rows] = _quantize_indices(theta, levels)
-        return out
-    lift = np.where(steps[-1] * diff < 0.0, TWO_PI, 0.0)[:, None]
-    shape = (min(rows, K), n)
-    theta, x, scratch = np.empty(shape), np.empty(shape), np.empty(shape)
-    passed, under_top = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+    turns = steps * (1.0 / TWO_PI)
+    delta = _doubt(levels, abs(turns[-1]) * np.abs(diff).max(initial=0.0))
+    fast = delta < _MAX_DELTA  # also False for a NaN or infinite input
+    out = np.empty((K, n), dtype=np.min_scalar_type(levels - 1) if fast else np.int64)
+    t, k = np.empty((2, min(rows, K), n)) if fast else (None, None)
     for start in range(0, K, rows):
-        stop = min(start + rows, K)
-        b = stop - start
-        o, r, flag, top = out[start:stop], x[:b], passed[:b], under_top[:b]
-        np.multiply(steps, diff[start:stop, None], out=theta[:b])
-        _reduce_2pi(theta[:b], r, scratch[:b])
-        r += lift[start:stop]  # np.mod's step for theta < 0; other rows add 0.0
-        r *= levels / TWO_PI  # the reference's own x
-        # level >= j where x > j - 1/2; at L = 1 the top test zeroes this count
-        count = np.greater(r, 0.5, out=flag)
-        if levels > 2:  # count in int64; at L = 2 the one flag is the count
-            np.copyto(o, flag)
-            for j in range(2, levels):
-                o += np.greater(r, j - 0.5, out=flag)
-            count = o
-        np.multiply(count, np.less(r, levels - 0.5, out=top), out=o)
+        o = out[start : start + rows]
+        if fast:
+            tb, kb = t[: len(o)], k[: len(o)]
+            np.multiply(turns, diff[start : start + rows, None], out=tb)
+            if levels == 2:  # level 1 where |f| > 1/4, f = t - rint(t) exactly
+                np.rint(tb, out=kb)
+                tb -= kb
+                np.abs(tb, out=tb)
+                level = np.greater(tb, 0.25 + delta / 2, out=o.view(bool))
+                near = np.count_nonzero(tb >= 0.25 - delta / 2) != np.count_nonzero(level)
+            else:  # level rint(L*frac(t)), the top level L wrapped to 0
+                np.floor(tb, out=kb)
+                tb -= kb
+                tb *= levels
+                np.rint(tb, out=kb)
+                tb -= kb
+                near = tb.max() >= 0.5 - delta or tb.min() <= delta - 0.5
+                if not near:
+                    whole = kb.astype(np.min_scalar_type(levels))  # k - L wraps for k < L
+                    np.minimum(whole, whole - levels, out=o, casting="unsafe")
+            if not near:
+                continue
+        o[...] = _quantize_indices(steps * diff[start : start + rows, None], levels)
     return out
 
 
@@ -235,31 +221,35 @@ def phase_index_rows(
     Row k quantizes theta = 2*pi*spacing_ratio*m*(sin(phi_t) - sin(nu_k))
     at element m, the continuous phases that conjugate the two steering
     vectors exactly (their inner product reaches N when unquantized).
-    The levels equal :func:`_quantize_indices` of theta bit for bit, at
-    one reduction and L comparisons per element:
+    The levels equal :func:`_quantize_indices` of theta bit for bit.
 
-    * theta = steps_m * d_k, and |theta| = |steps_m| * |d_k| exactly, so
-      a row's phases share one sign and the largest |theta| is the
-      product of the two largest factors; past ``_REDUCE_LIMIT``, or
-      above ``_COUNT_LEVELS`` levels, the reference quantizer runs
-      instead.
-    * The reference's level depends on x = fl(np.mod(theta, 2*pi) *
-      L/(2*pi)) alone: it is the number of j = 1 .. L-1 with
-      x > j - 1/2, and 0 where x >= L - 1/2 (the top level wraps to 0,
-      and a tie at L - 1/2 goes to 0, the smaller phase).  Each j - 1/2
-      is an exact float, so every comparison is exact.
-    * The signed Cody-Waite remainder rho of theta (:func:`_reduce_2pi`)
-      is np.mod's exact fmod step when the quotient rounds to its true
-      integer part, and np.mod of a negative theta adds 2*pi to it, as
-      the kernel does, so x is the reference's own product.
-    * Where the quotient comes out one too large, rho has the wrong sign
-      and |rho| <= 2*pi * 2**-27 below ``_REDUCE_LIMIT``.  The kernel's
-      x is then <= 0 (theta >= 0) or at least fl(2*pi * L/(2*pi))
-      (theta < 0), level 0 either way; the reference's x lies within
-      L * 2**-27 of L or of 0, level 0 as well.  A zero remainder of a
-      negative theta likewise gives x near L here and +0 in np.mod.
+    With steps_m = 2*pi*spacing_ratio*m and d_k = sin(phi_t) - sin(nu_k),
+    the reference takes theta = fl(steps_m*d_k), x = fl(np.mod(theta,
+    2*pi) * fl(L/(2*pi))) and the level round(x) mod L, a tie at a
+    half-level going to the smaller phase.  The kernel works in turns:
+    t = fl(T_m*d_k), with T_m = fl(steps_m * fl(1/(2*pi))) formed once
+    per call.  With u = 2**-53 and everything modulo L:
 
-    Rows are quantized a cache-sized block at a time.
+    * x is within 3Lu(1 + u) of L*theta/(2*pi): np.mod's fmod step is
+      exact, its added 2*pi for theta < 0 rounds once, and x twice;
+    * t has three roundings to theta's one: |t - theta/(2*pi)| <=
+      4u(1 + 2u)|t|, or 4.01*L*u*|t| in level units;
+    * the level coordinate y adds at most 2Lu.  At L = 2, f = t - rint(t)
+      is exact and the level is 1 where y = 2|f| > 1/2; otherwise
+      y = fl(L * fl(t - floor(t))), the difference exact for |t| >= 1
+      and within u below, and the level is rint(y) with L wrapped to 0.
+
+    So |y - x| <= L*u*(4.01|t| + 5.01) < 2.5*eps*L*(|t| + 1), and the
+    kernel takes delta = 4*eps*L*(max|t| + 1), max|t| = fl(|T_{N-1}| *
+    max|d_k|) bounding every |t| as rounding is monotone.  Where y lies
+    more than delta from every half-level, x is on the same side of
+    each and the levels agree; a reference tie lies on a half-level, so
+    it is never decided fast.  A row block with an element within delta
+    of a half-level is recomputed by :func:`_quantize_indices` from
+    theta, as is the whole call when an input is not finite or delta
+    reaches ``_MAX_DELTA``.  Per element the fast path makes 4 float
+    passes, 2 comparisons and 2 counts at L = 2; at any other L, 6 float
+    passes, a max and a min, and a cast and a wrap in the output dtype.
     """
     nu = np.asarray(nu, dtype=float)
     if not np.isfinite(phi_t):
@@ -268,17 +258,18 @@ def phase_index_rows(
         raise ValueError(f"nu must be a 1-D array of finite angles, got {nu!r}")
     _require_count(n_elements, "n_elements")
     _require_count(levels, "levels")
-    if not (math.isfinite(spacing_ratio) and spacing_ratio > 0):
-        raise ValueError(f"spacing_ratio must be finite and positive, got {spacing_ratio!r}")
-    return _phase_rows(phi_t, nu, n_elements, levels, spacing_ratio)
+    _require_spacing(spacing_ratio, n_elements)
+    if not spacing_ratio > 0:
+        raise ValueError(f"spacing_ratio must be positive, got {spacing_ratio!r}")
+    return _phase_rows(phi_t, nu, n_elements, levels, spacing_ratio).astype(np.int64)
 
 
 def _phase_rows(phi_t, nu, n_elements: int, levels: int, spacing_ratio: float) -> np.ndarray:
     """Unchecked :func:`phase_index_rows` of a stack: phi_t (...), nu (..., K) give (..., K, N).
 
-    Every geometry's rows are rows of one :func:`_index_rows` pass, and
-    the kernel is elementwise, so each (K, N) slice equals, bit for bit,
-    the call on its geometry alone.
+    Every geometry's rows are rows of one :func:`_index_rows` pass, in
+    its small unsigned dtype, and the kernel is elementwise, so each
+    (K, N) slice equals, bit for bit, the call on its geometry alone.
     """
     steps = TWO_PI * spacing_ratio * np.arange(n_elements)
     diff = np.sin(phi_t)[..., None] - np.sin(nu)
@@ -317,11 +308,11 @@ def vote_indices(indices: np.ndarray, levels: int) -> np.ndarray:
         for j in range(1, levels)
     ]
     most = K - sum(counts)
-    vote = np.zeros((*stack, n), dtype=np.int64)
+    vote = np.zeros((*stack, n), dtype=np.uint8)
     for j, count in enumerate(counts, start=1):
-        np.copyto(vote, j, where=count > most)
+        np.maximum(vote, (count > most).view(np.uint8) * np.uint8(j), out=vote)
         np.maximum(most, count, out=most)
-    return vote
+    return vote.astype(np.int64)
 
 
 def per_device_phases(
@@ -413,15 +404,8 @@ def power_control_rows(gammas, Pmax: float, sigma2: float, inversion: bool = Fal
 
 
 def _power_rows(g: np.ndarray, Pmax: float, sigma2: float, inversion: bool):
-    """Row-wise kernel on validated magnitudes g (B, K).
-
-    Devices sorted ascending by |gamma|^2 (stable, original index breaks
-    ties) transmit at Pmax up to the critical index and channel-invert
-    beyond it; the denoising factor is the smallest of the per-prefix
-    candidates, smallest index on ties.  The inversion rule fixes the
-    critical index at the weakest device, eta = Pmax |gamma_1|^2, so its
-    MSE reduces to sigma^2/eta.
-    """
+    """Row-wise kernel on validated magnitudes g (B, K): the rule of :func:`optimal_power_control`,
+    or with ``inversion`` that of :func:`channel_inversion_power_control`."""
     if not Pmax > 0:
         raise ValueError("Pmax must be positive")
     if not sigma2 >= 0:

@@ -132,6 +132,7 @@ class TestMakeGeometry:
         dict(nu=np.array([0.1, np.inf]), K=2),
         dict(ap_position=(float("-inf"), 0.0, 0.0)),
         dict(device_center=[200.0, 0.0, float("nan")]),
+        dict(spacing_ratio=1e308),  # finite, but its phases overflow
     ],
 )
 def test_system_config_rejects_non_finite(overrides):

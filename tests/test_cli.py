@@ -136,9 +136,18 @@ def test_single_prints_the_sweep_row_at_n(redraw, tmp_path, capsys):
         assert capsys.readouterr().out.splitlines() == [rows[0], row]
 
 
-def test_bad_config_exits_two(tmp_path):
+def test_bad_config_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path, "nonsense_key = 3\n")
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    # a dBm value whose watts overflow a float is named, on every command that reads a config
+    for key in ("pmax_dbm", "sigma2_dbm"):
+        cfg = write_config(tmp_path, TOY + f"{key} = 4000\n")
+        for argv in (["sweep", "--out", str(tmp_path / "x.csv")],
+                     ["bounds", "--out", str(tmp_path / "b.csv")],
+                     ["single", "--n", "8", "--scheme", "OPT_PC_IRS"]):
+            capsys.readouterr()
+            assert main([*argv, "--config", cfg]) == 2
+            assert capsys.readouterr().err == f"error: {key}: 4000 dBm overflows the watts of a float\n"
 
 
 @pytest.mark.parametrize(

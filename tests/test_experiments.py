@@ -689,7 +689,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(self.write(tmp_path, "k = 0\n"))
 
-    @pytest.mark.parametrize("line", ["pmax = nan", "sigma2 = inf", "rician_delta = inf"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "pmax = nan",
+            "sigma2 = inf",
+            "rician_delta = inf",
+            "spacing_ratio = 1e308",
+            # finite phases at the default N = 256, not at the sweep's largest N
+            "spacing_ratio = 1e304\nn_sweep = 64, 1000000",
+            pytest.param("n_sweep = 64, 1" + "0" * 400, id="n_sweep past the float range"),
+        ],
+    )
     def test_non_finite_value_rejected(self, tmp_path, line):
         with pytest.raises(ConfigError, match="must be finite"):
             load_config(self.write(tmp_path, line + "\n"))

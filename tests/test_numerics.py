@@ -27,7 +27,7 @@ class TestArrayResponse:
     @pytest.mark.parametrize(
         "angle, spacing",
         [(float("nan"), 0.5), (float("inf"), 0.5), (-np.inf, 0.5), (0.3, float("nan")),
-         (0.3, float("inf"))],
+         (0.3, float("inf")), (0.3, 1e308)],
     )
     def test_rejects_non_finite_input(self, angle, spacing):
         with pytest.raises(ValueError, match="must be finite"):

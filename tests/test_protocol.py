@@ -118,7 +118,7 @@ class TestPerDevicePhases:
         gain = abs(np.vdot(a_t, np.exp(1j * psv.phases) * a_k))
         assert gain == pytest.approx(N, rel=1e-9)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 0.0, -0.5])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 0.0, -0.5, 1e308])
     def test_bad_spacing_ratio_rejected(self, bad):
         with pytest.raises(ValueError, match="spacing_ratio"):
             phase_index_rows(0.3, [0.1, -0.4], 4, 2, bad)
@@ -226,14 +226,36 @@ def ulp_neighbours(x, steps):
     return np.concatenate(out)
 
 
+# Multiples of 2*pi up to 2**26 turns, the range of the inputs built around them.
+PHASE_RANGE = 2**26 * TWO_PI
+
+
+def assert_within_doubt(steps, diff, levels):
+    """The kernel's level coordinate L*frac(t) lies within delta of the reference's x, modulo L.
+
+    t = fl(fl(steps * fl(1/(2*pi))) * d) in turns and x = fl(np.mod(theta,
+    2*pi) * fl(L/(2*pi))) from theta = fl(steps * d), as
+    :func:`~irs_aircomp.protocol.phase_index_rows` derives; each element
+    is held to its own bound delta(L, |t|), which is at most the call's.
+    Returns the largest error over delta.
+    """
+    diff = np.asarray(diff, dtype=float)[:, None]
+    t = steps * (1.0 / TWO_PI) * diff
+    y = levels * (t - np.floor(t))
+    x = np.mod(steps * diff, TWO_PI) * (levels / TWO_PI)
+    err = y - x
+    err = np.abs(err - levels * np.rint(err / levels))
+    worst = float((err / protocol._doubt(levels, np.abs(t))).max(initial=0.0))
+    assert worst <= 1.0
+    return worst
+
+
 class TestModTwoPi:
-    """The phase kernel's 2*pi reduction gives the levels of the np.mod quantizer.
+    """The turn kernel gives the levels of the np.mod quantizer, np.mod's remainder and all.
 
     Each input magnitude u is a kernel step in a row of either sign, so
-    the kernel sees theta = +u and -u.  Below ``_REDUCE_LIMIT`` the
-    signed remainder of -u is also minus that of u (up to the sign of a
-    zero), and that of u, taken up by 2*pi when the quotient came out
-    one too large, is ``np.mod(u, 2*pi)`` bit for bit.
+    the kernel sees theta = +u and -u.  At every finite u the level
+    coordinate of each, in turns, lies within delta of the reference's.
     """
 
     LEVELS = (2, 3, 4, 8)
@@ -248,12 +270,7 @@ class TestModTwoPi:
                 got = protocol._index_rows(steps, signs, levels)
                 want = protocol._quantize_indices(steps * signs[:, None], levels)
                 np.testing.assert_array_equal(got, want)
-        u = steps[steps < protocol._REDUCE_LIMIT]
-        r = protocol._reduce_2pi(u, np.empty_like(u), np.empty_like(u))
-        negated = protocol._reduce_2pi(-u, np.empty_like(u), np.empty_like(u))
-        np.testing.assert_array_equal(negated, -r)
-        r[r < 0.0] += TWO_PI
-        assert_same_bits(r, np.mod(u, TWO_PI))
+                assert_within_doubt(steps[np.isfinite(steps)], signs, levels)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-5, 1.0, 1e3, 1e6, 4e8])
     def test_random_scales(self, scale):
@@ -267,16 +284,25 @@ class TestModTwoPi:
         big = np.random.default_rng(1).integers(-(2**26), 2**26, 10**5).astype(float)
         for multiples in (k * TWO_PI, big * TWO_PI):
             x = ulp_neighbours(multiples, 4)
-            self.assert_matches(x[np.abs(x) < protocol._REDUCE_LIMIT])
+            self.assert_matches(x[np.abs(x) < PHASE_RANGE])
+
+    @classmethod
+    def special_values(cls):
+        """Signed zeros, subnormals, half and whole turns, the range guard of each level
+        count and an ulp either side of it, and values far past it or not finite."""
+        limits = [
+            TWO_PI * (protocol._MAX_DELTA / (4.0 * np.finfo(float).eps * levels) - 1.0)
+            for levels in cls.LEVELS
+        ]
+        guards = ulp_neighbours(np.array(limits), 1)
+        return np.concatenate(
+            [[0.0, -0.0, -1e-17, 1e-17, 5e-324, -5e-324, 2.2250738585072014e-308,
+              -2.2250738585072014e-308, np.pi, -np.pi, TWO_PI, -TWO_PI],
+             guards, -guards, [PHASE_RANGE, -PHASE_RANGE, 1e300, -1e300, np.inf, np.nan]]
+        )
 
     def test_special_values_and_guard(self):
-        limit = protocol._REDUCE_LIMIT
-        x = np.array(
-            [0.0, -0.0, -1e-17, 1e-17, 5e-324, -5e-324, 2.2250738585072014e-308,
-             -2.2250738585072014e-308, np.pi, -np.pi, TWO_PI, -TWO_PI,
-             np.nextafter(limit, 0.0), -np.nextafter(limit, 0.0), limit, -limit,
-             1e300, -1e300, np.inf, np.nan]
-        )
+        x = self.special_values()
         self.assert_matches(x)
         for value in x:  # alone, so the guard sees each value by itself
             self.assert_matches(np.array([value]))
@@ -379,27 +405,28 @@ class TestBreakpointKernel:
                 rows, reference_indices(phi_t, nu, 8192, levels, spacing)
             )
         if spacing in (0.5, 1.0):
-            # the row d = 1/s: nu = -pi/2 at s = 0.5, nu = 0 at s = 1 (phi_t = pi/2)
+            # the row d = 1/s: nu = -pi/2 at s = 0.5, nu = 0 at s = 1 (phi_t = pi/2);
+            # np.mod's remainder lands just above 0 and just below 2*pi
             theta = TWO_PI * spacing * np.arange(8192) * (1.0 / spacing)
-            rho = protocol._reduce_2pi(theta, np.empty_like(theta), np.empty_like(theta))
-            assert (rho < 0.0).any() and (rho > 0.0).any()
+            rho = np.mod(theta, TWO_PI)
+            assert (rho > TWO_PI / 2).any() and ((rho > 0.0) & (rho < 1e-9)).any()
 
     @pytest.mark.parametrize("levels", [1, 2, 3, 4, 8])
     def test_negative_remainders_next_to_multiples_of_two_pi(self, levels):
         k = np.random.default_rng(levels).integers(1, 2**26, 4000).astype(float)
         steps = ulp_neighbours(k * TWO_PI, 3)
-        steps = steps[steps < protocol._REDUCE_LIMIT]
-        rho = protocol._reduce_2pi(steps, np.empty_like(steps), np.empty_like(steps))
-        assert (rho < 0.0).sum() > 100
+        steps = steps[steps < PHASE_RANGE]
+        assert (np.mod(steps, TWO_PI) > TWO_PI / 2).sum() > 100  # just below a multiple
         self.assert_kernel_matches(steps, [1.0, -1.0], levels)
 
     @pytest.mark.parametrize("levels", [1, 2, 3, 4, 8])
     def test_reduce_limit_fallback(self, levels, monkeypatch):
-        # 2*pi*s*(N-1)*|d| reaches _REDUCE_LIMIT: the reference path runs, np.mod and all
+        # s*(N-1)*|d|, about 1.3e15 turns, puts delta past _MAX_DELTA at every L:
+        # the reference path runs, np.mod and all
         nu = [-1.0, 0.2, 1.4]
-        expected = reference_indices(0.3, nu, 64, levels, 2.0**21)
+        expected = reference_indices(0.3, nu, 64, levels, 2.0**44)
         calls = count_mod_calls(monkeypatch)
-        rows = phase_index_rows(0.3, nu, 64, levels, 2.0**21)
+        rows = phase_index_rows(0.3, nu, 64, levels, 2.0**44)
         assert calls
         np.testing.assert_array_equal(rows, expected)
 
@@ -408,13 +435,87 @@ class TestBreakpointKernel:
         sorted({10, 11, protocol._COUNT_LEVELS, protocol._COUNT_LEVELS + 1, 16, 64, 10**6}),
     )
     def test_no_table_above_the_level_cap(self, levels, monkeypatch):
-        # the threshold kernel up to the cap, the reference path (np.mod and all) above it
+        # the fast path serves every level count, on both sides of the vote's cap, with no np.mod
         nu = np.array([-1.2, -0.3, 0.4, 1.5])
         steps = TWO_PI * 0.5 * np.arange(4096)
         want = protocol._quantize_indices(steps * (np.sin(0.3) - np.sin(nu))[:, None], levels)
         calls = count_mod_calls(monkeypatch)
         np.testing.assert_array_equal(phase_index_rows(0.3, nu, 4096, levels), want)
-        assert bool(calls) == (levels > protocol._COUNT_LEVELS)
+        assert not calls
+
+
+def count_fallbacks(monkeypatch):
+    """Count the kernel's calls of the reference quantizer from here on; returns the growing list."""
+    calls, reference = [], protocol._quantize_indices
+
+    def counting(theta, levels):
+        calls.append(theta.size)
+        return reference(theta, levels)
+
+    monkeypatch.setattr(protocol, "_quantize_indices", counting)
+    return calls
+
+
+class TestTurnKernel:
+    """delta bounds the kernel's error, and the reference runs only where delta leaves doubt."""
+
+    @pytest.mark.parametrize("levels", [2, 3, 4, 8, 16, 64])
+    def test_level_error_within_doubt(self, levels):
+        # 2 x 5 x 21 x 8192 elements at N = 8192, and more at N = 7 and 512
+        gen = np.random.default_rng(levels + 900)
+        worst = 0.0
+        for spacing in (0.5, 2.3):
+            for n, geometries in ((7, 2), (512, 2), (8192, 5)):
+                steps = TWO_PI * spacing * np.arange(n)
+                for _ in range(geometries):
+                    diff = np.sin(gen.uniform(-np.pi / 2, np.pi / 2)) - np.sin(
+                        gen.uniform(-np.pi / 2, np.pi / 2, 21)
+                    )
+                    worst = max(worst, assert_within_doubt(steps, diff, levels))
+        assert worst > 0.0
+
+    @pytest.mark.parametrize("levels", [2, 4, 16])
+    def test_no_fallback_on_random_geometries_at_benchmark_sizes(self, levels, monkeypatch):
+        # the sweeps' 64 stacked geometries of K = 20 at N = 512, and the
+        # scaling recipe's K = 21 at N = 512, 2048 and 8192
+        gen = np.random.default_rng(levels)
+        calls = count_fallbacks(monkeypatch)
+        for geometries, K, n in ((64, 20, 512), (8, 21, 512), (8, 21, 2048), (8, 21, 8192)):
+            phi_t = gen.uniform(-np.pi / 2, np.pi / 2, geometries)
+            nu = gen.uniform(-np.pi / 2, np.pi / 2, (geometries, K))
+            protocol._phase_rows(phi_t, nu, n, levels, 0.5)
+        assert calls == []
+
+    @pytest.mark.parametrize("levels", range(2, protocol._COUNT_LEVELS + 1))
+    def test_breakpoints_fall_back(self, levels, monkeypatch):
+        inputs = [np.sort(ulp_neighbours(r, 64)) for r in level_steps(levels)]
+        calls = count_fallbacks(monkeypatch)
+        for steps in inputs:
+            protocol._index_rows(steps, np.array([1.0, -1.0]), levels)
+        assert len(calls) == len(inputs)
+
+    def test_special_values_fall_back(self, monkeypatch):
+        # not finite, past the range guard, or pi on a half-level at L = 3
+        steps = np.unique(np.abs(TestModTwoPi.special_values()))
+        calls = count_fallbacks(monkeypatch)
+        with np.errstate(invalid="ignore"):
+            for levels in TestModTwoPi.LEVELS:
+                protocol._index_rows(steps, np.array([1.0, -1.0]), levels)
+                assert calls
+                calls.clear()
+                for value in ([np.pi], [1e300], [np.inf], [np.nan]):
+                    protocol._index_rows(np.array(value), np.array([1.0, -1.0]), levels)
+                    assert len(calls) == (value != [np.pi] or levels == 3)
+                    calls.clear()
+
+    def test_multiples_of_two_pi_are_decided_fast(self, monkeypatch):
+        # in turns a multiple of 2*pi is a level centre, far from every half-level
+        k = np.arange(-300_000, 300_001, dtype=float)
+        steps = np.unique(np.abs(ulp_neighbours(k * TWO_PI, 4)))
+        calls = count_fallbacks(monkeypatch)
+        for levels in TestModTwoPi.LEVELS:
+            protocol._index_rows(steps, np.array([1.0, -1.0]), levels)
+        assert calls == []
 
 
 class TestCountVote:
