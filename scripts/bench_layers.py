@@ -5,6 +5,7 @@
     python scripts/bench_layers.py --baseline ../parent/src --out BENCH_9.json
     python scripts/bench_layers.py --baseline ../parent/src --long --repeats 5 --out BENCH_14.json
     python scripts/bench_layers.py --baseline ../parent/src --end-to-end 5 --out BENCH_22.json
+    python scripts/bench_layers.py --baseline ../parent/src --end-to-end 10 --out BENCH_23.json
 
 Times each layer of the long-term and per-block stages on its own: a
 fresh random stream (``RngStream.generator``, the public path), the
@@ -12,11 +13,10 @@ engine's per-trial stream (one Philox of the run rewound to a trial's
 stream, ``numerics._rewinder``), ``make_geometry``,
 ``compute_long_term`` and its two kernels
 (``phase_index_rows``, ``vote_indices``), ``sample_channels``,
-``effective_scalar_channel``, the engine's per-trial draw
-(``_effective_block``, direct links and two normals per device for each
-of the 4 segments of the default sweep) and its block form over a power
-block of 64 trials (``_effective_draws``, each trial on the rewound
-Philox, into one buffer), the dominant-direct combiner on
+``effective_scalar_channel``, the engine's draw over a power block of
+64 trials (``_effective_draws``: direct links and two normals per
+device for each of the 4 segments of the default sweep, each trial on
+the rewound Philox, into one buffer), the dominant-direct combiner on
 a block of 64 trials, single-row and 64-row power control, and the
 steering kernel: ``line_of_sight`` at K = 21 (the scaling recipe's
 device count) with N in {512, 2048, 8192} and ``array_response`` with
@@ -50,13 +50,16 @@ each end-to-end metric.  A pair takes about a minute per workload.
 ``--baseline`` loads a second source tree, such as a parent commit's,
 into the same process under another package name and records it as
 ``parent``; the two sides' repeats alternate, layer by layer, so a
-drift in machine speed falls on both alike.  BLAS is pinned to one
-thread, like the benchmark.
+drift in machine speed falls on both alike.  Each side records its git
+revision, or null for a tree outside git (a ``git archive`` or a copy),
+and the SHA-256 of its Python sources, which names the tree either way.
+BLAS is pinned to one thread, like the benchmark.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import os
@@ -128,11 +131,7 @@ def layers(pkg, long: bool):
         yield f"channel.effective_scalar_channel[N={N}]", (
             lambda: channel.effective_scalar_channel(block, state.v, state.theta_voted)
         )
-    draw = getattr(channel, "_effective_block", None)
     segments = len(experiments.ExperimentConfig().n_sweep)
-    yield f"channel._effective_block[P={segments}]", (
-        None if draw is None else lambda: draw(geometry, base, gen, segments)
-    )
     block_draw = getattr(channel, "_effective_draws", None)
     trials = [3 + 2 * t for t in range(64)]
     yield f"channel._effective_draws[B=64,P={segments}]", (
@@ -250,6 +249,15 @@ def source_revision(src: Path) -> str | None:
     return out.stdout.strip()
 
 
+def source_digest(src: Path) -> str:
+    """SHA-256 over the ``.py`` files under ``src``: each relative path, then its bytes, sorted."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in src.rglob("*.py") if "__pycache__" not in p.parts):
+        digest.update(path.relative_to(src).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -299,7 +307,8 @@ def main() -> int:
         "measured": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "interleaved": len(sides) > 1,
         "runs": {
-            label: {"revision": source_revision(src), "layers_us": timings[label],
+            label: {"revision": source_revision(src), "src_sha256": source_digest(src),
+                    "layers_us": timings[label],
                     **({"end_to_end": whole[label]} if whole else {})}
             for label, src in sides.items()
         },

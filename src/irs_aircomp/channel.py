@@ -13,8 +13,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .numerics import (RngStream, _is_integer, _require_spacing, _responses, _steering,
-                       array_response, as_generator)
+from .numerics import RngStream, _is_integer, _require_spacing, _responses, _steering, as_generator
 
 __all__ = [
     "SystemConfig",
@@ -79,8 +78,6 @@ class SystemConfig:
             raise ValueError("sigma2 must be non-negative")
         if self.rician_delta < 0:
             raise ValueError("rician_delta must be non-negative")
-        if self.spacing_ratio <= 0:
-            raise ValueError("spacing_ratio must be positive")
         _require_spacing(self.spacing_ratio, max(self.N, self.M))
         if min(self.pathloss_exponent_reflected, self.pathloss_exponent_direct) < 0:
             raise ValueError("path loss exponents must be non-negative")
@@ -369,43 +366,26 @@ def _direct_links(rho_d: np.ndarray, normals: np.ndarray) -> np.ndarray:
     return h_direct
 
 
-def _effective_block(
-    geometry: Geometry, config: SystemConfig, gen: np.random.Generator, segments: int
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """One block's draws for the effective channels: (h_direct, w).
-
-    ``h_direct`` is the (K, M) direct links, bit for bit those of
-    :func:`sample_channels` from the same generator state.  ``w`` is
-    (segments, 2, K) i.i.d. CN(0, 1) normals, two per device and
-    segment, from which the caller builds the scattered part of each
-    segment's projections; with ``pure_los`` there is no scattered part
-    and ``w`` is None.  Draw order: the direct planes, then segment by
-    segment, the first normal of every device before the second, each
-    value's real part before its imaginary part.  Segment j's normals
-    therefore sit at the same place in the stream whatever segments
-    follow it.  The one-trial case of :func:`_effective_draws`.
-    """
-    h_direct, w = _effective_draws(geometry.rho_d, config, segments, [gen])
-    return h_direct[0], None if w is None else w[0]
-
-
 def _effective_draws(
     rho_d: np.ndarray, config: SystemConfig, segments: int, streams, generator=as_generator
 ):
-    """:func:`_effective_block` of a block of B trials, one per stream: (h_direct, w) stacked.
+    """Each trial's draws for its effective channels, one trial per stream: (h_direct, w).
 
-    Trial b makes all its draws, in _effective_block's order, with one
-    ``standard_normal(out=...)`` call into row b of one (B, 2KM + 4PK)
-    buffer (P = ``segments``), from ``generator(stream)`` of its stream:
-    by default a stream is an RngStream or a Generator, and the engine
+    ``h_direct`` (B, K, M) holds the direct links, bit for bit those of
+    :func:`sample_channels` from the same generator state, and ``w`` (B,
+    P, 2, K), P = ``segments``, two CN(0, 1) normals per device and
+    segment, from which the caller builds each segment's scattered
+    projections (None under ``pure_los``).  A trial draws the direct
+    planes, then segment by segment the first normal of every device
+    before the second, each value's real part before its imaginary part,
+    so a segment's normals sit at the same place in the stream whatever
+    segments follow.  It makes them in one ``standard_normal(out=...)``
+    call into its row of one buffer, from ``generator(stream)``: by
+    default a stream is an RngStream or a Generator, and the engine
     passes stream ids with its :func:`~irs_aircomp.numerics._rewinder`.
-    One ``standard_normal`` call yields the same numbers as one call per
-    part in that order.  ``rho_d`` is the trials' (B, K) path losses, or
-    one (K,) row that they share.  The sqrt(rho_d) scaling and the
-    complex assembly are then single passes over the block, each step
-    elementwise, so h_direct (B, K, M) and w (B, P, 2, K), or None under
-    ``pure_los``, hold in row b, bit for bit, _effective_block's draws
-    from the same generator state.
+    ``rho_d`` is (B, K), or one (K,) row that the trials share.  Every
+    later step is elementwise, so row b holds, bit for bit, the draws of
+    a call with its stream alone.
     """
     K, M = config.K, config.M
     direct = 2 * K * M
@@ -420,58 +400,54 @@ def _effective_draws(
     return h_direct, parts.view(complex).reshape(-1, segments, 2, K)
 
 
+def _require_beamformer(v, M: int) -> np.ndarray:
+    """``v`` as an array, checked to be a unit-norm (M,) receive beamformer."""
+    v = np.asarray(v)
+    if v.shape != (M,):
+        raise ValueError(f"v must have shape ({M},), got {v.shape}")
+    norm = np.linalg.norm(v)
+    if not abs(norm - 1.0) <= 1e-9:
+        raise ValueError(f"v must be unit norm, got ||v|| = {norm}")
+    return v
+
+
 def effective_scalar_channel(realization: ChannelRealization, v: np.ndarray, theta) -> np.ndarray:
     """Per-device scalar channel seen after receive combining and reflection.
 
     Returns, for each device k, v^H (h_direct_k + G Theta h_reflect_k)
     where G is the rank-1 IRS-AP link: with the gain and row of
-    :func:`_reflection_factors`, v^H h_direct_k + gain * (h_reflect_k .
-    row), O(M + N) per device.
+    :func:`_reflections`, v^H h_direct_k + gain * (h_reflect_k . row),
+    O(M + N) per device.
     """
     geo = realization.geometry
-    K, M = realization.h_direct.shape
+    M = realization.h_direct.shape[1]
     N = realization.h_reflect.shape[1]
-    v = np.asarray(v)
-    if v.shape != (M,):
-        raise ValueError(f"v must have shape ({M},), got {v.shape}")
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"v must be unit norm, got ||v|| = {norm}")
+    v = _require_beamformer(v, M)
     if theta.num_elements != N:
         raise ValueError(f"phase-shift vector has {theta.num_elements} elements, expected {N}")
 
-    gain, (row,) = _reflection_factors(geo, v, theta)
-    return realization.h_direct @ v.conj() + gain * (realization.h_reflect @ row)
-
-
-def _reflection_factors(geometry: Geometry, v: np.ndarray, *thetas):
-    """The block-independent factors of one geometry's reflected path, (gain, rows).
-
-    The single-realization builder of the reflected path.  The IRS-AP
-    link is rank-1, so under phases Theta it reaches v^H as one scalar
-    gain = sqrt(rho_1) v^H a_M(phi_r) times one N-vector row =
-    a_N(phi_t)^H Theta applied to every device's IRS link.  The gain
-    does not depend on Theta, so a_M(phi_r) and a_N(phi_t) are steered
-    once and ``rows`` holds one row per phase-shift vector of ``thetas``
-    (Theta's diagonal is its ``phasors``), each bit for bit that of a
-    call with it alone.  :func:`_reflections` is its stacked form.
-    """
-    a_m = array_response(v.shape[0], geometry.phi_r, geometry.spacing_ratio)
-    steering = array_response(thetas[0].num_elements, geometry.phi_t, geometry.spacing_ratio).conj()
-    return np.sqrt(geometry.rho_1) * np.vdot(v, a_m), [steering * t.phasors for t in thetas]
+    a_m = _responses(M, [geo.phi_r], geo.spacing_ratio)
+    gain, rows = _reflections(
+        geo.rho_1, a_m, v[None], [geo.phi_t], geo.spacing_ratio, theta.phasors[None, None]
+    )
+    return realization.h_direct @ v.conj() + gain[0] * (realization.h_reflect @ rows[0, 0])
 
 
 def _reflections(rho_1, a_m, v, phi_t, spacing_ratio: float, phasors):
-    """:func:`_reflection_factors` of a stack of B geometries, (gain (B,), rows (B, J, N)).
+    """The block-independent factors of B geometries' reflected paths, (gain (B,), rows (B, J, N)).
 
-    ``rho_1`` and ``phi_t`` hold one value per geometry, ``a_m`` its
-    a_M(phi_r) and ``v`` its beamformer as (M,) rows, and ``phasors``
-    (B, J, N) its J phase configurations.  a_M(phi_r) comes from the
-    caller, so the one the beamformer was built from serves the gain
-    too, and a_N(phi_t) is steered once per geometry.  Each gain is one
-    M-term dot product per geometry, summed as ``np.vdot`` of the pair
-    sums it, and each row an elementwise product, so every geometry's
-    factors equal, bit for bit, those of :func:`_reflection_factors`.
+    The IRS-AP link is rank-1, so under phases Theta it reaches v^H as
+    one scalar gain = sqrt(rho_1) v^H a_M(phi_r) times one N-vector row
+    = a_N(phi_t)^H Theta applied to every device's IRS link.  ``rho_1``
+    and ``phi_t`` hold one value per geometry (or one ``rho_1`` that all
+    share), ``a_m`` its a_M(phi_r) and ``v`` its beamformer as (M,) rows,
+    and ``phasors`` (B, J, N) the diagonals of its J phase
+    configurations.  The gain does not depend on Theta: a_M(phi_r) comes
+    from the caller, so the one the beamformer was built from serves the
+    gain too, and a_N(phi_t) is steered once per geometry.  Each gain is
+    one M-term dot product per geometry, summed as ``np.vdot`` of the
+    pair sums it, and each row an elementwise product, so every
+    geometry's factors equal, bit for bit, those of a call on it alone.
     """
     gain = np.sqrt(rho_1) * np.matmul(v.conj()[:, None, :], a_m[:, :, None])[:, 0, 0]
     steering = _responses(phasors.shape[-1], phi_t, spacing_ratio).conj()

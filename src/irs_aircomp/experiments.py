@@ -60,20 +60,20 @@ from .analysis import AsymptoticParams, mse_upper_bound, n_threshold
 from .channel import (
     Geometry,
     SystemConfig,
-    _effective_block,
     _effective_draws,
     _line_of_sight,
     _make_geometries,
     _reflections,
+    _require_beamformer,
     make_geometry,
 )
-from .numerics import (RngStream, _is_integer, _require_spacing, _responses, _rewinder,
-                       array_response, as_generator)
+from .numerics import RngStream, _is_integer, _require_spacing, _responses, _rewinder
 from .protocol import (
     DegenerateChannelError,
     PhaseShiftVector,
     _gamma_magnitudes,
     _phase_rows,
+    _phasor_table,
     _power_rows,
     power_control_rows,
     vote_indices,
@@ -163,7 +163,8 @@ class LongTermState:
     ``v`` is the AP receive beamformer, fixed from the static angle
     information, and ``theta_voted`` and ``theta_fixed`` the voted and
     the all-zero IRS phase configurations, fixed from statistical CSI.
-    The engine holds one state per geometry, at the largest N of the
+    :func:`compute_long_term` builds it; the engine passes the same
+    values as arrays, one row per geometry, at the largest N of the
     sweep, and each N slices its first N elements where they are used.
     """
 
@@ -211,35 +212,34 @@ def compute_long_term(geometry: Geometry, config: SystemConfig) -> LongTermState
     preferred level indices as a (K, N) matrix
     (:func:`~irs_aircomp.protocol.phase_index_rows`), fused by one
     per-element count (:func:`~irs_aircomp.protocol.vote_indices`).
-    The one-geometry case of :func:`_long_term`.
+    The one-geometry case of :func:`_long_term`, and the one place that
+    wraps its arrays in phase-shift vectors.
     """
-    return _long_term(config, [geometry])[1][0]
+    _, v, votes = _long_term(config, [geometry])
+    return LongTermState(
+        v=v[0],
+        theta_voted=PhaseShiftVector(votes[0], config.L),
+        theta_fixed=PhaseShiftVector.zero(config.N, config.L),
+    )
 
 
-def _long_term(config: SystemConfig, geometries) -> tuple[np.ndarray, list[LongTermState]]:
-    """The receive arrays a_M(phi_r), (B, M), and the long-term states of B geometries.
+def _long_term(config: SystemConfig, geometries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The long-term arrays of B geometries: a_M(phi_r) (B, M), v (B, M) and the votes (B, N).
 
     The first half of the per-geometry stage.  One steering pass gives
     every a_M(phi_r), and v = a_M / sqrt(M) is
     :func:`~irs_aircomp.protocol.receive_beamformer` bit for bit.  The
     preferred rows of all B*K devices are one phase-kernel pass, and
-    the votes one count along the device axis of the (B, K, N) stack.
-    Each state equals, bit for bit, that of its geometry alone.  The
-    geometries share one spacing ratio, as those of one config do.
+    the votes, the voted phases' level indices, one count along the
+    device axis of the (B, K, N) stack.  Each geometry's rows equal, bit
+    for bit, those of it alone.  The geometries share one spacing ratio,
+    as those of one config do.
     """
     spacing = geometries[0].spacing_ratio
     a_m = _responses(config.M, [g.phi_r for g in geometries], spacing)
     phi_t, nu = np.array([g.phi_t for g in geometries]), np.array([g.nu for g in geometries])
     votes = vote_indices(_phase_rows(phi_t, nu, config.N, config.L, spacing), config.L)
-    states = [
-        LongTermState(
-            v=v,
-            theta_voted=PhaseShiftVector(vote, config.L),
-            theta_fixed=PhaseShiftVector.zero(config.N, config.L),
-        )
-        for v, vote in zip(a_m / np.sqrt(config.M), votes)
-    ]
-    return a_m, states
+    return a_m, a_m / np.sqrt(config.M), votes
 
 
 def _direct_gammas(h_direct: np.ndarray) -> np.ndarray:
@@ -271,7 +271,8 @@ _IRS_KINDS = (_VOTED, _ZERO)
 def _stage(config: SystemConfig, geometries, sizes):
     """The per-geometry stage of B geometries: their (B, ...) :func:`_kind_terms` at ``sizes``.
 
-    :func:`_long_term` then :func:`_kind_terms`, on stacks of at most
+    :func:`_long_term` then :func:`_kind_terms`, the voted row of each
+    geometry its votes and the fixed row zeros, on stacks of at most
     max(1, ``_STAGE_ELEMENTS`` // (K*N)) geometries at a time; each
     geometry's terms equal, bit for bit, those of a stack of it alone.
     """
@@ -279,19 +280,24 @@ def _stage(config: SystemConfig, geometries, sizes):
     parts = []
     for start in range(0, len(geometries), step):
         stack = geometries[start : start + step]
-        parts.append(_kind_terms(config, stack, sizes, *_long_term(config, stack)))
+        a_m, v, votes = _long_term(config, stack)
+        levels = np.stack([votes, np.zeros_like(votes)], axis=1)
+        parts.append(_kind_terms(config, stack, sizes, a_m, v, levels))
     return tuple(None if part[0] is None else np.concatenate(part) for part in zip(*parts))
 
 
-def _kind_terms(config: SystemConfig, geometries, sizes, a_m: np.ndarray, states):
+def _kind_terms(config: SystemConfig, geometries, sizes, a_m, v, levels):
     """B geometries' block-independent terms of the voted and zero gammas at every N of ``sizes``.
 
     The second half of the per-geometry stage, on the receive arrays
-    a_M(phi_r) (B, M) and the long-term states of :func:`_long_term`.
-    It builds the lines of sight ``los`` (B, K, N) and, in one
-    :func:`~irs_aircomp.channel._reflections` call, each geometry's one
-    gain (both kinds share it; a_M(phi_r) is the beamformer's own) and
-    its voted and zero rows.  Returns (conj(v) (B, M), gain (B,), line
+    a_M(phi_r) (B, M), the beamformers v (B, M) and the level indices
+    (B, 2, N) of the voted and the fixed phase rows.  Their phasors are
+    read from the L-entry table of
+    :class:`~irs_aircomp.protocol.PhaseShiftVector`, bit for bit its
+    ``phasors``.  It builds the lines of sight ``los`` (B, K, N) and, in
+    one :func:`~irs_aircomp.channel._reflections` call, each geometry's
+    one gain (both kinds share it; a_M(phi_r) is the beamformer's own)
+    and its voted and zero rows.  Returns (conj(v) (B, M), gain (B,), line
     of sight (B, 2, P, K), coefficients (B, 2, P, 2, K) or None under
     ``pure_los``), kinds in the order of ``_IRS_KINDS``, one N or one
     segment per P.  The line of sight at N is one matvec ``los[:, :N]
@@ -313,8 +319,7 @@ def _kind_terms(config: SystemConfig, geometries, sizes, a_m: np.ndarray, states
     """
     spacing = geometries[0].spacing_ratio
     rho_r = np.array([g.rho_r for g in geometries])
-    phasors = np.array([(s.theta_voted.phasors, s.theta_fixed.phasors) for s in states])
-    v = np.array([s.v for s in states])
+    phasors = _phasor_table(config.L)[levels]
     gain, rows = _reflections(
         np.array([g.rho_1 for g in geometries]), a_m, v, [g.phi_t for g in geometries],
         spacing, phasors,
@@ -330,21 +335,12 @@ def _kind_terms(config: SystemConfig, geometries, sizes, a_m: np.ndarray, states
     c = np.add.reduceat(phasors[:, 0], edges[:-1], axis=-1)  # (B, P)
     root = np.sqrt(lengths)
     # geometry, kind, segment, normal
-    per_segment = np.zeros((len(states), 2, len(sizes), 2), dtype=complex)
+    per_segment = np.zeros((len(geometries), 2, len(sizes), 2), dtype=complex)
     per_segment[:, 0, :, 0] = root
     per_segment[:, 1, :, 0] = c.conj() / root
     per_segment[:, 1, :, 1] = np.sqrt(np.maximum(0.0, lengths - np.abs(c) ** 2 / lengths))
     a = np.sqrt(rho_r / (config.rician_delta + 1.0))
     return v.conj(), gain, line, per_segment[..., None] * a[:, None, None, None]
-
-
-def _block_gammas(terms, draws, schemes: list[Scheme]):
-    """:func:`_stacked_gammas` of per-trial draws: each trial's (h_direct, w) of
-    :func:`~irs_aircomp.channel._effective_block`, stacked along a new first axis.
-    """
-    h_direct = np.stack([h for h, _ in draws])
-    w = None if draws[0][1] is None else np.stack([w for _, w in draws])
-    return _stacked_gammas(terms, h_direct, w, schemes)
 
 
 def _stacked_gammas(terms, h_direct: np.ndarray, w: np.ndarray | None, schemes: list[Scheme]):
@@ -430,8 +426,11 @@ def run_trial(
 
     The same evaluation as one scheme of one trial of a :func:`run_sweep`
     whose only element count is ``config.N``: one draw from ``stream``,
-    with one segment of N elements.  A draw with some |gamma_k|^2 = 0
-    raises :class:`~irs_aircomp.protocol.DegenerateChannelError`.
+    with one segment of N elements.  A caller's ``long_term`` is checked
+    against ``config`` before any draw: a unit-norm ``v`` of M entries,
+    and phase vectors of N elements at L levels.  A draw with some
+    |gamma_k|^2 = 0 raises
+    :class:`~irs_aircomp.protocol.DegenerateChannelError`.
     """
     scheme = Scheme(scheme)
     _reject_blocked(config, [scheme])
@@ -439,10 +438,19 @@ def run_trial(
     if long_term is None:
         terms = _stage(config, [geometry], sizes)
     else:
-        a_m = array_response(long_term.v.shape[0], geometry.phi_r, geometry.spacing_ratio)
-        terms = _kind_terms(config, [geometry], sizes, a_m[None], [long_term])
-    draw = _effective_block(geometry, config, as_generator(stream), 1)
-    gammas = _block_gammas(terms, [draw], [scheme])
+        v = _require_beamformer(long_term.v, config.M)
+        thetas = long_term.theta_voted, long_term.theta_fixed
+        for name, theta in zip(("theta_voted", "theta_fixed"), thetas):
+            if theta.num_elements != config.N or theta.levels != config.L:
+                raise ValueError(
+                    f"{name} has {theta.num_elements} elements at {theta.levels} levels, "
+                    f"expected {config.N} at {config.L}"
+                )
+        a_m = _responses(config.M, [geometry.phi_r], geometry.spacing_ratio)
+        levels = np.stack([theta.indices for theta in thetas])
+        terms = _kind_terms(config, [geometry], sizes, a_m, v[None], levels[None])
+    h_direct, w = _effective_draws(geometry.rho_d, config, 1, [stream])
+    gammas = _stacked_gammas(terms, h_direct, w, [scheme])
     _, _, kt, mse = power_control_rows(
         gammas[scheme.kind][0], config.Pmax, config.sigma2, inversion=scheme.inversion
     )

@@ -75,18 +75,22 @@ class PhaseShiftVector:
 
     @property
     def phasors(self) -> np.ndarray:
-        """exp(1j * phases), read from a table of the L level phasors.
+        """exp(1j * phases), read from :func:`_phasor_table`.
 
         Each table entry is the same expression on the same level
         phase, so the result equals the N-element ``exp`` bit for bit.
         """
-        levels = np.arange(self.levels) * (TWO_PI / self.levels)
-        return np.exp(1j * levels)[self.indices]
+        return _phasor_table(self.levels)[self.indices]
 
     @classmethod
     def zero(cls, n_elements: int, levels: int) -> "PhaseShiftVector":
         """All-zero phases (the fixed, non-configured surface)."""
         return cls(indices=np.zeros(n_elements, dtype=np.int64), levels=levels)
+
+
+def _phasor_table(levels: int) -> np.ndarray:
+    """The L level phasors exp(1j * l*2*pi/L), l < L: a phase-shift vector's phasors index it."""
+    return np.exp(1j * (np.arange(levels) * (TWO_PI / levels)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,8 +263,6 @@ def phase_index_rows(
     _require_count(n_elements, "n_elements")
     _require_count(levels, "levels")
     _require_spacing(spacing_ratio, n_elements)
-    if not spacing_ratio > 0:
-        raise ValueError(f"spacing_ratio must be positive, got {spacing_ratio!r}")
     return _phase_rows(phi_t, nu, n_elements, levels, spacing_ratio).astype(np.int64)
 
 

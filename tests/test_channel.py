@@ -141,6 +141,12 @@ def test_system_config_rejects_non_finite(overrides):
         SystemConfig(**overrides)
 
 
+@pytest.mark.parametrize("spacing", [0.0, -0.5])
+def test_system_config_rejects_non_positive_spacing(spacing):
+    with pytest.raises(ValueError, match="spacing_ratio must be positive"):
+        SystemConfig(spacing_ratio=spacing)
+
+
 class TestSampleChannels:
     def test_pure_los_exact(self):
         cfg = SystemConfig(K=3, N=8, pure_los=True)
@@ -204,18 +210,18 @@ class TestSampleChannels:
         cfg = SystemConfig(K=5, M=3, pure_los=pure_los)
         geo = make_geometry(cfg, RngStream(16, 0))
         gen = RngStream(16, 1).generator()
-        h_direct, w = channel._effective_block(geo, cfg, gen, 4)
+        h_direct, w = channel._effective_draws(geo.rho_d, cfg, 4, [gen])
         after = gen.bit_generator.random_raw(2)
         ref = RngStream(16, 1).generator()
         planes = np.empty((cfg.K, cfg.M), dtype=complex)
         planes.real = ref.standard_normal((cfg.K, cfg.M)) * channel._INV_SQRT2
         planes.imag = ref.standard_normal((cfg.K, cfg.M)) * channel._INV_SQRT2
-        np.testing.assert_array_equal(bits(h_direct), bits(np.sqrt(geo.rho_d)[:, None] * planes))
+        np.testing.assert_array_equal(bits(h_direct[0]), bits(np.sqrt(geo.rho_d)[:, None] * planes))
         if pure_los:
             assert w is None
         else:
-            parts = ref.standard_normal((4, 2, 2 * cfg.K)) * channel._INV_SQRT2
-            assert w.shape == (4, 2, cfg.K)
+            parts = ref.standard_normal((1, 4, 2, 2 * cfg.K)) * channel._INV_SQRT2
+            assert w.shape == (1, 4, 2, cfg.K)
             np.testing.assert_array_equal(bits(w.view(float)), bits(parts))
         np.testing.assert_array_equal(after, ref.bit_generator.random_raw(2))
 
@@ -223,18 +229,18 @@ class TestSampleChannels:
     @pytest.mark.parametrize("block_direct", [False, True])
     def test_block_draw_rows_are_the_per_trial_draws(self, pure_los, block_direct):
         # the engine's block draw, each trial on the one rewound Philox and its own
-        # geometry's path losses, holds in row b that trial's fresh-stream draw
+        # geometry's path losses, holds in row b that trial's draw on a fresh stream
         cfg = SystemConfig(K=5, M=3, pure_los=pure_los, block_direct=block_direct)
         geometries = [make_geometry(cfg, RngStream(17, 2 + 2 * t)) for t in range(7)]
         rho_d = np.array([g.rho_d for g in geometries])
         streams = [3 + 2 * t for t in range(7)]
         h_direct, w = channel._effective_draws(rho_d, cfg, 4, streams, numerics._rewinder(17))
         for b, (geo, stream) in enumerate(zip(geometries, streams)):
-            h_b, w_b = channel._effective_block(geo, cfg, RngStream(17, stream).generator(), 4)
-            np.testing.assert_array_equal(bits(h_direct[b]), bits(h_b))
+            h_b, w_b = channel._effective_draws(geo.rho_d, cfg, 4, [RngStream(17, stream)])
+            np.testing.assert_array_equal(bits(h_direct[b]), bits(h_b[0]))
             assert (w is None) == (w_b is None) == pure_los
             if w is not None:
-                np.testing.assert_array_equal(bits(w[b]), bits(w_b))
+                np.testing.assert_array_equal(bits(w[b]), bits(w_b[0]))
 
     def test_scattered_part_keeps_its_law(self):
         # per-device variance a_k^2, uncorrelated parts, elements and devices

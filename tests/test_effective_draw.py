@@ -2,7 +2,7 @@
 
 ``run_sweep`` draws, per trial, the direct links and two CN(0, 1)
 normals per device and segment of the sweep's element counts
-(``channel._effective_block``), not a full (K, N) channel block.  The
+(``channel._effective_draws``), not a full (K, N) channel block.  The
 reference draws full blocks with ``sample_channels`` at the largest N,
 on streams independent of the engine's, and evaluates them with
 ``effective_scalar_channel`` at each N (the elements from N on zeroed).
@@ -55,19 +55,14 @@ class Side:
         self.los = line_of_sight(geometry, self.largest)
 
     def draws(self, trials, seed, first=0):
-        """The engine's draws of trials first..first+trials-1 of ``seed``: run_sweep's."""
-        segments = len(self.sizes)
-        return [
-            channel._effective_block(
-                self.geometry, self.largest, RngStream(seed, 3 + 2 * t).generator(), segments
-            )
-            for t in range(first, first + trials)
-        ]
+        """(h_direct, w) of the engine's trials first..first+trials-1 of ``seed``: run_sweep's."""
+        streams = [RngStream(seed, 3 + 2 * t) for t in range(first, first + trials)]
+        return channel._effective_draws(self.geometry.rho_d, self.largest, len(self.sizes), streams)
 
     def engine(self, trials, seed):
         """{kind: gammas} of the engine's trials 0..trials-1 of ``seed``, every scheme's kind."""
         terms = experiments._stage(self.largest, [self.geometry], self.sizes)
-        return experiments._block_gammas(terms, self.draws(trials, seed), list(Scheme))
+        return experiments._stacked_gammas(terms, *self.draws(trials, seed), list(Scheme))
 
     def reference(self, trials, gen):
         """({voted and zero kind: gammas (P, T, K)}, h_direct (T, K, M)) of ``trials`` blocks.
@@ -159,12 +154,13 @@ def test_redrawn_geometry_rows_match_full_sampler():
     for t in range(TRIALS):
         side = Side(LARGEST, make_geometry(LARGEST, RngStream(SEED, 2 + 2 * t)), SIZES)
         geometries.append(side.geometry)
-        draws += side.draws(1, SEED, first=t)
+        draws.append(side.draws(1, SEED, first=t))
         gammas, h_direct = side.reference(1, gen)
         reference.append(gammas)
         direct.append(h_direct)
     terms = experiments._stage(LARGEST, geometries, SIZES)
-    engine = experiments._block_gammas(terms, draws, list(Scheme))
+    h_direct, w = (np.concatenate(part) for part in zip(*draws))
+    engine = experiments._stacked_gammas(terms, h_direct, w, list(Scheme))
     stacked = {kind: np.concatenate([r[kind] for r in reference], axis=1) for kind in (VOTED, ZERO)}
     got = mses(engine, list(Scheme), SYSTEM, SIZES)
     want = mses(with_direct(stacked, np.concatenate(direct)), list(Scheme), SYSTEM, SIZES)

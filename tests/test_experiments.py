@@ -10,7 +10,6 @@ import pytest
 from irs_aircomp import channel, experiments, numerics, protocol
 from irs_aircomp.channel import (
     SystemConfig,
-    _effective_block,
     effective_scalar_channel,
     line_of_sight,
     make_geometry,
@@ -29,7 +28,7 @@ from irs_aircomp.experiments import (
     run_trial,
     write_csv,
 )
-from irs_aircomp.numerics import RngStream
+from irs_aircomp.numerics import RngStream, array_response
 from irs_aircomp.protocol import DegenerateChannelError, PhaseShiftVector, power_control_rows
 
 
@@ -40,6 +39,15 @@ def small_config(**overrides):
     return ExperimentConfig(**defaults)
 
 
+def reflection(geometry, v, theta):
+    """One geometry's reflected-path gain and row, from their formulas:
+    sqrt(rho_1) v^H a_M(phi_r) and a_N(phi_t)^H Theta."""
+    spacing = geometry.spacing_ratio
+    gain = np.sqrt(geometry.rho_1) * np.vdot(v, array_response(v.shape[0], geometry.phi_r, spacing))
+    row = array_response(theta.num_elements, geometry.phi_t, spacing).conj() * theta.phasors
+    return gain, row
+
+
 class TestRunTrial:
     def test_inversion_matches_closed_form_exactly(self):
         # one segment of 16 elements: gamma = v^H h_d + gain (los . row + a sqrt(16) w1)
@@ -48,11 +56,11 @@ class TestRunTrial:
         lt = compute_long_term(geo, cfg)
         stream = RngStream(50, 1)
         mse, kt = run_trial(cfg, geo, Scheme.INV_PC_IRS, stream, lt)
-        h_direct, w = _effective_block(geo, cfg, stream.generator(), 1)
-        gain, (row,) = channel._reflection_factors(geo, lt.v, lt.theta_voted)
+        h_direct, w = channel._effective_draws(geo.rho_d, cfg, 1, [stream])
+        gain, row = reflection(geo, lt.v, lt.theta_voted)
         a = np.sqrt(geo.rho_r / (cfg.rician_delta + 1.0))
-        scattered = (4.0 * a) * w[0, 0]
-        gam = h_direct @ lt.v.conj() + gain * (line_of_sight(geo, cfg) @ row + scattered)
+        scattered = (4.0 * a) * w[0, 0, 0]
+        gam = h_direct[0] @ lt.v.conj() + gain * (line_of_sight(geo, cfg) @ row + scattered)
         assert mse == cfg.sigma2 / (cfg.Pmax * float(np.min(np.abs(gam) ** 2)))
         assert kt == 1
 
@@ -80,7 +88,7 @@ class TestRunTrial:
 
     def test_blocked_direct_links_rejected_up_front(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(experiments, "_effective_block", lambda *a: calls.append(1))
+        monkeypatch.setattr(experiments, "_effective_draws", lambda *a: calls.append(1))
         cfg = SystemConfig(M=4, N=16, K=3, block_direct=True)
         geo = make_geometry(cfg, RngStream(54, 0))
         with pytest.raises(ConfigError, match="no direct link for OPT_PC_NO_IRS$"):
@@ -89,9 +97,9 @@ class TestRunTrial:
 
     def test_degenerate_block_raises_without_redraw(self, monkeypatch):
         calls = []
-        original = experiments._effective_block
+        original = experiments._effective_draws
         monkeypatch.setattr(
-            experiments, "_effective_block", lambda *a: calls.append(1) or original(*a)
+            experiments, "_effective_draws", lambda *a: calls.append(1) or original(*a)
         )
         monkeypatch.setattr(experiments, "_direct_gammas", lambda h: 0.0 * h[:, :, 0])
         cfg = SystemConfig(M=4, N=16, K=3)
@@ -111,6 +119,42 @@ class TestRunTrial:
         b, _ = run_trial(big_irs, geo2, Scheme.OPT_PC_NO_IRS, RngStream(53, 1), lt2)
         assert a == b  # direct draws identical, N plays no role without the IRS
 
+    MISFITS = {
+        "state-at-N=8": (
+            lambda lt, geo, cfg: compute_long_term(geo, replace(cfg, N=8)),
+            "theta_voted has 8 elements at 2 levels, expected 16 at 2",
+        ),
+        "state-at-M=3": (
+            lambda lt, geo, cfg: compute_long_term(geo, replace(cfg, M=3)),
+            r"v must have shape \(4,\), got \(3,\)",
+        ),
+        "v-norm-2": (lambda lt, *_: replace(lt, v=2.0 * lt.v), "v must be unit norm"),
+        "v-nan": (lambda lt, *_: replace(lt, v=np.full(4, np.nan)), "v must be unit norm"),
+        "voted-at-4-levels": (
+            lambda lt, *_: replace(lt, theta_voted=PhaseShiftVector(lt.theta_voted.indices, 4)),
+            "theta_voted has 16 elements at 4 levels, expected 16 at 2",
+        ),
+        "fixed-at-N=8": (
+            lambda lt, *_: replace(lt, theta_fixed=PhaseShiftVector.zero(8, 2)),
+            "theta_fixed has 8 elements",
+        ),
+    }
+
+    @pytest.mark.parametrize("misfit", sorted(MISFITS))
+    @pytest.mark.parametrize("scheme", [Scheme.OPT_PC_IRS, Scheme.INV_PC_NO_IRS])
+    def test_mismatched_long_term_rejected_before_any_draw(self, scheme, misfit):
+        # a state built for another system names its field, whatever the scheme,
+        # and leaves the caller's generator where it was
+        cfg = SystemConfig(M=4, N=16, K=3)
+        geo = make_geometry(cfg, RngStream(56, 0))
+        build, message = self.MISFITS[misfit]
+        long_term = build(compute_long_term(geo, cfg), geo, cfg)
+        gen = RngStream(56, 1).generator()
+        with pytest.raises(ValueError, match=message):
+            run_trial(cfg, geo, scheme, gen, long_term)
+        fresh = RngStream(56, 1).generator()
+        assert np.array_equal(gen.bit_generator.random_raw(2), fresh.bit_generator.random_raw(2))
+
 
 def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
@@ -129,9 +173,8 @@ class TestPrefixes:
         for seed in range(12):
             geo = make_geometry(system, RngStream(seed, 0))
             state, whole = compute_long_term(geo, largest), line_of_sight(geo, largest)
-            gain, rows = channel._reflection_factors(
-                geo, state.v, state.theta_voted, state.theta_fixed
-            )
+            thetas = state.theta_voted, state.theta_fixed
+            gain, rows = zip(*(reflection(geo, state.v, theta) for theta in thetas))
             for N in sweep:
                 los = whole[:, :N]  # the engine's blocks at N under pure_los
                 sized = replace(system, N=N)
@@ -140,17 +183,18 @@ class TestPrefixes:
                 assert np.array_equal(bits(state.v), bits(want.v))
                 assert np.array_equal(state.theta_voted.indices[:N], want.theta_voted.indices)
                 assert np.array_equal(bits(los), bits(want_los))
-                want_gain, want_rows = channel._reflection_factors(
-                    geo, want.v, want.theta_voted, want.theta_fixed
-                )
-                assert np.array_equal(bits(np.array([gain])), bits(np.array([want_gain])))
+                wanted = want.theta_voted, want.theta_fixed
+                want_gain, want_rows = zip(*(reflection(geo, want.v, theta) for theta in wanted))
+                assert np.array_equal(bits(np.array(gain)), bits(np.array(want_gain)))
                 for row, want_row in zip(rows, want_rows, strict=True):  # voted, then zero
                     assert np.array_equal(bits(row[:N]), bits(want_row))
                     # the strided line-of-sight view in the block's reflected matvec
                     assert np.array_equal(bits(los @ row[:N]), bits(want_los @ want_row))
 
     @pytest.mark.parametrize("redraw", [False, True])
-    def test_sweep_builds_phase_vectors_once_per_geometry(self, redraw, monkeypatch):
+    def test_sweep_builds_no_phase_vectors(self, redraw, monkeypatch):
+        # the engine passes level indices as arrays; only the public
+        # compute_long_term wraps them, in its voted and zero phases
         checked = []
         validate = PhaseShiftVector.__post_init__
 
@@ -161,8 +205,9 @@ class TestPrefixes:
         monkeypatch.setattr(PhaseShiftVector, "__post_init__", counting)
         cfg = small_config(n_sweep=(4, 8, 16), trials=5, redraw_geometry_per_trial=redraw)
         run_sweep(cfg, list(Scheme))
-        # compute_long_term's voted and zero phases, at the largest N, and none per N
-        assert len(checked) == 2 * (cfg.trials if redraw else 1)
+        assert checked == []
+        compute_long_term(make_geometry(cfg.system, RngStream(1, 0)), cfg.system)
+        assert len(checked) == 2
 
 
 class TestStackedStage:
@@ -184,16 +229,17 @@ class TestStackedStage:
                 got, one = (np.asarray(getattr(g, f.name), float) for g in (geometry, want))
                 assert np.array_equal(bits(got), bits(one)), f.name
             state = compute_long_term(geometry, largest)
-            a_m = numerics.array_response(system.M, geometry.phi_r, geometry.spacing_ratio)
-            terms = experiments._kind_terms(largest, [geometry], sizes, a_m[None], [state])
-            # the gain and the line of sight at N are the single-realization
-            # builder's, the line a 2-D matvec
-            los = line_of_sight(geometry, largest)
-            gain, rows = channel._reflection_factors(
-                geometry, state.v, state.theta_voted, state.theta_fixed
+            thetas = state.theta_voted, state.theta_fixed
+            a_m = array_response(system.M, geometry.phi_r, geometry.spacing_ratio)
+            levels = np.stack([theta.indices for theta in thetas])
+            terms = experiments._kind_terms(
+                largest, [geometry], sizes, a_m[None], state.v[None], levels[None]
             )
+            # the gain and the line of sight at N are the formulas', the line a 2-D matvec
+            los = line_of_sight(geometry, largest)
+            gain, rows = zip(*(reflection(geometry, state.v, theta) for theta in thetas))
             line = np.array([[los[:, :n] @ row[:n] for n in sizes] for row in rows])
-            assert np.array_equal(bits(terms[1]), bits(np.array([gain])))
+            assert np.array_equal(bits(terms[1]), bits(np.array(gain[:1])))
             assert np.array_equal(bits(terms[2][0]), bits(line))
             alone.append(terms)
         # the module's element budget, then stacks of 5 geometries and a partial last

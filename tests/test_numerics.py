@@ -33,6 +33,11 @@ class TestArrayResponse:
         with pytest.raises(ValueError, match="must be finite"):
             array_response(4, angle, spacing)
 
+    @pytest.mark.parametrize("spacing", [0.0, -0.5])
+    def test_rejects_non_positive_spacing(self, spacing):
+        with pytest.raises(ValueError, match="spacing_ratio must be positive"):
+            array_response(4, 0.3, spacing)
+
     @pytest.mark.parametrize("angle", [0.3, -1.2, 0.0, -0.0, np.pi / 2])
     @pytest.mark.parametrize("spacing", [0.5, 2.3])
     def test_block_of_exponentials_then_within_bound(self, angle, spacing):

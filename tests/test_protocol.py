@@ -60,6 +60,12 @@ class TestReceiveBeamformer:
             gain = abs(np.vdot(v, array_response(10, phi, 0.5))) ** 2
             assert gain == pytest.approx(10.0, rel=1e-12)
 
+    @pytest.mark.parametrize("spacing", [0.0, -0.5])
+    def test_non_positive_spacing_rejected(self, spacing):
+        # a zero spacing gave all ones, a negative one the mirrored vector
+        with pytest.raises(ValueError, match="spacing_ratio must be positive"):
+            receive_beamformer(0.3, 4, spacing)
+
 
 class TestQuantizePhase:
     def test_examples(self):
@@ -568,20 +574,31 @@ class TestPhasors:
             assert_same_bits(theta.phasors.view(float), np.exp(1j * theta.phases).view(float))
 
     def test_reflection_row_matches_the_complex_formula(self):
-        from irs_aircomp.channel import _reflection_factors
+        from irs_aircomp.channel import _reflections
 
         system = SystemConfig(N=1024, L=4)
         for seed in range(5):
             geo = make_geometry(system, RngStream(seed, 0))
             theta = PhaseShiftVector(np.random.default_rng(seed).integers(0, 4, 1024), 4)
             v = receive_beamformer(geo.phi_r, system.M)
-            gain, (row,) = _reflection_factors(geo, v, theta)
+            a_m = array_response(system.M, geo.phi_r, geo.spacing_ratio)
+
+            def factors(*thetas):
+                phasors = np.array([t.phasors for t in thetas])[None]
+                gain, rows = _reflections(
+                    geo.rho_1, a_m[None], v[None], [geo.phi_t], geo.spacing_ratio, phasors
+                )
+                return gain[0], rows[0]
+
+            gain, (row,) = factors(theta)
             a_n = array_response(1024, geo.phi_t, geo.spacing_ratio)
             assert_same_bits(row.view(float), (a_n.conj() * np.exp(1j * theta.phases)).view(float))
+            want_gain = np.sqrt(geo.rho_1) * np.vdot(v, a_m)
+            assert_same_bits(np.array([gain]).view(float), np.array([want_gain]).view(float))
             # one call for two phase vectors: the same gain, and each vector's own row
             zero = PhaseShiftVector.zero(1024, 4)
-            both_gain, rows = _reflection_factors(geo, v, theta, zero)
-            zero_gain, (zero_row,) = _reflection_factors(geo, v, zero)
+            both_gain, rows = factors(theta, zero)
+            zero_gain, (zero_row,) = factors(zero)
             assert len(rows) == 2
             for other in (both_gain, zero_gain):
                 assert_same_bits(np.array([other]).view(float), np.array([gain]).view(float))
