@@ -229,7 +229,7 @@ class TestSampleChannels:
     @pytest.mark.parametrize("block_direct", [False, True])
     def test_block_draw_rows_are_the_per_trial_draws(self, pure_los, block_direct):
         # the engine's block draw, each trial on the one rewound Philox and its own
-        # geometry's path losses, holds in row b that trial's draw on a fresh stream
+        # geometry's path losses, holds in row b that trial's fresh-stream draw
         cfg = SystemConfig(K=5, M=3, pure_los=pure_los, block_direct=block_direct)
         geometries = [make_geometry(cfg, RngStream(17, 2 + 2 * t)) for t in range(7)]
         rho_d = np.array([g.rho_d for g in geometries])
