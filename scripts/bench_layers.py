@@ -12,7 +12,8 @@ fresh random stream (``RngStream.generator``, the public path), the
 engine's per-trial stream (one Philox of the run rewound to a trial's
 stream, ``numerics._rewinder``), ``make_geometry``,
 ``compute_long_term`` and its two kernels
-(``phase_index_rows``, ``vote_indices``), ``sample_channels``,
+(``phase_index_rows``, ``vote_indices``), ``sample_channels`` (its
+line of sight included: it computes that term on every call),
 ``effective_scalar_channel``, the engine's draw over a power block of
 64 trials (``_effective_draws``: direct links and two normals per
 device for each of the 4 segments of the default sweep, each trial on
@@ -115,9 +116,8 @@ def layers(pkg, long: bool):
         geometry = channel.make_geometry(system, RngStream(1, 0))
         state = experiments.compute_long_term(geometry, system)
         rows = protocol.phase_index_rows(geometry.phi_t, geometry.nu, N, system.L)
-        los = channel.line_of_sight(geometry, system)
         gen = np.random.Generator(np.random.Philox(5))
-        block = channel.sample_channels(geometry, system, gen, los)
+        block = channel.sample_channels(geometry, system, gen)
         yield f"experiments.compute_long_term[N={N}]", (
             lambda: experiments.compute_long_term(geometry, system)
         )
@@ -126,7 +126,7 @@ def layers(pkg, long: bool):
         )
         yield f"protocol.vote_indices[N={N}]", lambda: protocol.vote_indices(rows, system.L)
         yield f"channel.sample_channels[N={N}]", (
-            lambda: channel.sample_channels(geometry, system, gen, los)
+            lambda: channel.sample_channels(geometry, system, gen)
         )
         yield f"channel.effective_scalar_channel[N={N}]", (
             lambda: channel.effective_scalar_channel(block, state.v, state.theta_voted)

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .channel import Geometry, SystemConfig
-from .numerics import array_response, sinc_normalized
+from .numerics import _require_count, array_response, sinc_normalized
 from .protocol import PhaseShiftVector
 
 __all__ = [
@@ -40,7 +40,9 @@ class AsymptoticParams:
     """Inputs to the large-system bounds.
 
     ``rho_min`` is the IRS-AP path loss times the smallest device-IRS
-    path loss; ``epsilon`` is the target optimality ratio in (0, 1).
+    path loss, rho_1 rho_{r,1}; ``epsilon`` is the target optimality
+    ratio in (0, 1).  M, N and K are positive integers, Pmax a positive
+    and sigma2 a non-negative finite power.
     """
 
     M: int
@@ -52,8 +54,12 @@ class AsymptoticParams:
     epsilon: float = 0.9
 
     def __post_init__(self) -> None:
-        if min(self.M, self.N, self.K) < 1:
-            raise ValueError("M, N, K must be >= 1")
+        for name in ("M", "N", "K"):
+            _require_count(getattr(self, name), name)
+        if not 0.0 < self.Pmax < math.inf:
+            raise ValueError(f"Pmax must be positive and finite, got {self.Pmax!r}")
+        if not 0.0 <= self.sigma2 < math.inf:
+            raise ValueError(f"sigma2 must be non-negative and finite, got {self.sigma2!r}")
         if not 0.0 < self.rho_min <= 1.0:
             raise ValueError("rho_min must be in (0, 1]")
         if not 0.0 < self.epsilon < 1.0:
@@ -72,8 +78,7 @@ def lambda1(K: int) -> float:
 
     Exact big-integer binomial arithmetic, no overflow at any K.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    _require_count(K, "K")
     n = K - 1
     if K % 2 == 1:
         wins = sum(math.comb(n, j) for j in range((K - 1) // 2, K))
@@ -85,8 +90,8 @@ def lambda1(K: int) -> float:
 
 def approx_array_gain(N: int, K: int) -> float:
     """Large-system mean array gain after voting: (2 N^2 / (pi K)) sinc(1/2)^2."""
-    if min(N, K) < 1:
-        raise ValueError("N and K must be >= 1")
+    _require_count(N, "N")
+    _require_count(K, "K")
     return (2.0 * N**2 / (math.pi * K)) * _SINC_HALF_SQ
 
 
@@ -102,21 +107,19 @@ def mse_upper_bound(params: AsymptoticParams) -> float:
     )
 
 
-def n_threshold(params: AsymptoticParams, rho_1_rho_r1: float) -> float:
+def n_threshold(params: AsymptoticParams) -> float:
     """Element count beyond which inversion power control loses at most 1 - epsilon.
 
-    ``rho_1_rho_r1`` is the IRS-AP path loss times the weakest device's
-    IRS-link path loss.  Derived from the large-system approximation of
-    the weakest effective channel, so it is meaningful only where that
-    approximation holds.
+    ``params.rho_min`` is the IRS-AP path loss times the weakest
+    device's IRS-link path loss.  Derived from the large-system
+    approximation of the weakest effective channel, so it is meaningful
+    only where that approximation holds.
     """
-    if rho_1_rho_r1 <= 0:
-        raise ValueError("rho_1_rho_r1 must be positive")
     p = params
     root_eps = math.sqrt(p.epsilon)
     return math.sqrt(
         (math.pi * p.K * root_eps * p.sigma2)
-        / (2.0 * rho_1_rho_r1 * p.M * p.Pmax * (1.0 - root_eps) * _SINC_HALF_SQ)
+        / (2.0 * p.rho_min * p.M * p.Pmax * (1.0 - root_eps) * _SINC_HALF_SQ)
     )
 
 
@@ -135,12 +138,10 @@ def group_split(theta_star: PhaseShiftVector, theta_k: PhaseShiftVector) -> tupl
     return n1, theta_star.num_elements - n1
 
 
-def min_gamma_sq_approx(params: AsymptoticParams, rho_1_rho_r1: float) -> float:
-    """Large-system weakest effective channel power: (2 rho sinc^2 / (pi K)) M N^2."""
-    if rho_1_rho_r1 <= 0:
-        raise ValueError("rho_1_rho_r1 must be positive")
+def min_gamma_sq_approx(params: AsymptoticParams) -> float:
+    """Large-system weakest effective channel power: (2 rho_min sinc^2 / (pi K)) M N^2."""
     p = params
-    return (2.0 * rho_1_rho_r1 * _SINC_HALF_SQ / (math.pi * p.K)) * p.M * p.N**2
+    return (2.0 * p.rho_min * _SINC_HALF_SQ / (math.pi * p.K)) * p.M * p.N**2
 
 
 def expected_channel_power_gain(
@@ -154,8 +155,8 @@ def expected_channel_power_gain(
     N = theta.num_elements
     a_t = array_response(N, geometry.phi_t, geometry.spacing_ratio)
     coeff = theta.phasors
-    gains = np.empty(geometry.num_devices)
-    for k in range(geometry.num_devices):
+    gains = np.empty(geometry.nu.shape[0])
+    for k in range(gains.shape[0]):
         a_k = array_response(N, geometry.nu[k], geometry.spacing_ratio)
         align = abs(np.vdot(a_t, coeff * a_k)) ** 2
         base = config.M * geometry.rho_1 * geometry.rho_r[k]

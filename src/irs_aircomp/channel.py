@@ -120,10 +120,6 @@ class Geometry:
     rho_r: np.ndarray             # (K,) device-IRS path losses
     spacing_ratio: float = 0.5
 
-    @property
-    def num_devices(self) -> int:
-        return self.nu.shape[0]
-
 
 @dataclass(frozen=True)
 class ChannelRealization:
@@ -142,30 +138,24 @@ def pathloss(distance: float, exponent: float, ref_loss_linear: float) -> float:
     """Large-scale power attenuation ref_loss_linear * distance**(-exponent).
 
     Distances under the 1 m reference are clamped to 1 m with a warning
-    (near-field guard).
+    (near-field guard).  The one-distance case of :func:`_pathlosses`.
     """
     if ref_loss_linear <= 0:
         raise ValueError("ref_loss_linear must be positive")
-    if distance < 1.0:
-        warnings.warn(
-            f"distance {distance} m inside 1 m reference, clamping",
-            stacklevel=2,
-        )
-        distance = 1.0
-    return ref_loss_linear * float(distance) ** (-exponent)
+    return float(_pathlosses(np.array([distance], dtype=float), exponent, ref_loss_linear)[0])
 
 
 def _pathlosses(distances: np.ndarray, exponent: float, ref_loss_linear: float) -> np.ndarray:
-    """:func:`pathloss` at each distance of an array, bit for bit, warning once per clamped one.
+    """:func:`pathloss` at each distance of an array, warning once per clamped one.
 
-    The powers are Python-float ``**``, libm ``pow`` like
-    :func:`pathloss`: numpy's vectorised np.power is not libm pow (on an
-    AVX-512 build of numpy 2.4.6 it differed on 10 474 of 200 000
-    distances at exponent 2.2), so vectorising would move every path
-    loss, and every sweep result, in the last bits.
+    The one place of the clamp, its warning and the power.  The powers
+    are Python-float ``**``, libm ``pow``: numpy's vectorised np.power
+    is not libm pow (on an AVX-512 build of numpy 2.4.6 it differed on
+    10 474 of 200 000 distances at exponent 2.2), so vectorising would
+    move every path loss, and every sweep result, in the last bits.
     """
     for distance in distances[distances < 1.0].tolist():
-        warnings.warn(f"distance {distance} m inside 1 m reference, clamping", stacklevel=2)
+        warnings.warn(f"distance {distance} m inside 1 m reference, clamping", stacklevel=3)
     clamped = np.maximum(distances, 1.0).ravel().tolist()
     return np.array([ref_loss_linear * d ** -exponent for d in clamped]).reshape(distances.shape)
 
@@ -264,8 +254,7 @@ def line_of_sight(geometry: Geometry, config: SystemConfig) -> np.ndarray:
     Steering vectors toward each device scaled by the Rician
     line-of-sight amplitude sqrt(rho_r delta/(delta+1)), or by
     sqrt(rho_r) with ``pure_los``.  It depends only on the geometry and
-    N, so a caller drawing many blocks on one geometry can compute it
-    once and pass it to :func:`sample_channels`.
+    N, and draws nothing.
 
     Row k is :func:`~irs_aircomp.numerics._steering` at the slope
     (2*pi*s)*sin(nu_k) with the amplitude folded into its coarse factor.
@@ -301,7 +290,6 @@ def sample_channels(
     geometry: Geometry,
     config: SystemConfig,
     stream: RngStream | np.random.Generator,
-    los: np.ndarray | None = None,
 ) -> ChannelRealization:
     """Draw one coherence block of small-scale fading.
 
@@ -309,9 +297,9 @@ def sample_channels(
     Gaussian vector.  Device-IRS links mix the steering-vector
     line-of-sight component with an i.i.d. scattered component at the
     configured Rician ratio; with ``pure_los`` the scattered part is
-    dropped exactly and no scattered draw is made.  ``los`` is
-    :func:`line_of_sight` for this geometry and config, computed here
-    when not given; it does not touch the stream.
+    dropped exactly and no scattered draw is made.  The line-of-sight
+    part ``los`` is :func:`line_of_sight` of this geometry and config;
+    it does not touch the stream.
 
     Draw order: the direct links first, a (K, M) real plane then a
     (K, M) imaginary plane; then the scattered part element-major, each
@@ -324,19 +312,18 @@ def sample_channels(
     ``h_reflect`` is a (K, N) view of the element-major buffer.
 
     The arithmetic is real and in place, equal bit for bit to
-    ``los + a*((x + 1j*y)/sqrt(2))`` on the given ``los``: the complex
-    division scales each part by ``_INV_SQRT2``, and the product with
-    the real amplitude a has cross terms that are signed zeros, which
-    vanish in the sum with the line-of-sight part (a scattered term is
-    never zero).  ``los`` itself is the complex steering chain bit for
-    bit in its first ``_STEERING_BLOCK`` columns only, and within
-    :func:`line_of_sight`'s bound beyond.  The direct links keep the
-    complex product, whose signed zeros a blocked link (rho_d = 0) shows.
+    ``los + a*((x + 1j*y)/sqrt(2))``: the complex division scales each
+    part by ``_INV_SQRT2``, and the product with the real amplitude a
+    has cross terms that are signed zeros, which vanish in the sum with
+    the line-of-sight part (a scattered term is never zero).  ``los``
+    itself is the complex steering chain bit for bit in its first
+    ``_STEERING_BLOCK`` columns only, and within :func:`line_of_sight`'s
+    bound beyond.  The direct links keep the complex product, whose
+    signed zeros a blocked link (rho_d = 0) shows.
     """
     gen = as_generator(stream)
     K, N = config.K, config.N
-    if los is None:
-        los = line_of_sight(geometry, config)
+    los = line_of_sight(geometry, config)
 
     h_direct = _direct_links(geometry.rho_d, gen.standard_normal((2, K, config.M)))
     if config.pure_los:

@@ -91,14 +91,14 @@ def _cmd_bounds(args) -> int:
                 ]
             )
             for params in _bound_params(config, reference):
-                gamma1_sq = min_gamma_sq_approx(params, params.rho_min)
+                gamma1_sq = min_gamma_sq_approx(params)
                 writer.writerow(
                     [
                         params.N,
                         repr(approx_array_gain(params.N, system.K)),
                         repr(gamma1_sq),
                         repr(mse_upper_bound(params)),
-                        repr(n_threshold(params, params.rho_min)),
+                        repr(n_threshold(params)),
                         repr(mse_lower_bound(gamma1_sq, system.Pmax, system.sigma2)),
                     ]
                 )
@@ -204,7 +204,9 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused by every later one."""
     parser = argparse.ArgumentParser(
         prog="irs-aircomp",
         description="Link-level simulator for IRS-aided over-the-air computation",
@@ -237,15 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """:func:`build_parser`'s parser, built on the first call and reused by every later one."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

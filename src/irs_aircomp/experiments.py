@@ -426,29 +426,28 @@ def run_trial(
 
     The same evaluation as one scheme of one trial of a :func:`run_sweep`
     whose only element count is ``config.N``: one draw from ``stream``,
-    with one segment of N elements.  A caller's ``long_term`` is checked
-    against ``config`` before any draw: a unit-norm ``v`` of M entries,
-    and phase vectors of N elements at L levels.  A draw with some
+    with one segment of N elements.  ``long_term`` defaults to
+    :func:`compute_long_term` of the geometry, and is checked against
+    ``config`` before any draw: a unit-norm ``v`` of M entries, and
+    phase vectors of N elements at L levels.  A draw with some
     |gamma_k|^2 = 0 raises
     :class:`~irs_aircomp.protocol.DegenerateChannelError`.
     """
     scheme = Scheme(scheme)
     _reject_blocked(config, [scheme])
-    sizes = (config.N,)
     if long_term is None:
-        terms = _stage(config, [geometry], sizes)
-    else:
-        v = _require_beamformer(long_term.v, config.M)
-        thetas = long_term.theta_voted, long_term.theta_fixed
-        for name, theta in zip(("theta_voted", "theta_fixed"), thetas):
-            if theta.num_elements != config.N or theta.levels != config.L:
-                raise ValueError(
-                    f"{name} has {theta.num_elements} elements at {theta.levels} levels, "
-                    f"expected {config.N} at {config.L}"
-                )
-        a_m = _responses(config.M, [geometry.phi_r], geometry.spacing_ratio)
-        levels = np.stack([theta.indices for theta in thetas])
-        terms = _kind_terms(config, [geometry], sizes, a_m, v[None], levels[None])
+        long_term = compute_long_term(geometry, config)
+    v = _require_beamformer(long_term.v, config.M)
+    thetas = long_term.theta_voted, long_term.theta_fixed
+    for name, theta in zip(("theta_voted", "theta_fixed"), thetas):
+        if theta.num_elements != config.N or theta.levels != config.L:
+            raise ValueError(
+                f"{name} has {theta.num_elements} elements at {theta.levels} levels, "
+                f"expected {config.N} at {config.L}"
+            )
+    a_m = _responses(config.M, [geometry.phi_r], geometry.spacing_ratio)
+    levels = np.stack([theta.indices for theta in thetas])
+    terms = _kind_terms(config, [geometry], (config.N,), a_m, v[None], levels[None])
     h_direct, w = _effective_draws(geometry.rho_d, config, 1, [stream])
     gammas = _stacked_gammas(terms, h_direct, w, [scheme])
     _, _, kt, mse = power_control_rows(
@@ -561,7 +560,7 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     bounds = [(None, None)] * P
     if system.L == 2:
         bounds = [
-            (mse_upper_bound(params), n_threshold(params, params.rho_min))
+            (mse_upper_bound(params), n_threshold(params))
             for params in _bound_params(config, reference)
         ]
     stderrs = _stderrs(mses)

@@ -329,7 +329,7 @@ def per_device_phases(
     return PhaseShiftVector(indices=rows[0], levels=levels)
 
 
-def majority_vote(per_device, levels: int | None = None) -> PhaseShiftVector:
+def majority_vote(per_device) -> PhaseShiftVector:
     """Fuse per-device phase preferences element-wise by plurality.
 
     For each element the discrete phase with the most votes wins; ties
@@ -339,9 +339,7 @@ def majority_vote(per_device, levels: int | None = None) -> PhaseShiftVector:
     per_device = list(per_device)
     if not per_device:
         raise ValueError("majority_vote needs at least one device")
-    n = per_device[0].num_elements
-    if levels is None:
-        levels = per_device[0].levels
+    n, levels = per_device[0].num_elements, per_device[0].levels
     for psv in per_device:
         if psv.num_elements != n or psv.levels != levels:
             raise ValueError("all phase-shift vectors must share N and levels")
@@ -506,18 +504,18 @@ def _clipped_inversion_mse(g2: np.ndarray, g: np.ndarray, eta, Pmax, sigma2):
     return (misalign**2).sum(axis=1) + sigma2 / eta
 
 
-def oracle_power_control(
-    gammas, Pmax: float, sigma2: float, eta_grid_resolution: int = 2048
-) -> PowerSolution:
+# Points of the oracle's geometric eta grid.
+_ORACLE_GRID = 2048
+
+
+def oracle_power_control(gammas, Pmax: float, sigma2: float) -> PowerSolution:
     """Independent verification oracle for the optimal power control.
 
     For fixed eta the MSE-minimizing feasible power is
-    min(Pmax, eta/|gamma_k|^2); the oracle scans a dense geometric grid
-    of eta values up to the largest prefix candidate and refines the
-    best bracket by golden-section search.
+    min(Pmax, eta/|gamma_k|^2); the oracle scans a geometric grid of
+    ``_ORACLE_GRID`` eta values up to the largest prefix candidate and
+    refines the best bracket by golden-section search.
     """
-    if eta_grid_resolution < 3:
-        raise ValueError("eta_grid_resolution must be >= 3")
     g = _gamma_magnitudes(gammas)
     g2 = g**2
     gs2 = np.sort(g2)
@@ -529,7 +527,7 @@ def oracle_power_control(
     eta_hi = float(eta_candidates.max())
     # reach below the exact-inversion knee so the sigma2 = 0 optimum is covered
     eta_lo = 1e-4 * min(float(eta_candidates.min()), Pmax * float(gs2[0]))
-    grid = np.geomspace(eta_lo, eta_hi, eta_grid_resolution)
+    grid = np.geomspace(eta_lo, eta_hi, _ORACLE_GRID)
     mse_grid = _clipped_inversion_mse(g2, g, grid, Pmax, sigma2)
     best = int(np.argmin(mse_grid))
 

@@ -136,7 +136,7 @@ def test_criterion_3_channel_inversion_asymptotically_optimal():
     params = AsymptoticParams(
         M=10, N=512, K=21, Pmax=1.0, sigma2=sigma2, rho_min=1.0, epsilon=0.9
     )
-    threshold = n_threshold(params, 1.0)
+    threshold = n_threshold(params)
     assert threshold <= min(sweep), "parameterization must exercise the guarantee"
     config = ExperimentConfig(
         system=pure_los_system(sweep[0], sigma2),

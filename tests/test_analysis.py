@@ -25,6 +25,34 @@ def params(**overrides):
     return AsymptoticParams(**base)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: params(Pmax=0.0), "Pmax"),
+        (lambda: params(Pmax=-1.0), "Pmax"),
+        (lambda: params(Pmax=math.nan), "Pmax"),
+        (lambda: params(Pmax=math.inf), "Pmax"),
+        (lambda: params(sigma2=-1.0), "sigma2"),
+        (lambda: params(sigma2=math.nan), "sigma2"),
+        (lambda: params(sigma2=math.inf), "sigma2"),
+        (lambda: params(N=2.5), "N"),
+        (lambda: params(M=True), "M"),
+        (lambda: params(K=0), "K"),
+        (lambda: lambda1(2.5), "K"),
+        (lambda: lambda1(True), "K"),
+        (lambda: approx_array_gain(2.5, 3), "N"),
+        (lambda: approx_array_gain(10, 3.0), "K"),
+    ],
+    ids=[
+        "Pmax=0", "Pmax=-1", "Pmax=nan", "Pmax=inf", "sigma2=-1", "sigma2=nan", "sigma2=inf",
+        "N=2.5", "M=True", "K=0", "lambda1(2.5)", "lambda1(True)", "gain(N=2.5)", "gain(K=3.0)",
+    ],
+)
+def test_bound_inputs_rejected_naming_the_field(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call()
+
+
 class TestLambda1:
     def test_single_device_always_wins(self):
         assert lambda1(1) == 1.0
@@ -85,19 +113,22 @@ class TestMseUpperBound:
 class TestNThreshold:
     def test_reference_value(self):
         p = params(K=2, epsilon=0.25)
-        assert n_threshold(p, 1.0) == pytest.approx(math.sqrt(math.pi**3 / 4), rel=1e-12)
+        assert n_threshold(p) == pytest.approx(math.sqrt(math.pi**3 / 4), rel=1e-12)
 
     def test_diverges_toward_unit_target(self):
         p_far = params(epsilon=1 - 1e-9)
         p_near = params(epsilon=0.5)
-        assert n_threshold(p_far, 1.0) > 100 * n_threshold(p_near, 1.0)
+        assert n_threshold(p_far) > 100 * n_threshold(p_near)
 
     def test_noise_free(self):
-        assert n_threshold(params(sigma2=0.0), 1.0) == 0.0
+        assert n_threshold(params(sigma2=0.0)) == 0.0
+
+    def test_reads_rho_min(self):
+        assert n_threshold(params(rho_min=0.25)) == pytest.approx(2 * n_threshold(params()), rel=1e-14)
 
     def test_rejects_bad_pathloss(self):
-        with pytest.raises(ValueError):
-            n_threshold(params(), 0.0)
+        with pytest.raises(ValueError, match="rho_min"):
+            params(rho_min=0.0)
 
 
 class TestMseLowerBound:
@@ -140,12 +171,16 @@ class TestGroupSplit:
 class TestMinGammaSqApprox:
     def test_matches_unit_array_gain(self):
         p = params(M=1, N=1, K=1)
-        assert min_gamma_sq_approx(p, 1.0) == pytest.approx(8 / math.pi**3, rel=1e-14)
+        assert min_gamma_sq_approx(p) == pytest.approx(8 / math.pi**3, rel=1e-14)
 
     def test_linear_in_antennas_quadratic_in_elements(self):
-        base = min_gamma_sq_approx(params(M=2, N=8, K=3), 0.5)
-        assert min_gamma_sq_approx(params(M=4, N=8, K=3), 0.5) == pytest.approx(2 * base, rel=1e-14)
-        assert min_gamma_sq_approx(params(M=2, N=16, K=3), 0.5) == pytest.approx(4 * base, rel=1e-14)
+        base = min_gamma_sq_approx(params(M=2, N=8, K=3, rho_min=0.5))
+        assert min_gamma_sq_approx(params(M=4, N=8, K=3, rho_min=0.5)) == pytest.approx(
+            2 * base, rel=1e-14
+        )
+        assert min_gamma_sq_approx(params(M=2, N=16, K=3, rho_min=0.5)) == pytest.approx(
+            4 * base, rel=1e-14
+        )
 
 
 def _vote_for_geometry(geometry, N, L):

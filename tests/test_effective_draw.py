@@ -24,7 +24,6 @@ from irs_aircomp.channel import (
     ChannelRealization,
     SystemConfig,
     effective_scalar_channel,
-    line_of_sight,
     make_geometry,
     sample_channels,
 )
@@ -52,7 +51,6 @@ class Side:
     def __init__(self, largest, geometry, sizes):
         self.largest, self.geometry, self.sizes = largest, geometry, sizes
         self.state = compute_long_term(geometry, self.largest)
-        self.los = line_of_sight(geometry, self.largest)
 
     def draws(self, trials, seed, first=0):
         """(h_direct, w) of the engine's trials first..first+trials-1 of ``seed``: run_sweep's."""
@@ -76,7 +74,7 @@ class Side:
         out, direct = {VOTED: [], ZERO: []}, []
         for start in range(0, trials, CHUNK):
             count = min(CHUNK, trials - start)
-            blocks = [sample_channels(self.geometry, self.largest, gen, self.los) for _ in range(count)]
+            blocks = [sample_channels(self.geometry, self.largest, gen) for _ in range(count)]
             h_direct = np.concatenate([b.h_direct for b in blocks])
             h_reflect = np.concatenate([b.h_reflect for b in blocks])
             stacked = ChannelRealization(
@@ -243,7 +241,7 @@ def test_pure_los_gammas_are_the_vector_channels_bit_for_bit():
     side = Side(system, make_geometry(system, RngStream(SEED, 0)), SIZES)
     engine = side.engine(5, SEED)
     for t in range(5):
-        block = sample_channels(side.geometry, system, RngStream(SEED, 3 + 2 * t), side.los)
+        block = sample_channels(side.geometry, system, RngStream(SEED, 3 + 2 * t))
         for kind, theta in ((VOTED, side.state.theta_voted), (ZERO, side.state.theta_fixed)):
             for p, N in enumerate(SIZES):
                 sized = ChannelRealization(block.h_direct, block.h_reflect[:, :N], side.geometry)
