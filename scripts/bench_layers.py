@@ -24,7 +24,9 @@ device count) with N in {512, 2048, 8192} and ``array_response`` with
 n in {10, 8192} (a receive array and the largest surface).  The phase
 kernel runs at the same K = 21: ``phase_index_rows`` at L = 2 for those
 N and at L in {4, 16, 64} for N = 512, and ``vote_indices`` on the
-kernel's own rows at N = 8192, in the dtype the engine votes on.  Other
+kernel's own rows at N = 8192, in the dtype the engine votes on, and
+``compute_long_term`` at K = 21, N = 8192, the scaling recipe's
+per-trial long-term call.  Other
 channel-side layers run at the default scenario (K = 20, M = 10, L = 2)
 with N in {64, 512, 4096}; power control runs at K in {20, 1000}.  Two
 layers time the whole engine through the public API: ``run_sweep`` over
@@ -164,6 +166,10 @@ def layers(pkg, long: bool):
     # the kernel's own output, in the dtype the engine votes on
     rows = protocol._phase_rows(geometry.phi_t, geometry.nu, N, 2, 0.5)
     yield f"protocol.vote_indices[K=21,N={N},kernel rows]", lambda: protocol.vote_indices(rows, 2)
+    # the scaling recipe's per-trial long-term call
+    yield f"experiments.compute_long_term[K=21,N={N}]", (
+        lambda: experiments.compute_long_term(geometry, system)
+    )
     geometry = channel.make_geometry(channel.SystemConfig(K=21, N=512), RngStream(1, 0))
     for L in LEVEL_VALUES:
         yield f"protocol.phase_index_rows[K=21,L={L},N=512]", (

@@ -8,6 +8,7 @@ line-of-sight, never materialized as a matrix).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -109,8 +110,6 @@ def _all_finite(value) -> bool:
 class Geometry:
     """Static node placement, angles, and large-scale path losses."""
 
-    ap_position: np.ndarray
-    irs_position: np.ndarray
     device_positions: np.ndarray  # (K, 3)
     phi_r: float                  # IRS -> AP angle of arrival
     phi_t: float                  # IRS -> AP angle of departure
@@ -134,6 +133,14 @@ class ChannelRealization:
     geometry: Geometry = field(repr=False)
 
 
+def _caller_level() -> int:
+    """The ``stacklevel`` of its caller's warning at the first frame outside the package."""
+    frame, level = sys._getframe(1), 1
+    while frame.f_back and frame.f_globals.get("__name__", "").partition(".")[0] == __package__:
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def pathloss(distance: float, exponent: float, ref_loss_linear: float) -> float:
     """Large-scale power attenuation ref_loss_linear * distance**(-exponent).
 
@@ -155,7 +162,9 @@ def _pathlosses(distances: np.ndarray, exponent: float, ref_loss_linear: float) 
     move every path loss, and every sweep result, in the last bits.
     """
     for distance in distances[distances < 1.0].tolist():
-        warnings.warn(f"distance {distance} m inside 1 m reference, clamping", stacklevel=3)
+        warnings.warn(
+            f"distance {distance} m inside 1 m reference, clamping", stacklevel=_caller_level()
+        )
     clamped = np.maximum(distances, 1.0).ravel().tolist()
     return np.array([ref_loss_linear * d ** -exponent for d in clamped]).reshape(distances.shape)
 
@@ -233,8 +242,6 @@ def _make_geometries(config: SystemConfig, streams, generator=as_generator) -> l
     rho_r = _pathlosses(dist_irs, exp_r, ref)
     return [
         Geometry(
-            ap_position=ap,
-            irs_position=irs,
             device_positions=positions[b],
             phi_r=phi_r[b],
             phi_t=phi_t[b],
@@ -246,6 +253,13 @@ def _make_geometries(config: SystemConfig, streams, generator=as_generator) -> l
         )
         for b in range(B)
     ]
+
+
+def _require_devices(geometry: Geometry, config: SystemConfig) -> None:
+    """Refuse a geometry whose per-device arrays do not hold ``config.K`` devices."""
+    for name in ("nu", "rho_d", "rho_r"):
+        if (shape := np.shape(getattr(geometry, name))) != (config.K,):
+            raise ValueError(f"geometry.{name} has shape {shape}, not config.K = {config.K}")
 
 
 def line_of_sight(geometry: Geometry, config: SystemConfig) -> np.ndarray:
@@ -299,7 +313,8 @@ def sample_channels(
     configured Rician ratio; with ``pure_los`` the scattered part is
     dropped exactly and no scattered draw is made.  The line-of-sight
     part ``los`` is :func:`line_of_sight` of this geometry and config;
-    it does not touch the stream.
+    it does not touch the stream.  A geometry of another device count
+    than ``config.K`` raises ``ValueError`` before any draw.
 
     Draw order: the direct links first, a (K, M) real plane then a
     (K, M) imaginary plane; then the scattered part element-major, each
@@ -321,6 +336,7 @@ def sample_channels(
     bound beyond.  The direct links keep the complex product, whose
     signed zeros a blocked link (rho_d = 0) shows.
     """
+    _require_devices(geometry, config)
     gen = as_generator(stream)
     K, N = config.K, config.N
     los = line_of_sight(geometry, config)
@@ -387,17 +403,6 @@ def _effective_draws(
     return h_direct, parts.view(complex).reshape(-1, segments, 2, K)
 
 
-def _require_beamformer(v, M: int) -> np.ndarray:
-    """``v`` as an array, checked to be a unit-norm (M,) receive beamformer."""
-    v = np.asarray(v)
-    if v.shape != (M,):
-        raise ValueError(f"v must have shape ({M},), got {v.shape}")
-    norm = np.linalg.norm(v)
-    if not abs(norm - 1.0) <= 1e-9:
-        raise ValueError(f"v must be unit norm, got ||v|| = {norm}")
-    return v
-
-
 def effective_scalar_channel(realization: ChannelRealization, v: np.ndarray, theta) -> np.ndarray:
     """Per-device scalar channel seen after receive combining and reflection.
 
@@ -409,7 +414,12 @@ def effective_scalar_channel(realization: ChannelRealization, v: np.ndarray, the
     geo = realization.geometry
     M = realization.h_direct.shape[1]
     N = realization.h_reflect.shape[1]
-    v = _require_beamformer(v, M)
+    v = np.asarray(v)
+    if v.shape != (M,):
+        raise ValueError(f"v must have shape ({M},), got {v.shape}")
+    norm = np.linalg.norm(v)
+    if not abs(norm - 1.0) <= 1e-9:
+        raise ValueError(f"v must be unit norm, got ||v|| = {norm}")
     if theta.num_elements != N:
         raise ValueError(f"phase-shift vector has {theta.num_elements} elements, expected {N}")
 

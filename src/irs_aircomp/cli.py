@@ -76,7 +76,7 @@ def _cmd_bounds(args) -> int:
     if system.L != 2:
         # the closed forms assume binary phases; a sweep leaves its bound columns empty
         raise ConfigError(f"bounds assume binary phases (l = 2), got l = {system.L}")
-    reference = make_geometry(system, RngStream(config.seed, 0))
+    bound_params = _bound_params(config, make_geometry(system, RngStream(config.seed, 0)))
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -90,7 +90,7 @@ def _cmd_bounds(args) -> int:
                     "mse_lower_bound",
                 ]
             )
-            for params in _bound_params(config, reference):
+            for params in bound_params:
                 gamma1_sq = min_gamma_sq_approx(params)
                 writer.writerow(
                     [

@@ -64,7 +64,7 @@ from .channel import (
     _line_of_sight,
     _make_geometries,
     _reflections,
-    _require_beamformer,
+    _require_devices,
     make_geometry,
 )
 from .numerics import RngStream, _is_integer, _require_spacing, _responses, _rewinder
@@ -161,16 +161,16 @@ class LongTermState:
     """The paper's long-term variables of one geometry, and nothing cached.
 
     ``v`` is the AP receive beamformer, fixed from the static angle
-    information, and ``theta_voted`` and ``theta_fixed`` the voted and
-    the all-zero IRS phase configurations, fixed from statistical CSI.
-    :func:`compute_long_term` builds it; the engine passes the same
-    values as arrays, one row per geometry, at the largest N of the
-    sweep, and each N slices its first N elements where they are used.
+    information, and ``theta_voted`` the voted IRS phase configuration,
+    fixed from statistical CSI.  The fixed-phase baseline is no
+    long-term variable: it is ``PhaseShiftVector.zero(N, L)`` at any
+    geometry.  :func:`compute_long_term` builds it; the engine passes
+    the same values as arrays, one row per geometry, at the largest N of
+    the sweep, and each N slices its first N elements where they are used.
     """
 
     v: np.ndarray
     theta_voted: PhaseShiftVector
-    theta_fixed: PhaseShiftVector
 
 
 @dataclass(frozen=True)
@@ -206,21 +206,19 @@ class SweepResult:
 
 
 def compute_long_term(geometry: Geometry, config: SystemConfig) -> LongTermState:
-    """Static beamformer plus voted and all-zero phase configurations.
+    """Static beamformer plus voted phase configuration.
 
     The voted phases come from one array computation: every device's
     preferred level indices as a (K, N) matrix
     (:func:`~irs_aircomp.protocol.phase_index_rows`), fused by one
     per-element count (:func:`~irs_aircomp.protocol.vote_indices`).
     The one-geometry case of :func:`_long_term`, and the one place that
-    wraps its arrays in phase-shift vectors.
+    wraps its arrays in a phase-shift vector.  A geometry of another
+    device count than ``config.K`` raises ``ValueError``.
     """
+    _require_devices(geometry, config)
     _, v, votes = _long_term(config, [geometry])
-    return LongTermState(
-        v=v[0],
-        theta_voted=PhaseShiftVector(votes[0], config.L),
-        theta_fixed=PhaseShiftVector.zero(config.N, config.L),
-    )
+    return LongTermState(v=v[0], theta_voted=PhaseShiftVector(votes[0], config.L))
 
 
 def _long_term(config: SystemConfig, geometries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -420,34 +418,22 @@ def run_trial(
     geometry: Geometry,
     scheme: Scheme,
     stream: RngStream | np.random.Generator,
-    long_term: LongTermState | None = None,
 ) -> tuple[float, int]:
     """One coherence block under one scheme: (mse, critical_number).
 
-    The same evaluation as one scheme of one trial of a :func:`run_sweep`
-    whose only element count is ``config.N``: one draw from ``stream``,
-    with one segment of N elements.  ``long_term`` defaults to
-    :func:`compute_long_term` of the geometry, and is checked against
-    ``config`` before any draw: a unit-norm ``v`` of M entries, and
-    phase vectors of N elements at L levels.  A draw with some
+    The engine at one geometry, one N and one trial: one scheme of one
+    trial of a :func:`run_sweep` whose only element count is
+    ``config.N``, the per-geometry stage (:func:`_stage`) on
+    ``geometry`` and one draw from ``stream`` with one segment of N
+    elements.  A geometry of another device count than ``config.K``
+    raises ``ValueError`` before any draw, and a draw with some
     |gamma_k|^2 = 0 raises
     :class:`~irs_aircomp.protocol.DegenerateChannelError`.
     """
     scheme = Scheme(scheme)
     _reject_blocked(config, [scheme])
-    if long_term is None:
-        long_term = compute_long_term(geometry, config)
-    v = _require_beamformer(long_term.v, config.M)
-    thetas = long_term.theta_voted, long_term.theta_fixed
-    for name, theta in zip(("theta_voted", "theta_fixed"), thetas):
-        if theta.num_elements != config.N or theta.levels != config.L:
-            raise ValueError(
-                f"{name} has {theta.num_elements} elements at {theta.levels} levels, "
-                f"expected {config.N} at {config.L}"
-            )
-    a_m = _responses(config.M, [geometry.phi_r], geometry.spacing_ratio)
-    levels = np.stack([theta.indices for theta in thetas])
-    terms = _kind_terms(config, [geometry], (config.N,), a_m, v[None], levels[None])
+    _require_devices(geometry, config)
+    terms = _stage(config, [geometry], (config.N,))
     h_direct, w = _effective_draws(geometry.rho_d, config, 1, [stream])
     gammas = _stacked_gammas(terms, h_direct, w, [scheme])
     _, _, kt, mse = power_control_rows(
@@ -461,10 +447,13 @@ def _bound_params(config: ExperimentConfig, reference: Geometry) -> list[Asympto
 
     ``rho_min`` is the IRS-AP path loss times the weakest device-IRS
     path loss of ``reference``, the geometry of stream 0; with
-    the geometry redrawn per trial it describes that geometry only.
+    the geometry redrawn per trial it describes that geometry only.  A
+    product that underflows to 0 raises :class:`ConfigError`.
     """
     system = config.system
     rho_min = reference.rho_1 * float(np.min(reference.rho_r))
+    if rho_min == 0.0:
+        raise ConfigError(f"rho_min = rho_1 min(rho_r) underflows to 0 (rho_1 = {reference.rho_1})")
     return [
         AsymptoticParams(
             M=system.M,
@@ -506,6 +495,8 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     naming the scheme, the N ("every N" for the direct-link schemes) and
     the first such trial, the first (scheme, N) in the caller's order of
     schemes that fails; it is checked per kind before any power control.
+    At L = 2 the bound inputs (:func:`_bound_params`) are made before any
+    trial, so a rho_min that underflows to 0 raises ``ConfigError`` first.
     """
     schemes = [Scheme(s) for s in schemes]
     if not schemes:
@@ -520,6 +511,7 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     redraw = config.redraw_geometry_per_trial
     rewind = _rewinder(config.seed)
     reference = make_geometry(system, rewind(0))
+    params = _bound_params(config, reference) if system.L == 2 else []
     rho_d = reference.rho_d
     if not redraw:
         terms = _stage(largest, [reference], config.n_sweep)
@@ -557,12 +549,7 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
                 mses[i, :, start:stop], ktildes[i, :, start:stop] = mse[first:last], kt[first:last]
                 first = last
 
-    bounds = [(None, None)] * P
-    if system.L == 2:
-        bounds = [
-            (mse_upper_bound(params), n_threshold(params))
-            for params in _bound_params(config, reference)
-        ]
+    bounds = [(mse_upper_bound(p), n_threshold(p)) for p in params] or [(None, None)] * P
     stderrs = _stderrs(mses)
     ktilde_sums = ktildes.sum(axis=2).tolist()
     result = SweepResult(rows=[])  # rows and per-trial values in (scheme, N) order

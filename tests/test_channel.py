@@ -14,10 +14,12 @@ from irs_aircomp.channel import (
     pathloss,
     sample_channels,
 )
+from irs_aircomp.experiments import ExperimentConfig, Scheme, run_sweep
 from irs_aircomp.numerics import RngStream, array_response
 from irs_aircomp.protocol import PhaseShiftVector
 
 
+OPT = Scheme.OPT_PC_IRS
 BLOCK = numerics._STEERING_BLOCK  # elements per block of the steering kernel
 EPS = np.finfo(float).eps
 
@@ -62,8 +64,8 @@ def test_make_geometry_path_losses_match_per_call_pathloss():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         geo = make_geometry(config, RngStream(4, 0))
-    dist_ap = np.linalg.norm(geo.device_positions - geo.ap_position, axis=1)
-    dist_irs = np.linalg.norm(geo.device_positions - geo.irs_position, axis=1)
+    dist_ap = np.linalg.norm(geo.device_positions - config.ap_position, axis=1)
+    dist_irs = np.linalg.norm(geo.device_positions - config.irs_position, axis=1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rho_d = np.array([pathloss(d, 3.8, 1e-3) for d in dist_ap])
@@ -71,6 +73,28 @@ def test_make_geometry_path_losses_match_per_call_pathloss():
     np.testing.assert_array_equal(geo.rho_d.view(np.uint64), rho_d.view(np.uint64))
     np.testing.assert_array_equal(geo.rho_r.view(np.uint64), rho_r.view(np.uint64))
     assert len(caught) == int((dist_ap < 1.0).sum()) > 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda config: pathloss(0.5, 2.0, 1e-3),
+        lambda config: make_geometry(config, RngStream(4, 0)),
+        lambda config: run_sweep(ExperimentConfig(config, (8,), trials=2, seed=4), [OPT]),
+        lambda config: run_sweep(
+            ExperimentConfig(config, (8,), trials=2, seed=4, redraw_geometry_per_trial=True), [OPT]
+        ),
+    ],
+    ids=["pathloss", "make_geometry", "run_sweep", "run_sweep-redraw"],
+)
+def test_near_field_warning_names_the_caller(call):
+    # a clamp deep inside the package points at the code that called into it
+    config = SystemConfig(K=40, device_center=(0.0, 0.0, 0.0), device_radius=1.5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call(config)
+    clamps = [w for w in caught if "inside 1 m reference" in str(w.message)]
+    assert clamps and {w.filename for w in clamps} == {__file__}
 
 
 class TestMakeGeometry:
@@ -92,7 +116,7 @@ class TestMakeGeometry:
         np.testing.assert_allclose(geo.rho_d, geo.rho_d[0])
         np.testing.assert_allclose(geo.rho_r, geo.rho_r[0])
         np.testing.assert_allclose(
-            np.linalg.norm(geo.device_positions - geo.ap_position, axis=1), 200.0
+            np.linalg.norm(geo.device_positions - cfg.ap_position, axis=1), 200.0
         )
 
     def test_angle_ranges_and_overrides(self):

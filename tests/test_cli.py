@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from irs_aircomp import experiments
 from irs_aircomp.cli import main
 
 
@@ -228,8 +229,10 @@ def test_single_prints_the_one_point_sweep_csv(scheme, bound, tmp_path, capsys):
     ],
 )
 def test_degenerate_channel_exits_two(argv, scheme, pure_los, tmp_path, capsys):
-    # rho_r underflows to 0 at this exponent, so every reflected gamma is 0
-    text = TOY + "block_direct = true\npathloss_exponent_reflected = 400\n"
+    # rho_r underflows to 0 at this exponent, so every reflected gamma is 0; four
+    # levels leave the bound columns empty, so the bound inputs' rho_min > 0
+    # check does not come first (test_underflowing_rho_min_exits_two_before_any_trial)
+    text = TOY + "l = 4\nblock_direct = true\npathloss_exponent_reflected = 400\n"
     cfg = write_config(tmp_path, text + f"pure_los = {pure_los}\n")
     out = tmp_path / "x.csv"
     tail = ["--out", str(out)] if argv[0] == "sweep" else []
@@ -241,11 +244,39 @@ def test_degenerate_channel_exits_two(argv, scheme, pure_los, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "line", ["pathloss_exponent_reflected = 200", "device_center = 1e200, 0, 0"]
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep"], ["single", "--n", "8", "--scheme", "OPT_PC_NO_IRS"], ["bounds"]],
+    ids=lambda argv: argv[0],
+)
+def test_underflowing_rho_min_exits_two_before_any_trial(
+    argv, line, tmp_path, capsys, monkeypatch
+):
+    # rho_1 min(rho_r) underflows to 0 at l = 2: the bound inputs refuse it, naming
+    # rho_min, before any trial is drawn and before any output is written
+    calls = []
+    monkeypatch.setattr(experiments, "_effective_draws", lambda *a: calls.append(1))
+    cfg = write_config(tmp_path, TOY + line + "\n")
+    out = tmp_path / "x.csv"
+    tail = [] if argv[0] == "single" else ["--out", str(out)]
+    assert main([*argv, "--config", cfg, *tail]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = r"error: rho_min = rho_1 min\(rho_r\) underflows to 0 \(rho_1 = \S+\)\n"
+    assert re.fullmatch(message, captured.err)
+    assert calls == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("pure_los", [False, True])
 def test_underflowing_gamma_exits_two(pure_los, tmp_path, capsys):
     # rho_r is about 1e-233 at this exponent: every gamma is nonzero, but its
-    # square underflows to 0, which leaves power control as undefined as a zero
-    text = TOY + "block_direct = true\npathloss_exponent_reflected = 100\n"
+    # square underflows to 0, which leaves power control as undefined as a zero;
+    # four levels, as rho_1 rho_r underflows too
+    text = TOY + "l = 4\nblock_direct = true\npathloss_exponent_reflected = 100\n"
     cfg = write_config(tmp_path, text + f"pure_los = {pure_los}\n")
     out = tmp_path / "x.csv"
     assert main(["sweep", "--config", cfg, "--schemes", "OPT_PC_IRS", "--out", str(out)]) == 2

@@ -70,6 +70,7 @@ class Side:
         ``effective_scalar_channel`` evaluates row by row.
         """
         K, N = self.largest.K, self.largest.N
+        zero = PhaseShiftVector.zero(N, self.largest.L)
         below = np.arange(N) < np.array(self.sizes)[:, None]  # (P, N)
         out, direct = {VOTED: [], ZERO: []}, []
         for start in range(0, trials, CHUNK):
@@ -82,7 +83,7 @@ class Side:
                 (h_reflect[None] * below[:, None]).reshape(-1, N),
                 self.geometry,
             )
-            for kind, theta in ((VOTED, self.state.theta_voted), (ZERO, self.state.theta_fixed)):
+            for kind, theta in ((VOTED, self.state.theta_voted), (ZERO, zero)):
                 gammas = effective_scalar_channel(stacked, self.state.v, theta)
                 out[kind].append(gammas.reshape(len(self.sizes), count, K))
             direct.append(h_direct.reshape(count, K, -1))
@@ -170,7 +171,8 @@ def test_redrawn_geometry_rows_match_full_sampler():
 
 def test_channel_power_matches_closed_form(fixed):
     system, _, side, engine, _ = fixed
-    for kind, theta in ((VOTED, side.state.theta_voted), (ZERO, side.state.theta_fixed)):
+    zero = PhaseShiftVector.zero(side.largest.N, side.largest.L)
+    for kind, theta in ((VOTED, side.state.theta_voted), (ZERO, zero)):
         for p, N in enumerate(SIZES):
             sized = PhaseShiftVector(theta.indices[:N], theta.levels)
             want = expected_channel_power_gain(side.geometry, replace(system, N=N), sized)
@@ -242,7 +244,8 @@ def test_pure_los_gammas_are_the_vector_channels_bit_for_bit():
     engine = side.engine(5, SEED)
     for t in range(5):
         block = sample_channels(side.geometry, system, RngStream(SEED, 3 + 2 * t))
-        for kind, theta in ((VOTED, side.state.theta_voted), (ZERO, side.state.theta_fixed)):
+        zero = PhaseShiftVector.zero(side.largest.N, side.largest.L)
+        for kind, theta in ((VOTED, side.state.theta_voted), (ZERO, zero)):
             for p, N in enumerate(SIZES):
                 sized = ChannelRealization(block.h_direct, block.h_reflect[:, :N], side.geometry)
                 want = effective_scalar_channel(

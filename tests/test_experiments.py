@@ -55,7 +55,7 @@ class TestRunTrial:
         geo = make_geometry(cfg, RngStream(50, 0))
         lt = compute_long_term(geo, cfg)
         stream = RngStream(50, 1)
-        mse, kt = run_trial(cfg, geo, Scheme.INV_PC_IRS, stream, lt)
+        mse, kt = run_trial(cfg, geo, Scheme.INV_PC_IRS, stream)
         h_direct, w = channel._effective_draws(geo.rho_d, cfg, 1, [stream])
         gain, row = reflection(geo, lt.v, lt.theta_voted)
         a = np.sqrt(geo.rho_r / (cfg.rician_delta + 1.0))
@@ -67,11 +67,10 @@ class TestRunTrial:
     def test_optimal_never_worse_than_inversion_on_shared_stream(self):
         cfg = SystemConfig(M=4, N=32, K=5)
         geo = make_geometry(cfg, RngStream(51, 0))
-        lt = compute_long_term(geo, cfg)
         for t in range(10):
             stream = RngStream(51, t + 1)
-            mse_opt, _ = run_trial(cfg, geo, Scheme.OPT_PC_IRS, stream, lt)
-            mse_inv, _ = run_trial(cfg, geo, Scheme.INV_PC_IRS, stream, lt)
+            mse_opt, _ = run_trial(cfg, geo, Scheme.OPT_PC_IRS, stream)
+            mse_inv, _ = run_trial(cfg, geo, Scheme.INV_PC_IRS, stream)
             assert mse_opt <= mse_inv + 1e-12
 
     def test_pure_los_single_device_closed_form(self):
@@ -111,49 +110,34 @@ class TestRunTrial:
     def test_no_irs_schemes_ignore_reflection(self):
         cfg = SystemConfig(M=4, N=16, K=3)
         geo = make_geometry(cfg, RngStream(53, 0))
-        lt = compute_long_term(geo, cfg)
-        a, _ = run_trial(cfg, geo, Scheme.OPT_PC_NO_IRS, RngStream(53, 1), lt)
+        a, _ = run_trial(cfg, geo, Scheme.OPT_PC_NO_IRS, RngStream(53, 1))
         big_irs = SystemConfig(M=4, N=64, K=3)
         geo2 = make_geometry(big_irs, RngStream(53, 0))
-        lt2 = compute_long_term(geo2, big_irs)
-        b, _ = run_trial(big_irs, geo2, Scheme.OPT_PC_NO_IRS, RngStream(53, 1), lt2)
+        b, _ = run_trial(big_irs, geo2, Scheme.OPT_PC_NO_IRS, RngStream(53, 1))
         assert a == b  # direct draws identical, N plays no role without the IRS
 
-    MISFITS = {
-        "state-at-N=8": (
-            lambda lt, geo, cfg: compute_long_term(geo, replace(cfg, N=8)),
-            "theta_voted has 8 elements at 2 levels, expected 16 at 2",
-        ),
-        "state-at-M=3": (
-            lambda lt, geo, cfg: compute_long_term(geo, replace(cfg, M=3)),
-            r"v must have shape \(4,\), got \(3,\)",
-        ),
-        "v-norm-2": (lambda lt, *_: replace(lt, v=2.0 * lt.v), "v must be unit norm"),
-        "v-nan": (lambda lt, *_: replace(lt, v=np.full(4, np.nan)), "v must be unit norm"),
-        "voted-at-4-levels": (
-            lambda lt, *_: replace(lt, theta_voted=PhaseShiftVector(lt.theta_voted.indices, 4)),
-            "theta_voted has 16 elements at 4 levels, expected 16 at 2",
-        ),
-        "fixed-at-N=8": (
-            lambda lt, *_: replace(lt, theta_fixed=PhaseShiftVector.zero(8, 2)),
-            "theta_fixed has 8 elements",
-        ),
-    }
 
-    @pytest.mark.parametrize("misfit", sorted(MISFITS))
-    @pytest.mark.parametrize("scheme", [Scheme.OPT_PC_IRS, Scheme.INV_PC_NO_IRS])
-    def test_mismatched_long_term_rejected_before_any_draw(self, scheme, misfit):
-        # a state built for another system names its field, whatever the scheme,
-        # and leaves the caller's generator where it was
-        cfg = SystemConfig(M=4, N=16, K=3)
-        geo = make_geometry(cfg, RngStream(56, 0))
-        build, message = self.MISFITS[misfit]
-        long_term = build(compute_long_term(geo, cfg), geo, cfg)
-        gen = RngStream(56, 1).generator()
-        with pytest.raises(ValueError, match=message):
-            run_trial(cfg, geo, scheme, gen, long_term)
-        fresh = RngStream(56, 1).generator()
-        assert np.array_equal(gen.bit_generator.random_raw(2), fresh.bit_generator.random_raw(2))
+@pytest.mark.parametrize("pure_los", [False, True])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cfg, geo, gen: sample_channels(geo, cfg, gen),
+        lambda cfg, geo, gen: compute_long_term(geo, cfg),
+        lambda cfg, geo, gen: run_trial(cfg, geo, Scheme.OPT_PC_IRS, gen),
+        lambda cfg, geo, gen: run_trial(cfg, geo, Scheme.INV_PC_NO_IRS, gen),
+    ],
+    ids=["sample_channels", "compute_long_term", "run_trial", "run_trial-direct"],
+)
+def test_geometry_of_another_device_count_rejected(call, pure_los):
+    # a K = 1 geometry under a K = 5 config is refused, naming K, and leaves
+    # the caller's generator where it was
+    cfg = SystemConfig(M=4, N=16, K=5, pure_los=pure_los)
+    geo = make_geometry(replace(cfg, K=1), RngStream(57, 0))
+    gen = RngStream(57, 1).generator()
+    with pytest.raises(ValueError, match=r"shape \(1,\), not config\.K = 5$"):
+        call(cfg, geo, gen)
+    fresh = RngStream(57, 1).generator()
+    assert np.array_equal(gen.bit_generator.random_raw(2), fresh.bit_generator.random_raw(2))
 
 
 def bits(a):
@@ -173,7 +157,7 @@ class TestPrefixes:
         for seed in range(12):
             geo = make_geometry(system, RngStream(seed, 0))
             state, whole = compute_long_term(geo, largest), line_of_sight(geo, largest)
-            thetas = state.theta_voted, state.theta_fixed
+            thetas = state.theta_voted, PhaseShiftVector.zero(largest.N, levels)
             gain, rows = zip(*(reflection(geo, state.v, theta) for theta in thetas))
             for N in sweep:
                 los = whole[:, :N]  # the engine's blocks at N under pure_los
@@ -183,7 +167,7 @@ class TestPrefixes:
                 assert np.array_equal(bits(state.v), bits(want.v))
                 assert np.array_equal(state.theta_voted.indices[:N], want.theta_voted.indices)
                 assert np.array_equal(bits(los), bits(want_los))
-                wanted = want.theta_voted, want.theta_fixed
+                wanted = want.theta_voted, PhaseShiftVector.zero(N, levels)
                 want_gain, want_rows = zip(*(reflection(geo, want.v, theta) for theta in wanted))
                 assert np.array_equal(bits(np.array(gain)), bits(np.array(want_gain)))
                 for row, want_row in zip(rows, want_rows, strict=True):  # voted, then zero
@@ -194,7 +178,7 @@ class TestPrefixes:
     @pytest.mark.parametrize("redraw", [False, True])
     def test_sweep_builds_no_phase_vectors(self, redraw, monkeypatch):
         # the engine passes level indices as arrays; only the public
-        # compute_long_term wraps them, in its voted and zero phases
+        # compute_long_term wraps them, in its voted phases
         checked = []
         validate = PhaseShiftVector.__post_init__
 
@@ -207,7 +191,7 @@ class TestPrefixes:
         run_sweep(cfg, list(Scheme))
         assert checked == []
         compute_long_term(make_geometry(cfg.system, RngStream(1, 0)), cfg.system)
-        assert len(checked) == 2
+        assert len(checked) == 1
 
 
 class TestStackedStage:
@@ -229,7 +213,7 @@ class TestStackedStage:
                 got, one = (np.asarray(getattr(g, f.name), float) for g in (geometry, want))
                 assert np.array_equal(bits(got), bits(one)), f.name
             state = compute_long_term(geometry, largest)
-            thetas = state.theta_voted, state.theta_fixed
+            thetas = state.theta_voted, PhaseShiftVector.zero(N, system.L)
             a_m = array_response(system.M, geometry.phi_r, geometry.spacing_ratio)
             levels = np.stack([theta.indices for theta in thetas])
             terms = experiments._kind_terms(
