@@ -21,7 +21,11 @@ the rewound Philox, into one buffer), the dominant-direct combiner on
 a block of 64 trials, single-row and 64-row power control, and the
 steering kernel: ``line_of_sight`` at K = 21 (the scaling recipe's
 device count) with N in {512, 2048, 8192} and ``array_response`` with
-n in {10, 8192} (a receive array and the largest surface).  The phase
+n in {10, 8192} (a receive array and the largest surface).  The
+scaling recipe's per-trial pure line-of-sight layers run at the same K
+and N: ``sample_channels`` from a fresh stream, as the recipe draws
+each trial, ``effective_scalar_channel`` at N = 8192 and the projection
+kernel ``numerics._project`` that it runs, on one row.  The phase
 kernel runs at the same K = 21: ``phase_index_rows`` at L = 2 for those
 N and at L in {4, 16, 64} for N = 512, and ``vote_indices`` on the
 kernel's own rows at N = 8192, in the dtype the engine votes on, and
@@ -83,6 +87,10 @@ LOS_N_VALUES = (512, 2048, 8192)
 LEVEL_VALUES = (4, 16, 64)
 K_VALUES = (20, 1000)
 REDRAW_N_SWEEP = (32, 64, 128, 256, 512)
+# the pure line-of-sight scaling recipe's system, but for N
+SCALING = dict(M=10, K=21, Pmax=1.0, sigma2=1.0, pure_los=True, block_direct=True,
+               ref_loss_linear=1.0, pathloss_exponent_reflected=0.0,
+               pathloss_exponent_direct=0.0, device_radius=0.0)
 TARGET_S = 0.02
 
 
@@ -163,6 +171,22 @@ def layers(pkg, long: bool):
         yield f"protocol.phase_index_rows[K=21,N={N}]", (
             lambda: protocol.phase_index_rows(geometry.phi_t, geometry.nu, N, 2)
         )
+        # the scaling recipe's per-trial block, from its own stream
+        scaling = channel.SystemConfig(N=N, **SCALING)
+        yield f"channel.sample_channels[K=21,N={N},pure_los]", (
+            lambda: channel.sample_channels(geometry, scaling, RngStream(1, 3))
+        )
+    state = experiments.compute_long_term(geometry, scaling)
+    block = channel.sample_channels(geometry, scaling, RngStream(1, 3))
+    yield f"channel.effective_scalar_channel[K=21,N={N},pure_los]", (
+        lambda: channel.effective_scalar_channel(block, state.v, state.theta_voted)
+    )
+    # the projection kernel on the block's line of sight and one row of N elements
+    project = getattr(pkg.numerics, "_project", None)
+    row = np.exp(2j * np.pi * np.random.default_rng(3).random((1, N)))
+    yield f"numerics._project[K=21,N={N},J=1]", (
+        None if project is None else lambda: project(block.los, row, (N,))
+    )
     # the kernel's own output, in the dtype the engine votes on
     rows = protocol._phase_rows(geometry.phi_t, geometry.nu, N, 2, 0.5)
     yield f"protocol.vote_indices[K=21,N={N},kernel rows]", lambda: protocol.vote_indices(rows, 2)

@@ -2,7 +2,12 @@
 
 Three link types: device-AP direct (Rayleigh), device-IRS (Rician with
 line-of-sight steering component), IRS-AP (deterministic rank-1
-line-of-sight, never materialized as a matrix).
+line-of-sight, never materialized as a matrix).  A block stores what it
+drew and the device-IRS line of sight as its steering factors, K(N/B +
+B) values for K devices and N elements: every reader needs only the
+line of sight's sums against one row of N elements, which the projection
+kernel forms from the factors, so no (K, N) line-of-sight array is built
+unless ``h_reflect`` or :func:`line_of_sight` is read.
 """
 
 from __future__ import annotations
@@ -14,7 +19,17 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .numerics import RngStream, _is_integer, _require_spacing, _responses, _steering, as_generator
+from .numerics import (
+    RngStream,
+    _expand,
+    _Factors,
+    _is_integer,
+    _project,
+    _require_spacing,
+    _responses,
+    _steering_factors,
+    as_generator,
+)
 
 __all__ = [
     "SystemConfig",
@@ -86,8 +101,40 @@ class SystemConfig:
             raise ValueError("ref_loss_linear must be in (0, 1]")
         if self.device_radius < 0:
             raise ValueError("device_radius must be non-negative")
+        extents = {name: max(abs(c) for c in getattr(self, name)) for name in _POSITIONS}
+        extents["device_radius"] = self.device_radius
+        reach = max(  # the largest |coordinate| of the AP, the IRS or a device
+            extents["ap_position"], extents["irs_position"],
+            extents["device_center"] + self.device_radius,
+        )
+        if not reach <= _MAX_COORDINATE:
+            name = max(extents, key=extents.get)
+            raise ValueError(
+                f"{name} is too far out: every |coordinate| and |device_center| + device_radius"
+                f" must be at most 2**1020 m, got {getattr(self, name)!r}"
+            )
+        # what _make_geometries divides coordinate differences by before a norm,
+        # once per config: 1 in range, where distances are np.linalg.norm's bit for bit
+        self._distance_scale = 1.0 if reach <= _UNSCALED else 2.0 ** (math.frexp(reach)[1] - 510)
         if self.nu is not None and len(self.nu) != self.K:
             raise ValueError("nu override must provide one angle per device")
+
+
+# The positions, and two bounds on a node's coordinates.  A distance is
+# the norm of a coordinate difference, which squares each part: parts up
+# to 2 * 2**510 keep a sum of three squares finite, and past that the
+# differences are scaled by a power of two first.  Coordinates up to
+# 2**1020 keep every difference, and so every distance, a finite float.
+_POSITIONS = ("ap_position", "irs_position", "device_center")
+_UNSCALED, _MAX_COORDINATE = 2.0**510, 2.0**1020
+
+
+def _norms(vectors: np.ndarray, scale: float, axis=None):
+    """``np.linalg.norm`` of ``vectors``, or, at a ``scale`` other than 1 (a power of
+    two), scale times that of vectors / scale, whose squares stay finite."""
+    if scale == 1.0:
+        return np.linalg.norm(vectors, axis=axis)
+    return scale * np.linalg.norm(vectors / scale, axis=axis)
 
 
 def _all_finite(value) -> bool:
@@ -122,15 +169,28 @@ class Geometry:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One coherence block: direct vectors (K, M) and device-IRS vectors (K, N).
+    """One coherence block: what it drew, and the factors of its line of sight.
 
-    The IRS-AP link is rank-1 deterministic and lives in the geometry
-    (rho_1, phi_r, phi_t); it is expanded on the fly, never stored.
+    ``h_direct`` (K, M) holds the direct links and ``scattered`` (K, N)
+    the device-IRS links' scattered part, amplitude included, or None
+    under ``pure_los``.  The device-IRS line of sight depends only on the
+    geometry and N and is kept as its steering factors ``los``
+    (:func:`line_of_sight` before the K*N products); the IRS-AP link is
+    rank-1 deterministic and lives in the geometry (rho_1, phi_r, phi_t).
+    Both are expanded on the fly, never stored: ``h_reflect`` builds the
+    (K, N) device-IRS vectors on each read.
     """
 
     h_direct: np.ndarray
-    h_reflect: np.ndarray
+    scattered: np.ndarray | None
     geometry: Geometry = field(repr=False)
+    los: _Factors = field(repr=False)
+
+    @property
+    def h_reflect(self) -> np.ndarray:
+        """The (K, N) device-IRS vectors: the line of sight plus the scattered part, if any."""
+        los = _expand(self.los)
+        return los if self.scattered is None else self.scattered + los
 
 
 def _caller_level() -> int:
@@ -235,9 +295,10 @@ def _make_geometries(config: SystemConfig, streams, generator=as_generator) -> l
     exp_r = config.pathloss_exponent_reflected
     exp_d = config.pathloss_exponent_direct
     ref = config.ref_loss_linear
-    rho_1 = pathloss(float(np.linalg.norm(irs - ap)), exp_r, ref)
-    dist_ap = np.linalg.norm(positions - ap, axis=-1)
-    dist_irs = np.linalg.norm(positions - irs, axis=-1)
+    scale = config._distance_scale
+    rho_1 = pathloss(float(_norms(irs - ap, scale)), exp_r, ref)
+    dist_ap = _norms(positions - ap, scale, axis=-1)
+    dist_irs = _norms(positions - irs, scale, axis=-1)
     rho_d = np.zeros((B, K)) if config.block_direct else _pathlosses(dist_ap, exp_d, ref)
     rho_r = _pathlosses(dist_irs, exp_r, ref)
     return [
@@ -271,28 +332,29 @@ def line_of_sight(geometry: Geometry, config: SystemConfig) -> np.ndarray:
     N, and draws nothing.
 
     Row k is :func:`~irs_aircomp.numerics._steering` at the slope
-    (2*pi*s)*sin(nu_k) with the amplitude folded into its coarse factor.
-    The first ``_STEERING_BLOCK`` columns equal the complex chain
+    (2*pi*s)*sin(nu_k) with the amplitude folded into its coarse factor:
+    the expansion of :func:`_line_of_sight`'s factors.  The first
+    ``_STEERING_BLOCK`` columns equal the complex chain
     amplitude*exp(2j*pi*s*sin(nu_k)*m) bit for bit; later columns are
     within amplitude*eps*(|slope|*m + 8) of it, the kernel's bound.
     Element m depends on m alone, so the first n columns at N equal the
-    whole output at n.  The one-geometry case of :func:`_line_of_sight`.
+    whole output at n.
     """
-    return _line_of_sight(config, geometry.rho_r, geometry.nu, geometry.spacing_ratio)
+    return _expand(_line_of_sight(config, geometry.rho_r, geometry.nu, geometry.spacing_ratio))
 
 
-def _line_of_sight(config: SystemConfig, rho_r, nu, spacing_ratio: float) -> np.ndarray:
-    """:func:`line_of_sight` of a stack: rho_r and nu (..., K) give (..., K, N).
+def _line_of_sight(config: SystemConfig, rho_r, nu, spacing_ratio: float) -> _Factors:
+    """The steering factors of :func:`line_of_sight` of a stack: rho_r and nu (..., K).
 
-    Every step is elementwise, so each geometry's (K, N) slice equals,
-    bit for bit, the call on it alone.
+    Every step is elementwise, so each geometry's factors equal, bit for
+    bit, those of the call on it alone.
     """
     rho = rho_r
     if not config.pure_los:
         delta = config.rician_delta
         rho = rho * delta / (delta + 1.0)
     slope = (2.0 * np.pi * spacing_ratio) * np.sin(nu)
-    return _steering(slope[..., None], config.N, np.sqrt(rho)[..., None])
+    return _steering_factors(slope[..., None], config.N, np.sqrt(rho)[..., None])
 
 
 # numpy divides a complex by the real sqrt(2) (Smith's method) as a
@@ -312,9 +374,11 @@ def sample_channels(
     line-of-sight component with an i.i.d. scattered component at the
     configured Rician ratio; with ``pure_los`` the scattered part is
     dropped exactly and no scattered draw is made.  The line-of-sight
-    part ``los`` is :func:`line_of_sight` of this geometry and config;
-    it does not touch the stream.  A geometry of another device count
-    than ``config.K`` raises ``ValueError`` before any draw.
+    part is kept as the factors of :func:`line_of_sight` of this
+    geometry and config, K(N/B + B) exponentials and no (K, N) array
+    whether or not the block is pure line of sight; it does not touch
+    the stream.  A geometry of another device count than ``config.K``
+    raises ``ValueError`` before any draw.
 
     Draw order: the direct links first, a (K, M) real plane then a
     (K, M) imaginary plane; then the scattered part element-major, each
@@ -324,14 +388,15 @@ def sample_channels(
     the first n columns of a block drawn at N equal, bit for bit, the
     block drawn at n from the same generator state.  That holds for one
     block: where the stream stands after it depends on N.
-    ``h_reflect`` is a (K, N) view of the element-major buffer.
+    ``scattered`` is a (K, N) view of the element-major buffer.
 
-    The arithmetic is real and in place, equal bit for bit to
-    ``los + a*((x + 1j*y)/sqrt(2))``: the complex division scales each
-    part by ``_INV_SQRT2``, and the product with the real amplitude a
-    has cross terms that are signed zeros, which vanish in the sum with
-    the line-of-sight part (a scattered term is never zero).  ``los``
-    itself is the complex steering chain bit for bit in its first
+    The arithmetic is real and in place, and ``h_reflect`` equals, bit
+    for bit, ``los + a*((x + 1j*y)/sqrt(2))`` with ``los`` =
+    :func:`line_of_sight`: the complex division scales each part by
+    ``_INV_SQRT2``, and the product with the real amplitude a has cross
+    terms that are signed zeros, which vanish in the sum with the
+    line-of-sight part (a scattered term is never zero).  ``los`` itself
+    is the complex steering chain bit for bit in its first
     ``_STEERING_BLOCK`` columns only, and within :func:`line_of_sight`'s
     bound beyond.  The direct links keep the complex product, whose
     signed zeros a blocked link (rho_d = 0) shows.
@@ -339,11 +404,11 @@ def sample_channels(
     _require_devices(geometry, config)
     gen = as_generator(stream)
     K, N = config.K, config.N
-    los = line_of_sight(geometry, config)
+    los = _line_of_sight(config, geometry.rho_r, geometry.nu, geometry.spacing_ratio)
 
     h_direct = _direct_links(geometry.rho_d, gen.standard_normal((2, K, config.M)))
     if config.pure_los:
-        return ChannelRealization(h_direct=h_direct, h_reflect=los, geometry=geometry)
+        return ChannelRealization(h_direct, None, geometry, los)
 
     nlos_amp = np.sqrt(geometry.rho_r / (config.rician_delta + 1.0))
     scattered = np.empty((N, K), dtype=complex)
@@ -351,8 +416,7 @@ def sample_channels(
     gen.standard_normal(out=parts)
     parts *= _INV_SQRT2
     parts *= np.repeat(nlos_amp, 2)
-    scattered += los.T
-    return ChannelRealization(h_direct=h_direct, h_reflect=scattered.T, geometry=geometry)
+    return ChannelRealization(h_direct, scattered.T, geometry, los)
 
 
 def _direct_links(rho_d: np.ndarray, normals: np.ndarray) -> np.ndarray:
@@ -409,11 +473,13 @@ def effective_scalar_channel(realization: ChannelRealization, v: np.ndarray, the
     Returns, for each device k, v^H (h_direct_k + G Theta h_reflect_k)
     where G is the rank-1 IRS-AP link: with the gain and row of
     :func:`_reflections`, v^H h_direct_k + gain * (h_reflect_k . row),
-    O(M + N) per device.
+    O(M + N) per device.  The line of sight's share of h_reflect_k . row
+    is the projection kernel :func:`~irs_aircomp.numerics._project` on
+    its factors, the engine's own, and the scattered part, if any, adds
+    its matrix-vector product: no (K, N) array is formed.
     """
-    geo = realization.geometry
-    M = realization.h_direct.shape[1]
-    N = realization.h_reflect.shape[1]
+    geo, los = realization.geometry, realization.los
+    M, N = realization.h_direct.shape[1], los.n
     v = np.asarray(v)
     if v.shape != (M,):
         raise ValueError(f"v must have shape ({M},), got {v.shape}")
@@ -427,7 +493,10 @@ def effective_scalar_channel(realization: ChannelRealization, v: np.ndarray, the
     gain, rows = _reflections(
         geo.rho_1, a_m, v[None], [geo.phi_t], geo.spacing_ratio, theta.phasors[None, None]
     )
-    return realization.h_direct @ v.conj() + gain[0] * (realization.h_reflect @ rows[0, 0])
+    reflected = _project(los, rows[0], (N,))[0, 0]
+    if realization.scattered is not None:
+        reflected += realization.scattered @ rows[0, 0]
+    return realization.h_direct @ v.conj() + gain[0] * reflected
 
 
 def _reflections(rho_1, a_m, v, phi_t, spacing_ratio: float, phasors):

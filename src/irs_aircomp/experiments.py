@@ -1,12 +1,13 @@
 """Scheme registry, Monte Carlo engine, parameter sweeps, and persistence.
 
-Long-term quantities (beamformer, voted phases, line of sight) are
-computed once per geometry, at the largest N of the sweep, and every N
-takes their first N elements; channels are redrawn per trial.  This
-per-geometry stage runs on stacks of geometries (:func:`_stage`): with
-the geometry redrawn per trial, a power block's geometries go through
-it together, at most ``_STAGE_ELEMENTS`` device-elements at a time, and
-each geometry's terms are bit for bit those it has alone.
+Long-term quantities (beamformer, voted phases, the line of sight's
+sums) are computed once per geometry, at the largest N of the sweep,
+and every N takes their first N elements; channels are redrawn per
+trial.  This per-geometry stage runs on stacks of geometries
+(:func:`_stage`): with the geometry redrawn per trial, a power block's
+geometries go through it together, at most ``_STAGE_ELEMENTS``
+device-elements at a time, and each geometry's terms are bit for bit
+those it has alone.
 
 With v and Theta fixed, power control needs only the effective scalar
 channels gamma_k, so a trial draws those, exact in law, instead of the
@@ -67,7 +68,7 @@ from .channel import (
     _require_devices,
     make_geometry,
 )
-from .numerics import RngStream, _is_integer, _require_spacing, _responses, _rewinder
+from .numerics import RngStream, _is_integer, _project, _require_spacing, _responses, _rewinder
 from .protocol import (
     DegenerateChannelError,
     PhaseShiftVector,
@@ -257,11 +258,18 @@ def _direct_gammas(h_direct: np.ndarray) -> np.ndarray:
 # is this many rows of K per N and scheme kind, whatever the trial count.
 _POWER_BLOCK = 64
 
-# Most B*K*N elements of one stacked pass of the per-geometry stage, so
-# that its (B, K, N) line of sight and phase rows stay near 1 MiB each
-# at any block size: 6 default geometries (K = 20, N = 512) at once, and
-# one at a time above K*N = 2**15, as at K = 21, N = 2048 or 8192.
-_STAGE_ELEMENTS = 1 << 16
+# Most B*K*N elements of one stacked pass of the per-geometry stage.  Its
+# largest arrays are the (B, K, N) phase levels, one byte each, and the
+# (B, 2, N) complex rows, so memory stays bounded at any block size: 25
+# default geometries (K = 20, N = 512) at once, and one at a time above
+# K*N = 2**17, as at K = 21, N = 8192.  CPU time of the 2 000-trial
+# redrawn default sweep (seed 7, N 64 to 512, every scheme), medians of
+# 9 runs on 2 x86-64 cores: 0.91 s at 2**16, 0.83 s at 2**18 and 0.83 s
+# at 2**20, peak RSS 42.6, 43.2 and 47.2 MiB.  The large-N scaling run
+# (K = 21, N 8192 to 65536, 100 geometries) stacks one geometry at a
+# time from 2**16 to 2**21: 1.62 s at 2**16 against 1.35 s at 2**22 (two
+# at a time), medians of 5, but peak RSS 45 -> 64 MiB.
+_STAGE_ELEMENTS = 1 << 18
 
 _IRS_KINDS = (_VOTED, _ZERO)
 
@@ -292,17 +300,21 @@ def _kind_terms(config: SystemConfig, geometries, sizes, a_m, v, levels):
     (B, 2, N) of the voted and the fixed phase rows.  Their phasors are
     read from the L-entry table of
     :class:`~irs_aircomp.protocol.PhaseShiftVector`, bit for bit its
-    ``phasors``.  It builds the lines of sight ``los`` (B, K, N) and, in
-    one :func:`~irs_aircomp.channel._reflections` call, each geometry's
-    one gain (both kinds share it; a_M(phi_r) is the beamformer's own)
-    and its voted and zero rows.  Returns (conj(v) (B, M), gain (B,), line
-    of sight (B, 2, P, K), coefficients (B, 2, P, 2, K) or None under
-    ``pure_los``), kinds in the order of ``_IRS_KINDS``, one N or one
-    segment per P.  The line of sight at N is one matvec ``los[:, :N]
-    @ row[:N]`` per geometry and kind, the 2-D product's own sum, and
-    every other step is elementwise or a sum along a contiguous last
-    axis, so each geometry's terms equal, bit for bit, those of a stack
-    of it alone.  Segment j holds the elements
+    ``phasors``.  It builds the steering factors of the lines of sight
+    (:func:`~irs_aircomp.channel._line_of_sight`, K(N/B + B) values per
+    geometry) and, in one :func:`~irs_aircomp.channel._reflections`
+    call, each geometry's one gain (both kinds share it; a_M(phi_r) is
+    the beamformer's own) and its voted and zero rows.  Returns (conj(v)
+    (B, M), gain (B,), line of sight (B, 2, P, K), coefficients (B, 2,
+    P, 2, K) or None under ``pure_los``), kinds in the order of
+    ``_IRS_KINDS``, one N or one segment per P.  The line of sight at N
+    is the projection kernel's sum of the first N elements
+    (:func:`~irs_aircomp.numerics._project`, one call for every
+    geometry, kind and N; no (B, K, N) array is formed), bit for bit
+    the sum :func:`~irs_aircomp.channel.effective_scalar_channel` forms
+    at N, and every other step is elementwise or a sum along a
+    contiguous last axis, so each geometry's terms equal, bit for bit,
+    those of a stack of it alone.  Segment j holds the elements
     [N_{j-1}, N_j) of ``sizes``, of length L_j; c_j is the sum of its
     voted phasors and a_k = sqrt(rho_r,k / (delta + 1)) device k's
     scattered amplitude.  A block's two CN(0, 1) normals w1, w2 of device
@@ -323,9 +335,7 @@ def _kind_terms(config: SystemConfig, geometries, sizes, a_m, v, levels):
         spacing, phasors,
     )
     los = _line_of_sight(config, rho_r, np.array([g.nu for g in geometries]), spacing)
-    line = np.stack(
-        [np.matmul(los[:, None, :, :N], rows[:, :, :N, None])[..., 0] for N in sizes], axis=2
-    )
+    line = _project(los, rows, sizes)
     if config.pure_los:
         return v.conj(), gain, line, None
     edges = (0, *sizes)

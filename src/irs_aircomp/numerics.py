@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,37 +180,100 @@ def _steering(slope, n_elems: int, amplitude=None) -> np.ndarray:
     has length 1, such as a (K, 1) column or a (B, K, 1) stack, and
     ``amplitude``, if given, broadcasts against it.  With B =
     ``_STEERING_BLOCK``, element m = hB + l is the product of a coarse
-    factor amplitude*exp(i*slope*hB) and a fine factor exp(i*slope*l):
-    K(n/B + B) exponentials and K*n complex products instead of K*n
-    exponentials.  Each factor's phase is one rounded product, off by at
-    most eps/2*|slope|*hB and eps/2*|slope|*l, so element m's phase is off
-    by at most eps/2*|slope|*m, as the direct phase fl(slope*m) is, and
-    the two differ by at most eps*|slope|*m; the exponentials and the
-    products add a few eps.  The first B elements are the direct
-    exponentials (the coarse factor is amplitude + 0i there), bit for bit
-    the complex chain amplitude*exp(1j*slope*m); later ones are within
+    factor amplitude*exp(i*slope*hB) and a fine factor exp(i*slope*l)
+    (:func:`_steering_factors`): K(n/B + B) exponentials and K*n complex
+    products instead of K*n exponentials.  Each factor's phase is one
+    rounded product, off by at most eps/2*|slope|*hB and eps/2*|slope|*l,
+    so element m's phase is off by at most eps/2*|slope|*m, as the direct
+    phase fl(slope*m) is, and the two differ by at most eps*|slope|*m;
+    the exponentials and the products add a few eps.  The first B
+    elements are the direct exponentials times the coarse factor
+    amplitude + 0i (without an amplitude, 1 + 0i with the slope's sign of
+    zero, which leaves them as they are), bit for bit the complex chain
+    amplitude*exp(1j*slope*m); later ones are within
     amplitude*eps*(|slope|*m + 8) of it.  B is fixed, so element m
     depends on m alone, and the first n elements at N are the whole
     output at n.
     """
+    return _expand(_steering_factors(slope, n_elems, amplitude))
+
+
+class _Factors(typing.NamedTuple):
+    """Steering rows of n elements as factors: element hB + l is coarse[..., h] * fine[..., l].
+
+    ``coarse`` (..., ceil(n/B)) holds amplitude*exp(i*slope*hB) and
+    ``fine`` (..., min(n, B)) exp(i*slope*l), B = ``_STEERING_BLOCK``.
+    """
+
+    coarse: np.ndarray
+    fine: np.ndarray
+    n: int
+
+
+def _steering_factors(slope, n_elems: int, amplitude=None) -> _Factors:
+    """The factors of :func:`_steering`'s rows, without the K*n products.
+
+    The fine steps l < min(n, B) and the coarse steps hB < n make one
+    phase array, one cosine pass and one sine pass.  The factors of n
+    elements are prefixes of those of any larger count.
+    """
     one_block = n_elems <= _STEERING_BLOCK
-    if one_block:
+    if one_block:  # the one coarse step, 0, is the first fine step
         steps = _STEPS[:n_elems]
-    else:  # the fine steps l < B, then the coarse steps hB < n_elems
+    else:
         steps = np.concatenate((_STEPS, np.arange(0.0, n_elems, _STEERING_BLOCK)))
     phase = slope * steps
     phasors = np.empty(phase.shape, dtype=complex)
     np.cos(phase, out=phasors.real)
     np.sin(phase, out=phasors.imag)
-    if one_block:
-        if amplitude is not None:
-            np.multiply(amplitude, phasors, out=phasors)
-        return phasors
-    fine, coarse = phasors[..., :_STEERING_BLOCK], phasors[..., _STEERING_BLOCK:]
+    coarse = phasors[..., :1].copy() if one_block else phasors[..., _STEERING_BLOCK:]
     if amplitude is not None:
         np.multiply(amplitude, coarse, out=coarse)
+    return _Factors(coarse, phasors[..., :_STEERING_BLOCK], n_elems)
+
+
+def _expand(factors: _Factors) -> np.ndarray:
+    """The (..., n) steering rows of ``factors``: every coarse factor times every fine one."""
+    coarse, fine, n = factors
+    if n <= _STEERING_BLOCK:
+        return coarse * fine
     out = (coarse[..., None] * fine[..., None, :]).reshape(*fine.shape[:-1], -1)
-    return np.ascontiguousarray(out[..., :n_elems])
+    return np.ascontiguousarray(out[..., :n])
+
+
+def _project(factors: _Factors, rows: np.ndarray, sizes) -> np.ndarray:
+    """Sums over m < n of steering row k times row j, at each n of ``sizes``: (..., J, P, K).
+
+    ``factors`` hold K steering rows (..., K) and ``rows`` (..., J, >=
+    n) J rows of elements, for ascending element counts ``sizes`` up to
+    the factors' n.  The sum at n is sum_h coarse[k, h] S[h] over the
+    blocks h < n // B, plus coarse[k, n // B] times the partial last
+    block's sum over l < n % B, where S[h] = sum_l fine[k, l] row[hB + l]
+    is one (K, B) @ (B,) product per block: no (K, n) array is formed.
+    Every block's product is the same BLAS matrix-vector call whatever
+    the count of blocks, the stack or ``sizes``, the coarse weights are
+    elementwise and each n sums its own prefix of blocks along a
+    contiguous last axis, so the sum at n equals, bit for bit, a call
+    with that n alone on that geometry's factors and rows.  Against the
+    n-term sum of the expanded rows (:func:`_expand`) it differs by
+    rounding alone: that side rounds one more product per element and
+    sums in another order.
+    """
+    coarse, fine, _ = factors
+    H, width = sizes[-1] // _STEERING_BLOCK, fine.shape[-1]  # width is B wherever H > 0
+    blocks = rows[..., : H * width].reshape(*rows.shape[:-1], H, width, 1)
+    per_block = np.matmul(fine[..., None, None, :, :], blocks)[..., 0]  # (..., J, H, K)
+    weighted = np.empty(per_block.shape[:-2] + (fine.shape[-2], H), dtype=complex)
+    np.multiply(coarse[..., None, :, :H], np.swapaxes(per_block, -1, -2), out=weighted)
+    sums = []
+    for n in sizes:
+        h, tail = divmod(n, _STEERING_BLOCK)
+        total = weighted[..., :h].sum(axis=-1)
+        if tail:
+            part = np.matmul(fine[..., None, :, :tail], rows[..., h * _STEERING_BLOCK : n, None])
+            total += coarse[..., None, :, h] * part[..., 0]
+        sums.append(total)
+    return np.stack(sums, axis=-2)
 
 
 def sinc_normalized(x: float) -> float:

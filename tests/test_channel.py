@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -14,9 +16,10 @@ from irs_aircomp.channel import (
     pathloss,
     sample_channels,
 )
-from irs_aircomp.experiments import ExperimentConfig, Scheme, run_sweep
+from irs_aircomp.experiments import ExperimentConfig, Scheme, compute_long_term, run_sweep
 from irs_aircomp.numerics import RngStream, array_response
 from irs_aircomp.protocol import PhaseShiftVector
+from steering_bound import projection_bound
 
 
 OPT = Scheme.OPT_PC_IRS
@@ -162,6 +165,49 @@ class TestMakeGeometry:
 def test_system_config_rejects_non_finite(overrides):
     name = next(iter(overrides))
     with pytest.raises(ValueError, match=f"{name} must be finite"):
+        SystemConfig(**overrides)
+
+
+@pytest.mark.parametrize("center", [(1e200, 0.0, 0.0), (0.0, -2.0**600, 3e250)])
+def test_far_positions_keep_distances_finite(center):
+    # a norm squares each coordinate difference: such a distance was infinite, with
+    # a numpy overflow warning, and its path loss exactly 0
+    config = SystemConfig(
+        K=4, device_center=center, pathloss_exponent_reflected=0.01, pathloss_exponent_direct=0.01
+    )
+    with np.errstate(all="raise"):
+        geo = make_geometry(config, RngStream(30, 0))
+    for rho, node in ((geo.rho_d, config.ap_position), (geo.rho_r, config.irs_position)):
+        want = [pathloss(math.dist(p, node), 0.01, 1e-3) for p in geo.device_positions]
+        np.testing.assert_allclose(rho, want, rtol=1e-15)
+    assert geo.rho_1 == pathloss(math.dist(config.irs_position, config.ap_position), 0.01, 1e-3)
+
+
+def test_farthest_accepted_positions_keep_distances_finite():
+    edge = 2.0**1020
+    config = SystemConfig(
+        ap_position=(-edge, -edge, -edge),
+        irs_position=(edge, edge, edge),
+        device_center=(-edge / 2, edge / 2, 0.0),
+        device_radius=edge / 2,
+    )
+    with np.errstate(all="raise"):
+        geo = make_geometry(config, RngStream(30, 0))
+    assert np.all(np.isfinite(geo.device_positions)) and geo.rho_1 == 0.0  # underflows
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(device_center=(2.0**1021, 0.0, 0.0)),
+        dict(ap_position=(0.0, -1e308, 0.0)),
+        dict(irs_position=(0.0, 0.0, 1e308)),
+        dict(device_radius=2.0**1021),
+    ],
+)
+def test_system_config_rejects_positions_past_finite_distances(overrides):
+    name = next(iter(overrides))
+    with pytest.raises(ValueError, match=f"^{name} is too far out"):
         SystemConfig(**overrides)
 
 
@@ -392,6 +438,43 @@ class TestKernelsMatchComplexFormulas:
             )
 
 
+class TestProjection:
+    """The projection kernel against the expanded line of sight's n-term sums."""
+
+    @pytest.mark.parametrize("pure_los", [False, True])
+    def test_kernel_within_derived_bound(self, pure_los):
+        sizes = (1, BLOCK - 1, BLOCK, BLOCK + 1, 8191, 8192, 65536)
+        cfg = SystemConfig(K=21, N=sizes[-1], pure_los=pure_los)
+        geo = make_geometry(cfg, RngStream(32, 0))
+        theta = compute_long_term(geo, cfg).theta_voted
+        row = array_response(cfg.N, geo.phi_t).conj() * theta.phasors  # the engine's voted row
+        los = line_of_sight(geo, cfg)
+        factors = channel._line_of_sight(cfg, geo.rho_r, geo.nu, geo.spacing_ratio)
+        got = numerics._project(factors, row[None], sizes)[0]
+        for p, n in enumerate(sizes):
+            # the sum at n is the call at n alone, and within the bound of the (K, n) matvec
+            alone = channel._line_of_sight(replace(cfg, N=n), geo.rho_r, geo.nu, geo.spacing_ratio)
+            one = numerics._project(alone, row[None, :n], (n,))[0, 0]
+            np.testing.assert_array_equal(bits(got[p]), bits(one))
+            bound = projection_bound(np.abs(los[:, 0]), los_slopes(geo), row[:n])
+            assert np.all(np.abs(got[p] - los[:, :n] @ row[:n]) <= bound), n
+
+    def test_pure_los_block_forms_no_device_by_element_array(self):
+        # sample_channels and effective_scalar_channel at K = 21, N = 65536 peak
+        # below a quarter of one (K, N) complex array
+        cfg = SystemConfig(K=21, N=65536, pure_los=True)
+        geo = make_geometry(cfg, RngStream(31, 0))
+        state = compute_long_term(geo, cfg)
+        tracemalloc.start()
+        try:
+            block = sample_channels(geo, cfg, RngStream(31, 1))
+            effective_scalar_channel(block, state.v, state.theta_voted)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < cfg.K * cfg.N * 16 / 4
+
+
 class TestEffectiveScalarChannel:
     def _aligned_setup(self, M=4, N=16):
         cfg = SystemConfig(
@@ -437,8 +520,12 @@ class TestEffectiveScalarChannel:
         v = array_response(2, geo.phi_r, 0.5) / np.sqrt(2)
         theta = PhaseShiftVector.zero(8, 2)
         gam = effective_scalar_channel(real, v, theta)
+        # the scattered part and the line of sight's coarse factors, amplitude and all
         scaled = type(real)(
-            h_direct=real.h_direct, h_reflect=(2.0 - 1.0j) * real.h_reflect, geometry=geo
+            h_direct=real.h_direct,
+            scattered=(2.0 - 1.0j) * real.scattered,
+            geometry=geo,
+            los=real.los._replace(coarse=(2.0 - 1.0j) * real.los.coarse),
         )
         gam_scaled = effective_scalar_channel(scaled, v, theta)
         np.testing.assert_allclose(gam_scaled, (2.0 - 1.0j) * gam, rtol=1e-12)

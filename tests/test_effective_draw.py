@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from irs_aircomp import channel, experiments
+from irs_aircomp import channel, experiments, numerics
 from irs_aircomp.analysis import expected_channel_power_gain
 from irs_aircomp.channel import (
     ChannelRealization,
@@ -39,6 +39,7 @@ SEED = 2718
 VOTED, ZERO, DIRECT = experiments._VOTED, experiments._ZERO, experiments._DIRECT
 IRS_SCHEMES = [Scheme.OPT_PC_IRS, Scheme.INV_PC_IRS, Scheme.FIXED_PHASE_OPT_PC]
 CHUNK = 200  # reference blocks evaluated at once
+BLOCK = numerics._STEERING_BLOCK
 
 
 def reference_rng(seed):
@@ -67,7 +68,9 @@ class Side:
 
         Each chunk's blocks are stacked device-wise, once per N with the
         elements from N on zeroed, into one realization that
-        ``effective_scalar_channel`` evaluates row by row.
+        ``effective_scalar_channel`` evaluates row by row: the blocks'
+        whole device-IRS vectors ``h_reflect`` as its non-line-of-sight
+        part, beside a line of sight of zero factors.
         """
         K, N = self.largest.K, self.largest.N
         zero = PhaseShiftVector.zero(N, self.largest.L)
@@ -78,10 +81,14 @@ class Side:
             blocks = [sample_channels(self.geometry, self.largest, gen) for _ in range(count)]
             h_direct = np.concatenate([b.h_direct for b in blocks])
             h_reflect = np.concatenate([b.h_reflect for b in blocks])
+            rows = len(self.sizes) * count * K
+            coarse = np.zeros((rows, -(-N // BLOCK)), complex)
+            no_los = numerics._Factors(coarse, np.zeros((rows, min(N, BLOCK)), complex), N)
             stacked = ChannelRealization(
                 np.tile(h_direct, (len(self.sizes), 1)),
                 (h_reflect[None] * below[:, None]).reshape(-1, N),
                 self.geometry,
+                no_los,
             )
             for kind, theta in ((VOTED, self.state.theta_voted), (ZERO, zero)):
                 gammas = effective_scalar_channel(stacked, self.state.v, theta)
@@ -243,11 +250,12 @@ def test_pure_los_gammas_are_the_vector_channels_bit_for_bit():
     side = Side(system, make_geometry(system, RngStream(SEED, 0)), SIZES)
     engine = side.engine(5, SEED)
     for t in range(5):
-        block = sample_channels(side.geometry, system, RngStream(SEED, 3 + 2 * t))
         zero = PhaseShiftVector.zero(side.largest.N, side.largest.L)
         for kind, theta in ((VOTED, side.state.theta_voted), (ZERO, zero)):
             for p, N in enumerate(SIZES):
-                sized = ChannelRealization(block.h_direct, block.h_reflect[:, :N], side.geometry)
+                # the block at N: the first N elements of the block at the largest N
+                stream = RngStream(SEED, 3 + 2 * t)
+                sized = sample_channels(side.geometry, replace(system, N=N), stream)
                 want = effective_scalar_channel(
                     sized, side.state.v, PhaseShiftVector(theta.indices[:N], theta.levels)
                 )

@@ -30,6 +30,7 @@ from irs_aircomp.experiments import (
 )
 from irs_aircomp.numerics import RngStream, array_response
 from irs_aircomp.protocol import DegenerateChannelError, PhaseShiftVector, power_control_rows
+from steering_bound import projection_bound
 
 
 def small_config(**overrides):
@@ -50,7 +51,8 @@ def reflection(geometry, v, theta):
 
 class TestRunTrial:
     def test_inversion_matches_closed_form_exactly(self):
-        # one segment of 16 elements: gamma = v^H h_d + gain (los . row + a sqrt(16) w1)
+        # one segment of 16 elements: gamma = v^H h_d + gain (los . row + a sqrt(16) w1),
+        # los . row the projection kernel's sum on the line of sight's factors
         cfg = SystemConfig(M=4, N=16, K=3)
         geo = make_geometry(cfg, RngStream(50, 0))
         lt = compute_long_term(geo, cfg)
@@ -60,7 +62,9 @@ class TestRunTrial:
         gain, row = reflection(geo, lt.v, lt.theta_voted)
         a = np.sqrt(geo.rho_r / (cfg.rician_delta + 1.0))
         scattered = (4.0 * a) * w[0, 0, 0]
-        gam = h_direct[0] @ lt.v.conj() + gain * (line_of_sight(geo, cfg) @ row + scattered)
+        los = channel._line_of_sight(cfg, geo.rho_r, geo.nu, geo.spacing_ratio)
+        line = numerics._project(los, row[None], (cfg.N,))[0, 0]
+        gam = h_direct[0] @ lt.v.conj() + gain * (line + scattered)
         assert mse == cfg.sigma2 / (cfg.Pmax * float(np.min(np.abs(gam) ** 2)))
         assert kt == 1
 
@@ -219,12 +223,16 @@ class TestStackedStage:
             terms = experiments._kind_terms(
                 largest, [geometry], sizes, a_m[None], state.v[None], levels[None]
             )
-            # the gain and the line of sight at N are the formulas', the line a 2-D matvec
+            # the gain is the formula's; the line of sight at n is within the derived
+            # bound of the expanded line of sight's 2-D matvec
             los = line_of_sight(geometry, largest)
+            slope = 2.0 * np.pi * geometry.spacing_ratio * np.sin(geometry.nu)
             gain, rows = zip(*(reflection(geometry, state.v, theta) for theta in thetas))
-            line = np.array([[los[:, :n] @ row[:n] for n in sizes] for row in rows])
             assert np.array_equal(bits(terms[1]), bits(np.array(gain[:1])))
-            assert np.array_equal(bits(terms[2][0]), bits(line))
+            for line, row in zip(terms[2][0], rows, strict=True):
+                for got, n in zip(line, sizes, strict=True):
+                    bound = projection_bound(np.abs(los[:, 0]), slope, row[:n])
+                    assert np.all(np.abs(got - los[:, :n] @ row[:n]) <= bound)
             alone.append(terms)
         # the module's element budget, then stacks of 5 geometries and a partial last
         for stack in (None, 5):
@@ -305,16 +313,16 @@ class TestKeyedStreams:
     def test_three_steering_vectors_per_geometry(self, redraw, monkeypatch):
         # per stack of geometries, three steering passes: a_M(phi_r), steered once
         # for the beamformer and the gain alike, a_N(phi_t), shared by the voted
-        # and the zero reflection, and the devices' lines of sight
+        # and the zero reflection, and the devices' lines of sight, as factors
         calls = []
         for module in (numerics, channel):
-            original = module._steering
+            original = module._steering_factors
 
             def counted(slope, n_elems, amplitude=None, _original=original):
                 calls.append((np.shape(slope), n_elems))
                 return _original(slope, n_elems, amplitude)
 
-            monkeypatch.setattr(module, "_steering", counted)
+            monkeypatch.setattr(module, "_steering_factors", counted)
         cfg = small_config(n_sweep=(4, 8, 16), trials=70, redraw_geometry_per_trial=redraw)
         run_sweep(cfg, list(Scheme))
         M, N, K = cfg.system.M, cfg.n_sweep[-1], cfg.system.K

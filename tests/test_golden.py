@@ -3,7 +3,7 @@
 Every earlier engine change (trial-major draws, the batched vote, the
 real-arithmetic kernels, the prefix slicing) reproduced the files of the
 engine before it exactly.  Five changes altered the streams on purpose,
-and one the values drawn from them:
+and two the values computed from them:
 
 - the coordinate-keyed engine (channel streams keyed by (N, trial),
   redraw-mode geometry streams by the trial alone) regenerated all six
@@ -50,7 +50,19 @@ and one the values drawn from them:
   ``scaling_los``, every ``mean_mse`` moved by at most 1.95 standard
   errors of the difference; in the four fixed-geometry cases stream 0
   now draws another geometry, so their means moved by more than the
-  within-geometry standard errors (up to 29.5 of them).
+  within-geometry standard errors (up to 29.5 of them);
+- the line-of-sight projection (each gamma's line-of-sight term summed
+  from the steering factors, one (K, B) @ (B,) product per block of B =
+  64 elements weighted by the block's coarse factor, in place of a
+  matvec over the expanded (K, N) line of sight) keeps the streams and
+  moves rounding only.  It regenerated all six files.  Only
+  ``mean_mse`` and ``stderr_mse`` cells of IRS rows changed, the N = 32
+  rows too (below one block the sum is grouped as coarse factor times
+  the fine sum).  The largest relative move per file:
+  ``default_fixed`` 1.96e-14, ``default_redraw`` 3.42e-15, ``pure_los``
+  6.15e-15, ``block_direct_irs_only`` 5.32e-15, ``levels4`` 1.69e-14
+  and ``scaling_los`` 5.92e-14.  No ``mean_ktilde`` moved, and the
+  ``*_NO_IRS`` rows are byte-identical.
 
 Any change that keeps the random streams must reproduce them exactly; a
 change that alters the streams on purpose regenerates the cases it
