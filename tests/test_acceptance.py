@@ -87,8 +87,8 @@ def test_criterion_2_mse_scaling_law():
     is kept at its stated tolerances deliberately.  The closed-form
     bound replaces the weakest device's array gain by the large-system
     mean gain; at K=21 the minimum over devices sits far below that mean
-    until N is in the tens of thousands (measured here: mean/bound 9.3x
-    at N=256, 3.5x at N=512), and the 1/min statistic is heavy-tailed at
+    until N is in the tens of thousands (measured here: mean/bound 7.22x
+    at N=256, 3.21x at N=512), and the 1/min statistic is heavy-tailed at
     N=64, which steepens the fitted slope to about -4 to -5.  The
     inverse-square trend itself is visible between consecutive large-N
     points; see scripts/run_scaling_law.py for the wide-N diagnostic.

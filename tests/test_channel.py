@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from irs_aircomp import channel, numerics
-from irs_aircomp.analysis import expected_channel_power_gain
 from irs_aircomp.channel import (
     SystemConfig,
     effective_scalar_channel,
@@ -550,30 +549,3 @@ class TestEffectiveScalarChannel:
         v = array_response(4, geo.phi_r, 0.5) / 2.0
         with pytest.raises(ValueError):
             effective_scalar_channel(real, v, PhaseShiftVector.zero(5, 2))
-
-
-def test_monte_carlo_power_matches_closed_form():
-    # E |v^H h(Theta)|^2 against the closed form, random phases and angles
-    gen = np.random.default_rng(99)
-    for M, N in [(1, 8), (4, 8), (10, 64)]:
-        copies = 250
-        nu = float(gen.uniform(-np.pi / 2, np.pi / 2))
-        cfg = SystemConfig(
-            M=M,
-            N=N,
-            K=copies,
-            rician_delta=float(gen.choice([1.0, 10.0])),
-            nu=(nu,) * copies,
-            device_radius=0.0,
-        )
-        geo = make_geometry(cfg, RngStream(21, M * 100 + N))
-        theta = PhaseShiftVector(gen.integers(0, 2, N), 2)
-        v = array_response(M, geo.phi_r, 0.5) / np.sqrt(M)
-        expected = expected_channel_power_gain(geo, cfg, theta)[0]
-        total = 0.0
-        calls = 400  # 1e5 draws pooled over device copies
-        for j in range(calls):
-            real = sample_channels(geo, cfg, RngStream(22, j))
-            gam = effective_scalar_channel(real, v, theta)
-            total += float(np.mean(np.abs(gam) ** 2))
-        assert total / calls == pytest.approx(expected, rel=0.02)

@@ -30,14 +30,6 @@ def test_validate_fast_exits_zero(capsys):
     assert "all checks passed" in out
 
 
-def test_sweep_same_seed_byte_identical(tmp_path):
-    cfg = write_config(tmp_path, TOY)
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["sweep", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["sweep", "--config", cfg, "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def test_sweep_scheme_subset_and_trial_override(tmp_path):
     cfg = write_config(tmp_path, TOY)
     out = tmp_path / "c.csv"
@@ -49,39 +41,6 @@ def test_sweep_scheme_subset_and_trial_override(tmp_path):
         rows = list(csv.DictReader(fh))
     assert {r["scheme"] for r in rows} == {"OPT_PC_IRS"}
     assert all(int(r["trials"]) == 2 for r in rows)
-
-
-def test_single_matches_closed_form(capsys, tmp_path):
-    # one pure line-of-sight device: MSE = 1/(1 + SNR) with the full array gain
-    cfg = write_config(
-        tmp_path,
-        """
-        m = 4
-        k = 1
-        pure_los = true
-        block_direct = true
-        phi_t = 0.3
-        nu = 0.3
-        trials = 2
-        seed = 9
-        """,
-    )
-    assert main(["single", "--config", cfg, "--n", "16", "--scheme", "OPT_PC_IRS"]) == 0
-    out = capsys.readouterr().out.strip().splitlines()
-    assert out[0].startswith("scheme,")
-    row = out[1].split(",")
-    mse = float(row[5])
-
-    from irs_aircomp.channel import make_geometry, SystemConfig
-    from irs_aircomp.numerics import RngStream
-
-    system = SystemConfig(
-        M=4, K=1, N=16, pure_los=True, block_direct=True, phi_t=0.3, nu=(0.3,)
-    )
-    geo = make_geometry(system, RngStream(9, 0))
-    gamma_sq = geo.rho_1 * geo.rho_r[0] * 4 * 16**2
-    snr = system.Pmax * gamma_sq / system.sigma2
-    assert mse == pytest.approx(1.0 / (1.0 + snr), rel=1e-12)
 
 
 def test_bounds_writes_reference_curves(tmp_path):
@@ -163,6 +122,28 @@ def test_retired_config_keys_exit_two(tmp_path, capsys, line, message):
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
     assert capsys.readouterr().err.endswith(message)
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--out", "{missing}"], "failed writing sweep CSV to {missing}: "),
+        (["bounds", "--out", "{missing}"], "failed writing bounds CSV to {missing}: "),
+        (["single", "--n", "8", "--scheme", "OPT_PC_IRS,INV_PC_IRS"], "single takes exactly one"),
+        (["sweep", "--schemes", " , ", "--out", "{out}"], "no schemes given"),
+    ],
+    ids=["sweep-missing-dir", "bounds-missing-dir", "single-two-schemes", "sweep-no-schemes"],
+)
+def test_unwritable_output_or_bad_scheme_list_exits_two(argv, message, tmp_path, capsys):
+    # one error line and exit 2, and no output file left behind
+    paths = {"missing": str(tmp_path / "missing" / "x.csv"), "out": str(tmp_path / "x.csv")}
+    cfg = write_config(tmp_path, TOY)
+    assert main([arg.format(**paths) for arg in argv] + ["--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + message.format(**paths))
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert not (tmp_path / "missing").exists() and not (tmp_path / "x.csv").exists()
 
 
 def test_missing_config_exits_two(tmp_path):

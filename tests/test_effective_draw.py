@@ -1,11 +1,17 @@
-"""The engine's per-trial draw against the full vector-channel sampler, in law.
+"""The engine's per-trial draw against a full vector-channel sampler, in law.
 
 ``run_sweep`` draws, per trial, the direct links and two CN(0, 1)
-normals per device and segment of the sweep's element counts
-(``channel._effective_draws``), not a full (K, N) channel block.  The
-reference draws full blocks with ``sample_channels`` at the largest N,
-on streams independent of the engine's, and evaluates them with
-``effective_scalar_channel`` at each N (the elements from N on zeroed).
+normals per device and segment of the sweep's element counts, not a
+full (K, N) channel block.  The reference here draws full blocks at the
+largest N from its own generator, a chunk of trials in one
+``standard_normal`` pass, and forms everything else from the paper's
+formulas as complex chains: the long-term state (the np.mod quantizer
+and a plurality count), each geometry's line of sight
+amplitude*exp(i*2*pi*s*m*sin(nu_k)), the rows a_N(phi_t)^H Theta and the
+dominant-direct combiner.  It evaluates every kind and every N at once,
+each N as a sum of products over the segments below it, and shares no code
+with the engine's stage, draws or projection.
+
 The scenario is small (K=5, M=4, N up to 100, one N not a power of two)
 so that 10 000 trials a side stay quick.  Each mean-MSE row must agree
 within 3 standard errors of the difference; the per-device moments, of
@@ -20,16 +26,11 @@ import pytest
 
 from irs_aircomp import channel, experiments, numerics
 from irs_aircomp.analysis import expected_channel_power_gain
-from irs_aircomp.channel import (
-    ChannelRealization,
-    SystemConfig,
-    effective_scalar_channel,
-    make_geometry,
-    sample_channels,
-)
+from irs_aircomp.channel import SystemConfig, make_geometry
 from irs_aircomp.experiments import ExperimentConfig, Scheme, compute_long_term, run_sweep
 from irs_aircomp.numerics import RngStream
 from irs_aircomp.protocol import PhaseShiftVector, power_control_rows
+from phase_reference import TWO_PI, count_vote, reference_levels
 
 TRIALS = 10_000
 SIZES = (16, 50, 100)
@@ -38,69 +39,98 @@ LARGEST = replace(SYSTEM, N=SIZES[-1])
 SEED = 2718
 VOTED, ZERO, DIRECT = experiments._VOTED, experiments._ZERO, experiments._DIRECT
 IRS_SCHEMES = [Scheme.OPT_PC_IRS, Scheme.INV_PC_IRS, Scheme.FIXED_PHASE_OPT_PC]
-CHUNK = 200  # reference blocks evaluated at once
-BLOCK = numerics._STEERING_BLOCK
+CHUNK_ELEMENTS = 1 << 20  # trials * K * N of one reference chunk
 
 
 def reference_rng(seed):
-    return np.random.Generator(np.random.Philox(seed))
+    return np.random.Generator(np.random.SFC64(seed))
 
 
-class Side:
-    """One geometry's long-term state at the largest N, and the engine and reference draws on it."""
-
-    def __init__(self, largest, geometry, sizes):
-        self.largest, self.geometry, self.sizes = largest, geometry, sizes
-        self.state = compute_long_term(geometry, self.largest)
-
-    def draws(self, trials, seed, first=0):
-        """(h_direct, w) of the engine's trials first..first+trials-1 of ``seed``: run_sweep's."""
-        streams = [RngStream(seed, 3 + 2 * t) for t in range(first, first + trials)]
-        return channel._effective_draws(self.geometry.rho_d, self.largest, len(self.sizes), streams)
-
-    def engine(self, trials, seed):
-        """{kind: gammas} of the engine's trials 0..trials-1 of ``seed``, every scheme's kind."""
-        terms = experiments._stage(self.largest, [self.geometry], self.sizes)
-        return experiments._stacked_gammas(terms, *self.draws(trials, seed), list(Scheme))
-
-    def reference(self, trials, gen):
-        """({voted and zero kind: gammas (P, T, K)}, h_direct (T, K, M)) of ``trials`` blocks.
-
-        Each chunk's blocks are stacked device-wise, once per N with the
-        elements from N on zeroed, into one realization that
-        ``effective_scalar_channel`` evaluates row by row: the blocks'
-        whole device-IRS vectors ``h_reflect`` as its non-line-of-sight
-        part, beside a line of sight of zero factors.
-        """
-        K, N = self.largest.K, self.largest.N
-        zero = PhaseShiftVector.zero(N, self.largest.L)
-        below = np.arange(N) < np.array(self.sizes)[:, None]  # (P, N)
-        out, direct = {VOTED: [], ZERO: []}, []
-        for start in range(0, trials, CHUNK):
-            count = min(CHUNK, trials - start)
-            blocks = [sample_channels(self.geometry, self.largest, gen) for _ in range(count)]
-            h_direct = np.concatenate([b.h_direct for b in blocks])
-            h_reflect = np.concatenate([b.h_reflect for b in blocks])
-            rows = len(self.sizes) * count * K
-            coarse = np.zeros((rows, -(-N // BLOCK)), complex)
-            no_los = numerics._Factors(coarse, np.zeros((rows, min(N, BLOCK)), complex), N)
-            stacked = ChannelRealization(
-                np.tile(h_direct, (len(self.sizes), 1)),
-                (h_reflect[None] * below[:, None]).reshape(-1, N),
-                self.geometry,
-                no_los,
-            )
-            for kind, theta in ((VOTED, self.state.theta_voted), (ZERO, zero)):
-                gammas = effective_scalar_channel(stacked, self.state.v, theta)
-                out[kind].append(gammas.reshape(len(self.sizes), count, K))
-            direct.append(h_direct.reshape(count, K, -1))
-        gammas = {kind: np.concatenate(chunks, axis=1) for kind, chunks in out.items()}
-        return gammas, np.concatenate(direct)
+def steering(angles, n, spacing):
+    """exp(i*2*pi*s*m*sin(angle)) for m < n, one row per angle: the complex chain as cos + i sin."""
+    phase = (TWO_PI * spacing * np.sin(angles))[..., None] * np.arange(n)
+    out = np.empty(phase.shape, complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
 
 
-def with_direct(gammas, h_direct):
-    """{kind: gammas}, the direct kind's from the dominant-direct combiner on h_direct."""
-    return {**gammas, DIRECT: experiments._direct_gammas(h_direct)[None]}
+def reference_terms(geo, system):
+    """Per geometry: conj(v) (B, M), the reflected gain (B,), the line of sight (B, K, N),
+    the rows a_N(phi_t)^H Theta of the voted and zero phases (B, N, 2), and the
+    scattered amplitude (B, K).  The votes are a plurality count of each
+    device's phases under the np.mod quantizer."""
+    M, N, L, s, delta = system.M, system.N, system.L, system.spacing_ratio, system.rician_delta
+    a_m = steering(geo["phi_r"], M, s)
+    v = a_m / math.sqrt(M)
+    gain = np.sqrt(geo["rho_1"]) * np.sum(v.conj() * a_m, axis=-1)
+    los = np.sqrt(geo["rho_r"] * delta / (delta + 1.0))[..., None] * steering(geo["nu"], N, s)
+    diff = np.sin(geo["phi_t"])[:, None] - np.sin(geo["nu"])
+    theta = (TWO_PI * s * np.arange(N)) * diff[..., None]
+    votes = count_vote(reference_levels(np.mod(theta, TWO_PI), L), L)
+    voted = steering(np.pi / 2, L, 1.0 / L)[votes]  # exp(i*2*pi*l/L)
+    a_n = steering(geo["phi_t"], N, s).conj()
+    rows = a_n[..., None] * np.stack([voted, np.ones_like(voted)], -1)
+    return v.conj(), gain, los, rows, np.sqrt(geo["rho_r"] / (delta + 1.0))
+
+
+def dominant_direct(h_direct):
+    """Direct-link gammas (T, K) under the top unit eigenvector of sum_k h_k h_k^H."""
+    gram = np.einsum("tkm,tkn->tmn", h_direct, h_direct.conj())
+    u = np.linalg.eigh(gram)[1][..., -1]
+    return np.einsum("tkm,tm->tk", h_direct, u.conj())
+
+
+def prefix_sums(h, rows, sizes):
+    """Sums over m < N_p of h[..., k, m] rows[..., m, j] at each N_p of ``sizes``, (..., K, J, P):
+    the running sum of the segments' batched products."""
+    parts = [h[..., a:b] @ rows[..., a:b, :] for a, b in zip((0, *sizes), sizes)]
+    return np.cumsum(np.stack(parts, axis=-1), axis=-1)
+
+
+def reference(geometries, system, sizes, trials, gen):
+    """{kind: gammas (P or 1, T, K)} of ``trials`` full Rician blocks at the largest of
+    ``sizes``, one geometry per trial or one that every trial shares.
+
+    A chunk of C trials draws one (C, 2KM + 2KN) normal array: per trial,
+    the real then the imaginary plane of the (K, M) direct links, then the
+    (K, N) scattered elements device by device, each real part before its
+    imaginary part.  The sums of h_reflect against the rows are taken for the
+    line of sight and the scattered part apart: h_reflect is their sum.
+    """
+    names = ("rho_1", "rho_d", "rho_r", "nu", "phi_r", "phi_t")
+    geo = {name: np.array([getattr(g, name) for g in geometries]) for name in names}
+    system = replace(system, N=sizes[-1])
+    K, M, N = system.K, system.M, system.N
+    step = max(1, CHUNK_ELEMENTS // (K * N))
+    out = {VOTED: [], ZERO: [], DIRECT: []}
+    for start in range(0, trials, step):
+        count = min(step, trials - start)
+        at = slice(start, start + count) if len(geometries) > 1 else slice(None)
+        part = {name: values[at] for name, values in geo.items()}
+        conj_v, gain, los, rows, amplitude = reference_terms(part, system)
+        normals = gen.standard_normal((count, 2 * K * (M + N)))
+        direct = normals[:, : 2 * K * M].reshape(count, 2, K, M) / math.sqrt(2.0)
+        h_direct = np.sqrt(part["rho_d"])[..., None] * (direct[:, 0] + 1j * direct[:, 1])
+        scattered = normals[:, 2 * K * M :].view(complex).reshape(count, K, N)
+        scale = (amplitude / math.sqrt(2.0))[..., None, None]
+        sums = prefix_sums(los, rows, sizes) + scale * prefix_sums(scattered, rows, sizes)
+        combined = np.sum(h_direct * conj_v[:, None, :], axis=-1)[..., None, None]
+        gammas = (combined + gain[:, None, None, None] * sums).transpose(2, 3, 0, 1)  # (2, P, C, K)
+        out[VOTED].append(gammas[0])
+        out[ZERO].append(gammas[1])
+        out[DIRECT].append(dominant_direct(h_direct)[None])
+    return {kind: np.concatenate(parts, axis=1) for kind, parts in out.items()}
+
+
+def engine(system, geometry, sizes, trials, seed):
+    """{kind: gammas} of run_sweep's trials 0..trials-1 of ``seed`` on one fixed geometry."""
+    largest = replace(system, N=sizes[-1])
+    terms = experiments._stage(largest, [geometry], sizes)
+    ids = [3 + 2 * t for t in range(trials)]
+    rewind = numerics._rewinder(seed)
+    draws = channel._effective_draws(geometry.rho_d, largest, len(sizes), ids, rewind)
+    return experiments._stacked_gammas(terms, *draws, list(Scheme))
 
 
 def mses(gammas, schemes, system, sizes):
@@ -116,6 +146,13 @@ def mses(gammas, schemes, system, sizes):
     return out
 
 
+def sweep_mses(system, sizes, schemes, redraw=False):
+    config = ExperimentConfig(
+        system=system, n_sweep=sizes, trials=TRIALS, seed=SEED, redraw_geometry_per_trial=redraw
+    )
+    return run_sweep(config, schemes).trial_mse
+
+
 def stderr(values):
     return float(np.std(values, ddof=1)) / math.sqrt(len(values))
 
@@ -128,22 +165,22 @@ FIXED_CASES = {
 
 @pytest.fixture(scope="module", params=sorted(FIXED_CASES))
 def fixed(request):
-    """A case's system and schemes, and engine and reference gammas on run_sweep's geometry of SEED."""
+    """A case's system and schemes, run_sweep's geometry of SEED, and on it the engine's
+    gammas and per-trial MSEs and the reference's gammas."""
     system, schemes = FIXED_CASES[request.param]
-    largest = replace(system, N=SIZES[-1])
-    side = Side(largest, make_geometry(system, RngStream(SEED, 0)), SIZES)
-    engine = side.engine(TRIALS, SEED)
-    reference = with_direct(*side.reference(TRIALS, reference_rng(3141)))
-    return system, schemes, side, engine, reference
+    geometry = make_geometry(system, RngStream(SEED, 0))
+    gammas = engine(system, geometry, SIZES, TRIALS, SEED)
+    want = reference([geometry], system, SIZES, TRIALS, reference_rng(3141))
+    return system, schemes, geometry, gammas, sweep_mses(system, SIZES, schemes), want
 
 
 def test_fixed_geometry_rows_match_full_sampler(fixed):
-    system, schemes, _, engine, reference = fixed
-    got, want = mses(engine, schemes, system, SIZES), mses(reference, schemes, system, SIZES)
-    # the engine's gammas are run_sweep's: its first 64 trials give the same rows
-    head = ExperimentConfig(system=system, n_sweep=SIZES, trials=64, seed=SEED)
-    for row in run_sweep(head, schemes).rows:
-        assert row.mean_mse == math.fsum(got[row.scheme, row.N][:64]) / 64
+    system, schemes, _, gammas, got, reference_gammas = fixed
+    want = mses(reference_gammas, schemes, system, SIZES)
+    # the engine's gammas that the moment tests read are run_sweep's: its first 64 trials
+    head = {kind: g[:, :64] for kind, g in gammas.items()}
+    for key, values in mses(head, schemes, system, SIZES).items():
+        assert values.tobytes() == got[key][:64].tobytes(), key
     for key, values in got.items():
         ref = want[key]
         mean, want_mean = math.fsum(values) / TRIALS, math.fsum(ref) / TRIALS
@@ -155,21 +192,11 @@ def test_redrawn_geometry_rows_match_full_sampler():
     # trial t's geometry is run_sweep's, from stream 2 + 2t of SEED; the
     # engine and the reference each draw that trial's channels on it, so the
     # per-trial MSE difference is paired in the geometry
-    geometries, draws, reference, direct = [], [], [], []
-    gen = reference_rng(3143)
-    for t in range(TRIALS):
-        side = Side(LARGEST, make_geometry(LARGEST, RngStream(SEED, 2 + 2 * t)), SIZES)
-        geometries.append(side.geometry)
-        draws.append(side.draws(1, SEED, first=t))
-        gammas, h_direct = side.reference(1, gen)
-        reference.append(gammas)
-        direct.append(h_direct)
-    terms = experiments._stage(LARGEST, geometries, SIZES)
-    h_direct, w = (np.concatenate(part) for part in zip(*draws))
-    engine = experiments._stacked_gammas(terms, h_direct, w, list(Scheme))
-    stacked = {kind: np.concatenate([r[kind] for r in reference], axis=1) for kind in (VOTED, ZERO)}
-    got = mses(engine, list(Scheme), SYSTEM, SIZES)
-    want = mses(with_direct(stacked, np.concatenate(direct)), list(Scheme), SYSTEM, SIZES)
+    ids = [2 + 2 * t for t in range(TRIALS)]
+    geometries = channel._make_geometries(LARGEST, ids, numerics._rewinder(SEED))
+    got = sweep_mses(SYSTEM, SIZES, list(Scheme), redraw=True)
+    gammas = reference(geometries, SYSTEM, SIZES, TRIALS, reference_rng(3143))
+    want = mses(gammas, list(Scheme), SYSTEM, SIZES)
     for key, values in got.items():
         difference = values - want[key]
         z = float(np.mean(difference)) / stderr(difference)
@@ -177,23 +204,24 @@ def test_redrawn_geometry_rows_match_full_sampler():
 
 
 def test_channel_power_matches_closed_form(fixed):
-    system, _, side, engine, _ = fixed
-    zero = PhaseShiftVector.zero(side.largest.N, side.largest.L)
-    for kind, theta in ((VOTED, side.state.theta_voted), (ZERO, zero)):
+    system, _, geometry, gammas, *_ = fixed
+    state = compute_long_term(geometry, replace(system, N=SIZES[-1]))
+    zero = PhaseShiftVector.zero(SIZES[-1], system.L)
+    for kind, theta in ((VOTED, state.theta_voted), (ZERO, zero)):
         for p, N in enumerate(SIZES):
             sized = PhaseShiftVector(theta.indices[:N], theta.levels)
-            want = expected_channel_power_gain(side.geometry, replace(system, N=N), sized)
-            power = np.abs(engine[kind][p]) ** 2  # (T, K)
+            want = expected_channel_power_gain(geometry, replace(system, N=N), sized)
+            power = np.abs(gammas[kind][p]) ** 2  # (T, K)
             se = np.std(power, axis=0, ddof=1) / math.sqrt(TRIALS)
             assert np.all(np.abs(power.mean(axis=0) - want) <= 4.0 * se), (kind, N)
 
 
 def test_voted_zero_cross_moment_matches_full_sampler(fixed):
     # E[gamma_voted conj(gamma_zero)] per device: the joint law of the two kinds
-    *_, engine, reference = fixed
+    *_, engine_gammas, _, reference_gammas = fixed
     for p, N in enumerate(SIZES):
-        got = engine[VOTED][p] * engine[ZERO][p].conj()
-        want = reference[VOTED][p] * reference[ZERO][p].conj()
+        got = engine_gammas[VOTED][p] * engine_gammas[ZERO][p].conj()
+        want = reference_gammas[VOTED][p] * reference_gammas[ZERO][p].conj()
         for part in (np.real, np.imag):
             a, b = part(got), part(want)
             se = np.hypot(np.std(a, axis=0, ddof=1), np.std(b, axis=0, ddof=1)) / math.sqrt(TRIALS)
@@ -211,11 +239,12 @@ def ks_statistic(a, b):
 
 def test_gamma_magnitudes_pass_two_sample_ks(fixed):
     # the devices pooled: the same mixture on both sides; level 0.001
-    *_, engine, reference = fixed
+    *_, engine_gammas, _, reference_gammas = fixed
     critical = math.sqrt(-math.log(0.001 / 2) / 2)
     for kind in (VOTED, ZERO):
         for p, N in enumerate(SIZES):
-            a, b = np.abs(engine[kind][p]).ravel(), np.abs(reference[kind][p]).ravel()
+            a = np.abs(engine_gammas[kind][p]).ravel()
+            b = np.abs(reference_gammas[kind][p]).ravel()
             limit = critical * math.sqrt((a.size + b.size) / (a.size * b.size))
             assert ks_statistic(a, b) <= limit, (kind, N)
 
@@ -225,11 +254,11 @@ def test_paired_difference_along_n_matches_full_sampler():
     # the sub-array pairing: its variance within 4 standard errors, from the
     # fourth central moment, of the reference's
     sizes = (256, 512)
-    side = Side(replace(SYSTEM, N=512), make_geometry(SYSTEM, RngStream(SEED, 0)), sizes)
-    engine = side.engine(TRIALS, SEED)
-    reference, _ = side.reference(TRIALS, reference_rng(3144))
     schemes = [Scheme.OPT_PC_IRS, Scheme.FIXED_PHASE_OPT_PC]
-    got, want = mses(engine, schemes, SYSTEM, sizes), mses(reference, schemes, SYSTEM, sizes)
+    geometry = make_geometry(SYSTEM, RngStream(SEED, 0))
+    got = sweep_mses(SYSTEM, sizes, schemes)
+    gammas = reference([geometry], SYSTEM, sizes, TRIALS, reference_rng(3144))
+    want = mses(gammas, schemes, SYSTEM, sizes)
 
     def variance_and_se(d):
         centred = d - d.mean()
@@ -247,16 +276,17 @@ def test_pure_los_gammas_are_the_vector_channels_bit_for_bit():
     # no scattered part: the engine draws the direct links alone, as sample_channels
     # does, and each gamma is the vector channel's at N
     system = replace(LARGEST, pure_los=True)
-    side = Side(system, make_geometry(system, RngStream(SEED, 0)), SIZES)
-    engine = side.engine(5, SEED)
+    geometry = make_geometry(system, RngStream(SEED, 0))
+    state = compute_long_term(geometry, system)
+    gammas = engine(system, geometry, SIZES, 5, SEED)
+    zero = PhaseShiftVector.zero(system.N, system.L)
     for t in range(5):
-        zero = PhaseShiftVector.zero(side.largest.N, side.largest.L)
-        for kind, theta in ((VOTED, side.state.theta_voted), (ZERO, zero)):
+        for kind, theta in ((VOTED, state.theta_voted), (ZERO, zero)):
             for p, N in enumerate(SIZES):
                 # the block at N: the first N elements of the block at the largest N
                 stream = RngStream(SEED, 3 + 2 * t)
-                sized = sample_channels(side.geometry, replace(system, N=N), stream)
-                want = effective_scalar_channel(
-                    sized, side.state.v, PhaseShiftVector(theta.indices[:N], theta.levels)
+                sized = channel.sample_channels(geometry, replace(system, N=N), stream)
+                want = channel.effective_scalar_channel(
+                    sized, state.v, PhaseShiftVector(theta.indices[:N], theta.levels)
                 )
-                assert engine[kind][p, t].tobytes() == want.tobytes(), (kind, N, t)
+                assert gammas[kind][p, t].tobytes() == want.tobytes(), (kind, N, t)

@@ -1,5 +1,8 @@
 import collections
+import contextlib
+import functools
 import math
+import typing
 import warnings
 
 import numpy as np
@@ -28,6 +31,7 @@ from irs_aircomp.protocol import (
     receive_beamformer,
     vote_indices,
 )
+from phase_reference import count_vote, reference_levels
 
 TWO_PI = 2 * np.pi
 
@@ -142,29 +146,10 @@ class TestPerDevicePhases:
 
 
 def reference_indices(phi_t, nu, n_elements, levels, spacing_ratio=0.5):
-    """Per-device loop of the two-step projection: continuous phase in [0, 2*pi),
-    then the nearest level by circular distance with ties to the smaller phase."""
-    rows = []
-    for nu_k in nu:
-        theta = np.mod(
-            TWO_PI * spacing_ratio * np.arange(n_elements) * (np.sin(phi_t) - np.sin(nu_k)),
-            TWO_PI,
-        )
-        x = np.mod(theta, TWO_PI) * (levels / TWO_PI)
-        lo = np.floor(x).astype(np.int64)
-        d = x - lo
-        lo_idx, hi_idx = lo % levels, (lo + 1) % levels
-        idx = np.where(d < 0.5, lo_idx, hi_idx)
-        rows.append(np.where(d == 0.5, np.minimum(lo_idx, hi_idx), idx))
-    return np.array(rows, dtype=np.int64).reshape(len(nu), n_elements)
-
-
-def reference_vote(indices, levels):
-    counts = np.zeros((levels, indices.shape[1]), dtype=np.int64)
-    cols = np.arange(indices.shape[1])
-    for row in indices:
-        np.add.at(counts, (row, cols), 1)
-    return counts.argmax(axis=0)
+    """The np.mod quantizer on each device's continuous phases 2*pi*s*m*(sin(phi_t) - sin(nu_k))."""
+    diff = np.sin(phi_t) - np.sin(np.asarray(nu, dtype=float))
+    theta = TWO_PI * spacing_ratio * np.arange(n_elements) * diff[:, None]
+    return reference_levels(np.mod(theta, TWO_PI), levels).astype(np.int64)
 
 
 class TestPhaseKernel:
@@ -179,7 +164,7 @@ class TestPhaseKernel:
             expected = reference_indices(phi_t, nu, n_elements, levels)
             assert rows.dtype == np.int64 and rows.shape == (K, n_elements)
             np.testing.assert_array_equal(rows, expected)
-            np.testing.assert_array_equal(vote_indices(rows, levels), reference_vote(rows, levels))
+            np.testing.assert_array_equal(vote_indices(rows, levels), count_vote(rows, levels))
             psv = per_device_phases(phi_t, nu[-1], n_elements, levels)
             np.testing.assert_array_equal(psv.indices, expected[-1])
 
@@ -190,7 +175,7 @@ class TestPhaseKernel:
         nu = [0.0, 0.0, np.pi / 6, -np.pi / 6, np.pi / 2]
         rows = phase_index_rows(np.pi / 2, nu, 64, levels)
         np.testing.assert_array_equal(rows, reference_indices(np.pi / 2, nu, 64, levels))
-        np.testing.assert_array_equal(vote_indices(rows, levels), reference_vote(rows, levels))
+        np.testing.assert_array_equal(vote_indices(rows, levels), count_vote(rows, levels))
 
     def test_tied_votes_go_to_smaller_phase(self):
         rows = np.array([[0, 3, 2, 1], [3, 0, 1, 2], [1, 1, 2, 2]])
@@ -234,63 +219,178 @@ def ulp_neighbours(x, steps):
 
 # Multiples of 2*pi up to 2**26 turns, the range of the inputs built around them.
 PHASE_RANGE = 2**26 * TWO_PI
+LEVELS = (2, 3, 4, 8)
 
 
-def assert_within_doubt(steps, diff, levels):
-    """The kernel's level coordinate L*frac(t) lies within delta of the reference's x, modulo L.
+# Elements of one block of the checks below, so that their temporaries stay small.
+CHUNK = 1 << 16
 
-    t = fl(fl(steps * fl(1/(2*pi))) * d) in turns and x = fl(np.mod(theta,
-    2*pi) * fl(L/(2*pi))) from theta = fl(steps * d), as
-    :func:`~irs_aircomp.protocol.phase_index_rows` derives; each element
-    is held to its own bound delta(L, |t|), which is at most the call's.
-    Returns the largest error over delta.
+
+class KernelCall(typing.NamedTuple):
+    steps: np.ndarray  # ascending, as the kernel reads its largest step from the end
+    diff: np.ndarray
+    levels: np.ndarray  # the kernel's output
+    blocks: list  # the theta blocks it recomputed with the reference quantizer
+
+
+@contextlib.contextmanager
+def recorded_fallbacks():
+    """The theta blocks that the phase kernel hands to ``_quantize_indices`` meanwhile."""
+    blocks, reference = [], protocol._quantize_indices
+
+    def recording(theta, levels):
+        blocks.append(theta)
+        return reference(theta, levels)
+
+    protocol._quantize_indices = recording
+    try:
+        yield blocks
+    finally:
+        protocol._quantize_indices = reference
+
+
+def run_kernel(steps, diff, levels):
+    """``_index_rows`` on one call, and the blocks it recomputed."""
+    with recorded_fallbacks() as blocks, np.errstate(invalid="ignore"):
+        return KernelCall(steps, diff, protocol._index_rows(steps, diff, levels), blocks)
+
+
+def assert_levels_match(runs, quantizer=False):
+    """Every invariant on one call's kernel output at each level count, ``runs`` {L: call}.
+
+    The levels equal the np.mod quantizer's bit for bit (``_quantize_indices``'
+    own output where a phase is not finite), and with ``quantizer``
+    ``_quantize_indices``' throughout.  The kernel's level coordinate
+    L*frac(t) lies within delta of the reference's x, modulo L: t =
+    fl(fl(steps * fl(1/(2*pi))) * d) in turns and x = fl(np.mod(theta, 2*pi)
+    * fl(L/(2*pi))) from theta = fl(steps * d), as
+    :func:`~irs_aircomp.protocol.phase_index_rows` derives, each finite
+    element held to its own delta(L, |t|), at most the call's.  And the
+    kernel recomputed only blocks that hold a phase within 2 delta of a
+    half-level or not finite, or every block when delta reaches the cap.
+    The remainders are taken once for every level count.  Returns the
+    largest error over delta.
     """
-    diff = np.asarray(diff, dtype=float)[:, None]
-    t = steps * (1.0 / TWO_PI) * diff
-    y = levels * (t - np.floor(t))
-    x = np.mod(steps * diff, TWO_PI) * (levels / TWO_PI)
-    err = y - x
-    err = np.abs(err - levels * np.rint(err / levels))
-    worst = float((err / protocol._doubt(levels, np.abs(t))).max(initial=0.0))
+    first, worst = next(iter(runs.values())), 0.0
+    turns, n = first.steps * (1.0 / TWO_PI), first.steps.size
+    height = max(1, CHUNK // n)
+    for top in range(0, first.diff.size, height):
+        rows, d = slice(top, top + height), first.diff[top : top + height, None]
+        for start in range(0, n, CHUNK):
+            columns = slice(start, start + CHUNK)
+            with np.errstate(invalid="ignore"):
+                theta = first.steps[columns] * d
+                remainder, t = np.mod(theta, TWO_PI), turns[columns] * d
+            finite = np.isfinite(theta)
+            if finite.all():
+                finite_t, finite_remainder = t, remainder
+            else:
+                finite_t, finite_remainder = t[finite], remainder[finite]
+            fraction, size = finite_t - np.floor(finite_t), np.abs(finite_t)
+            for levels, call in runs.items():
+                want = reference_levels(remainder, levels)
+                if not finite.all():
+                    with np.errstate(invalid="ignore"):
+                        want[~finite] = protocol._quantize_indices(theta[~finite], levels)
+                got = call.levels[rows, columns]
+                if not np.array_equal(got, want):
+                    np.testing.assert_array_equal(got, want, err_msg=f"L = {levels}, rows {rows}")
+                if quantizer:
+                    with np.errstate(invalid="ignore"):
+                        want = protocol._quantize_indices(theta, levels)
+                    np.testing.assert_array_equal(got, want)
+                err = levels * fraction - finite_remainder * (levels / TWO_PI)
+                err = np.abs(err - levels * np.rint(err / levels))
+                ratio = err / protocol._doubt(levels, size)
+                worst = max(worst, float(ratio.max(initial=0.0)))
     assert worst <= 1.0
+    for levels, call in runs.items():
+        t_max = abs(turns[-1]) * np.abs(call.diff).max(initial=0.0)
+        delta = protocol._doubt(levels, t_max)
+        for theta in call.blocks:
+            with np.errstate(invalid="ignore"):
+                x = np.mod(theta, TWO_PI) * (levels / TWO_PI)
+                near = np.abs(x - np.floor(x) - 0.5) <= 2.0 * delta
+            assert not delta < protocol._MAX_DELTA or not np.isfinite(theta).all() or near.any()
     return worst
 
 
+def signed(x):
+    """(steps, diff): each magnitude of ``x`` a kernel step in a row of either sign, so the
+    kernel sees theta = +u and -u."""
+    return np.unique(np.abs(x)), np.array([1.0, -1.0])
+
+
+@functools.cache
+def input_set(name):
+    """The (steps, diff) kernel calls of an input set, built once."""
+    if name == "multiples":
+        # next to a level centre in turns, and np.mod's remainder of a phase just below a
+        # multiple just below 2*pi, where the reference wraps to level 0
+        # (k in [-300000, 300000] and 10**5 random k below 2**26 in magnitude; the
+        # magnitudes of the first set are those of k >= 0)
+        k = np.arange(0, 300_001, dtype=float)
+        big = np.random.default_rng(1).integers(-(2**26), 2**26, 10**5).astype(float)
+        sets = [ulp_neighbours(multiples, 4) for multiples in (k * TWO_PI, big * TWO_PI)]
+        return [signed(x[np.abs(x) < PHASE_RANGE]) for x in sets]
+    if name == "special":
+        # the whole set, then each value alone, so the guard sees it by itself
+        x = TestModTwoPi.special_values()
+        return [signed(x)] + [signed(np.array([value])) for value in np.unique(np.abs(x))]
+    if name == "geometries":
+        # 20 random geometries of K = 21 at N = 8192, the scaling recipe's largest N
+        gen, steps = np.random.default_rng(17), TWO_PI * 0.5 * np.arange(8192)
+
+        def angles(*size):
+            return gen.uniform(-np.pi / 2, np.pi / 2, *size)
+
+        return [(steps, np.sin(angles()) - np.sin(angles(21))) for _ in range(20)]
+    levels = int(name.removeprefix("level-steps-"))  # rows of either sign see theta = +r and -r
+    remainders = level_steps(levels)
+    calls = [(np.sort(ulp_neighbours(r, 64)), np.array([1.0, -1.0])) for r in remainders]
+    if levels == 2:
+        # rows of factors other than +-1 round the turns and the phase apart, so that next
+        # to a step the kernel's level coordinate and the reference's can fall either side
+        for d in np.random.default_rng(2).uniform(0.05, 2.0, 128):
+            calls += [(np.sort(ulp_neighbours(r / d, 64)), np.array([d, -d])) for r in remainders]
+    return calls
+
+
+@functools.cache
+def kernel_run(name, levels):
+    """The kernel once per (input set, level count): one ``KernelCall`` per call of the set."""
+    return [run_kernel(steps, diff, levels) for steps, diff in input_set(name)]
+
+
+def assert_set_matches(name, levels_list, quantizer=False):
+    for i in range(len(input_set(name))):
+        runs = {levels: kernel_run(name, levels)[i] for levels in levels_list}
+        assert_levels_match(runs, quantizer)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def drop_kernel_runs():
+    yield
+    kernel_run.cache_clear()
+    input_set.cache_clear()
+    level_steps.cache_clear()
+
+
 class TestModTwoPi:
-    """The turn kernel gives the levels of the np.mod quantizer, np.mod's remainder and all.
-
-    Each input magnitude u is a kernel step in a row of either sign, so
-    the kernel sees theta = +u and -u.  At every finite u the level
-    coordinate of each, in turns, lies within delta of the reference's.
+    """Raw phases: each input magnitude u is a kernel step in a row of either sign, so the
+    kernel sees theta = +u and -u.  Its levels are the np.mod quantizer's, np.mod's
+    remainder and all, and at every finite u the level coordinate lies within delta.
     """
-
-    LEVELS = (2, 3, 4, 8)
-
-    @classmethod
-    def assert_matches(cls, x):
-        # ascending, as the kernel reads its largest step from the end
-        steps = np.unique(np.abs(x))
-        signs = np.array([1.0, -1.0])
-        with np.errstate(invalid="ignore"):
-            for levels in cls.LEVELS:
-                got = protocol._index_rows(steps, signs, levels)
-                want = protocol._quantize_indices(steps * signs[:, None], levels)
-                np.testing.assert_array_equal(got, want)
-                assert_within_doubt(steps[np.isfinite(steps)], signs, levels)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-5, 1.0, 1e3, 1e6, 4e8])
     def test_random_scales(self, scale):
-        self.assert_matches(
+        steps, diff = signed(
             np.random.default_rng(int(np.log10(scale)) + 400).uniform(-scale, scale, 10**5)
         )
+        assert_levels_match({levels: run_kernel(steps, diff, levels) for levels in LEVELS}, True)
 
     def test_multiples_of_two_pi_and_ulp_neighbours(self):
-        # quotients near an integer, where a rounded-up quotient needs the fix-up
-        k = np.arange(-300_000, 300_001, dtype=float)
-        big = np.random.default_rng(1).integers(-(2**26), 2**26, 10**5).astype(float)
-        for multiples in (k * TWO_PI, big * TWO_PI):
-            x = ulp_neighbours(multiples, 4)
-            self.assert_matches(x[np.abs(x) < PHASE_RANGE])
+        assert_set_matches("multiples", LEVELS)
 
     @classmethod
     def special_values(cls):
@@ -298,7 +398,7 @@ class TestModTwoPi:
         count and an ulp either side of it, and values far past it or not finite."""
         limits = [
             TWO_PI * (protocol._MAX_DELTA / (4.0 * np.finfo(float).eps * levels) - 1.0)
-            for levels in cls.LEVELS
+            for levels in LEVELS
         ]
         guards = ulp_neighbours(np.array(limits), 1)
         return np.concatenate(
@@ -308,26 +408,16 @@ class TestModTwoPi:
         )
 
     def test_special_values_and_guard(self):
-        x = self.special_values()
-        self.assert_matches(x)
-        for value in x:  # alone, so the guard sees each value by itself
-            self.assert_matches(np.array([value]))
+        assert_set_matches("special", LEVELS, quantizer=True)
         assert quantize_phase(1e300, 4) == quantize_phase(float(np.mod(1e300, TWO_PI)), 4)
 
     def test_kernel_phase_sets(self):
-        gen = np.random.default_rng(17)
-        steps = TWO_PI * 0.5 * np.arange(8192)
-        for _ in range(20):
-            diff = np.sin(gen.uniform(-np.pi / 2, np.pi / 2)) - np.sin(
-                gen.uniform(-np.pi / 2, np.pi / 2, 21)
-            )
-            theta = steps * diff[:, None]
-            for levels in self.LEVELS:
-                np.testing.assert_array_equal(
-                    protocol._index_rows(steps, diff, levels),
-                    protocol._quantize_indices(theta, levels),
-                )
-            self.assert_matches(theta)
+        # the rows of random geometries at N = 8192, and their votes against a count
+        assert_set_matches("geometries", LEVELS)
+        for levels in LEVELS:
+            for call in kernel_run("geometries", levels):
+                want = count_vote(call.levels, levels)
+                np.testing.assert_array_equal(vote_indices(call.levels, levels), want)
 
     def test_phase_kernel_runs_no_np_mod(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -338,6 +428,7 @@ class TestModTwoPi:
         np.testing.assert_array_equal(phase_index_rows(0.3, [-1.2, 0.4, 1.5], 8192, 2), expected)
 
 
+@functools.cache
 def level_steps(levels):
     """The remainders r at which the reference level of +r and of -r steps.
 
@@ -356,37 +447,14 @@ def level_steps(levels):
     return steps
 
 
-def count_mod_calls(monkeypatch):
-    """Count the calls of np.mod from here on; returns the growing list of calls."""
-    calls, mod = [], np.mod
-
-    def counting_mod(*args, **kwargs):
-        calls.append(1)
-        return mod(*args, **kwargs)
-
-    monkeypatch.setattr(protocol.np, "mod", counting_mod)
-    return calls
-
-
 class TestBreakpointKernel:
-    """The threshold kernel equals the reference quantizer ``_quantize_indices`` bit for bit.
-
-    A breakpoint is a remainder at which the reference level steps.
+    """Level steps: the kernel equals the reference quantizer ``_quantize_indices`` bit for bit
+    where the reference level steps, on rows of either sign and next to multiples of 2*pi.
     """
-
-    @staticmethod
-    def assert_kernel_matches(steps, diff, levels):
-        steps = np.sort(steps)  # the kernel reads its largest step from the end
-        got = protocol._index_rows(steps, np.asarray(diff, dtype=float), levels)
-        want = protocol._quantize_indices(steps * np.asarray(diff, dtype=float)[:, None], levels)
-        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("levels", range(2, protocol._COUNT_LEVELS + 1))
     def test_every_breakpoint_and_64_ulps_around_it(self, levels):
-        for remainders in level_steps(levels):
-            r = ulp_neighbours(remainders, 64)
-            # rows of either sign see theta = +r and -r exactly
-            self.assert_kernel_matches(r, [1.0, -1.0], levels)
+        assert_set_matches(f"level-steps-{levels}", [levels], quantizer=True)
 
     @pytest.mark.parametrize("levels", [2, 3, 4, 8, protocol._COUNT_LEVELS])
     def test_breakpoints_step_the_reference_level(self, levels):
@@ -399,8 +467,8 @@ class TestBreakpointKernel:
     @pytest.mark.parametrize("spacing", [0.37, 0.5, 1.0])
     def test_negative_raw_remainders_and_both_row_signs(self, levels, spacing):
         # theta = 2*pi*s*m*d lands within an ulp of a multiple of 2*pi for
-        # d = +-2 (s = 0.5) and d = +-1 (s = 1), where a rounded-up
-        # quotient leaves a negative Cody-Waite remainder
+        # d = +-2 (s = 0.5) and d = +-1 (s = 1), where np.mod's remainder of a
+        # theta just below the multiple is just below 2*pi, of level 0
         nu = [-np.pi / 2, np.pi / 2, 0.0, np.pi / 6, -np.pi / 6, 1.2, -0.3]
         for phi_t in (np.pi / 2, -np.pi / 2, 0.0, 0.7):
             rows = phase_index_rows(phi_t, nu, 8192, levels, spacing)
@@ -423,43 +491,31 @@ class TestBreakpointKernel:
         steps = ulp_neighbours(k * TWO_PI, 3)
         steps = steps[steps < PHASE_RANGE]
         assert (np.mod(steps, TWO_PI) > TWO_PI / 2).sum() > 100  # just below a multiple
-        self.assert_kernel_matches(steps, [1.0, -1.0], levels)
+        assert_levels_match({levels: run_kernel(*signed(steps), levels)}, quantizer=True)
 
     @pytest.mark.parametrize("levels", [1, 2, 3, 4, 8])
-    def test_reduce_limit_fallback(self, levels, monkeypatch):
+    def test_reduce_limit_fallback(self, levels):
         # s*(N-1)*|d|, about 1.3e15 turns, puts delta past _MAX_DELTA at every L:
-        # the reference path runs, np.mod and all
+        # the reference quantizer recomputes the call
         nu = [-1.0, 0.2, 1.4]
         expected = reference_indices(0.3, nu, 64, levels, 2.0**44)
-        calls = count_mod_calls(monkeypatch)
-        rows = phase_index_rows(0.3, nu, 64, levels, 2.0**44)
-        assert calls
+        with recorded_fallbacks() as blocks:
+            rows = phase_index_rows(0.3, nu, 64, levels, 2.0**44)
+        assert blocks
         np.testing.assert_array_equal(rows, expected)
 
     @pytest.mark.parametrize(
         "levels",
         sorted({10, 11, protocol._COUNT_LEVELS, protocol._COUNT_LEVELS + 1, 16, 64, 10**6}),
     )
-    def test_no_table_above_the_level_cap(self, levels, monkeypatch):
-        # the fast path serves every level count, on both sides of the vote's cap, with no np.mod
+    def test_no_table_above_the_level_cap(self, levels):
+        # the fast path serves every level count, on both sides of the vote's cap, with no fallback
         nu = np.array([-1.2, -0.3, 0.4, 1.5])
         steps = TWO_PI * 0.5 * np.arange(4096)
         want = protocol._quantize_indices(steps * (np.sin(0.3) - np.sin(nu))[:, None], levels)
-        calls = count_mod_calls(monkeypatch)
-        np.testing.assert_array_equal(phase_index_rows(0.3, nu, 4096, levels), want)
-        assert not calls
-
-
-def count_fallbacks(monkeypatch):
-    """Count the kernel's calls of the reference quantizer from here on; returns the growing list."""
-    calls, reference = [], protocol._quantize_indices
-
-    def counting(theta, levels):
-        calls.append(theta.size)
-        return reference(theta, levels)
-
-    monkeypatch.setattr(protocol, "_quantize_indices", counting)
-    return calls
+        with recorded_fallbacks() as blocks:
+            np.testing.assert_array_equal(phase_index_rows(0.3, nu, 4096, levels), want)
+        assert not blocks
 
 
 class TestTurnKernel:
@@ -477,60 +533,45 @@ class TestTurnKernel:
                     diff = np.sin(gen.uniform(-np.pi / 2, np.pi / 2)) - np.sin(
                         gen.uniform(-np.pi / 2, np.pi / 2, 21)
                     )
-                    worst = max(worst, assert_within_doubt(steps, diff, levels))
+                    call = run_kernel(steps, diff, levels)
+                    worst = max(worst, assert_levels_match({levels: call}))
         assert worst > 0.0
 
     @pytest.mark.parametrize("levels", [2, 4, 16])
-    def test_no_fallback_on_random_geometries_at_benchmark_sizes(self, levels, monkeypatch):
+    def test_no_fallback_on_random_geometries_at_benchmark_sizes(self, levels):
         # the sweeps' 64 stacked geometries of K = 20 at N = 512, and the
-        # scaling recipe's K = 21 at N = 512, 2048 and 8192
+        # scaling recipe's K = 21 at N = 512, 2048 and 8192, each stack one call
         gen = np.random.default_rng(levels)
-        calls = count_fallbacks(monkeypatch)
         for geometries, K, n in ((64, 20, 512), (8, 21, 512), (8, 21, 2048), (8, 21, 8192)):
             phi_t = gen.uniform(-np.pi / 2, np.pi / 2, geometries)
             nu = gen.uniform(-np.pi / 2, np.pi / 2, (geometries, K))
-            protocol._phase_rows(phi_t, nu, n, levels, 0.5)
-        assert calls == []
+            diff = (np.sin(phi_t)[:, None] - np.sin(nu)).ravel()
+            assert run_kernel(TWO_PI * 0.5 * np.arange(n), diff, levels).blocks == []
+        if levels in LEVELS:
+            assert all(call.blocks == [] for call in kernel_run("geometries", levels))
 
     @pytest.mark.parametrize("levels", range(2, protocol._COUNT_LEVELS + 1))
-    def test_breakpoints_fall_back(self, levels, monkeypatch):
-        inputs = [np.sort(ulp_neighbours(r, 64)) for r in level_steps(levels)]
-        calls = count_fallbacks(monkeypatch)
-        for steps in inputs:
-            protocol._index_rows(steps, np.array([1.0, -1.0]), levels)
-        assert len(calls) == len(inputs)
+    def test_breakpoints_fall_back(self, levels):
+        for call in kernel_run(f"level-steps-{levels}", levels):
+            assert len(call.blocks) == 1
 
-    def test_special_values_fall_back(self, monkeypatch):
+    def test_special_values_fall_back(self):
         # not finite, past the range guard, or pi on a half-level at L = 3
-        steps = np.unique(np.abs(TestModTwoPi.special_values()))
-        calls = count_fallbacks(monkeypatch)
-        with np.errstate(invalid="ignore"):
-            for levels in TestModTwoPi.LEVELS:
-                protocol._index_rows(steps, np.array([1.0, -1.0]), levels)
-                assert calls
-                calls.clear()
-                for value in ([np.pi], [1e300], [np.inf], [np.nan]):
-                    protocol._index_rows(np.array(value), np.array([1.0, -1.0]), levels)
-                    assert len(calls) == (value != [np.pi] or levels == 3)
-                    calls.clear()
+        for levels in LEVELS:
+            whole, *alone = kernel_run("special", levels)
+            assert whole.blocks
+            for call in alone:
+                value = call.steps[0]
+                if value in (np.pi, 1e300) or not np.isfinite(value):
+                    assert len(call.blocks) == (value != np.pi or levels == 3)
 
-    def test_multiples_of_two_pi_are_decided_fast(self, monkeypatch):
+    def test_multiples_of_two_pi_are_decided_fast(self):
         # in turns a multiple of 2*pi is a level centre, far from every half-level
-        k = np.arange(-300_000, 300_001, dtype=float)
-        steps = np.unique(np.abs(ulp_neighbours(k * TWO_PI, 4)))
-        calls = count_fallbacks(monkeypatch)
-        for levels in TestModTwoPi.LEVELS:
-            protocol._index_rows(steps, np.array([1.0, -1.0]), levels)
-        assert calls == []
+        for levels in LEVELS:
+            assert all(call.blocks == [] for call in kernel_run("multiples", levels))
 
 
 class TestCountVote:
-    @staticmethod
-    def bincount_vote(indices, levels):
-        n = indices.shape[1]
-        counts = np.bincount((indices + levels * np.arange(n)).ravel(), minlength=levels * n)
-        return counts.reshape(n, levels).argmax(axis=1)
-
     @pytest.mark.parametrize("levels", [1, 2, 3, 4, 8, 16, 17, 64])
     @pytest.mark.parametrize("K", [1, 2, 4, 6, 300])
     def test_matches_bincount_vote_with_ties(self, levels, K):
@@ -539,7 +580,7 @@ class TestCountVote:
         indices = np.random.default_rng(K * 10 + levels).integers(0, levels, (K, 4000))
         vote = vote_indices(indices, levels)
         assert vote.dtype == np.int64
-        np.testing.assert_array_equal(vote, self.bincount_vote(indices, levels))
+        np.testing.assert_array_equal(vote, count_vote(indices, levels))
 
     @pytest.mark.parametrize("K", [1, 3, 20])
     def test_million_levels_match_a_counter_vote(self, K):
