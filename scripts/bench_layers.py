@@ -23,8 +23,9 @@ steering kernel: ``line_of_sight`` at K = 21 (the scaling recipe's
 device count) with N in {512, 2048, 8192} and ``array_response`` with
 n in {10, 8192} (a receive array and the largest surface).  The
 scaling recipe's per-trial pure line-of-sight layers run at the same K
-and N: ``sample_channels`` from a fresh stream, as the recipe draws
-each trial, ``effective_scalar_channel`` at N = 8192 and the projection
+and N, with the system of ``configs/scaling_law.cfg``:
+``sample_channels`` from a fresh stream, as the recipe draws each
+trial, ``effective_scalar_channel`` at N = 8192 and the projection
 kernel ``numerics._project`` that it runs, on one row.  The phase
 kernel runs at the same K = 21: ``phase_index_rows`` at L = 2 for those
 N and at L in {4, 16, 64} for N = 512, and ``vote_indices`` on the
@@ -66,6 +67,7 @@ BLAS is pinned to one thread, like the benchmark.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -87,10 +89,8 @@ LOS_N_VALUES = (512, 2048, 8192)
 LEVEL_VALUES = (4, 16, 64)
 K_VALUES = (20, 1000)
 REDRAW_N_SWEEP = (32, 64, 128, 256, 512)
-# the pure line-of-sight scaling recipe's system, but for N
-SCALING = dict(M=10, K=21, Pmax=1.0, sigma2=1.0, pure_los=True, block_direct=True,
-               ref_loss_linear=1.0, pathloss_exponent_reflected=0.0,
-               pathloss_exponent_direct=0.0, device_radius=0.0)
+# the pure line-of-sight scaling recipe, whose system the scaling layers run at each N
+SCALING_RECIPE = Path(__file__).resolve().parent.parent / "configs" / "scaling_law.cfg"
 TARGET_S = 0.02
 
 
@@ -116,6 +116,7 @@ def layers(pkg, long: bool):
     RngStream = pkg.numerics.RngStream
 
     base = channel.SystemConfig()
+    recipe = experiments.load_config(SCALING_RECIPE).system
     yield "numerics.RngStream.generator", lambda: RngStream(1, 3).generator()
     rewinder = getattr(pkg.numerics, "_rewinder", None)
     rewind = None if rewinder is None else rewinder(1)
@@ -172,7 +173,7 @@ def layers(pkg, long: bool):
             lambda: protocol.phase_index_rows(geometry.phi_t, geometry.nu, N, 2)
         )
         # the scaling recipe's per-trial block, from its own stream
-        scaling = channel.SystemConfig(N=N, **SCALING)
+        scaling = dataclasses.replace(recipe, N=N)
         yield f"channel.sample_channels[K=21,N={N},pure_los]", (
             lambda: channel.sample_channels(geometry, scaling, RngStream(1, 3))
         )

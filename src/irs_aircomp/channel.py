@@ -130,10 +130,8 @@ _UNSCALED, _MAX_COORDINATE = 2.0**510, 2.0**1020
 
 
 def _norms(vectors: np.ndarray, scale: float, axis=None):
-    """``np.linalg.norm`` of ``vectors``, or, at a ``scale`` other than 1 (a power of
-    two), scale times that of vectors / scale, whose squares stay finite."""
-    if scale == 1.0:
-        return np.linalg.norm(vectors, axis=axis)
+    """``np.linalg.norm`` of ``vectors`` as scale times that of vectors / scale: both
+    steps are exact at a power-of-two ``scale``, and one above 1 keeps the squares finite."""
     return scale * np.linalg.norm(vectors / scale, axis=axis)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import os
 import sys
 from dataclasses import replace
 
@@ -64,6 +65,9 @@ def _cmd_sweep(args) -> int:
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     schemes = _parse_schemes(args.schemes) if args.schemes else list(Scheme)
+    directory = os.path.dirname(args.out) or "."
+    if not os.access(directory, os.W_OK):  # fail before the trials, not after them
+        raise OSError(f"failed writing sweep CSV to {args.out}: cannot write in {directory}")
     result = run_sweep(config, schemes)
     write_csv(result, args.out)
     print(f"wrote {len(result.rows)} rows to {args.out}")

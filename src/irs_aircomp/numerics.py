@@ -173,29 +173,26 @@ _STEPS = np.arange(_STEERING_BLOCK, dtype=float)
 _TWO_PI = 2.0 * math.pi
 
 
-def _steering(slope, n_elems: int, amplitude=None) -> np.ndarray:
-    """Steering rows amplitude * exp(i*slope*m) for m < n_elems, along a new last axis.
+def _steering(slope, n_elems: int) -> np.ndarray:
+    """Steering rows exp(i*slope*m) for m < n_elems, along a new last axis.
 
     ``slope`` is a float or an array of phase slopes whose last axis
-    has length 1, such as a (K, 1) column or a (B, K, 1) stack, and
-    ``amplitude``, if given, broadcasts against it.  With B =
+    has length 1, such as a (K, 1) column or a (B, K, 1) stack.  With B =
     ``_STEERING_BLOCK``, element m = hB + l is the product of a coarse
-    factor amplitude*exp(i*slope*hB) and a fine factor exp(i*slope*l)
+    factor exp(i*slope*hB) and a fine factor exp(i*slope*l)
     (:func:`_steering_factors`): K(n/B + B) exponentials and K*n complex
     products instead of K*n exponentials.  Each factor's phase is one
     rounded product, off by at most eps/2*|slope|*hB and eps/2*|slope|*l,
     so element m's phase is off by at most eps/2*|slope|*m, as the direct
     phase fl(slope*m) is, and the two differ by at most eps*|slope|*m;
     the exponentials and the products add a few eps.  The first B
-    elements are the direct exponentials times the coarse factor
-    amplitude + 0i (without an amplitude, 1 + 0i with the slope's sign of
-    zero, which leaves them as they are), bit for bit the complex chain
-    amplitude*exp(1j*slope*m); later ones are within
-    amplitude*eps*(|slope|*m + 8) of it.  B is fixed, so element m
-    depends on m alone, and the first n elements at N are the whole
-    output at n.
+    elements are the direct exponentials times the coarse factor 1 + 0i
+    with the slope's sign of zero, which leaves them as they are, bit for
+    bit the complex chain exp(1j*slope*m); later ones are within
+    eps*(|slope|*m + 8) of it.  B is fixed, so element m depends on m
+    alone, and the first n elements at N are the whole output at n.
     """
-    return _expand(_steering_factors(slope, n_elems, amplitude))
+    return _expand(_steering_factors(slope, n_elems))
 
 
 class _Factors(typing.NamedTuple):

@@ -134,8 +134,12 @@ def test_retired_config_keys_exit_two(tmp_path, capsys, line, message):
     ],
     ids=["sweep-missing-dir", "bounds-missing-dir", "single-two-schemes", "sweep-no-schemes"],
 )
-def test_unwritable_output_or_bad_scheme_list_exits_two(argv, message, tmp_path, capsys):
-    # one error line and exit 2, and no output file left behind
+def test_unwritable_output_or_bad_scheme_list_exits_two(
+    argv, message, tmp_path, capsys, monkeypatch
+):
+    # one error line and exit 2 before any trial is drawn, and no output file left behind
+    calls, draws = [], experiments._effective_draws
+    monkeypatch.setattr(experiments, "_effective_draws", lambda *a: calls.append(1) or draws(*a))
     paths = {"missing": str(tmp_path / "missing" / "x.csv"), "out": str(tmp_path / "x.csv")}
     cfg = write_config(tmp_path, TOY)
     assert main([arg.format(**paths) for arg in argv] + ["--config", cfg]) == 2
@@ -143,6 +147,7 @@ def test_unwritable_output_or_bad_scheme_list_exits_two(argv, message, tmp_path,
     assert captured.out == ""
     assert captured.err.startswith("error: " + message.format(**paths))
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert calls == []
     assert not (tmp_path / "missing").exists() and not (tmp_path / "x.csv").exists()
 
 
@@ -271,18 +276,44 @@ def test_underflowing_gamma_exits_two(pure_los, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["--trials", "0"], "trials must be >= 1"),
-        (["--n", "128,64"], "n_sweep must be strictly increasing"),
-        (["--n", "64,x"], "--n: cannot parse 'x' as int"),
-        (["--n", ""], "--n: cannot parse '' as int"),
-    ],
-)
-def test_scaling_script_errors_exit_two(argv, message, tmp_path, capsys):
+def run_scaling_script(argv) -> int:
     script = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "run_scaling_law.py"))
+    return script["main"](argv)
+
+
+@pytest.mark.parametrize(
+    "line, bad, message",
+    [
+        ("trials = 3", "trials = 0", "trials must be >= 1"),
+        ("n_sweep = 8, 16", "n_sweep = 16, 8", "n_sweep must be strictly increasing"),
+        ("n_sweep = 8, 16", "n_sweep = 8,x", "n_sweep: cannot parse 'x' as int"),
+        ("seed = 5", "seed = 5\nl = 4", "the bound assumes binary phases (l = 2), got l = 4"),
+    ],
+    ids=["no-trials", "decreasing-n", "unparsable-n", "four-levels"],
+)
+def test_scaling_script_errors_exit_two(line, bad, message, tmp_path, capsys):
+    cfg = write_config(tmp_path, TOY.replace(line, bad))
     out = tmp_path / "scaling.csv"
-    assert script["main"]([*argv, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert run_scaling_script(["--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_scaling_script_writes_the_sweep_csv_and_its_ratios(tmp_path, capsys):
+    # the recipe script is irs-aircomp sweep of INV_PC_IRS plus a printed table
+    cfg = write_config(tmp_path, TOY.replace("n_sweep = 8, 16", "n_sweep = 8, 16, 32"))
+    out, swept = tmp_path / "scaling.csv", tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--schemes", "INV_PC_IRS", "--out", str(swept)]) == 0
+    capsys.readouterr()
+    assert run_scaling_script(["--config", cfg, "--out", str(out)]) == 0
+    assert out.read_bytes() == swept.read_bytes()
+    header, *table, slope, wrote = capsys.readouterr().out.splitlines()
+    assert header.split() == ["N", "mean", "MSE", "std.", "error", "bound", "mean/bound"]
+    assert slope.startswith("log-log slope: mean ") and wrote == f"wrote {out}"
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [line.split()[0] for line in table] == [row["N"] for row in rows] == ["8", "16", "32"]
+    ratios = [float(row["mean_mse"]) / float(row["bound_mse"]) for row in rows]
+    assert [line.split()[-1] for line in table] == [f"{ratio:.3f}" for ratio in ratios]

@@ -3,6 +3,7 @@ import itertools
 import math
 import typing
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -740,6 +741,12 @@ class TestLoadConfig:
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.cfg")
+
+    def test_every_committed_config_loads(self):
+        paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+        assert paths
+        for path in paths:
+            assert isinstance(load_config(path), ExperimentConfig), path.name
 
     @pytest.mark.parametrize(
         "owner, name",

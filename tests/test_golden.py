@@ -1,7 +1,10 @@
 """Byte-for-byte regression against sweep CSVs committed under tests/data/.
 
 The six cases cover both geometry modes, pure line of sight, blocked
-direct links, four phase levels and the scaling recipe.  Each file was
+direct links, four phase levels and the scaling recipe.  The scaling
+case reads its system and geometry mode from ``configs/scaling_law.cfg``
+and sets only its own element counts, trials and seed, so the golden
+file pins the committed recipe as well as the engine.  Each file was
 last regenerated by a change that moved the streams or the rounding on
 purpose; ``CHANGES.md`` records every regeneration, with how far each
 file's cells moved and why.
@@ -17,14 +20,16 @@ and says so.  Only the named cases are rewritten; each is reported as
 """
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from irs_aircomp.channel import SystemConfig
-from irs_aircomp.experiments import ExperimentConfig, Scheme, run_sweep, write_csv
+from irs_aircomp.experiments import ExperimentConfig, Scheme, load_config, run_sweep, write_csv
 
 DATA = Path(__file__).resolve().parent / "data"
+SCALING_RECIPE = Path(__file__).resolve().parents[1] / "configs" / "scaling_law.cfg"
 
 IRS_SCHEMES = [Scheme.OPT_PC_IRS, Scheme.INV_PC_IRS, Scheme.FIXED_PHASE_OPT_PC]
 
@@ -60,19 +65,9 @@ CASES = {
         ExperimentConfig(system=SystemConfig(L=4), n_sweep=(32, 128), trials=25, seed=25),
         list(Scheme),
     ),
-    # the scaling-law recipe: unit path losses, fresh angles and vote per trial
+    # the committed scaling-law recipe: unit path losses, fresh angles and vote per trial
     "scaling_los": (
-        ExperimentConfig(
-            system=SystemConfig(
-                M=10, K=21, Pmax=1.0, sigma2=1.0, pure_los=True, block_direct=True,
-                ref_loss_linear=1.0, pathloss_exponent_reflected=0.0,
-                pathloss_exponent_direct=0.0, device_radius=0.0,
-            ),
-            n_sweep=(2048, 8192),
-            trials=8,
-            seed=26,
-            redraw_geometry_per_trial=True,
-        ),
+        replace(load_config(SCALING_RECIPE), n_sweep=(2048, 8192), trials=8, seed=26),
         IRS_SCHEMES,
     ),
 }
