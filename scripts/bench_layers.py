@@ -6,6 +6,7 @@
     python scripts/bench_layers.py --baseline ../parent/src --long --repeats 5 --out BENCH_14.json
     python scripts/bench_layers.py --baseline ../parent/src --end-to-end 5 --out BENCH_22.json
     python scripts/bench_layers.py --baseline ../parent/src --end-to-end 10 --out BENCH_23.json
+    python scripts/bench_layers.py --baseline ../parent/src --end-to-end 10 --out BENCH_29.json
 
 Times each layer of the long-term and per-block stages on its own: a
 fresh random stream (``RngStream.generator``, the public path), the
@@ -31,7 +32,12 @@ kernel runs at the same K = 21: ``phase_index_rows`` at L = 2 for those
 N and at L in {4, 16, 64} for N = 512, and ``vote_indices`` on the
 kernel's own rows at N = 8192, in the dtype the engine votes on, and
 ``compute_long_term`` at K = 21, N = 8192, the scaling recipe's
-per-trial long-term call.  Other
+per-trial long-term call.  One layer times a whole scaling-recipe trial
+as the ``scaling-los`` benchmark workload makes it, through the five
+public calls (``make_geometry``, ``compute_long_term``,
+``sample_channels``, ``effective_scalar_channel`` and
+``channel_inversion_power_control``), at N = 16, where the calls' fixed
+cost is nearly all of it, and at N = 8192.  Other
 channel-side layers run at the default scenario (K = 20, M = 10, L = 2)
 with N in {64, 512, 4096}; power control runs at K in {20, 1000}.  Two
 layers time the whole engine through the public API: ``run_sweep`` over
@@ -68,6 +74,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import importlib.util
 import json
@@ -89,6 +96,8 @@ LOS_N_VALUES = (512, 2048, 8192)
 LEVEL_VALUES = (4, 16, 64)
 K_VALUES = (20, 1000)
 REDRAW_N_SWEEP = (32, 64, 128, 256, 512)
+# the whole scaling trial where its fixed cost rules it, and at the benchmark's largest N
+TRIAL_N_VALUES = (16, 8192)
 # the pure line-of-sight scaling recipe, whose system the scaling layers run at each N
 SCALING_RECIPE = Path(__file__).resolve().parent.parent / "configs" / "scaling_law.cfg"
 TARGET_S = 0.02
@@ -195,6 +204,11 @@ def layers(pkg, long: bool):
     yield f"experiments.compute_long_term[K=21,N={N}]", (
         lambda: experiments.compute_long_term(geometry, system)
     )
+    # one whole scaling-recipe trial: the five public calls, as benchmark/workloads.py makes them
+    for N in TRIAL_N_VALUES:
+        yield f"scaling trial[K=21,N={N}]", functools.partial(
+            scaling_trial, pkg, dataclasses.replace(recipe, N=N)
+        )
     geometry = channel.make_geometry(channel.SystemConfig(K=21, N=512), RngStream(1, 0))
     for L in LEVEL_VALUES:
         yield f"protocol.phase_index_rows[K=21,L={L},N=512]", (
@@ -217,6 +231,20 @@ def layers(pkg, long: bool):
             yield f"experiments.run_sweep[T=10000{label}]", (
                 lambda: experiments.run_sweep(sweep, schemes)
             )
+
+
+def scaling_trial(pkg, system) -> None:
+    """Trial 0 of the scaling-los workload at seed 1 and ``system``: its geometry, long-term
+    state, block, gammas and inversion-rule power control, each from the public call."""
+    channel, RngStream = pkg.channel, pkg.numerics.RngStream
+    geometry = channel.make_geometry(system, RngStream(1, 2).generator())
+    long_term = pkg.experiments.compute_long_term(geometry, system)
+    block = channel.sample_channels(geometry, system, RngStream(1, 3))
+    gammas = channel.effective_scalar_channel(block, long_term.v, long_term.theta_voted)
+    try:
+        pkg.protocol.channel_inversion_power_control(gammas, system.Pmax, system.sigma2)
+    except pkg.protocol.DegenerateChannelError:
+        pass
 
 
 def batch_us(fn, calls: int) -> float:

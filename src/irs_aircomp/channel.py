@@ -130,9 +130,19 @@ _UNSCALED, _MAX_COORDINATE = 2.0**510, 2.0**1020
 
 
 def _norms(vectors: np.ndarray, scale: float, axis=None):
-    """``np.linalg.norm`` of ``vectors`` as scale times that of vectors / scale: both
-    steps are exact at a power-of-two ``scale``, and one above 1 keeps the squares finite."""
-    return scale * np.linalg.norm(vectors / scale, axis=axis)
+    """``np.linalg.norm(vectors, axis=axis)`` as scale times that of vectors / scale: both
+    steps are exact at a power-of-two ``scale``, and one above 1 keeps the squares finite.
+
+    ``scale`` is 1 for every in-range config.  The norms are formed by
+    ``np.linalg.norm``'s own steps for a real array, without its
+    argument handling: sqrt(x.dot(x)) for one vector (``axis`` None), and
+    the square root of ``np.add.reduce`` of the squares along one axis.
+    """
+    if scale != 1.0:
+        return scale * _norms(vectors / scale, 1.0, axis)
+    if axis is None:
+        return math.sqrt(vectors.dot(vectors))
+    return np.sqrt(np.add.reduce(vectors * vectors, axis=axis))
 
 
 def _all_finite(value) -> bool:
@@ -219,12 +229,15 @@ def _pathlosses(distances: np.ndarray, exponent: float, ref_loss_linear: float) 
     10 474 of 200 000 distances at exponent 2.2), so vectorising would
     move every path loss, and every sweep result, in the last bits.
     """
-    for distance in distances[distances < 1.0].tolist():
-        warnings.warn(
-            f"distance {distance} m inside 1 m reference, clamping", stacklevel=_caller_level()
-        )
-    clamped = np.maximum(distances, 1.0).ravel().tolist()
-    return np.array([ref_loss_linear * d ** -exponent for d in clamped]).reshape(distances.shape)
+    flat = distances.ravel().tolist()
+    for distance in flat:
+        if distance < 1.0:
+            warnings.warn(
+                f"distance {distance} m inside 1 m reference, clamping", stacklevel=_caller_level()
+            )
+    power = -exponent
+    losses = [ref_loss_linear * (1.0 if d < 1.0 else d) ** power for d in flat]
+    return np.array(losses).reshape(distances.shape)
 
 
 def make_geometry(
@@ -246,59 +259,42 @@ def make_geometry(
 def _make_geometries(config: SystemConfig, streams, generator=as_generator) -> list[Geometry]:
     """:func:`make_geometry` of each stream, the arithmetic done once for all of them.
 
-    Each stream makes its own draws, in make_geometry's order, from
-    ``generator(stream)``: by default a stream is an RngStream or a
-    Generator, and the engine passes stream ids with its
-    :func:`~irs_aircomp.numerics._rewinder`.
-    Positions, distances and path losses of every geometry are then
-    elementwise passes over the (B, K) stacks, each path loss a Python
-    ``**``, so every geometry equals, bit for bit, the call with its
-    stream alone.  The geometries' arrays are rows of the stacks.
+    Each stream makes its draws from ``generator(stream)``: by default a
+    stream is an RngStream or a Generator, and the engine passes stream
+    ids with its :func:`~irs_aircomp.numerics._rewinder`.  A geometry is
+    3K + 2 uniforms u in one ``random`` call, in make_geometry's order:
+    the K radius fractions, the K azimuths, phi_r, phi_t and the K nu,
+    each ``low + (high - low) * u`` on [low, high) as numpy's ``uniform``
+    forms it, so the stream ends where K + K + 1 + 1 + K uniform draws
+    leave it.  Positions, distances and path losses of every geometry
+    are then elementwise passes over the (B, K) stacks, each path loss a
+    Python ``**``, so every geometry equals, bit for bit, the call with
+    its stream alone.  The geometries' arrays are rows of the stacks.
     """
     K = config.K
-    ap = np.asarray(config.ap_position, dtype=float)
-    irs = np.asarray(config.irs_position, dtype=float)
-    center = np.asarray(config.device_center, dtype=float)
-    half = np.pi / 2
-    draws = []
-    for stream in streams:
-        gen = generator(stream)
-        draws.append(  # radius and azimuth fractions, phi_r, phi_t, nu
-            (
-                gen.uniform(0.0, 1.0, K),
-                gen.uniform(0.0, 2.0 * np.pi, K),
-                gen.uniform(-half, half),
-                gen.uniform(-half, half),
-                gen.uniform(-half, half, K),
-            )
-        )
-    unit, azimuth, phi_r, phi_t, nu = zip(*draws)
-    radii = config.device_radius * np.sqrt(np.array(unit))
-    azimuth = np.array(azimuth)
-    positions = np.stack(
-        [
-            center[0] + radii * np.cos(azimuth),
-            center[1] + radii * np.sin(azimuth),
-            np.zeros(radii.shape),
-        ],
-        axis=-1,
-    )
+    draws = np.empty((len(streams), 3 * K + 2))
+    for row, stream in zip(draws, streams):
+        generator(stream).random(out=row)
     B = len(draws)
-    if config.phi_r is not None:
-        phi_r = (config.phi_r,) * B
-    if config.phi_t is not None:
-        phi_t = (config.phi_t,) * B
-    nu = np.array(nu) if config.nu is None else np.tile(np.asarray(config.nu, dtype=float), (B, 1))
+    radii = config.device_radius * np.sqrt(draws[:, :K])
+    azimuth = draws[:, K : 2 * K] * (2.0 * np.pi)  # on [0, 2*pi)
+    angles = draws[:, 2 * K :] * np.pi - np.pi / 2  # phi_r, phi_t, nu on [-pi/2, pi/2)
+    positions = np.zeros((B, K, 3))
+    positions[..., 0] = config.device_center[0] + radii * np.cos(azimuth)
+    positions[..., 1] = config.device_center[1] + radii * np.sin(azimuth)
+    phi_r = angles[:, 0].tolist() if config.phi_r is None else [config.phi_r] * B
+    phi_t = angles[:, 1].tolist() if config.phi_t is None else [config.phi_t] * B
+    nu = angles[:, 2:] if config.nu is None else np.tile(np.asarray(config.nu, dtype=float), (B, 1))
 
     exp_r = config.pathloss_exponent_reflected
     exp_d = config.pathloss_exponent_direct
     ref = config.ref_loss_linear
     scale = config._distance_scale
-    rho_1 = pathloss(float(_norms(irs - ap, scale)), exp_r, ref)
-    dist_ap = _norms(positions - ap, scale, axis=-1)
-    dist_irs = _norms(positions - irs, scale, axis=-1)
-    rho_d = np.zeros((B, K)) if config.block_direct else _pathlosses(dist_ap, exp_d, ref)
-    rho_r = _pathlosses(dist_irs, exp_r, ref)
+    nodes = np.array((config.ap_position, config.irs_position))
+    rho_1 = pathloss(_norms(nodes[1] - nodes[0], scale), exp_r, ref)
+    dist = _norms(positions[..., None, :] - nodes, scale, -1)  # (B, K, 2): to the AP, to the IRS
+    rho_d = np.zeros((B, K)) if config.block_direct else _pathlosses(dist[..., 0], exp_d, ref)
+    rho_r = _pathlosses(dist[..., 1], exp_r, ref)
     return [
         Geometry(
             device_positions=positions[b],
@@ -514,5 +510,6 @@ def _reflections(rho_1, a_m, v, phi_t, spacing_ratio: float, phasors):
     geometry's factors equal, bit for bit, those of a call on it alone.
     """
     gain = np.sqrt(rho_1) * np.matmul(v.conj()[:, None, :], a_m[:, :, None])[:, 0, 0]
-    steering = _responses(phasors.shape[-1], phi_t, spacing_ratio).conj()
+    steering = _responses(phasors.shape[-1], phi_t, spacing_ratio)
+    np.conjugate(steering, out=steering)
     return gain, steering[:, None, :] * phasors

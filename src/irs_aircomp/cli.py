@@ -66,7 +66,10 @@ def _cmd_sweep(args) -> int:
         config = replace(config, seed=args.seed)
     schemes = _parse_schemes(args.schemes) if args.schemes else list(Scheme)
     directory = os.path.dirname(args.out) or "."
-    if not os.access(directory, os.W_OK):  # fail before the trials, not after them
+    # fail before the trials, not after them
+    if os.path.isdir(args.out):
+        raise OSError(f"failed writing sweep CSV to {args.out}: it is a directory")
+    if not os.access(directory, os.W_OK):
         raise OSError(f"failed writing sweep CSV to {args.out}: cannot write in {directory}")
     result = run_sweep(config, schemes)
     write_csv(result, args.out)

@@ -238,7 +238,7 @@ def _long_term(config: SystemConfig, geometries) -> tuple[np.ndarray, np.ndarray
     a_m = _responses(config.M, [g.phi_r for g in geometries], spacing)
     phi_t, nu = np.array([g.phi_t for g in geometries]), np.array([g.nu for g in geometries])
     votes = vote_indices(_phase_rows(phi_t, nu, config.N, config.L, spacing), config.L)
-    return a_m, a_m / np.sqrt(config.M), votes
+    return a_m, a_m / math.sqrt(config.M), votes
 
 
 def _direct_gammas(h_direct: np.ndarray) -> np.ndarray:
@@ -631,7 +631,7 @@ def _parse(raw: str, key: str, hint):
         (hint,) = set(args) - {type(None)}
         args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
-        parts = tuple(_parse(part, key, args[0]) for part in raw.split(","))
+        parts = tuple(_parse(part.strip(), key, args[0]) for part in raw.split(","))
         if args[-1] is not Ellipsis and len(parts) != len(args):
             raise ConfigError(f"{key}: expected three comma-separated coordinates")
         return parts

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import typing
 from dataclasses import dataclass
@@ -50,8 +51,32 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         """Materialize a fresh Philox generator at the origin of this stream."""
         key, counter = _philox_words(self.seed, self.stream_id)
-        bits = np.random.Philox(counter=np.array(counter, np.uint64), key=np.array(key, np.uint64))
+        bits = np.random.Philox(_philox_key()(key), counter=np.array(counter, np.uint64))
         return np.random.Generator(bits)
+
+
+@functools.cache
+def _philox_key() -> type:
+    """The seed-sequence type that hands Philox its key words as they are.
+
+    ``Philox(key=...)`` also builds a ``SeedSequence()`` from fresh OS
+    entropy, which it then drops: 9 of the 15 us of a generator (2 x86-64
+    cores).  Seeded with one of these, Philox reads the key from
+    ``generate_state`` and draws no entropy; its state, and so every draw,
+    is that of ``Philox(key=key)``, and neither can ``spawn``.  The type
+    is made on first use, so that importing the package does not import
+    ``numpy.random``.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PhiloxKey(ISeedSequence):
+        def __init__(self, words: tuple[int, ...]):
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return np.array(self.words, dtype)
+
+    return PhiloxKey
 
 
 def _philox_words(seed: int, stream_id: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -153,8 +178,7 @@ def _responses(n_elems: int, angles, spacing_ratio: float) -> np.ndarray:
     the kernel is elementwise, so each row equals, bit for bit, the
     call with its angle alone.
     """
-    slopes = np.array([_slope(angle, spacing_ratio) for angle in angles])
-    return _steering(slopes[:, None], n_elems)
+    return _steering(np.array([[_slope(angle, spacing_ratio)] for angle in angles]), n_elems)
 
 
 def _slope(angle: float, spacing_ratio: float) -> float:
@@ -192,7 +216,10 @@ def _steering(slope, n_elems: int) -> np.ndarray:
     eps*(|slope|*m + 8) of it.  B is fixed, so element m depends on m
     alone, and the first n elements at N are the whole output at n.
     """
-    return _expand(_steering_factors(slope, n_elems))
+    factors = _steering_factors(slope, n_elems)
+    # at n <= B the one coarse factor is 1 + 0i, with the slope's sign of
+    # zero, and its products leave every fine factor as it is
+    return factors.fine if n_elems <= _STEERING_BLOCK else _expand(factors)
 
 
 class _Factors(typing.NamedTuple):
@@ -223,9 +250,9 @@ def _steering_factors(slope, n_elems: int, amplitude=None) -> _Factors:
     phasors = np.empty(phase.shape, dtype=complex)
     np.cos(phase, out=phasors.real)
     np.sin(phase, out=phasors.imag)
-    coarse = phasors[..., :1].copy() if one_block else phasors[..., _STEERING_BLOCK:]
+    coarse = phasors[..., :1] if one_block else phasors[..., _STEERING_BLOCK:]
     if amplitude is not None:
-        np.multiply(amplitude, coarse, out=coarse)
+        coarse = amplitude * coarse
     return _Factors(coarse, phasors[..., :_STEERING_BLOCK], n_elems)
 
 
@@ -257,20 +284,21 @@ def _project(factors: _Factors, rows: np.ndarray, sizes) -> np.ndarray:
     sums in another order.
     """
     coarse, fine, _ = factors
-    H, width = sizes[-1] // _STEERING_BLOCK, fine.shape[-1]  # width is B wherever H > 0
-    blocks = rows[..., : H * width].reshape(*rows.shape[:-1], H, width, 1)
-    per_block = np.matmul(fine[..., None, None, :, :], blocks)[..., 0]  # (..., J, H, K)
-    weighted = np.empty(per_block.shape[:-2] + (fine.shape[-2], H), dtype=complex)
-    np.multiply(coarse[..., None, :, :H], np.swapaxes(per_block, -1, -2), out=weighted)
+    H = sizes[-1] // _STEERING_BLOCK
+    if H:
+        blocks = rows[..., : H * _STEERING_BLOCK].reshape(*rows.shape[:-1], H, _STEERING_BLOCK, 1)
+        per_block = np.matmul(fine[..., None, None, :, :], blocks)[..., 0]  # (..., J, H, K)
+        weighted = np.empty(per_block.shape[:-2] + (fine.shape[-2], H), dtype=complex)
+        np.multiply(coarse[..., None, :, :H], per_block.swapaxes(-1, -2), out=weighted)
     sums = []
     for n in sizes:
         h, tail = divmod(n, _STEERING_BLOCK)
-        total = weighted[..., :h].sum(axis=-1)
+        total = np.add.reduce(weighted[..., :h], axis=-1) if h else 0.0  # no blocks: +0, +0j
         if tail:
             part = np.matmul(fine[..., None, :, :tail], rows[..., h * _STEERING_BLOCK : n, None])
-            total += coarse[..., None, :, h] * part[..., 0]
+            total = total + coarse[..., None, :, h] * part[..., 0]
         sums.append(total)
-    return np.stack(sums, axis=-2)
+    return sums[0][..., None, :] if len(sums) == 1 else np.stack(sums, axis=-2)
 
 
 def sinc_normalized(x: float) -> float:

@@ -62,7 +62,7 @@ class PhaseShiftVector:
         idx = np.asarray(self.indices, dtype=np.int64)
         object.__setattr__(self, "indices", idx)
         _require_count(self.levels, "levels")
-        if idx.ndim != 1 or np.any(idx < 0) or np.any(idx >= self.levels):
+        if idx.ndim != 1 or idx.min(initial=0) < 0 or idx.max(initial=-1) >= self.levels:
             raise ValueError("indices must be a 1-D array of values in [0, levels)")
 
     @property
@@ -89,8 +89,21 @@ class PhaseShiftVector:
 
 
 def _phasor_table(levels: int) -> np.ndarray:
-    """The L level phasors exp(1j * l*2*pi/L), l < L: a phase-shift vector's phasors index it."""
-    return np.exp(1j * (np.arange(levels) * (TWO_PI / levels)))
+    """The L level phasors exp(1j * l*2*pi/L), l < L: a phase-shift vector's phasors index it.
+
+    Read-only.  A table of at most ``_COUNT_LEVELS`` levels is built once
+    per process; a larger one, on each call.
+    """
+    table = _PHASOR_TABLES.get(levels)
+    if table is None:
+        table = np.exp(1j * (np.arange(levels) * (TWO_PI / levels)))
+        table.flags.writeable = False
+        if levels <= _COUNT_LEVELS:
+            _PHASOR_TABLES[levels] = table
+    return table
+
+
+_PHASOR_TABLES: dict[int, np.ndarray] = {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +122,7 @@ class PowerSolution:
     def __post_init__(self) -> None:
         p = np.asarray(self.powers, dtype=float)
         object.__setattr__(self, "powers", p)
-        if (p < 0).any():
+        if p.min(initial=0.0) < 0:
             raise ValueError("powers must be non-negative")
         if not self.eta > 0 and (p > 0).any():
             raise ValueError("eta must be positive when any device transmits")
@@ -173,7 +186,10 @@ _MAX_DELTA = 0.125
 
 def _doubt(levels: int, t_max):
     """delta of :func:`phase_index_rows`: how far its level coordinate may stray at |t| <= t_max."""
-    return 4.0 * np.finfo(float).eps * levels * (t_max + 1.0)
+    return 4.0 * _EPS * levels * (t_max + 1.0)
+
+
+_EPS = float(np.finfo(float).eps)
 
 
 def _index_rows(steps: np.ndarray, diff: np.ndarray, levels: int) -> np.ndarray:
@@ -305,6 +321,9 @@ def vote_indices(indices: np.ndarray, levels: int) -> np.ndarray:
         vote = ordered[np.arange(columns) * K + (-best) % (K + 1)]
         return vote.astype(np.int64).reshape(*stack, n)
     tally = np.min_scalar_type(K)
+    if levels == 2:  # level 1 takes a column with more than level 0's K - count votes
+        count = np.add.reduce((indices == 1).view(np.uint8), axis=-2, dtype=tally)
+        return (count > K - count).astype(np.int64)
     counts = [
         np.add.reduce((indices == j).view(np.uint8), axis=-2, dtype=tally)
         for j in range(1, levels)
@@ -411,15 +430,15 @@ def _power_rows(g: np.ndarray, Pmax: float, sigma2: float, inversion: bool):
     if not sigma2 >= 0:
         raise ValueError("sigma2 must be non-negative")
     B, K = g.shape
-    rows = np.arange(B)[:, None]
     g2 = g**2  # within range: :func:`_gamma_magnitudes` checked the extremes
     if inversion:
-        weakest = g2.argmin(axis=1)[:, None]
-        eta = Pmax * g2[rows, weakest][:, 0]
+        weakest = np.arange(B), g2.argmin(axis=1)
+        eta = Pmax * g2[weakest]
         powers = eta[:, None] / g2
-        powers[rows, weakest] = Pmax  # exact, not Pmax*g2min/g2min
+        powers[weakest] = Pmax  # exact, not Pmax*g2min/g2min
         return powers, eta, np.ones(B, dtype=np.int64), sigma2 / eta
 
+    rows = np.arange(B)[:, None]
     order = np.argsort(g2, axis=1, kind="stable")
     gs, gs2 = g[rows, order], g2[rows, order]
     amp_sum = np.cumsum(np.sqrt(Pmax) * gs, axis=1)

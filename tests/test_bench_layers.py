@@ -24,3 +24,5 @@ def test_every_layer_runs_once():
         fn()
         names.append(name)
     assert len(names) == len(set(names)) > 0
+    # the whole scaling-recipe trial, where its fixed cost rules and at the largest N
+    assert {"scaling trial[K=21,N=16]", "scaling trial[K=21,N=8192]"} <= set(names)

@@ -1,11 +1,17 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import irs_aircomp
 from irs_aircomp import channel, numerics
 from irs_aircomp.channel import (
     SystemConfig,
@@ -549,3 +555,125 @@ class TestEffectiveScalarChannel:
         v = array_response(4, geo.phi_r, 0.5) / 2.0
         with pytest.raises(ValueError):
             effective_scalar_channel(real, v, PhaseShiftVector.zero(5, 2))
+
+
+# The Rician public path at the default scenario with one BLAS thread, as
+# float hex: N -> (each device's gamma as "real imag", the optimal rule's
+# MSE, the inversion rule's MSE).  The counts cross the 64-element steering block.
+RICIAN_GAMMAS = {
+    64: (
+        [
+            "0x1.c67ac66fe2e3ap-20 -0x1.1aab17b45d4f6p-19",
+            "0x1.9a7d46b960d91p-19 0x1.a38d19c812996p-18",
+            "0x1.c8cacd7d0daf8p-22 0x1.7ca2e26b9e45cp-20",
+            "0x1.08d819304c3c1p-17 0x1.eedb55d3acca0p-21",
+            "0x1.e57684b84829ep-17 0x1.615931d834440p-24",
+            "0x1.67c0801af6f3cp-18 0x1.9c3b7136181d2p-21",
+            "0x1.53a5f020bbe80p-19 0x1.a0d35ac70c291p-19",
+            "0x1.843dbe85dd1aep-17 -0x1.b4a0d7a3493ccp-18",
+            "-0x1.acf07d2870ca8p-22 -0x1.0ec0965768853p-18",
+            "0x1.8b5f45d451c28p-18 0x1.9654dcb8945d8p-18",
+            "0x1.1de44d6eae980p-17 -0x1.1f87593fdc11cp-19",
+            "-0x1.e1ce8bc489700p-26 0x1.35c164364f271p-18",
+            "0x1.e678142a03322p-18 -0x1.450bd5a769445p-21",
+            "0x1.e1723ef57d17ep-17 -0x1.0c2e7a3ba3da4p-20",
+            "-0x1.4c0c13cb294ccp-20 0x1.12f435848a6bfp-19",
+            "0x1.5f0ecb4bfd78dp-18 0x1.0446ea2151269p-17",
+            "0x1.9c51f029c47bcp-20 0x1.48c2af616183ep-18",
+            "0x1.0ff413b2567c0p-18 0x1.722c341763589p-19",
+            "0x1.04cd06ab29f4bp-18 0x1.b13ee6cd2fe38p-19",
+            "0x1.25ed5168abe33p-17 0x1.7f617ba663d50p-19",
+        ],
+        "0x1.0f2c0d77b68ecp+2",
+        "0x1.6d057f28314d9p+5",
+    ),
+    65: (
+        [
+            "0x1.1ae119eaf7d9cp-20 -0x1.c3f5754d427b3p-20",
+            "0x1.30bc6fa35ce09p-19 0x1.9212d2b810664p-18",
+            "0x1.7f29d08c975eap-23 0x1.14a01ee7fb1a8p-19",
+            "0x1.108414aac965bp-17 0x1.4caf120f336fep-23",
+            "0x1.03502c04b0f1fp-16 0x1.47273319caab8p-22",
+            "0x1.837a5ce434c94p-18 0x1.6f7f4d9789924p-21",
+            "0x1.9b1ea18fbf78dp-19 0x1.71739bb416909p-19",
+            "0x1.66dff0fd69461p-17 -0x1.c9994429c0e0dp-18",
+            "-0x1.07053d8abd59ap-22 -0x1.35c756f2cb3e8p-18",
+            "0x1.7d684953b81bdp-18 0x1.6c8eb357e3edcp-18",
+            "0x1.310f2cde78d94p-17 -0x1.a4542e21cec54p-20",
+            "0x1.79d02ccf5c028p-23 0x1.5de9fdd76c6d5p-18",
+            "0x1.f6a6bc2aeca86p-18 -0x1.62cd95287b245p-20",
+            "0x1.fe249e5eca42fp-17 -0x1.eae3ec01f64aep-21",
+            "-0x1.113bafb090b3ap-19 0x1.ccce48f8d05cap-20",
+            "0x1.524cae90f2b13p-18 0x1.1839dec3cd3a4p-17",
+            "0x1.49ecd120a4ebep-21 0x1.75240353cf571p-18",
+            "0x1.18c5f118ef390p-18 0x1.20bc99081ca6cp-19",
+            "0x1.fe7220ce06b0cp-19 0x1.054ded7e3a7cap-18",
+            "0x1.392fab913a2f7p-17 0x1.1bb994c96e47dp-19",
+        ],
+        "0x1.01124f384e71bp+2",
+        "0x1.958c3a6089f55p+4",
+    ),
+    512: (
+        [
+            "0x1.cae216fbaab33p-16 0x1.e11183068b5a8p-17",
+            "0x1.5321338a711edp-15 0x1.448db06d16ef4p-18",
+            "0x1.65f0ec8459440p-15 -0x1.c8f48cb298abcp-17",
+            "0x1.0f3527e41c95fp-14 0x1.46504dc1adedep-16",
+            "0x1.990e3f87f9002p-15 0x1.e9b870871ae79p-17",
+            "0x1.752577fb91e44p-15 -0x1.4358b4fb6810bp-18",
+            "0x1.3f16062723463p-15 0x1.9e876cfdc78f4p-17",
+            "0x1.a14de3f64a9b3p-15 -0x1.4d7df32770f3dp-19",
+            "0x1.bf4c682fe29a4p-15 -0x1.d8fd3c8d64729p-17",
+            "0x1.381e744342d5ap-15 0x1.644974c1015b8p-17",
+            "0x1.79b300911bb3dp-15 -0x1.f883415ab0660p-26",
+            "0x1.935dbcaefd093p-16 0x1.83073191fe251p-17",
+            "0x1.493c60466f212p-14 0x1.aaddae1bd3ce5p-19",
+            "0x1.04bdda1850e91p-15 -0x1.a7944170a5142p-18",
+            "0x1.edbd7d2327c40p-15 -0x1.6eefcec019e55p-16",
+            "0x1.e80160aefbe61p-16 0x1.e260e1cfd20cap-16",
+            "0x1.ef388fa95190bp-16 0x1.044ef67f9800ap-18",
+            "0x1.790fc1a55fbeap-15 0x1.afaabd6edc451p-17",
+            "0x1.ef6658134c89ap-16 -0x1.efda4018ab137p-19",
+            "0x1.3bba6c3e810ebp-15 0x1.597e1ee5ff12cp-18",
+        ],
+        "0x1.fa2f31848b254p-4",
+        "0x1.2002f5d97f085p-3",
+    ),
+}
+
+RICIAN_RUN = """
+import json, sys
+from irs_aircomp import (
+    RngStream, SystemConfig, channel_inversion_power_control, compute_long_term,
+    effective_scalar_channel, make_geometry, optimal_power_control, sample_channels,
+)
+out = {}
+for N in map(int, sys.argv[1:]):
+    cfg = SystemConfig(N=N)
+    geo = make_geometry(cfg, RngStream(29, 0))
+    state = compute_long_term(geo, cfg)
+    block = sample_channels(geo, cfg, RngStream(29, 1))
+    gammas = effective_scalar_channel(block, state.v, state.theta_voted)
+    out[N] = [
+        [f"{g.real.hex()} {g.imag.hex()}" for g in gammas],
+        optimal_power_control(gammas, cfg.Pmax, cfg.sigma2).mse.hex(),
+        channel_inversion_power_control(gammas, cfg.Pmax, cfg.sigma2).mse.hex(),
+    ]
+print(json.dumps(out))
+"""
+
+
+def test_rician_public_path_is_pinned_bit_for_bit():
+    # sample_channels and effective_scalar_channel, and both power rules on their
+    # gammas, equal the recorded values in every bit.  They run in a process with one
+    # BLAS thread, as the benchmark runs them: OpenBLAS splits the scattered part's
+    # (K, N) matrix-vector product across threads at N = 512, and the rounding of
+    # its sums follows the thread count.
+    src = str(Path(irs_aircomp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    argv = [sys.executable, "-c", RICIAN_RUN, *map(str, RICIAN_GAMMAS)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == {
+        str(N): [pairs, opt, inv] for N, (pairs, opt, inv) in RICIAN_GAMMAS.items()
+    }

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from irs_aircomp import experiments
+from irs_aircomp import cli, experiments
 from irs_aircomp.cli import main
 
 
@@ -99,6 +99,11 @@ def test_single_prints_the_sweep_row_at_n(redraw, tmp_path, capsys):
 def test_bad_config_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path, "nonsense_key = 3\n")
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    # an unparsable list element is quoted as written, without the space after the comma
+    cfg = write_config(tmp_path, TOY.replace("n_sweep = 8, 16", "n_sweep = 64, x"))
+    capsys.readouterr()
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == "error: n_sweep: cannot parse 'x' as int\n"
     # a dBm value whose watts overflow a float is named, on every command that reads a config
     for key in ("pmax_dbm", "sigma2_dbm"):
         cfg = write_config(tmp_path, TOY + f"{key} = 4000\n")
@@ -149,6 +154,19 @@ def test_unwritable_output_or_bad_scheme_list_exits_two(
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     assert calls == []
     assert not (tmp_path / "missing").exists() and not (tmp_path / "x.csv").exists()
+
+
+def test_sweep_into_a_directory_exits_two_before_any_trial(tmp_path, capsys, monkeypatch):
+    # an --out that names a directory is refused, naming it, before run_sweep starts
+    calls, sweep = [], cli.run_sweep
+    monkeypatch.setattr(cli, "run_sweep", lambda *a: calls.append(1) or sweep(*a))
+    out = tmp_path / "outdir"
+    out.mkdir()
+    assert main(["sweep", "--config", write_config(tmp_path, TOY), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: failed writing sweep CSV to {out}: it is a directory\n"
+    assert calls == [] and list(out.iterdir()) == []
 
 
 def test_missing_config_exits_two(tmp_path):
