@@ -7,6 +7,7 @@
     python scripts/bench_layers.py --baseline ../parent/src --end-to-end 5 --out BENCH_22.json
     python scripts/bench_layers.py --baseline ../parent/src --end-to-end 10 --out BENCH_23.json
     python scripts/bench_layers.py --baseline ../parent/src --end-to-end 10 --out BENCH_29.json
+    python scripts/bench_layers.py --baseline ../parent/src --long --end-to-end 10 --out BENCH_30.json
 
 Times each layer of the long-term and per-block stages on its own: a
 fresh random stream (``RngStream.generator``, the public path), the
@@ -39,12 +40,14 @@ public calls (``make_geometry``, ``compute_long_term``,
 ``channel_inversion_power_control``), at N = 16, where the calls' fixed
 cost is nearly all of it, and at N = 8192.  Other
 channel-side layers run at the default scenario (K = 20, M = 10, L = 2)
-with N in {64, 512, 4096}; power control runs at K in {20, 1000}.  Two
-layers time the whole engine through the public API: ``run_sweep`` over
-64 trials (one power block) of the default scenario, every scheme, with
-the geometry fixed, and with it redrawn per trial at the CLI
-benchmark's N in {32, ..., 512}, where the per-geometry stage runs on
-the block's stacked geometries.  ``--long`` adds two 10 000-trial
+with N in {64, 512, 4096}; power control runs at K in {20, 1000}, and
+on the 90 optimal-rule rows of a 10-trial default sweep.  Four layers
+time the whole engine through the public API: ``run_sweep`` of the
+default scenario, every scheme, with the geometry fixed, over 1 trial
+(its per-run cost), 10 trials (a round of the ``sweep-fixed``
+benchmark) and 64 trials (one power block), and over 64 trials with it
+redrawn per trial at the CLI benchmark's N in {32, ..., 512}, where the
+per-geometry stage runs on the block's stacked geometries.  ``--long`` adds two 10 000-trial
 ``run_sweep`` layers of the default scenario and sweep, geometry fixed
 and redrawn.  A layer
 that a side's source does not have is recorded for the other sides
@@ -174,6 +177,11 @@ def layers(pkg, long: bool):
         yield f"protocol.power_control_rows[B=64,K={K}]", (
             lambda: protocol.power_control_rows(gammas, 0.1, 1e-11)
         )
+    # the optimal rule's rows of a 10-trial default sweep: 9 per trial
+    rows90 = 1e-4 * (gen.standard_normal((90, 20)) + 1j * gen.standard_normal((90, 20)))
+    yield "protocol.power_control_rows[B=90,K=20]", (
+        lambda: protocol.power_control_rows(rows90, 0.1, 1e-11)
+    )
     for N in LOS_N_VALUES:
         system = channel.SystemConfig(K=21, N=N)
         geometry = channel.make_geometry(system, RngStream(1, 0))
@@ -216,9 +224,11 @@ def layers(pkg, long: bool):
         )
     for n in (10, 8192):
         yield f"numerics.array_response[n={n}]", lambda: pkg.numerics.array_response(n, 0.3)
-    sweep = experiments.ExperimentConfig(system=base, trials=64, seed=1)
     schemes = list(experiments.Scheme)
-    yield "experiments.run_sweep[T=64]", lambda: experiments.run_sweep(sweep, schemes)
+    # one trial (the per-run cost), the sweep-fixed benchmark round, one power block
+    for T in (1, 10, 64):
+        sweep = experiments.ExperimentConfig(system=base, trials=T, seed=1)
+        yield f"experiments.run_sweep[T={T}]", lambda: experiments.run_sweep(sweep, schemes)
     redrawn = experiments.ExperimentConfig(
         system=base, n_sweep=REDRAW_N_SWEEP, trials=64, seed=1, redraw_geometry_per_trial=True
     )

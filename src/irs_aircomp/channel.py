@@ -295,17 +295,10 @@ def _make_geometries(config: SystemConfig, streams, generator=as_generator) -> l
     dist = _norms(positions[..., None, :] - nodes, scale, -1)  # (B, K, 2): to the AP, to the IRS
     rho_d = np.zeros((B, K)) if config.block_direct else _pathlosses(dist[..., 0], exp_d, ref)
     rho_r = _pathlosses(dist[..., 1], exp_r, ref)
+    spacing = config.spacing_ratio
+    # positional, in the order of Geometry's fields: keyword matching doubles the cost of each
     return [
-        Geometry(
-            device_positions=positions[b],
-            phi_r=phi_r[b],
-            phi_t=phi_t[b],
-            nu=nu[b],
-            rho_1=rho_1,
-            rho_d=rho_d[b],
-            rho_r=rho_r[b],
-            spacing_ratio=config.spacing_ratio,
-        )
+        Geometry(positions[b], phi_r[b], phi_t[b], nu[b], rho_1, rho_d[b], rho_r[b], spacing)
         for b in range(B)
     ]
 
@@ -334,11 +327,16 @@ def line_of_sight(geometry: Geometry, config: SystemConfig) -> np.ndarray:
     Element m depends on m alone, so the first n columns at N equal the
     whole output at n.
     """
-    return _expand(_line_of_sight(config, geometry.rho_r, geometry.nu, geometry.spacing_ratio))
+    return _expand(
+        _line_of_sight(config, geometry.rho_r, geometry.nu, geometry.spacing_ratio, config.N)
+    )
 
 
-def _line_of_sight(config: SystemConfig, rho_r, nu, spacing_ratio: float) -> _Factors:
-    """The steering factors of :func:`line_of_sight` of a stack: rho_r and nu (..., K).
+def _line_of_sight(
+    config: SystemConfig, rho_r, nu, spacing_ratio: float, n_elements: int
+) -> _Factors:
+    """The steering factors of :func:`line_of_sight` of a stack, rho_r and nu (..., K), at
+    ``n_elements``; of ``config`` it reads the link model alone, not N.
 
     Every step is elementwise, so each geometry's factors equal, bit for
     bit, those of the call on it alone.
@@ -348,7 +346,7 @@ def _line_of_sight(config: SystemConfig, rho_r, nu, spacing_ratio: float) -> _Fa
         delta = config.rician_delta
         rho = rho * delta / (delta + 1.0)
     slope = (2.0 * np.pi * spacing_ratio) * np.sin(nu)
-    return _steering_factors(slope[..., None], config.N, np.sqrt(rho)[..., None])
+    return _steering_factors(slope[..., None], n_elements, np.sqrt(rho)[..., None])
 
 
 # numpy divides a complex by the real sqrt(2) (Smith's method) as a
@@ -398,7 +396,7 @@ def sample_channels(
     _require_devices(geometry, config)
     gen = as_generator(stream)
     K, N = config.K, config.N
-    los = _line_of_sight(config, geometry.rho_r, geometry.nu, geometry.spacing_ratio)
+    los = _line_of_sight(config, geometry.rho_r, geometry.nu, geometry.spacing_ratio, N)
 
     h_direct = _direct_links(geometry.rho_d, gen.standard_normal((2, K, config.M)))
     if config.pure_los:

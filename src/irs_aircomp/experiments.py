@@ -53,7 +53,7 @@ import csv
 import enum
 import math
 import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -68,7 +68,15 @@ from .channel import (
     _require_devices,
     make_geometry,
 )
-from .numerics import RngStream, _is_integer, _project, _require_spacing, _responses, _rewinder
+from .numerics import (
+    RngStream,
+    _fsums,
+    _is_integer,
+    _project,
+    _require_spacing,
+    _responses,
+    _rewinder,
+)
 from .protocol import (
     DegenerateChannelError,
     PhaseShiftVector,
@@ -218,12 +226,15 @@ def compute_long_term(geometry: Geometry, config: SystemConfig) -> LongTermState
     device count than ``config.K`` raises ``ValueError``.
     """
     _require_devices(geometry, config)
-    _, v, votes = _long_term(config, [geometry])
+    _, v, votes = _long_term(config, [geometry], config.N)
     return LongTermState(v=v[0], theta_voted=PhaseShiftVector(votes[0], config.L))
 
 
-def _long_term(config: SystemConfig, geometries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The long-term arrays of B geometries: a_M(phi_r) (B, M), v (B, M) and the votes (B, N).
+def _long_term(
+    config: SystemConfig, geometries, n_elements: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The long-term arrays of B geometries: a_M(phi_r) (B, M), v (B, M) and the votes (B, N),
+    N = ``n_elements`` (``config.N`` is not read).
 
     The first half of the per-geometry stage.  One steering pass gives
     every a_M(phi_r), and v = a_M / sqrt(M) is
@@ -237,7 +248,7 @@ def _long_term(config: SystemConfig, geometries) -> tuple[np.ndarray, np.ndarray
     spacing = geometries[0].spacing_ratio
     a_m = _responses(config.M, [g.phi_r for g in geometries], spacing)
     phi_t, nu = np.array([g.phi_t for g in geometries]), np.array([g.nu for g in geometries])
-    votes = vote_indices(_phase_rows(phi_t, nu, config.N, config.L, spacing), config.L)
+    votes = vote_indices(_phase_rows(phi_t, nu, n_elements, config.L, spacing), config.L)
     return a_m, a_m / math.sqrt(config.M), votes
 
 
@@ -277,18 +288,23 @@ _IRS_KINDS = (_VOTED, _ZERO)
 def _stage(config: SystemConfig, geometries, sizes):
     """The per-geometry stage of B geometries: their (B, ...) :func:`_kind_terms` at ``sizes``.
 
-    :func:`_long_term` then :func:`_kind_terms`, the voted row of each
-    geometry its votes and the fixed row zeros, on stacks of at most
-    max(1, ``_STAGE_ELEMENTS`` // (K*N)) geometries at a time; each
-    geometry's terms equal, bit for bit, those of a stack of it alone.
+    :func:`_long_term` then :func:`_kind_terms` at N = ``sizes[-1]``
+    (``config.N`` is not read), the voted row of each geometry its votes
+    and the fixed row zeros, on stacks of at most max(1,
+    ``_STAGE_ELEMENTS`` // (K*N)) geometries at a time; each geometry's
+    terms equal, bit for bit, those of a stack of it alone.
     """
-    step = max(1, _STAGE_ELEMENTS // (config.K * config.N))
+    n = sizes[-1]
+    step = max(1, _STAGE_ELEMENTS // (config.K * n))
     parts = []
     for start in range(0, len(geometries), step):
         stack = geometries[start : start + step]
-        a_m, v, votes = _long_term(config, stack)
-        levels = np.stack([votes, np.zeros_like(votes)], axis=1)
+        a_m, v, votes = _long_term(config, stack, n)
+        levels = np.zeros((len(stack), 2, n), dtype=votes.dtype)
+        levels[:, 0] = votes
         parts.append(_kind_terms(config, stack, sizes, a_m, v, levels))
+    if len(parts) == 1:
+        return parts[0]
     return tuple(None if part[0] is None else np.concatenate(part) for part in zip(*parts))
 
 
@@ -334,19 +350,22 @@ def _kind_terms(config: SystemConfig, geometries, sizes, a_m, v, levels):
         np.array([g.rho_1 for g in geometries]), a_m, v, [g.phi_t for g in geometries],
         spacing, phasors,
     )
-    los = _line_of_sight(config, rho_r, np.array([g.nu for g in geometries]), spacing)
+    los = _line_of_sight(config, rho_r, np.array([g.nu for g in geometries]), spacing, sizes[-1])
     line = _project(los, rows, sizes)
     if config.pure_los:
         return v.conj(), gain, line, None
-    edges = (0, *sizes)
-    lengths = np.diff(edges)
-    c = np.add.reduceat(phasors[:, 0], edges[:-1], axis=-1)  # (B, P)
-    root = np.sqrt(lengths)
-    # geometry, kind, segment, normal
+    starts = (0, *sizes[:-1])
+    lengths = np.array([n - start for start, n in zip(starts, sizes)])
+    c = np.add.reduceat(phasors[:, 0], starts, axis=-1)  # (B, P)
+    # geometry, kind, segment, normal; each entry one pass into its place
     per_segment = np.zeros((len(geometries), 2, len(sizes), 2), dtype=complex)
-    per_segment[:, 0, :, 0] = root
-    per_segment[:, 1, :, 0] = c.conj() / root
-    per_segment[:, 1, :, 1] = np.sqrt(np.maximum(0.0, lengths - np.abs(c) ** 2 / lengths))
+    root = np.sqrt(lengths, out=per_segment[:, 0, :, 0])
+    np.divide(c.conj(), root, out=per_segment[:, 1, :, 0])
+    rest = np.abs(c)
+    np.square(rest, out=rest)
+    rest /= lengths
+    np.subtract(lengths, rest, out=rest)
+    np.sqrt(np.maximum(0.0, rest, out=rest), out=per_segment[:, 1, :, 1])
     a = np.sqrt(rho_r / (config.rician_delta + 1.0))
     return v.conj(), gain, line, per_segment[..., None] * a[:, None, None, None]
 
@@ -376,8 +395,12 @@ def _stacked_gammas(terms, h_direct: np.ndarray, w: np.ndarray | None, schemes: 
         return out
     conj_v, gain, reflected, coef = terms  # reflected: (B or 1, 2, P, K)
     if coef is not None:
-        scattered = (coef * w[:, None]).sum(axis=3)
-        reflected = reflected + np.cumsum(scattered, axis=2)
+        # each segment's two normals, then the running sum over segments
+        scattered = coef[:, :, :, 0] * w[:, None, :, 0]
+        scattered += coef[:, :, :, 1] * w[:, None, :, 1]
+        for p in range(1, scattered.shape[2]):
+            scattered[:, :, p] += scattered[:, :, p - 1]
+        reflected = reflected + scattered
     combined = np.matmul(h_direct, conj_v[:, :, None])[:, None, None, :, 0]
     gammas = (combined + gain[:, None, None, None] * reflected).transpose(1, 2, 0, 3)
     out.update((kind, gammas[i]) for i, kind in enumerate(_IRS_KINDS) if kind in kinds)
@@ -404,16 +427,24 @@ def _raise_degenerate(block: dict, schemes: list[Scheme], start: int, config: Ex
 
 
 def _stderrs(values: np.ndarray) -> np.ndarray:
-    """Standard errors of the means along the last axis, T values each, in one ``np.std`` pass.
+    """Standard errors of the means along the last axis, T values each, in whole-array passes.
 
     Each equals ``np.std(row, ddof=1) / sqrt(T)`` of its row alone, bit
-    for bit: the reduction runs along the contiguous last axis, as it
+    for bit: these are ``np.std``'s own steps (the mean, the squared
+    deviations, their sum over T - 1, the root) without its argument
+    handling, and each sum runs along the contiguous last axis, as it
     does over a 1-D row.  With T = 1 they are 0.
     """
     T = values.shape[-1]
     if T == 1:
         return np.zeros(values.shape[:-1])
-    return np.std(values, axis=-1, ddof=1) / math.sqrt(T)
+    mean = np.add.reduce(values, axis=-1, keepdims=True)
+    mean /= T
+    deviations = np.subtract(values, mean)
+    np.square(deviations, out=deviations)
+    variance = np.add.reduce(deviations, axis=-1)
+    variance /= T - 1
+    return np.sqrt(variance, out=variance) / math.sqrt(T)
 
 
 def _reject_blocked(system: SystemConfig, schemes: list[Scheme]) -> None:
@@ -461,7 +492,7 @@ def _bound_params(config: ExperimentConfig, reference: Geometry) -> list[Asympto
     product that underflows to 0 raises :class:`ConfigError`.
     """
     system = config.system
-    rho_min = reference.rho_1 * float(np.min(reference.rho_r))
+    rho_min = reference.rho_1 * min(reference.rho_r.tolist())
     if rho_min == 0.0:
         raise ConfigError(f"rho_min = rho_1 min(rho_r) underflows to 0 (rho_1 = {reference.rho_1})")
     return [
@@ -498,33 +529,34 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     at large N; a fixed geometry goes through it once.  Each geometry's
     terms equal, bit for bit, those it has alone.  Per block of trials,
     |gamma| is taken once per kind and each power rule makes one
-    row-wise call; the standard errors come from one ``np.std`` pass,
-    each bit for bit that of its row alone, and the per-trial values
-    behind each row are returned as ``trial_mse`` and ``trial_ktilde``.
-    A draw with some |gamma_k|^2 = 0 raises ``DegenerateChannelError``
-    naming the scheme, the N ("every N" for the direct-link schemes) and
-    the first such trial, the first (scheme, N) in the caller's order of
-    schemes that fails; it is checked per kind before any power control.
-    At L = 2 the bound inputs (:func:`_bound_params`) are made before any
-    trial, so a rho_min that underflows to 0 raises ``ConfigError`` first.
+    row-wise call.  Every row's mean is the correctly rounded sum of its
+    T values over T (:func:`~irs_aircomp.numerics._fsums`, ``math.fsum``
+    of the row bit for bit), and its standard error is ``np.std``'s, bit
+    for bit (:func:`_stderrs`); the per-trial values behind each row are
+    returned as ``trial_mse`` and ``trial_ktilde``.  A draw with some
+    |gamma_k|^2 = 0 raises ``DegenerateChannelError`` naming the scheme,
+    the N ("every N" for the direct-link schemes) and the first such
+    trial, the first (scheme, N) in the caller's order of schemes that
+    fails; it is checked per kind before any power control.  At L = 2
+    the bound inputs (:func:`_bound_params`) are made before any trial,
+    so a rho_min that underflows to 0 raises ``ConfigError`` first.
     """
     schemes = [Scheme(s) for s in schemes]
     if not schemes:
         raise ConfigError("at least one scheme is required")
-    duplicates = sorted({s.value for s in schemes if schemes.count(s) > 1})
-    if duplicates:
+    if len(set(schemes)) < len(schemes):
+        duplicates = sorted({s.value for s in schemes if schemes.count(s) > 1})
         raise ConfigError(f"duplicate schemes: {', '.join(duplicates)}")
     system = config.system
     _reject_blocked(system, schemes)
     T, P, K = config.trials, len(config.n_sweep), system.K
-    largest = replace(system, N=config.n_sweep[-1])
     redraw = config.redraw_geometry_per_trial
     rewind = _rewinder(config.seed)
     reference = make_geometry(system, rewind(0))
     params = _bound_params(config, reference) if system.L == 2 else []
     rho_d = reference.rho_d
-    if not redraw:
-        terms = _stage(largest, [reference], config.n_sweep)
+    if not redraw:  # the stage reads its element count from n_sweep, not system.N
+        terms = _stage(system, [reference], config.n_sweep)
     mses = np.empty((len(schemes), P, T))
     ktildes = np.empty((len(schemes), P, T), dtype=np.int64)
     # each power rule's schemes, as positions in the caller's order
@@ -538,9 +570,9 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
         trials = range(start, stop)
         if redraw:
             geometries = _make_geometries(system, [2 + 2 * t for t in trials], rewind)
-            terms = _stage(largest, geometries, config.n_sweep)
+            terms = _stage(system, geometries, config.n_sweep)
             rho_d = np.array([g.rho_d for g in geometries])
-        h_direct, w = _effective_draws(rho_d, largest, P, [3 + 2 * t for t in trials], rewind)
+        h_direct, w = _effective_draws(rho_d, system, P, [3 + 2 * t for t in trials], rewind)
         block = _stacked_gammas(terms, h_direct, w, schemes)
         try:
             magnitudes = {kind: _gamma_magnitudes(g, ndim=3) for kind, g in block.items()}
@@ -559,27 +591,25 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
                 mses[i, :, start:stop], ktildes[i, :, start:stop] = mse[first:last], kt[first:last]
                 first = last
 
-    bounds = [(mse_upper_bound(p), n_threshold(p)) for p in params] or [(None, None)] * P
-    stderrs = _stderrs(mses)
-    ktilde_sums = ktildes.sum(axis=2).tolist()
+    threshold = n_threshold(params[0]) if params else None  # the same at every N
+    bounds = [(mse_upper_bound(p), threshold) for p in params] or [(None, None)] * P
+    means = (_fsums(mses.reshape(-1, T)) / T).reshape(-1, P).tolist()
+    stderrs = _stderrs(mses).tolist()
+    ktilde_sums = np.add.reduce(ktildes, axis=2).tolist()
+    names = [s.value for s in schemes]
+    trial_mses, trial_ktildes = list(mses.reshape(-1, T)), list(ktildes.reshape(-1, T))
     result = SweepResult(rows=[])  # rows and per-trial values in (scheme, N) order
-    for i, s in sorted(enumerate(schemes), key=lambda item: item[1].value):
-        voted = s.kind == _VOTED
-        for p, (N, (bound, threshold)) in enumerate(zip(config.n_sweep, bounds)):
-            key = s.value, N
-            result.trial_mse[key], result.trial_ktilde[key] = mses[i, p], ktildes[i, p]
+    for i in sorted(range(len(schemes)), key=names.__getitem__):
+        name, voted = names[i], schemes[i].kind == _VOTED
+        for p, N in enumerate(config.n_sweep):
+            bound, threshold = bounds[p] if voted else (None, None)
+            result.trial_mse[name, N] = trial_mses[i * P + p]
+            result.trial_ktilde[name, N] = trial_ktildes[i * P + p]
+            # positional, in the order of SweepRow's fields: keyword matching doubles the cost
             result.rows.append(
                 SweepRow(
-                    scheme=s.value,
-                    N=N,
-                    M=system.M,
-                    K=K,
-                    trials=T,
-                    mean_mse=math.fsum(mses[i, p].tolist()) / T,
-                    stderr_mse=float(stderrs[i, p]),
-                    mean_ktilde=ktilde_sums[i][p] / T,
-                    bound_mse=bound if voted else None,
-                    n_threshold=threshold if voted else None,
+                    name, N, system.M, K, T,
+                    means[i][p], stderrs[i][p], ktilde_sums[i][p] / T, bound, threshold,
                 )
             )
     return result

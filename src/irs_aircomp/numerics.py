@@ -50,9 +50,14 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         """Materialize a fresh Philox generator at the origin of this stream."""
-        key, counter = _philox_words(self.seed, self.stream_id)
-        bits = np.random.Philox(_philox_key()(key), counter=np.array(counter, np.uint64))
-        return np.random.Generator(bits)
+        return _philox_generator(self.seed, self.stream_id)
+
+
+def _philox_generator(seed: int, stream_id: int) -> np.random.Generator:
+    """A fresh Generator at the origin of stream ``stream_id`` of integer ``seed``, unchecked."""
+    key, counter = _philox_words(seed, stream_id)
+    bits = np.random.Philox(_philox_key()(key), counter=np.array(counter, np.uint64))
+    return np.random.Generator(bits)
 
 
 @functools.cache
@@ -104,7 +109,7 @@ def _rewinder(seed: int):
     every Generator it returned before, so a caller draws from one
     stream at a time.
     """
-    gen = RngStream(seed).generator()
+    gen = _philox_generator(seed, 0)
     bits = gen.bit_generator
     origin = bits.state
     words = origin["state"]["counter"]
@@ -290,15 +295,69 @@ def _project(factors: _Factors, rows: np.ndarray, sizes) -> np.ndarray:
         per_block = np.matmul(fine[..., None, None, :, :], blocks)[..., 0]  # (..., J, H, K)
         weighted = np.empty(per_block.shape[:-2] + (fine.shape[-2], H), dtype=complex)
         np.multiply(coarse[..., None, :, :H], per_block.swapaxes(-1, -2), out=weighted)
-    sums = []
-    for n in sizes:
+    sums = None
+    for p, n in enumerate(sizes):
         h, tail = divmod(n, _STEERING_BLOCK)
         total = np.add.reduce(weighted[..., :h], axis=-1) if h else 0.0  # no blocks: +0, +0j
         if tail:
             part = np.matmul(fine[..., None, :, :tail], rows[..., h * _STEERING_BLOCK : n, None])
             total = total + coarse[..., None, :, h] * part[..., 0]
-        sums.append(total)
-    return sums[0][..., None, :] if len(sums) == 1 else np.stack(sums, axis=-2)
+        if len(sizes) == 1:
+            return total[..., None, :]
+        if sums is None:  # (..., J, P, K), in the shape of the first sum
+            sums = np.empty((*total.shape[:-1], len(sizes), total.shape[-1]), dtype=complex)
+        sums[..., p, :] = total
+    return sums
+
+
+# :func:`_fsums` leaves a block to ``math.fsum`` unless its size times
+# its largest term, a bound on every sum it forms, stays below this.
+_FSUM_LIMIT = float(np.finfo(float).max) / 8
+
+
+def _fsums(terms: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row of a (B, n) array of non-negative terms, bit for bit.
+
+    The sums run in whole-array passes, error-free where it counts.  Let
+    S be a row's exact sum, at most n top for the block's largest term
+    top, and sigma = 2 n top.  Then high = fl(fl(x + sigma) - sigma)
+    keeps the bits of a term x from the spacing of the doubles at sigma
+    up, and low = x - high, with |low| <= 2**-52 sigma; both steps are
+    exact (Sterbenz, and x close to high).  A row's highs are multiples
+    of that spacing and sum to less than sigma, so their sum t is exact
+    in any order.  Its lows sum to s within (n - 1)u/(1 - (n - 1)u) n
+    2**-52 sigma, u = 2**-53: a quarter of D = n**2 2**-103 sigma, and
+    fl(s -+ D) errs by less than another.  So t + fl(s - D) <= S <= t +
+    fl(s + D), and as rounding is monotone, where the two ends round to
+    the same double so does S: that double is the correctly rounded sum,
+    fsum's, ties to even included.  A row whose ends differ goes to
+    ``math.fsum``: its sum lies within about n**3 2**-50 top/S ulp of a
+    rounding midpoint (2**-37 ulp at n = 21 for a row as large as its
+    block's largest term), or on one, an exact tie, as the sum of two
+    terms of one binade is half the time.  So does every row of a block
+    with a non-finite term or a size times largest term past
+    ``_FSUM_LIMIT``: the passes raise no floating-point warning, and an
+    overflowing sum raises ``OverflowError`` as fsum does.
+    """
+    n = terms.shape[-1]
+    top = float(np.maximum.reduce(terms, axis=None, initial=0.0))
+    if not top * terms.size < _FSUM_LIMIT:  # also NaN
+        return np.array([math.fsum(row) for row in terms.tolist()])
+    sigma = 2.0 * n * top
+    split = np.empty((2, *terms.shape))
+    high = np.add(terms, sigma, out=split[0])
+    high -= sigma
+    np.subtract(terms, high, out=split[1])
+    t, s = np.add.reduce(split, axis=-1)
+    bound = n * n * 2.0**-103 * sigma
+    ends = np.add.outer((bound, -bound), s)  # (2, B): fl(s + D), fl(s - D)
+    ends += t
+    sums = ends[0]
+    unsure = sums != ends[1]
+    if np.count_nonzero(unsure):
+        for i in np.flatnonzero(unsure):
+            sums[i] = math.fsum(terms[i].tolist())
+    return sums
 
 
 def sinc_normalized(x: float) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, effective_scalar_channel
-from .numerics import _require_count, _require_spacing, array_response
+from .numerics import _fsums, _require_count, _require_spacing, array_response
 
 __all__ = [
     "DegenerateChannelError",
@@ -122,7 +122,11 @@ class PowerSolution:
     def __post_init__(self) -> None:
         p = np.asarray(self.powers, dtype=float)
         object.__setattr__(self, "powers", p)
-        if p.min(initial=0.0) < 0:
+        if p.ndim != 1:
+            raise ValueError(f"powers must be a 1-D array, one per device, got shape {p.shape}")
+        if not np.maximum.reduce(p, initial=0.0) < math.inf:  # also NaN, which max propagates
+            raise ValueError("powers must be finite, got a NaN or infinite power")
+        if np.minimum.reduce(p, initial=0.0) < 0:
             raise ValueError("powers must be non-negative")
         if not self.eta > 0 and (p > 0).any():
             raise ValueError("eta must be positive when any device transmits")
@@ -202,7 +206,7 @@ def _index_rows(steps: np.ndarray, diff: np.ndarray, levels: int) -> np.ndarray:
     K, n = diff.shape[0], steps.shape[0]
     rows = max(1, _PHASE_BLOCK // n)
     turns = steps * (1.0 / TWO_PI)
-    delta = _doubt(levels, abs(turns[-1]) * np.abs(diff).max(initial=0.0))
+    delta = _doubt(levels, float(abs(turns[-1]) * np.maximum.reduce(np.abs(diff), initial=0.0)))
     fast = delta < _MAX_DELTA  # also False for a NaN or infinite input
     out = np.empty((K, n), dtype=np.min_scalar_type(levels - 1) if fast else np.int64)
     t, k = np.empty((2, min(rows, K), n)) if fast else (None, None)
@@ -375,7 +379,8 @@ def _gamma_magnitudes(gammas, ndim: int = 1) -> np.ndarray:
     g = np.abs(np.asarray(gammas, dtype=complex))
     if g.ndim != ndim or g.shape[-1] < 1:
         raise ValueError(f"gammas must be a non-empty {ndim}-D array")
-    smallest, largest = float(g.min()), float(g.max())
+    smallest = float(np.minimum.reduce(g, axis=None))
+    largest = float(np.maximum.reduce(g, axis=None))
     if not largest < math.inf:  # also NaN, which max propagates
         raise ValueError("gammas must be finite, got a NaN or infinite effective channel")
     if smallest == 0.0:
@@ -398,17 +403,22 @@ def _gamma_magnitudes(gammas, ndim: int = 1) -> np.ndarray:
 def _alignment_mse(g: np.ndarray, powers: np.ndarray, eta: np.ndarray, sigma2: float) -> np.ndarray:
     """Per row: sum of (sqrt(p_k)|gamma_k|/sqrt(eta) - 1)^2 plus sigma^2/eta.
 
-    ``g`` and ``powers`` are (B, K), ``eta`` is (B,).  Compensated
-    summation per row: near-optimal solutions cancel catastrophically
-    term by term.
+    ``g`` and ``powers`` are (B, K), in any one order of the devices,
+    and ``eta`` is (B,).  Each row's K + 1 terms are summed exactly
+    rounded (:func:`~irs_aircomp.numerics._fsums`), so the order does
+    not matter: near-optimal solutions cancel catastrophically term by
+    term, and a plain sum would keep that error.
     """
-    misalign = np.sqrt(powers) * g / np.sqrt(eta)[:, None] - 1.0
-    return np.array(
-        [
-            math.fsum([*row, sigma2 / e])
-            for row, e in zip((misalign**2).tolist(), eta.tolist())
-        ]
-    )
+    B, K = g.shape
+    terms = np.empty((B, K + 1))
+    misalign = terms[:, :K]
+    np.sqrt(powers, out=misalign)
+    misalign *= g
+    misalign /= np.sqrt(eta)[:, None]
+    misalign -= 1.0
+    np.square(misalign, out=misalign)
+    np.divide(sigma2, eta, out=terms[:, K])
+    return _fsums(terms)
 
 
 def power_control_rows(gammas, Pmax: float, sigma2: float, inversion: bool = False):
@@ -438,17 +448,27 @@ def _power_rows(g: np.ndarray, Pmax: float, sigma2: float, inversion: bool):
         powers[weakest] = Pmax  # exact, not Pmax*g2min/g2min
         return powers, eta, np.ones(B, dtype=np.int64), sigma2 / eta
 
-    rows = np.arange(B)[:, None]
-    order = np.argsort(g2, axis=1, kind="stable")
-    gs, gs2 = g[rows, order], g2[rows, order]
-    amp_sum = np.cumsum(np.sqrt(Pmax) * gs, axis=1)
-    power_sum = sigma2 + np.cumsum(Pmax * gs2, axis=1)
-    eta_candidates = (power_sum / amp_sum) ** 2
+    # rows sorted ascending by |gamma|^2, through flat indices into the (B, K) block
+    order = g2.argsort(axis=1, kind="stable")
+    order += np.arange(0, B * K, K)[:, None]
+    gs, gs2 = g.take(order), g2.take(order)
+    sums = np.empty((2, B, K))  # amplitude and power prefix sums
+    np.multiply(gs, math.sqrt(Pmax), out=sums[0])
+    np.multiply(gs2, Pmax, out=sums[1])
+    np.add.accumulate(sums, axis=2, out=sums)
+    amp_sum, power_sum = sums
+    power_sum += sigma2
+    eta_candidates = np.divide(power_sum, amp_sum, out=power_sum)
+    np.square(eta_candidates, out=eta_candidates)
     kt = eta_candidates.argmin(axis=1)  # first minimizer
-    eta = eta_candidates[rows[:, 0], kt]
+    eta = eta_candidates[np.arange(B), kt]
+    # Pmax up to the critical index; past it, and only there, eta/|gamma|^2
+    sorted_powers = np.empty_like(gs2)
+    sorted_powers.fill(Pmax)
+    np.divide(eta[:, None], gs2, out=sorted_powers, where=np.arange(K) > kt[:, None])
     powers = np.empty_like(g)
-    powers[rows, order] = np.where(np.arange(K) <= kt[:, None], Pmax, eta[:, None] / gs2)
-    return powers, eta, kt + 1, _alignment_mse(g, powers, eta, sigma2)
+    powers.reshape(-1)[order] = sorted_powers
+    return powers, eta, kt + 1, _alignment_mse(gs, sorted_powers, eta, sigma2)
 
 
 def _single_row(gammas, Pmax: float, sigma2: float, inversion: bool) -> PowerSolution:
@@ -484,10 +504,22 @@ def channel_inversion_power_control(gammas, Pmax: float, sigma2: float) -> Power
 
 
 def evaluate_mse(gammas, solution: PowerSolution, sigma2: float) -> float:
-    """MSE of a power solution on the scalar effective channels."""
+    """MSE of a power solution on the scalar effective channels.
+
+    ``gammas`` holds one finite channel per device of the solution, and
+    ``sigma2`` is a non-negative noise power.
+    """
     if not solution.eta > 0:
         raise ValueError("eta must be positive")
+    if not sigma2 >= 0:  # also NaN
+        raise ValueError(f"sigma2 must be non-negative, got {sigma2!r}")
     g = np.abs(np.asarray(gammas, dtype=complex))
+    if g.shape != solution.powers.shape:
+        raise ValueError(
+            f"gammas must have shape {solution.powers.shape}, one per device, got {g.shape}"
+        )
+    if not np.maximum.reduce(g, initial=0.0) < math.inf:  # also NaN
+        raise ValueError("gammas must be finite, got a NaN or infinite effective channel")
     return float(_alignment_mse(g[None], solution.powers[None], np.array([solution.eta]), sigma2)[0])
 
 

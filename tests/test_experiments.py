@@ -63,7 +63,7 @@ class TestRunTrial:
         gain, row = reflection(geo, lt.v, lt.theta_voted)
         a = np.sqrt(geo.rho_r / (cfg.rician_delta + 1.0))
         scattered = (4.0 * a) * w[0, 0, 0]
-        los = channel._line_of_sight(cfg, geo.rho_r, geo.nu, geo.spacing_ratio)
+        los = channel._line_of_sight(cfg, geo.rho_r, geo.nu, geo.spacing_ratio, cfg.N)
         line = numerics._project(los, row[None], (cfg.N,))[0, 0]
         gam = h_direct[0] @ lt.v.conj() + gain * (line + scattered)
         assert mse == cfg.sigma2 / (cfg.Pmax * float(np.min(np.abs(gam) ** 2)))

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,3 +175,121 @@ class TestSinc:
         theta = gen.uniform(-np.pi / 2, np.pi / 2, 10**6)
         mc = np.mean(np.exp(1j * theta))
         assert abs(mc - sinc_normalized(0.5)) / sinc_normalized(0.5) < 0.01
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def fsum_rows(terms):
+    return np.array([math.fsum(row) for row in np.asarray(terms).tolist()])
+
+
+class CountingMath:
+    """The ``math`` module with a count of its ``fsum`` calls."""
+
+    def __init__(self):
+        self.fsums = 0
+
+    def fsum(self, values):
+        self.fsums += 1
+        return math.fsum(values)
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+
+class TestFsums:
+    """``numerics._fsums`` is ``math.fsum`` of each row, bit for bit."""
+
+    def test_random_rows(self):
+        # 10**5 rows of widths 1 to 64, terms from subnormals up to 2**990
+        # (over 600 decades), rows spread over up to 600 decades, zeros included
+        rng = np.random.default_rng(2024)
+        rows = 0
+        while rows < 100_000:
+            B, n = int(rng.integers(1, 400)), int(rng.integers(1, 65))
+            scale = int(rng.integers(-1074, 991))  # the block's binary exponent
+            spread = int(rng.choice([0, 4, 60, 2000]))
+            exponents = np.maximum(scale - rng.integers(0, spread + 1, (B, n)), -1074)
+            terms = np.ldexp(rng.random((B, n)), exponents)
+            terms[rng.random((B, n)) < 0.1] = 0.0
+            np.testing.assert_array_equal(bits(numerics._fsums(terms)), bits(fsum_rows(terms)))
+            rows += B
+
+    @pytest.mark.parametrize("n", [21, 65, 10_000])
+    def test_wide_rows_rarely_fall_back(self, n, monkeypatch):
+        # squares of normals over three decades: the whole-array passes
+        # decide all but a few rows, and math.fsum sees almost none
+        counting = CountingMath()
+        monkeypatch.setattr(numerics, "math", counting)
+        rng = np.random.default_rng(n)
+        terms = rng.standard_normal((400, n)) ** 2 * 10.0 ** rng.uniform(-3.0, 0.0, (400, 1))
+        np.testing.assert_array_equal(bits(numerics._fsums(terms)), bits(fsum_rows(terms)))
+        assert counting.fsums <= 4
+
+    def test_exact_ties_go_to_fsum(self, monkeypatch):
+        # two terms of one binade sum to a rounding midpoint about half the
+        # time; those rows cannot be decided within the bound and go to fsum
+        counting = CountingMath()
+        monkeypatch.setattr(numerics, "math", counting)
+        terms = 1.0 + np.random.default_rng(3).random((400, 2))
+        np.testing.assert_array_equal(bits(numerics._fsums(terms)), bits(fsum_rows(terms)))
+        assert 100 < counting.fsums < 300
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [1.0, 2.0**-53],  # a tie, to even: 1
+            [1.0, 2.0**-53, 2.0**-150],  # just past the tie: up
+            [1.0, 2.0**-53 - 2.0**-106],  # just short of it: down
+            [1.0 + 2.0**-52, 2.0**-53],  # a tie, to even: up
+            [1.0, 2.0**-54, 2.0**-54],  # the tie from two halves
+            [1.0, 2.0**-54, 2.0**-54, 2.0**-1074],
+            [2.0**53, 1.0],  # a tie between integers
+            [2.0**53, 1.0, 2.0**-80],
+            [2.0**-1022, 2.0**-1074, 2.0**-1074],  # subnormal steps, exact
+            [5e-324, 5e-324, 5e-324],
+            [0.0, 0.0],
+        ],
+    )
+    def test_rows_at_rounding_midpoints(self, row):
+        # alone, and padded with zeros among ordinary rows of its scale
+        alone = np.array([row])
+        assert bits(numerics._fsums(alone)) == bits(fsum_rows(alone))
+        rng = np.random.default_rng(len(row))
+        block = rng.random((50, 8)) * max(row)
+        block[17] = np.pad(row, (0, 8 - len(row)))
+        np.testing.assert_array_equal(bits(numerics._fsums(block)), bits(fsum_rows(block)))
+
+    def test_built_midpoints_across_magnitudes(self):
+        # x plus half its ulp is a tie; plus a quarter twice, the same tie
+        # built from two terms; one more tiny term tips it up
+        rng = np.random.default_rng(11)
+        x = np.ldexp(1.0 + rng.random(2000), rng.integers(-1000, 1000, 2000))
+        half, zero = np.spacing(x) / 2, np.zeros_like(x)
+        for tail in ([half, zero, zero], [half / 2, half / 2, zero], [half, zero, half / 2**40]):
+            terms = np.column_stack([x, *tail])
+            np.testing.assert_array_equal(bits(numerics._fsums(terms)), bits(fsum_rows(terms)))
+
+    @pytest.mark.parametrize(
+        "row", [[math.inf, 1.0], [math.nan, 1.0], [math.inf, math.nan], [1.0, math.inf]]
+    )
+    def test_non_finite_rows_as_fsum(self, row):
+        block = np.array([[1.0, 2.0], row, [3.0, 2.0**-60]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = numerics._fsums(block)
+        np.testing.assert_array_equal(bits(got), bits(fsum_rows(block)))
+
+    def test_overflow_raises_as_fsum(self):
+        block = np.array([[1.0, 2.0], [1e308, 1e308]])
+        with pytest.raises(OverflowError):
+            math.fsum(block[1].tolist())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                numerics._fsums(block)
+            # near the top of the range but finite: fsum's value, no warning
+            edge = np.array([[1e308, 7e307], [1.0, 1.0]])
+            np.testing.assert_array_equal(bits(numerics._fsums(edge)), bits(fsum_rows(edge)))

@@ -32,6 +32,7 @@ from irs_aircomp.protocol import (
     vote_indices,
 )
 from phase_reference import count_vote, reference_levels
+from power_reference import reference_power_rows
 
 TWO_PI = 2 * np.pi
 
@@ -835,6 +836,52 @@ class TestPowerControlRows:
             power_control_rows([[1.0, 2.0], [0.0, 1.0]], 1.0, 1.0)
 
 
+@st.composite
+def wide_gamma_blocks(draw):
+    """Blocks of B <= 6 rows of K <= 64 effective channels, |gamma| from 1e-150 to 1e150.
+
+    The 300 decades keep every |gamma|^2 a normal float.  Magnitudes
+    come from a pool smaller than the block, so rows hold exact ties in
+    |gamma|^2, and the phases are random.
+    """
+    K = draw(st.integers(1, 64))
+    B = draw(st.integers(1, 6))
+    pool = draw(st.lists(st.floats(-150.0, 150.0), min_size=1, max_size=max(1, K // 2)))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=B * K, max_size=B * K))
+    magnitudes = 10.0 ** np.asarray(pool)[picks].reshape(B, K)
+    phases = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.0, TWO_PI, (B, K))
+    return magnitudes * np.exp(1j * phases)
+
+
+class TestPowerRowsAgainstReference:
+    """The row kernel equals the fancy-index, per-row fsum reference bit for bit."""
+
+    @pytest.mark.parametrize("inversion", [False, True])
+    @given(
+        gammas=wide_gamma_blocks(),
+        Pmax=st.sampled_from([0.1, 1.0, 7.0]),
+        sigma2=st.sampled_from([0.0, 1e-11, 1.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_reference(self, inversion, gammas, Pmax, sigma2):
+        got = power_control_rows(gammas, Pmax, sigma2, inversion=inversion)
+        with np.errstate(over="ignore"):  # the reference divides for full-power devices too
+            want = reference_power_rows(np.abs(gammas), Pmax, sigma2, inversion)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
+
+    def test_all_tied_rows(self):
+        # every row one repeated magnitude: the stable order is the index order
+        gammas = np.repeat(10.0 ** np.arange(-140.0, 141.0, 20.0)[:, None], 64, axis=1)
+        for inversion in (False, True):
+            got = power_control_rows(gammas, 0.5, 1.0, inversion=inversion)
+            with np.errstate(over="ignore"):
+                want = reference_power_rows(np.abs(gammas), 0.5, 1.0, inversion)
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
 @pytest.mark.parametrize("inversion", [False, True])
 @pytest.mark.parametrize("gammas", [[1e-170, 1e170], [1e-170, 1.0], [1.0, 1e170]])
 def test_squared_gain_outside_float_range_rejected(inversion, gammas):
@@ -908,6 +955,35 @@ class TestEvaluateMse:
     def test_matches_optimal_solution_field(self):
         sol = optimal_power_control([1.0, 2.0], 1.0, 1.0)
         assert evaluate_mse([1.0, 2.0], sol, 1.0) == pytest.approx(0.5, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "gammas, sigma2, name",
+        [
+            ([1.0], 1.0, "gammas"),  # broadcast against three powers
+            ([[1.0, 2.0, 3.0]], 1.0, "gammas"),  # one row too many axes
+            ([1.0, math.nan, 3.0], 1.0, "gammas"),
+            ([1.0, 2.0, math.inf], 1.0, "gammas"),
+            ([1.0, 2.0, 3.0], -1.0, "sigma2"),
+            ([1.0, 2.0, 3.0], math.nan, "sigma2"),
+        ],
+    )
+    def test_bad_input_rejected(self, gammas, sigma2, name):
+        sol = optimal_power_control([1.0, 2.0, 3.0], 1.0, 1.0)
+        with pytest.raises(ValueError, match=name):
+            evaluate_mse(gammas, sol, sigma2)
+
+
+class TestPowerSolution:
+    @pytest.mark.parametrize(
+        "powers", [[1.0, math.nan], [math.inf, 1.0], [[1.0, 2.0]], [[1.0], [2.0]]]
+    )
+    def test_bad_powers_rejected(self, powers):
+        with pytest.raises(ValueError, match="powers must be"):
+            PowerSolution(powers=powers, eta=1.0, critical_number=0, mse=0.0)
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError, match="powers must be non-negative"):
+            PowerSolution(powers=[1.0, -0.5], eta=1.0, critical_number=0, mse=0.0)
 
 
 class TestEvaluateMseGeneral:
