@@ -295,10 +295,17 @@ def _make_geometries(config: SystemConfig, streams, generator=as_generator) -> l
     dist = _norms(positions[..., None, :] - nodes, scale, -1)  # (B, K, 2): to the AP, to the IRS
     rho_d = np.zeros((B, K)) if config.block_direct else _pathlosses(dist[..., 0], exp_d, ref)
     rho_r = _pathlosses(dist[..., 1], exp_r, ref)
-    spacing = config.spacing_ratio
-    # positional, in the order of Geometry's fields: keyword matching doubles the cost of each
     return [
-        Geometry(positions[b], phi_r[b], phi_t[b], nu[b], rho_1, rho_d[b], rho_r[b], spacing)
+        Geometry(
+            device_positions=positions[b],
+            phi_r=phi_r[b],
+            phi_t=phi_t[b],
+            nu=nu[b],
+            rho_1=rho_1,
+            rho_d=rho_d[b],
+            rho_r=rho_r[b],
+            spacing_ratio=config.spacing_ratio,
+        )
         for b in range(B)
     ]
 

@@ -68,15 +68,7 @@ from .channel import (
     _require_devices,
     make_geometry,
 )
-from .numerics import (
-    RngStream,
-    _fsums,
-    _is_integer,
-    _project,
-    _require_spacing,
-    _responses,
-    _rewinder,
-)
+from .numerics import RngStream, _is_integer, _project, _require_spacing, _responses, _rewinder
 from .protocol import (
     DegenerateChannelError,
     PhaseShiftVector,
@@ -398,9 +390,7 @@ def _stacked_gammas(terms, h_direct: np.ndarray, w: np.ndarray | None, schemes: 
         # each segment's two normals, then the running sum over segments
         scattered = coef[:, :, :, 0] * w[:, None, :, 0]
         scattered += coef[:, :, :, 1] * w[:, None, :, 1]
-        for p in range(1, scattered.shape[2]):
-            scattered[:, :, p] += scattered[:, :, p - 1]
-        reflected = reflected + scattered
+        reflected = reflected + np.add.accumulate(scattered, axis=2, out=scattered)
     combined = np.matmul(h_direct, conj_v[:, :, None])[:, None, None, :, 0]
     gammas = (combined + gain[:, None, None, None] * reflected).transpose(1, 2, 0, 3)
     out.update((kind, gammas[i]) for i, kind in enumerate(_IRS_KINDS) if kind in kinds)
@@ -529,10 +519,9 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     at large N; a fixed geometry goes through it once.  Each geometry's
     terms equal, bit for bit, those it has alone.  Per block of trials,
     |gamma| is taken once per kind and each power rule makes one
-    row-wise call.  Every row's mean is the correctly rounded sum of its
-    T values over T (:func:`~irs_aircomp.numerics._fsums`, ``math.fsum``
-    of the row bit for bit), and its standard error is ``np.std``'s, bit
-    for bit (:func:`_stderrs`); the per-trial values behind each row are
+    row-wise call.  Every row's mean is the ``math.fsum`` of its T values
+    over T, and its standard error is ``np.std``'s, bit for bit
+    (:func:`_stderrs`); the per-trial values behind each row are
     returned as ``trial_mse`` and ``trial_ktilde``.  A draw with some
     |gamma_k|^2 = 0 raises ``DegenerateChannelError`` naming the scheme,
     the N ("every N" for the direct-link schemes) and the first such
@@ -593,7 +582,6 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
 
     threshold = n_threshold(params[0]) if params else None  # the same at every N
     bounds = [(mse_upper_bound(p), threshold) for p in params] or [(None, None)] * P
-    means = (_fsums(mses.reshape(-1, T)) / T).reshape(-1, P).tolist()
     stderrs = _stderrs(mses).tolist()
     ktilde_sums = np.add.reduce(ktildes, axis=2).tolist()
     names = [s.value for s in schemes]
@@ -605,11 +593,18 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
             bound, threshold = bounds[p] if voted else (None, None)
             result.trial_mse[name, N] = trial_mses[i * P + p]
             result.trial_ktilde[name, N] = trial_ktildes[i * P + p]
-            # positional, in the order of SweepRow's fields: keyword matching doubles the cost
             result.rows.append(
                 SweepRow(
-                    name, N, system.M, K, T,
-                    means[i][p], stderrs[i][p], ktilde_sums[i][p] / T, bound, threshold,
+                    scheme=name,
+                    N=N,
+                    M=system.M,
+                    K=K,
+                    trials=T,
+                    mean_mse=math.fsum(trial_mses[i * P + p].tolist()) / T,
+                    stderr_mse=stderrs[i][p],
+                    mean_ktilde=ktilde_sums[i][p] / T,
+                    bound_mse=bound,
+                    n_threshold=threshold,
                 )
             )
     return result

@@ -313,6 +313,13 @@ def _project(factors: _Factors, rows: np.ndarray, sizes) -> np.ndarray:
 # :func:`_fsums` leaves a block to ``math.fsum`` unless its size times
 # its largest term, a bound on every sum it forms, stays below this.
 _FSUM_LIMIT = float(np.finfo(float).max) / 8
+# Blocks of fewer terms than this go to ``math.fsum`` row by row.  The
+# whole-array passes cost about 9 us whatever the size and fsum about
+# 35 ns a term: alone and warm they break even near 250 terms, at 10 and
+# at 21 terms a row, and inside a default 2- to 4-trial ``run_sweep``
+# with the benchmark's reference kernel run before each call, between
+# 378 and 567 (9 rows of 21 per trial; 2 x86-64 cores, BLAS pinned).
+_FSUMS_MIN_TERMS = 512
 
 
 def _fsums(terms: np.ndarray) -> np.ndarray:
@@ -337,8 +344,12 @@ def _fsums(terms: np.ndarray) -> np.ndarray:
     terms of one binade is half the time.  So does every row of a block
     with a non-finite term or a size times largest term past
     ``_FSUM_LIMIT``: the passes raise no floating-point warning, and an
-    overflowing sum raises ``OverflowError`` as fsum does.
+    overflowing sum raises ``OverflowError`` as fsum does.  A block of
+    fewer than ``_FSUMS_MIN_TERMS`` terms, where the passes cost more
+    than fsum, goes to fsum row by row.
     """
+    if terms.size < _FSUMS_MIN_TERMS:
+        return np.array([math.fsum(row) for row in terms.tolist()])
     n = terms.shape[-1]
     top = float(np.maximum.reduce(terms, axis=None, initial=0.0))
     if not top * terms.size < _FSUM_LIMIT:  # also NaN

@@ -466,8 +466,8 @@ def _power_rows(g: np.ndarray, Pmax: float, sigma2: float, inversion: bool):
     sorted_powers = np.empty_like(gs2)
     sorted_powers.fill(Pmax)
     np.divide(eta[:, None], gs2, out=sorted_powers, where=np.arange(K) > kt[:, None])
-    powers = np.empty_like(g)
-    powers.reshape(-1)[order] = sorted_powers
+    powers = np.empty((B, K))  # C order, so the flat indices address it
+    powers.put(order, sorted_powers)
     return powers, eta, kt + 1, _alignment_mse(gs, sorted_powers, eta, sigma2)
 
 

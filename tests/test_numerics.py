@@ -200,7 +200,15 @@ class CountingMath:
 
 
 class TestFsums:
-    """``numerics._fsums`` is ``math.fsum`` of each row, bit for bit."""
+    """``numerics._fsums`` is ``math.fsum`` of each row, bit for bit.
+
+    Each test runs the whole-array passes on blocks of any size, small
+    ones included, which otherwise go to fsum row by row.
+    """
+
+    @pytest.fixture(autouse=True)
+    def whole_array_passes(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_FSUMS_MIN_TERMS", 0)
 
     def test_random_rows(self):
         # 10**5 rows of widths 1 to 64, terms from subnormals up to 2**990
@@ -293,3 +301,17 @@ class TestFsums:
             # near the top of the range but finite: fsum's value, no warning
             edge = np.array([[1e308, 7e307], [1.0, 1.0]])
             np.testing.assert_array_equal(bits(numerics._fsums(edge)), bits(fsum_rows(edge)))
+
+
+def test_fsums_small_blocks_go_to_fsum(monkeypatch):
+    # below the cutoff every row is one fsum call; at it, only the rows
+    # that the whole-array passes cannot decide
+    counting = CountingMath()
+    monkeypatch.setattr(numerics, "math", counting)
+    terms = np.random.default_rng(8).random((40, 21)) ** 2
+    small = terms[: (numerics._FSUMS_MIN_TERMS - 1) // 21]
+    np.testing.assert_array_equal(bits(numerics._fsums(small)), bits(fsum_rows(small)))
+    assert counting.fsums == len(small)
+    counting.fsums = 0
+    np.testing.assert_array_equal(bits(numerics._fsums(terms)), bits(fsum_rows(terms)))
+    assert counting.fsums <= 2

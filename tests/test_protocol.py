@@ -871,6 +871,19 @@ class TestPowerRowsAgainstReference:
             assert a.dtype == b.dtype and a.shape == b.shape
             np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
 
+    @pytest.mark.parametrize("inversion", [False, True])
+    def test_fortran_ordered_block(self, inversion):
+        # a transposed block: every array derived from it keeps its F order
+        gammas = np.random.default_rng(5).standard_normal((20, 9)).T * 1e-4
+        assert gammas.flags.f_contiguous and not gammas.flags.c_contiguous
+        got = power_control_rows(gammas, 0.1, 1e-11, inversion=inversion)
+        want = reference_power_rows(np.abs(gammas), 0.1, 1e-11, inversion)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            np.testing.assert_array_equal(
+                np.ascontiguousarray(a).view(np.uint8), np.ascontiguousarray(b).view(np.uint8)
+            )
+
     def test_all_tied_rows(self):
         # every row one repeated magnitude: the stable order is the index order
         gammas = np.repeat(10.0 ** np.arange(-140.0, 141.0, 20.0)[:, None], 64, axis=1)
