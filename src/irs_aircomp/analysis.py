@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import Geometry, SystemConfig
+from .channel import Geometry, SystemConfig, _require_geometry
 from .numerics import _require_count, array_response, sinc_normalized
 from .protocol import PhaseShiftVector
 
@@ -150,14 +150,17 @@ def expected_channel_power_gain(
     """Closed-form E|v^H h_k(Theta)|^2 under the static beamformer, per device.
 
     rho_d + (M rho_1 rho_r / (delta + 1)) (delta |a_N^H(phi_t) Theta a_N(nu_k)|^2 + N);
-    the pure line-of-sight limit drops the scattered N term.
+    the pure line-of-sight limit drops the scattered N term.  A geometry
+    not made under ``config`` (another device count or spacing ratio)
+    raises ``ValueError``.
     """
-    N = theta.num_elements
-    a_t = array_response(N, geometry.phi_t, geometry.spacing_ratio)
+    _require_geometry(geometry, config)
+    N, spacing = theta.num_elements, config.spacing_ratio
+    a_t = array_response(N, geometry.phi_t, spacing)
     coeff = theta.phasors
-    gains = np.empty(geometry.nu.shape[0])
-    for k in range(gains.shape[0]):
-        a_k = array_response(N, geometry.nu[k], geometry.spacing_ratio)
+    gains = np.empty(config.K)
+    for k in range(config.K):
+        a_k = array_response(N, geometry.nu[k], spacing)
         align = abs(np.vdot(a_t, coeff * a_k)) ** 2
         base = config.M * geometry.rho_1 * geometry.rho_r[k]
         if config.pure_los:

@@ -43,9 +43,9 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SystemConfig:
-    """Scalar protocol and scenario parameters.
+    """Scalar protocol and scenario parameters, validated once and then frozen.
 
     Powers are in watts, angles in radians, positions in meters.
     ``rician_delta`` is the linear line-of-sight to scattered power
@@ -115,7 +115,8 @@ class SystemConfig:
             )
         # what _make_geometries divides coordinate differences by before a norm,
         # once per config: 1 in range, where distances are np.linalg.norm's bit for bit
-        self._distance_scale = 1.0 if reach <= _UNSCALED else 2.0 ** (math.frexp(reach)[1] - 510)
+        scale = 1.0 if reach <= _UNSCALED else 2.0 ** (math.frexp(reach)[1] - 510)
+        object.__setattr__(self, "_distance_scale", scale)
         if self.nu is not None and len(self.nu) != self.K:
             raise ValueError("nu override must provide one angle per device")
 
@@ -172,7 +173,7 @@ class Geometry:
     rho_1: float                  # IRS-AP path loss
     rho_d: np.ndarray             # (K,) direct path losses (0 when blocked)
     rho_r: np.ndarray             # (K,) device-IRS path losses
-    spacing_ratio: float = 0.5
+    spacing_ratio: float = 0.5    # the config's; effective_scalar_channel reads it
 
 
 @dataclass(frozen=True)
@@ -310,11 +311,17 @@ def _make_geometries(config: SystemConfig, streams, generator=as_generator) -> l
     ]
 
 
-def _require_devices(geometry: Geometry, config: SystemConfig) -> None:
-    """Refuse a geometry whose per-device arrays do not hold ``config.K`` devices."""
+def _require_geometry(geometry: Geometry, config: SystemConfig) -> None:
+    """Refuse a geometry not made under ``config``: per-device arrays that do not hold
+    ``config.K`` devices, or a spacing ratio other than ``config.spacing_ratio``."""
     for name in ("nu", "rho_d", "rho_r"):
         if (shape := np.shape(getattr(geometry, name))) != (config.K,):
             raise ValueError(f"geometry.{name} has shape {shape}, not config.K = {config.K}")
+    if (spacing := geometry.spacing_ratio) != config.spacing_ratio:
+        raise ValueError(
+            f"geometry.spacing_ratio = {spacing!r},"
+            f" not config.spacing_ratio = {config.spacing_ratio!r}"
+        )
 
 
 def line_of_sight(geometry: Geometry, config: SystemConfig) -> np.ndarray:
@@ -332,18 +339,16 @@ def line_of_sight(geometry: Geometry, config: SystemConfig) -> np.ndarray:
     amplitude*exp(2j*pi*s*sin(nu_k)*m) bit for bit; later columns are
     within amplitude*eps*(|slope|*m + 8) of it, the kernel's bound.
     Element m depends on m alone, so the first n columns at N equal the
-    whole output at n.
+    whole output at n.  A geometry not made under ``config`` (another
+    device count or spacing ratio) raises ``ValueError``.
     """
-    return _expand(
-        _line_of_sight(config, geometry.rho_r, geometry.nu, geometry.spacing_ratio, config.N)
-    )
+    _require_geometry(geometry, config)
+    return _expand(_line_of_sight(config, geometry.rho_r, geometry.nu, config.N))
 
 
-def _line_of_sight(
-    config: SystemConfig, rho_r, nu, spacing_ratio: float, n_elements: int
-) -> _Factors:
+def _line_of_sight(config: SystemConfig, rho_r, nu, n_elements: int) -> _Factors:
     """The steering factors of :func:`line_of_sight` of a stack, rho_r and nu (..., K), at
-    ``n_elements``; of ``config`` it reads the link model alone, not N.
+    ``n_elements``; of ``config`` it reads the link model and the spacing, not N.
 
     Every step is elementwise, so each geometry's factors equal, bit for
     bit, those of the call on it alone.
@@ -352,7 +357,7 @@ def _line_of_sight(
     if not config.pure_los:
         delta = config.rician_delta
         rho = rho * delta / (delta + 1.0)
-    slope = (2.0 * np.pi * spacing_ratio) * np.sin(nu)
+    slope = (2.0 * np.pi * config.spacing_ratio) * np.sin(nu)
     return _steering_factors(slope[..., None], n_elements, np.sqrt(rho)[..., None])
 
 
@@ -376,8 +381,8 @@ def sample_channels(
     part is kept as the factors of :func:`line_of_sight` of this
     geometry and config, K(N/B + B) exponentials and no (K, N) array
     whether or not the block is pure line of sight; it does not touch
-    the stream.  A geometry of another device count than ``config.K``
-    raises ``ValueError`` before any draw.
+    the stream.  A geometry not made under ``config`` (another device
+    count or spacing ratio) raises ``ValueError`` before any draw.
 
     Draw order: the direct links first, a (K, M) real plane then a
     (K, M) imaginary plane; then the scattered part element-major, each
@@ -400,10 +405,10 @@ def sample_channels(
     bound beyond.  The direct links keep the complex product, whose
     signed zeros a blocked link (rho_d = 0) shows.
     """
-    _require_devices(geometry, config)
+    _require_geometry(geometry, config)
     gen = as_generator(stream)
     K, N = config.K, config.N
-    los = _line_of_sight(config, geometry.rho_r, geometry.nu, geometry.spacing_ratio, N)
+    los = _line_of_sight(config, geometry.rho_r, geometry.nu, N)
 
     h_direct = _direct_links(geometry.rho_d, gen.standard_normal((2, K, config.M)))
     if config.pure_los:

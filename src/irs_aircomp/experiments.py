@@ -14,7 +14,7 @@ channels gamma_k, so a trial draws those, exact in law, instead of the
 N-element channels: the (K, M) direct links, then two complex normals
 per device for each segment [N_{j-1}, N_j) of the sweep's element
 counts, which give the segment's scattered projections on the voted and
-the all-zero phase rows (:func:`_kind_terms`).  gamma at N_i sums the
+the all-zero phase rows (:func:`_stage`).  gamma at N_i sums the
 segments up to i, so differences along N are paired, as for a sub-array
 of a larger surface.
 
@@ -65,7 +65,7 @@ from .channel import (
     _line_of_sight,
     _make_geometries,
     _reflections,
-    _require_devices,
+    _require_geometry,
     make_geometry,
 )
 from .numerics import RngStream, _is_integer, _project, _require_spacing, _responses, _rewinder
@@ -126,9 +126,9 @@ class Scheme(str, enum.Enum):
         return member
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """A sweep: the system under test, its element counts, trial count and seed."""
+    """A sweep: the system under test, its element counts, trial count and seed; frozen."""
 
     system: SystemConfig = field(default_factory=SystemConfig)
     n_sweep: tuple[int, ...] = (64, 128, 256, 512)
@@ -144,8 +144,8 @@ class ExperimentConfig:
         for name in ("trials", "seed"):
             if not _is_integer(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        self.n_sweep = tuple(int(n) for n in self.n_sweep)
-        self.seed = int(self.seed)
+        object.__setattr__(self, "n_sweep", tuple(int(n) for n in self.n_sweep))
+        object.__setattr__(self, "seed", int(self.seed))
         if len(self.n_sweep) < 1 or any(n < 1 for n in self.n_sweep):
             raise ConfigError("n_sweep must contain positive element counts")
         if any(b <= a for a, b in zip(self.n_sweep, self.n_sweep[1:])):
@@ -214,10 +214,10 @@ def compute_long_term(geometry: Geometry, config: SystemConfig) -> LongTermState
     (:func:`~irs_aircomp.protocol.phase_index_rows`), fused by one
     per-element count (:func:`~irs_aircomp.protocol.vote_indices`).
     The one-geometry case of :func:`_long_term`, and the one place that
-    wraps its arrays in a phase-shift vector.  A geometry of another
-    device count than ``config.K`` raises ``ValueError``.
+    wraps its arrays in a phase-shift vector.  A geometry not made under
+    ``config`` (another device count or spacing ratio) raises ``ValueError``.
     """
-    _require_devices(geometry, config)
+    _require_geometry(geometry, config)
     _, v, votes = _long_term(config, [geometry], config.N)
     return LongTermState(v=v[0], theta_voted=PhaseShiftVector(votes[0], config.L))
 
@@ -228,16 +228,15 @@ def _long_term(
     """The long-term arrays of B geometries: a_M(phi_r) (B, M), v (B, M) and the votes (B, N),
     N = ``n_elements`` (``config.N`` is not read).
 
-    The first half of the per-geometry stage.  One steering pass gives
+    The first step of :func:`_stage`.  One steering pass gives
     every a_M(phi_r), and v = a_M / sqrt(M) is
     :func:`~irs_aircomp.protocol.receive_beamformer` bit for bit.  The
     preferred rows of all B*K devices are one phase-kernel pass, and
     the votes, the voted phases' level indices, one count along the
     device axis of the (B, K, N) stack.  Each geometry's rows equal, bit
-    for bit, those of it alone.  The geometries share one spacing ratio,
-    as those of one config do.
+    for bit, those of it alone.
     """
-    spacing = geometries[0].spacing_ratio
+    spacing = config.spacing_ratio
     a_m = _responses(config.M, [g.phi_r for g in geometries], spacing)
     phi_t, nu = np.array([g.phi_t for g in geometries]), np.array([g.nu for g in geometries])
     votes = vote_indices(_phase_rows(phi_t, nu, n_elements, config.L, spacing), config.L)
@@ -278,94 +277,82 @@ _IRS_KINDS = (_VOTED, _ZERO)
 
 
 def _stage(config: SystemConfig, geometries, sizes):
-    """The per-geometry stage of B geometries: their (B, ...) :func:`_kind_terms` at ``sizes``.
+    """The per-geometry stage of B geometries: their block-independent terms of the voted
+    and zero gammas at every N of ``sizes``.
 
-    :func:`_long_term` then :func:`_kind_terms` at N = ``sizes[-1]``
-    (``config.N`` is not read), the voted row of each geometry its votes
-    and the fixed row zeros, on stacks of at most max(1,
-    ``_STAGE_ELEMENTS`` // (K*N)) geometries at a time; each geometry's
-    terms equal, bit for bit, those of a stack of it alone.
+    It runs at N = ``sizes[-1]`` (``config.N`` is not read) on stacks of
+    at most max(1, ``_STAGE_ELEMENTS`` // (K*N)) geometries at a time.
+    Per stack, :func:`_long_term` gives the receive arrays a_M(phi_r),
+    the beamformers v and the votes; the voted phase row of each
+    geometry is its votes and the fixed row zeros, their phasors read
+    from the L-entry table of :class:`~irs_aircomp.protocol.PhaseShiftVector`,
+    bit for bit its ``phasors``.  Then it builds the steering factors of
+    the lines of sight (:func:`~irs_aircomp.channel._line_of_sight`,
+    K(N/B + B) values per geometry) and, in one
+    :func:`~irs_aircomp.channel._reflections` call, each geometry's one
+    gain (both kinds share it; a_M(phi_r) is the beamformer's own) and
+    its voted and zero rows.  Returns (conj(v) (B, M), gain (B,), line
+    of sight (B, 2, P, K), coefficients (B, 2, P, 2, K) or None under
+    ``pure_los``), kinds in the order of ``_IRS_KINDS``, one N or one
+    segment per P.  The line of sight at N is the projection kernel's
+    sum of the first N elements (:func:`~irs_aircomp.numerics._project`,
+    one call per stack for every geometry, kind and N; no (B, K, N)
+    array is formed), bit for bit the sum
+    :func:`~irs_aircomp.channel.effective_scalar_channel` forms at N,
+    and every other step is elementwise or a sum along a contiguous last
+    axis, so each geometry's terms equal, bit for bit, those of a stack
+    of it alone.  Segment j holds the elements [N_{j-1}, N_j) of
+    ``sizes``, of length L_j; c_j is the sum of its voted phasors and
+    a_k = sqrt(rho_r,k / (delta + 1)) device k's scattered amplitude.  A
+    block's two CN(0, 1) normals w1, w2 of device k and segment j, times
+    the coefficients, give the segment's scattered projections on the
+    voted and the zero rows: X = a_k sqrt(L_j) w1 and Y = a_k
+    (conj(c_j)/sqrt(L_j) w1 + sqrt(L_j - |c_j|^2/L_j) w2).  These are
+    jointly Gaussian with E|X|^2 = E|Y|^2 = a_k^2 L_j and E[X conj(Y)] =
+    a_k^2 c_j: the law of the projections of the segment's i.i.d. CN(0,
+    a_k^2) scattered elements, as every row element is unit-modulus and
+    row_voted conj(row_zero) is the voted phasor.  Segments and devices
+    are independent, as the elements are.
     """
     n = sizes[-1]
+    starts = (0, *sizes[:-1])
+    lengths = np.array([stop - start for start, stop in zip(starts, sizes)])
+    root = np.sqrt(lengths)
     step = max(1, _STAGE_ELEMENTS // (config.K * n))
     parts = []
-    for start in range(0, len(geometries), step):
-        stack = geometries[start : start + step]
+    for first in range(0, len(geometries), step):
+        stack = geometries[first : first + step]
         a_m, v, votes = _long_term(config, stack, n)
         levels = np.zeros((len(stack), 2, n), dtype=votes.dtype)
         levels[:, 0] = votes
-        parts.append(_kind_terms(config, stack, sizes, a_m, v, levels))
+        phasors = _phasor_table(config.L)[levels]
+        rho_r = np.array([g.rho_r for g in stack])
+        gain, rows = _reflections(
+            np.array([g.rho_1 for g in stack]), a_m, v, [g.phi_t for g in stack],
+            config.spacing_ratio, phasors,
+        )
+        los = _line_of_sight(config, rho_r, np.array([g.nu for g in stack]), n)
+        line, coef = _project(los, rows, sizes), None
+        if not config.pure_los:
+            c = np.add.reduceat(phasors[:, 0], starts, axis=-1)  # (B, P)
+            # geometry, kind, segment, normal; each entry one pass into its place
+            per_segment = np.zeros((len(stack), 2, len(sizes), 2), dtype=complex)
+            per_segment[:, 0, :, 0] = root
+            np.divide(c.conj(), root, out=per_segment[:, 1, :, 0])
+            rest = np.maximum(0.0, lengths - np.abs(c) ** 2 / lengths)
+            np.sqrt(rest, out=per_segment[:, 1, :, 1])
+            a = np.sqrt(rho_r / (config.rician_delta + 1.0))
+            coef = per_segment[..., None] * a[:, None, None, None]
+        parts.append((v.conj(), gain, line, coef))
     if len(parts) == 1:
         return parts[0]
     return tuple(None if part[0] is None else np.concatenate(part) for part in zip(*parts))
 
 
-def _kind_terms(config: SystemConfig, geometries, sizes, a_m, v, levels):
-    """B geometries' block-independent terms of the voted and zero gammas at every N of ``sizes``.
-
-    The second half of the per-geometry stage, on the receive arrays
-    a_M(phi_r) (B, M), the beamformers v (B, M) and the level indices
-    (B, 2, N) of the voted and the fixed phase rows.  Their phasors are
-    read from the L-entry table of
-    :class:`~irs_aircomp.protocol.PhaseShiftVector`, bit for bit its
-    ``phasors``.  It builds the steering factors of the lines of sight
-    (:func:`~irs_aircomp.channel._line_of_sight`, K(N/B + B) values per
-    geometry) and, in one :func:`~irs_aircomp.channel._reflections`
-    call, each geometry's one gain (both kinds share it; a_M(phi_r) is
-    the beamformer's own) and its voted and zero rows.  Returns (conj(v)
-    (B, M), gain (B,), line of sight (B, 2, P, K), coefficients (B, 2,
-    P, 2, K) or None under ``pure_los``), kinds in the order of
-    ``_IRS_KINDS``, one N or one segment per P.  The line of sight at N
-    is the projection kernel's sum of the first N elements
-    (:func:`~irs_aircomp.numerics._project`, one call for every
-    geometry, kind and N; no (B, K, N) array is formed), bit for bit
-    the sum :func:`~irs_aircomp.channel.effective_scalar_channel` forms
-    at N, and every other step is elementwise or a sum along a
-    contiguous last axis, so each geometry's terms equal, bit for bit,
-    those of a stack of it alone.  Segment j holds the elements
-    [N_{j-1}, N_j) of ``sizes``, of length L_j; c_j is the sum of its
-    voted phasors and a_k = sqrt(rho_r,k / (delta + 1)) device k's
-    scattered amplitude.  A block's two CN(0, 1) normals w1, w2 of device
-    k and segment j, times the coefficients, give the segment's
-    scattered projections on the voted and the zero rows: X = a_k
-    sqrt(L_j) w1 and Y = a_k (conj(c_j)/sqrt(L_j) w1 + sqrt(L_j -
-    |c_j|^2/L_j) w2).  These are jointly Gaussian with E|X|^2 = E|Y|^2 =
-    a_k^2 L_j and E[X conj(Y)] = a_k^2 c_j: the law of the projections of
-    the segment's i.i.d. CN(0, a_k^2) scattered elements, as every row
-    element is unit-modulus and row_voted conj(row_zero) is the voted
-    phasor.  Segments and devices are independent, as the elements are.
-    """
-    spacing = geometries[0].spacing_ratio
-    rho_r = np.array([g.rho_r for g in geometries])
-    phasors = _phasor_table(config.L)[levels]
-    gain, rows = _reflections(
-        np.array([g.rho_1 for g in geometries]), a_m, v, [g.phi_t for g in geometries],
-        spacing, phasors,
-    )
-    los = _line_of_sight(config, rho_r, np.array([g.nu for g in geometries]), spacing, sizes[-1])
-    line = _project(los, rows, sizes)
-    if config.pure_los:
-        return v.conj(), gain, line, None
-    starts = (0, *sizes[:-1])
-    lengths = np.array([n - start for start, n in zip(starts, sizes)])
-    c = np.add.reduceat(phasors[:, 0], starts, axis=-1)  # (B, P)
-    # geometry, kind, segment, normal; each entry one pass into its place
-    per_segment = np.zeros((len(geometries), 2, len(sizes), 2), dtype=complex)
-    root = np.sqrt(lengths, out=per_segment[:, 0, :, 0])
-    np.divide(c.conj(), root, out=per_segment[:, 1, :, 0])
-    rest = np.abs(c)
-    np.square(rest, out=rest)
-    rest /= lengths
-    np.subtract(lengths, rest, out=rest)
-    np.sqrt(np.maximum(0.0, rest, out=rest), out=per_segment[:, 1, :, 1])
-    a = np.sqrt(rho_r / (config.rician_delta + 1.0))
-    return v.conj(), gain, line, per_segment[..., None] * a[:, None, None, None]
-
-
 def _stacked_gammas(terms, h_direct: np.ndarray, w: np.ndarray | None, schemes: list[Scheme]):
     """Effective channels per kind of a block of B trials, one draw per trial.
 
-    ``terms`` are the stacked terms of :func:`_kind_terms`, one geometry
+    ``terms`` are the stacked terms of :func:`_stage`, one geometry
     per trial or one (a leading axis of 1) that every trial shares, and
     ``h_direct`` (B, K, M) and ``w`` (B, P, 2, K) the trials' draws of
     :func:`~irs_aircomp.channel._effective_draws`: their direct links and
@@ -456,14 +443,15 @@ def run_trial(
     trial of a :func:`run_sweep` whose only element count is
     ``config.N``, the per-geometry stage (:func:`_stage`) on
     ``geometry`` and one draw from ``stream`` with one segment of N
-    elements.  A geometry of another device count than ``config.K``
-    raises ``ValueError`` before any draw, and a draw with some
+    elements.  A geometry not made under ``config`` (another device
+    count or spacing ratio) raises ``ValueError`` before any draw, and a
+    draw with some
     |gamma_k|^2 = 0 raises
     :class:`~irs_aircomp.protocol.DegenerateChannelError`.
     """
     scheme = Scheme(scheme)
     _reject_blocked(config, [scheme])
-    _require_devices(geometry, config)
+    _require_geometry(geometry, config)
     terms = _stage(config, [geometry], (config.N,))
     h_direct, w = _effective_draws(geometry.rho_d, config, 1, [stream])
     gammas = _stacked_gammas(terms, h_direct, w, [scheme])

@@ -454,11 +454,11 @@ class TestProjection:
         theta = compute_long_term(geo, cfg).theta_voted
         row = array_response(cfg.N, geo.phi_t).conj() * theta.phasors  # the engine's voted row
         los = line_of_sight(geo, cfg)
-        factors = channel._line_of_sight(cfg, geo.rho_r, geo.nu, geo.spacing_ratio, cfg.N)
+        factors = channel._line_of_sight(cfg, geo.rho_r, geo.nu, cfg.N)
         got = numerics._project(factors, row[None], sizes)[0]
         for p, n in enumerate(sizes):
             # the sum at n is the call at n alone, and within the bound of the (K, n) matvec
-            alone = channel._line_of_sight(cfg, geo.rho_r, geo.nu, geo.spacing_ratio, n)
+            alone = channel._line_of_sight(cfg, geo.rho_r, geo.nu, n)
             one = numerics._project(alone, row[None, :n], (n,))[0, 0]
             np.testing.assert_array_equal(bits(got[p]), bits(one))
             bound = projection_bound(np.abs(los[:, 0]), los_slopes(geo), row[:n])

@@ -2,13 +2,13 @@ import csv
 import itertools
 import math
 import typing
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from irs_aircomp import channel, experiments, numerics, protocol
+from irs_aircomp import analysis, channel, experiments, numerics, protocol
 from irs_aircomp.channel import (
     SystemConfig,
     effective_scalar_channel,
@@ -63,7 +63,7 @@ class TestRunTrial:
         gain, row = reflection(geo, lt.v, lt.theta_voted)
         a = np.sqrt(geo.rho_r / (cfg.rician_delta + 1.0))
         scattered = (4.0 * a) * w[0, 0, 0]
-        los = channel._line_of_sight(cfg, geo.rho_r, geo.nu, geo.spacing_ratio, cfg.N)
+        los = channel._line_of_sight(cfg, geo.rho_r, geo.nu, cfg.N)
         line = numerics._project(los, row[None], (cfg.N,))[0, 0]
         gam = h_direct[0] @ lt.v.conj() + gain * (line + scattered)
         assert mse == cfg.sigma2 / (cfg.Pmax * float(np.min(np.abs(gam) ** 2)))
@@ -122,17 +122,28 @@ class TestRunTrial:
         assert a == b  # direct draws identical, N plays no role without the IRS
 
 
-@pytest.mark.parametrize("pure_los", [False, True])
-@pytest.mark.parametrize(
+# every public call that takes a geometry and its config
+GEOMETRY_CALLS = pytest.mark.parametrize(
     "call",
     [
         lambda cfg, geo, gen: sample_channels(geo, cfg, gen),
         lambda cfg, geo, gen: compute_long_term(geo, cfg),
         lambda cfg, geo, gen: run_trial(cfg, geo, Scheme.OPT_PC_IRS, gen),
         lambda cfg, geo, gen: run_trial(cfg, geo, Scheme.INV_PC_NO_IRS, gen),
+        lambda cfg, geo, gen: line_of_sight(geo, cfg),
+        lambda cfg, geo, gen: analysis.expected_channel_power_gain(
+            geo, cfg, PhaseShiftVector.zero(cfg.N, cfg.L)
+        ),
     ],
-    ids=["sample_channels", "compute_long_term", "run_trial", "run_trial-direct"],
+    ids=[
+        "sample_channels", "compute_long_term", "run_trial", "run_trial-direct",
+        "line_of_sight", "expected_channel_power_gain",
+    ],
 )
+
+
+@pytest.mark.parametrize("pure_los", [False, True])
+@GEOMETRY_CALLS
 def test_geometry_of_another_device_count_rejected(call, pure_los):
     # a K = 1 geometry under a K = 5 config is refused, naming K, and leaves
     # the caller's generator where it was
@@ -143,6 +154,53 @@ def test_geometry_of_another_device_count_rejected(call, pure_los):
         call(cfg, geo, gen)
     fresh = RngStream(57, 1).generator()
     assert np.array_equal(gen.bit_generator.random_raw(2), fresh.bit_generator.random_raw(2))
+
+
+@pytest.mark.parametrize("spacing", [math.inf, math.nan, 0.0, -0.5, 0.37])
+@GEOMETRY_CALLS
+def test_geometry_of_another_spacing_rejected(call, spacing):
+    # the engine reads the spacing from the config: a geometry that carries another
+    # one, valid or not, is refused, naming both, and leaves the generator where it was
+    cfg = SystemConfig(M=4, N=16, K=5)
+    geo = replace(make_geometry(cfg, RngStream(58, 0)), spacing_ratio=spacing)
+    gen = RngStream(58, 1).generator()
+    message = r"^geometry\.spacing_ratio = .+, not config\.spacing_ratio = 0\.5$"
+    with pytest.raises(ValueError, match=message):
+        call(cfg, geo, gen)
+    fresh = RngStream(58, 1).generator()
+    assert np.array_equal(gen.bit_generator.random_raw(2), fresh.bit_generator.random_raw(2))
+
+
+class TestFrozenConfigs:
+    """A validated config cannot change after its checks; ``replace`` checks the copy."""
+
+    @pytest.mark.parametrize(
+        "config, name, value",
+        [
+            (SystemConfig(), "device_center", (2.0**600, 0.0, 0.0)),
+            (SystemConfig(), "spacing_ratio", 2.3),
+            (ExperimentConfig(), "trials", 0),
+            (ExperimentConfig(), "system", SystemConfig(K=3)),
+        ],
+        ids=[
+            "system-device_center", "system-spacing_ratio", "experiment-trials", "experiment-system"
+        ],
+    )
+    def test_assignment_raises(self, config, name, value):
+        before = getattr(config, name)
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, name, value)
+        assert getattr(config, name) == before
+
+    def test_replace_validates_as_construction_does(self):
+        with pytest.raises(ValueError, match="^device_center is too far out"):
+            replace(SystemConfig(), device_center=(2.0**1021, 0.0, 0.0))
+        with pytest.raises(ValueError, match="spacing_ratio must be positive"):
+            replace(SystemConfig(), spacing_ratio=0.0)
+        with pytest.raises(ConfigError, match="trials must be >= 1"):
+            replace(ExperimentConfig(), trials=0)
+        with pytest.raises(ConfigError, match="n_sweep must be strictly increasing"):
+            replace(ExperimentConfig(), n_sweep=(64, 32))
 
 
 def bits(a):
@@ -219,16 +277,14 @@ class TestStackedStage:
                 assert np.array_equal(bits(got), bits(one)), f.name
             state = compute_long_term(geometry, largest)
             thetas = state.theta_voted, PhaseShiftVector.zero(N, system.L)
-            a_m = array_response(system.M, geometry.phi_r, geometry.spacing_ratio)
-            levels = np.stack([theta.indices for theta in thetas])
-            terms = experiments._kind_terms(
-                largest, [geometry], sizes, a_m[None], state.v[None], levels[None]
-            )
-            # the gain is the formula's; the line of sight at n is within the derived
-            # bound of the expanded line of sight's 2-D matvec
+            terms = experiments._stage(largest, [geometry], sizes)
+            # the beamformer is compute_long_term's and the gain the formula's; the line
+            # of sight at n, on the voted and the zero row, is within the derived bound
+            # of the expanded line of sight's 2-D matvec
             los = line_of_sight(geometry, largest)
-            slope = 2.0 * np.pi * geometry.spacing_ratio * np.sin(geometry.nu)
+            slope = 2.0 * np.pi * system.spacing_ratio * np.sin(geometry.nu)
             gain, rows = zip(*(reflection(geometry, state.v, theta) for theta in thetas))
+            assert np.array_equal(bits(terms[0][0]), bits(state.v.conj()))
             assert np.array_equal(bits(terms[1]), bits(np.array(gain[:1])))
             for line, row in zip(terms[2][0], rows, strict=True):
                 for got, n in zip(line, sizes, strict=True):
@@ -289,7 +345,7 @@ class TestKeyedStreams:
         # 130 trials, three power blocks, every scheme at three N: each geometry is
         # drawn once, and the stage runs once per block on its stack of
         # geometries, never per scheme or per N
-        calls = {"make_geometry": [], "_make_geometries": [], "_long_term": [], "_kind_terms": []}
+        calls = {"make_geometry": [], "_make_geometries": [], "_stage": [], "_long_term": []}
         for name, stacks in calls.items():
             original = getattr(experiments, name)
 
@@ -306,8 +362,8 @@ class TestKeyedStreams:
         assert calls == {
             "make_geometry": [1],
             "_make_geometries": blocks if redraw else [],
+            "_stage": stacks,
             "_long_term": stacks,
-            "_kind_terms": stacks,
         }
 
     @pytest.mark.parametrize("redraw", [False, True])
@@ -376,25 +432,29 @@ class TestKeyedStreams:
     def test_pure_los_recipe_is_run_sweep(self):
         # the scaling recipe by hand: trial t's geometry from stream 2 + 2t and its
         # vector channel from stream 3 + 2t, evaluated at each N on its own.  The
-        # element counts cross the steering block, the 70 trials a power block.
-        system = SystemConfig(M=4, K=5, pure_los=True, block_direct=True)
+        # element counts cross the steering block, the 70 trials a power block,
+        # and the spacing is the default and one past a wavelength.
         sizes, seed = (32, 64, 65, 512), 17
-        config = ExperimentConfig(
-            system=system, n_sweep=sizes, trials=70, seed=seed, redraw_geometry_per_trial=True
-        )
-        schemes, want = [Scheme.INV_PC_IRS, Scheme.OPT_PC_IRS], []
-        for s, N in itertools.product(schemes, sizes):
-            sized = replace(system, N=N)
-            want.append([])
-            for t in range(config.trials):
-                geometry = make_geometry(sized, RngStream(seed, 2 + 2 * t))
-                state = compute_long_term(geometry, sized)
-                block = sample_channels(geometry, sized, RngStream(seed, 3 + 2 * t))
-                gammas = effective_scalar_channel(block, state.v, state.theta_voted)
-                rows = power_control_rows(gammas[None], system.Pmax, system.sigma2, s.inversion)
-                want[-1].append(float(rows[3][0]))
-        mses = run_sweep(config, schemes).trial_mse
-        assert [mses[s.value, N].tolist() for s, N in itertools.product(schemes, sizes)] == want
+        schemes = [Scheme.INV_PC_IRS, Scheme.OPT_PC_IRS]
+        for spacing in (0.5, 2.3):
+            system = SystemConfig(M=4, K=5, pure_los=True, block_direct=True, spacing_ratio=spacing)
+            config = ExperimentConfig(
+                system=system, n_sweep=sizes, trials=70, seed=seed, redraw_geometry_per_trial=True
+            )
+            want = []
+            for s, N in itertools.product(schemes, sizes):
+                sized = replace(system, N=N)
+                want.append([])
+                for t in range(config.trials):
+                    geometry = make_geometry(sized, RngStream(seed, 2 + 2 * t))
+                    state = compute_long_term(geometry, sized)
+                    block = sample_channels(geometry, sized, RngStream(seed, 3 + 2 * t))
+                    gammas = effective_scalar_channel(block, state.v, state.theta_voted)
+                    rows = power_control_rows(gammas[None], system.Pmax, system.sigma2, s.inversion)
+                    want[-1].append(float(rows[3][0]))
+            mses = run_sweep(config, schemes).trial_mse
+            got = [mses[s.value, N].tolist() for s, N in itertools.product(schemes, sizes)]
+            assert got == want, spacing
 
 
 class TestRunSweep:
