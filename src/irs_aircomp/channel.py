@@ -47,7 +47,10 @@ __all__ = [
 class SystemConfig:
     """Scalar protocol and scenario parameters, validated once and then frozen.
 
-    Powers are in watts, angles in radians, positions in meters.
+    Powers are in watts, angles in radians, positions in meters.  Every
+    |coordinate| of the AP and the IRS, and |device_center| +
+    device_radius, must be at most 2**510 m, so that every distance is
+    a finite float.
     ``rician_delta`` is the linear line-of-sight to scattered power
     ratio of the device-IRS links; ``pure_los`` replaces those links by
     their line-of-sight component exactly (the delta -> infinity limit).
@@ -111,39 +114,17 @@ class SystemConfig:
             name = max(extents, key=extents.get)
             raise ValueError(
                 f"{name} is too far out: every |coordinate| and |device_center| + device_radius"
-                f" must be at most 2**1020 m, got {getattr(self, name)!r}"
+                f" must be at most 2**510 m, got {getattr(self, name)!r}"
             )
-        # what _make_geometries divides coordinate differences by before a norm,
-        # once per config: 1 in range, where distances are np.linalg.norm's bit for bit
-        scale = 1.0 if reach <= _UNSCALED else 2.0 ** (math.frexp(reach)[1] - 510)
-        object.__setattr__(self, "_distance_scale", scale)
         if self.nu is not None and len(self.nu) != self.K:
             raise ValueError("nu override must provide one angle per device")
 
 
-# The positions, and two bounds on a node's coordinates.  A distance is
+# The positions, and the bound on a node's coordinates.  A distance is
 # the norm of a coordinate difference, which squares each part: parts up
-# to 2 * 2**510 keep a sum of three squares finite, and past that the
-# differences are scaled by a power of two first.  Coordinates up to
-# 2**1020 keep every difference, and so every distance, a finite float.
+# to 2 * 2**510 keep a sum of three squares, and so every distance, finite.
 _POSITIONS = ("ap_position", "irs_position", "device_center")
-_UNSCALED, _MAX_COORDINATE = 2.0**510, 2.0**1020
-
-
-def _norms(vectors: np.ndarray, scale: float, axis=None):
-    """``np.linalg.norm(vectors, axis=axis)`` as scale times that of vectors / scale: both
-    steps are exact at a power-of-two ``scale``, and one above 1 keeps the squares finite.
-
-    ``scale`` is 1 for every in-range config.  The norms are formed by
-    ``np.linalg.norm``'s own steps for a real array, without its
-    argument handling: sqrt(x.dot(x)) for one vector (``axis`` None), and
-    the square root of ``np.add.reduce`` of the squares along one axis.
-    """
-    if scale != 1.0:
-        return scale * _norms(vectors / scale, 1.0, axis)
-    if axis is None:
-        return math.sqrt(vectors.dot(vectors))
-    return np.sqrt(np.add.reduce(vectors * vectors, axis=axis))
+_MAX_COORDINATE = 2.0**510
 
 
 def _all_finite(value) -> bool:
@@ -290,10 +271,12 @@ def _make_geometries(config: SystemConfig, streams, generator=as_generator) -> l
     exp_r = config.pathloss_exponent_reflected
     exp_d = config.pathloss_exponent_direct
     ref = config.ref_loss_linear
-    scale = config._distance_scale
     nodes = np.array((config.ap_position, config.irs_position))
-    rho_1 = pathloss(_norms(nodes[1] - nodes[0], scale), exp_r, ref)
-    dist = _norms(positions[..., None, :] - nodes, scale, -1)  # (B, K, 2): to the AP, to the IRS
+    # the norms as np.linalg.norm forms them for a real array, without its argument handling
+    link = nodes[1] - nodes[0]
+    rho_1 = pathloss(math.sqrt(link.dot(link)), exp_r, ref)
+    offsets = positions[..., None, :] - nodes
+    dist = np.sqrt(np.add.reduce(offsets * offsets, axis=-1))  # (B, K, 2): to the AP, to the IRS
     rho_d = np.zeros((B, K)) if config.block_direct else _pathlosses(dist[..., 0], exp_d, ref)
     rho_r = _pathlosses(dist[..., 1], exp_r, ref)
     return [
@@ -480,7 +463,9 @@ def effective_scalar_channel(realization: ChannelRealization, v: np.ndarray, the
     O(M + N) per device.  The line of sight's share of h_reflect_k . row
     is the projection kernel :func:`~irs_aircomp.numerics._project` on
     its factors, the engine's own, and the scattered part, if any, adds
-    its matrix-vector product: no (K, N) array is formed.
+    its matrix-vector product: no (K, N) array is formed.  The element
+    spacing is the block's geometry's, checked as ``SystemConfig``
+    checks its own before any steering.
     """
     geo, los = realization.geometry, realization.los
     M, N = realization.h_direct.shape[1], los.n
@@ -492,6 +477,7 @@ def effective_scalar_channel(realization: ChannelRealization, v: np.ndarray, the
         raise ValueError(f"v must be unit norm, got ||v|| = {norm}")
     if theta.num_elements != N:
         raise ValueError(f"phase-shift vector has {theta.num_elements} elements, expected {N}")
+    _require_spacing(geo.spacing_ratio, max(M, N))  # a geometry's copy no config has checked
 
     a_m = _responses(M, [geo.phi_r], geo.spacing_ratio)
     gain, rows = _reflections(

@@ -442,17 +442,16 @@ def run_trial(
     The engine at one geometry, one N and one trial: one scheme of one
     trial of a :func:`run_sweep` whose only element count is
     ``config.N``, the per-geometry stage (:func:`_stage`) on
-    ``geometry`` and one draw from ``stream`` with one segment of N
-    elements.  A geometry not made under ``config`` (another device
-    count or spacing ratio) raises ``ValueError`` before any draw, and a
-    draw with some
-    |gamma_k|^2 = 0 raises
-    :class:`~irs_aircomp.protocol.DegenerateChannelError`.
+    ``geometry``, which a direct-link scheme skips, and one draw from
+    ``stream`` with one segment of N elements.  A geometry not made
+    under ``config`` (another device count or spacing ratio) raises
+    ``ValueError`` before any draw, and a draw with some |gamma_k|^2 = 0
+    raises :class:`~irs_aircomp.protocol.DegenerateChannelError`.
     """
     scheme = Scheme(scheme)
     _reject_blocked(config, [scheme])
     _require_geometry(geometry, config)
-    terms = _stage(config, [geometry], (config.N,))
+    terms = None if scheme.kind == _DIRECT else _stage(config, [geometry], (config.N,))
     h_direct, w = _effective_draws(geometry.rho_d, config, 1, [stream])
     gammas = _stacked_gammas(terms, h_direct, w, [scheme])
     _, _, kt, mse = power_control_rows(
@@ -505,7 +504,8 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     geometries then go through the stage stacked, at most
     ``_STAGE_ELEMENTS`` (B*K*N) at a time, so that memory stays bounded
     at large N; a fixed geometry goes through it once.  Each geometry's
-    terms equal, bit for bit, those it has alone.  Per block of trials,
+    terms equal, bit for bit, those it has alone; with only direct-link
+    schemes, which do not see the IRS, it does not run.  Per block of trials,
     |gamma| is taken once per kind and each power rule makes one
     row-wise call.  Every row's mean is the ``math.fsum`` of its T values
     over T, and its standard error is ``np.std``'s, bit for bit
@@ -531,8 +531,9 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     rewind = _rewinder(config.seed)
     reference = make_geometry(system, rewind(0))
     params = _bound_params(config, reference) if system.L == 2 else []
-    rho_d = reference.rho_d
-    if not redraw:  # the stage reads its element count from n_sweep, not system.N
+    rho_d, terms = reference.rho_d, None  # the direct-link schemes read no stage terms
+    sees_irs = any(s.kind != _DIRECT for s in schemes)
+    if sees_irs and not redraw:  # the stage reads its element count from n_sweep, not system.N
         terms = _stage(system, [reference], config.n_sweep)
     mses = np.empty((len(schemes), P, T))
     ktildes = np.empty((len(schemes), P, T), dtype=np.int64)
@@ -547,7 +548,8 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
         trials = range(start, stop)
         if redraw:
             geometries = _make_geometries(system, [2 + 2 * t for t in trials], rewind)
-            terms = _stage(system, geometries, config.n_sweep)
+            if sees_irs:
+                terms = _stage(system, geometries, config.n_sweep)
             rho_d = np.array([g.rho_d for g in geometries])
         h_direct, w = _effective_draws(rho_d, system, P, [3 + 2 * t for t in trials], rewind)
         block = _stacked_gammas(terms, h_direct, w, schemes)

@@ -59,7 +59,10 @@ class PhaseShiftVector:
     levels: int
 
     def __post_init__(self) -> None:
-        idx = np.asarray(self.indices, dtype=np.int64)
+        idx = np.asarray(self.indices)
+        if idx.dtype.kind not in "iu":  # a float would be truncated, a bool read as 0 or 1
+            raise ValueError(f"indices must be integers, got an array of {idx.dtype}")
+        idx = idx.astype(np.int64, copy=False)
         object.__setattr__(self, "indices", idx)
         _require_count(self.levels, "levels")
         if idx.ndim != 1 or idx.min(initial=0) < 0 or idx.max(initial=-1) >= self.levels:
@@ -432,13 +435,18 @@ def power_control_rows(gammas, Pmax: float, sigma2: float, inversion: bool = Fal
     return _power_rows(_gamma_magnitudes(gammas, ndim=2), Pmax, sigma2, inversion)
 
 
+def _require_powers(Pmax: float, sigma2: float) -> None:
+    """Reject a Pmax that is not positive and finite, or a sigma2 not non-negative and finite."""
+    if not 0 < Pmax < math.inf:
+        raise ValueError(f"Pmax must be positive and finite, got {Pmax!r}")
+    if not 0 <= sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be non-negative and finite, got {sigma2!r}")
+
+
 def _power_rows(g: np.ndarray, Pmax: float, sigma2: float, inversion: bool):
     """Row-wise kernel on validated magnitudes g (B, K): the rule of :func:`optimal_power_control`,
     or with ``inversion`` that of :func:`channel_inversion_power_control`."""
-    if not Pmax > 0:
-        raise ValueError("Pmax must be positive")
-    if not sigma2 >= 0:
-        raise ValueError("sigma2 must be non-negative")
+    _require_powers(Pmax, sigma2)
     B, K = g.shape
     g2 = g**2  # within range: :func:`_gamma_magnitudes` checked the extremes
     if inversion:
@@ -567,6 +575,7 @@ def oracle_power_control(gammas, Pmax: float, sigma2: float) -> PowerSolution:
     ``_ORACLE_GRID`` eta values up to the largest prefix candidate and
     refines the best bracket by golden-section search.
     """
+    _require_powers(Pmax, sigma2)
     g = _gamma_magnitudes(gammas)
     g2 = g**2
     gs2 = np.sort(g2)

@@ -42,10 +42,13 @@ def params(**overrides):
         (lambda: lambda1(True), "K"),
         (lambda: approx_array_gain(2.5, 3), "N"),
         (lambda: approx_array_gain(10, 3.0), "K"),
+        (lambda: params(epsilon=1.0), "epsilon"),
+        (lambda: mse_lower_bound(0.0, 1.0, 1.0), "gamma1_sq"),
     ],
     ids=[
         "Pmax=0", "Pmax=-1", "Pmax=nan", "Pmax=inf", "sigma2=-1", "sigma2=nan", "sigma2=inf",
         "N=2.5", "M=True", "K=0", "lambda1(2.5)", "lambda1(True)", "gain(N=2.5)", "gain(K=3.0)",
+        "epsilon=1", "lower_bound(gamma1_sq=0)",
     ],
 )
 def test_bound_inputs_rejected_naming_the_field(call, name):

@@ -165,6 +165,7 @@ class TestMakeGeometry:
         dict(ap_position=(float("-inf"), 0.0, 0.0)),
         dict(device_center=[200.0, 0.0, float("nan")]),
         dict(spacing_ratio=1e308),  # finite, but its phases overflow
+        dict(rician_delta="inf"),  # not a number: read as numpy reads it
     ],
 )
 def test_system_config_rejects_non_finite(overrides):
@@ -173,32 +174,29 @@ def test_system_config_rejects_non_finite(overrides):
         SystemConfig(**overrides)
 
 
-@pytest.mark.parametrize("center", [(1e200, 0.0, 0.0), (0.0, -2.0**600, 3e250)])
-def test_far_positions_keep_distances_finite(center):
-    # a norm squares each coordinate difference: such a distance was infinite, with
-    # a numpy overflow warning, and its path loss exactly 0
+def test_farthest_accepted_positions_keep_distances_finite():
+    # a norm squares each coordinate difference: past the bound such a distance
+    # would be infinite, with a numpy overflow warning, and its path loss exactly 0
+    edge = 2.0**510
     config = SystemConfig(
-        K=4, device_center=center, pathloss_exponent_reflected=0.01, pathloss_exponent_direct=0.01
+        K=4,
+        ap_position=(-edge, -edge, -edge),
+        irs_position=(edge, edge, edge),
+        device_center=(-edge / 2, edge / 2, 0.0),
+        device_radius=edge / 2,
+        pathloss_exponent_reflected=0.01,
+        pathloss_exponent_direct=0.01,
     )
     with np.errstate(all="raise"):
         geo = make_geometry(config, RngStream(30, 0))
+    assert np.all(np.isfinite(geo.device_positions))
     for rho, node in ((geo.rho_d, config.ap_position), (geo.rho_r, config.irs_position)):
         want = [pathloss(math.dist(p, node), 0.01, 1e-3) for p in geo.device_positions]
         np.testing.assert_allclose(rho, want, rtol=1e-15)
     assert geo.rho_1 == pathloss(math.dist(config.irs_position, config.ap_position), 0.01, 1e-3)
 
 
-def test_farthest_accepted_positions_keep_distances_finite():
-    edge = 2.0**1020
-    config = SystemConfig(
-        ap_position=(-edge, -edge, -edge),
-        irs_position=(edge, edge, edge),
-        device_center=(-edge / 2, edge / 2, 0.0),
-        device_radius=edge / 2,
-    )
-    with np.errstate(all="raise"):
-        geo = make_geometry(config, RngStream(30, 0))
-    assert np.all(np.isfinite(geo.device_positions)) and geo.rho_1 == 0.0  # underflows
+_PAST_EDGE = math.nextafter(2.0**510, math.inf)  # one ulp past the farthest accepted coordinate
 
 
 @pytest.mark.parametrize(
@@ -208,12 +206,45 @@ def test_farthest_accepted_positions_keep_distances_finite():
         dict(ap_position=(0.0, -1e308, 0.0)),
         dict(irs_position=(0.0, 0.0, 1e308)),
         dict(device_radius=2.0**1021),
+        dict(device_center=(1e200, 0.0, 0.0)),
+        dict(device_center=(0.0, -2.0**600, 3e250)),
+        dict(ap_position=(-_PAST_EDGE, 0.0, 0.0)),
+        dict(irs_position=(0.0, _PAST_EDGE, 0.0)),
+        dict(device_center=(0.0, 0.0, -_PAST_EDGE)),
+        # |device_center| + device_radius is exactly one ulp past 2**510
+        dict(device_radius=2.0**509 + 2.0**458, device_center=(-(2.0**509), 0.0, 0.0)),
     ],
 )
 def test_system_config_rejects_positions_past_finite_distances(overrides):
     name = next(iter(overrides))
     with pytest.raises(ValueError, match=f"^{name} is too far out"):
         SystemConfig(**overrides)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(Pmax=0.0), "Pmax must be positive"),
+        (dict(sigma2=-1e-12), "sigma2 must be non-negative"),
+        (dict(rician_delta=-1.0), "rician_delta must be non-negative"),
+        (dict(pathloss_exponent_direct=-0.1), "path loss exponents must be non-negative"),
+        (dict(ref_loss_linear=0.0), r"ref_loss_linear must be in \(0, 1\]"),
+        (dict(ref_loss_linear=1.5), r"ref_loss_linear must be in \(0, 1\]"),
+        (dict(device_radius=-1.0), "device_radius must be non-negative"),
+    ],
+    ids=[
+        "Pmax=0", "sigma2<0", "rician_delta<0", "exponent<0", "ref_loss=0", "ref_loss>1",
+        "device_radius<0",
+    ],
+)
+def test_system_config_rejects_out_of_range_scalars(overrides, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SystemConfig(**overrides)
+
+
+def test_pathloss_rejects_non_positive_reference_loss():
+    with pytest.raises(ValueError, match="^ref_loss_linear must be positive$"):
+        pathloss(10.0, 2.2, 0.0)
 
 
 @pytest.mark.parametrize("spacing", [0.0, -0.5])
@@ -555,6 +586,23 @@ class TestEffectiveScalarChannel:
         v = array_response(4, geo.phi_r, 0.5) / 2.0
         with pytest.raises(ValueError):
             effective_scalar_channel(real, v, PhaseShiftVector.zero(5, 2))
+
+    def test_combiner_of_another_size_rejected(self):
+        cfg, geo, real = self._aligned_setup()
+        with pytest.raises(ValueError, match=r"^v must have shape \(4,\), got \(3,\)$"):
+            effective_scalar_channel(real, np.ones(3) / np.sqrt(3), PhaseShiftVector.zero(16, 2))
+
+    @pytest.mark.parametrize("spacing", [math.inf, math.nan, 0.0, -0.5, 1e306])
+    def test_bad_geometry_spacing_rejected(self, spacing):
+        # the block's geometry carries a spacing that no config checks here: a bad one
+        # is named, not steered into NaN gammas (inf, nan) or wrong ones (the rest)
+        cfg = SystemConfig(M=4, N=64, K=3)
+        geo = make_geometry(cfg, RngStream(15, 0))
+        state = compute_long_term(geo, cfg)
+        block = sample_channels(geo, cfg, RngStream(15, 1))
+        bad = replace(block, geometry=replace(geo, spacing_ratio=spacing))
+        with pytest.raises(ValueError, match="^spacing_ratio must be"):
+            effective_scalar_channel(bad, state.v, state.theta_voted)
 
 
 # The Rician public path at the default scenario with one BLAS thread, as

@@ -1,6 +1,7 @@
 import csv
 import itertools
 import math
+import re
 import typing
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
@@ -68,6 +69,18 @@ class TestRunTrial:
         gam = h_direct[0] @ lt.v.conj() + gain * (line + scattered)
         assert mse == cfg.sigma2 / (cfg.Pmax * float(np.min(np.abs(gam) ** 2)))
         assert kt == 1
+
+    @pytest.mark.parametrize("scheme", [Scheme.OPT_PC_NO_IRS, Scheme.INV_PC_NO_IRS])
+    def test_direct_link_scheme_skips_the_stage(self, scheme, monkeypatch):
+        # the dominant-direct combiner's gammas, without the per-geometry stage
+        cfg = SystemConfig(M=4, N=4096, K=3)
+        geo = make_geometry(cfg, RngStream(53, 0))
+        monkeypatch.setattr(experiments, "_stage", lambda *a: pytest.fail("stage ran"))
+        mse, kt = run_trial(cfg, geo, scheme, RngStream(53, 1))
+        h_direct, _ = channel._effective_draws(geo.rho_d, cfg, 1, [RngStream(53, 1)])
+        gammas = experiments._direct_gammas(h_direct)
+        _, _, want_kt, want = power_control_rows(gammas, cfg.Pmax, cfg.sigma2, scheme.inversion)
+        assert (mse, kt) == (want[0], want_kt[0])
 
     def test_optimal_never_worse_than_inversion_on_shared_stream(self):
         cfg = SystemConfig(M=4, N=32, K=5)
@@ -340,11 +353,20 @@ class TestKeyedStreams:
                 assert len(head) == 40 and len(longer[key]) == 80
                 assert np.array_equal(bits(longer[key][:40]), bits(head))
 
-    @pytest.mark.parametrize("redraw", [False, True])
-    def test_per_geometry_work_once_per_geometry(self, redraw, monkeypatch):
-        # 130 trials, three power blocks, every scheme at three N: each geometry is
-        # drawn once, and the stage runs once per block on its stack of
-        # geometries, never per scheme or per N
+    @pytest.mark.parametrize(
+        "redraw, schemes",
+        [
+            (False, list(Scheme)),
+            (True, list(Scheme)),
+            (False, [Scheme.INV_PC_NO_IRS]),
+            (True, [Scheme.INV_PC_NO_IRS]),
+        ],
+        ids=["False", "True", "False-direct", "True-direct"],
+    )
+    def test_per_geometry_work_once_per_geometry(self, redraw, schemes, monkeypatch):
+        # 130 trials, three power blocks, at three N: each geometry is drawn once,
+        # and the stage runs once per block on its stack of geometries, never
+        # per scheme or per N, and not at all for direct-link schemes alone
         calls = {"make_geometry": [], "_make_geometries": [], "_stage": [], "_long_term": []}
         for name, stacks in calls.items():
             original = getattr(experiments, name)
@@ -355,10 +377,10 @@ class TestKeyedStreams:
 
             monkeypatch.setattr(experiments, name, counted)
         cfg = small_config(n_sweep=(4, 8, 16), trials=130, redraw_geometry_per_trial=redraw)
-        run_sweep(cfg, list(Scheme))
+        run_sweep(cfg, schemes)
         # the reference geometry of stream 0, then each trial's own, a block at a time
         blocks = [64, 64, 2]
-        stacks = blocks if redraw else [1]
+        stacks = [] if schemes == [Scheme.INV_PC_NO_IRS] else blocks if redraw else [1]
         assert calls == {
             "make_geometry": [1],
             "_make_geometries": blocks if redraw else [],
@@ -496,6 +518,19 @@ class TestRunSweep:
     def test_duplicate_schemes_rejected(self):
         with pytest.raises(ConfigError, match="duplicate schemes: OPT_PC_IRS"):
             run_sweep(small_config(), [Scheme.OPT_PC_IRS, Scheme.INV_PC_IRS, "OPT_PC_IRS"])
+
+    def test_no_schemes_rejected(self):
+        with pytest.raises(ConfigError, match="^at least one scheme is required$"):
+            run_sweep(small_config(), [])
+
+    @pytest.mark.parametrize("redraw", [False, True])
+    def test_non_finite_gamma_raises_its_own_error(self, redraw, monkeypatch):
+        # a NaN gamma is no degenerate channel: its ValueError comes out as it is
+        monkeypatch.setattr(experiments, "_direct_gammas", lambda h: np.full(h.shape[:2], np.nan))
+        cfg = small_config(redraw_geometry_per_trial=redraw)
+        with pytest.raises(ValueError, match="^gammas must be finite") as info:
+            run_sweep(cfg, [Scheme.OPT_PC_IRS, Scheme.INV_PC_NO_IRS])
+        assert not isinstance(info.value, DegenerateChannelError)
 
     @pytest.mark.parametrize("redraw", [False, True])
     def test_scheme_rows_independent_of_other_schemes(self, redraw):
@@ -693,6 +728,11 @@ class TestWriteCsv:
         assert lines[0] == CSV_HEADER
         assert lines[1] == "OPT_PC_IRS,8,4,3,2,0.5,0.1,1.5,,"
 
+    def test_unwritable_path_names_it(self, tmp_path):
+        path = tmp_path / "absent" / "x.csv"
+        with pytest.raises(OSError, match=f"^failed writing sweep CSV to {re.escape(str(path))}: "):
+            write_csv(SweepResult(rows=[]), path)
+
     def test_round_trip_bit_exact(self, tmp_path):
         result = run_sweep(small_config(), [Scheme.OPT_PC_IRS, Scheme.INV_PC_NO_IRS])
         path = tmp_path / "sweep.csv"
@@ -798,6 +838,19 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="must be finite"):
             load_config(self.write(tmp_path, line + "\n"))
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("pure_los = maybe", "pure_los: expected a boolean, got 'maybe'"),
+            ("ap_position = 1, 2", "ap_position: expected three comma-separated coordinates"),
+            ("trials 5", "line 1: expected 'key = value', got 'trials 5'"),
+        ],
+        ids=["boolean", "triple", "no-equals"],
+    )
+    def test_malformed_value_or_line_rejected(self, tmp_path, line, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(self.write(tmp_path, line + "\n"))
+
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.cfg")
@@ -844,6 +897,21 @@ def test_non_integer_counts_rejected(owner, name, bad, good):
     with pytest.raises(error, match=f"^{name} must "):
         owner(**{name: bad})
     owner(**{name: good})  # Python and numpy integers are counts
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(n_sweep=()), "n_sweep must contain positive element counts"),
+        (dict(epsilon=0.0), r"epsilon must be in \(0, 1\)"),
+        (dict(epsilon=1.0), r"epsilon must be in \(0, 1\)"),
+        (dict(epsilon=math.nan), r"epsilon must be in \(0, 1\)"),
+    ],
+    ids=["empty-n_sweep", "epsilon=0", "epsilon=1", "epsilon=nan"],
+)
+def test_experiment_config_rejects_out_of_range(overrides, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        ExperimentConfig(**overrides)
 
 
 @pytest.mark.parametrize("seed", [np.int64(11), np.uint64(11), np.int32(11)])

@@ -695,6 +695,23 @@ def test_non_integer_counts_rejected(call, name, count):
         call(count)
 
 
+@pytest.mark.parametrize(
+    "indices, message",
+    [
+        ([0.5, 1.2], "must be integers"),  # truncated to [0, 1]
+        (np.array([1.9]), "must be integers"),  # truncated to [1]
+        ([True, False], "must be integers"),  # read as [1, 0]
+        ([0, 2], r"must be a 1-D array of values in \[0, levels\)"),
+        ([-1, 0], r"must be a 1-D array of values in \[0, levels\)"),
+        ([[0, 1]], r"must be a 1-D array of values in \[0, levels\)"),
+    ],
+    ids=["fractions", "float-array", "bools", "past-levels", "negative", "2-D"],
+)
+def test_bad_phase_indices_rejected(indices, message):
+    with pytest.raises(ValueError, match=f"^indices {message}"):
+        PhaseShiftVector(indices, 2)
+
+
 class TestOptimalPowerControl:
     def test_single_device(self):
         sol = optimal_power_control([1.0], 1.0, 1.0)
@@ -786,6 +803,35 @@ def test_non_finite_gammas_rejected(rule, bad):
     with pytest.raises(ValueError, match="gammas must be finite") as info:
         rule([1.0, bad], 1.0, 0.1)
     assert not isinstance(info.value, DegenerateChannelError)
+
+
+@pytest.mark.parametrize(
+    "Pmax, sigma2, name",
+    [
+        (math.inf, 1.0, "Pmax"),
+        (math.nan, 1.0, "Pmax"),
+        (0.0, 1.0, "Pmax"),
+        (1.0, math.inf, "sigma2"),
+        (1.0, math.nan, "sigma2"),
+        (1.0, -1.0, "sigma2"),
+    ],
+)
+@pytest.mark.parametrize(
+    "rule",
+    [
+        optimal_power_control,
+        channel_inversion_power_control,
+        oracle_power_control,
+        lambda g, Pmax, sigma2: power_control_rows([g], Pmax, sigma2),
+        lambda g, Pmax, sigma2: power_control_rows([g], Pmax, sigma2, inversion=True),
+    ],
+    ids=["optimal", "inversion", "oracle", "rows", "rows-inversion"],
+)
+def test_power_inputs_out_of_range_rejected(rule, Pmax, sigma2, name):
+    # an infinite Pmax or sigma2 gave NaN or infinite powers, eta or MSE, or an
+    # error naming the powers; now the argument is named before any solve
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        rule([1.0, 2.0, 3.0], Pmax, sigma2)
 
 
 def loop_power_control(g, Pmax, sigma2, inversion):
@@ -985,6 +1031,12 @@ class TestEvaluateMse:
         with pytest.raises(ValueError, match=name):
             evaluate_mse(gammas, sol, sigma2)
 
+    def test_silent_solution_without_eta_rejected(self):
+        # no device transmits, so the solution holds eta = 0, but the MSE divides by it
+        sol = PowerSolution(powers=np.zeros(2), eta=0.0, critical_number=0, mse=0.0)
+        with pytest.raises(ValueError, match="^eta must be positive$"):
+            evaluate_mse([1.0, 2.0], sol, 1.0)
+
 
 class TestPowerSolution:
     @pytest.mark.parametrize(
@@ -997,6 +1049,19 @@ class TestPowerSolution:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError, match="powers must be non-negative"):
             PowerSolution(powers=[1.0, -0.5], eta=1.0, critical_number=0, mse=0.0)
+
+    @pytest.mark.parametrize(
+        "eta, critical_number, message",
+        [
+            (0.0, 0, "eta must be positive when any device transmits"),
+            (math.nan, 0, "eta must be positive when any device transmits"),
+            (1.0, 3, r"critical_number must lie in \[0, K\]"),
+            (1.0, -1, r"critical_number must lie in \[0, K\]"),
+        ],
+    )
+    def test_bad_eta_or_critical_number_rejected(self, eta, critical_number, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PowerSolution(powers=[1.0, 0.0], eta=eta, critical_number=critical_number, mse=0.0)
 
 
 class TestEvaluateMseGeneral:
@@ -1024,6 +1089,19 @@ class TestEvaluateMseGeneral:
         assert evaluate_mse_general(v, theta, b, eta, real, 0.0) == pytest.approx(
             0.0, abs=1e-24
         )
+
+    @pytest.mark.parametrize(
+        "b, eta, message",
+        [
+            (np.ones(3), 0.0, "eta must be positive$"),
+            (np.ones(3), math.nan, "eta must be positive$"),
+            (np.ones(2), 1.0, r"b must have shape \(3,\), got \(2,\)$"),
+        ],
+    )
+    def test_bad_input_rejected(self, b, eta, message):
+        cfg, real, v, theta = self._setup()
+        with pytest.raises(ValueError, match=f"^{message}"):
+            evaluate_mse_general(v, theta, b, eta, real, cfg.sigma2)
 
     def test_phase_aligned_b_matches_scalar_form(self):
         from irs_aircomp.channel import effective_scalar_channel
