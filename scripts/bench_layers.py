@@ -8,6 +8,7 @@
     python scripts/bench_layers.py --baseline ../parent/src --end-to-end 10 --out BENCH_23.json
     python scripts/bench_layers.py --baseline ../parent/src --end-to-end 10 --out BENCH_29.json
     python scripts/bench_layers.py --baseline ../parent/src --long --end-to-end 10 --out BENCH_30.json
+    python scripts/bench_layers.py --baseline ../parent/src --end-to-end 10 --out BENCH_33.json
 
 Times each layer of the long-term and per-block stages on its own: a
 fresh random stream (``RngStream.generator``, the public path), the
@@ -22,15 +23,16 @@ device for each of the 4 segments of the default sweep, each trial on
 the rewound Philox, into one buffer), the dominant-direct combiner on
 a block of 64 trials, single-row and 64-row power control, and the
 steering kernel: ``line_of_sight`` at K = 21 (the scaling recipe's
-device count) with N in {512, 2048, 8192} and ``array_response`` with
-n in {10, 8192} (a receive array and the largest surface).  The
-scaling recipe's per-trial pure line-of-sight layers run at the same K
-and N, with the system of ``configs/scaling_law.cfg``:
-``sample_channels`` from a fresh stream, as the recipe draws each
-trial, ``effective_scalar_channel`` at N = 8192 and the projection
-kernel ``numerics._project`` that it runs, on one row.  The phase
-kernel runs at the same K = 21: ``phase_index_rows`` at L = 2 for those
-N and at L in {4, 16, 64} for N = 512, and ``vote_indices`` on the
+device count) with N in {512, 2048, 8192, 65536} and ``array_response``
+with n in {10, 65, 128, 256, 8192} (a receive array, the first counts
+past one block and the largest surface).  The scaling recipe's
+per-trial pure line-of-sight layers run at the same K and N up to 8192,
+with the system of ``configs/scaling_law.cfg``: ``sample_channels``
+from a fresh stream, as the recipe draws each trial,
+``effective_scalar_channel`` at N = 8192 and the projection kernel
+``numerics._project`` that it runs, on its one row, the voted phases'
+phasors.  The phase kernel runs at the same K = 21: ``phase_index_rows``
+at L = 2 for those N and at L in {4, 16, 64} for N = 512, and ``vote_indices`` on the
 kernel's own rows at N = 8192, in the dtype the engine votes on, and
 ``compute_long_term`` at K = 21, N = 8192, the scaling recipe's
 per-trial long-term call.  One layer times a whole scaling-recipe trial
@@ -96,6 +98,9 @@ import numpy as np  # noqa: E402  (after the thread pinning)
 
 N_VALUES = (64, 512, 4096)
 LOS_N_VALUES = (512, 2048, 8192)
+LARGE_N = 65536  # the largest N of the large-N scaling run
+# a receive array, the first counts past one steering block, and the largest surface
+ARRAY_N_VALUES = (10, 65, 128, 256, 8192)
 LEVEL_VALUES = (4, 16, 64)
 K_VALUES = (20, 1000)
 REDRAW_N_SWEEP = (32, 64, 128, 256, 512)
@@ -199,12 +204,15 @@ def layers(pkg, long: bool):
     yield f"channel.effective_scalar_channel[K=21,N={N},pure_los]", (
         lambda: channel.effective_scalar_channel(block, state.v, state.theta_voted)
     )
-    # the projection kernel on the block's line of sight and one row of N elements
+    # the projection kernel on the block's line of sight and its one row, Theta's phasors
     project = getattr(pkg.numerics, "_project", None)
-    row = np.exp(2j * np.pi * np.random.default_rng(3).random((1, N)))
+    row = state.theta_voted.phasors[None]
     yield f"numerics._project[K=21,N={N},J=1]", (
         None if project is None else lambda: project(block.los, row, (N,))
     )
+    large = channel.SystemConfig(K=21, N=LARGE_N)
+    far = channel.make_geometry(large, RngStream(1, 0))
+    yield f"channel.line_of_sight[K=21,N={LARGE_N}]", lambda: channel.line_of_sight(far, large)
     # the kernel's own output, in the dtype the engine votes on
     rows = protocol._phase_rows(geometry.phi_t, geometry.nu, N, 2, 0.5)
     yield f"protocol.vote_indices[K=21,N={N},kernel rows]", lambda: protocol.vote_indices(rows, 2)
@@ -222,7 +230,7 @@ def layers(pkg, long: bool):
         yield f"protocol.phase_index_rows[K=21,L={L},N=512]", (
             lambda: protocol.phase_index_rows(geometry.phi_t, geometry.nu, 512, L)
         )
-    for n in (10, 8192):
+    for n in ARRAY_N_VALUES:
         yield f"numerics.array_response[n={n}]", lambda: pkg.numerics.array_response(n, 0.3)
     schemes = list(experiments.Scheme)
     # one trial (the per-run cost), the sweep-fixed benchmark round, one power block

@@ -2,12 +2,15 @@
 
 Three link types: device-AP direct (Rayleigh), device-IRS (Rician with
 line-of-sight steering component), IRS-AP (deterministic rank-1
-line-of-sight, never materialized as a matrix).  A block stores what it
-drew and the device-IRS line of sight as its steering factors, K(N/B +
-B) values for K devices and N elements: every reader needs only the
-line of sight's sums against one row of N elements, which the projection
-kernel forms from the factors, so no (K, N) line-of-sight array is built
-unless ``h_reflect`` or :func:`line_of_sight` is read.
+line-of-sight, never materialized as a matrix).  The IRS-AP link reaches
+the AP through a_N(phi_t)^H, so a block keeps the device-IRS line of
+sight with that steering folded in: device k's steering factors at the
+difference slope 2*pi*s*(sin(nu_k) - sin(phi_t)), K(N/B + B) values
+for K devices and N elements, from about K(24 + N/512) exponentials.
+Every reader of the effective channel needs only their sums against
+Theta's phasors, which the projection kernel forms from the factors, so
+no (K, N) line-of-sight array is built unless ``h_reflect`` or
+:func:`line_of_sight` is read; those two multiply a_N(phi_t) back in.
 """
 
 from __future__ import annotations
@@ -21,12 +24,14 @@ import numpy as np
 
 from .numerics import (
     RngStream,
+    _blocked_dot,
     _expand,
     _Factors,
     _is_integer,
     _project,
     _require_spacing,
     _responses,
+    _slope,
     _steering_factors,
     as_generator,
 )
@@ -164,11 +169,12 @@ class ChannelRealization:
     ``h_direct`` (K, M) holds the direct links and ``scattered`` (K, N)
     the device-IRS links' scattered part, amplitude included, or None
     under ``pure_los``.  The device-IRS line of sight depends only on the
-    geometry and N and is kept as its steering factors ``los``
-    (:func:`line_of_sight` before the K*N products); the IRS-AP link is
-    rank-1 deterministic and lives in the geometry (rho_1, phi_r, phi_t).
-    Both are expanded on the fly, never stored: ``h_reflect`` builds the
-    (K, N) device-IRS vectors on each read.
+    geometry and N and is kept as steering factors ``los`` with the
+    IRS-AP steering a_N(phi_t)^H folded in: row k of their expansion is
+    :func:`line_of_sight`'s row k times conj(a_N(phi_t)), up to rounding.
+    The IRS-AP link is rank-1 deterministic and lives in the geometry
+    (rho_1, phi_r, phi_t).  Both are expanded on the fly, never stored:
+    ``h_reflect`` builds the (K, N) device-IRS vectors on each read.
     """
 
     h_direct: np.ndarray
@@ -179,7 +185,7 @@ class ChannelRealization:
     @property
     def h_reflect(self) -> np.ndarray:
         """The (K, N) device-IRS vectors: the line of sight plus the scattered part, if any."""
-        los = _expand(self.los)
+        los = _unfolded(self.los, self.geometry)
         return los if self.scattered is None else self.scattered + los
 
 
@@ -228,7 +234,8 @@ def make_geometry(
     """Draw the static scenario: device positions on a disk plus link angles.
 
     Devices are uniform over the disk of radius ``device_radius`` around
-    ``device_center`` in the z = 0 plane.  Path losses follow 3-D
+    ``device_center``, in the horizontal plane through it: every device
+    has ``device_center``'s z coordinate.  Path losses follow 3-D
     Euclidean distances (reflected exponent for AP-IRS and IRS-device
     links, direct exponent for device-AP links).  Angles are drawn
     uniformly from (-pi/2, pi/2) unless pinned in the config; the draws
@@ -261,9 +268,10 @@ def _make_geometries(config: SystemConfig, streams, generator=as_generator) -> l
     radii = config.device_radius * np.sqrt(draws[:, :K])
     azimuth = draws[:, K : 2 * K] * (2.0 * np.pi)  # on [0, 2*pi)
     angles = draws[:, 2 * K :] * np.pi - np.pi / 2  # phi_r, phi_t, nu on [-pi/2, pi/2)
-    positions = np.zeros((B, K, 3))
+    positions = np.empty((B, K, 3))
     positions[..., 0] = config.device_center[0] + radii * np.cos(azimuth)
     positions[..., 1] = config.device_center[1] + radii * np.sin(azimuth)
+    positions[..., 2] = config.device_center[2]
     phi_r = angles[:, 0].tolist() if config.phi_r is None else [config.phi_r] * B
     phi_t = angles[:, 1].tolist() if config.phi_t is None else [config.phi_t] * B
     nu = angles[:, 2:] if config.nu is None else np.tile(np.asarray(config.nu, dtype=float), (B, 1))
@@ -315,33 +323,56 @@ def line_of_sight(geometry: Geometry, config: SystemConfig) -> np.ndarray:
     sqrt(rho_r) with ``pure_los``.  It depends only on the geometry and
     N, and draws nothing.
 
-    Row k is :func:`~irs_aircomp.numerics._steering` at the slope
-    (2*pi*s)*sin(nu_k) with the amplitude folded into its coarse factor:
-    the expansion of :func:`_line_of_sight`'s factors.  The first
-    ``_STEERING_BLOCK`` columns equal the complex chain
-    amplitude*exp(2j*pi*s*sin(nu_k)*m) bit for bit; later columns are
-    within amplitude*eps*(|slope|*m + 8) of it, the kernel's bound.
-    Element m depends on m alone, so the first n columns at N equal the
-    whole output at n.  A geometry not made under ``config`` (another
-    device count or spacing ratio) raises ``ValueError``.
+    Row k is the expansion of :func:`_line_of_sight`'s factors, at the
+    difference slope with the amplitude folded into the coarse factor,
+    each times a_N(phi_t)'s (:func:`_unfolded`): within
+    amplitude*eps*(m*(2|d_k| + |s_t| + |s_k|)/2 + 20) of the complex
+    chain amplitude*exp(2j*pi*s*sin(nu_k)*m) at element m, for the slopes
+    s_k = 2*pi*s*sin(nu_k), s_t = 2*pi*s*sin(phi_t) and d_k = s_k - s_t
+    (``tests/steering_bound.py`` counts the roundings).  Element m
+    depends on m alone, so the first n columns at N equal the whole
+    output at n.  A geometry not made under ``config`` (another device
+    count or spacing ratio) raises ``ValueError``.
     """
     _require_geometry(geometry, config)
-    return _expand(_line_of_sight(config, geometry.rho_r, geometry.nu, config.N))
+    los = _line_of_sight(config, geometry.rho_r, geometry.nu, geometry.phi_t, config.N)
+    return _unfolded(los, geometry)
 
 
-def _line_of_sight(config: SystemConfig, rho_r, nu, n_elements: int) -> _Factors:
-    """The steering factors of :func:`line_of_sight` of a stack, rho_r and nu (..., K), at
-    ``n_elements``; of ``config`` it reads the link model and the spacing, not N.
+def _line_of_sight(config: SystemConfig, rho_r, nu, phi_t, n_elements: int) -> _Factors:
+    """The folded steering factors of the line of sight of a stack, rho_r and nu (B, K)
+    and phi_t (B,), or of one geometry, (K,) and a float, at ``n_elements``; of
+    ``config`` it reads the link model and the spacing, not N.
 
-    Every step is elementwise, so each geometry's factors equal, bit for
-    bit, those of the call on it alone.
+    Device k's slope is the difference fl(s_k - s_t) of its own, s_k =
+    (2*pi*s)*sin(nu_k), and the IRS-AP departure slope s_t of
+    a_N(phi_t), so row k of the expansion is the line of sight times
+    conj(a_N(phi_t)), and its sums against Theta's phasors are the
+    reflected path's.  Every step is elementwise, so each geometry's
+    factors equal, bit for bit, those of the call on it alone.
     """
     rho = rho_r
     if not config.pure_los:
         delta = config.rician_delta
         rho = rho * delta / (delta + 1.0)
-    slope = (2.0 * np.pi * config.spacing_ratio) * np.sin(nu)
+    spacing = config.spacing_ratio
+    if np.ndim(phi_t):
+        departure = np.array([[_slope(angle, spacing)] for angle in phi_t])
+    else:
+        departure = _slope(phi_t, spacing)
+    slope = (2.0 * np.pi * spacing) * np.sin(nu) - departure
     return _steering_factors(slope[..., None], n_elements, np.sqrt(rho)[..., None])
+
+
+def _unfolded(los: _Factors, geometry: Geometry) -> np.ndarray:
+    """The (K, n) line of sight of a block's folded factors: their rows times a_N(phi_t).
+
+    a_N(phi_t) is multiplied in factor by factor, its coarse factors into
+    the coarse ones and its fine factors into the fine ones, before the
+    K*n products of the expansion.
+    """
+    steering = _steering_factors(_slope(geometry.phi_t, geometry.spacing_ratio), los.n)
+    return _expand(_Factors(los.coarse * steering.coarse, los.fine * steering.fine, los.n))
 
 
 # numpy divides a complex by the real sqrt(2) (Smith's method) as a
@@ -361,8 +392,8 @@ def sample_channels(
     line-of-sight component with an i.i.d. scattered component at the
     configured Rician ratio; with ``pure_los`` the scattered part is
     dropped exactly and no scattered draw is made.  The line-of-sight
-    part is kept as the factors of :func:`line_of_sight` of this
-    geometry and config, K(N/B + B) exponentials and no (K, N) array
+    part is kept as the folded factors of :func:`_line_of_sight`, a_N(phi_t)^H
+    included: about K(24 + N/512) exponentials and no (K, N) array
     whether or not the block is pure line of sight; it does not touch
     the stream.  A geometry not made under ``config`` (another device
     count or spacing ratio) raises ``ValueError`` before any draw.
@@ -383,15 +414,14 @@ def sample_channels(
     ``_INV_SQRT2``, and the product with the real amplitude a has cross
     terms that are signed zeros, which vanish in the sum with the
     line-of-sight part (a scattered term is never zero).  ``los`` itself
-    is the complex steering chain bit for bit in its first
-    ``_STEERING_BLOCK`` columns only, and within :func:`line_of_sight`'s
-    bound beyond.  The direct links keep the complex product, whose
-    signed zeros a blocked link (rho_d = 0) shows.
+    is within :func:`line_of_sight`'s bound of the complex steering
+    chain.  The direct links keep the complex product, whose signed zeros
+    a blocked link (rho_d = 0) shows.
     """
     _require_geometry(geometry, config)
     gen = as_generator(stream)
     K, N = config.K, config.N
-    los = _line_of_sight(config, geometry.rho_r, geometry.nu, N)
+    los = _line_of_sight(config, geometry.rho_r, geometry.nu, geometry.phi_t, N)
 
     h_direct = _direct_links(geometry.rho_d, gen.standard_normal((2, K, config.M)))
     if config.pure_los:
@@ -458,14 +488,17 @@ def effective_scalar_channel(realization: ChannelRealization, v: np.ndarray, the
     """Per-device scalar channel seen after receive combining and reflection.
 
     Returns, for each device k, v^H (h_direct_k + G Theta h_reflect_k)
-    where G is the rank-1 IRS-AP link: with the gain and row of
-    :func:`_reflections`, v^H h_direct_k + gain * (h_reflect_k . row),
-    O(M + N) per device.  The line of sight's share of h_reflect_k . row
-    is the projection kernel :func:`~irs_aircomp.numerics._project` on
-    its factors, the engine's own, and the scattered part, if any, adds
-    its matrix-vector product: no (K, N) array is formed.  The element
-    spacing is the block's geometry's, checked as ``SystemConfig``
-    checks its own before any steering.
+    where G = sqrt(rho_1) a_M(phi_r) a_N(phi_t)^H is the rank-1 IRS-AP
+    link: v^H h_direct_k + gain * (a_N(phi_t)^H Theta h_reflect_k), with
+    the gain of :func:`_reflection_gain`, O(M + N) per device.  The line
+    of sight's factors carry a_N(phi_t)^H already, so its share is the
+    projection kernel :func:`~irs_aircomp.numerics._project` of the
+    factors against Theta's phasors, the engine's own.  The scattered
+    part, if any, adds its sums against conj(a_N(phi_t)) Theta in blocks
+    of the same fixed shape (:func:`~irs_aircomp.numerics._blocked_dot`),
+    so the result does not depend on the BLAS thread count: no (K, N)
+    array is formed.  The element spacing is the block's geometry's,
+    checked as ``SystemConfig`` checks its own before any steering.
     """
     geo, los = realization.geometry, realization.los
     M, N = realization.h_direct.shape[1], los.n
@@ -479,33 +512,29 @@ def effective_scalar_channel(realization: ChannelRealization, v: np.ndarray, the
         raise ValueError(f"phase-shift vector has {theta.num_elements} elements, expected {N}")
     _require_spacing(geo.spacing_ratio, max(M, N))  # a geometry's copy no config has checked
 
-    a_m = _responses(M, [geo.phi_r], geo.spacing_ratio)
-    gain, rows = _reflections(
-        geo.rho_1, a_m, v[None], [geo.phi_t], geo.spacing_ratio, theta.phasors[None, None]
-    )
-    reflected = _project(los, rows[0], (N,))[0, 0]
+    gain = _reflection_gain(geo.rho_1, _responses(M, [geo.phi_r], geo.spacing_ratio), v[None])
+    phasors = theta.phasors
+    reflected = _project(los, phasors[None], (N,))[0, 0]
     if realization.scattered is not None:
-        reflected += realization.scattered @ rows[0, 0]
+        row = _responses(N, [geo.phi_t], geo.spacing_ratio)[0]
+        np.conjugate(row, out=row)
+        row *= phasors
+        reflected += _blocked_dot(realization.scattered, row)
     return realization.h_direct @ v.conj() + gain[0] * reflected
 
 
-def _reflections(rho_1, a_m, v, phi_t, spacing_ratio: float, phasors):
-    """The block-independent factors of B geometries' reflected paths, (gain (B,), rows (B, J, N)).
+def _reflection_gain(rho_1, a_m, v):
+    """The gains (B,) of B geometries' reflected paths: sqrt(rho_1) v^H a_M(phi_r).
 
     The IRS-AP link is rank-1, so under phases Theta it reaches v^H as
-    one scalar gain = sqrt(rho_1) v^H a_M(phi_r) times one N-vector row
-    = a_N(phi_t)^H Theta applied to every device's IRS link.  ``rho_1``
-    and ``phi_t`` hold one value per geometry (or one ``rho_1`` that all
-    share), ``a_m`` its a_M(phi_r) and ``v`` its beamformer as (M,) rows,
-    and ``phasors`` (B, J, N) the diagonals of its J phase
-    configurations.  The gain does not depend on Theta: a_M(phi_r) comes
-    from the caller, so the one the beamformer was built from serves the
-    gain too, and a_N(phi_t) is steered once per geometry.  Each gain is
+    one scalar gain times a_N(phi_t)^H Theta applied to every device's
+    IRS link; the line of sight's factors carry a_N(phi_t)^H, so the
+    gain is all that is left.  ``rho_1`` holds one value per geometry
+    (or one that all share), ``a_m`` its a_M(phi_r) and ``v`` its
+    beamformer as (M,) rows.  a_M(phi_r) comes from the caller, so the
+    one the beamformer was built from serves the gain too.  Each gain is
     one M-term dot product per geometry, summed as ``np.vdot`` of the
-    pair sums it, and each row an elementwise product, so every
-    geometry's factors equal, bit for bit, those of a call on it alone.
+    pair sums it, so every geometry's gain equals, bit for bit, that of
+    a call on it alone.
     """
-    gain = np.sqrt(rho_1) * np.matmul(v.conj()[:, None, :], a_m[:, :, None])[:, 0, 0]
-    steering = _responses(phasors.shape[-1], phi_t, spacing_ratio)
-    np.conjugate(steering, out=steering)
-    return gain, steering[:, None, :] * phasors
+    return np.sqrt(rho_1) * np.matmul(v.conj()[:, None, :], a_m[:, :, None])[:, 0, 0]

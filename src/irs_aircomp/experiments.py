@@ -64,7 +64,7 @@ from .channel import (
     _effective_draws,
     _line_of_sight,
     _make_geometries,
-    _reflections,
+    _reflection_gain,
     _require_geometry,
     make_geometry,
 )
@@ -283,22 +283,23 @@ def _stage(config: SystemConfig, geometries, sizes):
     It runs at N = ``sizes[-1]`` (``config.N`` is not read) on stacks of
     at most max(1, ``_STAGE_ELEMENTS`` // (K*N)) geometries at a time.
     Per stack, :func:`_long_term` gives the receive arrays a_M(phi_r),
-    the beamformers v and the votes; the voted phase row of each
-    geometry is its votes and the fixed row zeros, their phasors read
-    from the L-entry table of :class:`~irs_aircomp.protocol.PhaseShiftVector`,
+    the beamformers v and the votes; the voted phasors are read from the
+    L-entry table of :class:`~irs_aircomp.protocol.PhaseShiftVector`,
     bit for bit its ``phasors``.  Then it builds the steering factors of
-    the lines of sight (:func:`~irs_aircomp.channel._line_of_sight`,
-    K(N/B + B) values per geometry) and, in one
-    :func:`~irs_aircomp.channel._reflections` call, each geometry's one
-    gain (both kinds share it; a_M(phi_r) is the beamformer's own) and
-    its voted and zero rows.  Returns (conj(v) (B, M), gain (B,), line
-    of sight (B, 2, P, K), coefficients (B, 2, P, 2, K) or None under
-    ``pure_los``), kinds in the order of ``_IRS_KINDS``, one N or one
-    segment per P.  The line of sight at N is the projection kernel's
-    sum of the first N elements (:func:`~irs_aircomp.numerics._project`,
-    one call per stack for every geometry, kind and N; no (B, K, N)
-    array is formed), bit for bit the sum
-    :func:`~irs_aircomp.channel.effective_scalar_channel` forms at N,
+    the lines of sight with a_N(phi_t)^H folded in
+    (:func:`~irs_aircomp.channel._line_of_sight`, about K(24 + N/512)
+    exponentials per geometry) and each geometry's one gain
+    (:func:`~irs_aircomp.channel._reflection_gain`; both kinds share it,
+    and a_M(phi_r) is the beamformer's own).  Returns (conj(v) (B, M),
+    gain (B,), line of sight (B, 2, P, K), coefficients (B, 2, P, 2, K)
+    or None under ``pure_los``), kinds in the order of ``_IRS_KINDS``,
+    one N or one segment per P.  The line of sight at N is the
+    projection kernel's sum of the first N elements
+    (:func:`~irs_aircomp.numerics._project`, one call per stack and kind
+    for every geometry and N; no (B, K, N) array is formed): against the
+    voted phasors, and for the all-zero phases, whose phasors are all
+    ones, with one block product per geometry.  Each is bit for bit the
+    sum :func:`~irs_aircomp.channel.effective_scalar_channel` forms at N,
     and every other step is elementwise or a sum along a contiguous last
     axis, so each geometry's terms equal, bit for bit, those of a stack
     of it alone.  Segment j holds the elements [N_{j-1}, N_j) of
@@ -323,18 +324,16 @@ def _stage(config: SystemConfig, geometries, sizes):
     for first in range(0, len(geometries), step):
         stack = geometries[first : first + step]
         a_m, v, votes = _long_term(config, stack, n)
-        levels = np.zeros((len(stack), 2, n), dtype=votes.dtype)
-        levels[:, 0] = votes
-        phasors = _phasor_table(config.L)[levels]
+        phasors = _phasor_table(config.L)[votes]  # (B, N), the voted phasors
         rho_r = np.array([g.rho_r for g in stack])
-        gain, rows = _reflections(
-            np.array([g.rho_1 for g in stack]), a_m, v, [g.phi_t for g in stack],
-            config.spacing_ratio, phasors,
-        )
-        los = _line_of_sight(config, rho_r, np.array([g.nu for g in stack]), n)
-        line, coef = _project(los, rows, sizes), None
+        gain = _reflection_gain(np.array([g.rho_1 for g in stack]), a_m, v)
+        nu, phi_t = np.array([g.nu for g in stack]), [g.phi_t for g in stack]
+        los = _line_of_sight(config, rho_r, nu, phi_t, n)
+        voted, zero = _project(los, phasors[:, None], sizes), _project(los, None, sizes)
+        line = np.concatenate((voted, zero), axis=1)  # (B, 2, P, K), kinds as in _IRS_KINDS
+        coef = None
         if not config.pure_los:
-            c = np.add.reduceat(phasors[:, 0], starts, axis=-1)  # (B, P)
+            c = np.add.reduceat(phasors, starts, axis=-1)  # (B, P)
             # geometry, kind, segment, normal; each entry one pass into its place
             per_segment = np.zeros((len(stack), 2, len(sizes), 2), dtype=complex)
             per_segment[:, 0, :, 0] = root
@@ -384,14 +383,16 @@ def _stacked_gammas(terms, h_direct: np.ndarray, w: np.ndarray | None, schemes: 
     return out
 
 
-def _raise_degenerate(block: dict, schemes: list[Scheme], start: int, config: ExperimentConfig):
-    """Raise the error of the first failing (scheme, N) magnitude check of ``block``.
+def _degenerate_error(block: dict, schemes: list[Scheme], start: int, config: ExperimentConfig):
+    """The error of the first failing (scheme, N) magnitude check of ``block``.
 
     Some kind of the block failed power control's input check.  The
     check runs again scheme by scheme in the caller's order, then N by
-    N, each on the block's gammas at that N alone, so the error names
-    the first (scheme, N) that fails and, for a zero |gamma_k|^2, the
-    first trial ``start + b`` that hit it.
+    N, each on the block's gammas at that N alone, and the first that
+    fails decides: a zero |gamma_k|^2 gives the
+    :class:`~irs_aircomp.protocol.DegenerateChannelError` that names the
+    (scheme, N) and the first trial ``start + b`` that hit it, and any
+    other failure, a non-finite gamma, raises its own ``ValueError`` here.
     """
     for s in schemes:
         for p, gammas in enumerate(block[s.kind]):
@@ -400,7 +401,7 @@ def _raise_degenerate(block: dict, schemes: list[Scheme], start: int, config: Ex
             except DegenerateChannelError as exc:
                 where = "every N" if s.kind == _DIRECT else f"N={config.n_sweep[p]}"
                 first = start + np.flatnonzero((np.abs(gammas) ** 2 == 0.0).any(axis=1))[0]
-                raise DegenerateChannelError(f"{s.value} at {where}, trial {first}: {exc}") from exc
+                return DegenerateChannelError(f"{s.value} at {where}, trial {first}: {exc}")
 
 
 def _stderrs(values: np.ndarray) -> np.ndarray:
@@ -555,9 +556,8 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
         block = _stacked_gammas(terms, h_direct, w, schemes)
         try:
             magnitudes = {kind: _gamma_magnitudes(g, ndim=3) for kind, g in block.items()}
-        except ValueError:
-            _raise_degenerate(block, schemes, start, config)
-            raise
+        except ValueError as exc:
+            raise _degenerate_error(block, schemes, start, config) from exc
         for inversion, at in rules:
             parts = [magnitudes[schemes[i].kind] for i in at]
             g = np.concatenate(parts).reshape(-1, K)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import typing
 from dataclasses import dataclass
@@ -196,9 +197,12 @@ def _slope(angle: float, spacing_ratio: float) -> float:
 # block of 64 took 1.16x the time of a block of 32 at N = 512, 0.97x at
 # 2048 and 0.83x at 8192 (scripts/bench_layers.py, 2 x86-64 cores), 12 %
 # less over the three N of the scaling recipe; it also leaves the default
-# sweep's N = 64 and every receive array a single exponential per element.
+# sweep's N = 64 and every receive array in a single block.
 _STEERING_BLOCK = 64
-_STEPS = np.arange(_STEERING_BLOCK, dtype=float)
+# Each factor is split once more, B = 8 * 8: exp(i*slope*8a) * exp(i*slope*b).
+_SPLIT = 8
+_ONES = np.ones(_STEERING_BLOCK, dtype=complex)  # the phasors of the all-zero phases
+_ONES.flags.writeable = False
 _TWO_PI = 2.0 * math.pi
 
 
@@ -208,18 +212,19 @@ def _steering(slope, n_elems: int) -> np.ndarray:
     ``slope`` is a float or an array of phase slopes whose last axis
     has length 1, such as a (K, 1) column or a (B, K, 1) stack.  With B =
     ``_STEERING_BLOCK``, element m = hB + l is the product of a coarse
-    factor exp(i*slope*hB) and a fine factor exp(i*slope*l)
-    (:func:`_steering_factors`): K(n/B + B) exponentials and K*n complex
-    products instead of K*n exponentials.  Each factor's phase is one
-    rounded product, off by at most eps/2*|slope|*hB and eps/2*|slope|*l,
-    so element m's phase is off by at most eps/2*|slope|*m, as the direct
+    factor exp(i*slope*hB) and a fine factor exp(i*slope*l), each itself
+    a product of two exponentials (:func:`_steering_factors`): about K(24
+    + n/512) exponentials and K*n complex products instead of K*n
+    exponentials.  Each exponential's phase is one rounded product, so
+    element m's phase is off by at most eps/2*|slope|*m, as the direct
     phase fl(slope*m) is, and the two differ by at most eps*|slope|*m;
-    the exponentials and the products add a few eps.  The first B
-    elements are the direct exponentials times the coarse factor 1 + 0i
-    with the slope's sign of zero, which leaves them as they are, bit for
+    the exponentials and the products add a few eps each.  The first
+    ``_SPLIT`` elements are the direct exponentials times factors 1 + 0i
+    with the slope's sign of zero, which leave them as they are, bit for
     bit the complex chain exp(1j*slope*m); later ones are within
-    eps*(|slope|*m + 8) of it.  B is fixed, so element m depends on m
-    alone, and the first n elements at N are the whole output at n.
+    eps*(|slope|*m + 12) of it (``tests/steering_bound.py`` counts the
+    roundings).  The split is fixed, so element m depends on m alone, and
+    the first n elements at N are the whole output at n.
     """
     factors = _steering_factors(slope, n_elems)
     # at n <= B the one coarse factor is 1 + 0i, with the slope's sign of
@@ -239,26 +244,62 @@ class _Factors(typing.NamedTuple):
     n: int
 
 
+@functools.lru_cache(maxsize=64)
+def _split_steps(n_elems: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The phase steps of :func:`_steering_factors` at ``n_elems``, and where each level ends.
+
+    Four levels of steps, 1, 8, 64 and 512 apart: the b < min(n, 8), the
+    8a < min(n, B) past one level, the hB < n past one block and the
+    512c < n past 8 blocks.  A level that no product needs is left out.
+    """
+    fine, blocks = min(n_elems, _STEERING_BLOCK), -(-n_elems // _STEERING_BLOCK)
+    counts = (
+        min(fine, _SPLIT),
+        -(-fine // _SPLIT) if fine > _SPLIT else 0,
+        min(blocks, _SPLIT) if blocks > 1 else 0,
+        -(-blocks // _SPLIT) if blocks > _SPLIT else 0,
+    )
+    steps = np.concatenate([np.arange(c, dtype=float) * _SPLIT**i for i, c in enumerate(counts)])
+    steps.flags.writeable = False
+    return steps, tuple(itertools.accumulate(counts))
+
+
+def _pairs(low: np.ndarray, high: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` products high[..., a] * low[..., b], in the order a * len(low) + b."""
+    out = (high[..., :, None] * low[..., None, :]).reshape(*low.shape[:-1], -1)
+    return out if out.shape[-1] == count else out[..., :count]
+
+
 def _steering_factors(slope, n_elems: int, amplitude=None) -> _Factors:
     """The factors of :func:`_steering`'s rows, without the K*n products.
 
-    The fine steps l < min(n, B) and the coarse steps hB < n make one
-    phase array, one cosine pass and one sine pass.  The factors of n
-    elements are prefixes of those of any larger count.
+    Every exponential is one phase array, one cosine pass and one sine
+    pass over the steps of :func:`_split_steps`: 24 per row at n = 512,
+    28 at 2048 and 40 at 8192.  Fine factor 8a + b is exp(i*slope*8a) *
+    exp(i*slope*b), and past 8 blocks coarse factor 8c + d is
+    exp(i*slope*512c) * exp(i*slope*64d).  The products with a step-0
+    exponential, 1 + 0i with the slope's sign of zero, leave the other
+    factor as it is, so every factor is the same whatever the level
+    count: the factors of n elements are prefixes of those of any larger
+    count.
     """
-    one_block = n_elems <= _STEERING_BLOCK
-    if one_block:  # the one coarse step, 0, is the first fine step
-        steps = _STEPS[:n_elems]
-    else:
-        steps = np.concatenate((_STEPS, np.arange(0.0, n_elems, _STEERING_BLOCK)))
+    steps, (b, a, d, c) = _split_steps(n_elems)
     phase = slope * steps
     phasors = np.empty(phase.shape, dtype=complex)
     np.cos(phase, out=phasors.real)
     np.sin(phase, out=phasors.imag)
-    coarse = phasors[..., :1] if one_block else phasors[..., _STEERING_BLOCK:]
-    if amplitude is not None:
-        coarse = amplitude * coarse
-    return _Factors(coarse, phasors[..., :_STEERING_BLOCK], n_elems)
+    fine_n, blocks = min(n_elems, _STEERING_BLOCK), -(-n_elems // _STEERING_BLOCK)
+    fine = phasors[..., :b] if a == b else _pairs(phasors[..., :b], phasors[..., b:a], fine_n)
+    # the coarse levels: the 64d steps (in one block, the first fine step, 0) and the 512c
+    low = phasors[..., :1] if d == a else phasors[..., a:d]
+    high = phasors[..., d:c]
+    if amplitude is not None:  # into the smaller level: amplitude * (1 + 0i) is amplitude + 0i
+        if c == d:
+            low = amplitude * low
+        else:
+            high = amplitude * high
+    coarse = low if c == d else _pairs(low, high, blocks)
+    return _Factors(coarse, fine, n_elems)
 
 
 def _expand(factors: _Factors) -> np.ndarray:
@@ -270,7 +311,7 @@ def _expand(factors: _Factors) -> np.ndarray:
     return np.ascontiguousarray(out[..., :n])
 
 
-def _project(factors: _Factors, rows: np.ndarray, sizes) -> np.ndarray:
+def _project(factors: _Factors, rows: np.ndarray | None, sizes) -> np.ndarray:
     """Sums over m < n of steering row k times row j, at each n of ``sizes``: (..., J, P, K).
 
     ``factors`` hold K steering rows (..., K) and ``rows`` (..., J, >=
@@ -287,10 +328,18 @@ def _project(factors: _Factors, rows: np.ndarray, sizes) -> np.ndarray:
     n-term sum of the expanded rows (:func:`_expand`) it differs by
     rounding alone: that side rounds one more product per element and
     sums in another order.
+
+    ``rows`` None is the one all-ones row (J = 1) of the all-zero
+    phases: then every full block's product is one (K, B) @ (B,) product
+    with ones, made once, and the sums are those of a ones row, bit for
+    bit.
     """
     coarse, fine, _ = factors
     H = sizes[-1] // _STEERING_BLOCK
-    if H:
+    if H and rows is None:  # (..., 1, K, H): the one product times each coarse factor
+        per_block = np.matmul(fine, _ONES[:, None])
+        weighted = coarse[..., None, :, :H] * per_block[..., None, :, :]
+    elif H:
         blocks = rows[..., : H * _STEERING_BLOCK].reshape(*rows.shape[:-1], H, _STEERING_BLOCK, 1)
         per_block = np.matmul(fine[..., None, None, :, :], blocks)[..., 0]  # (..., J, H, K)
         weighted = np.empty(per_block.shape[:-2] + (fine.shape[-2], H), dtype=complex)
@@ -300,7 +349,8 @@ def _project(factors: _Factors, rows: np.ndarray, sizes) -> np.ndarray:
         h, tail = divmod(n, _STEERING_BLOCK)
         total = np.add.reduce(weighted[..., :h], axis=-1) if h else 0.0  # no blocks: +0, +0j
         if tail:
-            part = np.matmul(fine[..., None, :, :tail], rows[..., h * _STEERING_BLOCK : n, None])
+            last = _ONES[:tail, None] if rows is None else rows[..., h * _STEERING_BLOCK : n, None]
+            part = np.matmul(fine[..., None, :, :tail], last)
             total = total + coarse[..., None, :, h] * part[..., 0]
         if len(sizes) == 1:
             return total[..., None, :]
@@ -308,6 +358,31 @@ def _project(factors: _Factors, rows: np.ndarray, sizes) -> np.ndarray:
             sums = np.empty((*total.shape[:-1], len(sizes), total.shape[-1]), dtype=complex)
         sums[..., p, :] = total
     return sums
+
+
+def _blocked_dot(matrix: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """sum_m matrix[k, m] row[m] of a (K, n) matrix and an (n,) row, in blocks of B elements: (K,).
+
+    Each full block is one (B,) @ (B, K) product of the row's block and
+    the matrix's columns, the block sums are added in order and the
+    partial last block's product is added: the products have one shape
+    whatever n, as :func:`_project`'s do.  OpenBLAS runs a
+    matrix-vector product of fewer than 9 216 elements on one thread, so
+    below K = 144 the sum has the same bits under any BLAS thread count.
+    """
+    columns = matrix.T  # (n, K); a view of a block's element-major buffer
+    n, H = row.shape[-1], row.shape[-1] // _STEERING_BLOCK
+    edge = H * _STEERING_BLOCK
+    total = 0.0
+    if H:
+        per_block = np.matmul(
+            row[:edge].reshape(H, 1, _STEERING_BLOCK),
+            columns[:edge].reshape(H, _STEERING_BLOCK, columns.shape[-1]),
+        )
+        total = np.add.reduce(per_block[:, 0], axis=0)
+    if edge < n:
+        total = total + row[edge:] @ columns[edge:]
+    return total
 
 
 # :func:`_fsums` leaves a block to ``math.fsum`` unless its size times

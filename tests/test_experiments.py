@@ -54,18 +54,19 @@ def reflection(geometry, v, theta):
 class TestRunTrial:
     def test_inversion_matches_closed_form_exactly(self):
         # one segment of 16 elements: gamma = v^H h_d + gain (los . row + a sqrt(16) w1),
-        # los . row the projection kernel's sum on the line of sight's factors
+        # los . row the projection kernel's sum of the line of sight's folded factors,
+        # a_N(phi_t)^H in them, against the voted phasors
         cfg = SystemConfig(M=4, N=16, K=3)
         geo = make_geometry(cfg, RngStream(50, 0))
         lt = compute_long_term(geo, cfg)
         stream = RngStream(50, 1)
         mse, kt = run_trial(cfg, geo, Scheme.INV_PC_IRS, stream)
         h_direct, w = channel._effective_draws(geo.rho_d, cfg, 1, [stream])
-        gain, row = reflection(geo, lt.v, lt.theta_voted)
+        gain, _ = reflection(geo, lt.v, lt.theta_voted)
         a = np.sqrt(geo.rho_r / (cfg.rician_delta + 1.0))
         scattered = (4.0 * a) * w[0, 0, 0]
-        los = channel._line_of_sight(cfg, geo.rho_r, geo.nu, cfg.N)
-        line = numerics._project(los, row[None], (cfg.N,))[0, 0]
+        los = channel._line_of_sight(cfg, geo.rho_r, geo.nu, geo.phi_t, cfg.N)
+        line = numerics._project(los, lt.theta_voted.phasors[None], (cfg.N,))[0, 0]
         gam = h_direct[0] @ lt.v.conj() + gain * (line + scattered)
         assert mse == cfg.sigma2 / (cfg.Pmax * float(np.min(np.abs(gam) ** 2)))
         assert kt == 1
@@ -295,13 +296,12 @@ class TestStackedStage:
             # of sight at n, on the voted and the zero row, is within the derived bound
             # of the expanded line of sight's 2-D matvec
             los = line_of_sight(geometry, largest)
-            slope = 2.0 * np.pi * system.spacing_ratio * np.sin(geometry.nu)
             gain, rows = zip(*(reflection(geometry, state.v, theta) for theta in thetas))
             assert np.array_equal(bits(terms[0][0]), bits(state.v.conj()))
             assert np.array_equal(bits(terms[1]), bits(np.array(gain[:1])))
-            for line, row in zip(terms[2][0], rows, strict=True):
+            for line, row, theta in zip(terms[2][0], rows, thetas, strict=True):
                 for got, n in zip(line, sizes, strict=True):
-                    bound = projection_bound(np.abs(los[:, 0]), slope, row[:n])
+                    bound = projection_bound(np.abs(los[:, 0]), theta.phasors[:n])
                     assert np.all(np.abs(got - los[:, :n] @ row[:n]) <= bound)
             alone.append(terms)
         # the module's element budget, then stacks of 5 geometries and a partial last
@@ -390,9 +390,9 @@ class TestKeyedStreams:
 
     @pytest.mark.parametrize("redraw", [False, True])
     def test_three_steering_vectors_per_geometry(self, redraw, monkeypatch):
-        # per stack of geometries, three steering passes: a_M(phi_r), steered once
-        # for the beamformer and the gain alike, a_N(phi_t), shared by the voted
-        # and the zero reflection, and the devices' lines of sight, as factors
+        # per stack of geometries, three steering vectors in two passes: a_M(phi_r),
+        # steered once for the beamformer and the gain alike, and the devices' lines
+        # of sight, as factors, with a_N(phi_t)^H folded into their slopes
         calls = []
         for module in (numerics, channel):
             original = module._steering_factors
@@ -408,7 +408,7 @@ class TestKeyedStreams:
         assert calls == [
             call
             for B in ((64, 6) if redraw else (1,))
-            for call in (((B, 1), M), ((B, 1), N), ((B, K, 1), N))
+            for call in (((B, 1), M), ((B, K, 1), N))
         ]
 
     @pytest.mark.parametrize("redraw", [False, True])
@@ -697,6 +697,32 @@ class TestStackedPowerControl:
         first = next(s for s in schemes if s.kind == experiments._VOTED)
         with pytest.raises(DegenerateChannelError, match=f"^{first.value} at N=16, trial 3: zero"):
             run_sweep(small_config(), schemes)
+
+
+    def test_degenerate_and_non_finite_messages_pinned(self, monkeypatch):
+        # the whole message of each error, and the stacked check's error as its cause
+        engine_gammas = experiments._stacked_gammas
+        bad = {}
+
+        def spoiled(*args):
+            gammas = engine_gammas(*args)
+            gammas[experiments._VOTED][1, 3, 0] = bad["value"]
+            return gammas
+
+        monkeypatch.setattr(experiments, "_stacked_gammas", spoiled)
+        schemes = [Scheme.INV_PC_IRS, Scheme.OPT_PC_NO_IRS]
+        bad["value"] = 0.0
+        with pytest.raises(DegenerateChannelError) as info:
+            run_sweep(small_config(), schemes)
+        assert str(info.value) == (
+            "INV_PC_IRS at N=16, trial 3: zero effective channel, power control undefined"
+        )
+        assert isinstance(info.value.__cause__, DegenerateChannelError)
+        bad["value"] = np.nan
+        with pytest.raises(ValueError) as info:
+            run_sweep(small_config(), schemes)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "gammas must be finite, got a NaN or infinite effective channel"
 
 
 class TestDirectGammas:

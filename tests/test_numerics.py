@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from irs_aircomp import numerics
 from irs_aircomp.numerics import RngStream, array_response, as_generator, sinc_normalized
+from steering_bound import gamma, steering_bound
 
 
 class TestArrayResponse:
@@ -44,16 +45,15 @@ class TestArrayResponse:
     @pytest.mark.parametrize("angle", [0.3, -1.2, 0.0, -0.0, np.pi / 2])
     @pytest.mark.parametrize("spacing", [0.5, 2.3])
     def test_block_of_exponentials_then_within_bound(self, angle, spacing):
-        # the first block is the complex chain bit for bit; beyond it, the
-        # steering kernel's bound (tests/test_channel.py states its derivation)
+        # the first split level's 8 elements are the complex chain bit for bit;
+        # beyond them, the split kernel's bound (tests/steering_bound.py derives it)
         n = 8192
         want = np.exp(2j * np.pi * spacing * np.sin(angle) * np.arange(n))
         got = array_response(n, angle, spacing)
-        block = numerics._STEERING_BLOCK
-        np.testing.assert_array_equal(got[:block].view(np.uint64), want[:block].view(np.uint64))
-        slope = abs(2.0 * np.pi * spacing * np.sin(angle))
-        eps = np.finfo(float).eps
-        assert np.all(np.abs(got - want) <= eps * (slope * np.arange(n) + 8.0))
+        split = numerics._SPLIT
+        np.testing.assert_array_equal(got[:split].view(np.uint64), want[:split].view(np.uint64))
+        slope = 2.0 * np.pi * spacing * np.sin(angle)
+        assert np.all(np.abs(got - want) <= steering_bound(1.0, slope, np.arange(n)))
 
     @pytest.mark.parametrize("angle", [0.3, -1.2, -0.0, 1e-300])
     def test_prefix_of_largest_array_bit_for_bit(self, angle):
@@ -63,6 +63,20 @@ class TestArrayResponse:
             np.testing.assert_array_equal(
                 array_response(n, angle, 0.37).view(np.uint64), whole[:n].view(np.uint64)
             )
+
+    @pytest.mark.parametrize("angle", [0.3, -1.2, -0.0])
+    def test_prefix_across_split_levels_bit_for_bit(self, angle):
+        # each split level's edges: 8 elements, 8 blocks (512) and the 64 blocks past
+        whole = array_response(65536, angle, 2.3)
+        for n in (7, 8, 9, 511, 512, 513, 4095, 4096, 4097, 32768):
+            np.testing.assert_array_equal(
+                array_response(n, angle, 2.3).view(np.uint64), whole[:n].view(np.uint64)
+            )
+
+    def test_exponentials_per_row(self):
+        # 8 + 8 fine and 8 + ceil(n/512) coarse steps past 8 blocks; no level unused
+        counts = {n: numerics._split_steps(n)[0].size for n in (5, 10, 64, 65, 512, 2048, 8192)}
+        assert counts == {5: 5, 10: 10, 64: 16, 65: 18, 512: 24, 2048: 28, 8192: 40}
 
     @given(
         n=st.integers(1, 64),
@@ -75,6 +89,22 @@ class TestArrayResponse:
         assert a.shape == (n,)
         assert a[0] == 1.0 + 0.0j
         np.testing.assert_allclose(np.abs(a), 1.0, atol=1e-12)
+
+
+class TestBlockedDot:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 1000, 4096])
+    def test_within_the_matvec_bound(self, n):
+        # blocks of 64 elements, each one product of one shape, against the (K, n)
+        # matvec: each side a complex inner product of n terms, within sqrt(2)
+        # gamma(2n + 2) of the sum of the terms' moduli (tests/steering_bound.py)
+        rng = np.random.default_rng(n)
+        buffer = rng.standard_normal((n, 40)).view(complex)  # element-major, as drawn
+        row = np.exp(2j * np.pi * rng.random(n))
+        for matrix in (buffer.T, np.ascontiguousarray(buffer.T)):
+            got = numerics._blocked_dot(matrix, row)
+            moduli = np.abs(matrix) @ np.abs(row)
+            bound = 2.0 * math.sqrt(2.0) * gamma(2 * n + 2) * moduli
+            assert got.shape == (20,) and np.all(np.abs(got - matrix @ row) <= bound)
 
 
 class TestRngStream:

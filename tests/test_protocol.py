@@ -33,6 +33,7 @@ from irs_aircomp.protocol import (
 )
 from phase_reference import count_vote, reference_levels
 from power_reference import reference_power_rows
+from steering_bound import projection_bound
 
 TWO_PI = 2 * np.pi
 
@@ -616,36 +617,34 @@ class TestPhasors:
             assert_same_bits(theta.phasors.view(float), np.exp(1j * theta.phases).view(float))
 
     def test_reflection_row_matches_the_complex_formula(self):
-        from irs_aircomp.channel import _reflections
+        # the reflected path's gain is the formula's bit for bit, one geometry or a
+        # stack; its row a_N(phi_t)^H Theta rides in the line of sight's folded
+        # factors, whose sums against Theta's phasors are within the derived bound
+        # of the line of sight's sums against the formula's row
+        from irs_aircomp.channel import _line_of_sight, _reflection_gain, line_of_sight
+        from irs_aircomp.numerics import _project
 
         system = SystemConfig(N=1024, L=4)
+        stack = []
         for seed in range(5):
             geo = make_geometry(system, RngStream(seed, 0))
             theta = PhaseShiftVector(np.random.default_rng(seed).integers(0, 4, 1024), 4)
             v = receive_beamformer(geo.phi_r, system.M)
             a_m = array_response(system.M, geo.phi_r, geo.spacing_ratio)
-
-            def factors(*thetas):
-                phasors = np.array([t.phasors for t in thetas])[None]
-                gain, rows = _reflections(
-                    geo.rho_1, a_m[None], v[None], [geo.phi_t], geo.spacing_ratio, phasors
-                )
-                return gain[0], rows[0]
-
-            gain, (row,) = factors(theta)
-            a_n = array_response(1024, geo.phi_t, geo.spacing_ratio)
-            assert_same_bits(row.view(float), (a_n.conj() * np.exp(1j * theta.phases)).view(float))
+            gain = _reflection_gain(geo.rho_1, a_m[None], v[None])
             want_gain = np.sqrt(geo.rho_1) * np.vdot(v, a_m)
-            assert_same_bits(np.array([gain]).view(float), np.array([want_gain]).view(float))
-            # one call for two phase vectors: the same gain, and each vector's own row
-            zero = PhaseShiftVector.zero(1024, 4)
-            both_gain, rows = factors(theta, zero)
-            zero_gain, (zero_row,) = factors(zero)
-            assert len(rows) == 2
-            for other in (both_gain, zero_gain):
-                assert_same_bits(np.array([other]).view(float), np.array([gain]).view(float))
-            assert_same_bits(rows[0].view(float), row.view(float))
-            assert_same_bits(rows[1].view(float), zero_row.view(float))
+            assert_same_bits(gain.view(float), np.array([want_gain]).view(float))
+            stack.append((geo.rho_1, a_m, v, want_gain))
+
+            a_n = array_response(1024, geo.phi_t, geo.spacing_ratio)
+            row = a_n.conj() * np.exp(1j * theta.phases)
+            factors = _line_of_sight(system, geo.rho_r, geo.nu, geo.phi_t, 1024)
+            got = _project(factors, theta.phasors[None], (1024,))[0, 0]
+            los = line_of_sight(geo, system)
+            bound = projection_bound(np.abs(los[:, 0]), theta.phasors)
+            assert np.all(np.abs(got - los @ row) <= bound)
+        rho_1, a_m, v, want = (np.array(part) for part in zip(*stack))
+        assert_same_bits(_reflection_gain(rho_1, a_m, v).view(float), want.view(float))
 
 
 class TestMajorityVote:
