@@ -9,6 +9,7 @@
     python scripts/bench_layers.py --baseline ../parent/src --end-to-end 10 --out BENCH_29.json
     python scripts/bench_layers.py --baseline ../parent/src --long --end-to-end 10 --out BENCH_30.json
     python scripts/bench_layers.py --baseline ../parent/src --end-to-end 10 --out BENCH_33.json
+    python scripts/bench_layers.py --baseline ../parent/src --end-to-end 10 --out BENCH_34.json
 
 Times each layer of the long-term and per-block stages on its own: a
 fresh random stream (``RngStream.generator``, the public path), the
@@ -32,10 +33,12 @@ from a fresh stream, as the recipe draws each trial,
 ``effective_scalar_channel`` at N = 8192 and the projection kernel
 ``numerics._project`` that it runs, on its one row, the voted phases'
 phasors.  The phase kernel runs at the same K = 21: ``phase_index_rows``
-at L = 2 for those N and at L in {4, 16, 64} for N = 512, and ``vote_indices`` on the
-kernel's own rows at N = 8192, in the dtype the engine votes on, and
-``compute_long_term`` at K = 21, N = 8192, the scaling recipe's
-per-trial long-term call.  One layer times a whole scaling-recipe trial
+at L = 2 for those N and 65536 and at L in {4, 16, 64} for N = 512, and
+``vote_indices`` on the kernel's own rows at N = 8192, in the dtype the
+engine votes on (the public call, so its input checks are timed with
+it; the engine's count skips them), and ``compute_long_term``, the
+scaling recipe's per-trial long-term call, at K = 21 and each of those
+N up to 8192.  One layer times a whole scaling-recipe trial
 as the ``scaling-los`` benchmark workload makes it, through the five
 public calls (``make_geometry``, ``compute_long_term``,
 ``sample_channels``, ``effective_scalar_channel`` and
@@ -194,6 +197,10 @@ def layers(pkg, long: bool):
         yield f"protocol.phase_index_rows[K=21,N={N}]", (
             lambda: protocol.phase_index_rows(geometry.phi_t, geometry.nu, N, 2)
         )
+        # the scaling recipe's per-trial long-term call
+        yield f"experiments.compute_long_term[K=21,N={N}]", (
+            lambda: experiments.compute_long_term(geometry, system)
+        )
         # the scaling recipe's per-trial block, from its own stream
         scaling = dataclasses.replace(recipe, N=N)
         yield f"channel.sample_channels[K=21,N={N},pure_los]", (
@@ -213,13 +220,12 @@ def layers(pkg, long: bool):
     large = channel.SystemConfig(K=21, N=LARGE_N)
     far = channel.make_geometry(large, RngStream(1, 0))
     yield f"channel.line_of_sight[K=21,N={LARGE_N}]", lambda: channel.line_of_sight(far, large)
+    yield f"protocol.phase_index_rows[K=21,N={LARGE_N}]", (
+        lambda: protocol.phase_index_rows(far.phi_t, far.nu, LARGE_N, 2)
+    )
     # the kernel's own output, in the dtype the engine votes on
     rows = protocol._phase_rows(geometry.phi_t, geometry.nu, N, 2, 0.5)
     yield f"protocol.vote_indices[K=21,N={N},kernel rows]", lambda: protocol.vote_indices(rows, 2)
-    # the scaling recipe's per-trial long-term call
-    yield f"experiments.compute_long_term[K=21,N={N}]", (
-        lambda: experiments.compute_long_term(geometry, system)
-    )
     # one whole scaling-recipe trial: the five public calls, as benchmark/workloads.py makes them
     for N in TRIAL_N_VALUES:
         yield f"scaling trial[K=21,N={N}]", functools.partial(

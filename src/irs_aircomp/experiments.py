@@ -76,8 +76,8 @@ from .protocol import (
     _phase_rows,
     _phasor_table,
     _power_rows,
+    _vote,
     power_control_rows,
-    vote_indices,
 )
 
 __all__ = [
@@ -233,13 +233,15 @@ def _long_term(
     :func:`~irs_aircomp.protocol.receive_beamformer` bit for bit.  The
     preferred rows of all B*K devices are one phase-kernel pass, and
     the votes, the voted phases' level indices, one count along the
-    device axis of the (B, K, N) stack.  Each geometry's rows equal, bit
+    device axis of the (B, K, N) stack: the unchecked count of
+    :func:`~irs_aircomp.protocol.vote_indices`, which at L = 2 sums the
+    kernel's 0/1 byte rows as they are.  Each geometry's rows equal, bit
     for bit, those of it alone.
     """
     spacing = config.spacing_ratio
     a_m = _responses(config.M, [g.phi_r for g in geometries], spacing)
     phi_t, nu = np.array([g.phi_t for g in geometries]), np.array([g.nu for g in geometries])
-    votes = vote_indices(_phase_rows(phi_t, nu, n_elements, config.L, spacing), config.L)
+    votes = _vote(_phase_rows(phi_t, nu, n_elements, config.L, spacing), config.L)
     return a_m, a_m / math.sqrt(config.M), votes
 
 

@@ -184,11 +184,15 @@ def quantize_phase(theta: float, levels: int) -> float:
 
 # Most levels the count vote serves.  It makes one compare-and-sum pass
 # per level, and the sort vote above the cap costs the same at any level
-# count.  The phase kernel runs the same passes at every L.
+# count.  The phase kernel's float branch runs the same passes at every L.
 _COUNT_LEVELS = 16
-# The phase kernel decides fast while delta < 1/8 level: past that its
-# doubt bands cover a quarter of the phases, and most blocks would fall back.
+# The phase kernel decides fast while delta < 1/8 level, and at L = 2
+# while its band w < 1/8 of a quarter turn: past that its doubt bands
+# cover a quarter of the phases, and most row blocks would be
+# recomputed (at L = 2, an eighth of the elements set one by one).
 _MAX_DELTA = 0.125
+# A quarter turn in the L = 2 kernel's fixed-point turns of 2**-32 turn.
+_QUARTER = 1 << 30
 
 
 def _doubt(levels: int, t_max):
@@ -199,44 +203,63 @@ def _doubt(levels: int, t_max):
 _EPS = float(np.finfo(float).eps)
 
 
-def _index_rows(steps: np.ndarray, diff: np.ndarray, levels: int) -> np.ndarray:
-    """Level of steps[m]*diff[k] at every (k, m): the body of :func:`phase_index_rows`.
+def _index_rows(slope: float, n: int, diff: np.ndarray, levels: int) -> np.ndarray:
+    """Level of theta = fl(fl(slope*m)*diff[k]) at every (k, m), m < n: the body of
+    :func:`phase_index_rows`.
 
-    ``steps`` ascends from 0, so its last entry is the largest.  The
-    levels come in the smallest unsigned dtype that holds levels - 1,
-    or as the reference's own int64 when the whole call falls back.
+    The levels come in the smallest unsigned dtype that holds levels - 1,
+    or as the reference's own int64 when the whole call falls back.  At
+    L = 2 row k's phase is q = m*Delta_k mod 2**32 in 2**-32 turn, one
+    wrapping uint32 product per element; v = |q as int32| (read back as
+    uint32, so that -2**31 is 2**31, half a turn) is its distance from
+    turn 0, the level is v > 2**30 + w, and the elements with
+    |v - 2**30| <= w are set one by one by :func:`_quantize_indices`.
     """
-    K, n = diff.shape[0], steps.shape[0]
-    rows = max(1, _PHASE_BLOCK // n)
+    K, rows = diff.shape[0], max(1, _PHASE_BLOCK // n)
+    if levels == 2:
+        per = (slope * (1.0 / TWO_PI)) * diff  # tau_k, the row's turns per element
+        t_max = float((n - 1) * np.maximum.reduce(np.abs(per), initial=0.0))
+        band = (n - 1) / 2 + 2.0 + 2.0**32 * _doubt(1, t_max)  # w, in 2**-32 turn
+        if band < _MAX_DELTA * _QUARTER:  # also False for a NaN or infinite input
+            # Delta_k = rint(2**32 * (tau_k - rint(tau_k))), the difference exact
+            fixed = np.rint((per - np.rint(per)) * 2.0**32).astype(np.int64).astype(np.uint32)
+            w = int(band)
+            lo, hi = np.uint32(_QUARTER - w), np.uint32(_QUARTER + w)
+            counts, out = np.arange(n, dtype=np.uint32), np.empty((K, n), dtype=np.uint8)
+            v = np.empty((min(rows, K), n), dtype=np.uint32)
+            above = np.empty(v.shape, dtype=bool)
+            for start in range(0, K, rows):
+                o = out[start : start + rows]
+                vb, ab = v[: len(o)], above[: len(o)]
+                np.multiply(counts, fixed[start : start + rows, None], out=vb)
+                np.abs(vb.view(np.int32), out=vb.view(np.int32))
+                level = np.greater(vb, hi, out=o.view(bool))
+                if np.count_nonzero(np.greater_equal(vb, lo, out=ab)) != np.count_nonzero(level):
+                    flat = np.flatnonzero(np.not_equal(ab, level, out=ab))  # lo <= v <= hi
+                    r, m = np.divmod(flat, n)
+                    o.reshape(-1)[flat] = _quantize_indices(slope * m * diff[start + r], levels)
+            return out
+    steps = slope * np.arange(n)
     turns = steps * (1.0 / TWO_PI)
     delta = _doubt(levels, float(abs(turns[-1]) * np.maximum.reduce(np.abs(diff), initial=0.0)))
-    fast = delta < _MAX_DELTA  # also False for a NaN or infinite input
+    fast = levels != 2 and delta < _MAX_DELTA  # also False for a NaN or infinite input
     out = np.empty((K, n), dtype=np.min_scalar_type(levels - 1) if fast else np.int64)
     t, k = np.empty((2, min(rows, K), n)) if fast else (None, None)
     for start in range(0, K, rows):
-        o = out[start : start + rows]
-        if fast:
+        o, d = out[start : start + rows], diff[start : start + rows, None]
+        if fast:  # level rint(L*frac(t)), the top level L wrapped to 0
             tb, kb = t[: len(o)], k[: len(o)]
-            np.multiply(turns, diff[start : start + rows, None], out=tb)
-            if levels == 2:  # level 1 where |f| > 1/4, f = t - rint(t) exactly
-                np.rint(tb, out=kb)
-                tb -= kb
-                np.abs(tb, out=tb)
-                level = np.greater(tb, 0.25 + delta / 2, out=o.view(bool))
-                near = np.count_nonzero(tb >= 0.25 - delta / 2) != np.count_nonzero(level)
-            else:  # level rint(L*frac(t)), the top level L wrapped to 0
-                np.floor(tb, out=kb)
-                tb -= kb
-                tb *= levels
-                np.rint(tb, out=kb)
-                tb -= kb
-                near = tb.max() >= 0.5 - delta or tb.min() <= delta - 0.5
-                if not near:
-                    whole = kb.astype(np.min_scalar_type(levels))  # k - L wraps for k < L
-                    np.minimum(whole, whole - levels, out=o, casting="unsafe")
-            if not near:
+            np.multiply(turns, d, out=tb)
+            np.floor(tb, out=kb)
+            tb -= kb
+            tb *= levels
+            np.rint(tb, out=kb)
+            tb -= kb
+            if tb.max() < 0.5 - delta and tb.min() > delta - 0.5:
+                whole = kb.astype(np.min_scalar_type(levels))  # k - L wraps for k < L
+                np.minimum(whole, whole - levels, out=o, casting="unsafe")
                 continue
-        o[...] = _quantize_indices(steps * diff[start : start + rows, None], levels)
+        o[...] = _quantize_indices(steps * d, levels)
     return out
 
 
@@ -250,23 +273,49 @@ def phase_index_rows(
     vectors exactly (their inner product reaches N when unquantized).
     The levels equal :func:`_quantize_indices` of theta bit for bit.
 
-    With steps_m = 2*pi*spacing_ratio*m and d_k = sin(phi_t) - sin(nu_k),
-    the reference takes theta = fl(steps_m*d_k), x = fl(np.mod(theta,
-    2*pi) * fl(L/(2*pi))) and the level round(x) mod L, a tie at a
-    half-level going to the smaller phase.  The kernel works in turns:
-    t = fl(T_m*d_k), with T_m = fl(steps_m * fl(1/(2*pi))) formed once
-    per call.  With u = 2**-53 and everything modulo L:
+    With the slope s = fl(2*pi*spacing_ratio), steps_m = fl(s*m) and d_k
+    = sin(phi_t) - sin(nu_k), the reference takes theta = fl(steps_m*d_k),
+    x = fl(np.mod(theta, 2*pi) * fl(L/(2*pi))) and the level round(x)
+    mod L, a tie at a half-level going to the smaller phase.  With
+    u = 2**-53, everything modulo L, and rho = theta/(2*pi) and E =
+    s*m*d_k/(2*pi) the reference's and the exact phase in turns:
 
-    * x is within 3Lu(1 + u) of L*theta/(2*pi): np.mod's fmod step is
-      exact, its added 2*pi for theta < 0 rounds once, and x twice;
-    * t has three roundings to theta's one: |t - theta/(2*pi)| <=
-      4u(1 + 2u)|t|, or 4.01*L*u*|t| in level units;
-    * the level coordinate y adds at most 2Lu.  At L = 2, f = t - rint(t)
-      is exact and the level is 1 where y = 2|f| > 1/2; otherwise
-      y = fl(L * fl(t - floor(t))), the difference exact for |t| >= 1
-      and within u below, and the level is rint(y) with L wrapped to 0.
+    * x is within 3Lu(1 + u) of L*rho: np.mod's fmod step is exact, its
+      added 2*pi for theta < 0 rounds once, and x twice;
+    * rho = E(1 + a)(1 + b), |a|, |b| <= u, from the two roundings of
+      theta.
 
-    So |y - x| <= L*u*(4.01|t| + 5.01) < 2.5*eps*L*(|t| + 1), and the
+    At L = 2 the kernel works in fixed-point turns.  It forms the row's
+    turns per element tau_k = fl(fl(s*fl(1/(2*pi)))*d_k) = E/m*(1 + g)(1
+    + h)(1 + i), three roundings, and Delta_k = rint(2**32 * (tau_k -
+    rint(tau_k))) as uint32, within 1/2 of 2**32*frac(tau_k) as the
+    difference and the scaling are exact.  Then q = m*Delta_k mod 2**32,
+    one wrapping multiply, lies within m/2 <= (n - 1)/2 of 2**32*m*tau_k
+    modulo 2**32, m*rint(tau_k) being whole turns; |m*tau_k - rho| <=
+    5u(1 + 2u)|E| with |E| <= t_max(1 + 4.01u), t_max = fl((n - 1) *
+    max|tau_k|); and the reference's x/2 lies within 3u(1 + u) turn of
+    rho.  So q/2**32 is within (n - 1)/2**33 + 2.5*eps*(t_max + 1)(1 +
+    5u) turn of x/2, and the kernel takes the band w = floor((n - 1)/2
+    + 2 + 2**32 * 4*eps*(t_max + 1)) in 2**-32 turn, the 2 covering the
+    floor and the rounding of the bound.  The reference's level is 1
+    where x/2 is more than a quarter turn from turn 0, and a tie (x =
+    1/2 or 3/2) is exactly a quarter turn away; v = |q as int32|, q's
+    distance from turn 0, moves by no more than q does.  So where v >
+    2**30 + w the level is 1, where v < 2**30 - w it is 0, and each
+    element with |v - 2**30| <= w, about K*n*w/2**30 of them per call,
+    is set alone by :func:`_quantize_indices` from its theta.  The whole
+    call falls back to the reference when an input is not finite or w
+    reaches 1/8 of a quarter turn (``_MAX_DELTA``), which also keeps
+    every m below 2**32.  Per element the kernel makes one uint32
+    multiply, an abs, 2 comparisons and 2 counts.
+
+    At any other L it works in float turns: t = fl(T_m*d_k), with T_m =
+    fl(steps_m * fl(1/(2*pi))) formed once per call, so |t - rho| <=
+    4u(1 + 2u)|t|, or 4.01*L*u*|t| in level units, from its three
+    roundings to theta's one.  Its level coordinate y = fl(L * fl(t -
+    floor(t))) adds at most 2Lu, the difference exact for |t| >= 1 and
+    within u below, and the level is rint(y) with L wrapped to 0.  So
+    |y - x| <= L*u*(4.01|t| + 5.01) < 2.5*eps*L*(|t| + 1), and the
     kernel takes delta = 4*eps*L*(max|t| + 1), max|t| = fl(|T_{N-1}| *
     max|d_k|) bounding every |t| as rounding is monotone.  Where y lies
     more than delta from every half-level, x is on the same side of
@@ -274,9 +323,8 @@ def phase_index_rows(
     it is never decided fast.  A row block with an element within delta
     of a half-level is recomputed by :func:`_quantize_indices` from
     theta, as is the whole call when an input is not finite or delta
-    reaches ``_MAX_DELTA``.  Per element the fast path makes 4 float
-    passes, 2 comparisons and 2 counts at L = 2; at any other L, 6 float
-    passes, a max and a min, and a cast and a wrap in the output dtype.
+    reaches ``_MAX_DELTA``.  Per element that is 6 float passes, a max
+    and a min, and a cast and a wrap in the output dtype.
     """
     nu = np.asarray(nu, dtype=float)
     if not np.isfinite(phi_t):
@@ -292,27 +340,48 @@ def phase_index_rows(
 def _phase_rows(phi_t, nu, n_elements: int, levels: int, spacing_ratio: float) -> np.ndarray:
     """Unchecked :func:`phase_index_rows` of a stack: phi_t (...), nu (..., K) give (..., K, N).
 
-    Every geometry's rows are rows of one :func:`_index_rows` pass, in
-    its small unsigned dtype, and the kernel is elementwise, so each
-    (K, N) slice equals, bit for bit, the call on its geometry alone.
+    Every geometry's rows are rows of one :func:`_index_rows` pass at the
+    slope fl(2*pi*spacing_ratio), in its small unsigned dtype (0/1 bytes
+    at L = 2), and the kernel is elementwise, so each (K, N) slice
+    equals, bit for bit, the call on its geometry alone.
     """
-    steps = TWO_PI * spacing_ratio * np.arange(n_elements)
     diff = np.sin(phi_t)[..., None] - np.sin(nu)
-    return _index_rows(steps, diff.reshape(-1), levels).reshape(*diff.shape, n_elements)
+    rows = _index_rows(TWO_PI * spacing_ratio, n_elements, diff.reshape(-1), levels)
+    return rows.reshape(*diff.shape, n_elements)
 
 
-def vote_indices(indices: np.ndarray, levels: int) -> np.ndarray:
+def vote_indices(indices, levels: int) -> np.ndarray:
     """Per-column plurality of a (K, N) level-index matrix; ties to the smaller phase.
+
+    ``indices`` must be an integer array (not bool) of at least 2
+    dimensions, K >= 1, with every value in [0, levels); a (..., K, N) stack
+    votes along its device axis, each (K, N) matrix as it does alone:
+    (..., N).  The count is :func:`_vote`.
+    """
+    _require_count(levels, "levels")
+    indices = np.asarray(indices)
+    if indices.dtype.kind not in "iu":  # a float would be truncated, a bool read as 0 or 1
+        raise ValueError(f"indices must be integers, got an array of {indices.dtype}")
+    if indices.ndim < 2 or indices.shape[-2] == 0:
+        raise ValueError(
+            f"indices must be a (..., K, N) array with K >= 1, got shape {indices.shape}"
+        )
+    # one pass: read unsigned, a negative index is past every level count
+    if indices.view(indices.dtype.str.replace("i", "u")).max(initial=0) >= levels:
+        raise ValueError(f"indices must lie in [0, levels) = [0, {levels})")
+    return _vote(indices, levels)
+
+
+def _vote(indices: np.ndarray, levels: int) -> np.ndarray:
+    """Unchecked :func:`vote_indices`: the plurality of each column of (..., K, N) level indices.
 
     Up to ``_COUNT_LEVELS`` levels, one compare-and-sum per level above
     0, counted in the smallest unsigned type that holds K; level 0 gets
-    the rest.  A level takes a column only with strictly more votes than
+    the rest.  At L = 2 the indices are 0 or 1, so their sum is level
+    1's count.  A level takes a column only with strictly more votes than
     every smaller level.  Above the cap, each column is sorted and the
-    longest run of equal levels wins, the first (smallest) on ties.  A
-    (..., K, N) stack votes along its device axis, each (K, N) matrix
-    as it does alone: (..., N).
+    longest run of equal levels wins, the first (smallest) on ties.
     """
-    _require_count(levels, "levels")
     *stack, K, n = indices.shape
     if levels > _COUNT_LEVELS:
         # one column after another, ascending
@@ -329,7 +398,7 @@ def vote_indices(indices: np.ndarray, levels: int) -> np.ndarray:
         return vote.astype(np.int64).reshape(*stack, n)
     tally = np.min_scalar_type(K)
     if levels == 2:  # level 1 takes a column with more than level 0's K - count votes
-        count = np.add.reduce((indices == 1).view(np.uint8), axis=-2, dtype=tally)
+        count = np.add.reduce(indices, axis=-2, dtype=tally)
         return (count > K - count).astype(np.int64)
     counts = [
         np.add.reduce((indices == j).view(np.uint8), axis=-2, dtype=tally)
@@ -360,7 +429,7 @@ def majority_vote(per_device) -> PhaseShiftVector:
 
     For each element the discrete phase with the most votes wins; ties
     resolve to the smaller phase value.  The count of :func:`vote_indices`
-    over the stacked preferences.
+    over the stacked preferences, unchecked: each vector has checked its own.
     """
     per_device = list(per_device)
     if not per_device:
@@ -370,7 +439,7 @@ def majority_vote(per_device) -> PhaseShiftVector:
         if psv.num_elements != n or psv.levels != levels:
             raise ValueError("all phase-shift vectors must share N and levels")
     stacked = np.stack([psv.indices for psv in per_device])
-    return PhaseShiftVector(indices=vote_indices(stacked, levels), levels=levels)
+    return PhaseShiftVector(indices=_vote(stacked, levels), levels=levels)
 
 
 def _gamma_magnitudes(gammas, ndim: int = 1) -> np.ndarray:

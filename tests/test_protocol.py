@@ -156,7 +156,7 @@ def reference_indices(phi_t, nu, n_elements, levels, spacing_ratio=0.5):
 
 class TestPhaseKernel:
     @pytest.mark.parametrize("levels", [1, 2, 3, 4, 8, 16, 64])
-    @pytest.mark.parametrize("n_elements", [1, 7, 512, 8192])
+    @pytest.mark.parametrize("n_elements", [1, 2, 7, 64, 65, 512, 8192, 65536])
     def test_matches_per_device_reference(self, levels, n_elements):
         gen = np.random.default_rng(levels * 10_000 + n_elements)
         for K in (1, 3, 21):
@@ -229,32 +229,73 @@ CHUNK = 1 << 16
 
 
 class KernelCall(typing.NamedTuple):
-    steps: np.ndarray  # ascending, as the kernel reads its largest step from the end
+    slope: float  # theta = fl(fl(slope * m) * diff[k]) at element m < n
+    n: int
     diff: np.ndarray
     levels: np.ndarray  # the kernel's output
-    blocks: list  # the theta blocks it recomputed with the reference quantizer
+    patched: list  # the theta arrays it handed to the reference quantizer
 
 
 @contextlib.contextmanager
 def recorded_fallbacks():
-    """The theta blocks that the phase kernel hands to ``_quantize_indices`` meanwhile."""
-    blocks, reference = [], protocol._quantize_indices
+    """The theta arrays that the phase kernel hands to ``_quantize_indices`` meanwhile: a row
+    block each at L != 2 and in a whole-call fallback, a block's near elements at L = 2."""
+    patched, reference = [], protocol._quantize_indices
 
     def recording(theta, levels):
-        blocks.append(theta)
+        patched.append(theta)
         return reference(theta, levels)
 
     protocol._quantize_indices = recording
     try:
-        yield blocks
+        yield patched
     finally:
         protocol._quantize_indices = reference
 
 
-def run_kernel(steps, diff, levels):
-    """``_index_rows`` on one call, and the blocks it recomputed."""
-    with recorded_fallbacks() as blocks, np.errstate(invalid="ignore"):
-        return KernelCall(steps, diff, protocol._index_rows(steps, diff, levels), blocks)
+def run_kernel(slope, n, diff, levels):
+    """``_index_rows`` on one call, and the thetas it handed to the reference quantizer."""
+    with recorded_fallbacks() as patched, np.errstate(invalid="ignore"):
+        return KernelCall(slope, n, diff, protocol._index_rows(slope, n, diff, levels), patched)
+
+
+def patched_count(call):
+    """Elements of ``call`` set by the reference quantizer."""
+    return sum(theta.size for theta in call.patched)
+
+
+EPS = float(np.finfo(float).eps)
+
+
+def fixed_point(slope, n, diff):
+    """The L = 2 kernel's phase model of rows ``diff``: (Delta as int64, band w, fast).
+
+    tau_k = fl(fl(slope * fl(1/(2*pi))) * d_k) are the turns per element
+    and Delta_k = rint(2**32 * (tau_k - rint(tau_k))), so the phase of
+    element m is q = m*Delta_k mod 2**32 in 2**-32 turn.  The band w
+    bounds q's distance from 2**32 * x/2, x the reference's level
+    coordinate: Delta_k's rounding is at most 1/2, so m*Delta_k strays
+    up to m/2 <= (n - 1)/2 from 2**32 * m * tau_k (m * rint(tau_k) being
+    whole turns); m*tau_k has three roundings to the reference phase
+    theta's two, at most 5u|tau_k m|(1 + 2u) turn with u = eps/2, and x/2
+    is within 3u(1 + u) turn of theta/(2*pi).  So 4*eps*(t_max + 1) turn
+    with t_max = (n - 1)*max|tau_k| covers the float part, and 2 units
+    cover the floor and the rounding of the bound.  The call is fast
+    while w < 1/8 of a quarter turn and every input is finite.
+    """
+    tau = (slope * (1.0 / TWO_PI)) * diff
+    with np.errstate(invalid="ignore"):
+        t_max = float((n - 1) * np.max(np.abs(tau), initial=0.0))
+        w = (n - 1) / 2 + 2.0 + 2.0**32 * (4.0 * EPS * (t_max + 1.0))
+        fast = w < protocol._MAX_DELTA * 2**30
+        delta = np.rint((tau - np.rint(tau)) * 2.0**32) if fast else np.zeros_like(tau)
+    return delta.astype(np.int64), math.floor(w) if fast else None, fast
+
+
+def quarter_distance(q):
+    """How far phases q, in 2**-32 turn, lie from the nearest quarter or three-quarter turn."""
+    q = np.mod(q, 2**32)
+    return np.abs(np.minimum(q, 2**32 - q) - 2**30)
 
 
 def assert_levels_match(runs, quantizer=False):
@@ -262,26 +303,39 @@ def assert_levels_match(runs, quantizer=False):
 
     The levels equal the np.mod quantizer's bit for bit (``_quantize_indices``'
     own output where a phase is not finite), and with ``quantizer``
-    ``_quantize_indices``' throughout.  The kernel's level coordinate
-    L*frac(t) lies within delta of the reference's x, modulo L: t =
-    fl(fl(steps * fl(1/(2*pi))) * d) in turns and x = fl(np.mod(theta, 2*pi)
-    * fl(L/(2*pi))) from theta = fl(steps * d), as
-    :func:`~irs_aircomp.protocol.phase_index_rows` derives, each finite
-    element held to its own delta(L, |t|), at most the call's.  And the
-    kernel recomputed only blocks that hold a phase within 2 delta of a
-    half-level or not finite, or every block when delta reaches the cap.
+    ``_quantize_indices``' throughout.  With x = fl(np.mod(theta, 2*pi)
+    * fl(L/(2*pi))) the reference's level coordinate, from theta =
+    fl(fl(slope * m) * d):
+
+    * at L = 2 the kernel's fixed-point phase q (:func:`fixed_point`) lies
+      within m/2 + 2**32 * 4*eps*(|m*tau| + 1) of 2**32 * x/2 modulo 2**32
+      at element m, at most the call's band w, and the kernel handed the
+      reference exactly the elements with q within w of a quarter turn,
+      in order, or every element when the call falls back;
+    * at any other L its coordinate L*frac(t), t = fl(fl(steps *
+      fl(1/(2*pi))) * d) in turns, lies within delta of x, modulo L, as
+      :func:`~irs_aircomp.protocol.phase_index_rows` derives, each
+      finite element held to its own delta(L, |t|), at most the call's,
+      and the kernel recomputed only blocks that hold a phase within
+      2 delta of a half-level or not finite, or every block when delta
+      reaches the cap.
+
     The remainders are taken once for every level count.  Returns the
-    largest error over delta.
+    largest error over its bound.
     """
     first, worst = next(iter(runs.values())), 0.0
-    turns, n = first.steps * (1.0 / TWO_PI), first.steps.size
+    slope, n = first.slope, first.n
+    steps = slope * np.arange(n)
+    turns = steps * (1.0 / TWO_PI)
+    fixed, w, fast = fixed_point(slope, n, first.diff)
+    near_at, near_theta = [np.empty(0, dtype=np.int64)], [np.empty(0)]  # L = 2 near elements
     height = max(1, CHUNK // n)
     for top in range(0, first.diff.size, height):
         rows, d = slice(top, top + height), first.diff[top : top + height, None]
         for start in range(0, n, CHUNK):
             columns = slice(start, start + CHUNK)
             with np.errstate(invalid="ignore"):
-                theta = first.steps[columns] * d
+                theta = steps[columns] * d
                 remainder, t = np.mod(theta, TWO_PI), turns[columns] * d
             finite = np.isfinite(theta)
             if finite.all():
@@ -301,15 +355,35 @@ def assert_levels_match(runs, quantizer=False):
                     with np.errstate(invalid="ignore"):
                         want = protocol._quantize_indices(theta, levels)
                     np.testing.assert_array_equal(got, want)
-                err = levels * fraction - finite_remainder * (levels / TWO_PI)
-                err = np.abs(err - levels * np.rint(err / levels))
-                ratio = err / protocol._doubt(levels, size)
+                if levels != 2:
+                    err = levels * fraction - finite_remainder * (levels / TWO_PI)
+                    err = np.abs(err - levels * np.rint(err / levels))
+                    ratio = err / protocol._doubt(levels, size)
+                elif fast:
+                    m = np.arange(n)[columns]
+                    q = m * fixed[rows, None]  # below 2**47: exact in int64
+                    err = np.abs(np.mod(q, 2**32) - remainder * (2.0**32 / TWO_PI))
+                    err = np.minimum(err, 2.0**32 - err)  # x/2 turns is 2**31 x exactly
+                    ratio = err / (m / 2 + 2.0**32 * (4.0 * EPS * (size + 1.0)))
+                    close = quarter_distance(q) <= w
+                    r, c = np.nonzero(close)
+                    near_at.append((top + r) * n + start + c)
+                    near_theta.append(theta[close])
+                else:
+                    continue
                 worst = max(worst, float(ratio.max(initial=0.0)))
     assert worst <= 1.0
     for levels, call in runs.items():
+        if levels == 2:
+            if not fast:
+                assert patched_count(call) == call.levels.size
+                continue
+            want = np.concatenate(near_theta)[np.argsort(np.concatenate(near_at))]
+            assert_same_bits(np.concatenate([np.empty(0), *call.patched]), want)
+            continue
         t_max = abs(turns[-1]) * np.abs(call.diff).max(initial=0.0)
         delta = protocol._doubt(levels, t_max)
-        for theta in call.blocks:
+        for theta in call.patched:
             with np.errstate(invalid="ignore"):
                 x = np.mod(theta, TWO_PI) * (levels / TWO_PI)
                 near = np.abs(x - np.floor(x) - 0.5) <= 2.0 * delta
@@ -318,14 +392,15 @@ def assert_levels_match(runs, quantizer=False):
 
 
 def signed(x):
-    """(steps, diff): each magnitude of ``x`` a kernel step in a row of either sign, so the
-    kernel sees theta = +u and -u."""
-    return np.unique(np.abs(x)), np.array([1.0, -1.0])
+    """(slope, n, diff) of raw phases: each magnitude u of ``x`` is element 1 at slope 1 in a
+    row of either sign, so the kernel sees theta = +u and -u."""
+    u = np.unique(np.abs(x))
+    return 1.0, 2, np.concatenate([u, -u])
 
 
 @functools.cache
 def input_set(name):
-    """The (steps, diff) kernel calls of an input set, built once."""
+    """The (slope, n, diff) kernel calls of an input set, built once."""
     if name == "multiples":
         # next to a level centre in turns, and np.mod's remainder of a phase just below a
         # multiple just below 2*pi, where the reference wraps to level 0
@@ -341,27 +416,30 @@ def input_set(name):
         return [signed(x)] + [signed(np.array([value])) for value in np.unique(np.abs(x))]
     if name == "geometries":
         # 20 random geometries of K = 21 at N = 8192, the scaling recipe's largest N
-        gen, steps = np.random.default_rng(17), TWO_PI * 0.5 * np.arange(8192)
+        gen = np.random.default_rng(17)
 
         def angles(*size):
             return gen.uniform(-np.pi / 2, np.pi / 2, *size)
 
-        return [(steps, np.sin(angles()) - np.sin(angles(21))) for _ in range(20)]
+        return [(TWO_PI * 0.5, 8192, np.sin(angles()) - np.sin(angles(21))) for _ in range(20)]
     levels = int(name.removeprefix("level-steps-"))  # rows of either sign see theta = +r and -r
     remainders = level_steps(levels)
-    calls = [(np.sort(ulp_neighbours(r, 64)), np.array([1.0, -1.0])) for r in remainders]
+    calls = [signed(ulp_neighbours(r, 64)) for r in remainders]
     if levels == 2:
-        # rows of factors other than +-1 round the turns and the phase apart, so that next
-        # to a step the kernel's level coordinate and the reference's can fall either side
-        for d in np.random.default_rng(2).uniform(0.05, 2.0, 128):
-            calls += [(np.sort(ulp_neighbours(r / d, 64)), np.array([d, -d])) for r in remainders]
+        # rows at slopes other than 1 round the turns and the phase apart, so that next
+        # to a step the kernel's fixed-point phase and the reference's can fall either side
+        for slope in np.random.default_rng(2).uniform(0.05, 2.0, 128):
+            calls += [
+                (slope, 2, np.concatenate([x, -x]))
+                for x in (np.unique(ulp_neighbours(r / slope, 64)) for r in remainders)
+            ]
     return calls
 
 
 @functools.cache
 def kernel_run(name, levels):
     """The kernel once per (input set, level count): one ``KernelCall`` per call of the set."""
-    return [run_kernel(steps, diff, levels) for steps, diff in input_set(name)]
+    return [run_kernel(slope, n, diff, levels) for slope, n, diff in input_set(name)]
 
 
 def assert_set_matches(name, levels_list, quantizer=False):
@@ -379,17 +457,15 @@ def drop_kernel_runs():
 
 
 class TestModTwoPi:
-    """Raw phases: each input magnitude u is a kernel step in a row of either sign, so the
-    kernel sees theta = +u and -u.  Its levels are the np.mod quantizer's, np.mod's
-    remainder and all, and at every finite u the level coordinate lies within delta.
+    """Raw phases: each input magnitude u is element 1 at slope 1 in a row of either sign, so
+    the kernel sees theta = +u and -u.  Its levels are the np.mod quantizer's, np.mod's
+    remainder and all, and at every finite u its phase lies within delta (w at L = 2).
     """
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-5, 1.0, 1e3, 1e6, 4e8])
     def test_random_scales(self, scale):
-        steps, diff = signed(
-            np.random.default_rng(int(np.log10(scale)) + 400).uniform(-scale, scale, 10**5)
-        )
-        assert_levels_match({levels: run_kernel(steps, diff, levels) for levels in LEVELS}, True)
+        call = signed(np.random.default_rng(int(np.log10(scale)) + 400).uniform(-scale, scale, 10**5))
+        assert_levels_match({levels: run_kernel(*call, levels) for levels in LEVELS}, True)
 
     def test_multiples_of_two_pi_and_ulp_neighbours(self):
         assert_set_matches("multiples", LEVELS)
@@ -398,8 +474,11 @@ class TestModTwoPi:
     def special_values(cls):
         """Signed zeros, subnormals, half and whole turns, the range guard of each level
         count and an ulp either side of it, and values far past it or not finite."""
+        # at L = 2 the raw phase u whose band (n = 2) reaches the cap, elsewhere the u whose delta does
         limits = [
-            TWO_PI * (protocol._MAX_DELTA / (4.0 * np.finfo(float).eps * levels) - 1.0)
+            TWO_PI * ((protocol._MAX_DELTA * 2**30 - 2.5) / (2**32 * 4.0 * EPS) - 1.0)
+            if levels == 2
+            else TWO_PI * (protocol._MAX_DELTA / (4.0 * EPS * levels) - 1.0)
             for levels in LEVELS
         ]
         guards = ulp_neighbours(np.array(limits), 1)
@@ -497,13 +576,13 @@ class TestBreakpointKernel:
 
     @pytest.mark.parametrize("levels", [1, 2, 3, 4, 8])
     def test_reduce_limit_fallback(self, levels):
-        # s*(N-1)*|d|, about 1.3e15 turns, puts delta past _MAX_DELTA at every L:
-        # the reference quantizer recomputes the call
+        # s*(N-1)*|d|, about 1.3e15 turns, puts delta (w at L = 2) past the cap at every L:
+        # the reference quantizer recomputes every element of the call
         nu = [-1.0, 0.2, 1.4]
         expected = reference_indices(0.3, nu, 64, levels, 2.0**44)
-        with recorded_fallbacks() as blocks:
+        with recorded_fallbacks() as patched:
             rows = phase_index_rows(0.3, nu, 64, levels, 2.0**44)
-        assert blocks
+        assert sum(theta.size for theta in patched) == rows.size
         np.testing.assert_array_equal(rows, expected)
 
     @pytest.mark.parametrize(
@@ -521,7 +600,8 @@ class TestBreakpointKernel:
 
 
 class TestTurnKernel:
-    """delta bounds the kernel's error, and the reference runs only where delta leaves doubt."""
+    """delta (w at L = 2) bounds the kernel's error, and the reference runs only where it
+    leaves doubt: on row blocks at L != 2, on single elements at L = 2."""
 
     @pytest.mark.parametrize("levels", [2, 3, 4, 8, 16, 64])
     def test_level_error_within_doubt(self, levels):
@@ -530,47 +610,129 @@ class TestTurnKernel:
         worst = 0.0
         for spacing in (0.5, 2.3):
             for n, geometries in ((7, 2), (512, 2), (8192, 5)):
-                steps = TWO_PI * spacing * np.arange(n)
                 for _ in range(geometries):
                     diff = np.sin(gen.uniform(-np.pi / 2, np.pi / 2)) - np.sin(
                         gen.uniform(-np.pi / 2, np.pi / 2, 21)
                     )
-                    call = run_kernel(steps, diff, levels)
+                    call = run_kernel(TWO_PI * spacing, n, diff, levels)
                     worst = max(worst, assert_levels_match({levels: call}))
         assert worst > 0.0
+
+    @pytest.mark.parametrize("spacing", [0.5, 2.3])
+    def test_band_bounds_the_fixed_point_phase(self, spacing):
+        # the scaling recipe's N, the benchmark's and the large-N run's, K = 21: the band w
+        # bounds the distance of q/2**32 from the reference's x/2, modulo 1, on every element,
+        # and Delta's rounding, up to m/2, is most of it
+        gen = np.random.default_rng(int(spacing * 10))
+        for n in (64, 512, 2048, 4096, 8192, 65536):
+            slope = TWO_PI * spacing
+            diff = np.sin(gen.uniform(-np.pi / 2, np.pi / 2)) - np.sin(
+                gen.uniform(-np.pi / 2, np.pi / 2, 21)
+            )
+            fixed, w, fast = fixed_point(slope, n, diff)
+            assert fast and w < (n - 1) / 2 + 3
+            m = np.arange(n)
+            remainder = np.mod(slope * m * diff[:, None], TWO_PI)
+            err = np.abs(np.mod(m * fixed[:, None], 2**32) - remainder * (2.0**32 / TWO_PI))
+            err = np.minimum(err, 2.0**32 - err)
+            assert err.max() <= w
+            assert err.max() > 0.4 * w  # the band is not slack
+            assert_levels_match({2: run_kernel(slope, n, diff, 2)})
+
+    def test_near_elements_are_patched_one_by_one(self):
+        # rows whose element m0 lands within ulps of a quarter or three-quarter turn (and
+        # so do m0's odd multiples), among random rows: exactly the elements whose
+        # fixed-point phase lies within w of a quarter turn go to the reference, alone
+        slope, n = TWO_PI * 0.5, 4096
+        gen = np.random.default_rng(34)
+        near = [
+            ulp_neighbours(np.array([quarter / (slope / TWO_PI * m0)]), 2)
+            for quarter in (0.25, 0.75)
+            for m0 in (1, 3, 100, 4095)
+        ]
+        diff = np.concatenate([*near, -near[0], gen.uniform(-2, 2, 9)])
+        call = run_kernel(slope, n, diff, 2)
+        assert_levels_match({2: call}, quantizer=True)
+        fixed, w, _ = fixed_point(slope, n, diff)
+        close = quarter_distance(np.arange(n) * fixed[:, None]) <= w
+        assert close[: 5 * (len(near) + 1)].any(axis=1).all()  # every built row has one
+        assert patched_count(call) == close.sum()
+        assert all(theta.ndim == 1 for theta in call.patched)
+        theta = slope * np.arange(n) * diff[:, None]
+        np.testing.assert_array_equal(
+            call.levels[close], protocol._quantize_indices(theta[close], 2)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_reference_quantizer(self, data):
+        # any slope, n and rows, some with an element within ulps of a quarter, half,
+        # three-quarter or whole turn: the kernel equals _quantize_indices bit for bit
+        slope = data.draw(st.floats(0.05, 20.0), label="slope")
+        n = data.draw(st.integers(1, 3000), label="n")
+        turns = slope * (1.0 / TWO_PI)
+        built = data.draw(st.lists(st.builds(
+            lambda turn, m, ulps, sign: sign * turn / (turns * m) * (1.0 + ulps * EPS),
+            st.sampled_from([0.25, 0.5, 0.75, 1.0]), st.integers(1, max(1, n - 1)),
+            st.integers(-4, 4), st.sampled_from([1.0, -1.0]),
+        ), max_size=3), label="built rows")
+        drawn = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4), label="rows")
+        levels = data.draw(st.sampled_from([1, 2, 3, 4, 8]), label="levels")
+        diff = np.array(built + drawn)
+        want = protocol._quantize_indices(slope * np.arange(n) * diff[:, None], levels)
+        np.testing.assert_array_equal(protocol._index_rows(slope, n, diff, levels), want)
 
     @pytest.mark.parametrize("levels", [2, 4, 16])
     def test_no_fallback_on_random_geometries_at_benchmark_sizes(self, levels):
         # the sweeps' 64 stacked geometries of K = 20 at N = 512, and the
-        # scaling recipe's K = 21 at N = 512, 2048 and 8192, each stack one call
+        # scaling recipe's K = 21 at N = 512, 2048 and 8192, each stack one call:
+        # no block recomputed, and at L = 2 only the few near elements patched
         gen = np.random.default_rng(levels)
         for geometries, K, n in ((64, 20, 512), (8, 21, 512), (8, 21, 2048), (8, 21, 8192)):
             phi_t = gen.uniform(-np.pi / 2, np.pi / 2, geometries)
             nu = gen.uniform(-np.pi / 2, np.pi / 2, (geometries, K))
             diff = (np.sin(phi_t)[:, None] - np.sin(nu)).ravel()
-            assert run_kernel(TWO_PI * 0.5 * np.arange(n), diff, levels).blocks == []
+            call = run_kernel(TWO_PI * 0.5, n, diff, levels)
+            if levels == 2:
+                assert all(theta.ndim == 1 for theta in call.patched)
+                assert patched_count(call) <= 4 * diff.size * n * (n / 2 + 3) / 2**30 + 4
+            else:
+                assert call.patched == []
         if levels in LEVELS:
-            assert all(call.blocks == [] for call in kernel_run("geometries", levels))
+            calls = kernel_run("geometries", levels)
+            assert all(
+                all(theta.ndim == 1 for theta in call.patched) if levels == 2 else not call.patched
+                for call in calls
+            )
 
     @pytest.mark.parametrize("levels", range(2, protocol._COUNT_LEVELS + 1))
     def test_breakpoints_fall_back(self, levels):
+        # every raw phase next to a level step is within delta of a half-level: its one
+        # block is recomputed, and at L = 2 every element 1 is patched alone
         for call in kernel_run(f"level-steps-{levels}", levels):
-            assert len(call.blocks) == 1
+            if levels == 2:
+                assert patched_count(call) == call.diff.size
+                assert all(theta.ndim == 1 for theta in call.patched)
+            else:
+                assert len(call.patched) == 1 and patched_count(call) == call.levels.size
 
     def test_special_values_fall_back(self):
-        # not finite, past the range guard, or pi on a half-level at L = 3
+        # not finite, or past the range guard: every element of the call goes to the
+        # reference; pi on a half-level at L = 3 takes its one block, and is a half
+        # turn, far from a quarter, at L = 2
         for levels in LEVELS:
             whole, *alone = kernel_run("special", levels)
-            assert whole.blocks
+            assert patched_count(whole) == whole.levels.size
             for call in alone:
-                value = call.steps[0]
+                value = call.diff[0]
                 if value in (np.pi, 1e300) or not np.isfinite(value):
-                    assert len(call.blocks) == (value != np.pi or levels == 3)
+                    fall_back = value != np.pi or levels == 3
+                    assert patched_count(call) == call.levels.size * fall_back
 
     def test_multiples_of_two_pi_are_decided_fast(self):
         # in turns a multiple of 2*pi is a level centre, far from every half-level
         for levels in LEVELS:
-            assert all(call.blocks == [] for call in kernel_run("multiples", levels))
+            assert all(call.patched == [] for call in kernel_run("multiples", levels))
 
 
 class TestCountVote:
@@ -709,6 +871,26 @@ def test_non_integer_counts_rejected(call, name, count):
 def test_bad_phase_indices_rejected(indices, message):
     with pytest.raises(ValueError, match=f"^indices {message}"):
         PhaseShiftVector(indices, 2)
+
+
+@pytest.mark.parametrize(
+    "indices, levels, message",
+    [
+        ([0, 1, 1], 2, r"must be a \(\.\.\., K, N\) array"),
+        ([[0, 2], [2, 2], [1, 0]], 2, r"must lie in \[0, levels\)"),  # 2 read as 0
+        ([[0, -1], [1, 2]], 4, r"must lie in \[0, levels\)"),
+        ([[0, 4], [1, 2]], 4, r"must lie in \[0, levels\)"),
+        ([[0, 3], [1, 2]], 3, r"must lie in \[0, levels\)"),
+        ([[0.5, 1.0], [1.0, 0.0]], 2, "must be integers"),
+        ([[True, False], [True, True]], 2, "must be integers"),
+        (np.zeros((0, 4), dtype=np.int64), 2, r"must be a \(\.\.\., K, N\) array"),
+    ],
+    ids=["1-D", "past-levels-2", "negative", "past-levels-4", "past-levels-3", "fractions",
+         "bools", "no-devices"],
+)
+def test_bad_vote_indices_rejected(indices, levels, message):
+    with pytest.raises(ValueError, match=f"^indices {message}"):
+        vote_indices(np.asarray(indices), levels)
 
 
 class TestOptimalPowerControl:
