@@ -10,6 +10,7 @@
     python scripts/bench_layers.py --baseline ../parent/src --long --end-to-end 10 --out BENCH_30.json
     python scripts/bench_layers.py --baseline ../parent/src --end-to-end 10 --out BENCH_33.json
     python scripts/bench_layers.py --baseline ../parent/src --end-to-end 10 --out BENCH_34.json
+    python scripts/bench_layers.py --baseline ../parent/src --end-to-end 10 --out BENCH_35.json
 
 Times each layer of the long-term and per-block stages on its own: a
 fresh random stream (``RngStream.generator``, the public path), the
@@ -46,13 +47,16 @@ public calls (``make_geometry``, ``compute_long_term``,
 cost is nearly all of it, and at N = 8192.  Other
 channel-side layers run at the default scenario (K = 20, M = 10, L = 2)
 with N in {64, 512, 4096}; power control runs at K in {20, 1000}, and
-on the 90 optimal-rule rows of a 10-trial default sweep.  Four layers
+on the 90 optimal-rule rows of a 10-trial default sweep.  Five layers
 time the whole engine through the public API: ``run_sweep`` of the
 default scenario, every scheme, with the geometry fixed, over 1 trial
 (its per-run cost), 10 trials (a round of the ``sweep-fixed``
 benchmark) and 64 trials (one power block), and over 64 trials with it
 redrawn per trial at the CLI benchmark's N in {32, ..., 512}, where the
-per-geometry stage runs on the block's stacked geometries.  ``--long`` adds two 10 000-trial
+per-geometry stage runs on the block's stacked geometries; and
+``configs/scaling_law.cfg`` with ``INV_PC_IRS`` over 64 trials, the
+scaling recipe through the engine (N up to 4096, a geometry per trial),
+which no benchmark workload times.  ``--long`` adds two 10 000-trial
 ``run_sweep`` layers of the default scenario and sweep, geometry fixed
 and redrawn.  A layer
 that a side's source does not have is recorded for the other sides
@@ -247,6 +251,12 @@ def layers(pkg, long: bool):
         system=base, n_sweep=REDRAW_N_SWEEP, trials=64, seed=1, redraw_geometry_per_trial=True
     )
     yield "experiments.run_sweep[T=64,redraw]", lambda: experiments.run_sweep(redrawn, schemes)
+    # the scaling recipe through the engine, as the command in its config file runs it
+    recipe_sweep = dataclasses.replace(experiments.load_config(SCALING_RECIPE), trials=64)
+    inversion = [experiments.Scheme.INV_PC_IRS]
+    yield "experiments.run_sweep[scaling recipe,INV_PC_IRS,T=64]", (
+        lambda: experiments.run_sweep(recipe_sweep, inversion)
+    )
     if long:
         for label, redraw in (("", False), (",redraw", True)):
             sweep = experiments.ExperimentConfig(

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import Geometry, SystemConfig, _require_geometry
 from .numerics import _require_count, array_response, sinc_normalized
-from .protocol import PhaseShiftVector
+from .protocol import PhaseShiftVector, _require_powers
 
 __all__ = [
     "AsymptoticParams",
@@ -56,10 +56,7 @@ class AsymptoticParams:
     def __post_init__(self) -> None:
         for name in ("M", "N", "K"):
             _require_count(getattr(self, name), name)
-        if not 0.0 < self.Pmax < math.inf:
-            raise ValueError(f"Pmax must be positive and finite, got {self.Pmax!r}")
-        if not 0.0 <= self.sigma2 < math.inf:
-            raise ValueError(f"sigma2 must be non-negative and finite, got {self.sigma2!r}")
+        _require_powers(self.Pmax, self.sigma2)
         if not 0.0 < self.rho_min <= 1.0:
             raise ValueError("rho_min must be in (0, 1]")
         if not 0.0 < self.epsilon < 1.0:
@@ -124,9 +121,14 @@ def n_threshold(params: AsymptoticParams) -> float:
 
 
 def mse_lower_bound(gamma1_sq: float, Pmax: float, sigma2: float) -> float:
-    """Per-realization MSE floor from the weakest effective channel power."""
-    if gamma1_sq <= 0:
-        raise ValueError("gamma1_sq must be positive")
+    """Per-realization MSE floor from the weakest effective channel power.
+
+    Pmax must be positive and finite, sigma2 non-negative and finite, and
+    ``gamma1_sq`` positive and finite.
+    """
+    _require_powers(Pmax, sigma2)
+    if not 0 < gamma1_sq < math.inf:  # also NaN
+        raise ValueError(f"gamma1_sq must be positive and finite, got {gamma1_sq!r}")
     return Pmax * sigma2 * gamma1_sq / (sigma2 + Pmax * gamma1_sq) ** 2
 
 

@@ -202,7 +202,15 @@ def pathloss(distance: float, exponent: float, ref_loss_linear: float) -> float:
 
     Distances under the 1 m reference are clamped to 1 m with a warning
     (near-field guard).  The one-distance case of :func:`_pathlosses`.
+    A non-finite argument or a negative exponent raises ``ValueError``
+    naming it.
     """
+    if not math.isfinite(distance):
+        raise ValueError(f"distance must be finite, got {distance!r}")
+    if not 0 <= exponent < math.inf:
+        raise ValueError(f"exponent must be non-negative and finite, got {exponent!r}")
+    if not math.isfinite(ref_loss_linear):
+        raise ValueError(f"ref_loss_linear must be finite, got {ref_loss_linear!r}")
     if ref_loss_linear <= 0:
         raise ValueError("ref_loss_linear must be positive")
     return float(_pathlosses(np.array([distance], dtype=float), exponent, ref_loss_linear)[0])
@@ -280,11 +288,9 @@ def _make_geometries(config: SystemConfig, streams, generator=as_generator) -> l
     exp_d = config.pathloss_exponent_direct
     ref = config.ref_loss_linear
     nodes = np.array((config.ap_position, config.irs_position))
-    # the norms as np.linalg.norm forms them for a real array, without its argument handling
-    link = nodes[1] - nodes[0]
-    rho_1 = pathloss(math.sqrt(link.dot(link)), exp_r, ref)
-    offsets = positions[..., None, :] - nodes
-    dist = np.sqrt(np.add.reduce(offsets * offsets, axis=-1))  # (B, K, 2): to the AP, to the IRS
+    rho_1 = pathloss(np.linalg.norm(nodes[1] - nodes[0]), exp_r, ref)
+    # (B, K, 2): to the AP, to the IRS
+    dist = np.linalg.norm(positions[..., None, :] - nodes, axis=-1)
     rho_d = np.zeros((B, K)) if config.block_direct else _pathlosses(dist[..., 0], exp_d, ref)
     rho_r = _pathlosses(dist[..., 1], exp_r, ref)
     return [

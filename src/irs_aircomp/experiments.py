@@ -110,6 +110,7 @@ class Scheme(str, enum.Enum):
 
     ``inversion`` selects channel inversion over optimal power control.
     Only the voted-phase schemes report the closed-form bound columns.
+    ``Scheme(id)`` of an unknown id raises :class:`ConfigError`.
     """
 
     OPT_PC_IRS = ("OPT_PC_IRS", _VOTED, False)
@@ -124,6 +125,11 @@ class Scheme(str, enum.Enum):
         member.kind = kind
         member.inversion = inversion
         return member
+
+    @classmethod
+    def _missing_(cls, value):
+        valid = ", ".join(s.value for s in cls)
+        raise ConfigError(f"unknown scheme {value!r}; valid: {valid}")
 
 
 @dataclass(frozen=True)
@@ -345,8 +351,6 @@ def _stage(config: SystemConfig, geometries, sizes):
             a = np.sqrt(rho_r / (config.rician_delta + 1.0))
             coef = per_segment[..., None] * a[:, None, None, None]
         parts.append((v.conj(), gain, line, coef))
-    if len(parts) == 1:
-        return parts[0]
     return tuple(None if part[0] is None else np.concatenate(part) for part in zip(*parts))
 
 
@@ -406,27 +410,6 @@ def _degenerate_error(block: dict, schemes: list[Scheme], start: int, config: Ex
                 return DegenerateChannelError(f"{s.value} at {where}, trial {first}: {exc}")
 
 
-def _stderrs(values: np.ndarray) -> np.ndarray:
-    """Standard errors of the means along the last axis, T values each, in whole-array passes.
-
-    Each equals ``np.std(row, ddof=1) / sqrt(T)`` of its row alone, bit
-    for bit: these are ``np.std``'s own steps (the mean, the squared
-    deviations, their sum over T - 1, the root) without its argument
-    handling, and each sum runs along the contiguous last axis, as it
-    does over a 1-D row.  With T = 1 they are 0.
-    """
-    T = values.shape[-1]
-    if T == 1:
-        return np.zeros(values.shape[:-1])
-    mean = np.add.reduce(values, axis=-1, keepdims=True)
-    mean /= T
-    deviations = np.subtract(values, mean)
-    np.square(deviations, out=deviations)
-    variance = np.add.reduce(deviations, axis=-1)
-    variance /= T - 1
-    return np.sqrt(variance, out=variance) / math.sqrt(T)
-
-
 def _reject_blocked(system: SystemConfig, schemes: list[Scheme]) -> None:
     """Refuse direct-link schemes on blocked direct links before any draw."""
     blocked = [s.value for s in schemes if s.kind == _DIRECT]
@@ -448,8 +431,9 @@ def run_trial(
     ``geometry``, which a direct-link scheme skips, and one draw from
     ``stream`` with one segment of N elements.  A geometry not made
     under ``config`` (another device count or spacing ratio) raises
-    ``ValueError`` before any draw, and a draw with some |gamma_k|^2 = 0
-    raises :class:`~irs_aircomp.protocol.DegenerateChannelError`.
+    ``ValueError`` before any draw, an unknown scheme id
+    :class:`ConfigError`, and a draw with some |gamma_k|^2 = 0 raises
+    :class:`~irs_aircomp.protocol.DegenerateChannelError`.
     """
     scheme = Scheme(scheme)
     _reject_blocked(config, [scheme])
@@ -511,9 +495,11 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     schemes, which do not see the IRS, it does not run.  Per block of trials,
     |gamma| is taken once per kind and each power rule makes one
     row-wise call.  Every row's mean is the ``math.fsum`` of its T values
-    over T, and its standard error is ``np.std``'s, bit for bit
-    (:func:`_stderrs`); the per-trial values behind each row are
-    returned as ``trial_mse`` and ``trial_ktilde``.  A draw with some
+    over T, and its standard error is ``np.std(ddof=1) / sqrt(T)``, 0 at
+    T = 1; the per-trial values behind each row are returned as
+    ``trial_mse`` and ``trial_ktilde``.  ``schemes`` is a list of scheme
+    ids or members: an unknown id, one string (a member is one too), no
+    scheme or a repeated one raises :class:`ConfigError`.  A draw with some
     |gamma_k|^2 = 0 raises ``DegenerateChannelError`` naming the scheme,
     the N ("every N" for the direct-link schemes) and the first such
     trial, the first (scheme, N) in the caller's order of schemes that
@@ -521,6 +507,9 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
     the bound inputs (:func:`_bound_params`) are made before any trial,
     so a rho_min that underflows to 0 raises ``ConfigError`` first.
     """
+    if isinstance(schemes, str):
+        name = getattr(schemes, "value", schemes)
+        raise ConfigError(f"schemes must be a list of scheme ids, got the one string {name!r}")
     schemes = [Scheme(s) for s in schemes]
     if not schemes:
         raise ConfigError("at least one scheme is required")
@@ -574,7 +563,8 @@ def run_sweep(config: ExperimentConfig, schemes) -> SweepResult:
 
     threshold = n_threshold(params[0]) if params else None  # the same at every N
     bounds = [(mse_upper_bound(p), threshold) for p in params] or [(None, None)] * P
-    stderrs = _stderrs(mses).tolist()
+    # at T = 1, ddof 0: the one deviation from the mean is 0, and so is the standard error
+    stderrs = (np.std(mses, axis=-1, ddof=min(1, T - 1)) / math.sqrt(T)).tolist()
     ktilde_sums = np.add.reduce(ktildes, axis=2).tolist()
     names = [s.value for s in schemes]
     trial_mses, trial_ktildes = list(mses.reshape(-1, T)), list(ktildes.reshape(-1, T))

@@ -305,8 +305,6 @@ def _steering_factors(slope, n_elems: int, amplitude=None) -> _Factors:
 def _expand(factors: _Factors) -> np.ndarray:
     """The (..., n) steering rows of ``factors``: every coarse factor times every fine one."""
     coarse, fine, n = factors
-    if n <= _STEERING_BLOCK:
-        return coarse * fine
     out = (coarse[..., None] * fine[..., None, :]).reshape(*fine.shape[:-1], -1)
     return np.ascontiguousarray(out[..., :n])
 
@@ -352,8 +350,6 @@ def _project(factors: _Factors, rows: np.ndarray | None, sizes) -> np.ndarray:
             last = _ONES[:tail, None] if rows is None else rows[..., h * _STEERING_BLOCK : n, None]
             part = np.matmul(fine[..., None, :, :tail], last)
             total = total + coarse[..., None, :, h] * part[..., 0]
-        if len(sizes) == 1:
-            return total[..., None, :]
         if sums is None:  # (..., J, P, K), in the shape of the first sum
             sums = np.empty((*total.shape[:-1], len(sizes), total.shape[-1]), dtype=complex)
         sums[..., p, :] = total

@@ -584,12 +584,12 @@ def evaluate_mse(gammas, solution: PowerSolution, sigma2: float) -> float:
     """MSE of a power solution on the scalar effective channels.
 
     ``gammas`` holds one finite channel per device of the solution, and
-    ``sigma2`` is a non-negative noise power.
+    ``sigma2`` is a non-negative finite noise power.
     """
     if not solution.eta > 0:
         raise ValueError("eta must be positive")
-    if not sigma2 >= 0:  # also NaN
-        raise ValueError(f"sigma2 must be non-negative, got {sigma2!r}")
+    if not 0 <= sigma2 < math.inf:  # also NaN
+        raise ValueError(f"sigma2 must be non-negative and finite, got {sigma2!r}")
     g = np.abs(np.asarray(gammas, dtype=complex))
     if g.shape != solution.powers.shape:
         raise ValueError(

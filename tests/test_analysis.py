@@ -44,11 +44,19 @@ def params(**overrides):
         (lambda: approx_array_gain(10, 3.0), "K"),
         (lambda: params(epsilon=1.0), "epsilon"),
         (lambda: mse_lower_bound(0.0, 1.0, 1.0), "gamma1_sq"),
+        (lambda: mse_lower_bound(math.nan, 1.0, 1.0), "gamma1_sq"),
+        (lambda: mse_lower_bound(math.inf, 1.0, 1.0), "gamma1_sq"),
+        (lambda: mse_lower_bound(1.0, -1.0, 1.0), "Pmax"),
+        (lambda: mse_lower_bound(1.0, math.nan, 1.0), "Pmax"),
+        (lambda: mse_lower_bound(1.0, 1.0, -1.0), "sigma2"),
+        (lambda: mse_lower_bound(1.0, 1.0, math.inf), "sigma2"),
     ],
     ids=[
         "Pmax=0", "Pmax=-1", "Pmax=nan", "Pmax=inf", "sigma2=-1", "sigma2=nan", "sigma2=inf",
         "N=2.5", "M=True", "K=0", "lambda1(2.5)", "lambda1(True)", "gain(N=2.5)", "gain(K=3.0)",
-        "epsilon=1", "lower_bound(gamma1_sq=0)",
+        "epsilon=1", "lower_bound(gamma1_sq=0)", "lower_bound(gamma1_sq=nan)",
+        "lower_bound(gamma1_sq=inf)", "lower_bound(Pmax=-1)", "lower_bound(Pmax=nan)",
+        "lower_bound(sigma2=-1)", "lower_bound(sigma2=inf)",
     ],
 )
 def test_bound_inputs_rejected_naming_the_field(call, name):

@@ -26,3 +26,5 @@ def test_every_layer_runs_once():
     assert len(names) == len(set(names)) > 0
     # the whole scaling-recipe trial, where its fixed cost rules and at the largest N
     assert {"scaling trial[K=21,N=16]", "scaling trial[K=21,N=8192]"} <= set(names)
+    # the scaling recipe's config file through the engine
+    assert "experiments.run_sweep[scaling recipe,INV_PC_IRS,T=64]" in names

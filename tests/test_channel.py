@@ -260,6 +260,25 @@ def test_pathloss_rejects_non_positive_reference_loss():
         pathloss(10.0, 2.2, 0.0)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((math.nan, 2.2, 1e-3), "distance must be finite, got nan"),
+        ((math.inf, 2.2, 1e-3), "distance must be finite, got inf"),
+        ((10.0, math.nan, 1e-3), "exponent must be non-negative and finite, got nan"),
+        ((10.0, math.inf, 1e-3), "exponent must be non-negative and finite, got inf"),
+        ((10.0, -1.0, 1e-3), "exponent must be non-negative and finite, got -1.0"),
+        ((10.0, 2.0, math.nan), "ref_loss_linear must be finite, got nan"),
+        ((10.0, 2.0, math.inf), "ref_loss_linear must be finite, got inf"),
+    ],
+    ids=["distance=nan", "distance=inf", "exponent=nan", "exponent=inf", "exponent<0",
+         "ref=nan", "ref=inf"],
+)
+def test_pathloss_rejects_non_finite_or_negative_exponent_naming_it(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        pathloss(*args)
+
+
 @pytest.mark.parametrize("spacing", [0.0, -0.5])
 def test_system_config_rejects_non_positive_spacing(spacing):
     with pytest.raises(ValueError, match="spacing_ratio must be positive"):

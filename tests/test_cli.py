@@ -158,7 +158,7 @@ def test_retired_config_keys_exit_two(tmp_path, capsys, line, message):
         (["sweep", "--out", "{missing}"], "failed writing sweep CSV to {missing}: "),
         (["bounds", "--out", "{missing}"], "failed writing bounds CSV to {missing}: "),
         (["single", "--n", "8", "--scheme", "OPT_PC_IRS,INV_PC_IRS"], "single takes exactly one"),
-        (["sweep", "--schemes", " , ", "--out", "{out}"], "no schemes given"),
+        (["sweep", "--schemes", " , ", "--out", "{out}"], "at least one scheme is required"),
     ],
     ids=["sweep-missing-dir", "bounds-missing-dir", "single-two-schemes", "sweep-no-schemes"],
 )
@@ -196,12 +196,19 @@ def test_missing_config_exits_two(tmp_path):
     assert main(["sweep", "--config", str(tmp_path / "none.cfg"), "--out", "x.csv"]) == 2
 
 
-def test_unknown_scheme_exits_two(tmp_path):
+def test_unknown_scheme_exits_two(tmp_path, capsys):
+    # the engine's one error line names the id and lists the valid ones, on sweep and single
     cfg = write_config(tmp_path, TOY)
-    code = main(
-        ["sweep", "--config", cfg, "--schemes", "MAGIC", "--out", str(tmp_path / "x.csv")]
-    )
-    assert code == 2
+    out = tmp_path / "x.csv"
+    for argv in (["sweep", "--schemes", "OPT_PC_IRS, MAGIC", "--out", str(out)],
+                 ["single", "--n", "8", "--scheme", "MAGIC"]):
+        assert main([*argv, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == (
+            "error: unknown scheme 'MAGIC'; valid: OPT_PC_IRS, INV_PC_IRS, OPT_PC_NO_IRS,"
+            " INV_PC_NO_IRS, FIXED_PHASE_OPT_PC\n"
+        )
 
 
 def test_bad_arguments_exit_two():

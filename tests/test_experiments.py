@@ -1,4 +1,5 @@
 import csv
+import io
 import itertools
 import math
 import re
@@ -29,6 +30,7 @@ from irs_aircomp.experiments import (
     run_sweep,
     run_trial,
     write_csv,
+    write_rows,
 )
 from irs_aircomp.numerics import RngStream, array_response
 from irs_aircomp.protocol import DegenerateChannelError, PhaseShiftVector, power_control_rows
@@ -317,6 +319,38 @@ class TestStackedStage:
                         assert np.array_equal(bits(got[b]), bits(one[0]))
 
 
+class TestBlockSizes:
+    """A sweep's values do not depend on how its trials and geometries are blocked."""
+
+    @pytest.mark.parametrize("pure_los", [False, True], ids=["rician", "pure_los"])
+    @pytest.mark.parametrize("redraw", [False, True], ids=["fixed", "redrawn"])
+    def test_rows_byte_identical_under_every_block_size(self, redraw, pure_los, monkeypatch):
+        # power blocks of 1, 7 (a partial last block) and 64 trials, each with the default
+        # stage budget and budgets of one and two geometries per stacked stage pass
+        system = SystemConfig(M=4, K=3, pure_los=pure_los)
+        config = small_config(
+            system=system, n_sweep=(8, 40, 70), trials=20, redraw_geometry_per_trial=redraw
+        )
+
+        def sweep():
+            result = run_sweep(config, list(Scheme))
+            out = io.StringIO()
+            write_rows(result, out)
+            values = [bits(v) for v in result.trial_mse.values()]
+            values += list(result.trial_ktilde.values())
+            return out.getvalue(), values
+
+        want_rows, want_values = sweep()
+        per_geometry = system.K * config.n_sweep[-1]
+        budgets = (experiments._STAGE_ELEMENTS, per_geometry, 2 * per_geometry)
+        for power, stage in itertools.product((1, 7, 64), budgets):
+            monkeypatch.setattr(experiments, "_POWER_BLOCK", power)
+            monkeypatch.setattr(experiments, "_STAGE_ELEMENTS", stage)
+            rows, values = sweep()
+            assert rows == want_rows, (power, stage)
+            assert all(map(np.array_equal, values, want_values)), (power, stage)
+
+
 class TestKeyedStreams:
     """Draws keyed by the trial: one channel block at the largest N, and a geometry."""
 
@@ -523,6 +557,24 @@ class TestRunSweep:
         with pytest.raises(ConfigError, match="^at least one scheme is required$"):
             run_sweep(small_config(), [])
 
+    @pytest.mark.parametrize("schemes", ["INV_PC_IRS", Scheme.INV_PC_IRS], ids=["id", "member"])
+    def test_one_string_rejected_naming_it(self, schemes):
+        # a Scheme member is a string too: neither is read as a list of one-letter ids
+        message = "^schemes must be a list of scheme ids, got the one string 'INV_PC_IRS'$"
+        with pytest.raises(ConfigError, match=message):
+            run_sweep(small_config(), schemes)
+
+    @pytest.mark.parametrize("entry", ["run_sweep", "run_trial"])
+    def test_unknown_scheme_lists_the_valid_ids(self, entry):
+        cfg = small_config()
+        geometry = make_geometry(cfg.system, RngStream(1, 0))
+        valid = "OPT_PC_IRS, INV_PC_IRS, OPT_PC_NO_IRS, INV_PC_NO_IRS, FIXED_PHASE_OPT_PC"
+        with pytest.raises(ConfigError, match=f"^unknown scheme 'bogus'; valid: {valid}$"):
+            if entry == "run_sweep":
+                run_sweep(cfg, [Scheme.OPT_PC_IRS, "bogus"])
+            else:
+                run_trial(cfg.system, geometry, "bogus", RngStream(1, 1))
+
     @pytest.mark.parametrize("redraw", [False, True])
     def test_non_finite_gamma_raises_its_own_error(self, redraw, monkeypatch):
         # a NaN gamma is no degenerate channel: its ValueError comes out as it is
@@ -648,16 +700,6 @@ class TestStackedPowerControl:
         ):
             first, *rest = (values[s.value, N] for N in config.n_sweep)
             assert all(np.array_equal(bits(first), bits(other)) for other in rest)
-
-    @pytest.mark.parametrize("T", [2, 3, 64, 65, 10_000])
-    def test_one_pass_stderr_equals_per_row_std(self, T):
-        gen = np.random.default_rng(T)
-        values = np.exp(gen.normal(-20.0, 6.0, (5, 4, T)))  # MSE-like, many decades
-        want = [[float(np.std(row, ddof=1) / math.sqrt(T)) for row in rows] for rows in values]
-        assert np.array_equal(bits(experiments._stderrs(values)), bits(np.array(want)))
-
-    def test_single_trial_stderr_zero(self):
-        assert np.array_equal(experiments._stderrs(np.ones((2, 3, 1))), np.zeros((2, 3)))
 
     @pytest.mark.parametrize(
         "schemes",

@@ -1205,6 +1205,7 @@ class TestEvaluateMse:
             ([1.0, 2.0, math.inf], 1.0, "gammas"),
             ([1.0, 2.0, 3.0], -1.0, "sigma2"),
             ([1.0, 2.0, 3.0], math.nan, "sigma2"),
+            ([1.0, 2.0, 3.0], math.inf, "sigma2"),
         ],
     )
     def test_bad_input_rejected(self, gammas, sigma2, name):
