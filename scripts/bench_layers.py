@@ -34,10 +34,10 @@ from a fresh stream, as the recipe draws each trial,
 ``effective_scalar_channel`` at N = 8192 and the projection kernel
 ``numerics._project`` that it runs, on its one row, the voted phases'
 phasors.  The phase kernel runs at the same K = 21: ``phase_index_rows``
-at L = 2 for those N and 65536 and at L in {4, 16, 64} for N = 512, and
-``vote_indices`` on the kernel's own rows at N = 8192, in the dtype the
-engine votes on (the public call, so its input checks are timed with
-it; the engine's count skips them), and ``compute_long_term``, the
+at L = 2 for those N and 65536 and at L in {3, 4, 16, 64} for N = 512
+and 8192, and ``vote_indices`` on the kernel's own rows at N = 8192, in
+the dtype the engine votes on (the public call, so its input checks are
+timed with it; the engine's count skips them), and ``compute_long_term``, the
 scaling recipe's per-trial long-term call, at K = 21 and each of those
 N up to 8192.  One layer times a whole scaling-recipe trial
 as the ``scaling-los`` benchmark workload makes it, through the five
@@ -108,7 +108,8 @@ LOS_N_VALUES = (512, 2048, 8192)
 LARGE_N = 65536  # the largest N of the large-N scaling run
 # a receive array, the first counts past one steering block, and the largest surface
 ARRAY_N_VALUES = (10, 65, 128, 256, 8192)
-LEVEL_VALUES = (4, 16, 64)
+# a level count that is not a power of two, and powers up to the sort vote's range
+LEVEL_VALUES = (3, 4, 16, 64)
 K_VALUES = (20, 1000)
 REDRAW_N_SWEEP = (32, 64, 128, 256, 512)
 # the whole scaling trial where its fixed cost rules it, and at the benchmark's largest N
@@ -235,11 +236,12 @@ def layers(pkg, long: bool):
         yield f"scaling trial[K=21,N={N}]", functools.partial(
             scaling_trial, pkg, dataclasses.replace(recipe, N=N)
         )
-    geometry = channel.make_geometry(channel.SystemConfig(K=21, N=512), RngStream(1, 0))
-    for L in LEVEL_VALUES:
-        yield f"protocol.phase_index_rows[K=21,L={L},N=512]", (
-            lambda: protocol.phase_index_rows(geometry.phi_t, geometry.nu, 512, L)
-        )
+    for N in (512, 8192):
+        geometry = channel.make_geometry(channel.SystemConfig(K=21, N=N), RngStream(1, 0))
+        for L in LEVEL_VALUES:
+            yield f"protocol.phase_index_rows[K=21,L={L},N={N}]", (
+                lambda: protocol.phase_index_rows(geometry.phi_t, geometry.nu, N, L)
+            )
     for n in ARRAY_N_VALUES:
         yield f"numerics.array_response[n={n}]", lambda: pkg.numerics.array_response(n, 0.3)
     schemes = list(experiments.Scheme)

@@ -4,9 +4,9 @@ Long-term stage: a static receive beamformer from the IRS arrival angle
 and a discrete IRS phase configuration built from per-device phase
 projections fused by majority vote.  The projection is one kernel over
 all devices, a (K, N) level-index matrix (:func:`phase_index_rows`)
-that rounds each phase in turns, with the reference quantizer where a
-phase lies too near a half-level, and the vote one count over that
-matrix (:func:`vote_indices`);
+that rounds each phase in fixed-point turns, with the reference
+quantizer where a phase lies too near a half-level, and the vote one
+count over that matrix (:func:`vote_indices`);
 :func:`per_device_phases` and :func:`majority_vote` are their per-device
 forms.  Short-term stage: per-block optimal transmit power control with
 its denoising factor, the channel-inversion baseline, exact MSE
@@ -143,8 +143,9 @@ def receive_beamformer(phi_r: float, M: int, spacing_ratio: float = 0.5) -> np.n
     return array_response(M, phi_r, spacing_ratio) / np.sqrt(M)
 
 
-# Elements per row block of the phase-index kernel: its two float buffers
-# (256 KiB each) stay in a core's L2 cache, and blocks are few at small N.
+# Elements per row block of the phase-index kernel: its uint32 phases
+# (128 KiB), and at L != 2 its two float buffers (256 KiB each), stay in a
+# core's L2 cache, and blocks are few at small N.
 _PHASE_BLOCK = 1 << 15
 
 
@@ -184,23 +185,15 @@ def quantize_phase(theta: float, levels: int) -> float:
 
 # Most levels the count vote serves.  It makes one compare-and-sum pass
 # per level, and the sort vote above the cap costs the same at any level
-# count.  The phase kernel's float branch runs the same passes at every L.
+# count.
 _COUNT_LEVELS = 16
-# The phase kernel decides fast while delta < 1/8 level, and at L = 2
-# while its band w < 1/8 of a quarter turn: past that its doubt bands
-# cover a quarter of the phases, and most row blocks would be
-# recomputed (at L = 2, an eighth of the elements set one by one).
-_MAX_DELTA = 0.125
-# A quarter turn in the L = 2 kernel's fixed-point turns of 2**-32 turn.
+# The phase kernel's guard: its band w, in 2**-32 turn, times L stays
+# below 2**28, so w stays below 1/16 of a level (1/8 of a quarter turn at
+# L = 2).  Past it the near phases would be an eighth of all, and the
+# whole call goes to the reference.
+_GUARD = 1 << 28
+# A quarter turn in the phase kernel's fixed-point turns of 2**-32 turn.
 _QUARTER = 1 << 30
-
-
-def _doubt(levels: int, t_max):
-    """delta of :func:`phase_index_rows`: how far its level coordinate may stray at |t| <= t_max."""
-    return 4.0 * _EPS * levels * (t_max + 1.0)
-
-
-_EPS = float(np.finfo(float).eps)
 
 
 def _index_rows(slope: float, n: int, diff: np.ndarray, levels: int) -> np.ndarray:
@@ -208,58 +201,60 @@ def _index_rows(slope: float, n: int, diff: np.ndarray, levels: int) -> np.ndarr
     :func:`phase_index_rows`.
 
     The levels come in the smallest unsigned dtype that holds levels - 1,
-    or as the reference's own int64 when the whole call falls back.  At
-    L = 2 row k's phase is q = m*Delta_k mod 2**32 in 2**-32 turn, one
-    wrapping uint32 product per element; v = |q as int32| (read back as
+    or as the reference's own int64 when the whole call falls back.  Row
+    k's phase is q = m*Delta_k mod 2**32 in 2**-32 turn, one wrapping
+    uint32 product per element.  At L = 2, v = |q as int32| (read back as
     uint32, so that -2**31 is 2**31, half a turn) is its distance from
     turn 0, the level is v > 2**30 + w, and the elements with
-    |v - 2**30| <= w are set one by one by :func:`_quantize_indices`.
+    |v - 2**30| <= w are near.  At any other L the level is rint(y), y =
+    q*(L*2**-32), with L wrapped to 0, and the elements with |y - rint(y)|
+    >= 1/2 - (w + 1)*L*2**-32 are near.  The near elements of every row
+    block are set by one :func:`_quantize_indices` call.
     """
     K, rows = diff.shape[0], max(1, _PHASE_BLOCK // n)
+    per = (slope * (1.0 / TWO_PI)) * diff  # tau_k, the row's turns per element
+    t_max = float((n - 1) * np.maximum.reduce(np.abs(per), initial=0.0))
+    # w in 2**-32 turn, 2**32 * 4*eps*(t_max + 1) being 2**-18*(t_max + 1)
+    band = (n - 1) / 2 + 2.0 + (t_max + 1.0) * 2.0**-18
+    if not band * levels < _GUARD:  # also for a NaN or infinite input
+        return _quantize_indices(slope * np.arange(n) * diff[:, None], levels)
+    # Delta_k = rint(2**32 * (tau_k - rint(tau_k))), the difference exact
+    fixed = np.rint((per - np.rint(per)) * 2.0**32).astype(np.int64).astype(np.uint32)
+    w = int(band)
+    counts, out = np.arange(n, dtype=np.uint32), np.empty((K, n), np.min_scalar_type(levels - 1))
+    q = np.empty((min(rows, K), n), dtype=np.uint32)
+    near, mask = [], np.empty(q.shape, dtype=bool)
     if levels == 2:
-        per = (slope * (1.0 / TWO_PI)) * diff  # tau_k, the row's turns per element
-        t_max = float((n - 1) * np.maximum.reduce(np.abs(per), initial=0.0))
-        band = (n - 1) / 2 + 2.0 + 2.0**32 * _doubt(1, t_max)  # w, in 2**-32 turn
-        if band < _MAX_DELTA * _QUARTER:  # also False for a NaN or infinite input
-            # Delta_k = rint(2**32 * (tau_k - rint(tau_k))), the difference exact
-            fixed = np.rint((per - np.rint(per)) * 2.0**32).astype(np.int64).astype(np.uint32)
-            w = int(band)
-            lo, hi = np.uint32(_QUARTER - w), np.uint32(_QUARTER + w)
-            counts, out = np.arange(n, dtype=np.uint32), np.empty((K, n), dtype=np.uint8)
-            v = np.empty((min(rows, K), n), dtype=np.uint32)
-            above = np.empty(v.shape, dtype=bool)
-            for start in range(0, K, rows):
-                o = out[start : start + rows]
-                vb, ab = v[: len(o)], above[: len(o)]
-                np.multiply(counts, fixed[start : start + rows, None], out=vb)
-                np.abs(vb.view(np.int32), out=vb.view(np.int32))
-                level = np.greater(vb, hi, out=o.view(bool))
-                if np.count_nonzero(np.greater_equal(vb, lo, out=ab)) != np.count_nonzero(level):
-                    flat = np.flatnonzero(np.not_equal(ab, level, out=ab))  # lo <= v <= hi
-                    r, m = np.divmod(flat, n)
-                    o.reshape(-1)[flat] = _quantize_indices(slope * m * diff[start + r], levels)
-            return out
-    steps = slope * np.arange(n)
-    turns = steps * (1.0 / TWO_PI)
-    delta = _doubt(levels, float(abs(turns[-1]) * np.maximum.reduce(np.abs(diff), initial=0.0)))
-    fast = levels != 2 and delta < _MAX_DELTA  # also False for a NaN or infinite input
-    out = np.empty((K, n), dtype=np.min_scalar_type(levels - 1) if fast else np.int64)
-    t, k = np.empty((2, min(rows, K), n)) if fast else (None, None)
+        lo, hi = np.uint32(_QUARTER - w), np.uint32(_QUARTER + w)
+    else:
+        y, whole = np.empty((2, *q.shape))
+        scale, edge = levels * 2.0**-32, 0.5 - (w + 1) * levels * 2.0**-32
     for start in range(0, K, rows):
-        o, d = out[start : start + rows], diff[start : start + rows, None]
-        if fast:  # level rint(L*frac(t)), the top level L wrapped to 0
-            tb, kb = t[: len(o)], k[: len(o)]
-            np.multiply(turns, d, out=tb)
-            np.floor(tb, out=kb)
-            tb -= kb
-            tb *= levels
-            np.rint(tb, out=kb)
-            tb -= kb
-            if tb.max() < 0.5 - delta and tb.min() > delta - 0.5:
-                whole = kb.astype(np.min_scalar_type(levels))  # k - L wraps for k < L
-                np.minimum(whole, whole - levels, out=o, casting="unsafe")
+        o = out[start : start + rows]
+        qb, mb = q[: len(o)], mask[: len(o)]
+        np.multiply(counts, fixed[start : start + rows, None], out=qb)
+        if levels == 2:
+            np.abs(qb.view(np.int32), out=qb.view(np.int32))
+            level = np.greater(qb, hi, out=o.view(bool))
+            if np.count_nonzero(np.greater_equal(qb, lo, out=mb)) == np.count_nonzero(level):
                 continue
-        o[...] = _quantize_indices(steps * d, levels)
+            np.not_equal(mb, level, out=mb)  # lo <= v <= hi
+        else:
+            yb, kb = y[: len(o)], whole[: len(o)]
+            np.multiply(qb, scale, out=yb)
+            np.rint(yb, out=kb)
+            level = kb.astype(np.min_scalar_type(levels))  # k - L wraps for k < L
+            np.minimum(level, level - levels, out=o, casting="unsafe")
+            yb -= kb
+            np.abs(yb, out=yb)
+            if not yb.max() >= edge:
+                continue
+            np.greater_equal(yb, edge, out=mb)
+        near.append(np.flatnonzero(mb) + start * n)
+    if near:
+        flat = np.concatenate(near)
+        r, m = np.divmod(flat, n)
+        out.reshape(-1)[flat] = _quantize_indices(slope * m * diff[r], levels)
     return out
 
 
@@ -280,51 +275,49 @@ def phase_index_rows(
     u = 2**-53, everything modulo L, and rho = theta/(2*pi) and E =
     s*m*d_k/(2*pi) the reference's and the exact phase in turns:
 
-    * x is within 3Lu(1 + u) of L*rho: np.mod's fmod step is exact, its
-      added 2*pi for theta < 0 rounds once, and x twice;
+    * x/L is within 3u(1 + u) turn of rho at any L: np.mod's fmod step
+      is exact, its added 2*pi for theta < 0 rounds once, and x twice;
     * rho = E(1 + a)(1 + b), |a|, |b| <= u, from the two roundings of
       theta.
 
-    At L = 2 the kernel works in fixed-point turns.  It forms the row's
-    turns per element tau_k = fl(fl(s*fl(1/(2*pi)))*d_k) = E/m*(1 + g)(1
-    + h)(1 + i), three roundings, and Delta_k = rint(2**32 * (tau_k -
+    The kernel works in fixed-point turns.  It forms the row's turns per
+    element tau_k = fl(fl(s*fl(1/(2*pi)))*d_k) = E/m*(1 + g)(1 + h)(1 +
+    i), three roundings, and Delta_k = rint(2**32 * (tau_k -
     rint(tau_k))) as uint32, within 1/2 of 2**32*frac(tau_k) as the
     difference and the scaling are exact.  Then q = m*Delta_k mod 2**32,
     one wrapping multiply, lies within m/2 <= (n - 1)/2 of 2**32*m*tau_k
     modulo 2**32, m*rint(tau_k) being whole turns; |m*tau_k - rho| <=
     5u(1 + 2u)|E| with |E| <= t_max(1 + 4.01u), t_max = fl((n - 1) *
-    max|tau_k|); and the reference's x/2 lies within 3u(1 + u) turn of
-    rho.  So q/2**32 is within (n - 1)/2**33 + 2.5*eps*(t_max + 1)(1 +
-    5u) turn of x/2, and the kernel takes the band w = floor((n - 1)/2
-    + 2 + 2**32 * 4*eps*(t_max + 1)) in 2**-32 turn, the 2 covering the
-    floor and the rounding of the bound.  The reference's level is 1
-    where x/2 is more than a quarter turn from turn 0, and a tie (x =
-    1/2 or 3/2) is exactly a quarter turn away; v = |q as int32|, q's
-    distance from turn 0, moves by no more than q does.  So where v >
-    2**30 + w the level is 1, where v < 2**30 - w it is 0, and each
-    element with |v - 2**30| <= w, about K*n*w/2**30 of them per call,
-    is set alone by :func:`_quantize_indices` from its theta.  The whole
-    call falls back to the reference when an input is not finite or w
-    reaches 1/8 of a quarter turn (``_MAX_DELTA``), which also keeps
-    every m below 2**32.  Per element the kernel makes one uint32
-    multiply, an abs, 2 comparisons and 2 counts.
+    max|tau_k|); and x/L lies within 3u(1 + u) turn of rho.  So q/2**32
+    is within (n - 1)/2**33 + 2.5*eps*(t_max + 1)(1 + 5u) turn of x/L at
+    every L, and the kernel takes one band w = floor((n - 1)/2 + 2 +
+    2**32 * 4*eps*(t_max + 1)) in 2**-32 turn, the 2 covering the floor
+    and the rounding of the bound.  The reference's level steps at the
+    half-levels, (j + 1/2)/L turn, and a tie lies on one.  Only the read
+    of the level from q depends on L:
 
-    At any other L it works in float turns: t = fl(T_m*d_k), with T_m =
-    fl(steps_m * fl(1/(2*pi))) formed once per call, so |t - rho| <=
-    4u(1 + 2u)|t|, or 4.01*L*u*|t| in level units, from its three
-    roundings to theta's one.  Its level coordinate y = fl(L * fl(t -
-    floor(t))) adds at most 2Lu, the difference exact for |t| >= 1 and
-    within u below, and the level is rint(y) with L wrapped to 0.  So
-    |y - x| <= L*u*(4.01|t| + 5.01) < 2.5*eps*L*(|t| + 1), and the
-    kernel takes delta = 4*eps*L*(max|t| + 1), max|t| = fl(|T_{N-1}| *
-    max|d_k|) bounding every |t| as rounding is monotone.  Where y lies
-    more than delta from every half-level, x is on the same side of
-    each and the levels agree; a reference tie lies on a half-level, so
-    it is never decided fast.  A row block with an element within delta
-    of a half-level is recomputed by :func:`_quantize_indices` from
-    theta, as is the whole call when an input is not finite or delta
-    reaches ``_MAX_DELTA``.  Per element that is 6 float passes, a max
-    and a min, and a cast and a wrap in the output dtype.
+    * at L = 2 the half-levels are the quarter and three-quarter turns,
+      and v = |q as int32|, q's distance from turn 0, moves by no more
+      than q does.  So where v > 2**30 + w the level is 1, where v <
+      2**30 - w it is 0, and the elements with |v - 2**30| <= w are near;
+    * at any other L the level coordinate is y = fl(q * (L*2**-32)), the
+      factor exact.  y rounds once, by at most L*u, far below one unit
+      L*2**-32 of q, so |y - x| < (w + 1)*L*2**-32 modulo L.  y -
+      rint(y) and the edge 1/2 - (w + 1)*L*2**-32 are exact, so where
+      |y - rint(y)| is below the edge, x lies strictly inside y's level,
+      rint(y) with L wrapped to 0; the elements at or past the edge are
+      near.
+
+    The near elements, about K*n*(w + 1)*L/2**31 per call, are gathered
+    over all row blocks and set by one :func:`_quantize_indices` call
+    from their theta.  The whole call falls back to the reference when
+    an input is not finite or w*L reaches 2**28 (``_GUARD``): w reaches
+    1/16 of a level, 1/8 of a quarter turn at L = 2.  The guard also
+    keeps every m below 2**32 and L*2**-32 exact.  Per element the
+    kernel makes one uint32 multiply; then at L = 2 an abs, 2
+    comparisons and 2 counts, and at any other L a float multiply, a
+    rint, a cast and a wrap in the output dtype, a difference, an abs
+    and a max.
     """
     nu = np.asarray(nu, dtype=float)
     if not np.isfinite(phi_t):
@@ -505,9 +498,14 @@ def power_control_rows(gammas, Pmax: float, sigma2: float, inversion: bool = Fal
 
 
 def _require_powers(Pmax: float, sigma2: float) -> None:
-    """Reject a Pmax that is not positive and finite, or a sigma2 not non-negative and finite."""
+    """Reject a Pmax that is not positive and finite, or a bad sigma2 (:func:`_require_sigma2`)."""
     if not 0 < Pmax < math.inf:
         raise ValueError(f"Pmax must be positive and finite, got {Pmax!r}")
+    _require_sigma2(sigma2)
+
+
+def _require_sigma2(sigma2: float) -> None:
+    """Reject a noise power sigma2 that is not non-negative and finite, NaN included."""
     if not 0 <= sigma2 < math.inf:
         raise ValueError(f"sigma2 must be non-negative and finite, got {sigma2!r}")
 
@@ -588,8 +586,7 @@ def evaluate_mse(gammas, solution: PowerSolution, sigma2: float) -> float:
     """
     if not solution.eta > 0:
         raise ValueError("eta must be positive")
-    if not 0 <= sigma2 < math.inf:  # also NaN
-        raise ValueError(f"sigma2 must be non-negative and finite, got {sigma2!r}")
+    _require_sigma2(sigma2)
     g = np.abs(np.asarray(gammas, dtype=complex))
     if g.shape != solution.powers.shape:
         raise ValueError(
@@ -614,6 +611,7 @@ def evaluate_mse_general(
     """
     if not eta > 0:
         raise ValueError("eta must be positive")
+    _require_sigma2(sigma2)
     b = np.asarray(b, dtype=complex)
     gam = effective_scalar_channel(realization, v, theta)
     if b.shape != gam.shape:

@@ -238,8 +238,8 @@ class KernelCall(typing.NamedTuple):
 
 @contextlib.contextmanager
 def recorded_fallbacks():
-    """The theta arrays that the phase kernel hands to ``_quantize_indices`` meanwhile: a row
-    block each at L != 2 and in a whole-call fallback, a block's near elements at L = 2."""
+    """The theta arrays that the phase kernel hands to ``_quantize_indices`` meanwhile: one
+    per call, of its near elements, or of every element in a whole-call fallback."""
     patched, reference = [], protocol._quantize_indices
 
     def recording(theta, levels):
@@ -268,28 +268,33 @@ EPS = float(np.finfo(float).eps)
 
 
 def fixed_point(slope, n, diff):
-    """The L = 2 kernel's phase model of rows ``diff``: (Delta as int64, band w, fast).
+    """The phase kernel's model of rows ``diff``: (Delta as int64, band).
 
     tau_k = fl(fl(slope * fl(1/(2*pi))) * d_k) are the turns per element
     and Delta_k = rint(2**32 * (tau_k - rint(tau_k))), so the phase of
-    element m is q = m*Delta_k mod 2**32 in 2**-32 turn.  The band w
-    bounds q's distance from 2**32 * x/2, x the reference's level
-    coordinate: Delta_k's rounding is at most 1/2, so m*Delta_k strays
-    up to m/2 <= (n - 1)/2 from 2**32 * m * tau_k (m * rint(tau_k) being
-    whole turns); m*tau_k has three roundings to the reference phase
-    theta's two, at most 5u|tau_k m|(1 + 2u) turn with u = eps/2, and x/2
-    is within 3u(1 + u) turn of theta/(2*pi).  So 4*eps*(t_max + 1) turn
-    with t_max = (n - 1)*max|tau_k| covers the float part, and 2 units
-    cover the floor and the rounding of the bound.  The call is fast
-    while w < 1/8 of a quarter turn and every input is finite.
+    element m is q = m*Delta_k mod 2**32 in 2**-32 turn.  The band w =
+    floor(band) bounds q's distance from 2**32 * x/L at every L, x the
+    reference's level coordinate: Delta_k's rounding is at most 1/2, so
+    m*Delta_k strays up to m/2 <= (n - 1)/2 from 2**32 * m * tau_k (m *
+    rint(tau_k) being whole turns); m*tau_k has three roundings to the
+    reference phase theta's two, at most 5u|tau_k m|(1 + 2u) turn with
+    u = eps/2, and x/L is within 3u(1 + u) turn of theta/(2*pi).  So
+    4*eps*(t_max + 1) turn with t_max = (n - 1)*max|tau_k| covers the
+    float part, and 2 units cover the floor and the rounding of the
+    bound.  The call is fast at L while band*L < 2**28 (:func:`fast`),
+    which fails for a NaN or infinite input.
     """
     tau = (slope * (1.0 / TWO_PI)) * diff
     with np.errstate(invalid="ignore"):
         t_max = float((n - 1) * np.max(np.abs(tau), initial=0.0))
-        w = (n - 1) / 2 + 2.0 + 2.0**32 * (4.0 * EPS * (t_max + 1.0))
-        fast = w < protocol._MAX_DELTA * 2**30
-        delta = np.rint((tau - np.rint(tau)) * 2.0**32) if fast else np.zeros_like(tau)
-    return delta.astype(np.int64), math.floor(w) if fast else None, fast
+        band = (n - 1) / 2 + 2.0 + 2.0**32 * (4.0 * EPS * (t_max + 1.0))
+        delta = np.rint((tau - np.rint(tau)) * 2.0**32) if fast(band, 1) else np.zeros_like(tau)
+    return delta.astype(np.int64), band
+
+
+def fast(band, levels):
+    """Whether the kernel decides a call of this band at ``levels`` itself: w*L < 2**28."""
+    return band * levels < protocol._GUARD
 
 
 def quarter_distance(q):
@@ -305,20 +310,15 @@ def assert_levels_match(runs, quantizer=False):
     own output where a phase is not finite), and with ``quantizer``
     ``_quantize_indices``' throughout.  With x = fl(np.mod(theta, 2*pi)
     * fl(L/(2*pi))) the reference's level coordinate, from theta =
-    fl(fl(slope * m) * d):
-
-    * at L = 2 the kernel's fixed-point phase q (:func:`fixed_point`) lies
-      within m/2 + 2**32 * 4*eps*(|m*tau| + 1) of 2**32 * x/2 modulo 2**32
-      at element m, at most the call's band w, and the kernel handed the
-      reference exactly the elements with q within w of a quarter turn,
-      in order, or every element when the call falls back;
-    * at any other L its coordinate L*frac(t), t = fl(fl(steps *
-      fl(1/(2*pi))) * d) in turns, lies within delta of x, modulo L, as
-      :func:`~irs_aircomp.protocol.phase_index_rows` derives, each
-      finite element held to its own delta(L, |t|), at most the call's,
-      and the kernel recomputed only blocks that hold a phase within
-      2 delta of a half-level or not finite, or every block when delta
-      reaches the cap.
+    fl(fl(slope * m) * d), the kernel's fixed-point phase q
+    (:func:`fixed_point`) lies within m/2 + 2**32 * 4*eps*(|t| + 1) of
+    2**32 * x/L modulo 2**32 at element m, t = fl(fl(steps * fl(1/(2*pi)))
+    * d) its turns, and at most the call's band w, at every level count.
+    The kernel handed the reference, in one call and in order, exactly
+    the near elements: at L = 2 those with q within w of a quarter turn,
+    at any other L those with q*L within (w + 1)*L of a half-level
+    2**32*(j + 1/2), in integers; or every element in one call when
+    w*L reaches the guard or an input is not finite.
 
     The remainders are taken once for every level count.  Returns the
     largest error over its bound.
@@ -327,8 +327,8 @@ def assert_levels_match(runs, quantizer=False):
     slope, n = first.slope, first.n
     steps = slope * np.arange(n)
     turns = steps * (1.0 / TWO_PI)
-    fixed, w, fast = fixed_point(slope, n, first.diff)
-    near_at, near_theta = [np.empty(0, dtype=np.int64)], [np.empty(0)]  # L = 2 near elements
+    fixed, band = fixed_point(slope, n, first.diff)
+    near = {levels: ([np.empty(0, dtype=np.int64)], [np.empty(0)]) for levels in runs}
     height = max(1, CHUNK // n)
     for top in range(0, first.diff.size, height):
         rows, d = slice(top, top + height), first.diff[top : top + height, None]
@@ -337,12 +337,8 @@ def assert_levels_match(runs, quantizer=False):
             with np.errstate(invalid="ignore"):
                 theta = steps[columns] * d
                 remainder, t = np.mod(theta, TWO_PI), turns[columns] * d
-            finite = np.isfinite(theta)
-            if finite.all():
-                finite_t, finite_remainder = t, remainder
-            else:
-                finite_t, finite_remainder = t[finite], remainder[finite]
-            fraction, size = finite_t - np.floor(finite_t), np.abs(finite_t)
+            finite, m = np.isfinite(theta), np.arange(n)[columns]
+            q = np.mod(m * fixed[rows, None], 2**32)  # m*Delta below 2**47: exact in int64
             for levels, call in runs.items():
                 want = reference_levels(remainder, levels)
                 if not finite.all():
@@ -355,39 +351,30 @@ def assert_levels_match(runs, quantizer=False):
                     with np.errstate(invalid="ignore"):
                         want = protocol._quantize_indices(theta, levels)
                     np.testing.assert_array_equal(got, want)
-                if levels != 2:
-                    err = levels * fraction - finite_remainder * (levels / TWO_PI)
-                    err = np.abs(err - levels * np.rint(err / levels))
-                    ratio = err / protocol._doubt(levels, size)
-                elif fast:
-                    m = np.arange(n)[columns]
-                    q = m * fixed[rows, None]  # below 2**47: exact in int64
-                    err = np.abs(np.mod(q, 2**32) - remainder * (2.0**32 / TWO_PI))
-                    err = np.minimum(err, 2.0**32 - err)  # x/2 turns is 2**31 x exactly
-                    ratio = err / (m / 2 + 2.0**32 * (4.0 * EPS * (size + 1.0)))
-                    close = quarter_distance(q) <= w
-                    r, c = np.nonzero(close)
-                    near_at.append((top + r) * n + start + c)
-                    near_theta.append(theta[close])
-                else:
+                if not fast(band, levels):  # a fast call's band bounds every |theta|
                     continue
+                w = math.floor(band)
+                # 2**32 * x/L, exactly 2**31 * x at L = 2
+                err = np.abs(q - remainder * (levels / TWO_PI) * (2.0**32 / levels))
+                err = np.minimum(err, 2.0**32 - err)
+                ratio = err / (m / 2 + 2.0**32 * (4.0 * EPS * (np.abs(t) + 1.0)))
                 worst = max(worst, float(ratio.max(initial=0.0)))
+                if levels == 2:
+                    close = quarter_distance(q) <= w
+                else:
+                    close = np.abs(np.mod(q * levels, 2**32) - 2**31) <= (w + 1) * levels
+                r, c = np.nonzero(close)
+                near[levels][0].append((top + r) * n + start + c)
+                near[levels][1].append(theta[close])
     assert worst <= 1.0
     for levels, call in runs.items():
-        if levels == 2:
-            if not fast:
-                assert patched_count(call) == call.levels.size
-                continue
-            want = np.concatenate(near_theta)[np.argsort(np.concatenate(near_at))]
-            assert_same_bits(np.concatenate([np.empty(0), *call.patched]), want)
+        if not fast(band, levels):
+            assert len(call.patched) == 1 and patched_count(call) == call.levels.size
             continue
-        t_max = abs(turns[-1]) * np.abs(call.diff).max(initial=0.0)
-        delta = protocol._doubt(levels, t_max)
-        for theta in call.patched:
-            with np.errstate(invalid="ignore"):
-                x = np.mod(theta, TWO_PI) * (levels / TWO_PI)
-                near = np.abs(x - np.floor(x) - 0.5) <= 2.0 * delta
-            assert not delta < protocol._MAX_DELTA or not np.isfinite(theta).all() or near.any()
+        at, theta = (np.concatenate(parts) for parts in near[levels])
+        want = theta[np.argsort(at)]
+        assert len(call.patched) == (want.size > 0)
+        assert_same_bits(np.concatenate([np.empty(0), *call.patched]), want)
     return worst
 
 
@@ -459,7 +446,7 @@ def drop_kernel_runs():
 class TestModTwoPi:
     """Raw phases: each input magnitude u is element 1 at slope 1 in a row of either sign, so
     the kernel sees theta = +u and -u.  Its levels are the np.mod quantizer's, np.mod's
-    remainder and all, and at every finite u its phase lies within delta (w at L = 2).
+    remainder and all, and wherever the call is fast its phase lies within the band w.
     """
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-5, 1.0, 1e3, 1e6, 4e8])
@@ -474,11 +461,10 @@ class TestModTwoPi:
     def special_values(cls):
         """Signed zeros, subnormals, half and whole turns, the range guard of each level
         count and an ulp either side of it, and values far past it or not finite."""
-        # at L = 2 the raw phase u whose band (n = 2) reaches the cap, elsewhere the u whose delta does
+        # the raw phase u at which the band (n = 2), 2.5 + 2**32*4*eps*(u/(2*pi) + 1), times L
+        # reaches the guard
         limits = [
-            TWO_PI * ((protocol._MAX_DELTA * 2**30 - 2.5) / (2**32 * 4.0 * EPS) - 1.0)
-            if levels == 2
-            else TWO_PI * (protocol._MAX_DELTA / (4.0 * EPS * levels) - 1.0)
+            TWO_PI * ((protocol._GUARD / levels - 2.5) / (2**32 * 4.0 * EPS) - 1.0)
             for levels in LEVELS
         ]
         guards = ulp_neighbours(np.array(limits), 1)
@@ -504,9 +490,11 @@ class TestModTwoPi:
         def refuse(*args, **kwargs):
             raise AssertionError("np.mod called on the phase kernel's hot path")
 
-        expected = phase_index_rows(0.3, [-1.2, 0.4, 1.5], 8192, 2)
+        nu = [-1.2, 0.4, 1.5]
+        expected = {levels: phase_index_rows(0.3, nu, 8192, levels) for levels in (2, 3)}
         monkeypatch.setattr(protocol.np, "mod", refuse)
-        np.testing.assert_array_equal(phase_index_rows(0.3, [-1.2, 0.4, 1.5], 8192, 2), expected)
+        for levels, rows in expected.items():
+            np.testing.assert_array_equal(phase_index_rows(0.3, nu, 8192, levels), rows)
 
 
 @functools.cache
@@ -576,13 +564,13 @@ class TestBreakpointKernel:
 
     @pytest.mark.parametrize("levels", [1, 2, 3, 4, 8])
     def test_reduce_limit_fallback(self, levels):
-        # s*(N-1)*|d|, about 1.3e15 turns, puts delta (w at L = 2) past the cap at every L:
-        # the reference quantizer recomputes every element of the call
+        # s*(N-1)*|d|, about 1.3e15 turns, puts w*L past the guard at every L: one
+        # reference call sets every element of the kernel call
         nu = [-1.0, 0.2, 1.4]
         expected = reference_indices(0.3, nu, 64, levels, 2.0**44)
         with recorded_fallbacks() as patched:
             rows = phase_index_rows(0.3, nu, 64, levels, 2.0**44)
-        assert sum(theta.size for theta in patched) == rows.size
+        assert len(patched) == 1 and patched[0].size == rows.size
         np.testing.assert_array_equal(rows, expected)
 
     @pytest.mark.parametrize(
@@ -590,22 +578,27 @@ class TestBreakpointKernel:
         sorted({10, 11, protocol._COUNT_LEVELS, protocol._COUNT_LEVELS + 1, 16, 64, 10**6}),
     )
     def test_no_table_above_the_level_cap(self, levels):
-        # the fast path serves every level count, on both sides of the vote's cap, with no fallback
+        # one read serves every level count, on both sides of the vote's cap, up to the
+        # guard w*L < 2**28: at n = 256 (w = 129) no call falls back whole, and at n = 4096
+        # (w = 2049) only L = 10**6 does; the values are the reference's on both sides
         nu = np.array([-1.2, -0.3, 0.4, 1.5])
-        steps = TWO_PI * 0.5 * np.arange(4096)
-        want = protocol._quantize_indices(steps * (np.sin(0.3) - np.sin(nu))[:, None], levels)
-        with recorded_fallbacks() as blocks:
-            np.testing.assert_array_equal(phase_index_rows(0.3, nu, 4096, levels), want)
-        assert not blocks
+        for n, whole in ((256, False), (4096, levels == 10**6)):
+            steps = TWO_PI * 0.5 * np.arange(n)
+            want = protocol._quantize_indices(steps * (np.sin(0.3) - np.sin(nu))[:, None], levels)
+            with recorded_fallbacks() as patched:
+                np.testing.assert_array_equal(phase_index_rows(0.3, nu, n, levels), want)
+            assert len(patched) <= 1
+            assert (sum(theta.size for theta in patched) == want.size) == whole
 
 
 class TestTurnKernel:
-    """delta (w at L = 2) bounds the kernel's error, and the reference runs only where it
-    leaves doubt: on row blocks at L != 2, on single elements at L = 2."""
+    """The band w bounds the kernel's fixed-point phase at every L, and the reference runs
+    only where it leaves doubt: on the near elements alone, all in one call."""
 
     @pytest.mark.parametrize("levels", [2, 3, 4, 8, 16, 64])
     def test_level_error_within_doubt(self, levels):
-        # 2 x 5 x 21 x 8192 elements at N = 8192, and more at N = 7 and 512
+        # the band bounds the fixed-point phase: 2 x 5 x 21 x 8192 elements at N = 8192,
+        # and more at N = 7 and 512
         gen = np.random.default_rng(levels + 900)
         worst = 0.0
         for spacing in (0.5, 2.3):
@@ -629,15 +622,16 @@ class TestTurnKernel:
             diff = np.sin(gen.uniform(-np.pi / 2, np.pi / 2)) - np.sin(
                 gen.uniform(-np.pi / 2, np.pi / 2, 21)
             )
-            fixed, w, fast = fixed_point(slope, n, diff)
-            assert fast and w < (n - 1) / 2 + 3
+            fixed, band = fixed_point(slope, n, diff)
+            w = math.floor(band)
+            assert fast(band, 2) and w < (n - 1) / 2 + 3
             m = np.arange(n)
             remainder = np.mod(slope * m * diff[:, None], TWO_PI)
             err = np.abs(np.mod(m * fixed[:, None], 2**32) - remainder * (2.0**32 / TWO_PI))
             err = np.minimum(err, 2.0**32 - err)
             assert err.max() <= w
             assert err.max() > 0.4 * w  # the band is not slack
-            assert_levels_match({2: run_kernel(slope, n, diff, 2)})
+            assert_levels_match({L: run_kernel(slope, n, diff, L) for L in (2, 3, 4)})
 
     def test_near_elements_are_patched_one_by_one(self):
         # rows whose element m0 lands within ulps of a quarter or three-quarter turn (and
@@ -653,31 +647,53 @@ class TestTurnKernel:
         diff = np.concatenate([*near, -near[0], gen.uniform(-2, 2, 9)])
         call = run_kernel(slope, n, diff, 2)
         assert_levels_match({2: call}, quantizer=True)
-        fixed, w, _ = fixed_point(slope, n, diff)
-        close = quarter_distance(np.arange(n) * fixed[:, None]) <= w
+        fixed, band = fixed_point(slope, n, diff)
+        close = quarter_distance(np.arange(n) * fixed[:, None]) <= math.floor(band)
         assert close[: 5 * (len(near) + 1)].any(axis=1).all()  # every built row has one
-        assert patched_count(call) == close.sum()
-        assert all(theta.ndim == 1 for theta in call.patched)
+        assert len(call.patched) == 1 and call.patched[0].size == close.sum()
         theta = slope * np.arange(n) * diff[:, None]
         np.testing.assert_array_equal(
             call.levels[close], protocol._quantize_indices(theta[close], 2)
         )
 
+    def test_band_edges_decide_the_near_elements(self):
+        # rows whose fixed-point phase q (element 1, n = 2, w = 2) lies 0 to w + 2 units from
+        # a quarter turn or from a half-level of L = 4 or 8: at L = 2 the elements within w
+        # are near, at L = 4 and 8 those within w + 1, the unit that y's rounding takes
+        targets = [
+            centre + sign * offset
+            for centre in (2**30, 3 * 2**30, *(2**29 * np.arange(1, 8, 2)),
+                           *(2**28 * np.arange(1, 16, 2)))
+            for offset in range(5)
+            for sign in (1, -1)
+        ]
+        diff = np.array(targets) / 2.0**32 / (1.0 / TWO_PI)
+        fixed, band = fixed_point(1.0, 2, diff)
+        assert math.floor(band) == 2
+        np.testing.assert_array_equal(np.mod(fixed, 2**32), targets)
+        runs = {levels: run_kernel(1.0, 2, diff, levels) for levels in (2, 4, 8)}
+        assert_levels_match(runs, quantizer=True)
+        # per centre of its own, offset 0 twice and +-1 to +-w (+-(w + 1) at L = 4 and 8)
+        assert [patched_count(runs[levels]) for levels in (2, 4, 8)] == [2 * 6, 4 * 8, 8 * 8]
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_matches_the_reference_quantizer(self, data):
-        # any slope, n and rows, some with an element within ulps of a quarter, half,
-        # three-quarter or whole turn: the kernel equals _quantize_indices bit for bit
+        # any slope, n, level count and rows, some with an element within ulps of a
+        # quarter, half, three-quarter or whole turn or of a half-level: the kernel equals
+        # _quantize_indices bit for bit; at L = 1000 the guard puts n above about 268 to
+        # the reference whole
         slope = data.draw(st.floats(0.05, 20.0), label="slope")
         n = data.draw(st.integers(1, 3000), label="n")
+        levels = data.draw(st.sampled_from([1, 2, 3, 4, 5, 8, 16, 1000]), label="levels")
         turns = slope * (1.0 / TWO_PI)
+        half_levels = st.integers(0, levels - 1).map(lambda j: (j + 0.5) / levels)
         built = data.draw(st.lists(st.builds(
             lambda turn, m, ulps, sign: sign * turn / (turns * m) * (1.0 + ulps * EPS),
-            st.sampled_from([0.25, 0.5, 0.75, 1.0]), st.integers(1, max(1, n - 1)),
-            st.integers(-4, 4), st.sampled_from([1.0, -1.0]),
+            st.sampled_from([0.25, 0.5, 0.75, 1.0]) | half_levels,
+            st.integers(1, max(1, n - 1)), st.integers(-4, 4), st.sampled_from([1.0, -1.0]),
         ), max_size=3), label="built rows")
         drawn = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4), label="rows")
-        levels = data.draw(st.sampled_from([1, 2, 3, 4, 8]), label="levels")
         diff = np.array(built + drawn)
         want = protocol._quantize_indices(slope * np.arange(n) * diff[:, None], levels)
         np.testing.assert_array_equal(protocol._index_rows(slope, n, diff, levels), want)
@@ -685,49 +701,41 @@ class TestTurnKernel:
     @pytest.mark.parametrize("levels", [2, 4, 16])
     def test_no_fallback_on_random_geometries_at_benchmark_sizes(self, levels):
         # the sweeps' 64 stacked geometries of K = 20 at N = 512, and the
-        # scaling recipe's K = 21 at N = 512, 2048 and 8192, each stack one call:
-        # no block recomputed, and at L = 2 only the few near elements patched
+        # scaling recipe's K = 21 at N = 512, 2048 and 8192, each stack one call: no
+        # whole-call fallback, only the few near elements patched, in at most one call.
+        # About K*N*(w + 1)*L/2**31 elements are near; the bound is 4 times that, plus 4
         gen = np.random.default_rng(levels)
+        calls = list(kernel_run("geometries", levels)) if levels in LEVELS else []
         for geometries, K, n in ((64, 20, 512), (8, 21, 512), (8, 21, 2048), (8, 21, 8192)):
             phi_t = gen.uniform(-np.pi / 2, np.pi / 2, geometries)
             nu = gen.uniform(-np.pi / 2, np.pi / 2, (geometries, K))
             diff = (np.sin(phi_t)[:, None] - np.sin(nu)).ravel()
-            call = run_kernel(TWO_PI * 0.5, n, diff, levels)
-            if levels == 2:
-                assert all(theta.ndim == 1 for theta in call.patched)
-                assert patched_count(call) <= 4 * diff.size * n * (n / 2 + 3) / 2**30 + 4
-            else:
-                assert call.patched == []
-        if levels in LEVELS:
-            calls = kernel_run("geometries", levels)
-            assert all(
-                all(theta.ndim == 1 for theta in call.patched) if levels == 2 else not call.patched
-                for call in calls
-            )
+            calls.append(run_kernel(TWO_PI * 0.5, n, diff, levels))
+        for call in calls:
+            rows, n = call.diff.size, call.n
+            assert len(call.patched) <= 1
+            assert patched_count(call) <= 4 * rows * n * (n / 2 + 3) * levels / 2**31 + 4
 
     @pytest.mark.parametrize("levels", range(2, protocol._COUNT_LEVELS + 1))
     def test_breakpoints_fall_back(self, levels):
-        # every raw phase next to a level step is within delta of a half-level: its one
-        # block is recomputed, and at L = 2 every element 1 is patched alone
+        # every raw phase next to a level step is within the band of a half-level: each
+        # row's element 1 is patched alone, all in one call, and element 0 (theta = 0) is not
         for call in kernel_run(f"level-steps-{levels}", levels):
-            if levels == 2:
-                assert patched_count(call) == call.diff.size
-                assert all(theta.ndim == 1 for theta in call.patched)
-            else:
-                assert len(call.patched) == 1 and patched_count(call) == call.levels.size
+            assert len(call.patched) == 1 and patched_count(call) == call.diff.size
 
     def test_special_values_fall_back(self):
-        # not finite, or past the range guard: every element of the call goes to the
-        # reference; pi on a half-level at L = 3 takes its one block, and is a half
-        # turn, far from a quarter, at L = 2
+        # not finite, or past the guard: every element of the call goes to the reference in
+        # one call.  pi is a half-level at L = 3, so its elements theta = +pi and -pi are
+        # patched alone, and a level centre at L = 2, 4 and 8
         for levels in LEVELS:
             whole, *alone = kernel_run("special", levels)
-            assert patched_count(whole) == whole.levels.size
+            assert len(whole.patched) == 1 and patched_count(whole) == whole.levels.size
             for call in alone:
                 value = call.diff[0]
-                if value in (np.pi, 1e300) or not np.isfinite(value):
-                    fall_back = value != np.pi or levels == 3
-                    assert patched_count(call) == call.levels.size * fall_back
+                if value == 1e300 or not np.isfinite(value):
+                    assert len(call.patched) == 1 and patched_count(call) == call.levels.size
+                elif value == np.pi:
+                    assert patched_count(call) == 2 * (levels == 3)
 
     def test_multiples_of_two_pi_are_decided_fast(self):
         # in turns a multiple of 2*pi is a level centre, far from every half-level
@@ -1284,6 +1292,13 @@ class TestEvaluateMseGeneral:
         cfg, real, v, theta = self._setup()
         with pytest.raises(ValueError, match=f"^{message}"):
             evaluate_mse_general(v, theta, b, eta, real, cfg.sigma2)
+
+    @pytest.mark.parametrize("sigma2", [-1.0, math.nan, math.inf])
+    def test_bad_sigma2_rejected(self, sigma2):
+        # as evaluate_mse rejects it, not an MSE of nan, inf or below the misalignment
+        cfg, real, v, theta = self._setup()
+        with pytest.raises(ValueError, match=r"^sigma2 must be non-negative and finite, got "):
+            evaluate_mse_general(v, theta, np.ones(3), 1.0, real, sigma2)
 
     def test_phase_aligned_b_matches_scalar_form(self):
         from irs_aircomp.channel import effective_scalar_channel
