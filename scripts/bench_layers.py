@@ -11,6 +11,7 @@
     python scripts/bench_layers.py --baseline ../parent/src --end-to-end 10 --out BENCH_33.json
     python scripts/bench_layers.py --baseline ../parent/src --end-to-end 10 --out BENCH_34.json
     python scripts/bench_layers.py --baseline ../parent/src --end-to-end 10 --out BENCH_35.json
+    python scripts/bench_layers.py --baseline ../parent/src --end-to-end 10 --out BENCH_37.json
 
 Times each layer of the long-term and per-block stages on its own: a
 fresh random stream (``RngStream.generator``, the public path), the
@@ -78,13 +79,16 @@ into the same process under another package name and records it as
 ``parent``; the two sides' repeats alternate, layer by layer, so a
 drift in machine speed falls on both alike.  Each side records its git
 revision, or null for a tree outside git (a ``git archive`` or a copy),
-and the SHA-256 of its Python sources, which names the tree either way.
-BLAS is pinned to one thread, like the benchmark.
+the SHA-256 of its Python sources, which names the tree either way, and
+``src_code_lines``, the lines of code of those sources with no blank,
+comment or docstring line (:func:`src_code_lines`), the size that
+ROADMAP aim 2 tracks.  BLAS is pinned to one thread, like the benchmark.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import dataclasses
 import functools
 import hashlib
@@ -96,6 +100,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -353,6 +358,37 @@ def source_digest(src: Path) -> str:
     return digest.hexdigest()
 
 
+def src_code_lines(src: Path) -> int:
+    """Lines of code of the ``.py`` files under ``src``: no blank, comment or docstring lines.
+
+    A line counts where a token other than a comment or the layout
+    (newlines, indents) starts, ends or runs through it, unless it lies
+    in a docstring: the string that opens a module, class or function
+    body in the file's syntax tree.  A line that continues a bracketed
+    expression counts, as does every line of a string that is not a
+    docstring.
+    """
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+    total = 0
+    for path in sorted(p for p in src.rglob("*.py") if "__pycache__" not in p.parts):
+        with path.open("rb") as fh:
+            tokens = list(tokenize.tokenize(fh.readline))
+        lines = set()
+        for tok in tokens:
+            if tok.type not in layout:
+                lines.update(range(tok.start[0], tok.end[0] + 1))
+        tree = ast.parse(path.read_bytes())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = node.body[0] if node.body else None
+                if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                        and isinstance(first.value.value, str)):
+                    lines.difference_update(range(first.lineno, first.end_lineno + 1))
+        total += len(lines)
+    return total
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -403,7 +439,7 @@ def main() -> int:
         "interleaved": len(sides) > 1,
         "runs": {
             label: {"revision": source_revision(src), "src_sha256": source_digest(src),
-                    "layers_us": timings[label],
+                    "src_code_lines": src_code_lines(src), "layers_us": timings[label],
                     **({"end_to_end": whole[label]} if whole else {})}
             for label, src in sides.items()
         },

@@ -17,8 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from .channel import Geometry, SystemConfig, _require_geometry
-from .numerics import _require_count, array_response, sinc_normalized
-from .protocol import PhaseShiftVector, _require_powers
+from .numerics import _require_count, _require_powers, array_response, sinc_normalized
+from .protocol import PhaseShiftVector
 
 __all__ = [
     "AsymptoticParams",
@@ -33,6 +33,12 @@ __all__ = [
 ]
 
 _SINC_HALF_SQ = sinc_normalized(0.5) ** 2  # (2/pi)^2
+
+
+def _require_epsilon(epsilon: float) -> None:
+    """Reject a target optimality ratio epsilon outside (0, 1), NaN included."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -59,8 +65,7 @@ class AsymptoticParams:
         _require_powers(self.Pmax, self.sigma2)
         if not 0.0 < self.rho_min <= 1.0:
             raise ValueError("rho_min must be in (0, 1]")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must be in (0, 1)")
+        _require_epsilon(self.epsilon)
 
 
 def lambda1(K: int) -> float:

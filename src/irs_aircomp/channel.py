@@ -27,8 +27,10 @@ from .numerics import (
     _blocked_dot,
     _expand,
     _Factors,
-    _is_integer,
     _project,
+    _require_count,
+    _require_powers,
+    _require_ref_loss,
     _require_spacing,
     _responses,
     _slope,
@@ -92,21 +94,14 @@ class SystemConfig:
             if value is not None and not _all_finite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         for name in ("M", "N", "K", "L"):
-            if not _is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if min(self.M, self.N, self.K, self.L) < 1:
-            raise ValueError("M, N, K, L must all be >= 1")
-        if self.Pmax <= 0:
-            raise ValueError("Pmax must be positive")
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be non-negative")
+            _require_count(getattr(self, name), name)
+        _require_powers(self.Pmax, self.sigma2)
         if self.rician_delta < 0:
             raise ValueError("rician_delta must be non-negative")
         _require_spacing(self.spacing_ratio, max(self.N, self.M))
         if min(self.pathloss_exponent_reflected, self.pathloss_exponent_direct) < 0:
             raise ValueError("path loss exponents must be non-negative")
-        if not 0.0 < self.ref_loss_linear <= 1.0:
-            raise ValueError("ref_loss_linear must be in (0, 1]")
+        _require_ref_loss(self.ref_loss_linear)
         if self.device_radius < 0:
             raise ValueError("device_radius must be non-negative")
         extents = {name: max(abs(c) for c in getattr(self, name)) for name in _POSITIONS}
@@ -135,16 +130,16 @@ _MAX_COORDINATE = 2.0**510
 def _all_finite(value) -> bool:
     """Whether a config value, a number or a tuple or list of numbers, is finite throughout.
 
-    ``math.isfinite`` decides each number; any other value (an array, a
-    string, a nested sequence) is read as a float array, as numpy reads it.
+    A Python int is finite at any size, and ``math.isfinite`` decides
+    every other number; any other value (an array, a string, a nested
+    sequence) is read as a float array, as numpy reads it.
     """
-    try:
-        if isinstance(value, (tuple, list)):
-            return all(math.isfinite(x) for x in value)
-        if not isinstance(value, np.ndarray):
-            return math.isfinite(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
+    if not isinstance(value, np.ndarray):
+        try:
+            items = value if isinstance(value, (tuple, list)) else (value,)
+            return all(isinstance(x, int) or math.isfinite(x) for x in items)
+        except (TypeError, ValueError, OverflowError):
+            pass
     return bool(np.all(np.isfinite(np.asarray(value, dtype=float))))
 
 
@@ -202,17 +197,15 @@ def pathloss(distance: float, exponent: float, ref_loss_linear: float) -> float:
 
     Distances under the 1 m reference are clamped to 1 m with a warning
     (near-field guard).  The one-distance case of :func:`_pathlosses`.
-    A non-finite argument or a negative exponent raises ``ValueError``
-    naming it.
+    A negative or non-finite distance or exponent, or a reference loss
+    outside (0, 1], the range ``SystemConfig`` takes, raises
+    ``ValueError`` naming it.
     """
-    if not math.isfinite(distance):
-        raise ValueError(f"distance must be finite, got {distance!r}")
+    if not 0 <= distance < math.inf:
+        raise ValueError(f"distance must be non-negative and finite, got {distance!r}")
     if not 0 <= exponent < math.inf:
         raise ValueError(f"exponent must be non-negative and finite, got {exponent!r}")
-    if not math.isfinite(ref_loss_linear):
-        raise ValueError(f"ref_loss_linear must be finite, got {ref_loss_linear!r}")
-    if ref_loss_linear <= 0:
-        raise ValueError("ref_loss_linear must be positive")
+    _require_ref_loss(ref_loss_linear)
     return float(_pathlosses(np.array([distance], dtype=float), exponent, ref_loss_linear)[0])
 
 

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .analysis import AsymptoticParams, mse_upper_bound, n_threshold
+from .analysis import AsymptoticParams, _require_epsilon, mse_upper_bound, n_threshold
 from .channel import (
     Geometry,
     SystemConfig,
@@ -68,7 +68,7 @@ from .channel import (
     _require_geometry,
     make_geometry,
 )
-from .numerics import RngStream, _is_integer, _project, _require_spacing, _responses, _rewinder
+from .numerics import RngStream, _project, _require_count, _require_spacing, _responses, _rewinder
 from .protocol import (
     DegenerateChannelError,
     PhaseShiftVector,
@@ -134,7 +134,11 @@ class Scheme(str, enum.Enum):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A sweep: the system under test, its element counts, trial count and seed; frozen."""
+    """A sweep: the system under test, its element counts, trial count and seed; frozen.
+
+    Every check raises :class:`ConfigError`, the shared ones' messages
+    as they give them.
+    """
 
     system: SystemConfig = field(default_factory=SystemConfig)
     n_sweep: tuple[int, ...] = (64, 128, 256, 512)
@@ -144,23 +148,21 @@ class ExperimentConfig:
     redraw_geometry_per_trial: bool = False
 
     def __post_init__(self) -> None:
-        for n in self.n_sweep:
-            if not _is_integer(n):
-                raise ConfigError(f"n_sweep must hold integer element counts, got {n!r}")
-        for name in ("trials", "seed"):
-            if not _is_integer(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        object.__setattr__(self, "n_sweep", tuple(int(n) for n in self.n_sweep))
-        object.__setattr__(self, "seed", int(self.seed))
-        if len(self.n_sweep) < 1 or any(n < 1 for n in self.n_sweep):
-            raise ConfigError("n_sweep must contain positive element counts")
-        if any(b <= a for a, b in zip(self.n_sweep, self.n_sweep[1:])):
-            raise ConfigError("n_sweep must be strictly increasing")
-        _require_spacing(self.system.spacing_ratio, self.n_sweep[-1], ConfigError)  # largest N
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ConfigError("epsilon must be in (0, 1)")
+        try:
+            for n in self.n_sweep:
+                _require_count(n, "n_sweep")
+            _require_count(self.trials, "trials")
+            object.__setattr__(self, "n_sweep", tuple(int(n) for n in self.n_sweep))
+            # the seed of every trial's stream, checked and made a Python int as RngStream does
+            object.__setattr__(self, "seed", RngStream(self.seed).seed)
+            if not self.n_sweep:
+                raise ValueError("n_sweep must contain positive element counts")
+            if any(b <= a for a, b in zip(self.n_sweep, self.n_sweep[1:])):
+                raise ValueError("n_sweep must be strictly increasing")
+            _require_spacing(self.system.spacing_ratio, self.n_sweep[-1])  # largest N
+            _require_epsilon(self.epsilon)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)

@@ -128,10 +128,18 @@ def as_generator(stream: RngStream | np.random.Generator) -> np.random.Generator
 
     Passing a Generator lets multi-draw routines share one advancing
     state; passing an RngStream always starts from the stream origin.
+    Anything else raises ``TypeError``.
     """
     if isinstance(stream, np.random.Generator):
         return stream
-    return stream.generator()
+    if isinstance(stream, RngStream):
+        return stream.generator()
+    raise TypeError(f"stream must be an RngStream or a numpy Generator, got {stream!r}")
+
+
+# The one check of each model quantity that both the config classes and
+# the public functions take: counts, powers, the reference loss and the
+# element spacing.  Each raises ``ValueError`` naming the quantity.
 
 
 def _is_integer(value) -> bool:
@@ -140,9 +148,34 @@ def _is_integer(value) -> bool:
 
 
 def _require_count(value, name: str) -> None:
-    """Reject a count ``name`` that is not an integer >= 1, naming it."""
+    """Reject a count ``name`` that is not an integer in [1, 2**63), naming it.
+
+    A count of 2**63 or more fits no int64, so numpy could not size or
+    index an array by it.
+    """
     if not _is_integer(value) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    if value >= 2**63:
+        raise ValueError(f"{name} must be below 2**63, got {value!r}")
+
+
+def _require_powers(Pmax: float, sigma2: float) -> None:
+    """Reject a Pmax that is not positive and finite, or a bad sigma2 (:func:`_require_sigma2`)."""
+    if not 0 < Pmax < math.inf:
+        raise ValueError(f"Pmax must be positive and finite, got {Pmax!r}")
+    _require_sigma2(sigma2)
+
+
+def _require_sigma2(sigma2: float) -> None:
+    """Reject a noise power sigma2 that is not non-negative and finite, NaN included."""
+    if not 0 <= sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be non-negative and finite, got {sigma2!r}")
+
+
+def _require_ref_loss(ref_loss_linear: float) -> None:
+    """Reject a 1 m reference loss C0 outside (0, 1], NaN included: it attenuates."""
+    if not 0.0 < ref_loss_linear <= 1.0:
+        raise ValueError("ref_loss_linear must be in (0, 1]")
 
 
 def array_response(n_elems: int, angle: float, spacing_ratio: float = 0.5) -> np.ndarray:
@@ -154,27 +187,26 @@ def array_response(n_elems: int, angle: float, spacing_ratio: float = 0.5) -> np
     of :func:`_steering`: the first ``_STEERING_BLOCK`` entries equal
     the complex chain exp(2j*pi*spacing_ratio*sin(angle)*m) bit for bit,
     and later entries are within the bound stated there.  A non-finite
-    angle or spacing, one whose phases overflow, or a spacing that is
-    not positive is rejected.
+    angle is rejected, and so is a spacing that :func:`_require_spacing`
+    rejects.
     """
     _require_count(n_elems, "n_elems")
-    if not (math.isfinite(angle) and math.isfinite(spacing_ratio)):
-        raise ValueError(
-            f"angle and spacing_ratio must be finite, got {angle!r}, {spacing_ratio!r}"
-        )
+    if not math.isfinite(angle):
+        raise ValueError(f"angle must be finite, got {angle!r}")
     _require_spacing(spacing_ratio, n_elems)
     return _steering(_slope(angle, spacing_ratio), n_elems)
 
 
-def _require_spacing(spacing_ratio: float, n_elems: int, error=ValueError) -> None:
+def _require_spacing(spacing_ratio: float, n_elems: int) -> None:
     """Reject a spacing that is not positive, or one (or a count) at which
-    4*pi*spacing*n, a bound on every phase, overflows."""
+    4*pi*spacing*n, a bound on every phase, overflows; NaN and the
+    infinities included."""
     if not (n_elems < 1e308 and math.isfinite(2.0 * _TWO_PI * spacing_ratio * n_elems)):
-        raise error(
+        raise ValueError(
             f"spacing_ratio must be finite, and 4*pi*spacing*{n_elems} too, got {spacing_ratio!r}"
         )
     if not spacing_ratio > 0:
-        raise error(f"spacing_ratio must be positive, got {spacing_ratio!r}")
+        raise ValueError(f"spacing_ratio must be positive, got {spacing_ratio!r}")
 
 
 def _responses(n_elems: int, angles, spacing_ratio: float) -> np.ndarray:

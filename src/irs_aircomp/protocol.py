@@ -22,6 +22,7 @@ import numpy as np
 
 from .channel import ChannelRealization, effective_scalar_channel
 from .numerics import _fsums, _require_count, _require_spacing, array_response
+from .numerics import _require_powers, _require_sigma2
 
 __all__ = [
     "DegenerateChannelError",
@@ -59,14 +60,10 @@ class PhaseShiftVector:
     levels: int
 
     def __post_init__(self) -> None:
-        idx = np.asarray(self.indices)
-        if idx.dtype.kind not in "iu":  # a float would be truncated, a bool read as 0 or 1
-            raise ValueError(f"indices must be integers, got an array of {idx.dtype}")
-        idx = idx.astype(np.int64, copy=False)
-        object.__setattr__(self, "indices", idx)
-        _require_count(self.levels, "levels")
-        if idx.ndim != 1 or idx.min(initial=0) < 0 or idx.max(initial=-1) >= self.levels:
+        idx = _level_indices(self.indices, self.levels)
+        if idx.ndim != 1:
             raise ValueError("indices must be a 1-D array of values in [0, levels)")
+        object.__setattr__(self, "indices", idx.astype(np.int64, copy=False))
 
     @property
     def num_elements(self) -> int:
@@ -89,6 +86,22 @@ class PhaseShiftVector:
     def zero(cls, n_elements: int, levels: int) -> "PhaseShiftVector":
         """All-zero phases (the fixed, non-configured surface)."""
         return cls(indices=np.zeros(n_elements, dtype=np.int64), levels=levels)
+
+
+def _level_indices(indices, levels: int) -> np.ndarray:
+    """``indices`` as an array, rejected unless its values are integers in [0, levels).
+
+    The one check of level indices, whatever their shape: an integer
+    array, not bool, then one range read of it viewed unsigned, where a
+    negative index lies past every level count.
+    """
+    _require_count(levels, "levels")
+    indices = np.asarray(indices)
+    if indices.dtype.kind not in "iu":  # a float would be truncated, a bool read as 0 or 1
+        raise ValueError(f"indices must be integers, got an array of {indices.dtype}")
+    if indices.view(indices.dtype.str.replace("i", "u")).max(initial=0) >= levels:
+        raise ValueError(f"indices must lie in [0, levels) = [0, {levels})")
+    return indices
 
 
 def _phasor_table(levels: int) -> np.ndarray:
@@ -351,17 +364,11 @@ def vote_indices(indices, levels: int) -> np.ndarray:
     votes along its device axis, each (K, N) matrix as it does alone:
     (..., N).  The count is :func:`_vote`.
     """
-    _require_count(levels, "levels")
-    indices = np.asarray(indices)
-    if indices.dtype.kind not in "iu":  # a float would be truncated, a bool read as 0 or 1
-        raise ValueError(f"indices must be integers, got an array of {indices.dtype}")
+    indices = _level_indices(indices, levels)
     if indices.ndim < 2 or indices.shape[-2] == 0:
         raise ValueError(
             f"indices must be a (..., K, N) array with K >= 1, got shape {indices.shape}"
         )
-    # one pass: read unsigned, a negative index is past every level count
-    if indices.view(indices.dtype.str.replace("i", "u")).max(initial=0) >= levels:
-        raise ValueError(f"indices must lie in [0, levels) = [0, {levels})")
     return _vote(indices, levels)
 
 
@@ -495,19 +502,6 @@ def power_control_rows(gammas, Pmax: float, sigma2: float, inversion: bool = Fal
     :func:`channel_inversion_power_control`) solves it alone.
     """
     return _power_rows(_gamma_magnitudes(gammas, ndim=2), Pmax, sigma2, inversion)
-
-
-def _require_powers(Pmax: float, sigma2: float) -> None:
-    """Reject a Pmax that is not positive and finite, or a bad sigma2 (:func:`_require_sigma2`)."""
-    if not 0 < Pmax < math.inf:
-        raise ValueError(f"Pmax must be positive and finite, got {Pmax!r}")
-    _require_sigma2(sigma2)
-
-
-def _require_sigma2(sigma2: float) -> None:
-    """Reject a noise power sigma2 that is not non-negative and finite, NaN included."""
-    if not 0 <= sigma2 < math.inf:
-        raise ValueError(f"sigma2 must be non-negative and finite, got {sigma2!r}")
 
 
 def _power_rows(g: np.ndarray, Pmax: float, sigma2: float, inversion: bool):

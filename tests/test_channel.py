@@ -15,7 +15,13 @@ from irs_aircomp.channel import (
     pathloss,
     sample_channels,
 )
-from irs_aircomp.experiments import ExperimentConfig, Scheme, compute_long_term, run_sweep
+from irs_aircomp.experiments import (
+    ExperimentConfig,
+    Scheme,
+    compute_long_term,
+    run_sweep,
+    run_trial,
+)
 from irs_aircomp.numerics import RngStream, array_response
 from irs_aircomp.protocol import (
     PhaseShiftVector,
@@ -237,8 +243,8 @@ def test_system_config_rejects_positions_past_finite_distances(overrides):
 @pytest.mark.parametrize(
     "overrides, message",
     [
-        (dict(Pmax=0.0), "Pmax must be positive"),
-        (dict(sigma2=-1e-12), "sigma2 must be non-negative"),
+        (dict(Pmax=0.0), r"Pmax must be positive and finite, got 0\.0"),
+        (dict(sigma2=-1e-12), "sigma2 must be non-negative and finite, got -1e-12"),
         (dict(rician_delta=-1.0), "rician_delta must be non-negative"),
         (dict(pathloss_exponent_direct=-0.1), "path loss exponents must be non-negative"),
         (dict(ref_loss_linear=0.0), r"ref_loss_linear must be in \(0, 1\]"),
@@ -256,27 +262,44 @@ def test_system_config_rejects_out_of_range_scalars(overrides, message):
 
 
 def test_pathloss_rejects_non_positive_reference_loss():
-    with pytest.raises(ValueError, match="^ref_loss_linear must be positive$"):
+    with pytest.raises(ValueError, match=r"^ref_loss_linear must be in \(0, 1\]$"):
         pathloss(10.0, 2.2, 0.0)
 
 
 @pytest.mark.parametrize(
     "args, message",
     [
-        ((math.nan, 2.2, 1e-3), "distance must be finite, got nan"),
-        ((math.inf, 2.2, 1e-3), "distance must be finite, got inf"),
+        ((math.nan, 2.2, 1e-3), "distance must be non-negative and finite, got nan"),
+        ((math.inf, 2.2, 1e-3), "distance must be non-negative and finite, got inf"),
+        # was clamped to 1 m with a warning, as if it were a near-field distance
+        ((-5.0, 2.2, 1e-3), "distance must be non-negative and finite, got -5.0"),
         ((10.0, math.nan, 1e-3), "exponent must be non-negative and finite, got nan"),
         ((10.0, math.inf, 1e-3), "exponent must be non-negative and finite, got inf"),
         ((10.0, -1.0, 1e-3), "exponent must be non-negative and finite, got -1.0"),
-        ((10.0, 2.0, math.nan), "ref_loss_linear must be finite, got nan"),
-        ((10.0, 2.0, math.inf), "ref_loss_linear must be finite, got inf"),
+        ((10.0, 2.0, math.nan), r"ref_loss_linear must be in \(0, 1\]"),
+        ((10.0, 2.0, math.inf), r"ref_loss_linear must be in \(0, 1\]"),
+        # returned 0.08, a gain, where SystemConfig refused C0 = 2 with this message
+        ((5.0, 2.0, 2.0), r"ref_loss_linear must be in \(0, 1\]"),
     ],
-    ids=["distance=nan", "distance=inf", "exponent=nan", "exponent=inf", "exponent<0",
-         "ref=nan", "ref=inf"],
+    ids=["distance=nan", "distance=inf", "distance<0", "exponent=nan", "exponent=inf",
+         "exponent<0", "ref=nan", "ref=inf", "ref>1"],
 )
 def test_pathloss_rejects_non_finite_or_negative_exponent_naming_it(args, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         pathloss(*args)
+
+
+@pytest.mark.parametrize("stream", [5, None, np.random.PCG64(5)], ids=["int", "None", "bits"])
+def test_other_streams_rejected_naming_the_two_types(stream):
+    # an int failed with "AttributeError: 'int' object has no attribute 'generator'"
+    config = SystemConfig(K=3, N=8)
+    geo = make_geometry(config, RngStream(1, 0))
+    message = "^stream must be an RngStream or a numpy Generator, got "
+    for call in (lambda: make_geometry(config, stream),
+                 lambda: sample_channels(geo, config, stream),
+                 lambda: run_trial(config, geo, Scheme.OPT_PC_IRS, stream)):
+        with pytest.raises(TypeError, match=message):
+            call()
 
 
 @pytest.mark.parametrize("spacing", [0.0, -0.5])

@@ -231,6 +231,18 @@ def test_non_finite_config_exits_two(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
 
 
+def test_count_past_int64_exits_two_naming_it(tmp_path, capsys):
+    # a 401-digit M overflowed a float in the finiteness check: a traceback and exit 1
+    big = "1" + "0" * 400
+    cfg = write_config(tmp_path, TOY.replace("m = 2", f"m = {big}"))
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: M must be below 2**63, got {big}\n"
+    assert not out.exists()
+
+
 def test_block_direct_with_direct_scheme_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path, TOY + "block_direct = true\n")
     out = tmp_path / "x.csv"
@@ -332,7 +344,7 @@ def run_scaling_script(argv) -> int:
 @pytest.mark.parametrize(
     "line, bad, message",
     [
-        ("trials = 3", "trials = 0", "trials must be >= 1"),
+        ("trials = 3", "trials = 0", "trials must be a positive integer, got 0"),
         ("n_sweep = 8, 16", "n_sweep = 16, 8", "n_sweep must be strictly increasing"),
         ("n_sweep = 8, 16", "n_sweep = 8,x", "n_sweep: cannot parse 'x' as int"),
         ("seed = 5", "seed = 5\nl = 4", "the bound assumes binary phases (l = 2), got l = 4"),

@@ -213,7 +213,7 @@ class TestFrozenConfigs:
             replace(SystemConfig(), device_center=(2.0**1021, 0.0, 0.0))
         with pytest.raises(ValueError, match="spacing_ratio must be positive"):
             replace(SystemConfig(), spacing_ratio=0.0)
-        with pytest.raises(ConfigError, match="trials must be >= 1"):
+        with pytest.raises(ConfigError, match="trials must be a positive integer, got 0"):
             replace(ExperimentConfig(), trials=0)
         with pytest.raises(ConfigError, match="n_sweep must be strictly increasing"):
             replace(ExperimentConfig(), n_sweep=(64, 32))
@@ -899,11 +899,26 @@ class TestLoadConfig:
             "spacing_ratio = 1e308",
             # finite phases at the default N = 256, not at the sweep's largest N
             "spacing_ratio = 1e304\nn_sweep = 64, 1000000",
-            pytest.param("n_sweep = 64, 1" + "0" * 400, id="n_sweep past the float range"),
         ],
     )
     def test_non_finite_value_rejected(self, tmp_path, line):
         with pytest.raises(ConfigError, match="must be finite"):
+            load_config(self.write(tmp_path, line + "\n"))
+
+    @pytest.mark.parametrize(
+        "line, name, count",
+        [
+            pytest.param("n_sweep = 64, 1" + "0" * 400, "n_sweep", 10**400,
+                         id="n_sweep past the float range"),
+            pytest.param("m = 1" + "0" * 400, "M", 10**400, id="M past the float range"),
+            pytest.param(f"k = {2**63}", "K", 2**63, id="K=2**63"),
+            pytest.param(f"trials = {2**63}", "trials", 2**63, id="trials=2**63"),
+        ],
+    )
+    def test_count_past_int64_rejected_naming_it(self, tmp_path, line, name, count):
+        # an M past the float range overflowed the finiteness check, and an n_sweep
+        # there was blamed on spacing_ratio
+        with pytest.raises(ConfigError, match=rf"^{name} must be below 2\*\*63, got {count}$"):
             load_config(self.write(tmp_path, line + "\n"))
 
     @pytest.mark.parametrize(

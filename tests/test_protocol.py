@@ -870,8 +870,8 @@ def test_non_integer_counts_rejected(call, name, count):
         ([0.5, 1.2], "must be integers"),  # truncated to [0, 1]
         (np.array([1.9]), "must be integers"),  # truncated to [1]
         ([True, False], "must be integers"),  # read as [1, 0]
-        ([0, 2], r"must be a 1-D array of values in \[0, levels\)"),
-        ([-1, 0], r"must be a 1-D array of values in \[0, levels\)"),
+        ([0, 2], r"must lie in \[0, levels\) = \[0, 2\)"),
+        ([-1, 0], r"must lie in \[0, levels\) = \[0, 2\)"),
         ([[0, 1]], r"must be a 1-D array of values in \[0, levels\)"),
     ],
     ids=["fractions", "float-array", "bools", "past-levels", "negative", "2-D"],
