@@ -17,6 +17,10 @@ alters with
 
 and says so.  Only the named cases are rewritten; each is reported as
 ``unchanged`` or ``rewritten``.
+
+``bounds_compare.csv`` pins ``irs-aircomp bounds`` on
+``configs/compare.cfg`` the same way; it draws no trials, so only a
+change to the closed forms, the geometry stream or the CSV format moves it.
 """
 
 import sys
@@ -26,10 +30,12 @@ from pathlib import Path
 import pytest
 
 from irs_aircomp.channel import SystemConfig
+from irs_aircomp.cli import main
 from irs_aircomp.experiments import ExperimentConfig, Scheme, load_config, run_sweep, write_csv
 
 DATA = Path(__file__).resolve().parent / "data"
-SCALING_RECIPE = Path(__file__).resolve().parents[1] / "configs" / "scaling_law.cfg"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SCALING_RECIPE = CONFIGS / "scaling_law.cfg"
 
 IRS_SCHEMES = [Scheme.OPT_PC_IRS, Scheme.INV_PC_IRS, Scheme.FIXED_PHASE_OPT_PC]
 
@@ -79,6 +85,12 @@ def test_sweep_csv_byte_identical(name, tmp_path):
     path = tmp_path / f"{name}.csv"
     write_csv(run_sweep(config, schemes), path)
     assert path.read_bytes() == (DATA / f"golden_{name}.csv").read_bytes()
+
+
+def test_bounds_csv_byte_identical(tmp_path):
+    path = tmp_path / "bounds.csv"
+    assert main(["bounds", "--config", str(CONFIGS / "compare.cfg"), "--out", str(path)]) == 0
+    assert path.read_bytes() == (DATA / "bounds_compare.csv").read_bytes()
 
 
 def test_every_golden_file_has_a_case():
