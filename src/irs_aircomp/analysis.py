@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .channel import Geometry, SystemConfig, _require_geometry
-from .numerics import _require_count, _require_powers, array_response, sinc_normalized
+from .numerics import _MAX_FLOAT, _require_count, _require_powers, array_response, sinc_normalized
 from .protocol import PhaseShiftVector
 
 __all__ = [
@@ -132,7 +132,7 @@ def mse_lower_bound(gamma1_sq: float, Pmax: float, sigma2: float) -> float:
     ``gamma1_sq`` positive and finite.
     """
     _require_powers(Pmax, sigma2)
-    if not 0 < gamma1_sq < math.inf:  # also NaN
+    if not 0 < gamma1_sq <= _MAX_FLOAT:  # also NaN
         raise ValueError(f"gamma1_sq must be positive and finite, got {gamma1_sq!r}")
     return Pmax * sigma2 * gamma1_sq / (sigma2 + Pmax * gamma1_sq) ** 2
 

@@ -15,7 +15,6 @@ no (K, N) line-of-sight array is built unless ``h_reflect`` or
 
 from __future__ import annotations
 
-import math
 import sys
 import warnings
 from dataclasses import dataclass, field, fields
@@ -23,6 +22,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .numerics import (
+    _MAX_FLOAT,
     RngStream,
     _blocked_dot,
     _expand,
@@ -89,12 +89,12 @@ class SystemConfig:
     nu: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        for name in ("M", "N", "K", "L"):
+            _require_count(getattr(self, name), name)
         for f in fields(self):
             value = getattr(self, f.name)
             if value is not None and not _all_finite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
-        for name in ("M", "N", "K", "L"):
-            _require_count(getattr(self, name), name)
         _require_powers(self.Pmax, self.sigma2)
         if self.rician_delta < 0:
             raise ValueError("rician_delta must be non-negative")
@@ -130,20 +130,20 @@ _MAX_COORDINATE = 2.0**510
 def _all_finite(value) -> bool:
     """Whether a config value, a number or a tuple or list of numbers, is finite throughout.
 
-    A Python int is finite at any size, and ``math.isfinite`` decides
-    every other number; any other value (an array, a string, a nested
+    A number is finite when it lies within the float range, so a Python
+    int past it is not; any other value (an array, a string, a nested
     sequence) is read as a float array, as numpy reads it.
     """
     if not isinstance(value, np.ndarray):
         try:
             items = value if isinstance(value, (tuple, list)) else (value,)
-            return all(isinstance(x, int) or math.isfinite(x) for x in items)
-        except (TypeError, ValueError, OverflowError):
+            return all(-_MAX_FLOAT <= x <= _MAX_FLOAT for x in items)
+        except (TypeError, ValueError):
             pass
     return bool(np.all(np.isfinite(np.asarray(value, dtype=float))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Geometry:
     """Static node placement, angles, and large-scale path losses."""
 
@@ -157,7 +157,7 @@ class Geometry:
     spacing_ratio: float = 0.5    # the config's; effective_scalar_channel reads it
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelRealization:
     """One coherence block: what it drew, and the factors of its line of sight.
 
@@ -201,9 +201,9 @@ def pathloss(distance: float, exponent: float, ref_loss_linear: float) -> float:
     outside (0, 1], the range ``SystemConfig`` takes, raises
     ``ValueError`` naming it.
     """
-    if not 0 <= distance < math.inf:
+    if not 0 <= distance <= _MAX_FLOAT:
         raise ValueError(f"distance must be non-negative and finite, got {distance!r}")
-    if not 0 <= exponent < math.inf:
+    if not 0 <= exponent <= _MAX_FLOAT:
         raise ValueError(f"exponent must be non-negative and finite, got {exponent!r}")
     _require_ref_loss(ref_loss_linear)
     return float(_pathlosses(np.array([distance], dtype=float), exponent, ref_loss_linear)[0])

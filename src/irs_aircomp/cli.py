@@ -7,7 +7,6 @@ error, or a degenerate channel.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import os
 import sys
@@ -27,6 +26,7 @@ from .experiments import (
     ConfigError,
     Scheme,
     _bound_params,
+    _write_table_file,
     load_config,
     run_sweep,
     write_csv,
@@ -73,33 +73,20 @@ def _cmd_bounds(args) -> int:
         # the closed forms assume binary phases; a sweep leaves its bound columns empty
         raise ConfigError(f"bounds assume binary phases (l = 2), got l = {system.L}")
     bound_params = _bound_params(config, make_geometry(system, RngStream(config.seed, 0)))
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                [
-                    "N",
-                    "approx_array_gain",
-                    "min_gamma_sq_approx",
-                    "mse_upper_bound",
-                    "n_threshold",
-                    "mse_lower_bound",
-                ]
-            )
-            for params in bound_params:
-                gamma1_sq = min_gamma_sq_approx(params)
-                writer.writerow(
-                    [
-                        params.N,
-                        repr(approx_array_gain(params.N, system.K)),
-                        repr(gamma1_sq),
-                        repr(mse_upper_bound(params)),
-                        repr(n_threshold(params)),
-                        repr(mse_lower_bound(gamma1_sq, system.Pmax, system.sigma2)),
-                    ]
-                )
-    except OSError as exc:
-        raise ConfigError(f"failed writing bounds CSV to {args.out}: {exc}") from exc
+    header = ("N", "approx_array_gain", "min_gamma_sq_approx", "mse_upper_bound",
+              "n_threshold", "mse_lower_bound")
+    rows = (
+        (
+            params.N,
+            approx_array_gain(params.N, system.K),
+            gamma1_sq := min_gamma_sq_approx(params),
+            mse_upper_bound(params),
+            n_threshold(params),
+            mse_lower_bound(gamma1_sq, system.Pmax, system.sigma2),
+        )
+        for params in bound_params
+    )
+    _write_table_file(args.out, "bounds", header, rows)
     print(f"wrote bounds for {len(config.n_sweep)} element counts to {args.out}")
     return 0
 

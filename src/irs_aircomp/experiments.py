@@ -165,7 +165,7 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LongTermState:
     """The paper's long-term variables of one geometry, and nothing cached.
 
@@ -184,6 +184,16 @@ class LongTermState:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One (scheme, N) point of a sweep, one line of its CSV, the fields in column order.
+
+    ``mean_mse`` and ``stderr_mse`` are the mean of the T per-trial MSEs
+    and its standard error, and ``mean_ktilde`` the mean critical number
+    (devices transmitting at Pmax).  ``bound_mse`` and ``n_threshold``
+    are the closed-form upper bound and critical element count at the
+    reference geometry; only the voted-phase schemes at L = 2 report
+    them, the others leave them None, an empty cell.
+    """
+
     scheme: str
     N: int
     M: int
@@ -200,7 +210,7 @@ _ROW_FIELDS = tuple(f.name for f in fields(SweepRow))
 CSV_HEADER = ",".join(_ROW_FIELDS)
 
 
-@dataclass
+@dataclass(eq=False)
 class SweepResult:
     """A sweep's rows and, keyed (scheme, N) as the rows sort, their T
     per-trial MSEs and critical numbers, paired: trial t is one draw.
@@ -602,21 +612,36 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _write_table(fh, header, rows) -> None:
+    """The one CSV format: ``header``, then one ``\\n``-ended line of cells per row."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_format_cell(value) for value in row] for row in rows)
+
+
+def _write_table_file(path, kind: str, header, rows) -> None:
+    """:func:`_write_table` into a UTF-8 file; a failure names ``kind`` and ``path``."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            _write_table(fh, header, rows)
+    except OSError as exc:
+        raise OSError(f"failed writing {kind} CSV to {path}: {exc}") from exc
+
+
+def _sorted_rows(result: SweepResult):
+    """Each row's field values, rows sorted by (scheme, N)."""
+    for r in sorted(result.rows, key=lambda r: (r.scheme, r.N)):
+        yield [getattr(r, name) for name in _ROW_FIELDS]
+
+
 def write_rows(result: SweepResult, fh) -> None:
     """Fixed header, then rows sorted by (scheme, N) with round-trip floats."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(_ROW_FIELDS)
-    for r in sorted(result.rows, key=lambda r: (r.scheme, r.N)):
-        writer.writerow([_format_cell(getattr(r, name)) for name in _ROW_FIELDS])
+    _write_table(fh, _ROW_FIELDS, _sorted_rows(result))
 
 
 def write_csv(result: SweepResult, path) -> None:
     """:func:`write_rows` into a UTF-8 file."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            write_rows(result, fh)
-    except OSError as exc:
-        raise OSError(f"failed writing sweep CSV to {path}: {exc}") from exc
+    _write_table_file(path, "sweep", _ROW_FIELDS, _sorted_rows(result))
 
 
 def _parse_bool(raw: str, key: str) -> bool:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 import typing
 from dataclasses import dataclass
 
@@ -139,7 +140,10 @@ def as_generator(stream: RngStream | np.random.Generator) -> np.random.Generator
 
 # The one check of each model quantity that both the config classes and
 # the public functions take: counts, powers, the reference loss and the
-# element spacing.  Each raises ``ValueError`` naming the quantity.
+# element spacing.  Each raises ``ValueError`` naming the quantity.  A
+# value is finite when it lies within +-_MAX_FLOAT: NaN, the infinities
+# and a Python int past the float range are not.
+_MAX_FLOAT = sys.float_info.max
 
 
 def _is_integer(value) -> bool:
@@ -161,14 +165,14 @@ def _require_count(value, name: str) -> None:
 
 def _require_powers(Pmax: float, sigma2: float) -> None:
     """Reject a Pmax that is not positive and finite, or a bad sigma2 (:func:`_require_sigma2`)."""
-    if not 0 < Pmax < math.inf:
+    if not 0 < Pmax <= _MAX_FLOAT:
         raise ValueError(f"Pmax must be positive and finite, got {Pmax!r}")
     _require_sigma2(sigma2)
 
 
 def _require_sigma2(sigma2: float) -> None:
     """Reject a noise power sigma2 that is not non-negative and finite, NaN included."""
-    if not 0 <= sigma2 < math.inf:
+    if not 0 <= sigma2 <= _MAX_FLOAT:
         raise ValueError(f"sigma2 must be non-negative and finite, got {sigma2!r}")
 
 
@@ -201,7 +205,8 @@ def _require_spacing(spacing_ratio: float, n_elems: int) -> None:
     """Reject a spacing that is not positive, or one (or a count) at which
     4*pi*spacing*n, a bound on every phase, overflows; NaN and the
     infinities included."""
-    if not (n_elems < 1e308 and math.isfinite(2.0 * _TWO_PI * spacing_ratio * n_elems)):
+    if not (abs(spacing_ratio) <= _MAX_FLOAT and n_elems < 1e308
+            and math.isfinite(2.0 * _TWO_PI * spacing_ratio * n_elems)):
         raise ValueError(
             f"spacing_ratio must be finite, and 4*pi*spacing*{n_elems} too, got {spacing_ratio!r}"
         )

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from irs_aircomp import channel, numerics
+from irs_aircomp.analysis import AsymptoticParams, mse_lower_bound
 from irs_aircomp.channel import (
     SystemConfig,
     effective_scalar_channel,
@@ -191,6 +192,35 @@ def test_system_config_rejects_non_finite(overrides):
     name = next(iter(overrides))
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         SystemConfig(**overrides)
+
+
+BIG = 10**400  # a Python int past the float range
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        ("SystemConfig(sigma2=BIG)", "sigma2"),
+        ("SystemConfig(Pmax=BIG)", "Pmax"),
+        ("SystemConfig(rician_delta=BIG)", "rician_delta"),
+        ("SystemConfig(phi_r=-BIG)", "phi_r"),
+        ("SystemConfig(nu=(BIG,) * 20)", "nu"),
+        ("SystemConfig(device_radius=BIG)", "device_radius"),
+        ("SystemConfig(spacing_ratio=BIG)", "spacing_ratio"),
+        ("AsymptoticParams(M=2, N=4, K=2, Pmax=1.0, sigma2=BIG, rho_min=1.0)", "sigma2"),
+        ("pathloss(BIG, 2.0, 1e-3)", "distance"),
+        ("pathloss(5.0, BIG, 1e-3)", "exponent"),
+        ("array_response(4, 0.1, -BIG)", "spacing_ratio"),
+        ("optimal_power_control(np.array([1.0, 2.0]), BIG, 1.0)", "Pmax"),
+        ("channel_inversion_power_control(np.array([1.0, 2.0]), 1.0, BIG)", "sigma2"),
+        ("mse_lower_bound(BIG, 1.0, 1.0)", "gamma1_sq"),
+        ("mse_lower_bound(1.0, 1.0, BIG)", "sigma2"),
+    ],
+)
+def test_int_past_the_float_range_rejected_naming_it(call, name):
+    # such an int passed every check, then overflowed converting to a float
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        eval(call)
 
 
 def test_farthest_accepted_positions_keep_distances_finite():

@@ -1023,3 +1023,20 @@ def config_text(value):
     if isinstance(value, tuple):
         return ", ".join(config_text(v) for v in value)
     return str(value).lower() if isinstance(value, bool) else repr(value)
+
+
+def test_array_records_compare_by_identity():
+    # an elementwise == on their arrays would raise, as would hashing them by value
+    config = small_config(trials=1)
+    geometry = make_geometry(config.system, RngStream(1, 0))
+    records = [
+        geometry,
+        sample_channels(geometry, config.system, RngStream(1, 1)),
+        compute_long_term(geometry, config.system),
+        run_sweep(config, [Scheme.OPT_PC_IRS]),
+    ]
+    for record in records:
+        twin = replace(record)
+        assert record == record and record != twin
+        assert hash(record) == hash(record) != hash(twin)
+        assert {record, twin, record} == {record, twin}
