@@ -203,8 +203,8 @@ def array_response(n_elems: int, angle: float, spacing_ratio: float = 0.5) -> np
 
 def _require_spacing(spacing_ratio: float, n_elems: int) -> None:
     """Reject a spacing that is not positive, or one (or a count) at which
-    4*pi*spacing*n, a bound on every phase, overflows; NaN and the
-    infinities included."""
+    4*pi*spacing*n, a bound on every phase, overflows; NaN, the
+    infinities and an int past the float range included."""
     if not (abs(spacing_ratio) <= _MAX_FLOAT and n_elems < 1e308
             and math.isfinite(2.0 * _TWO_PI * spacing_ratio * n_elems)):
         raise ValueError(

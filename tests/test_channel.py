@@ -218,7 +218,7 @@ BIG = 10**400  # a Python int past the float range
     ],
 )
 def test_int_past_the_float_range_rejected_naming_it(call, name):
-    # such an int passed every check, then overflowed converting to a float
+    # a float quantity is refused by name, not left to overflow at its first conversion
     with pytest.raises(ValueError, match=f"^{name} must be "):
         eval(call)
 
